@@ -7,8 +7,8 @@
 //! * [`Simulator`] — a deterministic discrete-event queue, generic over the
 //!   event payload type.
 //! * [`rng::RngStream`] — reproducible per-component random-number streams.
-//! * [`stats`] — counters, running statistics, histograms and confidence
-//!   intervals used by the experiment harness.
+//! * [`stats`] — counters, running statistics and confidence intervals
+//!   used by the experiment harness.
 //!
 //! # Example
 //!

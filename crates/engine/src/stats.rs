@@ -1,5 +1,5 @@
-//! Statistics collection: counters, running moments, histograms and
-//! confidence intervals.
+//! Statistics collection: counters, running moments and confidence
+//! intervals.
 //!
 //! The experiment harness reports per-configuration means with 95% confidence
 //! intervals across repeated runs (mirroring the paper's Figure 13 error
@@ -187,79 +187,6 @@ impl fmt::Display for Summary {
         } else {
             write!(f, "{:.1} ±{:.1} (n={})", self.mean, self.ci95, self.count)
         }
-    }
-}
-
-/// A log-scaled histogram for latency-like quantities (cycle counts spanning
-/// several orders of magnitude).
-///
-/// Buckets are powers of two: bucket *k* holds samples in `[2^k, 2^(k+1))`,
-/// with bucket 0 also holding zero. Bucket storage is a fixed array so the
-/// per-sample cost on hot simulation paths is one shift and one add, with no
-/// tree walk or allocation.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct Histogram {
-    buckets: [u64; 64],
-    total: u64,
-}
-
-impl Default for Histogram {
-    fn default() -> Self {
-        Histogram {
-            buckets: [0; 64],
-            total: 0,
-        }
-    }
-}
-
-impl Histogram {
-    /// Creates an empty histogram.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Records one sample.
-    #[inline]
-    pub fn add(&mut self, value: u64) {
-        let bucket = if value == 0 {
-            0
-        } else {
-            64 - value.leading_zeros() - 1
-        };
-        self.buckets[bucket as usize] += 1;
-        self.total += 1;
-    }
-
-    /// Total number of samples.
-    pub fn count(&self) -> u64 {
-        self.total
-    }
-
-    /// Iterates `(bucket_low_bound, count)` over non-empty buckets in
-    /// increasing order.
-    pub fn iter(&self) -> impl Iterator<Item = (u64, u64)> + '_ {
-        self.buckets
-            .iter()
-            .enumerate()
-            .filter(|&(_, &c)| c > 0)
-            .map(|(k, &c)| (1u64 << k, c))
-    }
-
-    /// Approximate quantile (returns the low bound of the bucket containing
-    /// the q-quantile sample). `None` if empty.
-    pub fn quantile(&self, q: f64) -> Option<u64> {
-        if self.total == 0 {
-            return None;
-        }
-        let target = ((self.total as f64) * q.clamp(0.0, 1.0)).ceil().max(1.0) as u64;
-        let mut seen = 0;
-        for (k, c) in self.iter() {
-            seen += c;
-            if seen >= target {
-                return Some(k);
-            }
-        }
-        self.iter().last().map(|(k, _)| k)
     }
 }
 
@@ -487,30 +414,6 @@ mod tests {
         let txt = format!("{s}");
         assert!(!txt.contains("NaN"), "{txt}");
         assert!(txt.contains("±n/a"), "{txt}");
-    }
-
-    #[test]
-    fn histogram_buckets_powers_of_two() {
-        let mut h = Histogram::new();
-        h.add(0);
-        h.add(1);
-        h.add(2);
-        h.add(3);
-        h.add(1024);
-        let buckets: Vec<(u64, u64)> = h.iter().collect();
-        assert_eq!(buckets, vec![(1, 2), (2, 2), (1024, 1)]);
-        assert_eq!(h.count(), 5);
-    }
-
-    #[test]
-    fn histogram_quantiles() {
-        let mut h = Histogram::new();
-        for v in [1u64, 1, 1, 1, 1, 1, 1, 1, 1, 1000] {
-            h.add(v);
-        }
-        assert_eq!(h.quantile(0.5), Some(1));
-        assert_eq!(h.quantile(1.0), Some(512)); // bucket [512, 1024) holds 1000
-        assert_eq!(Histogram::new().quantile(0.5), None);
     }
 
     #[test]

@@ -252,7 +252,7 @@ mod tests {
     #[test]
     fn generated_plans_always_validate() {
         let cfg = FuzzConfig::default();
-        for seed in 0..512 {
+        for seed in 0..5000 {
             let case = generate(seed, &cfg);
             assert!(
                 (cfg.threads.0..=cfg.threads.1).contains(&case.workload.threads),

@@ -298,12 +298,14 @@ impl FaultPlan {
     /// Checks the plan against a concrete machine shape: every referenced
     /// thread id must be `< n_threads`, every core id `< n_cores`, and every
     /// `resume` must be preceded (in plan order — the order injections are
-    /// applied) by a `suspend` of the same thread; when both carry exact
-    /// cycle triggers the resume must not fire strictly earlier. The first
-    /// defect found is returned.
+    /// applied) by a `suspend` of the same thread; when the resume and
+    /// every preceding suspend of its thread carry exact cycle triggers,
+    /// the resume must not fire strictly before the earliest of them. The
+    /// first defect found is returned.
     pub fn validate(&self, n_threads: u32, n_cores: u32) -> Result<(), PlanError> {
-        // Latest preceding suspend per thread: Some(cycle) for an exact
-        // trigger, None for a conditional one (cycle unknowable statically).
+        // Earliest-firing preceding suspend per thread: Some(cycle) for an
+        // exact trigger, None once any suspend is conditional (its cycle is
+        // unknowable statically, so it may fire first).
         let mut suspended_at: std::collections::BTreeMap<u32, Option<u64>> =
             std::collections::BTreeMap::new();
         for (i, ev) in self.events.iter().enumerate() {
@@ -342,7 +344,10 @@ impl FaultPlan {
                         Trigger::AtCycle(c) => Some(c),
                         _ => None,
                     };
-                    suspended_at.insert(thread, at);
+                    suspended_at
+                        .entry(thread)
+                        .and_modify(|prev| *prev = prev.zip(at).map(|(p, c)| p.min(c)))
+                        .or_insert(at);
                 }
                 Inject::Resume { thread } => {
                     thread_ok(thread)?;
@@ -721,6 +726,32 @@ at 50000 wire-clear
             .suspend_when_waiting(1, 200, 10)
             .event(Trigger::AtCycle(1), Inject::Resume { thread: 1 });
         assert_eq!(p.validate(4, 4), Ok(()));
+        // Two suspends of one thread: a resume after the earlier-firing
+        // one passes even though it precedes the later-firing one.
+        let indefinite = |thread| Inject::Suspend {
+            thread,
+            duration: None,
+        };
+        let p = FaultPlan::new()
+            .event(Trigger::AtCycle(100), indefinite(1))
+            .event(Trigger::AtCycle(900), indefinite(1))
+            .event(Trigger::AtCycle(500), Inject::Resume { thread: 1 });
+        assert_eq!(p.validate(4, 4), Ok(()));
+        // ... and so does one after a later-listed conditional suspend.
+        let p = FaultPlan::new()
+            .event(Trigger::AtCycle(900), indefinite(1))
+            .suspend_when_waiting(1, 200, 10)
+            .event(Trigger::AtCycle(500), Inject::Resume { thread: 1 });
+        assert_eq!(p.validate(4, 4), Ok(()));
+        // A resume before the earliest of both exact suspends still fails.
+        let p = FaultPlan::new()
+            .event(Trigger::AtCycle(300), indefinite(1))
+            .event(Trigger::AtCycle(900), indefinite(1))
+            .event(Trigger::AtCycle(200), Inject::Resume { thread: 1 });
+        assert!(matches!(
+            p.validate(4, 4),
+            Err(PlanError::ResumeBeforeSuspend { event: 2, .. })
+        ));
     }
 
     #[test]

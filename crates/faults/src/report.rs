@@ -4,6 +4,8 @@
 
 use std::fmt::Write as _;
 
+use locksim_trace::html::esc;
+
 use crate::driver::DriveOutcome;
 use crate::oracle::Violation;
 
@@ -197,6 +199,7 @@ pub fn chaos_csv(rows: &[ChaosRow]) -> String {
 
 /// Renders a chaos sweep as a self-contained HTML page.
 pub fn chaos_html(rows: &[ChaosRow], title: &str) -> String {
+    let title = esc(title);
     let mut s = String::new();
     let _ = write!(
         s,
@@ -220,9 +223,9 @@ pub fn chaos_html(rows: &[ChaosRow], title: &str) -> String {
              <td class=\"{}\">{}</td><td>{}</td><td>{}</td><td>{}</td>\
              <td>{}</td><td>{}</td><td>{}</td><td>{}</td><td>{}</td></tr>",
             r.seed,
-            r.backend,
+            esc(&r.backend),
             class,
-            r.verdict,
+            esc(&r.verdict),
             r.liveness,
             r.fairness,
             r.exclusion,
@@ -264,6 +267,7 @@ pub fn csv(cells: &[MatrixCell]) -> String {
 /// Renders the matrix as a self-contained HTML page (inline CSS, no
 /// external assets), with one table row per cell and verdict colouring.
 pub fn html(cells: &[MatrixCell], title: &str) -> String {
+    let title = esc(title);
     let mut s = String::new();
     let _ = write!(
         s,
@@ -291,10 +295,10 @@ pub fn html(cells: &[MatrixCell], title: &str) -> String {
             "<tr><td class=\"l\">{}</td><td class=\"l\">{}</td>\
              <td class=\"{}\">{}</td><td>{}</td><td>{}</td><td>{}</td>\
              <td>{}</td><td>{}</td><td>{}</td></tr>",
-            c.backend,
-            c.fault,
+            esc(&c.backend),
+            esc(&c.fault),
             class,
-            c.verdict,
+            esc(&c.verdict),
             c.liveness,
             c.fairness,
             c.exclusion,
@@ -434,5 +438,25 @@ mod tests {
         assert!(page.ends_with("</html>\n"));
         assert!(page.contains("<td class=\"pass\">pass</td>"));
         assert!(!page.contains("http"), "no external assets");
+    }
+
+    #[test]
+    fn html_escapes_title_and_labels() {
+        let cells = vec![MatrixCell::from_run(
+            "a<b",
+            "\"x\"&y",
+            &outcome(1),
+            &[],
+            true,
+        )];
+        let page = html(&cells, "<script>alert(1)</script>");
+        assert!(!page.contains("<script>"), "{page}");
+        assert!(page.contains("<title>&lt;script&gt;alert(1)&lt;/script&gt;</title>"));
+        assert!(page.contains("<td class=\"l\">a&lt;b</td>"));
+        assert!(page.contains("<td class=\"l\">&quot;x&quot;&amp;y</td>"));
+        let rows = vec![ChaosRow::from_run(3, "l&u", &outcome(500), &[], true, 4)];
+        let page = chaos_html(&rows, "a & <b>");
+        assert!(page.contains("<h1>a &amp; &lt;b&gt;</h1>"), "{page}");
+        assert!(page.contains("<td class=\"l\">l&amp;u</td>"), "{page}");
     }
 }

@@ -514,9 +514,10 @@ pub fn swrw() -> Vec<Table> {
                 .metrics
                 .hists
                 .iter()
-                .find(|h| h.name == "lock_wait_cycles");
-            let pct = |f: fn(&locksim_trace::metrics::HistSummary) -> u64| {
-                h.map(|h| f(h).to_string()).unwrap_or_else(|| "-".into())
+                .find(|(name, _)| *name == "lock_wait_cycles");
+            let pct = |f: fn(&locksim_trace::TailSummary) -> u64| {
+                h.map(|(_, t)| f(t).to_string())
+                    .unwrap_or_else(|| "-".into())
             };
             t.push(vec![
                 b.label().into(),

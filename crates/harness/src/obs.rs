@@ -468,15 +468,12 @@ pub(crate) fn metrics_table(name: &str, runs: &BTreeMap<String, RunCapture>) -> 
                 v.to_string(),
             ]);
         }
-        for h in &cap.snap.hists {
+        for (hname, summary) in &cap.snap.hists {
             t.push(vec![
                 label.clone(),
                 cap.runs.to_string(),
-                format!("hist {}", h.name),
-                format!(
-                    "count {} p50 {} p95 {} p99 {} p999 {} p9999 {} max {}",
-                    h.count, h.p50, h.p95, h.p99, h.p999, h.p9999, h.max
-                ),
+                format!("hist {hname}"),
+                summary.to_string(),
             ]);
         }
     }

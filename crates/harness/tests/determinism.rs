@@ -62,7 +62,11 @@ fn microbench_metrics_snapshot_is_deterministic() {
     assert_eq!(a.total_cycles, b.total_cycles);
     assert_eq!(a.metrics.render(), b.metrics.render());
     assert_eq!(a.metrics.counters.get("locks_granted"), 300);
-    assert!(a.metrics.hists.iter().any(|h| h.name == "lock_wait_cycles"));
+    assert!(a
+        .metrics
+        .hists
+        .iter()
+        .any(|(name, _)| *name == "lock_wait_cycles"));
 }
 
 #[test]

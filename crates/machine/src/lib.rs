@@ -44,6 +44,6 @@ pub use world::{CycleDissection, Ep, Mach, MemKind, PendingWaiter, RunExit, Thre
 // avoid clashing with the machine's own [`Ep`].
 pub use locksim_trace::{
     blocking_chains, render_chains, render_html, ChainLink, Ep as TraceEp, FlagOutcome, HtmlSeries,
-    LatencyHist, LockChain, LockStat, LockStats, MetricsRegistry, MetricsSnapshot, StarvationFlag,
-    TraceEvent, TraceKind, Tracer,
+    LockChain, LockStat, LockStats, MetricsRegistry, MetricsSnapshot, StarvationFlag, TraceEvent,
+    TraceKind, Tracer,
 };

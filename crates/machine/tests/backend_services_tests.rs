@@ -384,11 +384,11 @@ fn trace_captures_full_lock_lifecycle() {
     assert!(snap
         .hists
         .iter()
-        .any(|h| h.name == "lock_wait_cycles" && h.count == 1));
+        .any(|(name, t)| *name == "lock_wait_cycles" && t.count == 1));
     assert!(snap
         .hists
         .iter()
-        .any(|h| h.name == "lock_hold_cycles" && h.count == 1));
+        .any(|(name, t)| *name == "lock_hold_cycles" && t.count == 1));
 }
 
 #[test]

@@ -10,6 +10,8 @@
 
 use std::fmt::Write as _;
 
+use locksim_trace::html::esc;
+
 use crate::json;
 use crate::manifest::RunManifest;
 
@@ -61,13 +63,6 @@ td.ok{background:#e6f4e6}td.bad{background:#fae3e3}td.na{color:#8a97a3}\
 svg{background:#fbfcfe;border:1px solid #d7e0e8;margin:.4rem 0}\
 .legend{font-size:.78rem;color:#5a6b7a}\
 ";
-
-fn esc(s: &str) -> String {
-    s.replace('&', "&amp;")
-        .replace('<', "&lt;")
-        .replace('>', "&gt;")
-        .replace('"', "&quot;")
-}
 
 /// An SVG polyline over `(x, y)` samples, scaled into a `w`×`h` box with
 /// the given y maximum (x is scaled to the sample span).

@@ -29,16 +29,16 @@ pub struct Verdict {
     pub verdict: String,
 }
 
-/// Tail summary of one histogram, as recorded in the manifest.
+/// Tail summary of one latency sketch, as recorded in the manifest.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct HistRow {
-    /// Histogram name.
+    /// Latency metric name.
     pub name: String,
     /// Number of samples.
     pub count: u64,
     /// Median.
     pub p50: u64,
-    /// 95th percentile (coarse-histogram bucket).
+    /// 95th percentile.
     pub p95: u64,
     /// 99th percentile.
     pub p99: u64,
@@ -96,7 +96,7 @@ pub struct RunManifest {
     pub verdicts: Vec<Verdict>,
     /// End-of-run counters, in name order.
     pub counters: Vec<(String, u64)>,
-    /// Histogram tail summaries, in name order.
+    /// Latency tail summaries, in name order.
     pub hists: Vec<HistRow>,
     /// `(name, qsketch-v1 text)` per histogram, in name order.
     pub sketches: Vec<(String, String)>,
@@ -133,15 +133,15 @@ impl RunManifest {
             hists: snap
                 .hists
                 .iter()
-                .map(|h| HistRow {
-                    name: h.name.to_string(),
-                    count: h.count,
-                    p50: h.p50,
-                    p95: h.p95,
-                    p99: h.p99,
-                    p999: h.p999,
-                    p9999: h.p9999,
-                    max: h.max,
+                .map(|(name, t)| HistRow {
+                    name: name.to_string(),
+                    count: t.count,
+                    p50: t.p50,
+                    p95: t.p95,
+                    p99: t.p99,
+                    p999: t.p999,
+                    p9999: t.p9999,
+                    max: t.max,
                 })
                 .collect(),
             sketches: snap.sketches.clone(),

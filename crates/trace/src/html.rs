@@ -5,10 +5,9 @@
 
 use std::fmt::Write as _;
 
-use locksim_engine::stats::Histogram;
-
 use crate::chain::LockChain;
 use crate::lockstat::{LockStats, StarvationFlag};
+use crate::sketch::QuantileSketch;
 
 /// One backend's worth of report data.
 pub struct HtmlSeries<'a> {
@@ -172,10 +171,11 @@ fn render_chains_html(out: &mut String, chains: &[LockChain]) {
     out.push_str("</table>\n");
 }
 
-/// Inline SVG bar chart of a power-of-two histogram: one bar per occupied
-/// bucket, height proportional to count, low bound labelled underneath.
-fn svg_hist(out: &mut String, h: &Histogram) {
-    let buckets: Vec<(u64, u64)> = h.iter().collect();
+/// Inline SVG bar chart of a sketch's power-of-two octaves: one bar per
+/// occupied octave, height proportional to count, low bound labelled
+/// underneath.
+fn svg_hist(out: &mut String, h: &QuantileSketch) {
+    let buckets = h.octaves();
     if buckets.is_empty() {
         out.push_str("<p>(empty)</p>\n");
         return;
@@ -209,7 +209,7 @@ fn svg_hist(out: &mut String, h: &Histogram) {
 }
 
 /// Minimal HTML escaping for text nodes and attribute values.
-fn esc(s: &str) -> String {
+pub fn esc(s: &str) -> String {
     let mut out = String::with_capacity(s.len());
     for c in s.chars() {
         match c {

@@ -19,7 +19,7 @@ pub use alloc::{AllocSnapshot, CountingAlloc};
 pub use chain::{blocking_chains, render_chains, ChainLink, LockChain};
 pub use html::{render_html, HtmlSeries};
 pub use lockstat::{FlagOutcome, LockStat, LockStats, StarvationFlag};
-pub use metrics::{LatencyHist, MetricsRegistry, MetricsSnapshot};
+pub use metrics::{MetricsRegistry, MetricsSnapshot};
 pub use prof::{ProfileReport, Span, SpanRow};
 pub use record::{Ep, TraceEvent, TraceKind};
 pub use series::{SeriesCollector, SeriesSnapshot, WindowRow};

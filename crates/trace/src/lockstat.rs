@@ -4,9 +4,11 @@
 //! answers "*which* lock, in *which* mode, waited *how long*". A
 //! [`LockStats`] is keyed by lock line address and records, per lock:
 //! acquires/releases split by reader/writer mode, trylock failures,
-//! hold-time and handoff-latency histograms, queue-depth waterlines,
-//! reader-group sizes, per-mode maximum waits, and free-form per-backend
-//! auxiliary counters (SSB remote retries, LCU direct transfers, ...).
+//! hold-time and handoff-latency sketches (one [`QuantileSketch`] each, read
+//! through the same [`crate::TailSummary`] as the metrics registry),
+//! queue-depth and reader-group waterlines, per-mode maximum waits, and
+//! free-form per-backend auxiliary counters (SSB remote retries, LCU direct
+//! transfers, ...).
 //!
 //! The **starvation watchdog** rides on the same feed: every waiter's
 //! enqueue time is tracked, and any wait resolving (grant or trylock
@@ -23,8 +25,6 @@
 
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
-
-use locksim_engine::stats::Histogram;
 
 use crate::sketch::QuantileSketch;
 
@@ -43,15 +43,9 @@ pub struct LockStat {
     /// Trylock attempts that gave up.
     pub fails: u64,
     /// Handoff latency (request → grant wait), all modes.
-    pub handoff: Histogram,
+    pub handoff: QuantileSketch,
     /// Critical-section hold times.
-    pub hold: Histogram,
-    /// Handoff latency at sketch resolution (p99.9/p99.99 readable).
-    pub handoff_sketch: QuantileSketch,
-    /// Hold times at sketch resolution.
-    pub hold_sketch: QuantileSketch,
-    /// Queue depth sampled at each enqueue (sketch resolution).
-    pub queue_sketch: QuantileSketch,
+    pub hold: QuantileSketch,
     /// Sum of wait cycles, by `[read, write]` mode.
     pub total_wait: [u64; 2],
     /// Largest single wait, by `[read, write]` mode.
@@ -64,8 +58,6 @@ pub struct LockStat {
     pub cur_readers: u32,
     /// Largest concurrent reader group ever granted.
     pub max_readers: u32,
-    /// Reader-group size observed at each read grant.
-    pub reader_group: Histogram,
     /// Backend-specific per-lock counters (e.g. `ssb_remote_retries`,
     /// `lcu_direct_transfers`), bumped via [`LockStats::bump`].
     pub aux: BTreeMap<&'static str, u64>,
@@ -87,12 +79,11 @@ impl LockStat {
         let _ = writeln!(
             out,
             "  handoff wait: {} max_r={} max_w={}",
-            hist_line(&self.handoff),
+            self.handoff.tail_summary(),
             self.max_wait[0],
             self.max_wait[1]
         );
-        let _ = writeln!(out, "  handoff tail: {}", tail_line(&self.handoff_sketch));
-        let _ = writeln!(out, "  hold: {}", hist_line(&self.hold));
+        let _ = writeln!(out, "  hold: {}", self.hold.tail_summary());
         let _ = writeln!(
             out,
             "  queue depth waterline {} (now {}); reader group max {} (now {})",
@@ -104,24 +95,6 @@ impl LockStat {
         }
         out
     }
-}
-
-fn hist_line(h: &Histogram) -> String {
-    format!(
-        "count {} p50 {} p95 {} p99 {}",
-        h.count(),
-        h.quantile(0.50).unwrap_or(0),
-        h.quantile(0.95).unwrap_or(0),
-        h.quantile(0.99).unwrap_or(0)
-    )
-}
-
-fn tail_line(s: &QuantileSketch) -> String {
-    let t = s.tail_summary();
-    format!(
-        "p50 {} p99 {} p999 {} p9999 {} max {}",
-        t.p50, t.p99, t.p999, t.p9999, t.max
-    )
 }
 
 /// One watchdog firing: a wait that exceeded the configured threshold.
@@ -209,7 +182,6 @@ impl LockStats {
         let s = self.locks.entry(lock).or_default();
         s.cur_queue += 1;
         s.max_queue = s.max_queue.max(s.cur_queue);
-        s.queue_sketch.add(u64::from(s.cur_queue));
     }
 
     /// A thread's acquire was granted after `wait` cycles. Returns a
@@ -230,14 +202,12 @@ impl LockStats {
         let ix = mode_ix(write);
         s.acquires[ix] += 1;
         s.handoff.add(wait);
-        s.handoff_sketch.add(wait);
         s.total_wait[ix] += wait;
         s.max_wait[ix] = s.max_wait[ix].max(wait);
         s.cur_queue = s.cur_queue.saturating_sub(1);
         if !write {
             s.cur_readers += 1;
             s.max_readers = s.max_readers.max(s.cur_readers);
-            s.reader_group.add(u64::from(s.cur_readers));
         }
         self.watchdog_check(lock, thread, write, wait, now, FlagOutcome::Granted)
     }
@@ -251,7 +221,6 @@ impl LockStats {
         let s = self.locks.entry(lock).or_default();
         s.releases[mode_ix(write)] += 1;
         s.hold.add(held);
-        s.hold_sketch.add(held);
         if !write {
             s.cur_readers = s.cur_readers.saturating_sub(1);
         }
@@ -420,7 +389,7 @@ mod tests {
     }
 
     #[test]
-    fn counts_split_by_mode_and_histograms_fill() {
+    fn counts_split_by_mode_and_sketches_fill() {
         let mut ls = LockStats::new();
         ls.enable(None);
         ls.on_request(0x40, 0, false, 0);
@@ -440,17 +409,16 @@ mod tests {
         assert_eq!(s.max_readers, 2);
         assert_eq!(s.cur_readers, 0);
         assert_eq!(s.handoff.count(), 3);
+        assert_eq!(s.handoff.max(), Some(200));
         assert_eq!(s.hold.count(), 3);
+        assert_eq!(s.hold.max(), Some(100));
         assert_eq!(s.max_wait, [6, 200]);
         assert_eq!(s.total_wait, [10, 200]);
-        // Sketches ride the same feed.
-        assert_eq!(s.handoff_sketch.count(), 3);
-        assert_eq!(s.handoff_sketch.max(), Some(200));
-        assert_eq!(s.hold_sketch.count(), 3);
-        assert_eq!(s.hold_sketch.max(), Some(100));
-        // Queue depth sampled at each enqueue: 1, 2, 3.
-        assert_eq!(s.queue_sketch.count(), 3);
-        assert_eq!(s.queue_sketch.max(), Some(3));
+        let report = ls.report(300);
+        assert!(
+            report.contains("handoff wait: count 3 p50 6 p95 200 p99 200"),
+            "{report}"
+        );
     }
 
     #[test]

@@ -1,84 +1,26 @@
-//! The metrics registry: named counters plus latency histograms with
-//! p50–p99.99 summaries.
+//! The metrics registry: named counters plus one latency sketch per name
+//! with p50–p99.99 summaries.
 //!
 //! Counters reuse [`locksim_engine::stats::Counters`] (the type every
 //! backend already reports), so the registry slots into the existing
-//! `report_counters()` flow; histograms pair the engine's coarse log-scaled
-//! [`Histogram`] (kept for back-compat with its bucket semantics) with a
-//! fine-grained [`QuantileSketch`] that bounds relative quantile error and
-//! extends the readout into the p99.9/p99.99 tail. A [`MetricsSnapshot`]
-//! is an owned, deterministic rendering of all of it — used by the harness
-//! for its metrics tables, by the run-manifest ledger (which embeds the
-//! serialized sketches), and by the golden determinism tests, which compare
-//! snapshots byte-for-byte.
+//! `report_counters()` flow. Each latency sample lands in exactly one
+//! [`QuantileSketch`], and every published quantile is read from it. A
+//! [`MetricsSnapshot`] is an owned, deterministic rendering of all of it —
+//! used by the harness for its metrics tables, by the run-manifest ledger
+//! (which embeds the serialized sketches), and by the golden determinism
+//! tests, which compare snapshots byte-for-byte.
 
 use std::collections::BTreeMap;
 
-use locksim_engine::stats::{Counters, Histogram};
+use locksim_engine::stats::Counters;
 
 use crate::sketch::{QuantileSketch, TailSummary};
 
-/// A named latency histogram summarised by count and approximate quantiles.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct LatencyHist {
-    hist: Histogram,
-    sketch: QuantileSketch,
-}
-
-impl LatencyHist {
-    /// An empty histogram.
-    pub fn new() -> Self {
-        LatencyHist {
-            hist: Histogram::new(),
-            sketch: QuantileSketch::new(),
-        }
-    }
-
-    /// Records one latency sample (in cycles).
-    pub fn observe(&mut self, cycles: u64) {
-        self.hist.add(cycles);
-        self.sketch.add(cycles);
-    }
-
-    /// Number of samples.
-    pub fn count(&self) -> u64 {
-        self.hist.count()
-    }
-
-    /// Approximate quantile from the coarse power-of-two histogram (bucket
-    /// low bound); `None` when empty. Kept for the order-of-magnitude
-    /// tables; tail readouts use [`LatencyHist::tail_summary`].
-    pub fn quantile(&self, q: f64) -> Option<u64> {
-        self.hist.quantile(q)
-    }
-
-    /// The underlying log-scaled histogram.
-    pub fn histogram(&self) -> &Histogram {
-        &self.hist
-    }
-
-    /// The fine-grained quantile sketch (bounded relative error).
-    pub fn sketch(&self) -> &QuantileSketch {
-        &self.sketch
-    }
-
-    /// The standard p50–p99.99 tail readout, from the sketch.
-    pub fn tail_summary(&self) -> TailSummary {
-        self.sketch.tail_summary()
-    }
-}
-
-impl Default for LatencyHist {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-/// Central store for a run's counters and latency histograms.
+/// Central store for a run's counters and latency sketches.
 #[derive(Debug, Clone, Default)]
 pub struct MetricsRegistry {
     counters: Counters,
-    hists: BTreeMap<&'static str, LatencyHist>,
+    hists: BTreeMap<&'static str, QuantileSketch>,
 }
 
 impl MetricsRegistry {
@@ -107,20 +49,15 @@ impl MetricsRegistry {
         self.counters.add(name, n);
     }
 
-    /// Records a latency sample into histogram `name`.
+    /// Records a latency sample (in cycles) into sketch `name`.
     pub fn observe(&mut self, name: &'static str, cycles: u64) {
         crate::prof::count("metrics/hist_samples", 1);
-        self.hists.entry(name).or_default().observe(cycles);
+        self.hists.entry(name).or_default().add(cycles);
     }
 
-    /// Histogram `name`, if any samples were recorded.
-    pub fn hist(&self, name: &str) -> Option<&LatencyHist> {
+    /// Sketch `name`, if any samples were recorded.
+    pub fn hist(&self, name: &str) -> Option<&QuantileSketch> {
         self.hists.get(name)
-    }
-
-    /// Iterates `(name, histogram)` in name order.
-    pub fn hists(&self) -> impl Iterator<Item = (&'static str, &LatencyHist)> + '_ {
-        self.hists.iter().map(|(&k, v)| (k, v))
     }
 
     /// Owned summary of everything recorded, merged with `extra` counter
@@ -133,24 +70,12 @@ impl MetricsRegistry {
         let hists = self
             .hists
             .iter()
-            .map(|(&name, h)| {
-                let t = h.tail_summary();
-                HistSummary {
-                    name,
-                    count: h.count(),
-                    p50: t.p50,
-                    p95: h.quantile(0.95).unwrap_or(0),
-                    p99: t.p99,
-                    p999: t.p999,
-                    p9999: t.p9999,
-                    max: t.max,
-                }
-            })
+            .map(|(&name, h)| (name, h.tail_summary()))
             .collect();
         let sketches = self
             .hists
             .iter()
-            .map(|(&name, h)| (name.to_string(), h.sketch().to_text()))
+            .map(|(&name, h)| (name.to_string(), h.to_text()))
             .collect();
         MetricsSnapshot {
             counters,
@@ -160,40 +85,17 @@ impl MetricsRegistry {
     }
 }
 
-/// Quantile summary of one named histogram. `p95` keeps the coarse
-/// power-of-two histogram's bucket semantics (legacy tables depend on it);
-/// the other quantiles come from the fine-grained sketch.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct HistSummary {
-    /// Histogram name.
-    pub name: &'static str,
-    /// Number of samples.
-    pub count: u64,
-    /// Median (sketch, ≤3.1% relative error).
-    pub p50: u64,
-    /// 95th percentile (power-of-two bucket low bound).
-    pub p95: u64,
-    /// 99th percentile (sketch).
-    pub p99: u64,
-    /// 99.9th percentile (sketch).
-    pub p999: u64,
-    /// 99.99th percentile (sketch).
-    pub p9999: u64,
-    /// Largest sample (exact).
-    pub max: u64,
-}
-
 /// Owned, deterministic end-of-run summary: all counters (name order), all
-/// histogram quantiles, and the serialized quantile sketches behind them
+/// latency quantiles, and the serialized quantile sketches behind them
 /// (the run-manifest ledger embeds these so dashboards can re-merge and
 /// re-quantile across runs).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct MetricsSnapshot {
     /// Merged counters, iterated in name order.
     pub counters: Counters,
-    /// Histogram summaries, in name order.
-    pub hists: Vec<HistSummary>,
-    /// `(name, qsketch-v1 text)` for each histogram, in name order.
+    /// `(name, tail summary)` for each latency sketch, in name order.
+    pub hists: Vec<(&'static str, TailSummary)>,
+    /// `(name, qsketch-v1 text)` for each latency sketch, in name order.
     pub sketches: Vec<(String, String)>,
 }
 
@@ -205,11 +107,8 @@ impl MetricsSnapshot {
         for (name, v) in self.counters.iter() {
             out.push_str(&format!("counter {name} {v}\n"));
         }
-        for h in &self.hists {
-            out.push_str(&format!(
-                "hist {} count {} p50 {} p95 {} p99 {} p999 {} p9999 {} max {}\n",
-                h.name, h.count, h.p50, h.p95, h.p99, h.p999, h.p9999, h.max
-            ));
+        for (name, t) in &self.hists {
+            out.push_str(&format!("hist {name} {t}\n"));
         }
         out
     }
@@ -228,23 +127,20 @@ mod tests {
         let h = m.hist("wait").unwrap();
         assert_eq!(h.count(), 10);
         assert_eq!(h.quantile(0.5), Some(1));
-        assert_eq!(h.quantile(0.99), Some(512));
+        assert_eq!(h.quantile(0.99), Some(992));
+        assert!(m.hist("absent").is_none());
     }
 
     #[test]
-    fn quantile_edge_cases() {
-        let empty = LatencyHist::new();
-        assert_eq!(empty.quantile(0.5), None);
-        let mut one = LatencyHist::new();
-        one.observe(7);
-        // A single sample is every quantile, including the extremes.
-        assert_eq!(one.quantile(0.0), Some(4));
-        assert_eq!(one.quantile(0.5), Some(4));
-        assert_eq!(one.quantile(1.0), Some(4));
-        let mut zeros = LatencyHist::new();
-        zeros.observe(0);
-        zeros.observe(0);
-        assert_eq!(zeros.quantile(0.99), Some(1)); // bucket 0 renders low bound 1
+    fn snapshot_p95_comes_from_the_sketch() {
+        let mut m = MetricsRegistry::new();
+        for _ in 0..100 {
+            m.observe("hold", 20);
+        }
+        let snap = m.snapshot([]);
+        let (name, t) = snap.hists[0];
+        assert_eq!(name, "hold");
+        assert_eq!((t.p50, t.p95, t.p99, t.max), (20, 20, 20, 20));
     }
 
     #[test]
@@ -282,12 +178,13 @@ mod tests {
             m.observe("lat", v);
         }
         let snap = m.snapshot([]);
-        let h = &snap.hists[0];
-        // The coarse histogram would round p50 down to 4096; the sketch
+        let (_, h) = &snap.hists[0];
+        // A power-of-two histogram would round p50 down to 4096; the sketch
         // stays within 1/32 of the true 5000.
         assert!(h.p50 >= 4992 && h.p50 <= 5000, "p50={}", h.p50);
         assert!(h.p999 >= 9900 && h.p999 <= 9990, "p999={}", h.p999);
         assert_eq!(h.max, 10_000);
-        assert!(h.p50 <= h.p99 && h.p99 <= h.p999 && h.p999 <= h.p9999 && h.p9999 <= h.max);
+        assert!(h.p50 <= h.p95 && h.p95 <= h.p99 && h.p99 <= h.p999);
+        assert!(h.p999 <= h.p9999 && h.p9999 <= h.max);
     }
 }

@@ -1,11 +1,15 @@
-//! HDR-style mergeable quantile sketch with bounded relative error.
+//! HDR-style mergeable quantile sketch with bounded relative error — the
+//! simulator's one latency recorder.
 //!
-//! The engine's [`locksim_engine::stats::Histogram`] buckets by powers of
-//! two, so a p99 readout can be off by almost 2×: fine for order-of-
-//! magnitude tables, useless for a tail-latency story where p99 and p99.9
-//! differ by 30%. A [`QuantileSketch`] splits every octave into
-//! `2^K` linear sub-buckets, giving every quantile a guaranteed relative
-//! error of at most `2^-K` (values below `2^K` are recorded exactly).
+//! A [`QuantileSketch`] splits every power-of-two octave into `2^K` linear
+//! sub-buckets, giving every quantile a guaranteed relative error of at
+//! most `2^-K` (values below `2^K` are recorded exactly). Every published
+//! quantile — metrics snapshots, lockstat, time-series windows, the run
+//! ledger — is read from a sketch through the same rank rule, so the p50 ≤
+//! p95 ≤ p99 ≤ p99.9 ≤ p99.99 ≤ max chain of a [`TailSummary`] always holds.
+//! Renderers that want coarse power-of-two bars (the lockstat SVG) read the
+//! per-octave view [`QuantileSketch::octaves`] instead of keeping a second
+//! histogram.
 //!
 //! Sketches are **mergeable** — bucket counts add, so per-window or
 //! per-shard sketches combine into a run-level sketch without reordering
@@ -17,6 +21,7 @@
 //! ledger (`locksim-report`).
 
 use std::collections::BTreeMap;
+use std::fmt;
 
 /// Sub-bucket resolution: each power-of-two octave is split into `2^K`
 /// linear buckets, bounding relative quantile error at `2^-K` (~3.1%).
@@ -38,6 +43,17 @@ fn bucket(v: u64) -> u32 {
         let exp = 63 - v.leading_zeros();
         let sub = (v >> (exp - K)) as u32; // in [SUBS, 2*SUBS)
         (exp - K) * SUBS as u32 + sub
+    }
+}
+
+/// Power-of-two octave of bucket `ix`: octave `k` covers `[2^k, 2^(k+1))`,
+/// and octave 0 also holds zero.
+fn octave(ix: u32) -> u32 {
+    let subs = SUBS as u32;
+    if ix < subs {
+        ix.max(1).ilog2()
+    } else {
+        (ix - subs) / subs + K
     }
 }
 
@@ -72,8 +88,8 @@ pub struct TailSummary {
     pub count: u64,
     /// Median.
     pub p50: u64,
-    /// 90th percentile.
-    pub p90: u64,
+    /// 95th percentile.
+    pub p95: u64,
     /// 99th percentile.
     pub p99: u64,
     /// 99.9th percentile.
@@ -82,6 +98,16 @@ pub struct TailSummary {
     pub p9999: u64,
     /// Largest sample (exact, not bucketed).
     pub max: u64,
+}
+
+impl fmt::Display for TailSummary {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        write!(
+            f,
+            "count {} p50 {} p95 {} p99 {} p999 {} p9999 {} max {}",
+            self.count, self.p50, self.p95, self.p99, self.p999, self.p9999, self.max
+        )
+    }
 }
 
 impl QuantileSketch {
@@ -119,9 +145,9 @@ impl QuantileSketch {
     }
 
     /// The q-quantile: low bound of the bucket holding the
-    /// `ceil(q·count)`-th smallest sample (same rank rule as the engine
-    /// histogram). Underestimates by at most a factor of `2^-K`; exact for
-    /// values below `2^K`. `None` when empty.
+    /// `ceil(q·count)`-th smallest sample, so monotone in `q`.
+    /// Underestimates by at most a factor of `2^-K`; exact for values below
+    /// `2^K`. `None` when empty.
     pub fn quantile(&self, q: f64) -> Option<u64> {
         if self.count == 0 {
             return None;
@@ -162,12 +188,27 @@ impl QuantileSketch {
         TailSummary {
             count: self.count,
             p50: self.quantile(0.50).unwrap_or(0),
-            p90: self.quantile(0.90).unwrap_or(0),
+            p95: self.quantile(0.95).unwrap_or(0),
             p99: self.quantile(0.99).unwrap_or(0),
             p999: self.quantile(0.999).unwrap_or(0),
             p9999: self.quantile(0.9999).unwrap_or(0),
             max: self.max().unwrap_or(0),
         }
+    }
+
+    /// `(2^k, count)` for every non-empty power-of-two octave
+    /// `[2^k, 2^(k+1))`, in increasing order (octave 0 also holds zero):
+    /// the sketch's sub-buckets summed per octave, for coarse bar charts.
+    pub fn octaves(&self) -> Vec<(u64, u64)> {
+        let mut out: Vec<(u64, u64)> = Vec::new();
+        for (&ix, &c) in &self.buckets {
+            let low = 1u64 << octave(ix);
+            match out.last_mut() {
+                Some((l, n)) if *l == low => *n += c,
+                _ => out.push((low, c)),
+            }
+        }
+        out
     }
 
     /// Canonical single-line serialization:
@@ -384,11 +425,11 @@ mod tests {
         let t = s.tail_summary();
         assert_eq!(t.count, 100_000);
         assert_eq!(t.max, 100_000);
-        assert!(t.p50 <= t.p90 && t.p90 <= t.p99 && t.p99 <= t.p999 && t.p999 <= t.p9999);
+        assert!(t.p50 <= t.p95 && t.p95 <= t.p99 && t.p99 <= t.p999 && t.p999 <= t.p9999);
         // Each estimate is within the error bound of the true quantile.
         for (est, exact) in [
             (t.p50, 50_000u64),
-            (t.p90, 90_000),
+            (t.p95, 95_000),
             (t.p99, 99_000),
             (t.p999, 99_900),
             (t.p9999, 99_990),
@@ -398,6 +439,28 @@ mod tests {
                 "{est} vs {exact}"
             );
         }
+    }
+
+    #[test]
+    fn octaves_sum_sub_buckets_per_power_of_two() {
+        let mut s = QuantileSketch::new();
+        for v in [0, 1, 2, 3, 31, 32, 63, 64, 1000, 1023, 1024, u64::MAX] {
+            s.add(v);
+        }
+        assert_eq!(
+            s.octaves(),
+            vec![
+                (1, 2),
+                (2, 2),
+                (16, 1),
+                (32, 2),
+                (64, 1),
+                (512, 2),
+                (1024, 1),
+                (1 << 63, 1)
+            ]
+        );
+        assert!(QuantileSketch::new().octaves().is_empty());
     }
 
     #[test]

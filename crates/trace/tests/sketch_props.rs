@@ -1,7 +1,8 @@
 //! Property tests for the mergeable quantile sketch: the advertised
 //! relative-error bound against exact order statistics, the merge
 //! algebra (commutative, associative, equivalent to a combined feed),
-//! and serialization round-trips.
+//! serialization round-trips, and monotone summaries from every consumer
+//! that publishes quantiles (metrics registry, lockstat).
 //!
 //! The error model under test: every reported quantile is the low bound
 //! of the log-bucket holding the exact rank statistic, so estimates
@@ -9,7 +10,7 @@
 //! width — `est / 32` with the sketch's 32 sub-buckets per octave
 //! (values below 32 are exact).
 
-use locksim_trace::QuantileSketch;
+use locksim_trace::{LockStats, MetricsRegistry, QuantileSketch, TailSummary};
 use proptest::prelude::*;
 
 /// Exact order statistic with the sketch's rank rule: the smallest value
@@ -27,7 +28,44 @@ fn sketch_of(samples: &[u64]) -> QuantileSketch {
     s
 }
 
+fn assert_monotone(t: &TailSummary, fed: usize, what: &str) -> Result<(), TestCaseError> {
+    prop_assert_eq!(t.count, fed as u64, "{} count", what);
+    let chain = [t.p50, t.p95, t.p99, t.p999, t.p9999, t.max];
+    prop_assert!(
+        chain.windows(2).all(|w| w[0] <= w[1]),
+        "{} quantiles not monotone: {}",
+        what,
+        t
+    );
+    Ok(())
+}
+
 proptest! {
+    #[test]
+    fn published_summaries_are_monotone(
+        lo in 0u64..1_000_000,
+        width in 1u64..2_000,
+        xs in proptest::collection::vec(any::<u64>(), 1..300),
+    ) {
+        let samples: Vec<u64> = xs.iter().map(|x| lo + x % width).collect();
+        let mut m = MetricsRegistry::new();
+        let mut ls = LockStats::new();
+        ls.enable(None);
+        for (i, &v) in samples.iter().enumerate() {
+            m.observe("lat", v);
+            let now = i as u64 * 10;
+            ls.on_request(0x40, 0, true, now);
+            ls.on_grant(0x40, 0, true, v, now);
+            ls.on_release(0x40, 0, true, v);
+        }
+        let snap = m.snapshot([]);
+        prop_assert_eq!(snap.hists.len(), 1);
+        assert_monotone(&snap.hists[0].1, samples.len(), "registry")?;
+        let st = ls.lock(0x40).expect("lock recorded");
+        assert_monotone(&st.handoff.tail_summary(), samples.len(), "handoff")?;
+        assert_monotone(&st.hold.tail_summary(), samples.len(), "hold")?;
+    }
+
     #[test]
     fn quantile_error_is_bounded(
         samples in proptest::collection::vec(any::<u64>(), 1..200),
