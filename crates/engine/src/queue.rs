@@ -233,7 +233,7 @@ impl<E> Simulator<E> {
     }
 
     /// Highest number of simultaneously pending events seen so far — the
-    /// queue-occupancy waterline `benchsim` reports per scenario.
+    /// queue-occupancy waterline reported as `evq_peak_pending`.
     #[inline]
     pub fn peak_pending(&self) -> usize {
         self.peak_pending

@@ -27,7 +27,7 @@ use locksim_workloads::{CsThread, IterPool};
 
 use crate::run::{scaled, BackendKind};
 use crate::table::Table;
-use crate::{emit, finish_bin, obs};
+use crate::{emit, finish_bin, obs, write_artifact};
 
 /// Trace-ring capacity: the oracles replay the ring, so it must keep every
 /// lock event of a run.
@@ -41,20 +41,22 @@ pub const DEFAULT_QUIESCE: u64 = 50_000;
 /// Chaos worlds always run the 4-core model-A machine.
 const N_CORES: u32 = 4;
 
-/// Resolves a harness backend label ("lcu", "lcu+flt", "ssb", "mcs",
-/// "mrsw", "bravo", "fissile", "ideal") to its [`BackendKind`].
+/// The backends a chaos case or corpus entry may name.
+const BACKENDS: [BackendKind; 8] = [
+    BackendKind::Lcu,
+    BackendKind::LcuFlt,
+    BackendKind::Ssb,
+    BackendKind::Sw(SwAlg::Mcs),
+    BackendKind::Sw(SwAlg::Mrsw),
+    BackendKind::Sw(SwAlg::Bravo),
+    BackendKind::Sw(SwAlg::Fissile),
+    BackendKind::Ideal,
+];
+
+/// Resolves a harness backend label to its [`BackendKind`], one of
+/// `BACKENDS`.
 pub fn backend_by_label(label: &str) -> Option<BackendKind> {
-    Some(match label {
-        "lcu" => BackendKind::Lcu,
-        "lcu+flt" => BackendKind::LcuFlt,
-        "ssb" => BackendKind::Ssb,
-        "mcs" => BackendKind::Sw(SwAlg::Mcs),
-        "mrsw" => BackendKind::Sw(SwAlg::Mrsw),
-        "bravo" => BackendKind::Sw(SwAlg::Bravo),
-        "fissile" => BackendKind::Sw(SwAlg::Fissile),
-        "ideal" => BackendKind::Ideal,
-        _ => return None,
-    })
+    BACKENDS.into_iter().find(|b| b.label() == label)
 }
 
 /// Maps a chaos verdict to the corpus `expect` directive value.
@@ -77,9 +79,6 @@ pub struct ChaosRun {
     pub finished: bool,
     /// The chaos verdict ("pass", "DEADLOCK", "LIVENESS", ...).
     pub verdict: String,
-    /// End-of-run metrics snapshot (event-queue telemetry included), for
-    /// callers that measure the run itself (`benchsim`).
-    pub metrics: locksim_machine::MetricsSnapshot,
 }
 
 /// Runs one chaos case: builds the world for `backend`/`workload`/`seed`,
@@ -97,10 +96,7 @@ pub fn run_chaos(
         .ok_or_else(|| format!("unknown backend label {backend_label:?}"))?;
     plan.validate(workload.threads, N_CORES)
         .map_err(|e| format!("invalid plan: {e}"))?;
-    let mut mach_cfg = MachineConfig::model_a(N_CORES as usize);
-    if backend == BackendKind::LcuFlt {
-        mach_cfg.flt_entries = 4;
-    }
+    let mut mach_cfg = backend.machine_config(MachineConfig::model_a(N_CORES as usize));
     if workload.lrt_pressure {
         // Same squeeze as faultsim's lrt-pressure class: one direct-mapped
         // pair of entries, so extra lock lines overflow and retry.
@@ -126,13 +122,11 @@ pub fn run_chaos(
     let violations = check_world(&mut w, plan, &out.windows, out.end_cycle);
     obs::observe(&format!("chaos/{backend_label}/s{seed}"), &w);
     let verdict = ChaosRow::verdict_of(&out, &violations).to_string();
-    let metrics = w.metrics_snapshot();
     Ok(ChaosRun {
         outcome: out,
         violations,
         finished,
         verdict,
-        metrics,
     })
 }
 
@@ -363,7 +357,7 @@ pub fn verdict_table(cfg: &ChaosCfg, report: &SoakReport) -> Table {
     t
 }
 
-/// Entry point of the `chaossim` bin (shared by the root-package shim).
+/// Entry point of the `chaossim` bin (a root-package bin).
 pub fn cli_main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let flags = [
@@ -473,14 +467,6 @@ pub fn cli_main() {
         report.seeds_run, violating, deadlocks, report.cycles
     );
     finish_bin("chaossim");
-}
-
-fn write_artifact(path: &Path, content: &str) {
-    if let Some(dir) = path.parent().filter(|d| !d.as_os_str().is_empty()) {
-        std::fs::create_dir_all(dir).expect("create artifact dir");
-    }
-    std::fs::write(path, content)
-        .unwrap_or_else(|e| panic!("write artifact {}: {e}", path.display()));
 }
 
 fn usage_exit(msg: &str) -> ! {

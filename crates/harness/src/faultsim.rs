@@ -20,7 +20,7 @@
 //! fairness for locality under a degraded interconnect, surfaced by the
 //! oracle rather than hidden; the CI smoke job pins this verdict.
 
-use std::path::{Path, PathBuf};
+use std::path::PathBuf;
 
 use locksim_faults::{check_world, csv, html, FaultDriver, FaultPlan, MatrixCell};
 use locksim_machine::{MachineConfig, RunExit, World};
@@ -29,7 +29,7 @@ use locksim_workloads::{CsThread, IterPool};
 
 use crate::run::{scaled, BackendKind};
 use crate::table::Table;
-use crate::{emit, finish_bin, obs};
+use crate::{emit, finish_bin, obs, write_artifact};
 
 /// Trace-ring capacity for the fault runs: the oracles replay the ring, so
 /// it must keep every lock event of a run.
@@ -155,33 +155,10 @@ impl FaultsimCfg {
 /// Runs one cell: the seeded workload on `backend` under `class`, judged
 /// by the oracles.
 pub fn run_cell(backend: BackendKind, class: FaultClass, cfg: &FaultsimCfg) -> MatrixCell {
-    run_cell_observed(backend, class, cfg).0
-}
-
-/// Like [`run_cell`], but also returns the run's end-of-run metrics
-/// snapshot (event-queue telemetry included) for callers that measure the
-/// run itself — `benchsim`'s faultsim scenarios. Inapplicable cells return
-/// a default (empty) snapshot.
-pub fn run_cell_observed(
-    backend: BackendKind,
-    class: FaultClass,
-    cfg: &FaultsimCfg,
-) -> (MatrixCell, locksim_machine::MetricsSnapshot) {
-    let empty = locksim_machine::MetricsSnapshot {
-        counters: Default::default(),
-        hists: Vec::new(),
-        sketches: Vec::new(),
-    };
     if !class.applies_to(backend) {
-        return (
-            MatrixCell::not_applicable(backend.label(), class.label()),
-            empty,
-        );
+        return MatrixCell::not_applicable(backend.label(), class.label());
     }
-    let mut mach_cfg = MachineConfig::model_a(4);
-    if backend == BackendKind::LcuFlt {
-        mach_cfg.flt_entries = 4;
-    }
+    let mut mach_cfg = backend.machine_config(MachineConfig::model_a(4));
     if class == FaultClass::LrtPressure {
         // One direct-mapped pair of entries for one hot lock plus
         // release-in-flight churn: every extra lock line overflows.
@@ -207,11 +184,7 @@ pub fn run_cell_observed(
     let violations = check_world(&mut w, &plan, &out.windows, out.end_cycle);
     let label = format!("{}/{}", backend.label(), class.label());
     obs::observe(&label, &w);
-    let snap = w.metrics_snapshot();
-    (
-        MatrixCell::from_run(backend.label(), class.label(), &out, &violations, finished),
-        snap,
-    )
+    MatrixCell::from_run(backend.label(), class.label(), &out, &violations, finished)
 }
 
 /// Runs the full backend × fault-class matrix. With `jobs > 1` the cells
@@ -267,7 +240,7 @@ pub fn verdict_table(cfg: &FaultsimCfg, cells: &[MatrixCell]) -> Table {
     t
 }
 
-/// Entry point of the `faultsim` bin (shared by the root-package shim):
+/// Entry point of the `faultsim` bin (a root-package bin):
 /// parses flags, runs the matrix, and emits the verdict table plus the
 /// CSV and self-contained HTML artifacts.
 pub fn cli_main() {
@@ -374,14 +347,6 @@ pub fn cli_main() {
         }
     );
     finish_bin("faultsim");
-}
-
-fn write_artifact(path: &Path, content: &str) {
-    if let Some(dir) = path.parent().filter(|d| !d.as_os_str().is_empty()) {
-        std::fs::create_dir_all(dir).expect("create artifact dir");
-    }
-    std::fs::write(path, content)
-        .unwrap_or_else(|e| panic!("write artifact {}: {e}", path.display()));
 }
 
 fn usage_exit(msg: &str) -> ! {

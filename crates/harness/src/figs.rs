@@ -2,8 +2,10 @@
 
 use crate::run::*;
 use crate::table::{f1, ratio, Table};
-use locksim_machine::MachineConfig;
+use locksim_machine::testing::ScriptProgram;
+use locksim_machine::{Action, MachineConfig, Mode, World};
 use locksim_swlocks::SwAlg;
+use locksim_workloads::{CsThread, IterPool};
 
 /// Figure 1: qualitative comparison of locking mechanisms (static
 /// characteristics matrix, reproduced from the paper's taxonomy).
@@ -646,5 +648,131 @@ pub fn summary() -> Vec<Table> {
         "~2%".into(),
         format!("{:+.1}%", (geo - 1.0) * 100.0),
     ]);
+    vec![t]
+}
+
+/// Runs one LCU world (seed 42) to completion and returns its simulated
+/// cycles; `spawn` allocates the run's lines and spawns its threads.
+fn lcu_cycles(cfg: MachineConfig, spawn: impl FnOnce(&mut World)) -> u64 {
+    let mut w = World::new(cfg, BackendKind::Lcu.build(), 42);
+    spawn(&mut w);
+    w.run_to_completion();
+    w.mach().now().cycles()
+}
+
+/// The single-lock microbenchmark on a custom LCU configuration: `threads`
+/// threads share 2 000 critical sections.
+fn lcu_microbench_cycles(cfg: MachineConfig, threads: usize, write_pct: u32) -> u64 {
+    lcu_cycles(cfg, |w| {
+        let lock = w.mach().alloc().alloc_line();
+        let data = w.mach().alloc().alloc_line();
+        let pool = IterPool::new(2_000);
+        for _ in 0..threads {
+            w.spawn(Box::new(CsThread::new(lock, data, pool.clone(), write_pct)));
+        }
+    })
+}
+
+/// Ablations of the LCU's design choices, one run each, in simulated
+/// cycles. The sizes are fixed (`LOCKSIM_QUICK` does not shrink them), so
+/// the table is a golden:
+///
+/// * `direct_transfer` — direct LCU→LCU grants vs routing every transfer
+///   through the home LRT (the paper's headline mechanism).
+/// * `fast_reacquire` — RD_REL local re-acquisition on vs off (this
+///   workload never re-acquires an RD_REL entry, so both rows match).
+/// * `grant_timeout` — sensitivity to the §III-C timeout threshold under
+///   oversubscription.
+/// * `lcu_entries` — table size 2 vs 8 vs 16 under multi-lock load.
+/// * `reservation` — LRT anti-starvation reservation on vs off with a
+///   2-entry LCU (each thread holds one lock, so the entries never run out
+///   and both rows match).
+/// * `flt` — the §IV-C Free Lock Table off vs 4 entries per core on a
+///   private-lock pattern.
+pub fn ablations() -> Vec<Table> {
+    let mut t = Table::new(
+        "Ablations — LCU design choices (simulated cycles of one run, seed 42)",
+        &["ablation", "setting", "cycles"],
+    );
+    let mut row = |ablation: &str, setting: &str, cycles: u64| {
+        t.push(vec![ablation.into(), setting.into(), cycles.to_string()]);
+    };
+    for (name, direct) in [("direct", true), ("via_lrt", false)] {
+        let mut cfg = MachineConfig::model_a(32);
+        cfg.lcu_direct_transfer = direct;
+        row("direct_transfer", name, lcu_microbench_cycles(cfg, 16, 100));
+    }
+    for (name, on) in [("on", true), ("off", false)] {
+        let mut cfg = MachineConfig::model_a(32);
+        cfg.lcu_fast_reacquire = on;
+        row("fast_reacquire", name, lcu_microbench_cycles(cfg, 16, 10));
+    }
+    for timeout in [200u64, 1_000, 5_000] {
+        // 8 cores, 16 threads: grants regularly land on preempted threads
+        // and the timeout forwards them.
+        let mut cfg = MachineConfig::model_a(8);
+        cfg.grant_timeout = timeout;
+        cfg.quantum = 20_000;
+        let name = format!("timeout_{timeout}");
+        row("grant_timeout", &name, lcu_microbench_cycles(cfg, 16, 100));
+    }
+    for entries in [2usize, 8, 16] {
+        let mut cfg = MachineConfig::model_a(8);
+        cfg.lcu_entries = entries;
+        // Each thread holds 12 read locks at once, so small tables overflow
+        // into nonblocking mode.
+        let cycles = lcu_cycles(cfg, |w| {
+            let locks: Vec<_> = (0..12).map(|_| w.mach().alloc().alloc_line()).collect();
+            for _ in 0..8 {
+                let mut script = Vec::new();
+                for _ in 0..20 {
+                    script.extend(locks.iter().map(|&lock| Action::Acquire {
+                        lock,
+                        mode: Mode::Read,
+                        try_for: None,
+                    }));
+                    script.push(Action::Compute(500));
+                    script.extend(locks.iter().map(|&lock| Action::Release {
+                        lock,
+                        mode: Mode::Read,
+                    }));
+                }
+                w.spawn(Box::new(ScriptProgram::new(script)));
+            }
+        });
+        row("lcu_entries", &format!("entries_{entries}"), cycles);
+    }
+    for (name, on) in [("on", true), ("off", false)] {
+        let mut cfg = MachineConfig::model_a(8);
+        cfg.lcu_entries = 2;
+        cfg.lcu_reservation = on;
+        row("reservation", name, lcu_microbench_cycles(cfg, 8, 100));
+    }
+    for (name, entries) in [("off", 0usize), ("entries_4", 4)] {
+        // Private-lock pattern: each of 8 threads hammers its own lock (the
+        // paper's Radiosity observation, §IV-C).
+        let mut cfg = MachineConfig::model_a(8);
+        cfg.flt_entries = entries;
+        let cycles = lcu_cycles(cfg, |w| {
+            let locks: Vec<_> = (0..8).map(|_| w.mach().alloc().alloc_line()).collect();
+            for lock in locks {
+                let mut script = Vec::new();
+                for _ in 0..100 {
+                    script.push(Action::Acquire {
+                        lock,
+                        mode: Mode::Write,
+                        try_for: None,
+                    });
+                    script.push(Action::Compute(40));
+                    script.push(Action::Release {
+                        lock,
+                        mode: Mode::Write,
+                    });
+                }
+                w.spawn(Box::new(ScriptProgram::new(script)));
+            }
+        });
+        row("flt", name, cycles);
+    }
     vec![t]
 }

@@ -15,7 +15,6 @@
 //! Perfetto / `chrome://tracing`, and appends a metrics-registry section
 //! to the markdown output and `results/` CSVs.
 
-pub mod bench;
 pub mod chaos;
 pub mod faultsim;
 pub mod figs;
@@ -49,6 +48,19 @@ pub fn emit(name: &str, tables: &[Table]) {
         };
         t.save_csv(dir, &suffix).expect("write results csv");
     }
+}
+
+/// Writes a bin's artifact to `path`, creating its parent directory.
+///
+/// # Panics
+///
+/// Panics if the directory or the file cannot be written.
+pub(crate) fn write_artifact(path: &Path, content: &str) {
+    if let Some(dir) = path.parent().filter(|d| !d.as_os_str().is_empty()) {
+        std::fs::create_dir_all(dir).expect("create artifact dir");
+    }
+    std::fs::write(path, content)
+        .unwrap_or_else(|e| panic!("write artifact {}: {e}", path.display()));
 }
 
 /// Entry point shared by the figure binaries: parses the shared
@@ -101,6 +113,7 @@ pub const ALL_FIGS: &[(&str, FigFn)] = &[
     ("messages", figs::messages),
     ("swrw", figs::swrw),
     ("summary", figs::summary),
+    ("ablations", figs::ablations),
 ];
 
 /// Regenerates every figure (the `all` bin's work). With `jobs > 1` the
@@ -158,19 +171,11 @@ pub fn finish_bin(name: &str) {
         );
     }
     if let Some((path, html)) = obs::take_lockstat_html(name) {
-        if let Some(dir) = path.parent().filter(|d| !d.as_os_str().is_empty()) {
-            std::fs::create_dir_all(dir).expect("create lockstat report dir");
-        }
-        std::fs::write(&path, html)
-            .unwrap_or_else(|e| panic!("write lockstat report {}: {e}", path.display()));
+        write_artifact(&path, &html);
         eprintln!("lockstat: wrote HTML report to {}", path.display());
     }
     if let Some((path, report)) = obs::take_self_profile() {
-        if let Some(dir) = path.parent().filter(|d| !d.as_os_str().is_empty()) {
-            std::fs::create_dir_all(dir).expect("create self-profile dir");
-        }
-        std::fs::write(&path, report.collapsed())
-            .unwrap_or_else(|e| panic!("write self-profile {}: {e}", path.display()));
+        write_artifact(&path, &report.collapsed());
         eprintln!(
             "self-profile: wrote collapsed stacks to {} (flamegraph.pl / speedscope)",
             path.display()

@@ -113,10 +113,7 @@ impl LockstatRun {
 /// Runs the reader-stream-vs-single-writer workload on `backend` and
 /// profiles it per lock.
 pub fn run_starvation(backend: BackendKind, cfg: &StarvationCfg) -> LockstatRun {
-    let mut mach_cfg = ModelSel::A.config();
-    if backend == BackendKind::LcuFlt {
-        mach_cfg.flt_entries = 4;
-    }
+    let mach_cfg = backend.machine_config(ModelSel::A.config());
     let mut w = World::new(mach_cfg, backend.build(), cfg.seed);
     obs::arm(&mut w);
     w.enable_lockstat(Some(cfg.watchdog_cycles));
@@ -257,7 +254,7 @@ pub fn tables(cfg: &StarvationCfg, runs: &[LockstatRun]) -> Vec<Table> {
     vec![stats, watchdog, chains]
 }
 
-/// Entry point of the `lockstat` bin (shared by the root-package shim so
+/// Entry point of the `lockstat` bin (a root-package bin, so
 /// `cargo run --bin lockstat` works without `-p locksim-harness`): parses
 /// flags, runs the SSB-vs-LCU starvation contrast, and emits the tables,
 /// text reports, CSVs, and HTML report.

@@ -74,6 +74,15 @@ impl BackendKind {
         }
     }
 
+    /// The machine configuration this backend runs on, derived from
+    /// `base`: the FLT variant enables a 4-entry Free Lock Table per core.
+    pub fn machine_config(self, mut base: MachineConfig) -> MachineConfig {
+        if self == BackendKind::LcuFlt {
+            base.flt_entries = 4;
+        }
+        base
+    }
+
     /// Label for tables.
     pub fn label(self) -> &'static str {
         match self {
@@ -124,10 +133,7 @@ pub fn run_microbench(
     total_iters: u64,
     seed: u64,
 ) -> MicroResult {
-    let mut cfg = model.config();
-    if backend == BackendKind::LcuFlt {
-        cfg.flt_entries = 4;
-    }
+    let cfg = backend.machine_config(model.config());
     let mut w = World::new(cfg, backend.build(), seed);
     obs::arm(&mut w);
     let lock = w.mach().alloc().alloc_line();
@@ -326,10 +332,7 @@ impl AppSel {
 
 /// Runs one application kernel to completion; returns total cycles.
 pub fn run_app(app: AppSel, backend: BackendKind, seed: u64) -> u64 {
-    let mut cfg = MachineConfig::model_a(32);
-    if backend == BackendKind::LcuFlt {
-        cfg.flt_entries = 4;
-    }
+    let cfg = backend.machine_config(MachineConfig::model_a(32));
     let mut w = World::new(cfg, backend.build(), seed);
     obs::arm(&mut w);
     match app {
@@ -377,8 +380,8 @@ pub fn total_acquires(w: &mut World) -> u64 {
         .sum()
 }
 
-/// Scale knob: `LOCKSIM_QUICK=1` shrinks experiments (used by the criterion
-/// benches and smoke tests). `0`, empty, and `false` mean off.
+/// Scale knob: `LOCKSIM_QUICK=1` shrinks experiments (used by the smoke
+/// runs and tests). `0`, empty, `false` and `off` mean off.
 pub fn quick() -> bool {
     match std::env::var("LOCKSIM_QUICK") {
         Ok(v) => !matches!(v.as_str(), "" | "0" | "false" | "off"),

@@ -6,7 +6,7 @@
 //!
 //! 1. a correctness harness for machine-level tests (blocking semantics,
 //!    scheduler interaction) independent of any real protocol, and
-//! 2. the lower-bound "perfect lock" baseline in ablation benches.
+//! 2. the lower-bound "perfect lock" baseline of the harness tables.
 
 use std::collections::{HashMap, VecDeque};
 

@@ -408,7 +408,7 @@ impl Mach {
     }
 
     /// High-water mark of the event queue's backlog — the occupancy
-    /// waterline `benchsim` tracks per scenario.
+    /// waterline reported as `evq_peak_pending`.
     pub fn evq_peak_pending(&self) -> usize {
         self.sim.peak_pending()
     }
@@ -1428,7 +1428,7 @@ impl World {
     pub fn run_for(&mut self, limit: Option<Time>) -> RunExit {
         let _prof = prof::span("sim/run_for");
         // The alloc run-phase window brackets the event loop only, so
-        // benchsim's per-scenario churn excludes world setup/teardown.
+        // per-run allocation churn excludes world setup/teardown.
         locksim_trace::alloc::run_phase_start();
         let exit = loop {
             if self.mach.alive == 0 {

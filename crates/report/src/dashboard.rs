@@ -1,54 +1,18 @@
 //! The HTML dashboard: one self-contained page aggregating a ledger of
-//! run manifests plus the checked-in `BENCH_*.json` trajectory.
+//! run manifests.
 //!
 //! Self-contained means *no* external references — styling is an inline
 //! `<style>` block, charts are inline SVG, and there is no JavaScript at
 //! all — so the file can be archived as a CI artifact and opened years
-//! later, offline. Rendering is a pure function of the inputs (manifests
-//! sorted by file name, baselines sorted by file name), so two identical
-//! invocations produce byte-identical HTML; CI relies on that.
+//! later, offline. Rendering is a pure function of the manifests (sorted
+//! by file name), so two identical invocations produce byte-identical
+//! HTML; CI relies on that.
 
 use std::fmt::Write as _;
 
 use locksim_trace::html::esc;
 
-use crate::json;
 use crate::manifest::RunManifest;
-
-/// One `BENCH_NNNN.json` reduced to its trend fields.
-#[derive(Debug, Clone, PartialEq)]
-pub struct BenchPoint {
-    /// Source file name (`BENCH_0001.json`), the trend's x label.
-    pub file: String,
-    /// Suite the report ran.
-    pub suite: String,
-    /// `(scenario, wall_ms, sim_cycles)` per scenario, in report order.
-    pub scenarios: Vec<(String, f64, u64)>,
-}
-
-/// Parses one bench report into a [`BenchPoint`] (schema-light: any JSON
-/// with a `scenarios` array of `{name, wall_ms, sim_cycles}` works).
-///
-/// # Errors
-///
-/// Returns a message on malformed JSON or a missing field.
-pub fn parse_bench(file: &str, text: &str) -> Result<BenchPoint, String> {
-    let v = json::parse(text)?;
-    let suite = v.get_str("suite")?.to_string();
-    let mut scenarios = Vec::new();
-    for item in v.get_arr("scenarios")? {
-        scenarios.push((
-            item.get_str("name")?.to_string(),
-            item.get_num("wall_ms")?,
-            item.get_num("sim_cycles")? as u64,
-        ));
-    }
-    Ok(BenchPoint {
-        file: file.to_string(),
-        suite,
-        scenarios,
-    })
-}
 
 const CSS: &str = "\
 body{font-family:system-ui,sans-serif;margin:2rem;max-width:72rem;color:#1a2733}\
@@ -204,70 +168,10 @@ fn verdict_matrix(manifests: &[(String, RunManifest)]) -> String {
     format!("<table><tr><th>bin</th><th>run</th><th>check</th><th>verdict</th></tr>{rows}</table>")
 }
 
-/// The bench trend: per-scenario wall-time across the baseline trajectory,
-/// as a table plus a sparkline per scenario.
-fn bench_trend(benches: &[BenchPoint]) -> String {
-    if benches.is_empty() {
-        return "<p class=\"meta\">No BENCH_*.json baselines found.</p>".to_string();
-    }
-    // Scenario universe in first-seen order across the trajectory.
-    let mut names: Vec<&str> = Vec::new();
-    for b in benches {
-        for (n, _, _) in &b.scenarios {
-            if !names.contains(&n.as_str()) {
-                names.push(n);
-            }
-        }
-    }
-    let mut head = String::from("<tr><th>scenario</th>");
-    for b in benches {
-        let _ = write!(head, "<th>{} ({})</th>", esc(&b.file), esc(&b.suite));
-    }
-    head.push_str("<th>trend (wall ms)</th></tr>");
-    let mut rows = String::new();
-    for name in names {
-        let mut cells = String::new();
-        let mut points: Vec<(u64, f64)> = Vec::new();
-        let mut y_max = 0.0f64;
-        for (i, b) in benches.iter().enumerate() {
-            match b.scenarios.iter().find(|(n, _, _)| n == name) {
-                Some((_, wall, _)) => {
-                    let _ = write!(cells, "<td class=\"num\">{wall:.1}</td>");
-                    points.push((i as u64, *wall));
-                    y_max = y_max.max(*wall);
-                }
-                None => cells.push_str("<td class=\"na\">-</td>"),
-            }
-        }
-        let spark = format!(
-            "<svg width=\"120\" height=\"26\" viewBox=\"0 0 120 26\">{}</svg>",
-            polyline(
-                &points,
-                (benches.len().saturating_sub(1)).max(1) as u64,
-                y_max,
-                120,
-                26,
-                "#2a6db0"
-            )
-        );
-        let _ = write!(
-            rows,
-            "<tr><td>{}</td>{cells}<td>{spark}</td></tr>",
-            esc(name)
-        );
-    }
-    format!(
-        "<table>{head}{rows}</table>\
-         <p class=\"meta\">Wall milliseconds per scenario across checked-in baselines \
-         (host-dependent; the CI gate applies a tolerance). Simulated-cycle drift \
-         between baselines marks intentional simulation changes.</p>"
-    )
-}
-
 /// Renders the full dashboard. `manifests` must already be sorted by file
-/// name and `benches` by file name — [`crate::manifest::read_manifests`]
-/// and the CLI discovery guarantee that, keeping the output deterministic.
-pub fn render_dashboard(manifests: &[(String, RunManifest)], benches: &[BenchPoint]) -> String {
+/// name — [`crate::manifest::read_manifests`] guarantees that, keeping the
+/// output deterministic.
+pub fn render_dashboard(manifests: &[(String, RunManifest)]) -> String {
     let mut charts = String::new();
     for (_, m) in manifests {
         charts.push_str(&series_chart(m));
@@ -277,11 +181,7 @@ pub fn render_dashboard(manifests: &[(String, RunManifest)], benches: &[BenchPoi
                   observability armed to collect it).</p>"
             .to_string();
     }
-    let runs_line = format!(
-        "{} manifest(s), {} bench baseline(s)",
-        manifests.len(),
-        benches.len()
-    );
+    let runs_line = format!("{} manifest(s)", manifests.len());
     format!(
         "<!DOCTYPE html>\n<html lang=\"en\"><head><meta charset=\"utf-8\">\
          <title>locksim experiment dashboard</title><style>{CSS}</style></head><body>\n\
@@ -292,12 +192,10 @@ pub fn render_dashboard(manifests: &[(String, RunManifest)], benches: &[BenchPoi
          <h2>Tail latency</h2>\n{}\n\
          <h2>Time series</h2>\n{}\n\
          <h2>Verdicts</h2>\n{}\n\
-         <h2>Bench trajectory</h2>\n{}\n\
          </body></html>\n",
         tail_table(manifests),
         charts,
-        verdict_matrix(manifests),
-        bench_trend(benches)
+        verdict_matrix(manifests)
     )
 }
 
@@ -358,68 +256,43 @@ mod tests {
         }
     }
 
-    fn bench(file: &str, wall: f64) -> BenchPoint {
-        BenchPoint {
-            file: file.to_string(),
-            suite: "standard".to_string(),
-            scenarios: vec![("micro/lcu/a16w100".to_string(), wall, 1_000_000)],
-        }
-    }
-
     #[test]
     fn dashboard_is_self_contained_and_deterministic() {
         let ms = vec![("a.json".to_string(), manifest())];
-        let bs = vec![
-            bench("BENCH_0001.json", 120.0),
-            bench("BENCH_0002.json", 95.0),
-        ];
-        let html = render_dashboard(&ms, &bs);
-        assert_eq!(html, render_dashboard(&ms, &bs));
+        let html = render_dashboard(&ms);
+        assert_eq!(html, render_dashboard(&ms));
         assert!(!html.contains("http://"), "no external references");
         assert!(!html.contains("https://"), "no external references");
         assert!(!html.contains("<script"), "no scripts");
-        // The acceptance surfaces: tail rows, a series chart, verdicts, trend.
+        // The acceptance surfaces: tail rows, a series chart, verdicts.
         assert!(html.contains("p99.9"));
         assert!(html.contains("lock_wait_cycles"));
         assert!(html.contains("<polyline"));
         assert!(html.contains("time-series"));
         assert!(html.contains("liveness"));
-        assert!(html.contains("BENCH_0002.json"));
     }
 
     #[test]
     fn marks_render_as_dashed_rules() {
         let ms = vec![("a.json".to_string(), manifest())];
-        let html = render_dashboard(&ms, &[]);
+        let html = render_dashboard(&ms);
         assert!(html.contains("stroke-dasharray"), "mark rule present");
         assert!(html.contains("fault/suspend:1"));
     }
 
     #[test]
     fn empty_inputs_render_placeholders() {
-        let html = render_dashboard(&[], &[]);
+        let html = render_dashboard(&[]);
         assert!(html.contains("No histogram data"));
         assert!(html.contains("No time-series data"));
         assert!(html.contains("No verdicts"));
-        assert!(html.contains("No BENCH_"));
-    }
-
-    #[test]
-    fn bench_parse_reads_trend_fields() {
-        let text = "{\"schema\": \"locksim-bench-v1\", \"suite\": \"standard\", \
-                    \"alloc_counting\": true, \"scenarios\": [{\"name\": \"m/x\", \
-                    \"wall_ms\": 12.5, \"sim_cycles\": 1000, \"events\": 5, \
-                    \"events_per_sec\": 1, \"mcycles_per_sec\": 1, \"peak_queue\": 1, \
-                    \"allocs\": 1, \"alloc_bytes\": 1, \"peak_bytes\": 1}]}";
-        let b = parse_bench("BENCH_0001.json", text).unwrap();
-        assert_eq!(b.scenarios, vec![("m/x".to_string(), 12.5, 1000)]);
     }
 
     #[test]
     fn html_escapes_hostile_labels() {
         let mut m = manifest();
         m.label = "<script>alert(1)</script>".to_string();
-        let html = render_dashboard(&[("a.json".to_string(), m)], &[]);
+        let html = render_dashboard(&[("a.json".to_string(), m)]);
         assert!(!html.contains("<script>alert"));
         assert!(html.contains("&lt;script&gt;"));
     }

@@ -1,9 +1,9 @@
 //! Allocation telemetry: a counting global allocator wrapping the system
-//! allocator, feeding the `benchsim` bin's per-scenario allocation deltas.
+//! allocator, feeding the `lockbench` benchmark's allocation metrics.
 //!
 //! The allocator is only *installed* (via `#[global_allocator]`) in the
-//! bins that want the numbers — `benchsim` — so library users and the test
-//! suite keep the plain system allocator. When installed, every
+//! bins that want the numbers — `lockbench` — so library users and the
+//! test suite keep the plain system allocator. When installed, every
 //! alloc/dealloc updates a handful of relaxed atomics: total allocation
 //! count and bytes, live bytes, and a peak-live waterline that scenarios
 //! reset between runs ([`reset_peak`]) to get per-phase peaks.

@@ -1,6 +1,13 @@
-//! Root-package shim so `cargo run --release --bin chaossim` works from
-//! the workspace root without `-p locksim-harness`. See
-//! `crates/harness/src/bin/chaossim.rs` for the harness-local twin.
+//! Chaos soak runner: sweep fuzz seeds through randomized fault plans with
+//! the quiescence deadlock detector armed, shrink every violating plan to
+//! a locally-minimal repro, and write `results/chaossim.csv` /
+//! `results/chaossim.html` (plus corpus entries with `--corpus-out`).
+//!
+//! ```text
+//! cargo run --release --bin chaossim -- --quick
+//! cargo run --release --bin chaossim -- --seed-start 0 --seeds 100
+//! cargo run --release --bin chaossim -- --seeds 48 --corpus-out tests/corpus
+//! ```
 
 fn main() {
     locksim::harness::chaos::cli_main();

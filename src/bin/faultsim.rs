@@ -1,6 +1,13 @@
-//! Root-package shim so `cargo run --release --bin faultsim` works from
-//! the workspace root without `-p locksim-harness`. See
-//! `crates/harness/src/bin/faultsim.rs` for the harness-local twin.
+//! Fault-injection matrix: every lock backend × every fault class
+//! (suspension, migration, FLT eviction, LRT pressure, wire delay), each
+//! cell judged by the liveness/fairness/exclusion oracles. Writes a
+//! pass/fail table to stdout plus `results/faultsim.csv` and
+//! `results/faultsim.html`.
+//!
+//! ```text
+//! cargo run --release --bin faultsim -- --quick
+//! cargo run --release --bin faultsim -- --seed 42 --csv results/faultsim.csv
+//! ```
 
 fn main() {
     locksim::harness::faultsim::cli_main();

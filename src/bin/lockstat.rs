@@ -1,6 +1,12 @@
-//! Root-package shim so `cargo run --release --bin lockstat` works from
-//! the workspace root without `-p locksim-harness`. See
-//! `crates/harness/src/bin/lockstat.rs` for the harness-local twin.
+//! Per-lock contention profile of the SSB-vs-LCU writer-starvation
+//! contrast: per-lock stats tables, the starvation-watchdog verdict, the
+//! longest blocking chains, and a self-contained HTML report.
+//!
+//! ```text
+//! cargo run --release --bin lockstat -- --quick
+//! cargo run --release --bin lockstat -- --lockstat results/lockstat.html \
+//!     --watchdog-cycles 30000
+//! ```
 
 fn main() {
     locksim::harness::lockstat::cli_main();

@@ -1,5 +1,5 @@
-//! `report`: aggregates `results/runs/` manifests and `BENCH_*.json`
-//! baselines into one self-contained HTML dashboard.
+//! `report`: aggregates `results/runs/` manifests into one self-contained
+//! HTML dashboard.
 
 fn main() {
     locksim::report::cli_main();

@@ -49,6 +49,7 @@
 pub use locksim_coherence as coherence;
 pub use locksim_core as core;
 pub use locksim_engine as engine;
+pub use locksim_faults as faults;
 pub use locksim_harness as harness;
 pub use locksim_machine as machine;
 pub use locksim_report as report;

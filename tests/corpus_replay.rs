@@ -3,12 +3,12 @@
 //! produced by `chaossim --corpus-out`; each file's header carries the
 //! regeneration command for its seed.
 
-use locksim_faults::ChaosScenario;
-use locksim_harness::chaos::{expect_label, replay, DEFAULT_QUIESCE};
+use locksim::faults::ChaosScenario;
+use locksim::harness::chaos::{expect_label, replay, ChaosRun, DEFAULT_QUIESCE};
 use std::path::PathBuf;
 
 fn corpus_dir() -> PathBuf {
-    PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("../../tests/corpus")
+    PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("tests/corpus")
 }
 
 fn corpus_entries() -> Vec<(String, ChaosScenario)> {
@@ -65,7 +65,7 @@ fn every_corpus_entry_reproduces_its_recorded_verdict() {
 #[test]
 fn corpus_replays_are_byte_deterministic() {
     for (name, sc) in corpus_entries() {
-        let snap = |run: &locksim_harness::chaos::ChaosRun| {
+        let snap = |run: &ChaosRun| {
             (
                 run.outcome.end_cycle,
                 run.outcome.exit,

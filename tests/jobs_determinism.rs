@@ -78,7 +78,8 @@ fn assert_trees_identical(seq: &Path, par: &Path) {
 }
 
 fn golden(bin: &str, name: &str, base_args: &[&str]) {
-    let scratch = std::env::temp_dir().join(format!("locksim_jobs_golden_{}", name));
+    let scratch =
+        std::env::temp_dir().join(format!("locksim_jobs_golden_{name}_{}", std::process::id()));
     let seq = scratch.join("jobs1");
     let par = scratch.join("jobs2");
     let mut seq_args = base_args.to_vec();

@@ -77,8 +77,8 @@ fn dashboard_renders_byte_identically_across_ledger_round_trips() {
     // Two renders over a read-back ledger must also match byte-for-byte.
     let ledger = read_manifests(&dir);
     assert_eq!(ledger.len(), 1);
-    let html1 = render_dashboard(&ledger, &[]);
-    let html2 = render_dashboard(&read_manifests(&dir), &[]);
+    let html1 = render_dashboard(&ledger);
+    let html2 = render_dashboard(&read_manifests(&dir));
     assert_eq!(html1, html2, "dashboard HTML differs across renders");
     assert!(html1.contains("p99.9"), "tail table present");
     let _ = std::fs::remove_dir_all(&dir);
