@@ -14,7 +14,6 @@ use locksim_topo::MsgClass;
 use crate::entry::{EntryKind, Lcu, Status};
 use crate::lrt::{Lrt, Residency};
 use crate::msg::{Msg, Node};
-use locksim_machine::Checker;
 
 /// A thread's outstanding acquire request.
 #[derive(Debug, Clone, Copy)]
@@ -89,7 +88,6 @@ pub struct LcuBackend {
     timers: HashMap<u64, TimerKind>,
     timer_seq: u64,
     counters: Counters,
-    checker: Checker,
     initialized: bool,
 }
 
@@ -112,7 +110,6 @@ impl LcuBackend {
             timers: HashMap::new(),
             timer_seq: 0,
             counters: Counters::new(),
-            checker: Checker::new(),
             initialized: false,
         }
     }
@@ -309,8 +306,6 @@ impl LcuBackend {
                 cnt,
             },
         );
-        self.checker
-            .on_grant_traced(addr, t, mode, m.tracer(), m.lockstat());
         m.grant_lock_in(t, m.cfg().lcu_latency);
     }
 
@@ -1408,8 +1403,6 @@ impl LockBackend for LcuBackend {
                         cnt,
                     },
                 );
-                self.checker
-                    .on_grant_traced(lock, t, mode, m.tracer(), m.lockstat());
                 m.grant_lock_in(t, m.cfg().lcu_latency);
                 return;
             }
@@ -1446,8 +1439,6 @@ impl LockBackend for LcuBackend {
             .remove(&(t, lock))
             .unwrap_or_else(|| panic!("{t:?} releasing {lock} it does not hold"));
         debug_assert_eq!(held.mode, mode, "release mode mismatch");
-        self.checker
-            .on_release_traced(lock, t, mode, m.tracer(), m.lockstat());
         let core = m.core_of(t).expect("release from scheduled thread").0 as usize;
         let lcu_lat = m.cfg().lcu_latency;
         if held.overflow {

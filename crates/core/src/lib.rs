@@ -36,8 +36,9 @@
 //! the direct-transfer fast path for all other cases and reader-writer
 //! exclusion with overflow readers present.
 //!
-//! Every grant and release passes through a runtime [`Checker`] that
-//! asserts reader-writer exclusion, so protocol bugs fail loudly.
+//! Every grant and release passes through the machine's runtime
+//! reader-writer exclusion check (the machine owns it, not the backend),
+//! so protocol bugs fail loudly.
 //!
 //! # Example
 //!
@@ -63,7 +64,6 @@ pub mod lrt;
 mod msg;
 
 pub use backend::LcuBackend;
-pub use locksim_machine::Checker;
 pub use msg::{Msg, Node};
 
 /// Public alias of the LCU table module (named for discoverability).

@@ -1,6 +1,6 @@
 //! Property-based and adversarial tests of the LCU protocol: random
 //! workloads over random configurations must complete with exact grant
-//! accounting (the backend's checker enforces exclusion throughout).
+//! accounting (the machine's checker enforces exclusion throughout).
 
 use proptest::prelude::*;
 use std::cell::RefCell;

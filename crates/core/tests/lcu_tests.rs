@@ -1,6 +1,6 @@
 //! End-to-end LCU/LRT protocol tests on the full simulated machine.
 //!
-//! The backend's built-in exclusion checker panics on any reader-writer
+//! The machine's exclusion checker panics on any reader-writer
 //! violation, so every test here doubles as an invariant check.
 
 use std::cell::RefCell;
@@ -261,7 +261,7 @@ fn readers_overlap_writers_do_not() {
 
 #[test]
 fn read_write_mix_is_exclusion_safe_and_complete() {
-    // The backend checker panics on violations; completion proves no
+    // The machine's checker panics on violations; completion proves no
     // deadlock / lost wakeups across the mixed protocol paths.
     for seed in 0..5 {
         let mut w = lcu_world(MachineConfig::model_a(16), 100 + seed);

@@ -36,7 +36,8 @@ const WORKLOAD_SPLIT: u64 = 1;
 /// Knobs bounding what the fuzzer may generate.
 #[derive(Debug, Clone, PartialEq)]
 pub struct FuzzConfig {
-    /// Backend labels to draw from (harness labels: "lcu", "mcs", ...).
+    /// Backend labels to draw from: by default the harness fault suite, in
+    /// table order (a harness test pins the two together).
     pub backends: Vec<&'static str>,
     /// Inclusive thread-count range.
     pub threads: (u32, u32),

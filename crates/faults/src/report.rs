@@ -1,10 +1,11 @@
 //! Pass/fail reporting: verdict computation, deterministic CSV, and
 //! self-contained HTML artifacts — for the backend × fault-class matrix
-//! ([`MatrixCell`]) and for chaos soak sweeps ([`ChaosRow`]).
+//! ([`MatrixCell`]) and for chaos soak sweeps ([`ChaosRow`]). Each row type
+//! declares its columns once (`COLUMNS` and `values`); the CSV, the HTML
+//! page (built with `locksim_trace::html`) and the harness's stdout table
+//! all render those values.
 
-use std::fmt::Write as _;
-
-use locksim_trace::html::esc;
+use locksim_trace::html;
 
 use crate::driver::DriveOutcome;
 use crate::oracle::Violation;
@@ -35,8 +36,9 @@ pub struct MatrixCell {
 
 impl MatrixCell {
     /// Builds a cell from a driven run and its oracle verdicts. The verdict
-    /// names the most severe violated oracle (exclusion > liveness >
-    /// fairness) or "pass" when none fired.
+    /// is [`ChaosRow::verdict_of`], the one ranking; faultsim drives with
+    /// the deadlock detector off, so it names the most severe violated
+    /// oracle (exclusion > liveness > fairness) or "pass" when none fired.
     pub fn from_run(
         backend: &str,
         fault: &str,
@@ -45,24 +47,13 @@ impl MatrixCell {
         finished: bool,
     ) -> Self {
         let count = |o: &str| violations.iter().filter(|v| v.oracle == o).count();
-        let (liveness, fairness, exclusion) =
-            (count("liveness"), count("fairness"), count("exclusion"));
-        let verdict = if exclusion > 0 {
-            "EXCLUSION"
-        } else if liveness > 0 {
-            "LIVENESS"
-        } else if fairness > 0 {
-            "FAIRNESS"
-        } else {
-            "pass"
-        };
         MatrixCell {
             backend: backend.to_string(),
             fault: fault.to_string(),
-            verdict: verdict.to_string(),
-            liveness,
-            fairness,
-            exclusion,
+            verdict: ChaosRow::verdict_of(outcome, violations).to_string(),
+            liveness: count("liveness"),
+            fairness: count("fairness"),
+            exclusion: count("exclusion"),
             injections: outcome.injections_applied(),
             end_cycle: outcome.end_cycle,
             finished,
@@ -88,6 +79,36 @@ impl MatrixCell {
     /// Whether this cell passed (or was not applicable).
     pub fn ok(&self) -> bool {
         self.verdict == "pass" || self.verdict == "n/a"
+    }
+
+    /// Column names of the matrix: the HTML page's and the faultsim stdout
+    /// table's headers.
+    pub const COLUMNS: [&'static str; 9] = [
+        "backend",
+        "fault",
+        "verdict",
+        "liveness",
+        "fairness",
+        "exclusion",
+        "injections",
+        "end cycle",
+        "finished",
+    ];
+
+    /// The cell as one row in [`MatrixCell::COLUMNS`] order — the values
+    /// the CSV line, the HTML row and the stdout row all render.
+    pub fn values(&self) -> [String; 9] {
+        [
+            self.backend.clone(),
+            self.fault.clone(),
+            self.verdict.clone(),
+            self.liveness.to_string(),
+            self.fairness.to_string(),
+            self.exclusion.to_string(),
+            self.injections.to_string(),
+            self.end_cycle.to_string(),
+            self.finished.to_string(),
+        ]
     }
 }
 
@@ -169,145 +190,85 @@ impl ChaosRow {
     pub fn ok(&self) -> bool {
         self.verdict == "pass"
     }
+
+    /// Column names of a sweep: the HTML page's and the chaossim stdout
+    /// table's headers.
+    pub const COLUMNS: [&'static str; 11] = [
+        "seed",
+        "backend",
+        "verdict",
+        "liveness",
+        "fairness",
+        "exclusion",
+        "deadlock",
+        "events",
+        "shrunk",
+        "end cycle",
+        "finished",
+    ];
+
+    /// The row in [`ChaosRow::COLUMNS`] order — the values the CSV line,
+    /// the HTML row and the stdout row all render.
+    pub fn values(&self) -> [String; 11] {
+        [
+            self.seed.to_string(),
+            self.backend.clone(),
+            self.verdict.clone(),
+            self.liveness.to_string(),
+            self.fairness.to_string(),
+            self.exclusion.to_string(),
+            self.deadlock.to_string(),
+            self.events.to_string(),
+            self.shrunk_events.to_string(),
+            self.end_cycle.to_string(),
+            self.finished.to_string(),
+        ]
+    }
 }
 
 /// Renders a chaos sweep as CSV; byte-deterministic for the same rows.
 pub fn chaos_csv(rows: &[ChaosRow]) -> String {
-    let mut s = String::from(
+    csv_of(
         "seed,backend,verdict,liveness,fairness,exclusion,deadlock,events,\
-         shrunk_events,end_cycle,finished\n",
-    );
-    for r in rows {
-        let _ = writeln!(
-            s,
-            "{},{},{},{},{},{},{},{},{},{},{}",
-            r.seed,
-            r.backend,
-            r.verdict,
-            r.liveness,
-            r.fairness,
-            r.exclusion,
-            r.deadlock,
-            r.events,
-            r.shrunk_events,
-            r.end_cycle,
-            r.finished
-        );
-    }
-    s
+         shrunk_events,end_cycle,finished",
+        rows.iter().map(ChaosRow::values),
+    )
 }
 
 /// Renders a chaos sweep as a self-contained HTML page.
 pub fn chaos_html(rows: &[ChaosRow], title: &str) -> String {
-    let title = esc(title);
-    let mut s = String::new();
-    let _ = write!(
-        s,
-        "<!DOCTYPE html>\n<html><head><meta charset=\"utf-8\">\
-         <title>{title}</title><style>\
-         body{{font-family:sans-serif;margin:2em;}}\
-         table{{border-collapse:collapse;}}\
-         th,td{{border:1px solid #999;padding:0.3em 0.8em;text-align:right;}}\
-         th{{background:#eee;}}td.l{{text-align:left;}}\
-         .pass{{background:#cfc;}}.fail{{background:#fcc;font-weight:bold;}}\
-         </style></head><body><h1>{title}</h1>\n<table>\n\
-         <tr><th>seed</th><th>backend</th><th>verdict</th>\
-         <th>liveness</th><th>fairness</th><th>exclusion</th><th>deadlock</th>\
-         <th>events</th><th>shrunk</th><th>end cycle</th><th>finished</th></tr>\n"
-    );
-    for r in rows {
-        let class = if r.ok() { "pass" } else { "fail" };
-        let _ = writeln!(
-            s,
-            "<tr><td>{}</td><td class=\"l\">{}</td>\
-             <td class=\"{}\">{}</td><td>{}</td><td>{}</td><td>{}</td>\
-             <td>{}</td><td>{}</td><td>{}</td><td>{}</td><td>{}</td></tr>",
-            r.seed,
-            esc(&r.backend),
-            class,
-            esc(&r.verdict),
-            r.liveness,
-            r.fairness,
-            r.exclusion,
-            r.deadlock,
-            r.events,
-            r.shrunk_events,
-            r.end_cycle,
-            r.finished
-        );
-    }
-    s.push_str("</table>\n</body></html>\n");
-    s
+    html::page(title, |out| {
+        html::table(out, &ChaosRow::COLUMNS, rows.iter().map(ChaosRow::values));
+    })
 }
 
 /// Renders the matrix as CSV. Output is a pure function of the cells, so
 /// two same-seed runs produce byte-identical files.
 pub fn csv(cells: &[MatrixCell]) -> String {
-    let mut s = String::from(
-        "backend,fault,verdict,liveness,fairness,exclusion,injections,end_cycle,finished\n",
-    );
-    for c in cells {
-        let _ = writeln!(
-            s,
-            "{},{},{},{},{},{},{},{},{}",
-            c.backend,
-            c.fault,
-            c.verdict,
-            c.liveness,
-            c.fairness,
-            c.exclusion,
-            c.injections,
-            c.end_cycle,
-            c.finished
-        );
-    }
-    s
+    csv_of(
+        "backend,fault,verdict,liveness,fairness,exclusion,injections,end_cycle,finished",
+        cells.iter().map(MatrixCell::values),
+    )
 }
 
-/// Renders the matrix as a self-contained HTML page (inline CSS, no
-/// external assets), with one table row per cell and verdict colouring.
+/// Renders the matrix as a self-contained HTML page, one table row per
+/// cell with verdict colouring.
 pub fn html(cells: &[MatrixCell], title: &str) -> String {
-    let title = esc(title);
-    let mut s = String::new();
-    let _ = write!(
-        s,
-        "<!DOCTYPE html>\n<html><head><meta charset=\"utf-8\">\
-         <title>{title}</title><style>\
-         body{{font-family:sans-serif;margin:2em;}}\
-         table{{border-collapse:collapse;}}\
-         th,td{{border:1px solid #999;padding:0.3em 0.8em;text-align:right;}}\
-         th{{background:#eee;}}td.l{{text-align:left;}}\
-         .pass{{background:#cfc;}}.fail{{background:#fcc;font-weight:bold;}}\
-         .na{{background:#f4f4f4;color:#888;}}\
-         </style></head><body><h1>{title}</h1>\n<table>\n\
-         <tr><th>backend</th><th>fault</th><th>verdict</th>\
-         <th>liveness</th><th>fairness</th><th>exclusion</th>\
-         <th>injections</th><th>end cycle</th><th>finished</th></tr>\n"
-    );
-    for c in cells {
-        let class = match c.verdict.as_str() {
-            "pass" => "pass",
-            "n/a" => "na",
-            _ => "fail",
-        };
-        let _ = writeln!(
-            s,
-            "<tr><td class=\"l\">{}</td><td class=\"l\">{}</td>\
-             <td class=\"{}\">{}</td><td>{}</td><td>{}</td><td>{}</td>\
-             <td>{}</td><td>{}</td><td>{}</td></tr>",
-            esc(&c.backend),
-            esc(&c.fault),
-            class,
-            esc(&c.verdict),
-            c.liveness,
-            c.fairness,
-            c.exclusion,
-            c.injections,
-            c.end_cycle,
-            c.finished
+    html::page(title, |out| {
+        html::table(
+            out,
+            &MatrixCell::COLUMNS,
+            cells.iter().map(MatrixCell::values),
         );
+    })
+}
+
+fn csv_of<const N: usize>(header: &str, rows: impl Iterator<Item = [String; N]>) -> String {
+    let mut s = format!("{header}\n");
+    for row in rows {
+        s.push_str(&row.join(","));
+        s.push('\n');
     }
-    s.push_str("</table>\n</body></html>\n");
     s
 }
 
@@ -427,7 +388,7 @@ mod tests {
         assert!(a.contains("4,mcs,DEADLOCK,1,0,0,true,5,1,7000,false\n"));
         let page = chaos_html(&rows, "chaossim");
         assert!(page.starts_with("<!DOCTYPE html>"));
-        assert!(page.contains("<td class=\"fail\">DEADLOCK</td>"));
+        assert!(page.contains("<td class=\"bad\">DEADLOCK</td>"));
     }
 
     #[test]
@@ -436,7 +397,7 @@ mod tests {
         let page = html(&cells, "faultsim");
         assert!(page.starts_with("<!DOCTYPE html>"));
         assert!(page.ends_with("</html>\n"));
-        assert!(page.contains("<td class=\"pass\">pass</td>"));
+        assert!(page.contains("<td class=\"ok\">pass</td>"));
         assert!(!page.contains("http"), "no external assets");
     }
 
@@ -452,11 +413,11 @@ mod tests {
         let page = html(&cells, "<script>alert(1)</script>");
         assert!(!page.contains("<script>"), "{page}");
         assert!(page.contains("<title>&lt;script&gt;alert(1)&lt;/script&gt;</title>"));
-        assert!(page.contains("<td class=\"l\">a&lt;b</td>"));
-        assert!(page.contains("<td class=\"l\">&quot;x&quot;&amp;y</td>"));
+        assert!(page.contains("<td>a&lt;b</td>"));
+        assert!(page.contains("<td>&quot;x&quot;&amp;y</td>"));
         let rows = vec![ChaosRow::from_run(3, "l&u", &outcome(500), &[], true, 4)];
         let page = chaos_html(&rows, "a & <b>");
         assert!(page.contains("<h1>a &amp; &lt;b&gt;</h1>"), "{page}");
-        assert!(page.contains("<td class=\"l\">l&amp;u</td>"), "{page}");
+        assert!(page.contains("<td>l&amp;u</td>"), "{page}");
     }
 }

@@ -5,14 +5,8 @@ use locksim_harness::obs;
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let flags = [
-        obs::BinFlag {
-            name: "--quick",
-            takes_value: false,
-        },
-        obs::BinFlag {
-            name: "--jobs",
-            takes_value: true,
-        },
+        obs::BinFlag::switch("--quick"),
+        obs::BinFlag::value("--jobs"),
     ];
     let (opts, extras) = match obs::parse_bin_cli(&args, &flags) {
         Ok(parsed) => parsed,

@@ -22,7 +22,6 @@ use locksim_faults::{
     DriveOutcome, FaultDriver, FaultPlan, FuzzConfig, Violation,
 };
 use locksim_machine::{MachineConfig, RunExit, World};
-use locksim_swlocks::SwAlg;
 use locksim_workloads::{CsThread, IterPool};
 
 use crate::run::{scaled, BackendKind};
@@ -38,26 +37,8 @@ const TRACE_CAP: usize = 1 << 20;
 /// short enough that a wedged run is cut off well before its deadline.
 pub const DEFAULT_QUIESCE: u64 = 50_000;
 
-/// Chaos worlds always run the 4-core model-A machine.
+/// Fault runs always use the 4-core model-A machine.
 const N_CORES: u32 = 4;
-
-/// The backends a chaos case or corpus entry may name.
-const BACKENDS: [BackendKind; 8] = [
-    BackendKind::Lcu,
-    BackendKind::LcuFlt,
-    BackendKind::Ssb,
-    BackendKind::Sw(SwAlg::Mcs),
-    BackendKind::Sw(SwAlg::Mrsw),
-    BackendKind::Sw(SwAlg::Bravo),
-    BackendKind::Sw(SwAlg::Fissile),
-    BackendKind::Ideal,
-];
-
-/// Resolves a harness backend label to its [`BackendKind`], one of
-/// `BACKENDS`.
-pub fn backend_by_label(label: &str) -> Option<BackendKind> {
-    BACKENDS.into_iter().find(|b| b.label() == label)
-}
 
 /// Maps a chaos verdict to the corpus `expect` directive value.
 pub fn expect_label(verdict: &str) -> String {
@@ -83,8 +64,9 @@ pub struct ChaosRun {
 
 /// Runs one chaos case: builds the world for `backend`/`workload`/`seed`,
 /// drives `plan` with the quiescence detector armed, and judges the result.
-/// Fails (without running) on an unknown backend label or a plan that does
-/// not validate against the workload/machine shape.
+/// Fails (without running) on an unknown backend label, a read-mode
+/// workload on a writer-only backend, or a plan that does not validate
+/// against the workload/machine shape.
 pub fn run_chaos(
     backend_label: &str,
     workload: &ChaosWorkload,
@@ -92,14 +74,38 @@ pub fn run_chaos(
     plan: &FaultPlan,
     quiesce: u64,
 ) -> Result<ChaosRun, String> {
-    let backend = backend_by_label(backend_label)
+    let backend = BackendKind::by_label(backend_label)
         .ok_or_else(|| format!("unknown backend label {backend_label:?}"))?;
+    let label = format!("chaos/{backend_label}/s{seed}");
+    run_faulted(backend, workload, seed, plan, quiesce, &label)
+}
+
+/// The one fault-run path, shared by chaos cases and faultsim cells: runs
+/// `workload` on `backend` under `plan` on the 4-core model-A machine,
+/// judges it with the oracles, and files its observability under `label`.
+/// A `quiesce` of 0 disarms the deadlock detector (a plain
+/// [`FaultDriver::run`]).
+pub(crate) fn run_faulted(
+    backend: BackendKind,
+    workload: &ChaosWorkload,
+    seed: u64,
+    plan: &FaultPlan,
+    quiesce: u64,
+    label: &str,
+) -> Result<ChaosRun, String> {
+    if workload.write_pct < 100 && !backend.reads() {
+        return Err(format!(
+            "{} takes no read-mode acquires, but write-pct is {}",
+            backend.label(),
+            workload.write_pct
+        ));
+    }
     plan.validate(workload.threads, N_CORES)
         .map_err(|e| format!("invalid plan: {e}"))?;
     let mut mach_cfg = backend.machine_config(MachineConfig::model_a(N_CORES as usize));
     if workload.lrt_pressure {
-        // Same squeeze as faultsim's lrt-pressure class: one direct-mapped
-        // pair of entries, so extra lock lines overflow and retry.
+        // One direct-mapped pair of entries for one hot lock plus
+        // release-in-flight churn: every extra lock line overflows.
         mach_cfg.lrt_entries = 2;
         mach_cfg.lrt_assoc = 2;
     }
@@ -120,7 +126,7 @@ pub fn run_chaos(
     let out = FaultDriver::new(plan.clone()).run_detected(&mut w, quiesce);
     let finished = out.exit == RunExit::AllFinished;
     let violations = check_world(&mut w, plan, &out.windows, out.end_cycle);
-    obs::observe(&format!("chaos/{backend_label}/s{seed}"), &w);
+    obs::observe(label, &w);
     let verdict = ChaosRow::verdict_of(&out, &violations).to_string();
     Ok(ChaosRun {
         outcome: out,
@@ -325,34 +331,10 @@ pub fn verdict_table(cfg: &ChaosCfg, report: &SoakReport) -> Table {
             cfg.quiesce,
             report.cycles
         ),
-        &[
-            "seed",
-            "backend",
-            "verdict",
-            "liveness",
-            "fairness",
-            "exclusion",
-            "deadlock",
-            "events",
-            "shrunk",
-            "end cycle",
-            "finished",
-        ],
+        &ChaosRow::COLUMNS,
     );
     for r in &report.rows {
-        t.push(vec![
-            r.seed.to_string(),
-            r.backend.clone(),
-            r.verdict.clone(),
-            r.liveness.to_string(),
-            r.fairness.to_string(),
-            r.exclusion.to_string(),
-            r.deadlock.to_string(),
-            r.events.to_string(),
-            r.shrunk_events.to_string(),
-            r.end_cycle.to_string(),
-            r.finished.to_string(),
-        ]);
+        t.push(r.values().into());
     }
     t
 }
@@ -361,46 +343,16 @@ pub fn verdict_table(cfg: &ChaosCfg, report: &SoakReport) -> Table {
 pub fn cli_main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let flags = [
-        obs::BinFlag {
-            name: "--quick",
-            takes_value: false,
-        },
-        obs::BinFlag {
-            name: "--seed-start",
-            takes_value: true,
-        },
-        obs::BinFlag {
-            name: "--seeds",
-            takes_value: true,
-        },
-        obs::BinFlag {
-            name: "--quiesce",
-            takes_value: true,
-        },
-        obs::BinFlag {
-            name: "--shrink-budget",
-            takes_value: true,
-        },
-        obs::BinFlag {
-            name: "--cycle-budget",
-            takes_value: true,
-        },
-        obs::BinFlag {
-            name: "--jobs",
-            takes_value: true,
-        },
-        obs::BinFlag {
-            name: "--corpus-out",
-            takes_value: true,
-        },
-        obs::BinFlag {
-            name: "--csv",
-            takes_value: true,
-        },
-        obs::BinFlag {
-            name: "--html",
-            takes_value: true,
-        },
+        obs::BinFlag::switch("--quick"),
+        obs::BinFlag::value("--seed-start"),
+        obs::BinFlag::value("--seeds"),
+        obs::BinFlag::value("--quiesce"),
+        obs::BinFlag::value("--shrink-budget"),
+        obs::BinFlag::value("--cycle-budget"),
+        obs::BinFlag::value("--jobs"),
+        obs::BinFlag::value("--corpus-out"),
+        obs::BinFlag::value("--csv"),
+        obs::BinFlag::value("--html"),
     ];
     let (opts, extras) = match obs::parse_bin_cli(&args, &flags) {
         Ok(parsed) => parsed,
@@ -485,17 +437,6 @@ mod tests {
     use super::*;
 
     #[test]
-    fn backend_labels_round_trip() {
-        for label in [
-            "lcu", "lcu+flt", "ssb", "mcs", "mrsw", "bravo", "fissile", "ideal",
-        ] {
-            let kind = backend_by_label(label).expect(label);
-            assert_eq!(kind.label(), label);
-        }
-        assert!(backend_by_label("spinlock").is_none());
-    }
-
-    #[test]
     fn expect_label_maps_verdicts() {
         assert_eq!(expect_label("pass"), "none");
         assert_eq!(expect_label("DEADLOCK"), "deadlock");
@@ -516,5 +457,36 @@ mod tests {
         assert!(err.contains("thread 7 out of range"), "{err}");
         let err = run_chaos("nope", &wl, 1, &plan, 0).unwrap_err();
         assert!(err.contains("unknown backend"), "{err}");
+        // A read-mode mix on a writer-only lock is refused up front instead
+        // of tripping the backend's read-mode assert mid-run.
+        let mixed = ChaosWorkload {
+            write_pct: 50,
+            ..wl
+        };
+        let err = run_chaos("mcs", &mixed, 1, &FaultPlan::new(), 0).unwrap_err();
+        assert!(err.contains("mcs takes no read-mode acquires"), "{err}");
+    }
+
+    /// The fuzzer's backend list lives in `locksim-faults`, which cannot see
+    /// the harness table; this test is the link between the two.
+    #[test]
+    fn fuzzer_draws_the_fault_suite_and_clamps_writer_only_rows() {
+        let suite: Vec<&str> = BackendKind::fault_suite()
+            .iter()
+            .map(|b| b.label())
+            .collect();
+        assert_eq!(FuzzConfig::default().backends, suite);
+        // The fuzzer clamps exactly the writer-only rows of the suite.
+        let writer_only: Vec<&str> = BackendKind::fault_suite()
+            .iter()
+            .filter(|b| !b.reads())
+            .map(|b| b.label())
+            .collect();
+        assert_eq!(writer_only, ["mcs"]);
+        let cfg = FuzzConfig::default();
+        for case in (0..500).map(|seed| generate(seed, &cfg)) {
+            let kind = BackendKind::by_label(case.backend).expect(case.backend);
+            assert!(kind.reads() || case.workload.write_pct == 100, "{case:?}");
+        }
     }
 }

@@ -22,18 +22,13 @@
 
 use std::path::PathBuf;
 
-use locksim_faults::{check_world, csv, html, FaultDriver, FaultPlan, MatrixCell};
-use locksim_machine::{MachineConfig, RunExit, World};
-use locksim_swlocks::SwAlg;
-use locksim_workloads::{CsThread, IterPool};
+use locksim_faults::{csv, html, ChaosWorkload, FaultPlan, MatrixCell};
+use locksim_machine::MachineConfig;
 
+use crate::chaos::run_faulted;
 use crate::run::{scaled, BackendKind};
 use crate::table::Table;
 use crate::{emit, finish_bin, obs, write_artifact};
-
-/// Trace-ring capacity for the fault runs: the oracles replay the ring, so
-/// it must keep every lock event of a run.
-const TRACE_CAP: usize = 1 << 20;
 
 /// The injected fault classes of the matrix.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -80,11 +75,10 @@ impl FaultClass {
     /// Whether this fault class is meaningful for `backend`; inapplicable
     /// combinations render as "n/a" cells.
     pub fn applies_to(self, backend: BackendKind) -> bool {
+        let machine = backend.machine_config(MachineConfig::model_a(4));
         match self {
-            FaultClass::FltEvict => backend == BackendKind::LcuFlt,
-            FaultClass::LrtPressure => {
-                matches!(backend, BackendKind::Lcu | BackendKind::LcuFlt)
-            }
+            FaultClass::FltEvict => machine.flt_entries > 0,
+            FaultClass::LrtPressure => backend.has_lrt(),
             _ => true,
         }
     }
@@ -107,24 +101,6 @@ impl FaultClass {
             FaultClass::WireDelay => base.wire_delay_at(0, 3, 400),
         }
     }
-}
-
-/// The matrix's backend rows: the LCU with and without the FLT, the SSB
-/// baseline, the two contrasting classic software locks (queue-based MCS,
-/// centralized MRSW), and the two modern software RW locks (biased BRAVO,
-/// composed Fissile). Like MCS/MRSW, the modern locks still wedge behind
-/// a suspended thread — no software protocol recovers the paper's
-/// robustness cells; that comparison is the point of carrying them here.
-pub fn backends() -> [BackendKind; 7] {
-    [
-        BackendKind::Lcu,
-        BackendKind::LcuFlt,
-        BackendKind::Ssb,
-        BackendKind::Sw(SwAlg::Mcs),
-        BackendKind::Sw(SwAlg::Mrsw),
-        BackendKind::Sw(SwAlg::Bravo),
-        BackendKind::Sw(SwAlg::Fissile),
-    ]
 }
 
 /// Parameters of one matrix run.
@@ -153,38 +129,32 @@ impl FaultsimCfg {
 }
 
 /// Runs one cell: the seeded workload on `backend` under `class`, judged
-/// by the oracles.
+/// by the oracles, through the fault-run path chaos cases share (with the
+/// deadlock detector disarmed).
 pub fn run_cell(backend: BackendKind, class: FaultClass, cfg: &FaultsimCfg) -> MatrixCell {
     if !class.applies_to(backend) {
         return MatrixCell::not_applicable(backend.label(), class.label());
     }
-    let mut mach_cfg = backend.machine_config(MachineConfig::model_a(4));
-    if class == FaultClass::LrtPressure {
-        // One direct-mapped pair of entries for one hot lock plus
-        // release-in-flight churn: every extra lock line overflows.
-        mach_cfg.lrt_entries = 2;
-        mach_cfg.lrt_assoc = 2;
-    }
-    let mut w = World::new(mach_cfg, backend.build(), cfg.seed);
-    obs::arm(&mut w);
-    if !w.mach_ref().tracer().is_enabled() {
-        w.enable_trace(TRACE_CAP);
-    }
-    let lock = w.mach().alloc().alloc_line();
-    let data = w.mach().alloc().alloc_line();
-    let pool = IterPool::new(cfg.iters);
-    for _ in 0..cfg.threads {
-        // Write mode throughout: every backend, including mutex-only MCS,
-        // runs the identical schedule.
-        w.spawn(Box::new(CsThread::new(lock, data, pool.clone(), 100)));
-    }
-    let plan = class.plan(cfg.horizon);
-    let out = FaultDriver::new(plan.clone()).run(&mut w);
-    let finished = out.exit == RunExit::AllFinished;
-    let violations = check_world(&mut w, &plan, &out.windows, out.end_cycle);
+    // Write mode throughout: every backend, including mutex-only MCS, runs
+    // the identical schedule.
+    let workload = ChaosWorkload {
+        threads: cfg.threads as u32,
+        iters: cfg.iters as u32,
+        cs_compute: 20,
+        write_pct: 100,
+        lrt_pressure: class == FaultClass::LrtPressure,
+    };
     let label = format!("{}/{}", backend.label(), class.label());
-    obs::observe(&label, &w);
-    MatrixCell::from_run(backend.label(), class.label(), &out, &violations, finished)
+    let plan = class.plan(cfg.horizon);
+    let run = run_faulted(backend, &workload, cfg.seed, &plan, 0, &label)
+        .unwrap_or_else(|e| panic!("faultsim cell {label}: {e}"));
+    MatrixCell::from_run(
+        backend.label(),
+        class.label(),
+        &run.outcome,
+        &run.violations,
+        run.finished,
+    )
 }
 
 /// Runs the full backend × fault-class matrix. With `jobs > 1` the cells
@@ -192,9 +162,9 @@ pub fn run_cell(backend: BackendKind, class: FaultClass, cfg: &FaultsimCfg) -> M
 /// deterministic run, and merging every cell's observability in row-major
 /// cell order keeps the output byte-identical to `jobs == 1`.
 pub fn run_matrix(cfg: &FaultsimCfg, jobs: usize) -> Vec<MatrixCell> {
-    let grid: Vec<(BackendKind, FaultClass)> = backends()
-        .into_iter()
-        .flat_map(|b| FaultClass::ALL.into_iter().map(move |c| (b, c)))
+    let grid: Vec<(BackendKind, FaultClass)> = BackendKind::fault_suite()
+        .iter()
+        .flat_map(|&b| FaultClass::ALL.into_iter().map(move |c| (b, c)))
         .collect();
     crate::sweep::run_jobs(jobs, grid.len(), |i| {
         let (backend, class) = grid[i];
@@ -212,30 +182,10 @@ pub fn verdict_table(cfg: &FaultsimCfg, cells: &[MatrixCell]) -> Table {
             "Fault-injection matrix — {} threads, {} iters, seed {}, horizon {} cycles",
             cfg.threads, cfg.iters, cfg.seed, cfg.horizon
         ),
-        &[
-            "backend",
-            "fault",
-            "verdict",
-            "liveness",
-            "fairness",
-            "exclusion",
-            "injections",
-            "end cycle",
-            "finished",
-        ],
+        &MatrixCell::COLUMNS,
     );
     for c in cells {
-        t.push(vec![
-            c.backend.clone(),
-            c.fault.clone(),
-            c.verdict.clone(),
-            c.liveness.to_string(),
-            c.fairness.to_string(),
-            c.exclusion.to_string(),
-            c.injections.to_string(),
-            c.end_cycle.to_string(),
-            c.finished.to_string(),
-        ]);
+        t.push(c.values().into());
     }
     t
 }
@@ -246,30 +196,12 @@ pub fn verdict_table(cfg: &FaultsimCfg, cells: &[MatrixCell]) -> Table {
 pub fn cli_main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let flags = [
-        obs::BinFlag {
-            name: "--quick",
-            takes_value: false,
-        },
-        obs::BinFlag {
-            name: "--seed",
-            takes_value: true,
-        },
-        obs::BinFlag {
-            name: "--horizon",
-            takes_value: true,
-        },
-        obs::BinFlag {
-            name: "--jobs",
-            takes_value: true,
-        },
-        obs::BinFlag {
-            name: "--csv",
-            takes_value: true,
-        },
-        obs::BinFlag {
-            name: "--html",
-            takes_value: true,
-        },
+        obs::BinFlag::switch("--quick"),
+        obs::BinFlag::value("--seed"),
+        obs::BinFlag::value("--horizon"),
+        obs::BinFlag::value("--jobs"),
+        obs::BinFlag::value("--csv"),
+        obs::BinFlag::value("--html"),
     ];
     let (opts, extras) = match obs::parse_bin_cli(&args, &flags) {
         Ok(parsed) => parsed,
@@ -364,12 +296,13 @@ mod tests {
 
     #[test]
     fn applicability_gates_hardware_only_faults() {
+        use locksim_swlocks::SwAlg;
         assert!(FaultClass::FltEvict.applies_to(BackendKind::LcuFlt));
         assert!(!FaultClass::FltEvict.applies_to(BackendKind::Lcu));
         assert!(!FaultClass::FltEvict.applies_to(BackendKind::Sw(SwAlg::Mcs)));
         assert!(FaultClass::LrtPressure.applies_to(BackendKind::Lcu));
         assert!(!FaultClass::LrtPressure.applies_to(BackendKind::Ssb));
-        for b in backends() {
+        for &b in BackendKind::fault_suite() {
             assert!(FaultClass::None.applies_to(b));
             assert!(FaultClass::Suspend.applies_to(b));
         }

@@ -76,10 +76,7 @@ pub(crate) fn write_artifact(path: &Path, content: &str) {
 /// Panics if the results directory cannot be written.
 pub fn run_bin(name: &str, f: impl FnOnce() -> Vec<Table>) {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    let flags = [obs::BinFlag {
-        name: "--quick",
-        takes_value: false,
-    }];
+    let flags = [obs::BinFlag::switch("--quick")];
     match obs::parse_bin_cli(&args, &flags) {
         Ok((opts, extras)) => {
             if extras.contains_key("--quick") {

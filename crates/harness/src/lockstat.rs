@@ -235,18 +235,13 @@ pub fn tables(cfg: &StarvationCfg, runs: &[LockstatRun]) -> Vec<Table> {
         let mut by_depth: Vec<&LockChain> = r.chains.iter().collect();
         by_depth.sort_by_key(|c| std::cmp::Reverse(c.links.len()));
         for c in by_depth {
-            let path: Vec<String> = c
-                .links
-                .iter()
-                .map(|l| format!("t{}:{}", l.thread, if l.write { "w" } else { "r" }))
-                .collect();
             chains.push(vec![
                 r.label.to_string(),
                 format!("{:#x}", c.lock),
                 c.links.len().to_string(),
                 c.span.to_string(),
                 c.total_wait.to_string(),
-                path.join(" -> "),
+                c.path(" -> "),
             ]);
         }
     }
@@ -260,10 +255,7 @@ pub fn tables(cfg: &StarvationCfg, runs: &[LockstatRun]) -> Vec<Table> {
 /// text reports, CSVs, and HTML report.
 pub fn cli_main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    let flags = [obs::BinFlag {
-        name: "--quick",
-        takes_value: false,
-    }];
+    let flags = [obs::BinFlag::switch("--quick")];
     let (mut opts, extras) = match obs::parse_bin_cli(&args, &flags) {
         Ok(parsed) => parsed,
         Err(msg) => usage_exit(&msg),

@@ -185,6 +185,24 @@ pub struct BinFlag {
     pub takes_value: bool,
 }
 
+impl BinFlag {
+    /// A switch: `name` alone, no value.
+    pub const fn switch(name: &'static str) -> Self {
+        BinFlag {
+            name,
+            takes_value: false,
+        }
+    }
+
+    /// A flag that consumes the following argument as its value.
+    pub const fn value(name: &'static str) -> Self {
+        BinFlag {
+            name,
+            takes_value: true,
+        }
+    }
+}
+
 /// Parses a bin's full argument list: the shared observability flags
 /// (see [`parse_cli_partial`]) plus the bin-specific `flags`. Every bin
 /// with its own flags (`lockstat`, `faultsim`) goes through this one
@@ -247,7 +265,7 @@ pub fn init_from_args() {
 /// by bins that parse their own extra flags via [`parse_cli_partial`]).
 /// `--self-profile <path>` (or the `LOCKSIM_SELF_PROFILE=<path>` env var)
 /// additionally switches on the host-side span profiler; everything else
-/// leaves it disabled, where a span is a single relaxed atomic load.
+/// leaves it disabled, where a span is a single thread-local flag load.
 pub fn apply_opts(opts: &CliOpts) {
     let self_profile = opts.self_profile.clone().or_else(|| {
         std::env::var_os("LOCKSIM_SELF_PROFILE")
@@ -575,16 +593,7 @@ mod tests {
         assert_eq!(parse_cli(&[]).unwrap(), CliOpts::default());
     }
 
-    const BIN_FLAGS: &[BinFlag] = &[
-        BinFlag {
-            name: "--quick",
-            takes_value: false,
-        },
-        BinFlag {
-            name: "--seed",
-            takes_value: true,
-        },
-    ];
+    const BIN_FLAGS: &[BinFlag] = &[BinFlag::switch("--quick"), BinFlag::value("--seed")];
 
     #[test]
     fn bin_cli_mixes_shared_and_bin_flags() {

@@ -64,6 +64,51 @@ pub enum BackendKind {
 }
 
 impl BackendKind {
+    /// The backend table: every lock implementation once. The fault suite
+    /// comes first, in faultsim's row order (see [`BackendKind::fault_suite`]).
+    pub const ALL: [BackendKind; 11] = [
+        BackendKind::Lcu,
+        BackendKind::LcuFlt,
+        BackendKind::Ssb,
+        BackendKind::Sw(SwAlg::Mcs),
+        BackendKind::Sw(SwAlg::Mrsw),
+        BackendKind::Sw(SwAlg::Bravo),
+        BackendKind::Sw(SwAlg::Fissile),
+        BackendKind::Ideal,
+        BackendKind::Sw(SwAlg::Tas),
+        BackendKind::Sw(SwAlg::Tatas),
+        BackendKind::Sw(SwAlg::Posix),
+    ];
+
+    /// The fault suite: faultsim's matrix rows and the backends the chaos
+    /// fuzzer draws from — the LCU with and without the FLT, the SSB, the
+    /// classic software locks MCS and MRSW, and the modern software RW locks
+    /// BRAVO and Fissile. No software protocol recovers the paper's
+    /// robustness cells; that contrast is why the suite carries them.
+    pub fn fault_suite() -> &'static [BackendKind] {
+        &Self::ALL[..7]
+    }
+
+    /// Resolves a table label (`"lcu"`, `"lcu+flt"`, `"mcs"`, ...).
+    pub fn by_label(label: &str) -> Option<BackendKind> {
+        Self::ALL.into_iter().find(|b| b.label() == label)
+    }
+
+    /// Whether this backend takes read-mode acquires; the writer-only
+    /// software locks assert on them.
+    pub fn reads(self) -> bool {
+        !matches!(
+            self,
+            BackendKind::Sw(SwAlg::Mcs | SwAlg::Tas | SwAlg::Tatas | SwAlg::Posix)
+        )
+    }
+
+    /// Whether this backend has a Lock Reservation Table (the LCU family),
+    /// the structure an LRT squeeze shrinks.
+    pub fn has_lrt(self) -> bool {
+        matches!(self, BackendKind::Lcu | BackendKind::LcuFlt)
+    }
+
     /// Instantiates the backend.
     pub fn build(self) -> Box<dyn LockBackend> {
         match self {
@@ -203,7 +248,8 @@ impl StmVariant {
         }
     }
 
-    fn backend(self) -> BackendKind {
+    /// The backend this variant's locks run on.
+    pub fn backend(self) -> BackendKind {
         match self {
             StmVariant::SwOnly => BackendKind::Sw(SwAlg::Mrsw),
             StmVariant::Lcu => BackendKind::Lcu,
@@ -212,7 +258,8 @@ impl StmVariant {
         }
     }
 
-    fn kind(self) -> StmKind {
+    /// The STM flavour this variant runs.
+    pub fn kind(self) -> StmKind {
         match self {
             StmVariant::Fraser => StmKind::Fraser,
             _ => StmKind::LockBased,
@@ -439,22 +486,17 @@ mod tests {
 
     #[test]
     fn labels_are_distinct() {
-        use locksim_swlocks::SwAlg;
-        let labels = [
-            BackendKind::Lcu.label(),
-            BackendKind::LcuFlt.label(),
-            BackendKind::Ssb.label(),
-            BackendKind::Ideal.label(),
-            BackendKind::Sw(SwAlg::Tas).label(),
-            BackendKind::Sw(SwAlg::Tatas).label(),
-            BackendKind::Sw(SwAlg::Mcs).label(),
-            BackendKind::Sw(SwAlg::Mrsw).label(),
-            BackendKind::Sw(SwAlg::Posix).label(),
-            BackendKind::Sw(SwAlg::Bravo).label(),
-            BackendKind::Sw(SwAlg::Fissile).label(),
-        ];
-        let set: std::collections::BTreeSet<_> = labels.iter().collect();
-        assert_eq!(set.len(), labels.len());
+        let set: std::collections::BTreeSet<_> =
+            BackendKind::ALL.iter().map(|b| b.label()).collect();
+        assert_eq!(set.len(), BackendKind::ALL.len());
+    }
+
+    #[test]
+    fn backend_labels_round_trip() {
+        for kind in BackendKind::ALL {
+            assert_eq!(BackendKind::by_label(kind.label()), Some(kind));
+        }
+        assert!(BackendKind::by_label("spinlock").is_none());
     }
 
     #[test]

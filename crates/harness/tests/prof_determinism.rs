@@ -36,9 +36,8 @@ fn traced_run(seed: u64) -> (String, String, String) {
     )
 }
 
-// One test, not two: the profiler's enable flag is process-global (the
-// span data is thread-local), so concurrently running test threads would
-// race on it.
+// The profiler's switch and span data are per-thread, so this test's
+// enable window sees only its own runs.
 #[test]
 fn outputs_are_byte_identical_with_profiling_on_and_off() {
     // Off first: make the baseline before any profiler state exists.

@@ -1,8 +1,9 @@
 //! Runtime reader-writer exclusion checker.
 //!
-//! The backend feeds every grant and release through this checker, so any
-//! protocol bug that violates mutual exclusion aborts the simulation at the
-//! exact violating grant instead of corrupting results downstream.
+//! The machine feeds every backend's grants and releases through one
+//! checker, so any protocol bug that violates mutual exclusion aborts the
+//! simulation at the exact violating grant instead of corrupting results
+//! downstream.
 
 use std::collections::HashMap;
 
@@ -37,28 +38,12 @@ fn abort_dump_records() -> usize {
 }
 
 /// Tracks, per lock, the current writer and reader set, and asserts the
-/// reader-writer exclusion invariant on every transition.
-///
-/// # Example
-///
-/// ```
-/// use locksim_machine::{Addr, Checker, Mode, ThreadId};
-///
-/// let mut c = Checker::new();
-/// c.on_grant(Addr(8), ThreadId(0), Mode::Read);
-/// c.on_grant(Addr(8), ThreadId(1), Mode::Read); // concurrent readers: fine
-/// c.on_release(Addr(8), ThreadId(0), Mode::Read);
-/// c.on_release(Addr(8), ThreadId(1), Mode::Read);
-/// c.on_grant(Addr(8), ThreadId(2), Mode::Write);
-/// ```
+/// reader-writer exclusion invariant on every transition. The machine owns
+/// one and feeds it every backend's grants and releases.
 #[derive(Debug, Default)]
 pub struct Checker {
     writer: HashMap<Addr, ThreadId>,
     readers: HashMap<Addr, Vec<ThreadId>>,
-    /// Highest number of concurrent readers observed on any lock.
-    pub max_concurrent_readers: usize,
-    /// Total grants checked.
-    pub grants_checked: u64,
 }
 
 impl Checker {
@@ -71,22 +56,10 @@ impl Checker {
     ///
     /// # Panics
     ///
-    /// Panics if the grant violates reader-writer exclusion.
-    pub fn on_grant(&mut self, lock: Addr, t: ThreadId, mode: Mode) {
-        if let Err(msg) = self.try_grant(lock, t, mode) {
-            panic!("{msg}");
-        }
-    }
-
-    /// Records a grant; on a violation, aborts with the last trace records
-    /// touching the violating lock (count configurable via
-    /// `LOCKSIM_ABORT_DUMP`) plus that lock's lockstat snapshot appended to
-    /// the panic message.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the grant violates reader-writer exclusion.
-    pub fn on_grant_traced(
+    /// Panics if the grant violates reader-writer exclusion. The message
+    /// carries the last trace records touching the lock (count configurable
+    /// via `LOCKSIM_ABORT_DUMP`) and the lock's lockstat snapshot.
+    pub fn on_grant(
         &mut self,
         lock: Addr,
         t: ThreadId,
@@ -95,16 +68,11 @@ impl Checker {
         lockstat: &LockStats,
     ) {
         if let Err(msg) = self.try_grant(lock, t, mode) {
-            panic!(
-                "{msg}\n{}{}",
-                tracer.lock_history_report(lock.0, abort_dump_records()),
-                lockstat.lock_snapshot(lock.0)
-            );
+            abort(&msg, lock, tracer, lockstat);
         }
     }
 
     fn try_grant(&mut self, lock: Addr, t: ThreadId, mode: Mode) -> Result<(), String> {
-        self.grants_checked += 1;
         if let Some(w) = self.writer.get(&lock) {
             return Err(format!(
                 "exclusion violation: {} grant of {lock} to {t:?} while {w:?} writes",
@@ -127,7 +95,6 @@ impl Checker {
                     return Err(format!("double read grant of {lock} to {t:?}"));
                 }
                 rs.push(t);
-                self.max_concurrent_readers = self.max_concurrent_readers.max(rs.len());
             }
         }
         Ok(())
@@ -137,22 +104,9 @@ impl Checker {
     ///
     /// # Panics
     ///
-    /// Panics if the releaser does not hold the lock in `mode`.
-    pub fn on_release(&mut self, lock: Addr, t: ThreadId, mode: Mode) {
-        if let Err(msg) = self.try_release(lock, t, mode) {
-            panic!("{msg}");
-        }
-    }
-
-    /// Records a release; on a violation, aborts with the last trace records
-    /// touching the violating lock (count configurable via
-    /// `LOCKSIM_ABORT_DUMP`) plus that lock's lockstat snapshot appended to
-    /// the panic message.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the releaser does not hold the lock in `mode`.
-    pub fn on_release_traced(
+    /// Panics if the releaser does not hold the lock in `mode`, with the
+    /// same lock history and lockstat snapshot as [`Checker::on_grant`].
+    pub fn on_release(
         &mut self,
         lock: Addr,
         t: ThreadId,
@@ -161,11 +115,7 @@ impl Checker {
         lockstat: &LockStats,
     ) {
         if let Err(msg) = self.try_release(lock, t, mode) {
-            panic!(
-                "{msg}\n{}{}",
-                tracer.lock_history_report(lock.0, abort_dump_records()),
-                lockstat.lock_snapshot(lock.0)
-            );
+            abort(&msg, lock, tracer, lockstat);
         }
     }
 
@@ -189,14 +139,14 @@ impl Checker {
             }
         }
     }
+}
 
-    /// Current holder counts `(writers, readers)` for a lock.
-    pub fn holders(&self, lock: Addr) -> (usize, usize) {
-        (
-            usize::from(self.writer.contains_key(&lock)),
-            self.readers.get(&lock).map_or(0, Vec::len),
-        )
-    }
+fn abort(msg: &str, lock: Addr, tracer: &Tracer, lockstat: &LockStats) -> ! {
+    panic!(
+        "{msg}\n{}{}",
+        tracer.lock_history_report(lock.0, abort_dump_records()),
+        lockstat.lock_snapshot(lock.0)
+    );
 }
 
 fn mode_name(mode: Mode) -> &'static str {
@@ -217,54 +167,40 @@ mod tests {
     #[test]
     fn write_then_release_then_write() {
         let mut c = Checker::new();
-        c.on_grant(L, ThreadId(0), Mode::Write);
-        assert_eq!(c.holders(L), (1, 0));
-        c.on_release(L, ThreadId(0), Mode::Write);
-        c.on_grant(L, ThreadId(1), Mode::Write);
-        assert_eq!(c.grants_checked, 2);
+        c.try_grant(L, ThreadId(0), Mode::Write).unwrap();
+        let err = c.try_grant(L, ThreadId(1), Mode::Read).unwrap_err();
+        assert!(err.contains("exclusion violation"), "{err}");
+        c.try_release(L, ThreadId(0), Mode::Write).unwrap();
+        c.try_grant(L, ThreadId(1), Mode::Write).unwrap();
     }
 
     #[test]
-    fn concurrent_readers_tracked() {
+    fn concurrent_readers_exclude_writers() {
         let mut c = Checker::new();
         for i in 0..5 {
-            c.on_grant(L, ThreadId(i), Mode::Read);
+            c.try_grant(L, ThreadId(i), Mode::Read).unwrap();
         }
-        assert_eq!(c.max_concurrent_readers, 5);
-        assert_eq!(c.holders(L), (0, 5));
+        let err = c.try_grant(L, ThreadId(9), Mode::Write).unwrap_err();
+        assert!(err.contains("with 5 readers"), "{err}");
+        let err = c.try_grant(L, ThreadId(0), Mode::Read).unwrap_err();
+        assert!(err.contains("double read grant"), "{err}");
     }
 
     #[test]
-    #[should_panic(expected = "exclusion violation")]
-    fn write_while_read_panics() {
+    fn bogus_releases_are_rejected() {
         let mut c = Checker::new();
-        c.on_grant(L, ThreadId(0), Mode::Read);
-        c.on_grant(L, ThreadId(1), Mode::Write);
-    }
-
-    #[test]
-    #[should_panic(expected = "exclusion violation")]
-    fn read_while_write_panics() {
-        let mut c = Checker::new();
-        c.on_grant(L, ThreadId(0), Mode::Write);
-        c.on_grant(L, ThreadId(1), Mode::Read);
-    }
-
-    #[test]
-    #[should_panic(expected = "non-writer")]
-    fn bogus_release_panics() {
-        let mut c = Checker::new();
-        c.on_grant(L, ThreadId(0), Mode::Write);
-        c.on_release(L, ThreadId(1), Mode::Write);
+        c.try_grant(L, ThreadId(0), Mode::Write).unwrap();
+        let err = c.try_release(L, ThreadId(1), Mode::Write).unwrap_err();
+        assert!(err.contains("non-writer"), "{err}");
+        let err = c.try_release(L, ThreadId(1), Mode::Read).unwrap_err();
+        assert!(err.contains("unread lock"), "{err}");
     }
 
     #[test]
     fn independent_locks() {
         let mut c = Checker::new();
-        c.on_grant(Addr(1), ThreadId(0), Mode::Write);
-        c.on_grant(Addr(2), ThreadId(1), Mode::Write);
-        assert_eq!(c.holders(Addr(1)), (1, 0));
-        assert_eq!(c.holders(Addr(2)), (1, 0));
+        c.try_grant(Addr(1), ThreadId(0), Mode::Write).unwrap();
+        c.try_grant(Addr(2), ThreadId(1), Mode::Write).unwrap();
     }
 
     #[test]
@@ -286,9 +222,9 @@ mod tests {
         ls.on_request(L.0, 0, true, 7);
         ls.on_grant(L.0, 0, true, 3, 10);
         let mut c = Checker::new();
-        c.on_grant_traced(L, ThreadId(0), Mode::Write, &tracer, &ls);
+        c.on_grant(L, ThreadId(0), Mode::Write, &tracer, &ls);
         let err = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            c.on_grant_traced(L, ThreadId(1), Mode::Write, &tracer, &ls);
+            c.on_grant(L, ThreadId(1), Mode::Write, &tracer, &ls);
         }))
         .unwrap_err();
         let msg = err.downcast_ref::<String>().expect("string panic");
@@ -305,7 +241,7 @@ mod tests {
         let tracer = Tracer::new(); // disabled: report still renders
         let mut c = Checker::new();
         let err = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            c.on_release_traced(L, ThreadId(3), Mode::Read, &tracer, &LockStats::new());
+            c.on_release(L, ThreadId(3), Mode::Read, &tracer, &LockStats::new());
         }))
         .unwrap_err();
         let msg = err.downcast_ref::<String>().expect("string panic");

@@ -47,6 +47,8 @@ pub enum BackendFault {
 /// memory completions, invalidation wakeups, scheduling changes); the
 /// backend eventually resolves each acquire with [`Mach::grant_lock`] or
 /// [`Mach::fail_lock`] and each release with [`Mach::complete_release`].
+/// The machine checks reader-writer exclusion at every grant and release,
+/// so a backend carries no checker of its own.
 ///
 /// Backends model their own timing through [`Mach`] services:
 /// [`Mach::send_wire`] for protocol messages between hardware units,

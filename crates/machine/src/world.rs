@@ -17,6 +17,7 @@ use locksim_trace::{
 };
 
 use crate::addr::{home_of, Addr, Alloc};
+use crate::checker::Checker;
 use crate::config::MachineConfig;
 use crate::lock::{BackendFault, LockBackend, Mode};
 use crate::prog::{Action, CoreId, Ctx, Outcome, Program, RmwOp, ThreadId};
@@ -288,6 +289,10 @@ pub struct Mach {
     tracer: Tracer,
     lockstat: LockStats,
     series: SeriesCollector,
+    /// The one reader-writer exclusion checker: every backend's grants and
+    /// releases pass through it at the same two points, so any protocol
+    /// bug that breaks exclusion aborts the run at the violating grant.
+    checker: Checker,
     /// Threads with an acquire outstanding right now (feeds the series
     /// queue-depth waterline without scanning the thread table).
     waiting_threads: u64,
@@ -619,7 +624,9 @@ impl Mach {
     ///
     /// # Panics
     ///
-    /// Panics if `t` has no acquire outstanding.
+    /// Panics if `t` has no acquire outstanding, or if the grant breaks
+    /// reader-writer exclusion (the message carries the lock's recent trace
+    /// history and lockstat snapshot).
     pub fn grant_lock_in(&mut self, t: ThreadId, delay: Cycles) {
         let ti = t.0 as usize;
         let since = self.threads[ti]
@@ -635,6 +642,8 @@ impl Mach {
         self.waiting_threads = self.waiting_threads.saturating_sub(1);
         self.series.on_grant(granted_at.cycles(), wait);
         if let Some((lock, mode)) = self.threads[ti].waiting_on.take() {
+            self.checker
+                .on_grant(lock, t, mode, &self.tracer, &self.lockstat);
             self.threads[ti].holding.push((lock, granted_at));
             self.tracer.record(|| TraceEvent {
                 t: granted_at,
@@ -1035,6 +1044,7 @@ impl World {
                 tracer: Tracer::new(),
                 lockstat: LockStats::new(),
                 series: SeriesCollector::new(),
+                checker: Checker::new(),
                 waiting_threads: 0,
                 seed,
                 next_stream: 0,
@@ -1874,6 +1884,11 @@ impl World {
                         write: mode == Mode::Write,
                     },
                 });
+                // The critical section ends when the thread invokes the
+                // release; the backend's release traffic may legitimately
+                // race the next owner's grant.
+                let m = &mut self.mach;
+                m.checker.on_release(lock, t, mode, &m.tracer, &m.lockstat);
                 let _prof = prof::span("backend/on_release");
                 self.backend.on_release(&mut self.mach, t, lock, mode);
             }

@@ -424,3 +424,52 @@ fn dissection_buckets_sum_to_thread_lifetime() {
         "critical section counts as hold: {d:?}"
     );
 }
+
+/// A backend with no exclusion logic and no checker of its own: it grants
+/// every acquire on arrival.
+struct GrantAllBackend;
+
+impl LockBackend for GrantAllBackend {
+    fn name(&self) -> &'static str {
+        "grant-all"
+    }
+    fn on_acquire(&mut self, m: &mut Mach, t: ThreadId, _l: Addr, _mo: Mode, _tf: Option<Cycles>) {
+        m.grant_lock(t);
+    }
+    fn on_release(&mut self, m: &mut Mach, t: ThreadId, _l: Addr, _mo: Mode) {
+        m.complete_release(t);
+    }
+}
+
+#[test]
+fn machine_checks_exclusion_for_every_backend() {
+    // The machine, not the backend, owns the exclusion check: a second
+    // overlapping write grant aborts the run with the lock's history.
+    let mut w = World::new(MachineConfig::model_a(4), Box::new(GrantAllBackend), 1);
+    w.enable_trace(64);
+    let lock = w.mach().alloc().alloc_line();
+    let (acquire, release) = (
+        Action::Acquire {
+            lock,
+            mode: Mode::Write,
+            try_for: None,
+        },
+        Action::Release {
+            lock,
+            mode: Mode::Write,
+        },
+    );
+    for _ in 0..2 {
+        let script = vec![acquire, Action::Compute(1_000), release];
+        w.spawn(Box::new(ScriptProgram::new(script)));
+    }
+    let err = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| w.run_to_completion()))
+        .expect_err("overlapping write grants must abort the run");
+    let msg = err.downcast_ref::<String>().expect("string panic");
+    assert!(msg.contains("exclusion violation"), "{msg}");
+    let history = format!("trace records for lock {:#x}", lock.0);
+    assert!(
+        msg.contains(&history) && msg.contains("lock_grant"),
+        "{msg}"
+    );
+}

@@ -1,65 +1,29 @@
 //! The HTML dashboard: one self-contained page aggregating a ledger of
 //! run manifests.
 //!
-//! Self-contained means *no* external references — styling is an inline
-//! `<style>` block, charts are inline SVG, and there is no JavaScript at
-//! all — so the file can be archived as a CI artifact and opened years
-//! later, offline. Rendering is a pure function of the manifests (sorted
-//! by file name), so two identical invocations produce byte-identical
-//! HTML; CI relies on that.
+//! The page is built from the shared emitter in `locksim_trace::html`
+//! (document head and stylesheet, tables, verdict colours, SVG line
+//! charts), so it has *no* external references and no JavaScript: the
+//! file can be archived as a CI artifact and opened years later, offline.
+//! Rendering is a pure function of the manifests (sorted by file name), so
+//! two identical invocations produce byte-identical HTML; CI relies on
+//! that.
 
 use std::fmt::Write as _;
 
-use locksim_trace::html::esc;
+use locksim_trace::html::{self, esc, Line};
 
 use crate::manifest::RunManifest;
 
-const CSS: &str = "\
-body{font-family:system-ui,sans-serif;margin:2rem;max-width:72rem;color:#1a2733}\
-h1{font-size:1.5rem}h2{font-size:1.15rem;margin-top:2rem;border-bottom:2px solid #d7e0e8;padding-bottom:.3rem}\
-h3{font-size:1rem;margin-bottom:.3rem}\
-table{border-collapse:collapse;margin:.7rem 0;font-size:.85rem}\
-th,td{border:1px solid #c8d2dc;padding:.25rem .55rem;text-align:left}\
-th{background:#eef3f7}\
-td.num{text-align:right;font-variant-numeric:tabular-nums}\
-td.ok{background:#e6f4e6}td.bad{background:#fae3e3}td.na{color:#8a97a3}\
-.meta{color:#5a6b7a;font-size:.8rem}\
-svg{background:#fbfcfe;border:1px solid #d7e0e8;margin:.4rem 0}\
-.legend{font-size:.78rem;color:#5a6b7a}\
-";
-
-/// An SVG polyline over `(x, y)` samples, scaled into a `w`×`h` box with
-/// the given y maximum (x is scaled to the sample span).
-fn polyline(points: &[(u64, f64)], x_max: u64, y_max: f64, w: u32, h: u32, color: &str) -> String {
-    if points.is_empty() {
-        return String::new();
-    }
-    let xs = x_max.max(1) as f64;
-    let ys = if y_max <= 0.0 { 1.0 } else { y_max };
-    let coords: Vec<String> = points
-        .iter()
-        .map(|&(x, y)| {
-            let px = (x as f64 / xs) * f64::from(w - 10) + 5.0;
-            let py = f64::from(h - 8) - (y / ys) * f64::from(h - 16) + 4.0;
-            format!("{px:.1},{py:.1}")
-        })
-        .collect();
-    format!(
-        "<polyline fill=\"none\" stroke=\"{color}\" stroke-width=\"1.5\" points=\"{}\"/>",
-        coords.join(" ")
-    )
-}
-
 /// The per-run time-series panel: grants/window and wait p99 polylines
 /// with fault/oracle marks as vertical rules.
-fn series_chart(m: &RunManifest) -> String {
+fn series_chart(out: &mut String, m: &RunManifest) {
     let Some(series) = &m.series else {
-        return String::new();
+        return;
     };
     if series.rows.is_empty() {
-        return String::new();
+        return;
     }
-    let (w, h) = (640u32, 140u32);
     let x_max = series
         .rows
         .last()
@@ -67,136 +31,139 @@ fn series_chart(m: &RunManifest) -> String {
         .unwrap_or(1);
     let g_max = series.rows.iter().map(|r| r.grants).max().unwrap_or(1) as f64;
     let p_max = series.rows.iter().map(|r| r.wait_p99).max().unwrap_or(1) as f64;
-    let grants: Vec<(u64, f64)> = series
+    let (grants, p99): (Vec<_>, Vec<_>) = series
         .rows
         .iter()
-        .map(|r| (r.start_cycle + series.window / 2, r.grants as f64))
-        .collect();
-    let p99: Vec<(u64, f64)> = series
+        .map(|r| {
+            let mid = r.start_cycle + series.window / 2;
+            ((mid, r.grants as f64), (mid, r.wait_p99 as f64))
+        })
+        .unzip();
+    let marks: Vec<(u64, &str)> = series
         .rows
         .iter()
-        .map(|r| (r.start_cycle + series.window / 2, r.wait_p99 as f64))
+        .filter(|r| !r.marks.is_empty())
+        .map(|r| (r.start_cycle, r.marks.as_str()))
         .collect();
-    let mut marks = String::new();
-    for r in &series.rows {
-        if !r.marks.is_empty() {
-            let px = (r.start_cycle as f64 / x_max.max(1) as f64) * f64::from(w - 10) + 5.0;
-            let _ = write!(
-                marks,
-                "<line x1=\"{px:.1}\" y1=\"4\" x2=\"{px:.1}\" y2=\"{}\" stroke=\"#c0392b\" \
-                 stroke-width=\"1\" stroke-dasharray=\"3,2\"><title>{}</title></line>",
-                h - 4,
-                esc(&r.marks)
-            );
-        }
-    }
-    format!(
-        "<h3>{} / {} — time-series (window {} cycles)</h3>\
-         <svg width=\"{w}\" height=\"{h}\" viewBox=\"0 0 {w} {h}\" role=\"img\" \
-         aria-label=\"per-window time series\">{}{}{marks}</svg>\
-         <div class=\"legend\">blue: grants per window (max {g_max:.0}) &middot; \
-         orange: wait p99 per window (max {p_max:.0} cycles) &middot; \
-         dashed red: fault/oracle marks</div>",
+    let _ = write!(
+        out,
+        "<h3>{} / {} — time-series (window {} cycles)</h3>",
         esc(&m.bin),
         esc(&m.label),
-        series.window,
-        polyline(&grants, x_max, g_max, w, h, "#2a6db0"),
-        polyline(&p99, x_max, p_max, w, h, "#d07a28"),
-    )
+        series.window
+    );
+    html::line_chart(
+        out,
+        (640, 140),
+        x_max,
+        &[
+            Line {
+                points: &grants,
+                y_max: g_max,
+                color: "#2a6db0",
+            },
+            Line {
+                points: &p99,
+                y_max: p_max,
+                color: "#d07a28",
+            },
+        ],
+        &marks,
+    );
+    let _ = write!(
+        out,
+        "<div class=\"legend\">blue: grants per window (max {g_max:.0}) &middot; \
+         orange: wait p99 per window (max {p_max:.0} cycles) &middot; \
+         dashed red: fault/oracle marks</div>"
+    );
 }
 
 /// The tail-latency table: one row per (run, histogram).
-fn tail_table(manifests: &[(String, RunManifest)]) -> String {
-    let mut rows = String::new();
-    for (_, m) in manifests {
-        for h in &m.hists {
-            let _ = write!(
-                rows,
-                "<tr><td>{}</td><td>{}</td><td>{}</td><td class=\"num\">{}</td>\
-                 <td class=\"num\">{}</td><td class=\"num\">{}</td><td class=\"num\">{}</td>\
-                 <td class=\"num\">{}</td><td class=\"num\">{}</td></tr>",
-                esc(&m.bin),
-                esc(&m.label),
-                esc(&h.name),
-                h.count,
-                h.p50,
-                h.p99,
-                h.p999,
-                h.p9999,
-                h.max
-            );
-        }
+fn tail_table(out: &mut String, manifests: &[(String, RunManifest)]) {
+    if manifests.iter().all(|(_, m)| m.hists.is_empty()) {
+        out.push_str("<p class=\"meta\">No histogram data in the ledger.</p>");
+        return;
     }
-    if rows.is_empty() {
-        return "<p class=\"meta\">No histogram data in the ledger.</p>".to_string();
-    }
-    format!(
-        "<table><tr><th>bin</th><th>run</th><th>histogram</th><th>count</th>\
-         <th>p50</th><th>p99</th><th>p99.9</th><th>p99.99</th><th>max</th></tr>{rows}</table>\
-         <p class=\"meta\">Cycles; quantiles from mergeable log-bucketed sketches \
+    let rows = manifests.iter().flat_map(|(_, m)| {
+        m.hists.iter().map(|h| {
+            [
+                m.bin.clone(),
+                m.label.clone(),
+                h.name.clone(),
+                h.count.to_string(),
+                h.p50.to_string(),
+                h.p99.to_string(),
+                h.p999.to_string(),
+                h.p9999.to_string(),
+                h.max.to_string(),
+            ]
+        })
+    });
+    html::table(
+        out,
+        &[
+            "bin",
+            "run",
+            "histogram",
+            "count",
+            "p50",
+            "p99",
+            "p99.9",
+            "p99.99",
+            "max",
+        ],
+        rows,
+    );
+    out.push_str(
+        "<p class=\"meta\">Cycles; quantiles from mergeable log-bucketed sketches \
          (relative error &le; 1/32). p99.9 and beyond need enough samples to resolve: \
-         with fewer than 1000 samples p99.9 equals the empirical maximum rank.</p>"
-    )
+         with fewer than 1000 samples p99.9 equals the empirical maximum rank.</p>",
+    );
 }
 
 /// The verdict matrix: every oracle/gate outcome across the ledger.
-fn verdict_matrix(manifests: &[(String, RunManifest)]) -> String {
-    let mut rows = String::new();
-    for (_, m) in manifests {
-        for v in &m.verdicts {
-            let label = v.verdict.to_ascii_lowercase();
-            let class = if label.contains("pass") || label == "none" || label.contains("ok") {
-                "ok"
-            } else if label.contains("n/a") || label.contains("skip") {
-                "na"
-            } else {
-                "bad"
-            };
-            let _ = write!(
-                rows,
-                "<tr><td>{}</td><td>{}</td><td>{}</td><td class=\"{class}\">{}</td></tr>",
-                esc(&m.bin),
-                esc(&m.label),
-                esc(&v.name),
-                esc(&v.verdict)
-            );
-        }
+fn verdict_matrix(out: &mut String, manifests: &[(String, RunManifest)]) {
+    if manifests.iter().all(|(_, m)| m.verdicts.is_empty()) {
+        out.push_str("<p class=\"meta\">No verdicts in the ledger.</p>");
+        return;
     }
-    if rows.is_empty() {
-        return "<p class=\"meta\">No verdicts in the ledger.</p>".to_string();
-    }
-    format!("<table><tr><th>bin</th><th>run</th><th>check</th><th>verdict</th></tr>{rows}</table>")
+    let rows = manifests.iter().flat_map(|(_, m)| {
+        m.verdicts
+            .iter()
+            .map(|v| [&m.bin, &m.label, &v.name, &v.verdict])
+    });
+    html::table(out, &["bin", "run", "check", "verdict"], rows);
 }
 
 /// Renders the full dashboard. `manifests` must already be sorted by file
 /// name — [`crate::manifest::read_manifests`] guarantees that, keeping the
 /// output deterministic.
 pub fn render_dashboard(manifests: &[(String, RunManifest)]) -> String {
-    let mut charts = String::new();
-    for (_, m) in manifests {
-        charts.push_str(&series_chart(m));
-    }
-    if charts.is_empty() {
-        charts = "<p class=\"meta\">No time-series data in the ledger (run bins with \
-                  observability armed to collect it).</p>"
-            .to_string();
-    }
-    let runs_line = format!("{} manifest(s)", manifests.len());
-    format!(
-        "<!DOCTYPE html>\n<html lang=\"en\"><head><meta charset=\"utf-8\">\
-         <title>locksim experiment dashboard</title><style>{CSS}</style></head><body>\n\
-         <h1>locksim experiment dashboard</h1>\n\
-         <p class=\"meta\">{runs_line}. Generated by the <code>report</code> bin from \
-         <code>results/runs/</code> manifests (<code>locksim-run-v1</code>); fully \
-         self-contained, no scripts.</p>\n\
-         <h2>Tail latency</h2>\n{}\n\
-         <h2>Time series</h2>\n{}\n\
-         <h2>Verdicts</h2>\n{}\n\
-         </body></html>\n",
-        tail_table(manifests),
-        charts,
-        verdict_matrix(manifests)
-    )
+    html::page("locksim experiment dashboard", |out| {
+        let _ = writeln!(
+            out,
+            "<p class=\"meta\">{} manifest(s). Generated by the <code>report</code> bin from \
+             <code>results/runs/</code> manifests (<code>locksim-run-v1</code>); fully \
+             self-contained, no scripts.</p>",
+            manifests.len()
+        );
+        out.push_str("<h2>Tail latency</h2>\n");
+        tail_table(out, manifests);
+        out.push_str("\n<h2>Time series</h2>\n");
+        let before = out.len();
+        for (_, m) in manifests {
+            series_chart(out, m);
+        }
+        if out.len() == before {
+            out.push_str(
+                "<p class=\"meta\">No time-series data in the ledger (run bins with \
+                 observability armed to collect it).</p>",
+            );
+        }
+        out.push_str("\n<h2>Verdicts</h2>\n");
+        verdict_matrix(out, manifests);
+        out.push('\n');
+    })
 }
 
 #[cfg(test)]

@@ -37,7 +37,7 @@ use std::collections::HashMap;
 
 use locksim_engine::stats::Counters;
 use locksim_engine::{Cycles, Time};
-use locksim_machine::{Addr, Checker, Ep, LockBackend, Mach, Mode, ThreadId, WirePayload};
+use locksim_machine::{Addr, Ep, LockBackend, Mach, Mode, ThreadId, WirePayload};
 use locksim_topo::MsgClass;
 
 /// SSB entries per bank (Zhu et al. size their SSB in the hundreds; the
@@ -99,7 +99,6 @@ pub struct SsbBackend {
     retry_timers: HashMap<u64, ThreadId>,
     timer_seq: u64,
     counters: Counters,
-    checker: Checker,
 }
 
 impl SsbBackend {
@@ -260,8 +259,6 @@ impl LockBackend for SsbBackend {
 
     fn on_release(&mut self, m: &mut Mach, t: ThreadId, lock: Addr, mode: Mode) {
         self.ensure_init(m);
-        self.checker
-            .on_release_traced(lock, t, mode, m.tracer(), m.lockstat());
         let core = m.core_of(t).expect("release from scheduled thread").0 as usize;
         let home = m.home_of(lock);
         self.counters.incr("ssb_releases");
@@ -299,9 +296,7 @@ impl LockBackend for SsbBackend {
                     m.send_wire(Ep::Core(core), Ep::Mem(home), MsgClass::Control, 0, rel);
                     return;
                 }
-                let p = self.pending.remove(&tid).expect("checked");
-                self.checker
-                    .on_grant_traced(p.addr, tid, p.mode, m.tracer(), m.lockstat());
+                self.pending.remove(&tid);
                 m.grant_lock(tid);
             }
             SsbMsg::Deny { addr, tid } => {

@@ -197,11 +197,6 @@ impl LockBackend for SwLockBackend {
             !self.st.threads.contains_key(&t),
             "{t:?} already mid-operation"
         );
-        // The critical section ends here; record it before the release's
-        // memory traffic races the next owner's grant messages.
-        self.st
-            .checker
-            .on_release_traced(lock, t, mode, m.tracer(), m.lockstat());
         self.st
             .threads
             .insert(t, tas::new_tsm(lock, mode, OpKind::Release));

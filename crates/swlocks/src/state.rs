@@ -3,7 +3,7 @@
 use std::collections::HashMap;
 
 use locksim_engine::stats::Counters;
-use locksim_machine::{Addr, Checker, Mach, MemKind, Mode, RmwOp, ThreadId};
+use locksim_machine::{Addr, Mach, MemKind, Mode, RmwOp, ThreadId};
 
 use crate::backend::SwAlg;
 
@@ -215,7 +215,6 @@ pub(crate) struct SwState {
     pub timers: HashMap<u64, (ThreadId, TimerPurpose)>,
     pub timer_seq: u64,
     pub counters: Counters,
-    pub checker: Checker,
     /// BRAVO per-lock metadata (lazily allocated; empty for other algs so
     /// the allocation sequence of existing algorithms is untouched).
     pub bravo: HashMap<Addr, BravoMeta>,
@@ -237,7 +236,6 @@ impl SwState {
             timers: HashMap::new(),
             timer_seq: 0,
             counters: Counters::new(),
-            checker: Checker::new(),
             bravo: HashMap::new(),
             rtable: Vec::new(),
             rpaths: HashMap::new(),
@@ -327,12 +325,10 @@ impl SwState {
         m.set_timer(delay, token);
     }
 
-    /// Completes an acquire: checker + grant, state cleared.
+    /// Completes an acquire: grant, state cleared.
     pub fn grant(&mut self, m: &mut Mach, t: ThreadId) {
         let tsm = self.threads.remove(&t).expect("grant without op");
         debug_assert_eq!(tsm.op, OpKind::Acquire);
-        self.checker
-            .on_grant_traced(tsm.lock, t, tsm.mode, m.tracer(), m.lockstat());
         self.counters.incr("sw_grants");
         m.grant_lock(t);
     }
@@ -344,10 +340,10 @@ impl SwState {
         m.fail_lock(t);
     }
 
-    /// Completes a release. (The checker records the release at issue time
-    /// in the backend — the critical section ends when the thread *invokes*
-    /// release; the store's completion message can legitimately arrive
-    /// after the next owner's grant.)
+    /// Completes a release. (The machine's exclusion checker records the
+    /// release at issue time — the critical section ends when the thread
+    /// *invokes* release; the store's completion message can legitimately
+    /// arrive after the next owner's grant.)
     pub fn released(&mut self, m: &mut Mach, t: ThreadId) {
         let tsm = self
             .threads

@@ -1,6 +1,6 @@
 //! Property tests for the reader-writer software backends (MRSW, BRAVO,
 //! Fissile): randomized read/write schedules over random machine shapes
-//! must complete with exact grant accounting. The backend's exclusion
+//! must complete with exact grant accounting. The machine's exclusion
 //! checker panics on any reader/writer or writer/writer overlap, so every
 //! case is also a safety check; `run_to_completion` returning at all is
 //! the liveness half (a wedged schedule would spin the watchdog forever).

@@ -1,5 +1,5 @@
 //! End-to-end tests of the software lock algorithms on the simulated
-//! machine. The backend's exclusion checker panics on violations, so
+//! machine. The machine's exclusion checker panics on violations, so
 //! every run is also an invariant check.
 
 use std::cell::RefCell;

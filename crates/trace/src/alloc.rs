@@ -27,29 +27,61 @@
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 
-static ALLOCS: AtomicU64 = AtomicU64::new(0);
-static FREES: AtomicU64 = AtomicU64::new(0);
-static BYTES: AtomicU64 = AtomicU64::new(0);
-static CURRENT: AtomicU64 = AtomicU64::new(0);
-static PEAK: AtomicU64 = AtomicU64::new(0);
+/// The allocation counters, as relaxed atomics. The process has one
+/// instance, [`COUNTERS`], which [`CountingAlloc`] feeds.
+struct AllocCounters {
+    allocs: AtomicU64,
+    frees: AtomicU64,
+    bytes: AtomicU64,
+    current: AtomicU64,
+    peak: AtomicU64,
+}
+
+impl AllocCounters {
+    const fn new() -> Self {
+        AllocCounters {
+            allocs: AtomicU64::new(0),
+            frees: AtomicU64::new(0),
+            bytes: AtomicU64::new(0),
+            current: AtomicU64::new(0),
+            peak: AtomicU64::new(0),
+        }
+    }
+
+    fn on_alloc(&self, size: usize) {
+        self.allocs.fetch_add(1, Ordering::Relaxed);
+        self.bytes.fetch_add(size as u64, Ordering::Relaxed);
+        let live = self.current.fetch_add(size as u64, Ordering::Relaxed) + size as u64;
+        self.peak.fetch_max(live, Ordering::Relaxed);
+    }
+
+    fn on_dealloc(&self, size: usize) {
+        self.frees.fetch_add(1, Ordering::Relaxed);
+        self.current.fetch_sub(size as u64, Ordering::Relaxed);
+    }
+
+    fn snapshot(&self) -> AllocSnapshot {
+        AllocSnapshot {
+            allocs: self.allocs.load(Ordering::Relaxed),
+            frees: self.frees.load(Ordering::Relaxed),
+            bytes_allocated: self.bytes.load(Ordering::Relaxed),
+            current_bytes: self.current.load(Ordering::Relaxed),
+            peak_bytes: self.peak.load(Ordering::Relaxed),
+            installed: INSTALLED.load(Ordering::Relaxed),
+        }
+    }
+
+    fn reset_peak(&self) {
+        self.peak
+            .store(self.current.load(Ordering::Relaxed), Ordering::Relaxed);
+    }
+}
+
+static COUNTERS: AllocCounters = AllocCounters::new();
 static INSTALLED: AtomicBool = AtomicBool::new(false);
 
 /// A `#[global_allocator]` shim that counts through to [`System`].
 pub struct CountingAlloc;
-
-impl CountingAlloc {
-    fn on_alloc(size: usize) {
-        ALLOCS.fetch_add(1, Ordering::Relaxed);
-        BYTES.fetch_add(size as u64, Ordering::Relaxed);
-        let live = CURRENT.fetch_add(size as u64, Ordering::Relaxed) + size as u64;
-        PEAK.fetch_max(live, Ordering::Relaxed);
-    }
-
-    fn on_dealloc(size: usize) {
-        FREES.fetch_add(1, Ordering::Relaxed);
-        CURRENT.fetch_sub(size as u64, Ordering::Relaxed);
-    }
-}
 
 // SAFETY: defers every allocation to `System`, only adding relaxed
 // counter updates around the calls.
@@ -57,7 +89,7 @@ unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
         let p = System.alloc(layout);
         if !p.is_null() {
-            Self::on_alloc(layout.size());
+            COUNTERS.on_alloc(layout.size());
         }
         p
     }
@@ -65,21 +97,21 @@ unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
         let p = System.alloc_zeroed(layout);
         if !p.is_null() {
-            Self::on_alloc(layout.size());
+            COUNTERS.on_alloc(layout.size());
         }
         p
     }
 
     unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
         System.dealloc(ptr, layout);
-        Self::on_dealloc(layout.size());
+        COUNTERS.on_dealloc(layout.size());
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
         let p = System.realloc(ptr, layout, new_size);
         if !p.is_null() {
-            Self::on_dealloc(layout.size());
-            Self::on_alloc(new_size);
+            COUNTERS.on_dealloc(layout.size());
+            COUNTERS.on_alloc(new_size);
         }
         p
     }
@@ -128,20 +160,13 @@ impl AllocSnapshot {
 
 /// Reads the counters.
 pub fn snapshot() -> AllocSnapshot {
-    AllocSnapshot {
-        allocs: ALLOCS.load(Ordering::Relaxed),
-        frees: FREES.load(Ordering::Relaxed),
-        bytes_allocated: BYTES.load(Ordering::Relaxed),
-        current_bytes: CURRENT.load(Ordering::Relaxed),
-        peak_bytes: PEAK.load(Ordering::Relaxed),
-        installed: INSTALLED.load(Ordering::Relaxed),
-    }
+    COUNTERS.snapshot()
 }
 
 /// Restarts the peak-live waterline from the current live size, so the
 /// next [`snapshot`] reports the peak of one phase only.
 pub fn reset_peak() {
-    PEAK.store(CURRENT.load(Ordering::Relaxed), Ordering::Relaxed);
+    COUNTERS.reset_peak();
 }
 
 thread_local! {
@@ -198,27 +223,29 @@ mod tests {
     use super::*;
 
     // The allocator is not installed in the test binary, so exercise the
-    // counting paths directly.
+    // counting paths directly, each test on counters of its own.
     #[test]
     fn counting_paths_balance() {
-        let before = snapshot();
-        CountingAlloc::on_alloc(100);
-        CountingAlloc::on_alloc(50);
-        CountingAlloc::on_dealloc(100);
-        let after = snapshot().since(&before);
+        let c = AllocCounters::new();
+        c.on_alloc(100);
+        c.on_alloc(50);
+        c.on_dealloc(100);
+        let after = c.snapshot();
         assert_eq!(after.allocs, 2);
         assert_eq!(after.frees, 1);
         assert_eq!(after.bytes_allocated, 150);
-        CountingAlloc::on_dealloc(50); // rebalance for other tests
+        assert_eq!(after.current_bytes, 50);
     }
 
     #[test]
     fn peak_tracks_high_water() {
-        CountingAlloc::on_alloc(4096);
-        assert!(snapshot().peak_bytes >= 4096);
-        CountingAlloc::on_dealloc(4096);
-        reset_peak();
-        assert_eq!(snapshot().peak_bytes, snapshot().current_bytes);
+        let c = AllocCounters::new();
+        c.on_alloc(4096);
+        c.on_alloc(1000);
+        c.on_dealloc(4096);
+        assert_eq!(c.snapshot().peak_bytes, 5096);
+        c.reset_peak();
+        assert_eq!(c.snapshot().peak_bytes, 1000);
     }
 
     #[test]

@@ -57,13 +57,18 @@ impl LockChain {
             self.span,
             self.total_wait
         );
-        for (i, l) in self.links.iter().enumerate() {
-            if i > 0 {
-                out.push_str(" -> ");
-            }
-            let _ = write!(out, "t{}:{}", l.thread, if l.write { "w" } else { "r" });
-        }
+        out.push_str(&self.path(" -> "));
         out
+    }
+
+    /// The handoff order as `t0:w`-style links joined by `sep`.
+    pub fn path(&self, sep: &str) -> String {
+        let links: Vec<String> = self
+            .links
+            .iter()
+            .map(|l| format!("t{}:{}", l.thread, if l.write { "w" } else { "r" }))
+            .collect();
+        links.join(sep)
     }
 }
 

@@ -1,172 +1,93 @@
-//! Self-contained HTML report for lockstat: per-lock tables, inline-SVG
-//! histogram bars, the starvation-watchdog verdicts, and the blocking-chain
-//! listing. No external assets, scripts, or stylesheets — the file opens
-//! offline and diffs byte-for-byte across same-seed runs.
+//! The one HTML emitter. Every page the workspace publishes — the lockstat
+//! report, the faultsim matrix and chaossim sweep pages, and the run-ledger
+//! dashboard — is built from these pieces: the escaper [`esc`], one
+//! document head with one stylesheet ([`page`]), one table writer
+//! ([`table`]), one rule colouring verdicts ([`verdict_class`]), and
+//! the two inline-SVG charts ([`octave_bars`], [`line_chart`]).
+//!
+//! Pages are self-contained: no external assets, scripts, or stylesheets,
+//! so a file opens offline and diffs byte-for-byte across same-seed runs.
 
 use std::fmt::Write as _;
 
-use crate::chain::LockChain;
-use crate::lockstat::{LockStats, StarvationFlag};
 use crate::sketch::QuantileSketch;
 
-/// One backend's worth of report data.
-pub struct HtmlSeries<'a> {
-    /// Display label, e.g. "ssb" or "lcu".
-    pub label: &'a str,
-    /// The per-lock stats collected for this run.
-    pub stats: &'a LockStats,
-    /// Longest blocking chains reconstructed from this run's trace.
-    pub chains: &'a [LockChain],
-    /// Simulated end time of the run (for the overdue-waiter scan).
-    pub end_cycles: u64,
-}
+/// The one stylesheet. `num` cells are right-aligned; `ok`/`na`/`bad` are
+/// the [`verdict_class`] colours.
+const CSS: &str = "\
+body{font-family:system-ui,sans-serif;margin:2rem;color:#1a2733}\
+h1{font-size:1.5rem}h2{font-size:1.15rem;margin-top:2rem;border-bottom:2px solid #d7e0e8;padding-bottom:.3rem}\
+h3{font-size:1rem;margin-bottom:.3rem}\
+table{border-collapse:collapse;margin:.7rem 0;font-size:.85rem}\
+th,td{border:1px solid #c8d2dc;padding:.25rem .55rem;text-align:left}\
+th{background:#eef3f7}\
+td.num{text-align:right;font-variant-numeric:tabular-nums}\
+.ok{background:#e6f4e6}.bad{background:#fae3e3;font-weight:bold}.na{color:#8a97a3}\
+.meta{color:#5a6b7a;font-size:.8rem}\
+svg{background:#fbfcfe;border:1px solid #d7e0e8;margin:.4rem 0}\
+.legend{font-size:.78rem;color:#5a6b7a}\
+";
 
-/// Renders the full report as one HTML document.
-pub fn render_html(title: &str, series: &[HtmlSeries<'_>]) -> String {
+/// Builds one page: the document head with the shared stylesheet, `title`
+/// as both `<title>` and `<h1>`, then whatever `body` writes.
+pub fn page(title: &str, body: impl FnOnce(&mut String)) -> String {
     let mut out = String::with_capacity(16 * 1024);
-    out.push_str("<!doctype html>\n<html><head><meta charset=\"utf-8\">\n<title>");
-    out.push_str(&esc(title));
-    out.push_str("</title>\n<style>\n");
-    out.push_str(CSS);
-    out.push_str("</style>\n</head>\n<body>\n");
-    let _ = writeln!(out, "<h1>{}</h1>", esc(title));
-    for s in series {
-        render_series(&mut out, s);
-    }
+    out.push_str("<!DOCTYPE html>\n<html lang=\"en\"><head><meta charset=\"utf-8\"><title>");
+    push_esc(&mut out, title);
+    let _ = write!(out, "</title><style>{CSS}</style></head><body>\n<h1>");
+    push_esc(&mut out, title);
+    out.push_str("</h1>\n");
+    body(&mut out);
     out.push_str("</body></html>\n");
     out
 }
 
-const CSS: &str = "\
-body { font-family: monospace; margin: 2em; color: #222; }
-h1 { font-size: 1.4em; } h2 { font-size: 1.2em; margin-top: 1.5em; }
-h3 { font-size: 1em; margin-bottom: 0.3em; }
-table { border-collapse: collapse; margin: 0.5em 0; }
-th, td { border: 1px solid #bbb; padding: 2px 8px; text-align: right; }
-th { background: #eee; }
-td.l, th.l { text-align: left; }
-.ok { color: #070; } .starved { color: #a00; font-weight: bold; }
-svg { margin: 0.2em 0; }
-";
-
-fn render_series(out: &mut String, s: &HtmlSeries<'_>) {
-    let _ = writeln!(out, "<h2>backend: {}</h2>", esc(s.label));
-
-    out.push_str(
-        "<table>\n<tr><th class=\"l\">lock</th><th>acq r</th><th>acq w</th>\
-         <th>rel r</th><th>rel w</th><th>fails</th>\
-         <th>wait p50</th><th>wait p99</th><th>max wait r</th><th>max wait w</th>\
-         <th>hold p50</th><th>queue max</th><th>readers max</th>\
-         <th class=\"l\">backend counters</th></tr>\n",
-    );
-    for (addr, st) in s.stats.locks() {
-        let aux: Vec<String> = st.aux.iter().map(|(k, v)| format!("{k}={v}")).collect();
-        let _ = writeln!(
-            out,
-            "<tr><td class=\"l\">{addr:#x}</td><td>{}</td><td>{}</td><td>{}</td><td>{}</td>\
-             <td>{}</td><td>{}</td><td>{}</td><td>{}</td><td>{}</td><td>{}</td>\
-             <td>{}</td><td>{}</td><td class=\"l\">{}</td></tr>",
-            st.acquires[0],
-            st.acquires[1],
-            st.releases[0],
-            st.releases[1],
-            st.fails,
-            st.handoff.quantile(0.50).unwrap_or(0),
-            st.handoff.quantile(0.99).unwrap_or(0),
-            st.max_wait[0],
-            st.max_wait[1],
-            st.hold.quantile(0.50).unwrap_or(0),
-            st.max_queue,
-            st.max_readers,
-            esc(&aux.join(" "))
-        );
+/// The one rule colouring a verdict: `ok` for a pass (`pass`, `ok`, or
+/// the corpus's `none`), `na` for a check that did not apply (`n/a`,
+/// `skip`), and `bad` for anything else — a violated oracle, a deadlock,
+/// a starved waiter, a failed gate. Case-insensitive.
+pub fn verdict_class(verdict: &str) -> &'static str {
+    let is = |v: &str| verdict.eq_ignore_ascii_case(v);
+    if is("pass") || is("ok") || is("none") {
+        "ok"
+    } else if is("n/a") || is("skip") {
+        "na"
+    } else {
+        "bad"
     }
-    out.push_str("</table>\n");
-
-    for (addr, st) in s.stats.locks() {
-        let _ = writeln!(out, "<h3>lock {addr:#x} handoff wait (cycles)</h3>");
-        svg_hist(out, &st.handoff);
-        let _ = writeln!(out, "<h3>lock {addr:#x} hold time (cycles)</h3>");
-        svg_hist(out, &st.hold);
-    }
-
-    render_watchdog(out, s);
-    render_chains_html(out, s.chains);
 }
 
-fn render_watchdog(out: &mut String, s: &HtmlSeries<'_>) {
-    out.push_str("<h3>starvation watchdog</h3>\n");
-    let Some(threshold) = s.stats.watchdog_cycles() else {
-        out.push_str("<p>not armed</p>\n");
-        return;
-    };
-    let flags = s.stats.flags();
-    let overdue = s.stats.overdue(s.end_cycles);
-    if flags.is_empty() && overdue.is_empty() {
-        let _ = writeln!(
-            out,
-            "<p class=\"ok\">OK — no wait exceeded {threshold} cycles</p>"
-        );
-        return;
+/// Writes one table: a header row, then one row per entry of `rows`.
+/// Cells are escaped, whole numbers are right-aligned, and the cells under
+/// a `verdict` header are coloured by [`verdict_class`].
+pub fn table<R, S>(out: &mut String, headers: &[&str], rows: impl IntoIterator<Item = R>)
+where
+    R: AsRef<[S]>,
+    S: AsRef<str>,
+{
+    out.push_str("<table>\n<tr>");
+    for h in headers {
+        out.push_str("<th>");
+        push_esc(out, h);
+        out.push_str("</th>");
     }
-    let _ = writeln!(
-        out,
-        "<p class=\"starved\">STARVED — {} flags, {} overdue (threshold {threshold} cycles)</p>",
-        flags.len(),
-        overdue.len()
-    );
-    out.push_str(
-        "<table>\n<tr><th>at</th><th class=\"l\">lock</th><th>thread</th>\
-         <th class=\"l\">mode</th><th>waited</th><th class=\"l\">outcome</th></tr>\n",
-    );
-    for f in flags.iter().chain(&overdue) {
-        flag_row(out, f);
-    }
-    out.push_str("</table>\n");
-}
-
-fn flag_row(out: &mut String, f: &StarvationFlag) {
-    let _ = writeln!(
-        out,
-        "<tr><td>{}</td><td class=\"l\">{:#x}</td><td>{}</td><td class=\"l\">{}</td>\
-         <td>{}</td><td class=\"l\">{}</td></tr>",
-        f.at,
-        f.lock,
-        f.thread,
-        if f.write { "write" } else { "read" },
-        f.waited,
-        f.outcome.label()
-    );
-}
-
-fn render_chains_html(out: &mut String, chains: &[LockChain]) {
-    out.push_str("<h3>longest blocking chains</h3>\n");
-    if chains.is_empty() {
-        out.push_str("<p>no lock grants in trace</p>\n");
-        return;
-    }
-    let mut by_depth: Vec<&LockChain> = chains.iter().collect();
-    by_depth.sort_by_key(|c| std::cmp::Reverse(c.links.len()));
-    out.push_str(
-        "<table>\n<tr><th class=\"l\">lock</th><th>depth</th><th>span</th>\
-         <th>total wait</th><th class=\"l\">chain</th></tr>\n",
-    );
-    for c in by_depth {
-        let path: Vec<String> = c
-            .links
-            .iter()
-            .map(|l| format!("t{}:{}", l.thread, if l.write { "w" } else { "r" }))
-            .collect();
-        let _ = writeln!(
-            out,
-            "<tr><td class=\"l\">{:#x}</td><td>{}</td><td>{}</td><td>{}</td>\
-             <td class=\"l\">{}</td></tr>",
-            c.lock,
-            c.links.len(),
-            c.span,
-            c.total_wait,
-            path.join(" &rarr; ")
-        );
+    out.push_str("</tr>\n");
+    let verdict_col = headers.iter().position(|&h| h == "verdict");
+    for row in rows {
+        out.push_str("<tr>");
+        for (i, cell) in row.as_ref().iter().enumerate() {
+            let cell = cell.as_ref();
+            if Some(i) == verdict_col {
+                let _ = write!(out, "<td class=\"{}\">", verdict_class(cell));
+            } else if !cell.is_empty() && cell.bytes().all(|b| b.is_ascii_digit()) {
+                out.push_str("<td class=\"num\">");
+            } else {
+                out.push_str("<td>");
+            }
+            push_esc(out, cell);
+            out.push_str("</td>");
+        }
+        out.push_str("</tr>\n");
     }
     out.push_str("</table>\n");
 }
@@ -174,7 +95,7 @@ fn render_chains_html(out: &mut String, chains: &[LockChain]) {
 /// Inline SVG bar chart of a sketch's power-of-two octaves: one bar per
 /// occupied octave, height proportional to count, low bound labelled
 /// underneath.
-fn svg_hist(out: &mut String, h: &QuantileSketch) {
+pub fn octave_bars(out: &mut String, h: &QuantileSketch) {
     let buckets = h.octaves();
     if buckets.is_empty() {
         out.push_str("<p>(empty)</p>\n");
@@ -208,9 +129,68 @@ fn svg_hist(out: &mut String, h: &QuantileSketch) {
     out.push_str("</svg>\n");
 }
 
+/// One polyline of a [`line_chart`]: `(x, y)` samples, with y scaled
+/// against `y_max`.
+pub struct Line<'a> {
+    /// The samples.
+    pub points: &'a [(u64, f64)],
+    /// The y value drawn at the top of the chart.
+    pub y_max: f64,
+    /// Stroke colour.
+    pub color: &'a str,
+}
+
+/// Inline SVG line chart, `w`×`h` pixels: every line scaled over x in
+/// `0..=x_max`, plus a dashed vertical rule at each `(x, title)` mark with
+/// `title` as its hover text.
+pub fn line_chart(
+    out: &mut String,
+    (w, h): (u32, u32),
+    x_max: u64,
+    lines: &[Line<'_>],
+    marks: &[(u64, &str)],
+) {
+    let px = |x: u64| (x as f64 / x_max.max(1) as f64) * f64::from(w - 10) + 5.0;
+    let _ = write!(
+        out,
+        "<svg width=\"{w}\" height=\"{h}\" viewBox=\"0 0 {w} {h}\" role=\"img\">"
+    );
+    for line in lines.iter().filter(|l| !l.points.is_empty()) {
+        let ys = if line.y_max <= 0.0 { 1.0 } else { line.y_max };
+        let _ = write!(
+            out,
+            "<polyline fill=\"none\" stroke=\"{}\" stroke-width=\"1.5\" points=\"",
+            line.color
+        );
+        for (i, &(x, y)) in line.points.iter().enumerate() {
+            let py = f64::from(h - 8) - (y / ys) * f64::from(h - 16) + 4.0;
+            let sep = if i == 0 { "" } else { " " };
+            let _ = write!(out, "{sep}{:.1},{py:.1}", px(x));
+        }
+        out.push_str("\"/>");
+    }
+    for &(x, title) in marks {
+        let _ = write!(
+            out,
+            "<line x1=\"{x:.1}\" y1=\"4\" x2=\"{x:.1}\" y2=\"{}\" stroke=\"#c0392b\" \
+             stroke-width=\"1\" stroke-dasharray=\"3,2\"><title>",
+            h - 4,
+            x = px(x)
+        );
+        push_esc(out, title);
+        out.push_str("</title></line>");
+    }
+    out.push_str("</svg>");
+}
+
 /// Minimal HTML escaping for text nodes and attribute values.
 pub fn esc(s: &str) -> String {
     let mut out = String::with_capacity(s.len());
+    push_esc(&mut out, s);
+    out
+}
+
+fn push_esc(out: &mut String, s: &str) {
     for c in s.chars() {
         match c {
             '&' => out.push_str("&amp;"),
@@ -220,81 +200,47 @@ pub fn esc(s: &str) -> String {
             c => out.push(c),
         }
     }
-    out
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    fn sample_stats() -> LockStats {
-        let mut ls = LockStats::new();
-        ls.enable(Some(100));
-        ls.on_request(0x40, 0, true, 0);
-        ls.on_request(0x40, 1, true, 0);
-        ls.on_grant(0x40, 0, true, 4, 4);
-        ls.on_release(0x40, 0, true, 200);
-        ls.on_grant(0x40, 1, true, 400, 404);
-        ls.on_release(0x40, 1, true, 150);
-        ls
+    #[test]
+    fn page_escapes_and_classes_cells() {
+        let html = page("a <b>", |out| {
+            table(out, &["name", "n", "verdict"], [["x&y", "7", "LIVENESS"]]);
+            table(
+                out,
+                &["verdict"],
+                [["pass"], ["OK"], ["none"], ["n/a"], ["skip"]],
+            );
+        });
+        assert!(html.starts_with("<!DOCTYPE html>") && html.ends_with("</html>\n"));
+        assert!(html.contains("<title>a &lt;b&gt;</title>"));
+        assert!(html.contains(
+            "<tr><td>x&amp;y</td><td class=\"num\">7</td><td class=\"bad\">LIVENESS</td></tr>"
+        ));
+        assert_eq!(html.matches("<td class=\"ok\">").count(), 3, "{html}");
+        assert_eq!(html.matches("<td class=\"na\">").count(), 2, "{html}");
     }
 
     #[test]
-    fn report_is_selfcontained_and_escaped() {
-        let ls = sample_stats();
-        let html = render_html(
-            "lockstat <quick>",
-            &[HtmlSeries {
-                label: "ssb & friends",
-                stats: &ls,
-                chains: &[],
-                end_cycles: 1000,
-            }],
-        );
-        assert!(html.starts_with("<!doctype html>"));
-        assert!(html.contains("lockstat &lt;quick&gt;"));
-        assert!(html.contains("ssb &amp; friends"));
-        assert!(html.contains("<svg"));
-        assert!(html.contains("STARVED"));
-        // Self-contained: no external fetches of any kind.
-        assert!(!html.contains("http://") && !html.contains("https://"));
-        assert!(!html.contains("<script"));
-    }
-
-    #[test]
-    fn quiet_watchdog_renders_ok() {
-        let mut ls = LockStats::new();
-        ls.enable(Some(1_000_000));
-        ls.on_request(0x40, 0, true, 0);
-        ls.on_grant(0x40, 0, true, 4, 4);
-        ls.on_release(0x40, 0, true, 10);
-        let html = render_html(
-            "t",
-            &[HtmlSeries {
-                label: "lcu",
-                stats: &ls,
-                chains: &[],
-                end_cycles: 100,
-            }],
-        );
-        assert!(html.contains("class=\"ok\">OK"), "{html}");
-        assert!(!html.contains("STARVED"));
-    }
-
-    #[test]
-    fn render_is_deterministic() {
-        let ls = sample_stats();
-        let mk = || {
-            render_html(
-                "t",
-                &[HtmlSeries {
-                    label: "x",
-                    stats: &ls,
-                    chains: &[],
-                    end_cycles: 500,
-                }],
-            )
+    fn line_chart_scales_points_and_marks() {
+        let mut out = String::new();
+        let points = [(0, 0.0), (50, 10.0), (100, 5.0)];
+        let line = Line {
+            points: &points,
+            y_max: 10.0,
+            color: "#123",
         };
-        assert_eq!(mk(), mk());
+        line_chart(&mut out, (110, 116), 100, &[line], &[(50, "fault <x>")]);
+        // x: 0..100 -> 5..105; y: 0..10 -> 112..12.
+        assert!(
+            out.contains("points=\"5.0,112.0 55.0,12.0 105.0,62.0\""),
+            "{out}"
+        );
+        assert!(out.contains("x1=\"55.0\""), "{out}");
+        assert!(out.contains("<title>fault &lt;x&gt;</title>"), "{out}");
     }
 }

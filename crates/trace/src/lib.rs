@@ -1,7 +1,7 @@
 //! Structured observability for the simulator: a zero-cost-when-disabled
 //! event trace, a metrics registry, per-lock contention statistics with a
-//! starvation watchdog, post-hoc blocking-chain analysis, an HTML report
-//! renderer, and host-side self-observability (span profiler + allocation
+//! starvation watchdog, post-hoc blocking-chain analysis, the one HTML
+//! emitter every published page is built from, and host-side self-observability (span profiler + allocation
 //! telemetry) for the simulator's own performance.
 
 pub mod alloc;
@@ -17,8 +17,7 @@ pub mod tracer;
 
 pub use alloc::{AllocSnapshot, CountingAlloc};
 pub use chain::{blocking_chains, render_chains, ChainLink, LockChain};
-pub use html::{render_html, HtmlSeries};
-pub use lockstat::{FlagOutcome, LockStat, LockStats, StarvationFlag};
+pub use lockstat::{render_html, FlagOutcome, HtmlSeries, LockStat, LockStats, StarvationFlag};
 pub use metrics::{MetricsRegistry, MetricsSnapshot};
 pub use prof::{ProfileReport, Span, SpanRow};
 pub use record::{Ep, TraceEvent, TraceKind};

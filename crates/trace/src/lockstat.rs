@@ -26,6 +26,8 @@
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
 
+use crate::chain::LockChain;
+use crate::html;
 use crate::sketch::QuantileSketch;
 
 /// Index into the per-mode `[read, write]` arrays.
@@ -373,6 +375,143 @@ impl LockStats {
     }
 }
 
+/// One backend's worth of lockstat report data.
+pub struct HtmlSeries<'a> {
+    /// Display label, e.g. "ssb" or "lcu".
+    pub label: &'a str,
+    /// The per-lock stats collected for this run.
+    pub stats: &'a LockStats,
+    /// Longest blocking chains reconstructed from this run's trace.
+    pub chains: &'a [LockChain],
+    /// Simulated end time of the run (for the overdue-waiter scan).
+    pub end_cycles: u64,
+}
+
+/// Renders the lockstat report page: per backend, the per-lock table, an
+/// octave bar chart of each lock's handoff wait and hold time, the
+/// starvation-watchdog verdict, and the longest blocking chains.
+pub fn render_html(title: &str, series: &[HtmlSeries<'_>]) -> String {
+    html::page(title, |out| {
+        for s in series {
+            render_series(out, s);
+        }
+    })
+}
+
+fn render_series(out: &mut String, s: &HtmlSeries<'_>) {
+    let _ = writeln!(out, "<h2>backend: {}</h2>", html::esc(s.label));
+    let p = |sk: &QuantileSketch, q| sk.quantile(q).unwrap_or(0).to_string();
+    let rows = s.stats.locks().map(|(addr, st)| {
+        let aux: Vec<String> = st.aux.iter().map(|(k, v)| format!("{k}={v}")).collect();
+        [
+            format!("{addr:#x}"),
+            st.acquires[0].to_string(),
+            st.acquires[1].to_string(),
+            st.releases[0].to_string(),
+            st.releases[1].to_string(),
+            st.fails.to_string(),
+            p(&st.handoff, 0.50),
+            p(&st.handoff, 0.99),
+            st.max_wait[0].to_string(),
+            st.max_wait[1].to_string(),
+            p(&st.hold, 0.50),
+            st.max_queue.to_string(),
+            st.max_readers.to_string(),
+            aux.join(" "),
+        ]
+    });
+    html::table(
+        out,
+        &[
+            "lock",
+            "acq r",
+            "acq w",
+            "rel r",
+            "rel w",
+            "fails",
+            "wait p50",
+            "wait p99",
+            "max wait r",
+            "max wait w",
+            "hold p50",
+            "queue max",
+            "readers max",
+            "backend counters",
+        ],
+        rows,
+    );
+
+    for (addr, st) in s.stats.locks() {
+        let _ = writeln!(out, "<h3>lock {addr:#x} handoff wait (cycles)</h3>");
+        html::octave_bars(out, &st.handoff);
+        let _ = writeln!(out, "<h3>lock {addr:#x} hold time (cycles)</h3>");
+        html::octave_bars(out, &st.hold);
+    }
+
+    render_watchdog(out, s);
+    render_chains_html(out, s.chains);
+}
+
+fn render_watchdog(out: &mut String, s: &HtmlSeries<'_>) {
+    out.push_str("<h3>starvation watchdog</h3>\n");
+    let Some(threshold) = s.stats.watchdog_cycles() else {
+        out.push_str("<p>not armed</p>\n");
+        return;
+    };
+    let flags = s.stats.flags();
+    let overdue = s.stats.overdue(s.end_cycles);
+    if flags.is_empty() && overdue.is_empty() {
+        let _ = writeln!(
+            out,
+            "<p class=\"{}\">OK — no wait exceeded {threshold} cycles</p>",
+            html::verdict_class("ok")
+        );
+        return;
+    }
+    let _ = writeln!(
+        out,
+        "<p class=\"{}\">STARVED — {} flags, {} overdue (threshold {threshold} cycles)</p>",
+        html::verdict_class("starved"),
+        flags.len(),
+        overdue.len()
+    );
+    let rows = flags.iter().chain(&overdue).map(|f| {
+        [
+            f.at.to_string(),
+            format!("{:#x}", f.lock),
+            f.thread.to_string(),
+            (if f.write { "write" } else { "read" }).to_string(),
+            f.waited.to_string(),
+            f.outcome.label().to_string(),
+        ]
+    });
+    html::table(
+        out,
+        &["at", "lock", "thread", "mode", "waited", "outcome"],
+        rows,
+    );
+}
+
+fn render_chains_html(out: &mut String, chains: &[LockChain]) {
+    out.push_str("<h3>longest blocking chains</h3>\n");
+    if chains.is_empty() {
+        out.push_str("<p>no lock grants in trace</p>\n");
+        return;
+    }
+    let mut by_depth: Vec<&LockChain> = chains.iter().collect();
+    by_depth.sort_by_key(|c| std::cmp::Reverse(c.links.len()));
+    let rows = by_depth.into_iter().map(|c| {
+        [
+            format!("{:#x}", c.lock),
+            c.links.len().to_string(),
+            c.span.to_string(),
+            c.total_wait.to_string(),
+            c.path(" → "),
+        ]
+    });
+    html::table(out, &["lock", "depth", "span", "total wait", "chain"], rows);
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -504,5 +643,76 @@ mod tests {
             ls.report(400)
         };
         assert_eq!(build(), build());
+    }
+
+    fn html_sample_stats() -> LockStats {
+        let mut ls = LockStats::new();
+        ls.enable(Some(100));
+        ls.on_request(0x40, 0, true, 0);
+        ls.on_request(0x40, 1, true, 0);
+        ls.on_grant(0x40, 0, true, 4, 4);
+        ls.on_release(0x40, 0, true, 200);
+        ls.on_grant(0x40, 1, true, 400, 404);
+        ls.on_release(0x40, 1, true, 150);
+        ls
+    }
+
+    #[test]
+    fn html_report_is_selfcontained_and_escaped() {
+        let ls = html_sample_stats();
+        let html = render_html(
+            "lockstat <quick>",
+            &[HtmlSeries {
+                label: "ssb & friends",
+                stats: &ls,
+                chains: &[],
+                end_cycles: 1000,
+            }],
+        );
+        assert!(html.starts_with("<!DOCTYPE html>"));
+        assert!(html.contains("lockstat &lt;quick&gt;"));
+        assert!(html.contains("ssb &amp; friends"));
+        assert!(html.contains("<svg"));
+        assert!(html.contains("class=\"bad\">STARVED"));
+        // Self-contained: no external fetches of any kind.
+        assert!(!html.contains("http://") && !html.contains("https://"));
+        assert!(!html.contains("<script"));
+    }
+
+    #[test]
+    fn html_quiet_watchdog_renders_ok() {
+        let mut ls = LockStats::new();
+        ls.enable(Some(1_000_000));
+        ls.on_request(0x40, 0, true, 0);
+        ls.on_grant(0x40, 0, true, 4, 4);
+        ls.on_release(0x40, 0, true, 10);
+        let html = render_html(
+            "t",
+            &[HtmlSeries {
+                label: "lcu",
+                stats: &ls,
+                chains: &[],
+                end_cycles: 100,
+            }],
+        );
+        assert!(html.contains("class=\"ok\">OK"), "{html}");
+        assert!(!html.contains("STARVED"));
+    }
+
+    #[test]
+    fn html_render_is_deterministic() {
+        let ls = html_sample_stats();
+        let mk = || {
+            render_html(
+                "t",
+                &[HtmlSeries {
+                    label: "x",
+                    stats: &ls,
+                    chains: &[],
+                    end_cycles: 500,
+                }],
+            )
+        };
+        assert_eq!(mk(), mk());
     }
 }

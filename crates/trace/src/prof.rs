@@ -12,17 +12,18 @@
 //!
 //! Profiling is opt-in ([`enable`], the harness `--self-profile` flag, or
 //! the `LOCKSIM_SELF_PROFILE` env var). When disabled — the default —
-//! [`span`] and [`count`] are one relaxed atomic load and a predictable
-//! branch: no clock read, no allocation, no thread-local access. Host-time
-//! measurement never feeds back into the simulation, so simulated outputs
-//! are byte-identical with profiling on or off (a golden test in the
-//! harness pins this).
+//! [`span`] and [`count`] are one thread-local flag load and a predictable
+//! branch: no clock read, no allocation. Host-time measurement never feeds
+//! back into the simulation, so simulated outputs are byte-identical with
+//! profiling on or off (a golden test in the harness pins this).
 //!
 //! # Threading
 //!
-//! The enable flag is process-global; span/counter data is thread-local
-//! (the simulator is single-threaded per world). [`report`] and
-//! [`take_report`] return the calling thread's data only.
+//! Everything is per-thread: [`enable`] and [`disable`] switch recording
+//! for the calling thread only, and span/counter data is thread-local (the
+//! simulator is single-threaded per world). [`report`] and [`take_report`]
+//! return the calling thread's data only. Two threads profiling at once
+//! never see each other's switch or spans.
 //!
 //! # Example
 //!
@@ -44,28 +45,29 @@
 //! assert!(report.collapsed().contains("run;step"));
 //! ```
 
-use std::cell::RefCell;
+use std::cell::{Cell, RefCell};
 use std::fmt::Write as _;
-use std::sync::atomic::{AtomicBool, Ordering};
 use std::time::Instant;
 
-static ENABLED: AtomicBool = AtomicBool::new(false);
+thread_local! {
+    static ENABLED: Cell<bool> = const { Cell::new(false) };
+}
 
-/// Whether span/counter recording is currently on.
+/// Whether span/counter recording is currently on for this thread.
 #[inline]
 pub fn enabled() -> bool {
-    ENABLED.load(Ordering::Relaxed)
+    ENABLED.with(Cell::get)
 }
 
-/// Turns recording on (process-global flag, thread-local data).
+/// Turns recording on for the calling thread.
 pub fn enable() {
-    ENABLED.store(true, Ordering::Relaxed);
+    ENABLED.with(|e| e.set(true));
 }
 
-/// Turns recording off; already-aggregated data stays until [`reset`] or
-/// [`take_report`].
+/// Turns recording off for the calling thread; already-aggregated data
+/// stays until [`reset`] or [`take_report`].
 pub fn disable() {
-    ENABLED.store(false, Ordering::Relaxed);
+    ENABLED.with(|e| e.set(false));
 }
 
 /// Discards the calling thread's aggregated data and span stack.
@@ -164,7 +166,7 @@ pub struct Span {
 }
 
 /// Opens a scoped span named `name` under the innermost open span of this
-/// thread. When profiling is disabled this is one atomic load.
+/// thread. When profiling is disabled this is one thread-local load.
 #[inline]
 pub fn span(name: &'static str) -> Span {
     if !enabled() {
@@ -190,7 +192,7 @@ impl Drop for Span {
     }
 }
 
-/// Adds `n` to profiler counter `name`. One atomic load when disabled.
+/// Adds `n` to profiler counter `name`. One thread-local load when off.
 #[inline]
 pub fn count(name: &'static str, n: u64) {
     if !enabled() {
@@ -333,8 +335,8 @@ pub fn take_report() -> ProfileReport {
 mod tests {
     use super::*;
 
-    /// The global flag is shared by tests in this binary, so each test
-    /// fully brackets its enable window and resets first.
+    /// Starts from a clean switch and empty data, whichever thread the
+    /// test harness runs this test on.
     fn fresh() {
         disable();
         reset();
@@ -422,6 +424,20 @@ mod tests {
         disable();
         assert!(!take_report().is_empty());
         assert!(take_report().is_empty());
+    }
+
+    #[test]
+    fn enable_is_per_thread() {
+        fresh();
+        enable();
+        let elsewhere = std::thread::spawn(|| {
+            drop(span("elsewhere"));
+            (enabled(), take_report().is_empty())
+        });
+        let seen = elsewhere.join().expect("profiling thread");
+        assert_eq!(seen, (false, true), "enable leaked to another thread");
+        assert!(enabled(), "another thread switched this one off");
+        disable();
     }
 
     #[test]

@@ -7,32 +7,17 @@
 //! ```
 
 use locksim::harness::{run_microbench, BackendKind, ModelSel};
-use locksim::swlocks::SwAlg;
 
 fn main() {
-    let backends = [
-        BackendKind::Ideal,
-        BackendKind::Lcu,
-        BackendKind::Ssb,
-        BackendKind::Sw(SwAlg::Mcs),
-        BackendKind::Sw(SwAlg::Mrsw),
-        BackendKind::Sw(SwAlg::Tatas),
-        BackendKind::Sw(SwAlg::Tas),
-        BackendKind::Sw(SwAlg::Posix),
-    ];
     println!("16 threads, Model A, 5000 critical sections, 100% / 25% writes\n");
     println!(
         "{:<8} {:>14} {:>14}",
         "backend", "cy/CS (100%W)", "cy/CS (25%W)"
     );
-    for b in backends {
+    for b in BackendKind::ALL {
         let w100 = run_microbench(ModelSel::A, b, 16, 100, 5_000, 42).cycles_per_cs;
         // Only reader-writer capable backends run the 25%-writes mix.
-        let rw = matches!(
-            b,
-            BackendKind::Ideal | BackendKind::Lcu | BackendKind::Ssb | BackendKind::Sw(SwAlg::Mrsw)
-        );
-        let w25 = if rw {
+        let w25 = if b.reads() {
             format!(
                 "{:14.1}",
                 run_microbench(ModelSel::A, b, 16, 25, 5_000, 42).cycles_per_cs

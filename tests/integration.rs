@@ -10,62 +10,26 @@ use locksim::harness::{
     run_app, run_microbench, run_stm, AppSel, BackendKind, ModelSel, StmVariant, StructSel,
 };
 use locksim::machine::testing::ScriptProgram;
-use locksim::machine::{Action, LockBackend, MachineConfig, Mode, World};
-use locksim::ssb::SsbBackend;
+use locksim::machine::{Action, MachineConfig, Mode, World};
 use locksim::stm::{
     ObjectSpace, Op, RbTree, SkipList, StmKind, TxShared, TxStats, TxStructure, TxThread,
 };
-use locksim::swlocks::{SwAlg, SwLockBackend};
+use locksim::swlocks::SwAlg;
 
-type BackendFactory = Box<dyn Fn() -> Box<dyn LockBackend>>;
-
-fn all_backends() -> Vec<(&'static str, BackendFactory)> {
-    vec![
-        (
-            "lcu",
-            Box::new(|| Box::new(LcuBackend::new()) as Box<dyn LockBackend>),
-        ),
-        (
-            "ssb",
-            Box::new(|| Box::new(SsbBackend::new()) as Box<dyn LockBackend>),
-        ),
-        (
-            "mcs",
-            Box::new(|| Box::new(SwLockBackend::new(SwAlg::Mcs)) as Box<dyn LockBackend>),
-        ),
-        (
-            "mrsw",
-            Box::new(|| Box::new(SwLockBackend::new(SwAlg::Mrsw)) as Box<dyn LockBackend>),
-        ),
-        (
-            "bravo",
-            Box::new(|| Box::new(SwLockBackend::new(SwAlg::Bravo)) as Box<dyn LockBackend>),
-        ),
-        (
-            "fissile",
-            Box::new(|| Box::new(SwLockBackend::new(SwAlg::Fissile)) as Box<dyn LockBackend>),
-        ),
-        (
-            "tatas",
-            Box::new(|| Box::new(SwLockBackend::new(SwAlg::Tatas)) as Box<dyn LockBackend>),
-        ),
-        (
-            "tas",
-            Box::new(|| Box::new(SwLockBackend::new(SwAlg::Tas)) as Box<dyn LockBackend>),
-        ),
-        (
-            "posix",
-            Box::new(|| Box::new(SwLockBackend::new(SwAlg::Posix)) as Box<dyn LockBackend>),
-        ),
-    ]
+/// A Model A world of `chips` cores running `backend` from the harness
+/// table, on the machine configuration the table gives it.
+fn world(backend: BackendKind, chips: usize, seed: u64) -> World {
+    let cfg = backend.machine_config(MachineConfig::model_a(chips));
+    World::new(cfg, backend.build(), seed)
 }
 
 /// Every backend provides mutual exclusion for the same workload: the
 /// interleaved non-atomic counter update never loses increments.
 #[test]
 fn every_backend_provides_mutual_exclusion() {
-    for (name, make) in all_backends() {
-        let mut w = World::new(MachineConfig::model_a(8), make(), 9);
+    for backend in BackendKind::ALL {
+        let name = backend.label();
+        let mut w = world(backend, 8, 9);
         let lock = w.mach().alloc().alloc_line();
         let data = w.mach().alloc().alloc_line();
         for _ in 0..8 {
@@ -101,14 +65,9 @@ fn every_backend_provides_mutual_exclusion() {
 /// Reader-writer capable backends let readers overlap.
 #[test]
 fn rw_backends_allow_reader_concurrency() {
-    for (name, make) in [
-        ("lcu", Box::new(LcuBackend::new()) as Box<dyn LockBackend>),
-        ("ssb", Box::new(SsbBackend::new())),
-        ("mrsw", Box::new(SwLockBackend::new(SwAlg::Mrsw))),
-        ("bravo", Box::new(SwLockBackend::new(SwAlg::Bravo))),
-        ("fissile", Box::new(SwLockBackend::new(SwAlg::Fissile))),
-    ] {
-        let mut w = World::new(MachineConfig::model_a(8), make, 10);
+    for backend in BackendKind::ALL.into_iter().filter(|b| b.reads()) {
+        let name = backend.label();
+        let mut w = world(backend, 8, 10);
         let lock = w.mach().alloc().alloc_line();
         for _ in 0..6 {
             w.spawn(Box::new(ScriptProgram::new(vec![
@@ -198,17 +157,7 @@ fn stm_structures_stay_consistent_across_backends() {
         StmVariant::Ssb,
         StmVariant::Fraser,
     ] {
-        let kind = match variant {
-            StmVariant::Fraser => StmKind::Fraser,
-            _ => StmKind::LockBased,
-        };
-        let backend: Box<dyn LockBackend> = match variant {
-            StmVariant::SwOnly => Box::new(SwLockBackend::new(SwAlg::Mrsw)),
-            StmVariant::Lcu => Box::new(LcuBackend::new()),
-            StmVariant::Ssb => Box::new(SsbBackend::new()),
-            StmVariant::Fraser => Box::new(SwLockBackend::new(SwAlg::Tatas)),
-        };
-        let mut w = World::new(MachineConfig::model_a(8), backend, 11);
+        let mut w = world(variant.backend(), 8, 11);
         let mut alloc = locksim::machine::Alloc::starting_at(1 << 40);
         let mut space = ObjectSpace::new();
         let mut sl = SkipList::new(&mut space, &mut alloc);
@@ -219,7 +168,7 @@ fn stm_structures_stay_consistent_across_backends() {
         let stats = Rc::new(RefCell::new(TxStats::default()));
         for _ in 0..8 {
             w.spawn(Box::new(TxThread::new(
-                kind,
+                variant.kind(),
                 shared.clone(),
                 stats.clone(),
                 12,
