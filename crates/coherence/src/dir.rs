@@ -1,8 +1,9 @@
 //! Home directory controller.
 
-use std::collections::{BTreeSet, HashMap, VecDeque};
+use std::collections::VecDeque;
 
 use locksim_engine::stats::Counters;
+use locksim_engine::FxHashMap;
 
 use crate::types::{CacheId, CacheToDir, DirId, DirToCache, LineAddr, ReqKind};
 
@@ -19,11 +20,49 @@ pub struct DirAction {
     pub dram: bool,
 }
 
+/// The caches sharing a line, one bit per [`CacheId`]: the machine has
+/// at most 64 caches (`World::new` rejects larger configs), and a bitmask
+/// changes state without allocating.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+struct Sharers(u64);
+
+impl Sharers {
+    fn bit(c: CacheId) -> u64 {
+        assert!(c.0 < 64, "cache {} exceeds the 64-sharer bitmask", c.0);
+        1 << c.0
+    }
+
+    fn insert(&mut self, c: CacheId) {
+        self.0 |= Self::bit(c);
+    }
+
+    fn contains(self, c: CacheId) -> bool {
+        self.0 & Self::bit(c) != 0
+    }
+
+    fn len(self) -> usize {
+        self.0.count_ones() as usize
+    }
+
+    /// The sharers other than `c`, in ascending cache order.
+    fn others(self, c: CacheId) -> impl Iterator<Item = CacheId> {
+        let mut rest = self.0 & !Self::bit(c);
+        std::iter::from_fn(move || {
+            if rest == 0 {
+                return None;
+            }
+            let i = rest.trailing_zeros();
+            rest &= rest - 1;
+            Some(CacheId(i))
+        })
+    }
+}
+
 /// Stable directory state of one line.
 #[derive(Debug, Clone, PartialEq, Eq)]
 enum DirState {
     Uncached,
-    Shared(BTreeSet<CacheId>),
+    Shared(Sharers),
     Excl(CacheId),
 }
 
@@ -65,7 +104,7 @@ impl Default for DirLine {
 #[derive(Debug)]
 pub struct DirCtrl {
     id: DirId,
-    lines: HashMap<LineAddr, DirLine>,
+    lines: FxHashMap<LineAddr, DirLine>,
     counters: Counters,
 }
 
@@ -74,7 +113,7 @@ impl DirCtrl {
     pub fn new(id: DirId) -> Self {
         DirCtrl {
             id,
-            lines: HashMap::new(),
+            lines: FxHashMap::default(),
             counters: Counters::new(),
         }
     }
@@ -179,7 +218,7 @@ impl DirCtrl {
                 });
             }
             (DirState::Shared(set), ReqKind::GetS) => {
-                debug_assert!(!set.contains(&from), "sharer re-requesting GetS");
+                debug_assert!(!set.contains(from), "sharer re-requesting GetS");
                 set.insert(from);
                 out.push(DirAction {
                     to: from,
@@ -189,8 +228,8 @@ impl DirCtrl {
                 });
             }
             (DirState::Shared(set), ReqKind::GetM) => {
-                let req_has_copy = set.contains(&from);
-                let others = set.iter().filter(|&&c| c != from).count();
+                let req_has_copy = set.contains(from);
+                let others = set.others(from).count();
                 if others == 0 {
                     // Sole-sharer upgrade: grant permissions immediately.
                     entry.state = DirState::Excl(from);
@@ -203,17 +242,12 @@ impl DirCtrl {
                     return;
                 }
                 self.counters.add("dir_invs", others as u64);
-                out.extend(
-                    set.iter()
-                        .copied()
-                        .filter(|&c| c != from)
-                        .map(|to| DirAction {
-                            to,
-                            msg: DirToCache::Inv,
-                            carries_data: false,
-                            dram: false,
-                        }),
-                );
+                out.extend(set.others(from).map(|to| DirAction {
+                    to,
+                    msg: DirToCache::Inv,
+                    carries_data: false,
+                    dram: false,
+                }));
                 entry.busy = Some(Transaction {
                     requestor: from,
                     kind,
@@ -262,7 +296,7 @@ impl DirCtrl {
         // Complete the transaction.
         match tx.kind {
             ReqKind::GetS => {
-                let mut set = BTreeSet::new();
+                let mut set = Sharers::default();
                 if let Some(owner) = tx.prev_owner {
                     set.insert(owner);
                 }
@@ -377,6 +411,22 @@ mod tests {
         assert_eq!(out[0].msg, DirToCache::DataM);
         assert!(!out[0].carries_data);
         assert_eq!(d.holders(L), 1);
+    }
+
+    #[test]
+    fn getm_invalidates_sharers_in_ascending_cache_order() {
+        let mut d = dir();
+        let (c0, c3, c5, c7) = (CacheId(0), CacheId(3), CacheId(5), CacheId(7));
+        // C5 takes the line exclusive, C0's GetS downgrades it, C3 joins.
+        d.handle_v(L, c5, CacheToDir::Req(ReqKind::GetS));
+        d.handle_v(L, c0, CacheToDir::Req(ReqKind::GetS));
+        d.handle_v(L, c5, CacheToDir::DowngradeAck { dirty: false });
+        d.handle_v(L, c3, CacheToDir::Req(ReqKind::GetS));
+        assert_eq!(d.holders(L), 3);
+        let out = d.handle_v(L, c7, CacheToDir::Req(ReqKind::GetM));
+        let targets: Vec<CacheId> = out.iter().map(|a| a.to).collect();
+        assert_eq!(targets, vec![c0, c3, c5]);
+        assert!(out.iter().all(|a| a.msg == DirToCache::Inv));
     }
 
     #[test]

@@ -2,10 +2,10 @@
 //! per-core LCU tables and per-memory-controller LRTs into the machine's
 //! event loop.
 
-use std::collections::{BTreeMap, HashMap};
+use std::collections::BTreeMap;
 
 use locksim_engine::stats::Counters;
-use locksim_engine::Cycles;
+use locksim_engine::{Cycles, FxHashMap};
 use locksim_machine::{
     Addr, BackendFault, CoreId, Ep, LockBackend, Mach, Mode, ThreadId, WirePayload,
 };
@@ -80,12 +80,12 @@ pub struct LcuBackend {
     /// Free Lock Table per core: locks released by a local thread but not
     /// yet requested by anyone else, parked so a repeat acquire is a local
     /// hit (paper §IV-C). Maps lock → (owner-of-record, transfer count).
-    /// Ordered so eviction picks a deterministic victim — a `HashMap` here
+    /// Ordered so eviction picks a deterministic victim — a hash map here
     /// made same-seed runs diverge across processes.
     flts: Vec<BTreeMap<Addr, (ThreadId, u64)>>,
-    reqs: HashMap<ThreadId, Req>,
-    held: HashMap<(ThreadId, Addr), Held>,
-    timers: HashMap<u64, TimerKind>,
+    reqs: FxHashMap<ThreadId, Req>,
+    held: FxHashMap<(ThreadId, Addr), Held>,
+    timers: FxHashMap<u64, TimerKind>,
     timer_seq: u64,
     counters: Counters,
     initialized: bool,
@@ -105,9 +105,9 @@ impl LcuBackend {
             lcus: Vec::new(),
             lrts: Vec::new(),
             flts: Vec::new(),
-            reqs: HashMap::new(),
-            held: HashMap::new(),
-            timers: HashMap::new(),
+            reqs: FxHashMap::default(),
+            held: FxHashMap::default(),
+            timers: FxHashMap::default(),
             timer_seq: 0,
             counters: Counters::new(),
             initialized: false,

@@ -1,8 +1,6 @@
 //! The Lock Reservation Table: per-memory-controller lock queue management.
 
-use std::collections::HashMap;
-
-use locksim_engine::Time;
+use locksim_engine::{FxHashMap, Time};
 use locksim_machine::{Addr, ThreadId};
 
 use crate::msg::Node;
@@ -85,7 +83,7 @@ pub struct Lrt {
     n_sets: usize,
     assoc: usize,
     sets: Vec<Vec<LrtEntry>>,
-    overflow: HashMap<Addr, LrtEntry>,
+    overflow: FxHashMap<Addr, LrtEntry>,
     /// Eviction count (reported in experiment counters).
     pub evictions: u64,
     /// Overflow-table hits.
@@ -105,7 +103,7 @@ impl Lrt {
             n_sets,
             assoc,
             sets: (0..n_sets).map(|_| Vec::new()).collect(),
-            overflow: HashMap::new(),
+            overflow: FxHashMap::default(),
             evictions: 0,
             overflow_hits: 0,
         }

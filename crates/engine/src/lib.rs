@@ -8,7 +8,8 @@
 //!   event payload type.
 //! * [`rng::RngStream`] — reproducible per-component random-number streams.
 //! * [`stats`] — counters, running statistics and confidence intervals
-//!   used by the experiment harness.
+//!   used by the experiment harness, and [`FxHashMap`], the map type for
+//!   simulator-internal keys.
 //!
 //! # Example
 //!
@@ -33,4 +34,5 @@ mod time;
 
 pub use queue::{EventSeq, Simulator};
 pub use rng::RngStream;
+pub use stats::FxHashMap;
 pub use time::{Cycles, Time};

@@ -8,7 +8,7 @@
 
 use std::collections::HashMap;
 use std::fmt;
-use std::hash::{BuildHasherDefault, Hasher};
+use std::hash::{BuildHasherDefault, Hash, Hasher};
 
 /// Incrementally computed mean/variance/min/max over a stream of samples
 /// (Welford's algorithm).
@@ -191,9 +191,11 @@ impl fmt::Display for Summary {
 }
 
 /// A fast non-cryptographic hasher (the FxHash multiply-rotate scheme) for
-/// `&'static str` counter keys. Counter bumps sit on the per-event hot path
-/// of the simulator, where SipHash and ordered-map string compares both
-/// showed up in the self-profiler.
+/// simulator-internal keys: counter names, bump-allocated addresses,
+/// thread ids and timer tokens. Every lookup on the per-event hot path
+/// goes through it, where SipHash showed up in the self-profiler; no key
+/// ever comes from outside the program, so collision resistance buys
+/// nothing.
 #[derive(Debug, Clone, Default)]
 pub struct FxHasher {
     hash: u64,
@@ -227,6 +229,21 @@ impl Hasher for FxHasher {
     }
 
     #[inline]
+    fn write_u32(&mut self, n: u32) {
+        self.mix(n as u64);
+    }
+
+    #[inline]
+    fn write_u64(&mut self, n: u64) {
+        self.mix(n);
+    }
+
+    #[inline]
+    fn write_usize(&mut self, n: usize) {
+        self.mix(n as u64);
+    }
+
+    #[inline]
     fn finish(&self) -> u64 {
         self.hash
     }
@@ -235,15 +252,45 @@ impl Hasher for FxHasher {
 /// `BuildHasher` for [`FxHasher`]-keyed maps.
 pub type FxBuildHasher = BuildHasherDefault<FxHasher>;
 
+/// The simulator's one map type: a `HashMap` over [`FxHasher`]. Build one
+/// with `FxHashMap::default()`.
+pub type FxHashMap<K, V> = HashMap<K, V, FxBuildHasher>;
+
+/// A counter name, hashed and compared by the address and length of its
+/// `&'static str`, so a bump never reads the string's bytes.
+#[derive(Clone, Copy)]
+struct Name(&'static str);
+
+impl PartialEq for Name {
+    #[inline]
+    fn eq(&self, other: &Self) -> bool {
+        (self.0.as_ptr(), self.0.len()) == (other.0.as_ptr(), other.0.len())
+    }
+}
+
+impl Eq for Name {}
+
+impl Hash for Name {
+    #[inline]
+    fn hash<H: Hasher>(&self, state: &mut H) {
+        state.write_usize(self.0.as_ptr() as usize);
+        state.write_usize(self.0.len());
+    }
+}
+
 /// A named bundle of monotonically increasing event counters.
 ///
 /// Components count protocol events (messages sent, retries, grants,
 /// overflows, ...) into a `Counters` and the harness folds them into reports.
-/// Storage is an unordered fast-hash map (bumps are hot-path); iteration
-/// sorts by name so every rendered report stays deterministic.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
+/// Bumps are hot-path, so storage is an [`FxHashMap`] keyed by where each
+/// name's `&'static str` lives, not by its bytes. The same literal can live
+/// at more than one address (one copy per crate, say), so every read —
+/// [`get`](Counters::get), [`iter`](Counters::iter), [`merge`](Counters::merge)
+/// and `==` — folds keys by name, and iteration sorts by name so every
+/// rendered report stays deterministic.
+#[derive(Clone, Default)]
 pub struct Counters {
-    map: HashMap<&'static str, u64, FxBuildHasher>,
+    map: FxHashMap<Name, u64>,
 }
 
 impl Counters {
@@ -255,7 +302,7 @@ impl Counters {
     /// Adds `n` to counter `name`, creating it at zero if absent.
     #[inline]
     pub fn add(&mut self, name: &'static str, n: u64) {
-        *self.map.entry(name).or_insert(0) += n;
+        *self.map.entry(Name(name)).or_insert(0) += n;
     }
 
     /// Increments counter `name` by one.
@@ -266,22 +313,54 @@ impl Counters {
 
     /// Current value of `name` (zero if never touched).
     pub fn get(&self, name: &str) -> u64 {
-        self.map.get(name).copied().unwrap_or(0)
+        self.map
+            .iter()
+            .filter(|(k, _)| k.0 == name)
+            .map(|(_, &v)| v)
+            .sum()
     }
 
-    /// Iterates `(name, value)` in name order.
+    /// Iterates `(name, value)` in name order, one entry per name.
     pub fn iter(&self) -> impl Iterator<Item = (&'static str, u64)> + '_ {
         let mut entries: Vec<(&'static str, u64)> =
-            self.map.iter().map(|(&k, &v)| (k, v)).collect();
+            self.map.iter().map(|(k, &v)| (k.0, v)).collect();
         entries.sort_unstable_by_key(|&(k, _)| k);
+        entries.dedup_by(|later, kept| {
+            let same = later.0 == kept.0;
+            if same {
+                kept.1 += later.1;
+            }
+            same
+        });
         entries.into_iter()
     }
 
-    /// Folds another bundle into this one.
+    /// Folds another bundle into this one. A name this bundle already
+    /// holds at another address adds to that entry instead of taking a
+    /// second one.
     pub fn merge(&mut self, other: &Counters) {
         for (&k, &v) in &other.map {
-            self.add(k, v);
+            let key = if self.map.contains_key(&k) {
+                k
+            } else {
+                self.map.keys().copied().find(|n| n.0 == k.0).unwrap_or(k)
+            };
+            *self.map.entry(key).or_insert(0) += v;
         }
+    }
+}
+
+impl PartialEq for Counters {
+    fn eq(&self, other: &Self) -> bool {
+        self.iter().eq(other.iter())
+    }
+}
+
+impl Eq for Counters {}
+
+impl fmt::Debug for Counters {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_map().entries(self.iter()).finish()
     }
 }
 
@@ -430,5 +509,29 @@ mod tests {
         assert_eq!(a.get("absent"), 0);
         let names: Vec<&str> = a.iter().map(|(k, _)| k).collect();
         assert_eq!(names, vec!["msgs", "retries"]);
+    }
+
+    #[test]
+    fn one_name_at_two_addresses_reads_as_one_counter() {
+        let first: &'static str = String::from("msgs").leak();
+        let second: &'static str = String::from("msgs").leak();
+        assert_ne!(first.as_ptr(), second.as_ptr());
+        let mut split = Counters::new();
+        split.add(first, 2);
+        split.add(second, 3);
+        assert_eq!(split.get("msgs"), 5);
+        assert_eq!(split.iter().collect::<Vec<_>>(), vec![("msgs", 5)]);
+        let mut whole = Counters::new();
+        whole.add("msgs", 5);
+        assert_eq!(split, whole);
+        whole.incr("retries");
+        assert_ne!(split, whole);
+        let mut merged = Counters::new();
+        merged.merge(&split);
+        merged.merge(&whole);
+        assert_eq!(
+            merged.iter().collect::<Vec<_>>(),
+            vec![("msgs", 10), ("retries", 1)]
+        );
     }
 }

@@ -231,10 +231,10 @@ pub fn check_world(
     windows: &SuspensionWindows,
     end_cycle: u64,
 ) -> Vec<Violation> {
-    let events: Vec<TraceEvent> = w.mach().tracer().events().copied().collect();
-    let mut violations = check_exclusion(&events);
-    violations.extend(check_liveness(&events, plan.horizon, windows, end_cycle));
-    violations.extend(check_fairness(&events, plan.fairness_k, windows));
+    let events = w.mach().tracer_mut().contiguous();
+    let mut violations = check_exclusion(events);
+    violations.extend(check_liveness(events, plan.horizon, windows, end_cycle));
+    violations.extend(check_fairness(events, plan.fairness_k, windows));
     let m = w.mach();
     for v in &violations {
         m.metrics_mut().incr("oracle_violations");

@@ -5,8 +5,7 @@
 //! simulation at the exact violating grant instead of corrupting results
 //! downstream.
 
-use std::collections::HashMap;
-
+use locksim_engine::FxHashMap;
 use locksim_trace::{LockStats, Tracer};
 
 use crate::addr::Addr;
@@ -42,8 +41,8 @@ fn abort_dump_records() -> usize {
 /// one and feeds it every backend's grants and releases.
 #[derive(Debug, Default)]
 pub struct Checker {
-    writer: HashMap<Addr, ThreadId>,
-    readers: HashMap<Addr, Vec<ThreadId>>,
+    writer: FxHashMap<Addr, ThreadId>,
+    readers: FxHashMap<Addr, Vec<ThreadId>>,
 }
 
 impl Checker {

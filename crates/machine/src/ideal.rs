@@ -8,10 +8,10 @@
 //!    scheduler interaction) independent of any real protocol, and
 //! 2. the lower-bound "perfect lock" baseline of the harness tables.
 
-use std::collections::{HashMap, VecDeque};
+use std::collections::VecDeque;
 
 use locksim_engine::stats::Counters;
-use locksim_engine::Cycles;
+use locksim_engine::{Cycles, FxHashMap};
 
 use crate::addr::Addr;
 use crate::lock::{LockBackend, Mode};
@@ -40,7 +40,7 @@ impl LockState {
 /// barging), so writers cannot starve.
 #[derive(Debug, Default)]
 pub struct IdealBackend {
-    locks: HashMap<Addr, LockState>,
+    locks: FxHashMap<Addr, LockState>,
     counters: Counters,
 }
 

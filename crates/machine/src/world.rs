@@ -2,14 +2,14 @@
 //! thread scheduling, and backend services.
 
 use std::any::Any;
-use std::collections::{HashMap, VecDeque};
+use std::collections::VecDeque;
 
 use locksim_coherence::{
     CacheAction, CacheCtrl, CacheId, CacheOpResult, CacheState, CacheToDir, CpuOp, DirAction,
     DirCtrl, DirId, DirToCache, LineAddr,
 };
 use locksim_engine::stats::Counters;
-use locksim_engine::{Cycles, RngStream, Simulator, Time};
+use locksim_engine::{Cycles, FxHashMap, RngStream, Simulator, Time};
 use locksim_topo::{MsgClass, Network, NodeId};
 use locksim_trace::{
     prof, Ep as TraceEp, LockStats, MetricsRegistry, MetricsSnapshot, SeriesCollector,
@@ -277,13 +277,13 @@ pub struct Mach {
     net: Network,
     caches: Vec<CacheCtrl>,
     dirs: Vec<DirCtrl>,
-    mem_values: HashMap<Addr, u64>,
+    mem_values: FxHashMap<Addr, u64>,
     threads: Vec<ThreadState>,
     cores: Vec<Option<ThreadId>>,
     ready: VecDeque<ThreadId>,
-    pending_mem: HashMap<(usize, LineAddr), PendingMem>,
-    mem_waitq: HashMap<(usize, LineAddr), VecDeque<PendingMem>>,
-    watchers: HashMap<(usize, LineAddr), Vec<ThreadId>>,
+    pending_mem: FxHashMap<(usize, LineAddr), PendingMem>,
+    mem_waitq: FxHashMap<(usize, LineAddr), VecDeque<PendingMem>>,
+    watchers: FxHashMap<(usize, LineAddr), Vec<ThreadId>>,
     alloc: Alloc,
     metrics: MetricsRegistry,
     tracer: Tracer,
@@ -314,6 +314,8 @@ pub struct Mach {
     cache_scratch: Vec<CacheAction>,
     /// Same, for directory-controller outputs.
     dir_scratch: Vec<DirAction>,
+    /// Same, for the watcher list `fire_watchers` is waking.
+    watch_scratch: Vec<ThreadId>,
 }
 
 /// Counter-based message-delay fault (see [`Mach::set_wire_fault`]).
@@ -1016,7 +1018,17 @@ impl std::fmt::Debug for World {
 impl World {
     /// Builds a machine from `cfg` with the given lock backend and master
     /// RNG seed.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `cfg` has more than 64 cores: the directory records each
+    /// line's sharers as a 64-bit mask, one bit per cache.
     pub fn new(cfg: MachineConfig, backend: Box<dyn LockBackend>, seed: u64) -> Self {
+        assert!(
+            cfg.n_cores() <= 64,
+            "a machine has at most 64 caches (the directory's sharer mask), got {} cores",
+            cfg.n_cores()
+        );
         let net = cfg.build_network();
         let caches = (0..cfg.n_cores())
             .map(|i| CacheCtrl::new(CacheId(i as u32)))
@@ -1032,13 +1044,13 @@ impl World {
                 net,
                 caches,
                 dirs,
-                mem_values: HashMap::new(),
+                mem_values: FxHashMap::default(),
                 threads: Vec::new(),
                 cores: vec![None; n_cores],
                 ready: VecDeque::new(),
-                pending_mem: HashMap::new(),
-                mem_waitq: HashMap::new(),
-                watchers: HashMap::new(),
+                pending_mem: FxHashMap::default(),
+                mem_waitq: FxHashMap::default(),
+                watchers: FxHashMap::default(),
                 alloc: Alloc::new(),
                 metrics: MetricsRegistry::new(),
                 tracer: Tracer::new(),
@@ -1055,6 +1067,7 @@ impl World {
                 dbg: DebugCfg::from_env(),
                 cache_scratch: Vec::new(),
                 dir_scratch: Vec::new(),
+                watch_scratch: Vec::new(),
             },
             backend,
         }
@@ -1688,11 +1701,17 @@ impl World {
             );
         }
 
-        if let Some(ws) = self.mach.watchers.remove(&(cache, line)) {
-            for t in ws {
-                self.backend.on_line_invalidated(&mut self.mach, t, line);
-            }
+        // Swap the watcher list out for the reused scratch vector, so the
+        // entry keeps its capacity for the next spin-watch on this line.
+        let mut ws = std::mem::take(&mut self.mach.watch_scratch);
+        if let Some(v) = self.mach.watchers.get_mut(&(cache, line)) {
+            std::mem::swap(v, &mut ws);
         }
+        for &t in &ws {
+            self.backend.on_line_invalidated(&mut self.mach, t, line);
+        }
+        ws.clear();
+        self.mach.watch_scratch = ws;
     }
 
     fn complete_mem(&mut self, cache: usize, line: LineAddr) {
@@ -1734,15 +1753,15 @@ impl World {
         if self.mach.pending_mem.contains_key(&key) {
             return;
         }
-        if let Some(q) = self.mach.mem_waitq.get_mut(&key) {
-            if let Some(next) = q.pop_front() {
-                if q.is_empty() {
-                    self.mach.mem_waitq.remove(&key);
-                }
-                self.mach.start_mem(cache, next);
-            } else {
-                self.mach.mem_waitq.remove(&key);
-            }
+        // A drained queue stays in the map, so the next wait on this
+        // (cache, line) reuses its buffer.
+        if let Some(next) = self
+            .mach
+            .mem_waitq
+            .get_mut(&key)
+            .and_then(VecDeque::pop_front)
+        {
+            self.mach.start_mem(cache, next);
         }
     }
 

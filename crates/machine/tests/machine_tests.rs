@@ -25,6 +25,12 @@ fn empty_world_finishes_immediately() {
 }
 
 #[test]
+#[should_panic(expected = "at most 64 caches")]
+fn more_cores_than_the_sharer_mask_holds_are_rejected() {
+    world_a(65);
+}
+
+#[test]
 fn compute_advances_time() {
     let mut w = world_a(2);
     w.spawn(Box::new(ScriptProgram::new(vec![Action::Compute(1000)])));

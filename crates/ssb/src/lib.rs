@@ -33,10 +33,8 @@
 //! w.run_to_completion();
 //! ```
 
-use std::collections::HashMap;
-
 use locksim_engine::stats::Counters;
-use locksim_engine::{Cycles, Time};
+use locksim_engine::{Cycles, FxHashMap, Time};
 use locksim_machine::{Addr, Ep, LockBackend, Mach, Mode, ThreadId, WirePayload};
 use locksim_topo::MsgClass;
 
@@ -94,9 +92,9 @@ struct Pending {
 /// The SSB lock backend. See the crate docs.
 #[derive(Debug, Default)]
 pub struct SsbBackend {
-    banks: Vec<HashMap<Addr, SsbState>>,
-    pending: HashMap<ThreadId, Pending>,
-    retry_timers: HashMap<u64, ThreadId>,
+    banks: Vec<FxHashMap<Addr, SsbState>>,
+    pending: FxHashMap<ThreadId, Pending>,
+    retry_timers: FxHashMap<u64, ThreadId>,
     timer_seq: u64,
     counters: Counters,
 }
@@ -109,7 +107,7 @@ impl SsbBackend {
 
     fn ensure_init(&mut self, m: &Mach) {
         if self.banks.is_empty() {
-            self.banks = (0..m.n_mems()).map(|_| HashMap::new()).collect();
+            self.banks = (0..m.n_mems()).map(|_| FxHashMap::default()).collect();
         }
     }
 

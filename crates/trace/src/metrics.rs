@@ -172,6 +172,15 @@ mod tests {
     }
 
     #[test]
+    fn render_folds_one_name_at_two_addresses() {
+        let mut m = MetricsRegistry::new();
+        m.add(String::from("grants").leak(), 2);
+        let mut backend = Counters::new();
+        backend.add(String::from("grants").leak(), 3);
+        assert_eq!(m.snapshot([&backend]).render(), "counter grants 5\n");
+    }
+
+    #[test]
     fn snapshot_tail_quantiles_use_sketch_resolution() {
         let mut m = MetricsRegistry::new();
         for v in 1..=10_000u64 {

@@ -4,8 +4,9 @@
 //! Cost model: when disabled (the default), [`Tracer::record`] is a single
 //! branch — the closure building the event is never called, so argument
 //! formatting and field reads are skipped entirely. When enabled, a record
-//! is a `VecDeque` push plus at most one pop; the buffer never reallocates
-//! past its cap.
+//! is a `VecDeque` push plus at most one pop. The buffer starts empty and
+//! grows on demand, doubling until it holds `cap` records; after that the
+//! oldest record is dropped for each new one and nothing reallocates.
 
 use std::collections::VecDeque;
 use std::fmt::Write as _;
@@ -49,7 +50,7 @@ impl Tracer {
     pub fn enable(&mut self, cap: usize) {
         self.enabled = true;
         self.cap = cap.max(1);
-        self.buf = VecDeque::with_capacity(self.cap.min(64 * 1024));
+        self.buf = VecDeque::new();
     }
 
     /// Stops collecting; already-buffered records remain exportable.
@@ -100,6 +101,13 @@ impl Tracer {
     /// Buffered records, oldest first.
     pub fn events(&self) -> impl Iterator<Item = &TraceEvent> + '_ {
         self.buf.iter()
+    }
+
+    /// Buffered records, oldest first, as one slice. Rotates the ring in
+    /// place (`VecDeque::make_contiguous`), so readers that want a slice
+    /// need not copy the ring.
+    pub fn contiguous(&mut self) -> &[TraceEvent] {
+        self.buf.make_contiguous()
     }
 
     /// The most recent `n` records concerning `lock` (grant/release/request/
@@ -485,6 +493,13 @@ mod tests {
         assert_eq!(tr.dropped(), 7);
         let ts: Vec<u64> = tr.events().map(|e| e.t.cycles()).collect();
         assert_eq!(ts, vec![7, 8, 9]);
+        // The wrapped ring reads as one slice in the same order, and keeps
+        // recording after it.
+        let ts: Vec<u64> = tr.contiguous().iter().map(|e| e.t.cycles()).collect();
+        assert_eq!(ts, vec![7, 8, 9]);
+        tr.record(|| mark(10, "m"));
+        let ts: Vec<u64> = tr.contiguous().iter().map(|e| e.t.cycles()).collect();
+        assert_eq!(ts, vec![8, 9, 10]);
     }
 
     #[test]
