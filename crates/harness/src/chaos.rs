@@ -16,6 +16,7 @@
 //! byte-identical — wall-clock safety in CI comes from an outer `timeout`.
 
 use std::path::{Path, PathBuf};
+use std::sync::atomic::{AtomicU64, Ordering};
 
 use locksim_faults::{
     chaos_csv, chaos_html, check_world, generate, shrink, ChaosRow, ChaosScenario, ChaosWorkload,
@@ -175,14 +176,21 @@ impl ChaosCfg {
 /// What a soak sweep produced.
 #[derive(Debug)]
 pub struct SoakReport {
-    /// One row per executed seed, in seed order.
+    /// One row per kept seed, in seed order.
     pub rows: Vec<ChaosRow>,
-    /// Shrunk replayable scenarios, one per violating seed.
+    /// Shrunk replayable scenarios, one per violating kept seed.
     pub shrunk: Vec<ChaosScenario>,
-    /// Simulated cycles spent (soak runs plus shrink re-runs).
+    /// Simulated cycles the kept seeds spent (soak runs plus shrink
+    /// re-runs).
     pub cycles: u64,
-    /// Seeds actually executed (may stop short on the cycle budget).
+    /// Seeds kept: the seed-order prefix the cycle budget admits, the same
+    /// at any `--jobs`. Not the seeds executed; see `seeds_executed`.
     pub seeds_run: u64,
+    /// Seeds whose run started, kept or not. Equal to `seeds_run` at
+    /// `--jobs 1`; a parallel soak may start a few seeds past the cutoff
+    /// before the finished ones spend the budget, and how many depends on
+    /// thread timing, so this count stays out of stdout and the artifacts.
+    pub seeds_executed: u64,
 }
 
 /// Everything one fuzz seed produced: its verdict row, the simulated
@@ -245,50 +253,56 @@ fn soak_seed(cfg: &ChaosCfg, seed: u64) -> SeedOutcome {
 /// detection armed, shrink every violating plan to a locally-minimal one,
 /// and collect verdict rows plus replayable shrunk scenarios.
 ///
-/// With `jobs > 1` the seeds run on worker threads via [`crate::sweep`];
-/// the report is still byte-identical to `jobs == 1` because each seed is
-/// an isolated deterministic run and the cycle-budget cutoff is applied
-/// afterwards as a seed-order walk: seed `k`'s results (rows, repros,
-/// observability) are included iff the cumulative cycles of the included
-/// seeds before it are under the budget — exactly the sequential loop's
-/// "check budget before each seed, stop at the first overrun" rule.
-/// Seeds past the cutoff cost wall-clock but leave no trace in the output.
+/// The cycle budget keeps a seed-order prefix: seed `k`'s results (rows,
+/// repros, observability) are kept iff the cumulative cycles of the seeds
+/// before it are under the budget. The seeds run via [`crate::sweep`], on
+/// worker threads when `jobs > 1`; each adds its cycles to a shared total
+/// when it finishes, and no seed is claimed once that total reaches the
+/// budget. Every seed counted in the total was claimed before the next
+/// claim, so the total is a lower bound on the cycles of all seeds before
+/// the next unclaimed one: when claiming stops, those seeds already spend
+/// the budget, and every seed the prefix keeps has run. The same seed-order
+/// walk then picks the kept prefix at any worker count, so the report is
+/// byte-identical to `jobs == 1`, where claiming stops exactly at the
+/// cutoff. In parallel, a few seeds past the cutoff may start before the
+/// total reaches the budget; they cost wall-clock, count in
+/// `seeds_executed`, and leave no other trace in the output.
 pub fn soak(cfg: &ChaosCfg, jobs: usize) -> SoakReport {
     let last = cfg.seed_start.saturating_add(cfg.seeds);
     let n = usize::try_from(last - cfg.seed_start).expect("seed count fits in usize");
+    let spent = AtomicU64::new(0);
+    let outs = crate::sweep::run_jobs(
+        jobs,
+        n,
+        || spent.load(Ordering::SeqCst) >= cfg.cycle_budget,
+        |i| {
+            let so = soak_seed(cfg, cfg.seed_start + i as u64);
+            spent.fetch_add(so.cycles, Ordering::SeqCst);
+            so
+        },
+    );
     let mut report = SoakReport {
         rows: Vec::new(),
         shrunk: Vec::new(),
         cycles: 0,
         seeds_run: 0,
+        seeds_executed: outs.len() as u64,
     };
-    let fold = |report: &mut SoakReport, so: SeedOutcome| {
+    let mut outs = outs.into_iter();
+    for _ in 0..n {
+        if report.cycles >= cfg.cycle_budget {
+            break;
+        }
+        let out = outs
+            .next()
+            .expect("claiming stops only once the seeds before the stop spend the budget");
+        let so = crate::sweep::include(out);
         report.seeds_run += 1;
         report.cycles += so.cycles;
         if let Some(sc) = so.shrunk {
             report.shrunk.push(sc);
         }
         report.rows.push(so.row);
-    };
-    if crate::sweep::effective_jobs(jobs, n) <= 1 {
-        // Sequentially the budget check can cut the sweep short before
-        // spending the cycles, not just before reporting them.
-        for i in 0..n {
-            if report.cycles >= cfg.cycle_budget {
-                break;
-            }
-            let so = soak_seed(cfg, cfg.seed_start + i as u64);
-            fold(&mut report, so);
-        }
-        return report;
-    }
-    let outs = crate::sweep::run_jobs(jobs, n, |i| soak_seed(cfg, cfg.seed_start + i as u64));
-    for out in outs {
-        if report.cycles >= cfg.cycle_budget {
-            break;
-        }
-        let so = crate::sweep::include(out);
-        fold(&mut report, so);
     }
     report
 }
@@ -389,6 +403,10 @@ pub fn cli_main() {
         .unwrap_or_else(|| PathBuf::from("results/chaossim.html"));
 
     let report = soak(&cfg, jobs);
+    eprintln!(
+        "chaossim: executed {} of {} seeds, kept {}",
+        report.seeds_executed, cfg.seeds, report.seeds_run
+    );
     for r in &report.rows {
         obs::record_verdicts(
             &format!("chaos/{}/s{}", r.backend, r.seed),

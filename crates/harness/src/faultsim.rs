@@ -166,10 +166,15 @@ pub fn run_matrix(cfg: &FaultsimCfg, jobs: usize) -> Vec<MatrixCell> {
         .iter()
         .flat_map(|&b| FaultClass::ALL.into_iter().map(move |c| (b, c)))
         .collect();
-    crate::sweep::run_jobs(jobs, grid.len(), |i| {
-        let (backend, class) = grid[i];
-        run_cell(backend, class, cfg)
-    })
+    crate::sweep::run_jobs(
+        jobs,
+        grid.len(),
+        || false,
+        |i| {
+            let (backend, class) = grid[i];
+            run_cell(backend, class, cfg)
+        },
+    )
     .into_iter()
     .map(crate::sweep::include)
     .collect()

@@ -131,7 +131,7 @@ pub fn run_all(jobs: usize) {
         }
         return;
     }
-    let outs = sweep::run_jobs(jobs, ALL_FIGS.len(), |i| (ALL_FIGS[i].1)());
+    let outs = sweep::run_jobs(jobs, ALL_FIGS.len(), || false, |i| (ALL_FIGS[i].1)());
     for ((name, _), out) in ALL_FIGS.iter().zip(outs) {
         eprintln!("== regenerating {name} ==");
         let tables = sweep::include(out);

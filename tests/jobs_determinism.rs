@@ -16,8 +16,9 @@ use std::collections::BTreeMap;
 use std::path::{Path, PathBuf};
 use std::process::Command;
 
-/// Runs `bin` with `args` inside `dir` (created fresh) and returns stdout.
-fn run_in(dir: &Path, bin: &str, args: &[&str]) -> Vec<u8> {
+/// Runs `bin` with `args` inside `dir` (created fresh) and returns its
+/// stdout and stderr.
+fn run_in(dir: &Path, bin: &str, args: &[&str]) -> (Vec<u8>, String) {
     let _ = std::fs::remove_dir_all(dir);
     std::fs::create_dir_all(dir).expect("create scratch dir");
     let out = Command::new(bin)
@@ -30,7 +31,8 @@ fn run_in(dir: &Path, bin: &str, args: &[&str]) -> Vec<u8> {
         "{bin} {args:?} failed:\n{}",
         String::from_utf8_lossy(&out.stderr)
     );
-    out.stdout
+    let stderr = String::from_utf8_lossy(&out.stderr).into_owned();
+    (out.stdout, stderr)
 }
 
 /// Every file under `dir`, as relative path → contents.
@@ -77,7 +79,10 @@ fn assert_trees_identical(seq: &Path, par: &Path) {
     assert!(!a.is_empty(), "run produced no artifacts to compare");
 }
 
-fn golden(bin: &str, name: &str, base_args: &[&str]) {
+/// Runs `bin` at `--jobs 1` and `--jobs 2`, asserts that stdout and every
+/// file written are byte-identical, and returns the shared stdout and the
+/// two runs' stderr, `--jobs 1` first.
+fn golden(bin: &str, name: &str, base_args: &[&str]) -> (String, [String; 2]) {
     let scratch =
         std::env::temp_dir().join(format!("locksim_jobs_golden_{name}_{}", std::process::id()));
     let seq = scratch.join("jobs1");
@@ -86,15 +91,17 @@ fn golden(bin: &str, name: &str, base_args: &[&str]) {
     seq_args.extend(["--jobs", "1"]);
     let mut par_args = base_args.to_vec();
     par_args.extend(["--jobs", "2"]);
-    let out_seq = run_in(&seq, bin, &seq_args);
-    let out_par = run_in(&par, bin, &par_args);
+    let (out_seq, err_seq) = run_in(&seq, bin, &seq_args);
+    let (out_par, err_par) = run_in(&par, bin, &par_args);
+    let stdout = String::from_utf8_lossy(&out_seq).into_owned();
     assert_eq!(
-        String::from_utf8_lossy(&out_seq),
+        stdout,
         String::from_utf8_lossy(&out_par),
         "--jobs changed stdout"
     );
     assert_trees_identical(&seq, &par);
     let _ = std::fs::remove_dir_all(&scratch);
+    (stdout, [err_seq, err_par])
 }
 
 #[test]
@@ -104,6 +111,49 @@ fn chaossim_jobs_is_byte_deterministic() {
         "chaossim",
         &["--quick", "--corpus-out", "corpus"],
     );
+}
+
+/// A cycle budget that cuts the sweep: of 24 quick seeds, a 12 M-cycle
+/// budget keeps seeds 0 to 8 (seeds 0 to 7 spend 9.6 M cycles, seed 8
+/// another 11.8 M). At `--jobs 2` the workers stop claiming seeds once the
+/// finished ones spend the budget, and the kept prefix must still match
+/// `--jobs 1` exactly.
+#[test]
+fn chaossim_jobs_is_byte_deterministic_at_the_budget_cutoff() {
+    let (stdout, [err_seq, err_par]) = golden(
+        env!("CARGO_BIN_EXE_chaossim"),
+        "chaossim_cut",
+        &[
+            "--quick",
+            "--seeds",
+            "24",
+            "--cycle-budget",
+            "12000000",
+            "--corpus-out",
+            "corpus",
+        ],
+    );
+    assert!(
+        stdout.contains("chaossim verdict: 9 seeds run,"),
+        "{stdout}"
+    );
+    assert!(
+        err_seq.contains("chaossim: executed 9 of 24 seeds, kept 9\n"),
+        "{err_seq}"
+    );
+    let executed: u64 = err_par
+        .lines()
+        .find_map(|l| {
+            l.strip_prefix("chaossim: executed ")?
+                .strip_suffix(" of 24 seeds, kept 9")?
+                .parse()
+                .ok()
+        })
+        .unwrap_or_else(|| panic!("no seed count on stderr:\n{err_par}"));
+    // A worker claims a seed only while the finished seeds are under the
+    // budget, and each worker holds at most one unfinished seed. The 24
+    // seeds minus any two of them spend over 25 M cycles, so not all run.
+    assert!((9..24).contains(&executed), "{err_par}");
 }
 
 #[test]
