@@ -43,6 +43,8 @@
 //! }
 //! ```
 
+#![forbid(unsafe_code)]
+
 mod cache;
 mod dir;
 mod types;

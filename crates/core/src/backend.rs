@@ -7,7 +7,7 @@ use std::collections::BTreeMap;
 use locksim_engine::stats::Counters;
 use locksim_engine::{Cycles, FxHashMap};
 use locksim_machine::{
-    Addr, BackendFault, CoreId, Ep, LockBackend, Mach, Mode, ThreadId, WirePayload,
+    Addr, BackendFault, CoreId, Ep, InFlight, LockBackend, Mach, Mode, ThreadId,
 };
 use locksim_topo::MsgClass;
 
@@ -87,6 +87,7 @@ pub struct LcuBackend {
     held: FxHashMap<(ThreadId, Addr), Held>,
     timers: FxHashMap<u64, TimerKind>,
     timer_seq: u64,
+    wire: InFlight<Wire>,
     counters: Counters,
     initialized: bool,
 }
@@ -109,6 +110,7 @@ impl LcuBackend {
             held: FxHashMap::default(),
             timers: FxHashMap::default(),
             timer_seq: 0,
+            wire: InFlight::new(),
             counters: Counters::new(),
             initialized: false,
         }
@@ -135,17 +137,17 @@ impl LcuBackend {
         m.set_timer(delay, token);
     }
 
+    /// Sends `msg` over the wire as a control message.
+    fn send(&mut self, m: &mut Mach, src: Ep, dst: Ep, extra: Cycles, msg: Wire) {
+        let token = self.wire.put(msg);
+        m.send_wire(src, dst, MsgClass::Control, extra, token);
+    }
+
     /// Sends a protocol message from an LCU to the home LRT.
     fn send_to_lrt(&mut self, m: &mut Mach, from_core: usize, msg: Msg) {
         let home = m.home_of(msg.addr());
         let extra = m.cfg().lcu_latency;
-        m.send_wire(
-            Ep::Core(from_core),
-            Ep::Mem(home),
-            MsgClass::Control,
-            extra,
-            msg,
-        );
+        self.send(m, Ep::Core(from_core), Ep::Mem(home), extra, Wire::Lrt(msg));
     }
 
     /// Sends a protocol message from an LRT to an LCU; `penalty` carries
@@ -159,40 +161,22 @@ impl LcuBackend {
         msg: Msg,
     ) {
         let extra = m.cfg().lrt_latency + penalty;
-        let wrapped = ToLcu { core: to_core, msg };
-        m.send_wire(
-            Ep::Mem(from_mem),
-            Ep::Core(to_core),
-            MsgClass::Control,
-            extra,
-            wrapped,
-        );
+        let wrapped = Wire::Lcu(ToLcu { core: to_core, msg });
+        self.send(m, Ep::Mem(from_mem), Ep::Core(to_core), extra, wrapped);
     }
 
     /// Direct LCU→LCU transfer.
     fn lcu_to_lcu(&mut self, m: &mut Mach, from: usize, to: usize, msg: Msg) {
-        let extra = m.cfg().lcu_latency;
         let wrapped = ToLcu { core: to, msg };
         if from == to {
             // Same-core transfer (two threads sharing a core): model as a
             // local LCU operation.
             let home = m.home_of(wrapped.msg.addr());
-            m.send_wire(
-                Ep::Core(from),
-                Ep::Mem(home),
-                MsgClass::Control,
-                0,
-                LoopBack(wrapped),
-            );
+            self.send(m, Ep::Core(from), Ep::Mem(home), 0, Wire::LoopBack(wrapped));
             return;
         }
-        m.send_wire(
-            Ep::Core(from),
-            Ep::Core(to),
-            MsgClass::Control,
-            extra,
-            wrapped,
-        );
+        let extra = m.cfg().lcu_latency;
+        self.send(m, Ep::Core(from), Ep::Core(to), extra, Wire::Lcu(wrapped));
     }
 
     /// Allocates an entry for queue maintenance (release re-allocation or
@@ -1357,14 +1341,24 @@ fn overflow_penalty(m: &Mach, res: Residency) -> Cycles {
 /// An LCU-bound message with its destination core: protocol messages are
 /// physically addressed to a specific LCU, which matters when a migrated
 /// thread briefly has entries at two LCUs.
+#[derive(Debug)]
 struct ToLcu {
     core: usize,
     msg: Msg,
 }
 
-/// Same-core transfers are routed through a loop via the home memory
-/// endpoint to keep using the wire abstraction; the payload marks them.
-struct LoopBack(ToLcu);
+/// A wire message of the LCU protocol, kept in the backend's
+/// [`InFlight`] store while the machine carries its token.
+#[derive(Debug)]
+enum Wire {
+    /// LCU → home LRT.
+    Lrt(Msg),
+    /// LRT → LCU, or a direct LCU → LCU transfer.
+    Lcu(ToLcu),
+    /// A same-core transfer, routed through a loop via the home memory
+    /// endpoint to keep using the wire abstraction.
+    LoopBack(ToLcu),
+}
 
 impl LockBackend for LcuBackend {
     fn name(&self) -> &'static str {
@@ -1533,27 +1527,17 @@ impl LockBackend for LcuBackend {
         m.complete_release_in(t, lcu_lat);
     }
 
-    fn on_wire(&mut self, m: &mut Mach, payload: WirePayload) {
+    fn on_wire(&mut self, m: &mut Mach, token: u64) {
         self.ensure_init(m);
-        let payload = match payload.downcast::<LoopBack>() {
-            Ok(lb) => {
-                // Same-core transfer bounced via the home node: handle as a
-                // normal LCU message now.
-                self.lcu_handle(m, lb.0.core, lb.0.msg);
-                return;
+        match self.wire.take(token) {
+            Wire::Lrt(msg) => {
+                let mem = m.home_of(msg.addr());
+                self.lrt_handle(m, mem, msg);
             }
-            Err(p) => p,
-        };
-        let payload = match payload.downcast::<ToLcu>() {
-            Ok(tl) => {
-                self.lcu_handle(m, tl.core, tl.msg);
-                return;
-            }
-            Err(p) => p,
-        };
-        let msg = payload.downcast::<Msg>().expect("unknown wire payload");
-        let mem = m.home_of(msg.addr());
-        self.lrt_handle(m, mem, msg);
+            // A same-core transfer bounced via the home node is handled as
+            // a normal LCU message on arrival.
+            Wire::Lcu(tl) | Wire::LoopBack(tl) => self.lcu_handle(m, tl.core, tl.msg),
+        }
     }
 
     fn on_timer(&mut self, m: &mut Mach, token: u64) {

@@ -58,6 +58,8 @@
 //! w.run_to_completion();
 //! ```
 
+#![forbid(unsafe_code)]
+
 mod backend;
 pub mod entry;
 pub mod lrt;

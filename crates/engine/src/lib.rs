@@ -26,6 +26,8 @@
 //! assert!(sim.pop().is_none());
 //! ```
 
+#![forbid(unsafe_code)]
+
 pub mod rng;
 pub mod stats;
 

@@ -41,6 +41,7 @@
 //!
 //! [`World`]: locksim_machine::World
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod detect;

@@ -15,6 +15,8 @@
 //! Perfetto / `chrome://tracing`, and appends a metrics-registry section
 //! to the markdown output and `results/` CSVs.
 
+#![forbid(unsafe_code)]
+
 pub mod chaos;
 pub mod faultsim;
 pub mod figs;

@@ -18,6 +18,8 @@
 //!
 //! See [`World`] for the top-level API and an example.
 
+#![forbid(unsafe_code)]
+
 mod addr;
 mod checker;
 mod config;
@@ -35,7 +37,7 @@ pub use ideal::IdealBackend;
 pub use lock::{BackendFault, LockBackend, Mode};
 pub use locksim_coherence::LineAddr;
 pub use prog::{Action, CoreId, Ctx, Outcome, Program, RmwOp, ThreadId};
-pub use wire::WirePayload;
+pub use wire::InFlight;
 pub use world::{CycleDissection, Ep, Mach, MemKind, PendingWaiter, RunExit, ThreadStats, World};
 
 // Observability types, re-exported so downstream crates (backends, harness)

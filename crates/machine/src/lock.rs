@@ -7,7 +7,6 @@ use locksim_engine::Cycles;
 
 use crate::addr::Addr;
 use crate::prog::{CoreId, ThreadId};
-use crate::wire::WirePayload;
 use crate::world::Mach;
 
 /// Reader or writer lock mode.
@@ -74,9 +73,11 @@ pub trait LockBackend {
     /// [`Mach::complete_release`].
     fn on_release(&mut self, m: &mut Mach, t: ThreadId, lock: Addr, mode: Mode);
 
-    /// A wire message sent earlier via [`Mach::send_wire`] has arrived.
-    fn on_wire(&mut self, m: &mut Mach, payload: WirePayload) {
-        let _ = (m, payload);
+    /// A wire message sent earlier via [`Mach::send_wire`] has arrived;
+    /// `token` is the one passed to `send_wire`. The backend keeps the
+    /// message itself (see [`crate::InFlight`]).
+    fn on_wire(&mut self, m: &mut Mach, token: u64) {
+        let _ = (m, token);
     }
 
     /// A timer set via [`Mach::set_timer`] fired.

@@ -1,180 +1,114 @@
-//! Inline storage for backend wire-message payloads.
+//! Backend-owned storage for wire messages in flight.
 //!
-//! Backend protocol messages ride inside [`crate::world::Ev::Wire`] events.
-//! They used to be `Box<dyn Any>`, which cost one heap allocation and one
-//! free per message — the single largest allocation source in a contended
-//! run (every LCU/SSB request, grant, handoff and loopback is a wire
-//! message). [`WirePayload`] keeps the type-erasure but stores payloads up
-//! to [`WIRE_INLINE`] bytes directly inside the event, falling back to a
-//! box only for oversized types.
+//! [`crate::Mach::send_wire`] schedules an event that carries only a `u64`
+//! token, and [`crate::LockBackend::on_wire`] receives that token back. The
+//! backend keeps the typed message itself, in an [`InFlight`] slab, so the
+//! machine never stores a payload and every event stays small.
 
-use std::any::{Any, TypeId};
-use std::mem::{align_of, size_of, ManuallyDrop, MaybeUninit};
-use std::ptr;
-
-/// Inline capacity in bytes. Sized to fit every backend message type in
-/// the workspace (the largest, `locksim-core`'s LCU `Msg` wrapper, is well
-/// under this) with room for growth; oversized payloads still work via the
-/// boxed fallback.
-pub const WIRE_INLINE: usize = 88;
-
-/// Maximum alignment the inline buffer guarantees.
-const WIRE_ALIGN: usize = 16;
-
-#[repr(align(16))]
-struct Buf([MaybeUninit<u8>; WIRE_INLINE]);
-
-/// A type-erased value stored inline: the payload bytes plus enough
-/// metadata to drop it or cast it back.
-struct InlineAny {
-    tid: TypeId,
-    drop_fn: unsafe fn(*mut u8),
-    buf: Buf,
+/// Typed wire messages awaiting delivery, indexed by the token the machine
+/// carries. A `Vec<Option<T>>` slab with a free list: `put` and `take` do
+/// no hashing, and once the slab has grown to the peak number of messages
+/// in flight they allocate nothing.
+///
+/// Every wire event is delivered exactly once, so a slot is free again as
+/// soon as its message is taken. (Timers are different: a timer can be
+/// abandoned before it fires, so timer tokens are never reused.)
+#[derive(Debug)]
+pub struct InFlight<T> {
+    slots: Vec<Option<T>>,
+    free: Vec<u32>,
 }
 
-impl InlineAny {
-    // The fat `Err` is the point: returning the payload by value (not a box)
-    // is what keeps the failure path allocation-free.
-    #[allow(clippy::result_large_err)]
-    fn downcast<T: Any>(self) -> Result<T, Self> {
-        if self.tid == TypeId::of::<T>() {
-            // Ownership of the stored value moves to the caller; suppress
-            // our Drop so it is not dropped twice.
-            let this = ManuallyDrop::new(self);
-            // SAFETY: the TypeId matched, so the buffer holds a valid `T`
-            // written by `WirePayload::new`.
-            Ok(unsafe { ptr::read(this.buf.0.as_ptr().cast::<T>()) })
-        } else {
-            Err(self)
+impl<T> Default for InFlight<T> {
+    fn default() -> Self {
+        InFlight {
+            slots: Vec::new(),
+            free: Vec::new(),
         }
     }
 }
 
-impl Drop for InlineAny {
-    fn drop(&mut self) {
-        // SAFETY: `drop_fn` was instantiated for the exact type written
-        // into the buffer, and the value is still live (downcast suppresses
-        // this Drop on success).
-        unsafe { (self.drop_fn)(self.buf.0.as_mut_ptr().cast::<u8>()) }
-    }
-}
-
-enum Repr {
-    Inline(InlineAny),
-    Boxed(Box<dyn Any>),
-}
-
-/// A backend protocol message in flight (opaque to the machine; only the
-/// backend that sent it knows the type). Small payloads live inline in the
-/// event, so sending one allocates nothing.
-pub struct WirePayload(Repr);
-
-unsafe fn drop_raw<T>(p: *mut u8) {
-    // SAFETY: caller guarantees `p` points at a live, properly-aligned `T`.
-    unsafe { ptr::drop_in_place(p.cast::<T>()) }
-}
-
-impl WirePayload {
-    /// Wraps `value`, storing it inline when it fits.
-    pub fn new<P: Any>(value: P) -> Self {
-        if size_of::<P>() <= WIRE_INLINE && align_of::<P>() <= WIRE_ALIGN {
-            let mut buf = Buf([MaybeUninit::uninit(); WIRE_INLINE]);
-            // SAFETY: the buffer is large enough and aligned for `P` (just
-            // checked); `write` takes ownership of `value`.
-            unsafe { ptr::write(buf.0.as_mut_ptr().cast::<P>(), value) };
-            WirePayload(Repr::Inline(InlineAny {
-                tid: TypeId::of::<P>(),
-                drop_fn: drop_raw::<P>,
-                buf,
-            }))
-        } else {
-            WirePayload(Repr::Boxed(Box::new(value)))
-        }
+impl<T> InFlight<T> {
+    /// An empty slab.
+    pub fn new() -> Self {
+        Self::default()
     }
 
-    /// True if the payload is a `T`.
-    pub fn is<T: Any>(&self) -> bool {
-        match &self.0 {
-            Repr::Inline(i) => i.tid == TypeId::of::<T>(),
-            Repr::Boxed(b) => b.is::<T>(),
-        }
+    /// Stores `msg` and returns the token to pass to
+    /// [`crate::Mach::send_wire`].
+    pub fn put(&mut self, msg: T) -> u64 {
+        let slot = match self.free.pop() {
+            Some(slot) => {
+                self.slots[slot as usize] = Some(msg);
+                slot
+            }
+            None => {
+                let slot =
+                    u32::try_from(self.slots.len()).expect("more than u32::MAX messages in flight");
+                self.slots.push(Some(msg));
+                slot
+            }
+        };
+        u64::from(slot)
     }
 
-    /// Takes the payload back out as a `T`, or returns `self` unchanged if
-    /// it holds some other type (mirrors `Box::<dyn Any>::downcast`).
-    // `Err` carries the inline buffer by value; boxing it would defeat the
-    // allocation-free miss path.
-    #[allow(clippy::result_large_err)]
-    pub fn downcast<T: Any>(self) -> Result<T, Self> {
-        match self.0 {
-            Repr::Inline(i) => i.downcast::<T>().map_err(|i| WirePayload(Repr::Inline(i))),
-            Repr::Boxed(b) => match b.downcast::<T>() {
-                Ok(v) => Ok(*v),
-                Err(b) => Err(WirePayload(Repr::Boxed(b))),
-            },
-        }
-    }
-}
-
-impl std::fmt::Debug for WirePayload {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match &self.0 {
-            Repr::Inline(_) => f.write_str("WirePayload(inline)"),
-            Repr::Boxed(_) => f.write_str("WirePayload(boxed)"),
-        }
+    /// Removes and returns the message stored under `token`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `token` is not in flight: never issued, or already taken.
+    pub fn take(&mut self, token: u64) -> T {
+        let slot = u32::try_from(token).expect("wire token out of slot range");
+        let msg = self
+            .slots
+            .get_mut(slot as usize)
+            .and_then(Option::take)
+            .unwrap_or_else(|| panic!("wire token {token} is not in flight"));
+        self.free.push(slot);
+        msg
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::rc::Rc;
 
     #[test]
-    fn inline_roundtrip() {
-        let p = WirePayload::new((3u64, 4u32));
-        assert!(p.is::<(u64, u32)>());
-        assert_eq!(p.downcast::<(u64, u32)>().unwrap(), (3, 4));
+    fn round_trip() {
+        let mut wire = InFlight::new();
+        let a = wire.put("a");
+        let b = wire.put("b");
+        assert_ne!(a, b);
+        assert_eq!(wire.take(b), "b");
+        assert_eq!(wire.take(a), "a");
+        assert_eq!(wire.free.len(), 2, "both slots are free again");
     }
 
     #[test]
-    fn wrong_type_returns_payload() {
-        let p = WirePayload::new(7u64);
-        let p = p.downcast::<u32>().unwrap_err();
-        assert_eq!(p.downcast::<u64>().unwrap(), 7);
+    fn freed_slot_is_reused() {
+        let mut wire = InFlight::new();
+        let a = wire.put(1u32);
+        let _b = wire.put(2u32);
+        assert_eq!(wire.take(a), 1);
+        let c = wire.put(3u32);
+        assert_eq!(c, a, "the freed slot is handed out again");
+        assert_eq!(wire.take(c), 3);
+        assert_eq!(wire.slots.len(), 2, "reuse does not grow the slab");
     }
 
     #[test]
-    fn boxed_fallback_roundtrip() {
-        let big = [0u8; WIRE_INLINE + 1];
-        let p = WirePayload::new(big);
-        assert!(p.is::<[u8; WIRE_INLINE + 1]>());
-        assert_eq!(p.downcast::<[u8; WIRE_INLINE + 1]>().unwrap()[0], 0);
+    #[should_panic(expected = "not in flight")]
+    fn taking_a_token_twice_panics() {
+        let mut wire = InFlight::new();
+        let a = wire.put(());
+        wire.take(a);
+        wire.take(a);
     }
 
     #[test]
-    fn drops_inline_payload_exactly_once() {
-        let rc = Rc::new(());
-        let p = WirePayload::new(Rc::clone(&rc));
-        assert_eq!(Rc::strong_count(&rc), 2);
-        drop(p);
-        assert_eq!(Rc::strong_count(&rc), 1);
-
-        // Downcast transfers ownership: dropping the result is the only drop.
-        let p = WirePayload::new(Rc::clone(&rc));
-        let out = p.downcast::<Rc<()>>().unwrap();
-        assert_eq!(Rc::strong_count(&rc), 2);
-        drop(out);
-        assert_eq!(Rc::strong_count(&rc), 1);
-    }
-
-    #[test]
-    fn failed_downcast_still_drops_once() {
-        let rc = Rc::new(());
-        let p = WirePayload::new(Rc::clone(&rc));
-        let p = p.downcast::<u32>().unwrap_err();
-        assert_eq!(Rc::strong_count(&rc), 2);
-        drop(p);
-        assert_eq!(Rc::strong_count(&rc), 1);
+    #[should_panic(expected = "not in flight")]
+    fn taking_a_token_never_issued_panics() {
+        let mut wire = InFlight::<u8>::new();
+        wire.take(7);
     }
 }

@@ -1,7 +1,6 @@
 //! The simulated multiprocessor: event dispatch, memory system glue,
 //! thread scheduling, and backend services.
 
-use std::any::Any;
 use std::collections::VecDeque;
 
 use locksim_coherence::{
@@ -21,7 +20,6 @@ use crate::checker::Checker;
 use crate::config::MachineConfig;
 use crate::lock::{BackendFault, LockBackend, Mode};
 use crate::prog::{Action, CoreId, Ctx, Outcome, Program, RmwOp, ThreadId};
-use crate::wire::WirePayload;
 
 /// A memory operation kind carried through the memory system.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -96,10 +94,9 @@ enum Ev {
         from: CacheId,
         msg: CacheToDir,
     },
-    /// A backend wire message arrives, payload in the event itself. The
-    /// self-profiler showed the former id→payload side-table costing two
-    /// hash operations per backend message on the hottest dispatch arm.
-    Wire(WirePayload),
+    /// A backend wire message arrives. The token names the message in the
+    /// backend's own store; the machine never holds a payload.
+    Wire(u64),
     /// A backend timer fires.
     Timer(u64),
     /// End of a scheduling quantum on a core.
@@ -111,6 +108,10 @@ enum Ev {
     /// A thread voluntarily yields its core (spin-then-yield backends).
     YieldNow(ThreadId),
 }
+
+// The event loop moves an `Ev` on every schedule and pop; a variant that
+// grows past this inflates every event of every kind.
+const _: () = assert!(std::mem::size_of::<Ev>() <= 32);
 
 /// Where a thread's simulated cycles went. Every cycle from spawn to
 /// finish lands in exactly one bucket, so the buckets sum to the thread's
@@ -412,6 +413,13 @@ impl Mach {
     /// Total simulation events ever scheduled.
     pub fn events_scheduled(&self) -> u64 {
         self.sim.events_scheduled()
+    }
+
+    /// Events scheduled but not yet dispatched. Every scheduled event is
+    /// either dispatched or still pending, so
+    /// `events_scheduled() == events_processed() + events_pending()`.
+    pub fn events_pending(&self) -> u64 {
+        self.sim.pending() as u64
     }
 
     /// High-water mark of the event queue's backlog — the occupancy
@@ -737,19 +745,12 @@ impl Mach {
         self.sim.schedule_in(delay, Ev::Resume(t, outcome, gen));
     }
 
-    /// Sends a backend protocol message from `src` to `dst`; it arrives at
-    /// the backend's [`LockBackend::on_wire`] after network latency plus
-    /// `extra` cycles of processing delay. Small payloads are stored inline
-    /// in the event (see [`WirePayload`]) — pass the message value itself,
-    /// not a box.
-    pub fn send_wire<P: Any>(
-        &mut self,
-        src: Ep,
-        dst: Ep,
-        class: MsgClass,
-        extra: Cycles,
-        payload: P,
-    ) {
+    /// Sends a backend protocol message from `src` to `dst`; `token`
+    /// arrives at the backend's [`LockBackend::on_wire`] after network
+    /// latency plus `extra` cycles of processing delay. The backend keeps
+    /// the message under that token (see [`crate::InFlight`]); each wire
+    /// event is delivered exactly once.
+    pub fn send_wire(&mut self, src: Ep, dst: Ep, class: MsgClass, extra: Cycles, token: u64) {
         let s = self.ep_node(src);
         let d = self.ep_node(dst);
         let now = self.sim.now();
@@ -759,8 +760,7 @@ impl Mach {
             self.net_send(now + extra, s, d, class)
         };
         self.metrics.incr("backend_wire_msgs");
-        self.sim
-            .schedule_at(arrival, Ev::Wire(WirePayload::new(payload)));
+        self.sim.schedule_at(arrival, Ev::Wire(token));
     }
 
     /// Sends on the network, counting the message class and recording a
@@ -1650,9 +1650,9 @@ impl World {
                 }
                 self.mach.dir_scratch = actions;
             }
-            Ev::Wire(payload) => {
+            Ev::Wire(token) => {
                 let _prof = prof::span("backend/on_wire");
-                self.backend.on_wire(&mut self.mach, payload);
+                self.backend.on_wire(&mut self.mach, token);
             }
             Ev::Timer(token) => {
                 self.mach.trace(|now| TraceEvent {

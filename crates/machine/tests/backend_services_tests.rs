@@ -9,7 +9,8 @@ use locksim_engine::stats::Counters;
 use locksim_engine::Cycles;
 use locksim_machine::testing::ScriptProgram;
 use locksim_machine::{
-    Action, Addr, Ep, LineAddr, LockBackend, Mach, MachineConfig, MemKind, Mode, ThreadId, World,
+    Action, Addr, Ep, InFlight, LineAddr, LockBackend, Mach, MachineConfig, MemKind, Mode,
+    ThreadId, World,
 };
 use locksim_topo::MsgClass;
 
@@ -27,6 +28,8 @@ struct ProbeBackend {
     probe_addr: Option<Addr>,
     /// Line to watch on the first acquire.
     watch: Option<Addr>,
+    /// Wire messages in flight, keyed by their tokens.
+    wire: InFlight<(ThreadId, Addr)>,
 }
 
 impl ProbeBackend {
@@ -35,6 +38,7 @@ impl ProbeBackend {
             log,
             probe_addr: None,
             watch: None,
+            wire: InFlight::new(),
         }
     }
 }
@@ -65,13 +69,8 @@ impl LockBackend for ProbeBackend {
         // Bounce a wire message to ourselves via the lock's home.
         let core = m.core_of(t).unwrap().0 as usize;
         let home = m.home_of(lock);
-        m.send_wire(
-            Ep::Core(core),
-            Ep::Mem(home),
-            MsgClass::Control,
-            0,
-            (t, lock),
-        );
+        let token = self.wire.put((t, lock));
+        m.send_wire(Ep::Core(core), Ep::Mem(home), MsgClass::Control, 0, token);
         m.set_timer(50, t.0 as u64);
     }
 
@@ -83,8 +82,8 @@ impl LockBackend for ProbeBackend {
         m.complete_release(t);
     }
 
-    fn on_wire(&mut self, m: &mut Mach, payload: locksim_machine::WirePayload) {
-        let (t, _lock) = payload.downcast::<(ThreadId, Addr)>().expect("payload");
+    fn on_wire(&mut self, m: &mut Mach, token: u64) {
+        let (t, _lock) = self.wire.take(token);
         self.log.borrow_mut().events.push(format!("wire t{}", t.0));
         m.grant_lock(t);
     }

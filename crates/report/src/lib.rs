@@ -13,6 +13,8 @@
 //! The `report` bin (root package shim) drives it:
 //! `report [--runs results/runs] [--out results/dashboard.html]`.
 
+#![forbid(unsafe_code)]
+
 pub mod dashboard;
 pub mod json;
 pub mod manifest;

@@ -33,9 +33,11 @@
 //! w.run_to_completion();
 //! ```
 
+#![forbid(unsafe_code)]
+
 use locksim_engine::stats::Counters;
 use locksim_engine::{Cycles, FxHashMap, Time};
-use locksim_machine::{Addr, Ep, LockBackend, Mach, Mode, ThreadId, WirePayload};
+use locksim_machine::{Addr, Ep, InFlight, LockBackend, Mach, Mode, ThreadId};
 use locksim_topo::MsgClass;
 
 /// SSB entries per bank (Zhu et al. size their SSB in the hundreds; the
@@ -96,6 +98,7 @@ pub struct SsbBackend {
     pending: FxHashMap<ThreadId, Pending>,
     retry_timers: FxHashMap<u64, ThreadId>,
     timer_seq: u64,
+    wire: InFlight<SsbMsg>,
     counters: Counters,
 }
 
@@ -129,7 +132,13 @@ impl SsbBackend {
             mode: p.mode,
             core,
         };
-        m.send_wire(Ep::Core(core), Ep::Mem(home), MsgClass::Control, 0, msg);
+        self.send(m, Ep::Core(core), Ep::Mem(home), 0, msg);
+    }
+
+    /// Sends `msg` over the wire as a control message.
+    fn send(&mut self, m: &mut Mach, src: Ep, dst: Ep, extra: Cycles, msg: SsbMsg) {
+        let token = self.wire.put(msg);
+        m.send_wire(src, dst, MsgClass::Control, extra, token);
     }
 
     fn arm_retry(&mut self, m: &mut Mach, t: ThreadId) {
@@ -192,7 +201,7 @@ impl SsbBackend {
                     SsbMsg::Deny { addr, tid }
                 };
                 let lat = m.cfg().lrt_latency;
-                m.send_wire(Ep::Mem(home), Ep::Core(core), MsgClass::Control, lat, reply);
+                self.send(m, Ep::Mem(home), Ep::Core(core), lat, reply);
             }
             SsbMsg::Rel {
                 addr,
@@ -221,7 +230,7 @@ impl SsbBackend {
                 }
                 let lat = m.cfg().lrt_latency;
                 let reply = SsbMsg::RelAck { tid, orphan };
-                m.send_wire(Ep::Mem(home), Ep::Core(core), MsgClass::Control, lat, reply);
+                self.send(m, Ep::Mem(home), Ep::Core(core), lat, reply);
             }
             _ => unreachable!("bank only receives Req/Rel"),
         }
@@ -267,12 +276,12 @@ impl LockBackend for SsbBackend {
             core,
             orphan: false,
         };
-        m.send_wire(Ep::Core(core), Ep::Mem(home), MsgClass::Control, 0, msg);
+        self.send(m, Ep::Core(core), Ep::Mem(home), 0, msg);
     }
 
-    fn on_wire(&mut self, m: &mut Mach, payload: WirePayload) {
+    fn on_wire(&mut self, m: &mut Mach, token: u64) {
         self.ensure_init(m);
-        let msg = payload.downcast::<SsbMsg>().expect("unknown SSB payload");
+        let msg = self.wire.take(token);
         match msg {
             SsbMsg::Req { .. } | SsbMsg::Rel { .. } => self.bank_handle(m, msg),
             SsbMsg::Grant { addr, tid, mode } => {
@@ -291,7 +300,7 @@ impl LockBackend for SsbBackend {
                         core,
                         orphan: true,
                     };
-                    m.send_wire(Ep::Core(core), Ep::Mem(home), MsgClass::Control, 0, rel);
+                    self.send(m, Ep::Core(core), Ep::Mem(home), 0, rel);
                     return;
                 }
                 self.pending.remove(&tid);

@@ -41,6 +41,8 @@
 //! assert_eq!(stats.borrow().commits, 40);
 //! ```
 
+#![forbid(unsafe_code)]
+
 mod driver;
 mod object;
 pub mod structures;

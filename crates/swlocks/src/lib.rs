@@ -52,6 +52,8 @@
 //! w.run_to_completion();
 //! ```
 
+#![forbid(unsafe_code)]
+
 mod backend;
 mod bravo;
 mod fissile;

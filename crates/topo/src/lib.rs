@@ -32,6 +32,8 @@
 //! assert!(t2 > t1);
 //! ```
 
+#![forbid(unsafe_code)]
+
 mod builder;
 mod network;
 

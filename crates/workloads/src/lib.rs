@@ -8,6 +8,8 @@
 //! STM workloads (Figures 11–12) live in `locksim-stm`; the experiment
 //! harness composes everything.
 
+#![forbid(unsafe_code)]
+
 pub mod apps;
 pub mod microbench;
 

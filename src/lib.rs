@@ -46,6 +46,8 @@
 //! `EXPERIMENTS.md` for paper-vs-measured results. Regenerate every figure
 //! with `cargo run --release -p locksim-harness --bin all`.
 
+#![forbid(unsafe_code)]
+
 pub use locksim_coherence as coherence;
 pub use locksim_core as core;
 pub use locksim_engine as engine;

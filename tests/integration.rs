@@ -59,6 +59,14 @@ fn every_backend_provides_mutual_exclusion() {
             40,
             "{name} grant count"
         );
+        // Two-sided event accounting: every scheduled event was either
+        // dispatched or is still queued.
+        let evq = w.metrics_snapshot().counters;
+        assert_eq!(
+            evq.get("evq_scheduled"),
+            evq.get("evq_events") + w.mach().events_pending(),
+            "{name} event accounting"
+        );
     }
 }
 
