@@ -198,13 +198,6 @@ impl Lcu {
             .find(|e| e.addr == addr && e.tid == tid)
     }
 
-    /// Any entry for `addr` regardless of thread (used when serving
-    /// forwarded requests addressed to the tail thread that may have
-    /// multiple entries after migration).
-    pub fn any_for_addr(&self, addr: Addr) -> Option<&Entry> {
-        self.entries.iter().find(|e| e.addr == addr)
-    }
-
     /// Frees the entry for `(addr, tid)`.
     ///
     /// # Panics

@@ -93,12 +93,6 @@ impl RngStream {
         }
     }
 
-    /// Uniform `f64` in `[0, 1)`.
-    #[inline]
-    pub fn next_f64(&mut self) -> f64 {
-        self.rng.gen()
-    }
-
     /// Geometrically distributed count of failures before the first success
     /// with success probability `p`; used for exponential-ish backoff jitter.
     ///

@@ -1,10 +1,13 @@
 //! The fault driver: steps a [`World`] in fixed polling increments and
 //! applies a [`FaultPlan`]'s injections at exact cycles, so a faulted run
-//! stays byte-reproducible under a fixed seed.
+//! stays byte-reproducible under a fixed seed. The liveness and fairness
+//! [`Oracles`] ride along on the machine's tracer and judge the run as it
+//! runs.
 
 use std::collections::BTreeMap;
 
 use locksim_machine::{BackendFault, RunExit, ThreadId, TraceEp, TraceEvent, TraceKind, World};
+use locksim_trace::{Oracles, Violation};
 
 use crate::detect::{self, DeadlockReport};
 use crate::plan::{FaultPlan, Inject, Trigger};
@@ -21,60 +24,9 @@ pub struct Applied {
     pub applied: bool,
 }
 
-/// Per-thread suspension intervals, recorded by the driver so the oracles
-/// can exempt windows in which a thread could not possibly take a grant.
-#[derive(Debug, Clone, Default)]
-pub struct SuspensionWindows {
-    /// thread → list of `(start, end)` windows; an open window has `end`
-    /// `None` (suspended through the end of the run).
-    per_thread: BTreeMap<u32, Vec<(u64, Option<u64>)>>,
-}
-
-impl SuspensionWindows {
-    pub(crate) fn open(&mut self, thread: u32, at: u64) {
-        self.per_thread.entry(thread).or_default().push((at, None));
-    }
-
-    pub(crate) fn close(&mut self, thread: u32, at: u64) {
-        if let Some(ws) = self.per_thread.get_mut(&thread) {
-            if let Some(w) = ws.last_mut() {
-                if w.1.is_none() {
-                    w.1 = Some(at);
-                }
-            }
-        }
-    }
-
-    /// Whether `thread` was suspended at `cycle`.
-    pub fn suspended_at(&self, thread: u32, cycle: u64) -> bool {
-        self.per_thread.get(&thread).is_some_and(|ws| {
-            ws.iter()
-                .any(|&(s, e)| s <= cycle && e.is_none_or(|e| cycle < e))
-        })
-    }
-
-    /// Cycles of `[from, to)` during which `thread` was suspended.
-    pub fn overlap(&self, thread: u32, from: u64, to: u64) -> u64 {
-        let Some(ws) = self.per_thread.get(&thread) else {
-            return 0;
-        };
-        ws.iter()
-            .map(|&(s, e)| {
-                let e = e.unwrap_or(u64::MAX);
-                e.min(to).saturating_sub(s.max(from))
-            })
-            .sum()
-    }
-
-    /// Threads with at least one recorded suspension window.
-    pub fn threads(&self) -> impl Iterator<Item = u32> + '_ {
-        self.per_thread.keys().copied()
-    }
-}
-
 /// What a driven run produced: how it ended, where the clock stopped, every
-/// injection attempted, and the suspension windows for oracle exemption.
-#[derive(Debug, Clone)]
+/// injection attempted, and the oracles' verdicts.
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct DriveOutcome {
     /// How the run ended. [`RunExit::TimeLimit`] after the plan deadline
     /// means work was still outstanding — the liveness oracle decides
@@ -84,8 +36,9 @@ pub struct DriveOutcome {
     pub end_cycle: u64,
     /// Injections in application order.
     pub applied: Vec<Applied>,
-    /// Recorded suspension windows.
-    pub windows: SuspensionWindows,
+    /// Oracle violations: liveness, then fairness, each in the order it was
+    /// established.
+    pub violations: Vec<Violation>,
     /// The quiescence detector's verdict, when [`FaultDriver::run_detected`]
     /// cut the run short. Always `None` from [`FaultDriver::run`].
     pub deadlock: Option<DeadlockReport>,
@@ -95,6 +48,14 @@ impl DriveOutcome {
     /// Number of injections the world/backend actually accepted.
     pub fn injections_applied(&self) -> u64 {
         self.applied.iter().filter(|a| a.applied).count() as u64
+    }
+
+    /// Number of violations `oracle` ("liveness" or "fairness") reported.
+    pub fn violations_of(&self, oracle: &str) -> usize {
+        self.violations
+            .iter()
+            .filter(|v| v.oracle == oracle)
+            .count()
     }
 }
 
@@ -121,7 +82,11 @@ impl FaultDriver {
     }
 
     /// Runs `w` until every thread finishes or the plan deadline passes,
-    /// polling every `plan.poll` cycles to apply due injections.
+    /// polling every `plan.poll` cycles to apply due injections, and judges
+    /// it with the oracles at the plan's `horizon` and `fairness_k`. Each
+    /// violation is written back as an `oracle_violations` counter bump, a
+    /// per-lock `oracle_violation` lockstat bump and one
+    /// [`TraceKind::OracleViolation`] record.
     pub fn run(&mut self, w: &mut World) -> DriveOutcome {
         self.drive(w, 0)
     }
@@ -143,9 +108,12 @@ impl FaultDriver {
             exit: RunExit::TimeLimit,
             end_cycle: 0,
             applied: Vec::new(),
-            windows: SuspensionWindows::default(),
+            violations: Vec::new(),
             deadlock: None,
         };
+        w.mach()
+            .tracer_mut()
+            .arm_oracles(Oracles::new(self.plan.horizon, self.plan.fairness_k));
         let poll = self.plan.poll.max(1);
         let mut c = 0u64;
         // Apply cycle-0 injections (wire faults, initial pressure) before
@@ -194,6 +162,26 @@ impl FaultDriver {
             }
         }
         out.end_cycle = w.mach().now().cycles();
+        let m = w.mach();
+        out.violations = m
+            .tracer_mut()
+            .take_oracles()
+            .expect("the drive armed the oracles")
+            .finish(out.end_cycle);
+        for &v in &out.violations {
+            m.metrics_mut().incr("oracle_violations");
+            m.lockstat_mut().bump(v.lock, "oracle_violation");
+            m.trace(|now| TraceEvent {
+                t: now,
+                ep: TraceEp::Thread(v.thread),
+                kind: TraceKind::OracleViolation {
+                    oracle: v.oracle,
+                    lock: v.lock,
+                    thread: v.thread,
+                    value: v.value,
+                },
+            });
+        }
         out
     }
 
@@ -262,7 +250,6 @@ impl FaultDriver {
             Inject::Suspend { thread, duration } => {
                 let ok = thread_ok(w, thread) && w.suspend(ThreadId(thread));
                 if ok {
-                    out.windows.open(thread, c);
                     if let Some(d) = duration {
                         self.auto_resumes.insert((c + d, self.auto_seq), thread);
                         self.auto_seq += 1;
@@ -270,13 +257,7 @@ impl FaultDriver {
                 }
                 ok
             }
-            Inject::Resume { thread } => {
-                let ok = thread_ok(w, thread) && w.resume_thread(ThreadId(thread));
-                if ok {
-                    out.windows.close(thread, c);
-                }
-                ok
-            }
+            Inject::Resume { thread } => thread_ok(w, thread) && w.resume_thread(ThreadId(thread)),
             Inject::Migrate { thread, to_core } => {
                 thread_ok(w, thread)
                     && (to_core as usize) < w.mach().n_cores()
@@ -345,24 +326,6 @@ fn inject_trace_fields(inject: Inject) -> (u32, u64) {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn windows_overlap_and_membership() {
-        let mut ws = SuspensionWindows::default();
-        ws.open(1, 100);
-        ws.close(1, 300);
-        ws.open(1, 500);
-        assert!(ws.suspended_at(1, 100));
-        assert!(ws.suspended_at(1, 299));
-        assert!(!ws.suspended_at(1, 300));
-        assert!(!ws.suspended_at(1, 400));
-        assert!(ws.suspended_at(1, 10_000), "open window never ends");
-        assert!(!ws.suspended_at(2, 100));
-        assert_eq!(ws.overlap(1, 0, 1_000), 200 + 500);
-        assert_eq!(ws.overlap(1, 200, 250), 50);
-        assert_eq!(ws.overlap(1, 300, 500), 0);
-        assert_eq!(ws.overlap(2, 0, 1_000), 0);
-    }
 
     #[test]
     fn trace_fields_pack_by_fault_class() {

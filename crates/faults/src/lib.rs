@@ -14,11 +14,14 @@
 //!   thread enters a waiting/holding protocol state.
 //! * [`driver`] — [`FaultDriver`]: steps a [`World`] in fixed polling
 //!   increments via `run_until_cycle`, applying due injections at exact
-//!   cycles so a faulted run is byte-reproducible under a fixed seed, and
-//!   recording per-thread suspension windows for the oracles.
-//! * [`oracle`] — post-hoc liveness / fairness / exclusion checkers over
-//!   the structured trace ring, exempting injected suspension windows, and
-//!   reporting violations back through the trace ring and lockstat.
+//!   cycles so a faulted run is byte-reproducible under a fixed seed. It
+//!   arms the streaming liveness and fairness oracles
+//!   ([`locksim_trace::Oracles`]) on the machine's tracer for the run,
+//!   so they judge every record as it is made with no trace ring kept,
+//!   exempting the suspension windows its own `fault_inject` records mark.
+//!   It writes the [`Violation`]s back as trace records, lockstat bumps and
+//!   a counter. Exclusion needs no oracle: the machine's checker aborts a
+//!   run at the grant that breaks it.
 //! * [`report`] — the backend × fault-class matrix with verdicts, rendered
 //!   as deterministic CSV and self-contained HTML.
 //!
@@ -47,16 +50,15 @@
 pub mod detect;
 pub mod driver;
 pub mod fuzz;
-pub mod oracle;
 pub mod plan;
 pub mod report;
 pub mod scenario;
 pub mod shrink;
 
 pub use detect::DeadlockReport;
-pub use driver::{Applied, DriveOutcome, FaultDriver, SuspensionWindows};
+pub use driver::{Applied, DriveOutcome, FaultDriver};
 pub use fuzz::{generate, ChaosCase, ChaosWorkload, FuzzConfig};
-pub use oracle::{check_exclusion, check_fairness, check_liveness, check_world, Violation};
+pub use locksim_trace::Violation;
 pub use plan::{FaultEvent, FaultPlan, Inject, PlanError, Trigger};
 pub use report::{chaos_csv, chaos_html, csv, html, ChaosRow, MatrixCell};
 pub use scenario::ChaosScenario;

@@ -152,8 +152,8 @@ impl Inject {
     /// Short label for traces and reports.
     pub fn label(&self) -> &'static str {
         match self {
-            Inject::Suspend { .. } => "suspend",
-            Inject::Resume { .. } => "resume",
+            Inject::Suspend { .. } => locksim_trace::oracle::SUSPEND,
+            Inject::Resume { .. } => locksim_trace::oracle::RESUME,
             Inject::Migrate { .. } => "migrate",
             Inject::FltEvict { .. } => "flt_evict",
             Inject::WireDelay { .. } => "wire_delay",

@@ -5,10 +5,10 @@
 //! page (built with `locksim_trace::html`) and the harness's stdout table
 //! all render those values.
 
+use locksim_machine::RunExit;
 use locksim_trace::html;
 
 use crate::driver::DriveOutcome;
-use crate::oracle::Violation;
 
 /// One cell of the backend × fault-class matrix.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -17,14 +17,16 @@ pub struct MatrixCell {
     pub backend: String,
     /// Fault-class label (e.g. "none", "suspend", "migrate").
     pub fault: String,
-    /// Verdict string: "pass", "LIVENESS", "FAIRNESS", "EXCLUSION", or
-    /// "n/a" for combinations the backend does not support.
+    /// Verdict string: "pass", "LIVENESS", "FAIRNESS", or "n/a" for
+    /// combinations the backend does not support.
     pub verdict: String,
     /// Liveness violation count.
     pub liveness: usize,
     /// Fairness violation count.
     pub fairness: usize,
-    /// Exclusion violation count.
+    /// Always 0: the machine's exclusion checker aborts a run at the grant
+    /// that breaks exclusion, before any verdict. The column stays in the
+    /// published CSVs.
     pub exclusion: usize,
     /// Injections the machine/backend accepted.
     pub injections: u64,
@@ -35,28 +37,21 @@ pub struct MatrixCell {
 }
 
 impl MatrixCell {
-    /// Builds a cell from a driven run and its oracle verdicts. The verdict
-    /// is [`ChaosRow::verdict_of`], the one ranking; faultsim drives with
-    /// the deadlock detector off, so it names the most severe violated
-    /// oracle (exclusion > liveness > fairness) or "pass" when none fired.
-    pub fn from_run(
-        backend: &str,
-        fault: &str,
-        outcome: &DriveOutcome,
-        violations: &[Violation],
-        finished: bool,
-    ) -> Self {
-        let count = |o: &str| violations.iter().filter(|v| v.oracle == o).count();
+    /// Builds a cell from a driven run. The verdict is
+    /// [`ChaosRow::verdict_of`], the one ranking; faultsim drives with the
+    /// deadlock detector off, so it names the more severe violated oracle
+    /// (liveness > fairness) or "pass" when none fired.
+    pub fn from_run(backend: &str, fault: &str, outcome: &DriveOutcome) -> Self {
         MatrixCell {
             backend: backend.to_string(),
             fault: fault.to_string(),
-            verdict: ChaosRow::verdict_of(outcome, violations).to_string(),
-            liveness: count("liveness"),
-            fairness: count("fairness"),
-            exclusion: count("exclusion"),
+            verdict: ChaosRow::verdict_of(outcome).to_string(),
+            liveness: outcome.violations_of("liveness"),
+            fairness: outcome.violations_of("fairness"),
+            exclusion: 0,
             injections: outcome.injections_applied(),
             end_cycle: outcome.end_cycle,
-            finished,
+            finished: outcome.exit == RunExit::AllFinished,
         }
     }
 
@@ -120,13 +115,14 @@ pub struct ChaosRow {
     pub seed: u64,
     /// Backend label the fuzzer picked for this seed.
     pub backend: String,
-    /// Verdict: "pass", "DEADLOCK", "LIVENESS", "FAIRNESS" or "EXCLUSION".
+    /// Verdict: "pass", "DEADLOCK", "LIVENESS" or "FAIRNESS".
     pub verdict: String,
     /// Liveness violation count.
     pub liveness: usize,
     /// Fairness violation count.
     pub fairness: usize,
-    /// Exclusion violation count.
+    /// Always 0, as [`MatrixCell::exclusion`]: a run that breaks exclusion
+    /// aborts at the violating grant.
     pub exclusion: usize,
     /// Whether the quiescence detector fired.
     pub deadlock: bool,
@@ -142,47 +138,35 @@ pub struct ChaosRow {
 
 impl ChaosRow {
     /// The chaos verdict for a driven run: the most severe failure wins —
-    /// exclusion > deadlock > liveness > fairness — else "pass". A deadlock
-    /// outranks the liveness violations it inevitably also produces because
-    /// it is the stronger statement (no possible progress, not just a
-    /// too-long wait).
-    pub fn verdict_of(outcome: &DriveOutcome, violations: &[Violation]) -> &'static str {
-        let count = |o: &str| violations.iter().filter(|v| v.oracle == o).count();
-        if count("exclusion") > 0 {
-            "EXCLUSION"
-        } else if outcome.deadlock.is_some() {
+    /// deadlock > liveness > fairness — else "pass". A deadlock outranks the
+    /// liveness violations it inevitably also produces because it is the
+    /// stronger statement (no possible progress, not just a too-long wait).
+    pub fn verdict_of(outcome: &DriveOutcome) -> &'static str {
+        if outcome.deadlock.is_some() {
             "DEADLOCK"
-        } else if count("liveness") > 0 {
+        } else if outcome.violations_of("liveness") > 0 {
             "LIVENESS"
-        } else if count("fairness") > 0 {
+        } else if outcome.violations_of("fairness") > 0 {
             "FAIRNESS"
         } else {
             "pass"
         }
     }
 
-    /// Builds a row from a driven run and its oracle verdicts.
-    pub fn from_run(
-        seed: u64,
-        backend: &str,
-        outcome: &DriveOutcome,
-        violations: &[Violation],
-        finished: bool,
-        events: usize,
-    ) -> Self {
-        let count = |o: &str| violations.iter().filter(|v| v.oracle == o).count();
+    /// Builds a row from a driven run of a plan with `events` fault events.
+    pub fn from_run(seed: u64, backend: &str, outcome: &DriveOutcome, events: usize) -> Self {
         ChaosRow {
             seed,
             backend: backend.to_string(),
-            verdict: Self::verdict_of(outcome, violations).to_string(),
-            liveness: count("liveness"),
-            fairness: count("fairness"),
-            exclusion: count("exclusion"),
+            verdict: Self::verdict_of(outcome).to_string(),
+            liveness: outcome.violations_of("liveness"),
+            fairness: outcome.violations_of("fairness"),
+            exclusion: 0,
             deadlock: outcome.deadlock.is_some(),
             events,
             shrunk_events: events,
             end_cycle: outcome.end_cycle,
-            finished,
+            finished: outcome.exit == RunExit::AllFinished,
         }
     }
 
@@ -275,51 +259,53 @@ fn csv_of<const N: usize>(header: &str, rows: impl Iterator<Item = [String; N]>)
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::driver::SuspensionWindows;
-    use locksim_machine::RunExit;
+    use crate::Violation;
 
-    fn outcome(end_cycle: u64) -> DriveOutcome {
+    /// A run ending at `end_cycle` whose oracles reported one violation per
+    /// entry of `oracles`.
+    fn outcome(end_cycle: u64, finished: bool, oracles: &[&'static str]) -> DriveOutcome {
         DriveOutcome {
-            exit: RunExit::TimeLimit,
+            exit: if finished {
+                RunExit::AllFinished
+            } else {
+                RunExit::TimeLimit
+            },
             end_cycle,
             applied: Vec::new(),
-            windows: SuspensionWindows::default(),
+            violations: oracles
+                .iter()
+                .map(|&oracle| Violation {
+                    oracle,
+                    lock: 0x40,
+                    thread: 1,
+                    value: 2,
+                    at: 3,
+                })
+                .collect(),
             deadlock: None,
         }
     }
 
-    fn violation(oracle: &'static str) -> Violation {
-        Violation {
-            oracle,
+    fn deadlocked(end_cycle: u64, waiters: u32, chain: &str) -> DriveOutcome {
+        let mut o = outcome(end_cycle, false, &["liveness"]);
+        o.deadlock = Some(crate::detect::DeadlockReport {
+            at: end_cycle,
             lock: 0x40,
-            thread: 1,
-            value: 2,
-            at: 3,
-        }
+            waiters,
+            chain: chain.to_string(),
+        });
+        o
     }
 
     #[test]
-    fn verdict_ranks_exclusion_over_liveness_over_fairness() {
-        let o = outcome(100);
-        let all = [
-            violation("fairness"),
-            violation("liveness"),
-            violation("exclusion"),
-        ];
-        assert_eq!(
-            MatrixCell::from_run("b", "f", &o, &all, false).verdict,
-            "EXCLUSION"
-        );
-        assert_eq!(
-            MatrixCell::from_run("b", "f", &o, &all[..2], false).verdict,
-            "LIVENESS"
-        );
-        assert_eq!(
-            MatrixCell::from_run("b", "f", &o, &all[..1], false).verdict,
-            "FAIRNESS"
-        );
-        let clean = MatrixCell::from_run("b", "f", &o, &[], true);
+    fn verdict_ranks_liveness_over_fairness() {
+        let both = outcome(100, false, &["fairness", "liveness"]);
+        assert_eq!(MatrixCell::from_run("b", "f", &both).verdict, "LIVENESS");
+        let fair = outcome(100, false, &["fairness"]);
+        assert_eq!(MatrixCell::from_run("b", "f", &fair).verdict, "FAIRNESS");
+        let clean = MatrixCell::from_run("b", "f", &outcome(100, true, &[]));
         assert_eq!(clean.verdict, "pass");
+        assert!(clean.finished);
         assert!(clean.ok());
         assert!(MatrixCell::not_applicable("b", "f").ok());
     }
@@ -327,14 +313,8 @@ mod tests {
     #[test]
     fn csv_is_deterministic_and_greppable() {
         let cells = vec![
-            MatrixCell::from_run("lcu", "suspend", &outcome(500), &[], true),
-            MatrixCell::from_run(
-                "mcs",
-                "suspend",
-                &outcome(900),
-                &[violation("liveness")],
-                false,
-            ),
+            MatrixCell::from_run("lcu", "suspend", &outcome(500, true, &[])),
+            MatrixCell::from_run("mcs", "suspend", &outcome(900, false, &["liveness"])),
             MatrixCell::not_applicable("mcs", "flt-evict"),
         ];
         let a = csv(&cells);
@@ -347,38 +327,21 @@ mod tests {
     }
 
     #[test]
-    fn chaos_verdict_ranks_deadlock_between_exclusion_and_liveness() {
-        let mut dead = outcome(100);
-        dead.deadlock = Some(crate::detect::DeadlockReport {
-            at: 100,
-            lock: 0x40,
-            waiters: 1,
-            chain: "lock 0x40: waiters t1(W); held by t0 (suspended)".to_string(),
-        });
-        let live = [violation("liveness")];
-        let excl = [violation("exclusion"), violation("liveness")];
-        assert_eq!(ChaosRow::verdict_of(&dead, &live), "DEADLOCK");
-        assert_eq!(ChaosRow::verdict_of(&dead, &excl), "EXCLUSION");
-        assert_eq!(ChaosRow::verdict_of(&outcome(100), &live), "LIVENESS");
-        assert_eq!(
-            ChaosRow::verdict_of(&outcome(100), &[violation("fairness")]),
-            "FAIRNESS"
-        );
-        assert_eq!(ChaosRow::verdict_of(&outcome(100), &[]), "pass");
+    fn chaos_verdict_ranks_deadlock_over_liveness() {
+        let dead = deadlocked(100, 1, "lock 0x40: waiters t1(W); held by t0 (suspended)");
+        assert_eq!(ChaosRow::verdict_of(&dead), "DEADLOCK");
+        let live = outcome(100, false, &["liveness"]);
+        assert_eq!(ChaosRow::verdict_of(&live), "LIVENESS");
+        let fair = outcome(100, false, &["fairness"]);
+        assert_eq!(ChaosRow::verdict_of(&fair), "FAIRNESS");
+        assert_eq!(ChaosRow::verdict_of(&outcome(100, true, &[])), "pass");
     }
 
     #[test]
     fn chaos_csv_is_deterministic_and_greppable() {
-        let mut dead = outcome(7_000);
-        dead.deadlock = Some(crate::detect::DeadlockReport {
-            at: 7_000,
-            lock: 0x40,
-            waiters: 2,
-            chain: String::new(),
-        });
         let mut rows = vec![
-            ChaosRow::from_run(3, "lcu", &outcome(500), &[], true, 4),
-            ChaosRow::from_run(4, "mcs", &dead, &[violation("liveness")], false, 5),
+            ChaosRow::from_run(3, "lcu", &outcome(500, true, &[]), 4),
+            ChaosRow::from_run(4, "mcs", &deadlocked(7_000, 2, ""), 5),
         ];
         rows[1].shrunk_events = 1;
         let a = chaos_csv(&rows);
@@ -393,7 +356,7 @@ mod tests {
 
     #[test]
     fn html_is_self_contained() {
-        let cells = vec![MatrixCell::from_run("lcu", "none", &outcome(1), &[], true)];
+        let cells = vec![MatrixCell::from_run("lcu", "none", &outcome(1, true, &[]))];
         let page = html(&cells, "faultsim");
         assert!(page.starts_with("<!DOCTYPE html>"));
         assert!(page.ends_with("</html>\n"));
@@ -406,16 +369,14 @@ mod tests {
         let cells = vec![MatrixCell::from_run(
             "a<b",
             "\"x\"&y",
-            &outcome(1),
-            &[],
-            true,
+            &outcome(1, true, &[]),
         )];
         let page = html(&cells, "<script>alert(1)</script>");
         assert!(!page.contains("<script>"), "{page}");
         assert!(page.contains("<title>&lt;script&gt;alert(1)&lt;/script&gt;</title>"));
         assert!(page.contains("<td>a&lt;b</td>"));
         assert!(page.contains("<td>&quot;x&quot;&amp;y</td>"));
-        let rows = vec![ChaosRow::from_run(3, "l&u", &outcome(500), &[], true, 4)];
+        let rows = vec![ChaosRow::from_run(3, "l&u", &outcome(500, true, &[]), 4)];
         let page = chaos_html(&rows, "a & <b>");
         assert!(page.contains("<h1>a &amp; &lt;b&gt;</h1>"), "{page}");
         assert!(page.contains("<td>l&amp;u</td>"), "{page}");

@@ -3,7 +3,7 @@
 //! queue, and driven runs are deterministic under a fixed seed.
 
 use locksim_core::LcuBackend;
-use locksim_faults::{check_world, csv, FaultDriver, FaultPlan, MatrixCell};
+use locksim_faults::{csv, FaultDriver, FaultPlan, MatrixCell};
 use locksim_machine::{LockBackend, MachineConfig, RunExit, World};
 use locksim_swlocks::{SwAlg, SwLockBackend};
 use locksim_workloads::{CsThread, IterPool};
@@ -12,10 +12,9 @@ const THREADS: usize = 4;
 const ITERS: u64 = 120;
 
 /// Builds a small model-A world with `THREADS` threads hammering one lock
-/// in write mode, trace ring armed wide enough to keep every event.
+/// in write mode.
 fn world(backend: Box<dyn LockBackend>, seed: u64) -> World {
     let mut w = World::new(MachineConfig::model_a(4), backend, seed);
-    w.mach().tracer_mut().enable(1 << 20);
     let lock = w.mach().alloc().alloc_line();
     let data = w.mach().alloc().alloc_line();
     let pool = IterPool::new(ITERS);
@@ -40,10 +39,10 @@ fn lcu_survives_waiter_suspension() {
     let out = FaultDriver::new(plan.clone()).run(&mut w);
     assert_eq!(out.exit, RunExit::AllFinished, "LCU run must complete");
     assert!(out.injections_applied() >= 1, "suspension must have fired");
-    let violations = check_world(&mut w, &plan, &out.windows, out.end_cycle);
     assert!(
-        violations.is_empty(),
-        "LCU passes grants around a suspended waiter: {violations:?}"
+        out.violations.is_empty(),
+        "LCU passes grants around a suspended waiter: {:?}",
+        out.violations
     );
 }
 
@@ -61,20 +60,21 @@ fn lcu_survives_forced_migration() {
     let out = FaultDriver::new(plan.clone()).run(&mut w);
     assert_eq!(out.exit, RunExit::AllFinished, "LCU run must complete");
     assert!(out.injections_applied() >= 2);
-    let violations = check_world(&mut w, &plan, &out.windows, out.end_cycle);
     assert!(
-        violations.is_empty(),
-        "LCU reissues requests after migration: {violations:?}"
+        out.violations.is_empty(),
+        "LCU reissues requests after migration: {:?}",
+        out.violations
     );
 }
 
 #[test]
 fn mcs_stalls_behind_suspended_waiter() {
     let mut w = world(Box::new(SwLockBackend::new(SwAlg::Mcs)), 7);
-    let plan = suspend_plan();
-    let out = FaultDriver::new(plan.clone()).run(&mut w);
-    let violations = check_world(&mut w, &plan, &out.windows, out.end_cycle);
-    let liveness: Vec<_> = violations
+    // A ring, to see the violations written back as records.
+    w.mach().tracer_mut().enable(1 << 20);
+    let out = FaultDriver::new(suspend_plan()).run(&mut w);
+    let liveness: Vec<_> = out
+        .violations
         .iter()
         .filter(|v| v.oracle == "liveness")
         .collect();
@@ -98,29 +98,22 @@ fn mcs_stalls_behind_suspended_waiter() {
         .events()
         .filter(|e| e.kind.name() == "oracle_violation")
         .count();
-    assert_eq!(recorded, violations.len());
+    assert_eq!(recorded, out.violations.len());
 }
 
 #[test]
 fn same_seed_runs_are_byte_identical() {
     let run = || {
         let mut w = world(Box::new(LcuBackend::new()), 11);
-        let plan = suspend_plan();
-        let out = FaultDriver::new(plan.clone()).run(&mut w);
-        let finished = out.exit == RunExit::AllFinished;
-        let violations = check_world(&mut w, &plan, &out.windows, out.end_cycle);
-        let cell = MatrixCell::from_run("lcu", "suspend", &out, &violations, finished);
-        (
-            csv(&[cell]),
-            w.mach().now().cycles(),
-            w.mach().tracer().len(),
-        )
+        let out = FaultDriver::new(suspend_plan()).run(&mut w);
+        let cell = MatrixCell::from_run("lcu", "suspend", &out);
+        (csv(&[cell]), w.mach().now().cycles(), out)
     };
-    let (csv_a, end_a, trace_a) = run();
-    let (csv_b, end_b, trace_b) = run();
+    let (csv_a, end_a, out_a) = run();
+    let (csv_b, end_b, out_b) = run();
     assert_eq!(csv_a, csv_b, "same seed must produce byte-identical CSV");
     assert_eq!(end_a, end_b);
-    assert_eq!(trace_a, trace_b);
+    assert_eq!(out_a, out_b);
 }
 
 #[test]
@@ -133,7 +126,7 @@ when-waiting 1 after 200 suspend 1 for 60000
 ";
     let plan = FaultPlan::parse(text).expect("scenario parses");
     let mut w = world(Box::new(LcuBackend::new()), 7);
-    let out = FaultDriver::new(plan.clone()).run(&mut w);
+    let out = FaultDriver::new(plan).run(&mut w);
     assert_eq!(out.exit, RunExit::AllFinished);
-    assert!(check_world(&mut w, &plan, &out.windows, out.end_cycle).is_empty());
+    assert!(out.violations.is_empty());
 }

@@ -19,19 +19,15 @@ use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 
 use locksim_faults::{
-    chaos_csv, chaos_html, check_world, generate, shrink, ChaosRow, ChaosScenario, ChaosWorkload,
-    DriveOutcome, FaultDriver, FaultPlan, FuzzConfig, Violation,
+    chaos_csv, chaos_html, generate, shrink, ChaosRow, ChaosScenario, ChaosWorkload, DriveOutcome,
+    FaultDriver, FaultPlan, FuzzConfig,
 };
-use locksim_machine::{MachineConfig, RunExit, World};
+use locksim_machine::{MachineConfig, World};
 use locksim_workloads::{CsThread, IterPool};
 
 use crate::run::{scaled, BackendKind};
 use crate::table::Table;
 use crate::{emit, finish_bin, obs, write_artifact};
-
-/// Trace-ring capacity: the oracles replay the ring, so it must keep every
-/// lock event of a run.
-const TRACE_CAP: usize = 1 << 20;
 
 /// Default quiescence window for the deadlock detector, in cycles: long
 /// enough that a congested-but-live run always produces a grant inside it,
@@ -50,22 +46,9 @@ pub fn expect_label(verdict: &str) -> String {
     }
 }
 
-/// One executed chaos run, with everything the reporters need.
-#[derive(Debug)]
-pub struct ChaosRun {
-    /// The driver outcome (deadlock report included when detected).
-    pub outcome: DriveOutcome,
-    /// Post-hoc oracle violations.
-    pub violations: Vec<Violation>,
-    /// Whether every thread ran to completion.
-    pub finished: bool,
-    /// The chaos verdict ("pass", "DEADLOCK", "LIVENESS", ...).
-    pub verdict: String,
-}
-
-/// Runs one chaos case: builds the world for `backend`/`workload`/`seed`,
-/// drives `plan` with the quiescence detector armed, and judges the result.
-/// Fails (without running) on an unknown backend label, a read-mode
+/// Runs one chaos case: builds the world for `backend`/`workload`/`seed`
+/// and drives `plan` with the quiescence detector and the oracles armed;
+/// [`ChaosRow::verdict_of`] judges the outcome. Fails (without running) on an unknown backend label, a read-mode
 /// workload on a writer-only backend, or a plan that does not validate
 /// against the workload/machine shape.
 pub fn run_chaos(
@@ -74,7 +57,7 @@ pub fn run_chaos(
     seed: u64,
     plan: &FaultPlan,
     quiesce: u64,
-) -> Result<ChaosRun, String> {
+) -> Result<DriveOutcome, String> {
     let backend = BackendKind::by_label(backend_label)
         .ok_or_else(|| format!("unknown backend label {backend_label:?}"))?;
     let label = format!("chaos/{backend_label}/s{seed}");
@@ -82,8 +65,9 @@ pub fn run_chaos(
 }
 
 /// The one fault-run path, shared by chaos cases and faultsim cells: runs
-/// `workload` on `backend` under `plan` on the 4-core model-A machine,
-/// judges it with the oracles, and files its observability under `label`.
+/// `workload` on `backend` under `plan` on the 4-core model-A machine, with
+/// the oracles judging it as it runs, and files its observability under
+/// `label`.
 /// A `quiesce` of 0 disarms the deadlock detector (a plain
 /// [`FaultDriver::run`]).
 pub(crate) fn run_faulted(
@@ -93,7 +77,7 @@ pub(crate) fn run_faulted(
     plan: &FaultPlan,
     quiesce: u64,
     label: &str,
-) -> Result<ChaosRun, String> {
+) -> Result<DriveOutcome, String> {
     if workload.write_pct < 100 && !backend.reads() {
         return Err(format!(
             "{} takes no read-mode acquires, but write-pct is {}",
@@ -112,9 +96,6 @@ pub(crate) fn run_faulted(
     }
     let mut w = World::new(mach_cfg, backend.build(), seed);
     obs::arm(&mut w);
-    if !w.mach_ref().tracer().is_enabled() {
-        w.enable_trace(TRACE_CAP);
-    }
     let lock = w.mach().alloc().alloc_line();
     let data = w.mach().alloc().alloc_line();
     let pool = IterPool::new(u64::from(workload.iters));
@@ -125,20 +106,12 @@ pub(crate) fn run_faulted(
         ));
     }
     let out = FaultDriver::new(plan.clone()).run_detected(&mut w, quiesce);
-    let finished = out.exit == RunExit::AllFinished;
-    let violations = check_world(&mut w, plan, &out.windows, out.end_cycle);
     obs::observe(label, &w);
-    let verdict = ChaosRow::verdict_of(&out, &violations).to_string();
-    Ok(ChaosRun {
-        outcome: out,
-        violations,
-        finished,
-        verdict,
-    })
+    Ok(out)
 }
 
 /// Replays a scenario file's run exactly.
-pub fn replay(sc: &ChaosScenario, quiesce: u64) -> Result<ChaosRun, String> {
+pub fn replay(sc: &ChaosScenario, quiesce: u64) -> Result<DriveOutcome, String> {
     run_chaos(&sc.backend, &sc.workload, sc.seed, &sc.plan, quiesce)
 }
 
@@ -207,17 +180,10 @@ struct SeedOutcome {
 /// — on a violation — delta-debug shrink to a locally-minimal repro.
 fn soak_seed(cfg: &ChaosCfg, seed: u64) -> SeedOutcome {
     let case = generate(seed, &cfg.fuzz);
-    let run = run_chaos(case.backend, &case.workload, seed, &case.plan, cfg.quiesce)
+    let out = run_chaos(case.backend, &case.workload, seed, &case.plan, cfg.quiesce)
         .unwrap_or_else(|e| panic!("fuzz seed {seed} generated an unrunnable case: {e}"));
-    let mut cycles = run.outcome.end_cycle;
-    let mut row = ChaosRow::from_run(
-        seed,
-        case.backend,
-        &run.outcome,
-        &run.violations,
-        run.finished,
-        case.plan.events.len(),
-    );
+    let mut cycles = out.end_cycle;
+    let mut row = ChaosRow::from_run(seed, case.backend, &out, case.plan.events.len());
     let mut shrunk = None;
     if !row.ok() {
         let target = row.verdict.clone();
@@ -226,9 +192,9 @@ fn soak_seed(cfg: &ChaosCfg, seed: u64) -> SeedOutcome {
         let res = shrink(
             &case.plan,
             |p| match run_chaos(case.backend, &workload, seed, p, cfg.quiesce) {
-                Ok(r) => {
-                    shrink_cycles += r.outcome.end_cycle;
-                    r.verdict == target
+                Ok(out) => {
+                    shrink_cycles += out.end_cycle;
+                    ChaosRow::verdict_of(&out) == target
                 }
                 // A removal that orphaned a resume etc. — not a repro.
                 Err(_) => false,

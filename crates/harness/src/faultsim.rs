@@ -4,7 +4,7 @@
 //! Each cell runs the same seeded lock-transfer workload under one fault
 //! class — thread suspension mid-queue, forced cross-core migration, FLT
 //! entry eviction, LRT capacity pressure, or deterministic wire delay —
-//! and judges the run with the liveness/fairness/exclusion oracles. The
+//! and judges the run with the liveness and fairness oracles. The
 //! hardware queue (LCU) passes grants through a descheduled requester and
 //! reissues after migration, so it keeps every cell green; a software
 //! queue lock (MCS) wedges its successors behind a suspended queue node
@@ -146,15 +146,9 @@ pub fn run_cell(backend: BackendKind, class: FaultClass, cfg: &FaultsimCfg) -> M
     };
     let label = format!("{}/{}", backend.label(), class.label());
     let plan = class.plan(cfg.horizon);
-    let run = run_faulted(backend, &workload, cfg.seed, &plan, 0, &label)
+    let out = run_faulted(backend, &workload, cfg.seed, &plan, 0, &label)
         .unwrap_or_else(|e| panic!("faultsim cell {label}: {e}"));
-    MatrixCell::from_run(
-        backend.label(),
-        class.label(),
-        &run.outcome,
-        &run.violations,
-        run.finished,
-    )
+    MatrixCell::from_run(backend.label(), class.label(), &out)
 }
 
 /// Runs the full backend × fault-class matrix. With `jobs > 1` the cells

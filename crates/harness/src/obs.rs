@@ -247,20 +247,6 @@ pub fn parse_bin_cli(
     Ok((opts, extras))
 }
 
-/// Applies process arguments to the observability state. Exits with a
-/// usage message on bad arguments. Safe to call more than once (the `all`
-/// binary calls it per figure); an already-captured trace is not redone.
-pub fn init_from_args() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    match parse_cli(&args) {
-        Ok(opts) => apply_opts(&opts),
-        Err(msg) => {
-            eprintln!("error: {msg}");
-            std::process::exit(2);
-        }
-    }
-}
-
 /// Applies already-parsed observability options to the process state (used
 /// by bins that parse their own extra flags via [`parse_cli_partial`]).
 /// `--self-profile <path>` (or the `LOCKSIM_SELF_PROFILE=<path>` env var)

@@ -4,7 +4,6 @@ use std::cell::RefCell;
 use std::rc::Rc;
 
 use locksim_core::LcuBackend;
-use locksim_engine::Time;
 use locksim_machine::{
     Alloc, CycleDissection, IdealBackend, LockBackend, MachineConfig, MetricsSnapshot, ThreadId,
     World,
@@ -456,11 +455,6 @@ pub fn repeat<F: FnMut(u64) -> f64>(
         r.add(f(base_seed + i * 7919));
     }
     r
-}
-
-/// A time guard used in smoke tests: asserts sim time advanced.
-pub fn assert_progress(t: Time) {
-    assert!(t > Time::ZERO);
 }
 
 #[cfg(test)]

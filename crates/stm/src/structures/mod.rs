@@ -35,11 +35,6 @@ impl Op {
             Op::Lookup(k) | Op::Insert(k) | Op::Delete(k) => k,
         }
     }
-
-    /// Whether the operation can modify the structure.
-    pub fn is_update(self) -> bool {
-        !matches!(self, Op::Lookup(_))
-    }
 }
 
 /// The objects a transaction attempt will read and (estimated) write, plus

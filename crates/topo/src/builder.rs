@@ -123,7 +123,7 @@ impl TopoBuilder {
                 );
             }
         }
-        Network::from_parts(self.names, self.is_endpoint, self.links, next_link)
+        Network::from_parts(self.is_endpoint, self.links, next_link)
     }
 }
 

@@ -80,7 +80,6 @@ pub struct LinkStats {
 /// [`crate::TopoBuilder`]. See the crate docs for an example.
 #[derive(Debug)]
 pub struct Network {
-    names: Vec<String>,
     is_endpoint: Vec<bool>,
     links: Vec<Link>,
     next_link: Vec<Vec<usize>>,
@@ -93,13 +92,11 @@ pub struct Network {
 
 impl Network {
     pub(crate) fn from_parts(
-        names: Vec<String>,
         is_endpoint: Vec<bool>,
         links: Vec<Link>,
         next_link: Vec<Vec<usize>>,
     ) -> Self {
         Network {
-            names,
             is_endpoint,
             links,
             next_link,
@@ -228,11 +225,6 @@ impl Network {
     /// Chip index of memory controller `i`.
     pub fn chip_of_mem(&self, i: usize) -> usize {
         self.chip_of_mem[i]
-    }
-
-    /// Human-readable node name (for traces and error messages).
-    pub fn node_name(&self, n: NodeId) -> &str {
-        &self.names[n.index()]
     }
 
     /// Sends a message from `src` to `dst` at time `now`, reserving link

@@ -1,5 +1,6 @@
 //! Structured observability for the simulator: a zero-cost-when-disabled
-//! event trace, a metrics registry, per-lock contention statistics with a
+//! event trace, the streaming liveness and fairness oracles it feeds
+//! during fault runs, a metrics registry, per-lock contention statistics with a
 //! starvation watchdog, post-hoc blocking-chain analysis, the one HTML
 //! emitter every published page is built from, and host-side self-observability (span profiler + allocation
 //! telemetry) for the simulator's own performance.
@@ -9,6 +10,7 @@ pub mod chain;
 pub mod html;
 pub mod lockstat;
 pub mod metrics;
+pub mod oracle;
 pub mod prof;
 pub mod record;
 pub mod series;
@@ -19,6 +21,7 @@ pub use alloc::{AllocSnapshot, CountingAlloc};
 pub use chain::{blocking_chains, render_chains, ChainLink, LockChain};
 pub use lockstat::{render_html, FlagOutcome, HtmlSeries, LockStat, LockStats, StarvationFlag};
 pub use metrics::{MetricsRegistry, MetricsSnapshot};
+pub use oracle::{Oracles, Violation};
 pub use prof::{ProfileReport, Span, SpanRow};
 pub use record::{Ep, TraceEvent, TraceKind};
 pub use series::{SeriesCollector, SeriesSnapshot, WindowRow};

@@ -283,11 +283,6 @@ impl QuantileSketch {
             max,
         })
     }
-
-    /// The guaranteed relative quantile error of this build (`2^-K`).
-    pub fn relative_error() -> f64 {
-        1.0 / SUBS as f64
-    }
 }
 
 #[cfg(test)]

@@ -1,17 +1,22 @@
 //! The trace collector: a bounded ring buffer of [`TraceEvent`]s with
-//! Chrome-trace and human-timeline exporters.
+//! Chrome-trace and human-timeline exporters, plus the streaming
+//! [`Oracles`] a fault run arms on it.
 //!
-//! Cost model: when disabled (the default), [`Tracer::record`] is a single
-//! branch — the closure building the event is never called, so argument
-//! formatting and field reads are skipped entirely. When enabled, a record
-//! is a `VecDeque` push plus at most one pop. The buffer starts empty and
-//! grows on demand, doubling until it holds `cap` records; after that the
-//! oldest record is dropped for each new one and nothing reallocates.
+//! Cost model: when the ring and the oracles are both off (the default),
+//! [`Tracer::record`] is one branch — the closure building the event is
+//! never called, so argument formatting and field reads are skipped
+//! entirely. When the ring is on, a record is a `VecDeque` push plus at
+//! most one pop. The buffer starts empty and grows on demand, doubling until
+//! it holds `cap` records; after that the oldest record is dropped for each
+//! new one and nothing reallocates. Armed oracles see every record, ring on
+//! or off. The `trace/records` profiler counter counts the records built,
+//! for the ring, the oracles or both.
 
 use std::collections::VecDeque;
 use std::fmt::Write as _;
 use std::io::{self, Write};
 
+use crate::oracle::Oracles;
 use crate::record::{Ep, TraceEvent, TraceKind};
 
 /// Bounded collector of trace records.
@@ -38,6 +43,7 @@ pub struct Tracer {
     cap: usize,
     buf: VecDeque<TraceEvent>,
     dropped: u64,
+    oracles: Option<Oracles>,
 }
 
 impl Tracer {
@@ -64,18 +70,35 @@ impl Tracer {
         self.enabled
     }
 
-    /// Records one event. The closure only runs when tracing is enabled, so
-    /// a disabled tracer costs one predictable branch per call site.
+    /// Records one event. The closure only runs while the ring or the
+    /// oracles are armed, so an idle tracer costs one predictable branch per
+    /// call site.
     #[inline]
     pub fn record(&mut self, f: impl FnOnce() -> TraceEvent) {
-        if !self.enabled {
+        if !self.enabled && self.oracles.is_none() {
             return;
         }
-        self.push(f());
+        crate::prof::count("trace/records", 1);
+        let ev = f();
+        if let Some(o) = &mut self.oracles {
+            o.observe(&ev);
+        }
+        if self.enabled {
+            self.push(ev);
+        }
+    }
+
+    /// Feeds every record from now on to `oracles`, ring on or off.
+    pub fn arm_oracles(&mut self, oracles: Oracles) {
+        self.oracles = Some(oracles);
+    }
+
+    /// Stops feeding the armed oracles and returns them.
+    pub fn take_oracles(&mut self) -> Option<Oracles> {
+        self.oracles.take()
     }
 
     fn push(&mut self, ev: TraceEvent) {
-        crate::prof::count("trace/records", 1);
         if self.buf.len() == self.cap {
             self.buf.pop_front();
             self.dropped += 1;
@@ -103,13 +126,6 @@ impl Tracer {
         self.buf.iter()
     }
 
-    /// Buffered records, oldest first, as one slice. Rotates the ring in
-    /// place (`VecDeque::make_contiguous`), so readers that want a slice
-    /// need not copy the ring.
-    pub fn contiguous(&mut self) -> &[TraceEvent] {
-        self.buf.make_contiguous()
-    }
-
     /// The most recent `n` records concerning `lock` (grant/release/request/
     /// fail/entry-state), oldest first.
     pub fn recent_for_lock(&self, lock: u64, n: usize) -> Vec<&TraceEvent> {
@@ -130,7 +146,7 @@ impl Tracer {
         let picked = self.recent_for_lock(lock, n);
         if picked.is_empty() {
             return format!(
-                "no trace history for lock {lock:#x} (tracer {})",
+                "no trace history for lock {lock:#x} (tracer {})\n",
                 if self.enabled {
                     "enabled but saw no events"
                 } else {
@@ -493,13 +509,31 @@ mod tests {
         assert_eq!(tr.dropped(), 7);
         let ts: Vec<u64> = tr.events().map(|e| e.t.cycles()).collect();
         assert_eq!(ts, vec![7, 8, 9]);
-        // The wrapped ring reads as one slice in the same order, and keeps
-        // recording after it.
-        let ts: Vec<u64> = tr.contiguous().iter().map(|e| e.t.cycles()).collect();
-        assert_eq!(ts, vec![7, 8, 9]);
-        tr.record(|| mark(10, "m"));
-        let ts: Vec<u64> = tr.contiguous().iter().map(|e| e.t.cycles()).collect();
-        assert_eq!(ts, vec![8, 9, 10]);
+    }
+
+    #[test]
+    fn armed_oracles_see_records_the_ring_does_not_keep() {
+        crate::prof::reset();
+        crate::prof::enable();
+        let mut tr = Tracer::new();
+        tr.arm_oracles(Oracles::new(10, 8));
+        tr.record(|| TraceEvent {
+            t: Time::from_cycles(0),
+            ep: Ep::Thread(1),
+            kind: TraceKind::LockRequest {
+                lock: 0x40,
+                thread: 1,
+                write: true,
+            },
+        });
+        tr.record(|| grant(50, 0x40, 1));
+        assert_eq!(tr.len(), 0);
+        let v = tr.take_oracles().expect("armed").finish(50);
+        assert_eq!((v.len(), v[0].oracle, v[0].value), (1, "liveness", 50));
+        tr.record(|| panic!("idle once the oracles are taken back"));
+        crate::prof::disable();
+        let built = crate::prof::take_report().counter("trace/records");
+        assert_eq!(built, 2, "trace/records counts the records the oracles saw");
     }
 
     #[test]
@@ -530,6 +564,11 @@ mod tests {
         let report = tr.lock_history_report(0x40, 10);
         assert!(report.contains("lock 0x40"), "{report}");
         assert!(!report.contains("0x80"), "{report}");
+        let none = Tracer::new().lock_history_report(0x40, 10);
+        assert!(
+            none.starts_with("no trace history") && none.ends_with('\n'),
+            "{none}"
+        );
     }
 
     #[test]

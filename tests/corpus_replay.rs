@@ -3,8 +3,8 @@
 //! produced by `chaossim --corpus-out`; each file's header carries the
 //! regeneration command for its seed.
 
-use locksim::faults::ChaosScenario;
-use locksim::harness::chaos::{expect_label, replay, ChaosRun, DEFAULT_QUIESCE};
+use locksim::faults::{ChaosRow, ChaosScenario};
+use locksim::harness::chaos::{expect_label, replay, DEFAULT_QUIESCE};
 use std::path::PathBuf;
 
 fn corpus_dir() -> PathBuf {
@@ -42,18 +42,17 @@ fn corpus_is_not_empty() {
 #[test]
 fn every_corpus_entry_reproduces_its_recorded_verdict() {
     for (name, sc) in corpus_entries() {
-        let run = replay(&sc, DEFAULT_QUIESCE)
+        let out = replay(&sc, DEFAULT_QUIESCE)
             .unwrap_or_else(|err| panic!("{name}: replay refused: {err}"));
+        let verdict = ChaosRow::verdict_of(&out);
         assert_eq!(
-            expect_label(&run.verdict),
+            expect_label(verdict),
             sc.expect,
-            "{name}: verdict drifted (got {}, corpus says {})",
-            run.verdict,
+            "{name}: verdict drifted (got {verdict}, corpus says {})",
             sc.expect
         );
         if sc.expect == "deadlock" {
-            let report = run
-                .outcome
+            let report = out
                 .deadlock
                 .as_ref()
                 .unwrap_or_else(|| panic!("{name}: deadlock entry lacks a report"));
@@ -65,19 +64,8 @@ fn every_corpus_entry_reproduces_its_recorded_verdict() {
 #[test]
 fn corpus_replays_are_byte_deterministic() {
     for (name, sc) in corpus_entries() {
-        let snap = |run: &ChaosRun| {
-            (
-                run.outcome.end_cycle,
-                run.outcome.exit,
-                run.outcome.applied.len(),
-                run.outcome.deadlock.clone(),
-                run.violations.clone(),
-                run.finished,
-                run.verdict.clone(),
-            )
-        };
         let a = replay(&sc, DEFAULT_QUIESCE).expect("first replay");
         let b = replay(&sc, DEFAULT_QUIESCE).expect("second replay");
-        assert_eq!(snap(&a), snap(&b), "{name}: replay is not deterministic");
+        assert_eq!(a, b, "{name}: replay is not deterministic");
     }
 }

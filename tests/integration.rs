@@ -61,12 +61,25 @@ fn every_backend_provides_mutual_exclusion() {
         );
         // Two-sided event accounting: every scheduled event was either
         // dispatched or is still queued.
-        let evq = w.metrics_snapshot().counters;
+        let snap = w.metrics_snapshot();
         assert_eq!(
-            evq.get("evq_scheduled"),
-            evq.get("evq_events") + w.mach().events_pending(),
+            snap.counters.get("evq_scheduled"),
+            snap.counters.get("evq_events") + w.mach().events_pending(),
             "{name} event accounting"
         );
+        // At quiescence every grant was sampled once and released once.
+        for hist in ["lock_wait_cycles", "lock_hold_cycles"] {
+            let samples = snap
+                .hists
+                .iter()
+                .find(|(n, _)| *n == hist)
+                .map_or(0, |(_, t)| t.count);
+            assert_eq!(
+                samples,
+                snap.counters.get("locks_granted"),
+                "{name} {hist} samples"
+            );
+        }
     }
 }
 
