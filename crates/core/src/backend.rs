@@ -7,7 +7,7 @@ use std::collections::BTreeMap;
 use locksim_engine::stats::Counters;
 use locksim_engine::{Cycles, FxHashMap};
 use locksim_machine::{
-    Addr, BackendFault, CoreId, Ep, InFlight, LockBackend, Mach, Mode, ThreadId,
+    Addr, BackendFault, CoreId, Ep, InFlight, LockBackend, Mach, Mode, PerThread, ThreadId,
 };
 use locksim_topo::MsgClass;
 
@@ -83,10 +83,9 @@ pub struct LcuBackend {
     /// Ordered so eviction picks a deterministic victim — a hash map here
     /// made same-seed runs diverge across processes.
     flts: Vec<BTreeMap<Addr, (ThreadId, u64)>>,
-    reqs: FxHashMap<ThreadId, Req>,
+    reqs: PerThread<Req>,
     held: FxHashMap<(ThreadId, Addr), Held>,
-    timers: FxHashMap<u64, TimerKind>,
-    timer_seq: u64,
+    timers: InFlight<TimerKind>,
     wire: InFlight<Wire>,
     counters: Counters,
     initialized: bool,
@@ -106,10 +105,9 @@ impl LcuBackend {
             lcus: Vec::new(),
             lrts: Vec::new(),
             flts: Vec::new(),
-            reqs: FxHashMap::default(),
+            reqs: PerThread::new(),
             held: FxHashMap::default(),
-            timers: FxHashMap::default(),
-            timer_seq: 0,
+            timers: InFlight::new(),
             wire: InFlight::new(),
             counters: Counters::new(),
             initialized: false,
@@ -131,9 +129,7 @@ impl LcuBackend {
     }
 
     fn arm(&mut self, m: &mut Mach, delay: Cycles, kind: TimerKind) {
-        let token = self.timer_seq;
-        self.timer_seq += 1;
-        self.timers.insert(token, kind);
+        let token = self.timers.put(kind);
         m.set_timer(delay, token);
     }
 
@@ -201,19 +197,19 @@ impl LcuBackend {
     // ----------------------------------------------------------------
 
     fn try_start_request(&mut self, m: &mut Mach, t: ThreadId) {
-        let Some(req) = self.reqs.get(&t).copied() else {
+        let Some(req) = self.reqs.get(t).copied() else {
             return;
         };
         let Some(core) = m.core_of(t) else {
             // Thread got preempted before we could issue; re-issued on
             // reschedule via `on_thread_scheduled`.
-            if let Some(r) = self.reqs.get_mut(&t) {
+            if let Some(r) = self.reqs.get_mut(t) {
                 r.needs_reissue = true;
             }
             return;
         };
         let core = core.0 as usize;
-        if let Some(r) = self.reqs.get_mut(&t) {
+        if let Some(r) = self.reqs.get_mut(t) {
             r.core = core;
             r.needs_reissue = false;
         }
@@ -281,7 +277,7 @@ impl LcuBackend {
         overflow: bool,
         cnt: u64,
     ) {
-        self.reqs.remove(&t);
+        self.reqs.remove(t);
         self.held.insert(
             (t, addr),
             Held {
@@ -303,7 +299,7 @@ impl LcuBackend {
         if e.status != Status::Rcv {
             return;
         }
-        let want = self.reqs.get(&tid).copied();
+        let want = self.reqs.get(tid).copied();
         let here = m.core_of(tid).map(|c| c.0 as usize) == Some(lcu) && m.is_scheduled(tid);
         match want {
             Some(req) if req.addr == addr && here => {
@@ -847,7 +843,7 @@ impl LcuBackend {
                     if self.lcus[core].get(addr, tid).is_some() {
                         self.lcus[core].free(addr, tid);
                     }
-                    if self.reqs.get(&tid).map(|r| r.addr) != Some(addr) {
+                    if self.reqs.get(tid).map(|r| r.addr) != Some(addr) {
                         // Trylock expired while the grant was in flight:
                         // give it straight back.
                         let rel = Msg::ReleaseToLrt {
@@ -895,7 +891,7 @@ impl LcuBackend {
                             // retry from software after a backoff.
                             self.lcus[core].free(addr, tid);
                             self.counters.incr("lcu_nb_retries");
-                            if self.reqs.contains_key(&tid) {
+                            if self.reqs.contains_key(tid) {
                                 let backoff = m.cfg().retry_backoff;
                                 self.arm(m, backoff, TimerKind::RetryAcquire(tid));
                             }
@@ -1375,7 +1371,7 @@ impl LockBackend for LcuBackend {
     ) {
         self.ensure_init(m);
         assert!(
-            !self.reqs.contains_key(&t),
+            !self.reqs.contains_key(t),
             "thread {t:?} already has an acquire outstanding"
         );
         assert!(
@@ -1542,14 +1538,11 @@ impl LockBackend for LcuBackend {
 
     fn on_timer(&mut self, m: &mut Mach, token: u64) {
         self.ensure_init(m);
-        let Some(kind) = self.timers.remove(&token) else {
-            return;
-        };
-        match kind {
+        match self.timers.take(token) {
             TimerKind::TryExpire(t) => {
-                if let Some(req) = self.reqs.get(&t).copied() {
+                if let Some(req) = self.reqs.get(t).copied() {
                     self.counters.incr("lcu_try_expires");
-                    self.reqs.remove(&t);
+                    self.reqs.remove(t);
                     // Entry cleanup is lazy: any grant that arrives for the
                     // abandoned entry passes through. If the entry is still
                     // merely Issued/Wait, it stays queued and forwards.
@@ -1567,7 +1560,7 @@ impl LockBackend for LcuBackend {
                 }
                 // Thread returned meanwhile?
                 let here = m.core_of(tid).map(|c| c.0 as usize) == Some(lcu) && m.is_scheduled(tid);
-                if here && self.reqs.get(&tid).is_some_and(|r| r.addr == addr) {
+                if here && self.reqs.get(tid).is_some_and(|r| r.addr == addr) {
                     self.try_take(m, lcu, addr, tid);
                     return;
                 }
@@ -1575,12 +1568,12 @@ impl LockBackend for LcuBackend {
                 let has_next = self.lcus[lcu].get(addr, tid).and_then(|e| e.next).is_some();
                 if has_next {
                     self.pass_through(m, lcu, addr, tid);
-                    if let Some(r) = self.reqs.get_mut(&tid) {
+                    if let Some(r) = self.reqs.get_mut(tid) {
                         if r.addr == addr {
                             r.needs_reissue = true;
                         }
                     }
-                } else if self.reqs.get(&tid).is_some_and(|r| r.addr == addr) {
+                } else if self.reqs.get(tid).is_some_and(|r| r.addr == addr) {
                     // Keep the grant parked for the absent thread; new
                     // requestors will flush it via the stale flag.
                     if let Some(e) = self.lcus[lcu].get_mut(addr, tid) {
@@ -1592,7 +1585,7 @@ impl LockBackend for LcuBackend {
                 }
             }
             TimerKind::RetryAcquire(t) => {
-                if self.reqs.contains_key(&t) {
+                if self.reqs.contains_key(t) {
                     self.try_start_request(m, t);
                 }
             }
@@ -1647,7 +1640,7 @@ impl LockBackend for LcuBackend {
 
     fn on_thread_scheduled(&mut self, m: &mut Mach, t: ThreadId, core: CoreId) {
         self.ensure_init(m);
-        let Some(req) = self.reqs.get(&t).copied() else {
+        let Some(req) = self.reqs.get(t).copied() else {
             return;
         };
         let core = core.0 as usize;
@@ -1693,7 +1686,7 @@ impl LockBackend for LcuBackend {
                 .ok();
             }
         }
-        for (t, r) in &self.reqs {
+        for (t, r) in self.reqs.iter() {
             writeln!(
                 out,
                 "req {t:?}: addr={} mode={:?} core={} reissue={}",

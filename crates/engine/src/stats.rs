@@ -191,8 +191,8 @@ impl fmt::Display for Summary {
 }
 
 /// A fast non-cryptographic hasher (the FxHash multiply-rotate scheme) for
-/// simulator-internal keys: counter names, bump-allocated addresses,
-/// thread ids and timer tokens. Every lookup on the per-event hot path
+/// simulator-internal keys: counter names and bump-allocated addresses,
+/// alone or paired with a thread id. Every lookup on the per-event hot path
 /// goes through it, where SipHash showed up in the self-profiler; no key
 /// ever comes from outside the program, so collision resistance buys
 /// nothing.

@@ -445,8 +445,8 @@ pub fn messages() -> Vec<Table> {
     for b in backends {
         let r = run_microbench(ModelSel::A, b, 16, 100, iters, 42);
         let n = iters as f64;
-        // Message classes come straight from the metrics registry: every
-        // network send is counted at the machine's single send path.
+        // Message classes come straight from the network, which counts
+        // every send by class; the run's metrics snapshot reports them.
         let c = &r.metrics.counters;
         t.push(vec![
             b.label().into(),

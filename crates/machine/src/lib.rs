@@ -25,6 +25,7 @@ mod checker;
 mod config;
 mod ideal;
 mod lock;
+mod per_thread;
 mod prog;
 pub mod testing;
 mod wire;
@@ -36,6 +37,7 @@ pub use config::{MachineConfig, MachineModel};
 pub use ideal::IdealBackend;
 pub use lock::{BackendFault, LockBackend, Mode};
 pub use locksim_coherence::LineAddr;
+pub use per_thread::PerThread;
 pub use prog::{Action, CoreId, Ctx, Outcome, Program, RmwOp, ThreadId};
 pub use wire::InFlight;
 pub use world::{CycleDissection, Ep, Mach, MemKind, PendingWaiter, RunExit, ThreadStats, World};

@@ -1,18 +1,22 @@
-//! Backend-owned storage for wire messages in flight.
+//! Backend-owned storage for wire messages and timers in flight.
 //!
-//! [`crate::Mach::send_wire`] schedules an event that carries only a `u64`
-//! token, and [`crate::LockBackend::on_wire`] receives that token back. The
-//! backend keeps the typed message itself, in an [`InFlight`] slab, so the
-//! machine never stores a payload and every event stays small.
+//! [`crate::Mach::send_wire`] and [`crate::Mach::set_timer`] schedule an
+//! event that carries only a `u64` token, and [`crate::LockBackend::on_wire`]
+//! and [`crate::LockBackend::on_timer`] receive that token back. The backend
+//! keeps the typed message or timer purpose itself, in an [`InFlight`] slab,
+//! so the machine never stores a payload and every event stays small.
 
-/// Typed wire messages awaiting delivery, indexed by the token the machine
-/// carries. A `Vec<Option<T>>` slab with a free list: `put` and `take` do
-/// no hashing, and once the slab has grown to the peak number of messages
-/// in flight they allocate nothing.
+/// Typed wire messages or timer payloads awaiting delivery, indexed by the
+/// token the machine carries. A `Vec<Option<T>>` slab with a free list:
+/// `put` and `take` do no hashing, and once the slab has grown to the peak
+/// number of messages in flight they allocate nothing.
 ///
-/// Every wire event is delivered exactly once, so a slot is free again as
-/// soon as its message is taken. (Timers are different: a timer can be
-/// abandoned before it fires, so timer tokens are never reused.)
+/// The contract that makes slot reuse safe: every wire event and every
+/// timer fires exactly once (the machine never cancels an event), and a
+/// backend takes a payload only when its event arrives, in `on_wire` or
+/// `on_timer`. A slot is therefore free again as soon as its payload is
+/// taken, and no stale event can reach a reused slot. A timer whose purpose
+/// lapsed still fires; its handler takes the payload and ignores it.
 #[derive(Debug)]
 pub struct InFlight<T> {
     slots: Vec<Option<T>>,
@@ -35,7 +39,7 @@ impl<T> InFlight<T> {
     }
 
     /// Stores `msg` and returns the token to pass to
-    /// [`crate::Mach::send_wire`].
+    /// [`crate::Mach::send_wire`] or [`crate::Mach::set_timer`].
     pub fn put(&mut self, msg: T) -> u64 {
         let slot = match self.free.pop() {
             Some(slot) => {
@@ -58,12 +62,12 @@ impl<T> InFlight<T> {
     ///
     /// Panics if `token` is not in flight: never issued, or already taken.
     pub fn take(&mut self, token: u64) -> T {
-        let slot = u32::try_from(token).expect("wire token out of slot range");
+        let slot = u32::try_from(token).expect("token out of slot range");
         let msg = self
             .slots
             .get_mut(slot as usize)
             .and_then(Option::take)
-            .unwrap_or_else(|| panic!("wire token {token} is not in flight"));
+            .unwrap_or_else(|| panic!("token {token} is not in flight"));
         self.free.push(slot);
         msg
     }

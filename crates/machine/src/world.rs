@@ -305,6 +305,9 @@ pub struct Mach {
     /// Deterministic wire-delay fault: every `period`-th network message is
     /// delayed by `extra` cycles (fault injection).
     wire_fault: Option<WireFault>,
+    /// Backend wire messages sent ([`Mach::send_wire`] calls), reported as
+    /// `backend_wire_msgs`.
+    wire_msgs: u64,
     /// Reusable scratch for cache-controller outputs: the dispatch loop
     /// takes it, drains it, and puts it back so steady-state coherence
     /// traffic never allocates.
@@ -737,12 +740,12 @@ impl Mach {
         } else {
             self.net_send(now + extra, s, d, class)
         };
-        self.metrics.incr("backend_wire_msgs");
+        self.wire_msgs += 1;
         self.sim.schedule_at(arrival, Ev::Wire(token));
     }
 
-    /// Sends on the network, counting the message class and recording a
-    /// trace record on the link track. All machine traffic goes through
+    /// Sends on the network, which counts the message by class, and records
+    /// a trace record on the link track. All machine traffic goes through
     /// here so the `net_*` counters and the trace agree by construction.
     fn net_send(&mut self, t0: Time, src: NodeId, dst: NodeId, class: MsgClass) -> Time {
         let t0 = match &mut self.wire_fault {
@@ -757,10 +760,6 @@ impl Mach {
             }
             None => t0,
         };
-        self.metrics.incr(match class {
-            MsgClass::Control => "net_control_msgs",
-            MsgClass::Data => "net_data_msgs",
-        });
         self.tracer.record(|| TraceEvent {
             t: t0,
             ep: TraceEp::Link(src.index() as u16, dst.index() as u16),
@@ -777,7 +776,10 @@ impl Mach {
     }
 
     /// Arms a one-shot backend timer; [`LockBackend::on_timer`] receives
-    /// `token` after `delay` cycles.
+    /// `token` after `delay` cycles. Every timer fires exactly once (the
+    /// machine never cancels one), and a backend takes a timer's payload
+    /// only in `on_timer`, so a backend may keep its timers in a
+    /// [`crate::InFlight`] slab and reuse a token once it has fired.
     pub fn set_timer(&mut self, delay: Cycles, token: u64) {
         self.sim.schedule_in(delay, Ev::Timer(token));
     }
@@ -1023,6 +1025,7 @@ impl World {
                 quantum_gen: 0,
                 quantum_active: false,
                 wire_fault: None,
+                wire_msgs: 0,
                 cache_scratch: Vec::new(),
                 dir_scratch: Vec::new(),
                 watch_scratch: Vec::new(),
@@ -1087,20 +1090,20 @@ impl World {
         &self.mach
     }
 
-    /// The lock backend's counters plus machine counters (network message
-    /// counts are folded into the machine counters at each send).
+    /// Every counter of [`World::metrics_snapshot`]: the machine's, the
+    /// lock backend's, the directories' and the network-derived ones.
     pub fn report_counters(&self) -> Counters {
-        let mut c = self.mach.metrics.counters().clone();
-        c.merge(&self.backend.counters());
-        for d in &self.mach.dirs {
-            c.merge(d.counters());
-        }
-        c
+        self.metrics_snapshot().counters
     }
 
     /// End-of-run metrics: machine counters merged with backend, directory,
     /// and network-derived counters, plus all latency histograms. The
     /// rendering of this snapshot is deterministic for a given seed.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the links carried fewer messages than the network sent:
+    /// every message crosses at least one link.
     pub fn metrics_snapshot(&self) -> MetricsSnapshot {
         let mut net = Counters::new();
         net.add("net_queue_delay_cycles", self.mach.net.total_queue_delay());
@@ -1111,6 +1114,23 @@ impl World {
         }
         net.add("net_link_busy_cycles", busy);
         net.add("net_link_msgs", msgs);
+        let control = self.mach.net.messages(MsgClass::Control);
+        let data = self.mach.net.messages(MsgClass::Data);
+        assert!(
+            msgs >= control + data,
+            "net_link_msgs {msgs} < net_control_msgs {control} + net_data_msgs {data}"
+        );
+        // Counted outside the registry; like a registry counter never
+        // bumped, one that never moved has no entry.
+        for (name, n) in [
+            ("net_control_msgs", control),
+            ("net_data_msgs", data),
+            ("backend_wire_msgs", self.mach.wire_msgs),
+        ] {
+            if n > 0 {
+                net.add(name, n);
+            }
+        }
         // Event-queue telemetry: all simulation-derived, so deterministic
         // for a given seed like every other counter here.
         net.add("evq_events", self.mach.sim.events_processed());

@@ -37,7 +37,7 @@
 
 use locksim_engine::stats::Counters;
 use locksim_engine::{Cycles, FxHashMap, Time};
-use locksim_machine::{Addr, Ep, InFlight, LockBackend, Mach, Mode, ThreadId};
+use locksim_machine::{Addr, Ep, InFlight, LockBackend, Mach, Mode, PerThread, ThreadId};
 use locksim_topo::MsgClass;
 
 /// SSB entries per bank (Zhu et al. size their SSB in the hundreds; the
@@ -95,9 +95,9 @@ struct Pending {
 #[derive(Debug, Default)]
 pub struct SsbBackend {
     banks: Vec<FxHashMap<Addr, SsbState>>,
-    pending: FxHashMap<ThreadId, Pending>,
-    retry_timers: FxHashMap<u64, ThreadId>,
-    timer_seq: u64,
+    pending: PerThread<Pending>,
+    /// The thread each retry timer re-drives.
+    retry_timers: InFlight<ThreadId>,
     wire: InFlight<SsbMsg>,
     counters: Counters,
 }
@@ -115,7 +115,7 @@ impl SsbBackend {
     }
 
     fn send_req(&mut self, m: &mut Mach, t: ThreadId) {
-        let Some(p) = self.pending.get(&t).copied() else {
+        let Some(p) = self.pending.get(t).copied() else {
             return;
         };
         let Some(core) = m.core_of(t) else {
@@ -142,9 +142,7 @@ impl SsbBackend {
     }
 
     fn arm_retry(&mut self, m: &mut Mach, t: ThreadId) {
-        let token = self.timer_seq;
-        self.timer_seq += 1;
-        self.retry_timers.insert(token, t);
+        let token = self.retry_timers.put(t);
         m.set_timer(m.cfg().ssb_retry_backoff, token);
     }
 
@@ -251,7 +249,7 @@ impl LockBackend for SsbBackend {
         try_for: Option<Cycles>,
     ) {
         self.ensure_init(m);
-        assert!(!self.pending.contains_key(&t), "{t:?} already acquiring");
+        assert!(!self.pending.contains_key(t), "{t:?} already acquiring");
         let deadline = try_for.map(|b| m.now() + b);
         self.pending.insert(
             t,
@@ -285,7 +283,7 @@ impl LockBackend for SsbBackend {
         match msg {
             SsbMsg::Req { .. } | SsbMsg::Rel { .. } => self.bank_handle(m, msg),
             SsbMsg::Grant { addr, tid, mode } => {
-                let wants = self.pending.get(&tid).is_some_and(|p| p.addr == addr);
+                let wants = self.pending.get(tid).is_some_and(|p| p.addr == addr);
                 if !wants {
                     // Trylock expired while the grant was in flight: give
                     // the lock straight back.
@@ -303,17 +301,17 @@ impl LockBackend for SsbBackend {
                     self.send(m, Ep::Core(core), Ep::Mem(home), 0, rel);
                     return;
                 }
-                self.pending.remove(&tid);
+                self.pending.remove(tid);
                 m.grant_lock(tid);
             }
             SsbMsg::Deny { addr, tid } => {
-                let Some(p) = self.pending.get(&tid).copied() else {
+                let Some(p) = self.pending.get(tid).copied() else {
                     return;
                 };
                 debug_assert_eq!(p.addr, addr);
                 if let Some(deadline) = p.deadline {
                     if m.now() >= deadline {
-                        self.pending.remove(&tid);
+                        self.pending.remove(tid);
                         self.counters.incr("ssb_try_expires");
                         m.fail_lock(tid);
                         return;
@@ -332,10 +330,8 @@ impl LockBackend for SsbBackend {
     }
 
     fn on_timer(&mut self, m: &mut Mach, token: u64) {
-        let Some(t) = self.retry_timers.remove(&token) else {
-            return;
-        };
-        if self.pending.contains_key(&t) {
+        let t = self.retry_timers.take(token);
+        if self.pending.contains_key(t) {
             self.send_req(m, t);
         }
     }
@@ -344,7 +340,7 @@ impl LockBackend for SsbBackend {
         // The SSB keeps retrying from the bank side regardless, but an
         // off-core requester cannot take a grant; count the exposure for
         // fault attribution.
-        if let Some(p) = self.pending.get(&t) {
+        if let Some(p) = self.pending.get(t) {
             let addr = p.addr;
             self.counters.incr("ssb_descheduled_midop");
             m.lockstat_bump(addr, "ssb_descheduled_midop");

@@ -71,13 +71,13 @@ impl SwLockBackend {
 
     /// Re-reads whatever a waiting thread spins on (fresh watch included).
     fn redrive(&mut self, m: &mut Mach, t: ThreadId) {
-        let Some(tsm) = self.st.threads.get(&t) else {
+        let Some(tsm) = self.st.threads.get(t) else {
             return;
         };
         match tsm.phase {
             Phase::TatasWait => {
                 let lock = tsm.lock;
-                if let Some(x) = self.st.threads.get_mut(&t) {
+                if let Some(x) = self.st.threads.get_mut(t) {
                     x.phase = Phase::TatasRead;
                 }
                 crate::state::read(m, t, lock);
@@ -93,7 +93,7 @@ impl SwLockBackend {
     }
 
     fn dispatch(&mut self, m: &mut Mach, t: ThreadId, step: Step) {
-        let Some(tsm) = self.st.threads.get(&t) else {
+        let Some(tsm) = self.st.threads.get(t) else {
             return;
         };
         match tsm.phase {
@@ -156,7 +156,7 @@ impl LockBackend for SwLockBackend {
         try_for: Option<Cycles>,
     ) {
         assert!(
-            !self.st.threads.contains_key(&t),
+            !self.st.threads.contains_key(t),
             "{t:?} already mid-operation"
         );
         if mode == Mode::Read {
@@ -194,7 +194,7 @@ impl LockBackend for SwLockBackend {
 
     fn on_release(&mut self, m: &mut Mach, t: ThreadId, lock: Addr, mode: Mode) {
         assert!(
-            !self.st.threads.contains_key(&t),
+            !self.st.threads.contains_key(t),
             "{t:?} already mid-operation"
         );
         self.st
@@ -231,27 +231,21 @@ impl LockBackend for SwLockBackend {
         }
         // A real invalidation means the line the spin watches changed —
         // the wait is being served, not futile.
-        if let Some(tsm) = self.st.threads.get_mut(&t) {
+        if let Some(tsm) = self.st.threads.get_mut(t) {
             tsm.futile = 0;
         }
         self.dispatch(m, t, Step::Wake);
     }
 
     fn on_timer(&mut self, m: &mut Mach, token: u64) {
-        let Some((t, purpose)) = self.st.timers.remove(&token) else {
-            return;
-        };
+        let (t, purpose) = self.st.timers.take(token);
         match purpose {
             TimerPurpose::Park => self.dispatch(m, t, Step::Timer),
             TimerPurpose::Fallback(phase) => {
                 // Only meaningful if the thread is still stuck in the same
                 // wait phase (the wake may have been lost to a message
                 // race); otherwise it is a stale no-op.
-                let stuck = self
-                    .st
-                    .threads
-                    .get(&t)
-                    .is_some_and(|tsm| tsm.phase == phase);
+                let stuck = self.st.threads.get(t).is_some_and(|tsm| tsm.phase == phase);
                 if stuck {
                     // Off-core: the thread cannot re-read; the re-drive on
                     // its next `on_thread_scheduled` covers it.
@@ -259,11 +253,11 @@ impl LockBackend for SwLockBackend {
                         return;
                     }
                     self.st.counters.incr("sw_fallback_redrives");
-                    if let Some(lock) = self.st.threads.get(&t).map(|tsm| tsm.lock) {
+                    if let Some(lock) = self.st.threads.get(t).map(|tsm| tsm.lock) {
                         m.lockstat_bump(lock, "sw_fallback_redrives");
                     }
                     let futile = {
-                        let tsm = self.st.threads.get_mut(&t).expect("stuck checked");
+                        let tsm = self.st.threads.get_mut(t).expect("stuck checked");
                         tsm.futile += 1;
                         tsm.futile
                     };
@@ -287,7 +281,7 @@ impl LockBackend for SwLockBackend {
                 let acquiring = self
                     .st
                     .threads
-                    .get(&t)
+                    .get(t)
                     .is_some_and(|tsm| tsm.op == OpKind::Acquire);
                 if acquiring {
                     tas::abort(&mut self.st, m, t);
@@ -307,7 +301,7 @@ impl LockBackend for SwLockBackend {
         // thread: its operation simply freezes, leaving queue successors
         // blocked until it runs again. Count the exposure so fault reports
         // can attribute the resulting stalls.
-        if let Some(tsm) = self.st.threads.get(&t) {
+        if let Some(tsm) = self.st.threads.get(t) {
             let lock = tsm.lock;
             self.st.counters.incr("sw_descheduled_midop");
             m.lockstat_bump(lock, "sw_descheduled_midop");
@@ -321,7 +315,7 @@ impl LockBackend for SwLockBackend {
     fn debug_state(&self) -> String {
         use std::fmt::Write;
         let mut out = String::new();
-        for (t, tsm) in &self.st.threads {
+        for (t, tsm) in self.st.threads.iter() {
             writeln!(
                 out,
                 "{t:?}: lock={} mode={:?} op={:?} phase={:?} qnode={} scratch={:#x} spins={}",

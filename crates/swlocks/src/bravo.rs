@@ -36,15 +36,15 @@ pub(crate) fn slot_of(t: ThreadId, lock: Addr) -> usize {
 }
 
 pub(crate) fn start_acquire_read(st: &mut SwState, m: &mut Mach, t: ThreadId) {
-    let lock = st.threads[&t].lock;
+    let lock = st.threads[t].lock;
     let meta = st.bravo_meta(m, lock);
-    let tsm = st.threads.get_mut(&t).expect("tsm");
+    let tsm = st.threads.get_mut(t).expect("tsm");
     tsm.phase = Phase::BravoRReadBias;
     read(m, t, meta.bias);
 }
 
 pub(crate) fn start_release_read(st: &mut SwState, m: &mut Mach, t: ThreadId) {
-    let lock = st.threads[&t].lock;
+    let lock = st.threads[t].lock;
     let path = st
         .rpaths
         .remove(&(t, lock))
@@ -52,7 +52,7 @@ pub(crate) fn start_release_read(st: &mut SwState, m: &mut Mach, t: ThreadId) {
     match path {
         ReaderPath::Fast(i) => {
             let slot = st.rtable_slot(m, i);
-            let tsm = st.threads.get_mut(&t).expect("tsm");
+            let tsm = st.threads.get_mut(t).expect("tsm");
             tsm.phase = Phase::BravoRRelClear;
             write(m, t, slot, 0);
         }
@@ -63,9 +63,9 @@ pub(crate) fn start_release_read(st: &mut SwState, m: &mut Mach, t: ThreadId) {
 /// Diverts an acquiring reader onto the underlying MRSW read lock.
 fn slow_path(st: &mut SwState, m: &mut Mach, t: ThreadId) {
     st.counters.incr("sw_bravo_slow_reads");
-    let lock = st.threads[&t].lock;
+    let lock = st.threads[t].lock;
     let lm = st.lock_mem(m, lock);
-    let tsm = st.threads.get_mut(&t).expect("tsm");
+    let tsm = st.threads.get_mut(t).expect("tsm");
     tsm.phase = Phase::MrswRInc;
     rmw(m, t, lm.rdr, RmwOp::FetchAdd(1));
 }
@@ -73,12 +73,12 @@ fn slow_path(st: &mut SwState, m: &mut Mach, t: ThreadId) {
 /// The underlying MRSW read lock is held (slow path): decide whether to
 /// re-bias, then grant.
 pub(crate) fn slow_read_locked(st: &mut SwState, m: &mut Mach, t: ThreadId) {
-    let lock = st.threads[&t].lock;
+    let lock = st.threads[t].lock;
     st.rpaths.insert((t, lock), ReaderPath::Slow);
     let meta = st.bravo_meta(m, lock);
     if m.now().cycles() >= meta.inhibit_until {
         st.counters.incr("sw_bravo_rebias");
-        let tsm = st.threads.get_mut(&t).expect("tsm");
+        let tsm = st.threads.get_mut(t).expect("tsm");
         tsm.phase = Phase::BravoRSetBias;
         write(m, t, meta.bias, 1);
     } else {
@@ -89,26 +89,26 @@ pub(crate) fn slow_read_locked(st: &mut SwState, m: &mut Mach, t: ThreadId) {
 /// The underlying MRSW write lock is held (queue head, counter drained):
 /// revoke the bias if set, then grant.
 pub(crate) fn writer_locked(st: &mut SwState, m: &mut Mach, t: ThreadId) {
-    let lock = st.threads[&t].lock;
+    let lock = st.threads[t].lock;
     let meta = st.bravo_meta(m, lock);
-    let tsm = st.threads.get_mut(&t).expect("tsm");
+    let tsm = st.threads.get_mut(t).expect("tsm");
     tsm.phase = Phase::BravoWReadBias;
     read(m, t, meta.bias);
 }
 
 pub(crate) fn advance(st: &mut SwState, m: &mut Mach, t: ThreadId, step: Step) {
-    let lock = match st.threads.get(&t) {
+    let lock = match st.threads.get(t) {
         Some(tsm) => tsm.lock,
         None => return,
     };
-    let phase = st.threads[&t].phase;
+    let phase = st.threads[t].phase;
     match (phase, step) {
         // ---- reader fast path ----
         (Phase::BravoRReadBias, Step::Value(b)) => {
             if b == 1 {
                 let i = slot_of(t, lock);
                 let slot = st.rtable_slot(m, i);
-                let tsm = st.threads.get_mut(&t).expect("tsm");
+                let tsm = st.threads.get_mut(t).expect("tsm");
                 tsm.scratch = i as u64;
                 tsm.phase = Phase::BravoRPublish;
                 rmw(
@@ -127,7 +127,7 @@ pub(crate) fn advance(st: &mut SwState, m: &mut Mach, t: ThreadId, step: Step) {
         (Phase::BravoRPublish, Step::Value(old)) => {
             if old == 0 {
                 let meta = st.bravo_meta(m, lock);
-                let tsm = st.threads.get_mut(&t).expect("tsm");
+                let tsm = st.threads.get_mut(t).expect("tsm");
                 tsm.phase = Phase::BravoRRecheckBias;
                 read(m, t, meta.bias);
             } else {
@@ -139,7 +139,7 @@ pub(crate) fn advance(st: &mut SwState, m: &mut Mach, t: ThreadId, step: Step) {
         }
         (Phase::BravoRRecheckBias, Step::Value(b)) => {
             if b == 1 {
-                let i = st.threads[&t].scratch as usize;
+                let i = st.threads[t].scratch as usize;
                 st.rpaths.insert((t, lock), ReaderPath::Fast(i));
                 st.counters.incr("sw_bravo_fast_reads");
                 st.grant(m, t);
@@ -147,9 +147,9 @@ pub(crate) fn advance(st: &mut SwState, m: &mut Mach, t: ThreadId, step: Step) {
                 // A writer revoked the bias between publish and re-check:
                 // empty the slot *before* blocking on the underlying lock
                 // so the writer's revocation scan cannot wait on us.
-                let i = st.threads[&t].scratch as usize;
+                let i = st.threads[t].scratch as usize;
                 let slot = st.rtable_slot(m, i);
-                let tsm = st.threads.get_mut(&t).expect("tsm");
+                let tsm = st.threads.get_mut(t).expect("tsm");
                 tsm.phase = Phase::BravoRUndo;
                 write(m, t, slot, 0);
             }
@@ -166,7 +166,7 @@ pub(crate) fn advance(st: &mut SwState, m: &mut Mach, t: ThreadId, step: Step) {
                 st.counters.incr("sw_bravo_revocations");
                 m.lockstat_bump(lock, "sw_bravo_revocations");
                 let meta = st.bravo_meta(m, lock);
-                let tsm = st.threads.get_mut(&t).expect("tsm");
+                let tsm = st.threads.get_mut(t).expect("tsm");
                 tsm.phase = Phase::BravoWClearBias;
                 write(m, t, meta.bias, 0);
             }
@@ -174,38 +174,38 @@ pub(crate) fn advance(st: &mut SwState, m: &mut Mach, t: ThreadId, step: Step) {
         (Phase::BravoWClearBias, Step::Value(_)) => {
             let slot = st.rtable_slot(m, 0);
             let now = m.now().cycles();
-            let tsm = st.threads.get_mut(&t).expect("tsm");
+            let tsm = st.threads.get_mut(t).expect("tsm");
             tsm.scratch = 0;
             tsm.scratch2 = now;
             tsm.phase = Phase::BravoWScanRead;
             read(m, t, slot);
         }
         (Phase::BravoWScanRead, Step::Value(v)) => {
-            let i = st.threads[&t].scratch as usize;
+            let i = st.threads[t].scratch as usize;
             if v == lock.0 {
                 // A visible reader of this lock: wait for it to leave.
                 let slot = st.rtable_slot(m, i);
-                let tsm = st.threads.get_mut(&t).expect("tsm");
+                let tsm = st.threads.get_mut(t).expect("tsm");
                 tsm.phase = Phase::BravoWScanWait;
                 st.guarded_watch(m, t, slot);
             } else if i + 1 == BRAVO_SLOTS {
                 // Scan complete: charge its cost to the re-bias window.
                 let now = m.now().cycles();
-                let t0 = st.threads[&t].scratch2;
+                let t0 = st.threads[t].scratch2;
                 let meta = st.bravo.get_mut(&lock).expect("bravo meta");
                 meta.inhibit_until = now + now.saturating_sub(t0) * BRAVO_INHIBIT_MULT;
                 st.grant(m, t);
             } else {
                 let slot = st.rtable_slot(m, i + 1);
-                let tsm = st.threads.get_mut(&t).expect("tsm");
+                let tsm = st.threads.get_mut(t).expect("tsm");
                 tsm.scratch = (i + 1) as u64;
                 read(m, t, slot);
             }
         }
         (Phase::BravoWScanWait, Step::Wake) => {
-            let i = st.threads[&t].scratch as usize;
+            let i = st.threads[t].scratch as usize;
             let slot = st.rtable_slot(m, i);
-            let tsm = st.threads.get_mut(&t).expect("tsm");
+            let tsm = st.threads.get_mut(t).expect("tsm");
             tsm.phase = Phase::BravoWScanRead;
             read(m, t, slot);
         }
@@ -218,13 +218,13 @@ pub(crate) fn advance(st: &mut SwState, m: &mut Mach, t: ThreadId, step: Step) {
 /// survive migrations). Reader wait phases are the underlying MRSW
 /// machine's and are re-driven there.
 pub(crate) fn redrive(st: &mut SwState, m: &mut Mach, t: ThreadId) {
-    let Some(tsm) = st.threads.get(&t) else {
+    let Some(tsm) = st.threads.get(t) else {
         return;
     };
     if tsm.phase == Phase::BravoWScanWait {
         let i = tsm.scratch as usize;
         let slot = st.rtable_slot(m, i);
-        let tsm = st.threads.get_mut(&t).expect("tsm");
+        let tsm = st.threads.get_mut(t).expect("tsm");
         tsm.phase = Phase::BravoWScanRead;
         read(m, t, slot);
     }

@@ -29,26 +29,26 @@ const WRITE_BIT: u64 = 1;
 const R_UNIT: u64 = 2;
 
 pub(crate) fn start_acquire_read(st: &mut SwState, m: &mut Mach, t: ThreadId) {
-    let lock = st.threads[&t].lock;
+    let lock = st.threads[t].lock;
     let word = st.fissile_word(m, lock);
-    let tsm = st.threads.get_mut(&t).expect("tsm");
+    let tsm = st.threads.get_mut(t).expect("tsm");
     tsm.phase = Phase::FisRInc;
     rmw(m, t, word, RmwOp::FetchAdd(R_UNIT));
 }
 
 pub(crate) fn start_release_read(st: &mut SwState, m: &mut Mach, t: ThreadId) {
-    let lock = st.threads[&t].lock;
+    let lock = st.threads[t].lock;
     let word = st.fissile_word(m, lock);
-    let tsm = st.threads.get_mut(&t).expect("tsm");
+    let tsm = st.threads.get_mut(t).expect("tsm");
     debug_assert_eq!(tsm.op, OpKind::Release);
     tsm.phase = Phase::FisRRelDec;
     rmw(m, t, word, RmwOp::FetchAdd(R_UNIT.wrapping_neg()));
 }
 
 pub(crate) fn start_release_write(st: &mut SwState, m: &mut Mach, t: ThreadId) {
-    let lock = st.threads[&t].lock;
+    let lock = st.threads[t].lock;
     let word = st.fissile_word(m, lock);
-    let tsm = st.threads.get_mut(&t).expect("tsm");
+    let tsm = st.threads.get_mut(t).expect("tsm");
     debug_assert_eq!(tsm.op, OpKind::Release);
     tsm.phase = Phase::FisWRelClear;
     rmw(m, t, word, RmwOp::FetchAdd(WRITE_BIT.wrapping_neg()));
@@ -56,20 +56,20 @@ pub(crate) fn start_release_write(st: &mut SwState, m: &mut Mach, t: ThreadId) {
 
 /// This writer won the inner MCS queue: claim the WRITE bit on the word.
 pub(crate) fn writer_at_head(st: &mut SwState, m: &mut Mach, t: ThreadId) {
-    let lock = st.threads[&t].lock;
+    let lock = st.threads[t].lock;
     let word = st.fissile_word(m, lock);
-    let tsm = st.threads.get_mut(&t).expect("tsm");
+    let tsm = st.threads.get_mut(t).expect("tsm");
     tsm.phase = Phase::FisWSetBit;
     rmw(m, t, word, RmwOp::FetchAdd(WRITE_BIT));
 }
 
 pub(crate) fn advance(st: &mut SwState, m: &mut Mach, t: ThreadId, step: Step) {
-    let lock = match st.threads.get(&t) {
+    let lock = match st.threads.get(t) {
         Some(tsm) => tsm.lock,
         None => return,
     };
     let word = st.fissile_word(m, lock);
-    let tsm = st.threads.get_mut(&t).expect("tsm");
+    let tsm = st.threads.get_mut(t).expect("tsm");
     match (tsm.phase, step) {
         // ---- reader acquire ----
         (Phase::FisRInc, Step::Value(old)) => {
@@ -140,12 +140,12 @@ pub(crate) fn advance(st: &mut SwState, m: &mut Mach, t: ThreadId, step: Step) {
 /// Re-drives the word-spin phases after reschedule (watches do not
 /// survive migrations).
 pub(crate) fn redrive(st: &mut SwState, m: &mut Mach, t: ThreadId) {
-    let lock = match st.threads.get(&t) {
+    let lock = match st.threads.get(t) {
         Some(tsm) => tsm.lock,
         None => return,
     };
     let word = st.fissile_word(m, lock);
-    let tsm = st.threads.get_mut(&t).expect("tsm");
+    let tsm = st.threads.get_mut(t).expect("tsm");
     match tsm.phase {
         Phase::FisRWait => {
             tsm.phase = Phase::FisRWaitCheck;

@@ -11,10 +11,10 @@ use locksim_machine::{Addr, Mach, RmwOp, ThreadId};
 use crate::state::{read, rmw, write, OpKind, Phase, Step, SwState};
 
 pub(crate) fn start_acquire(st: &mut SwState, m: &mut Mach, t: ThreadId) {
-    let lock = st.threads[&t].lock;
+    let lock = st.threads[t].lock;
     let lm = st.lock_mem(m, lock);
     let q = st.qnode(m, t, lock);
-    let tsm = st.threads.get_mut(&t).expect("tsm");
+    let tsm = st.threads.get_mut(t).expect("tsm");
     tsm.qnode = q;
     tsm.scratch = lm.tail.0;
     tsm.phase = Phase::McsInit;
@@ -23,10 +23,10 @@ pub(crate) fn start_acquire(st: &mut SwState, m: &mut Mach, t: ThreadId) {
 }
 
 pub(crate) fn start_release(st: &mut SwState, m: &mut Mach, t: ThreadId) {
-    let lock = st.threads[&t].lock;
+    let lock = st.threads[t].lock;
     let lm = st.lock_mem(m, lock);
     let q = st.qnode(m, t, lock);
-    let tsm = st.threads.get_mut(&t).expect("tsm");
+    let tsm = st.threads.get_mut(t).expect("tsm");
     debug_assert_eq!(tsm.op, OpKind::Release);
     tsm.qnode = q;
     tsm.scratch = lm.tail.0;
@@ -39,7 +39,7 @@ pub(crate) fn start_release(st: &mut SwState, m: &mut Mach, t: ThreadId) {
 /// MRSW/BRAVO writers proceed to drain readers; Fissile writers set the
 /// write bit on the lock word.
 pub(crate) fn advance(st: &mut SwState, m: &mut Mach, t: ThreadId, step: Step) {
-    let Some(tsm) = st.threads.get_mut(&t) else {
+    let Some(tsm) = st.threads.get_mut(t) else {
         return;
     };
     let q = tsm.qnode;
@@ -146,7 +146,7 @@ fn mcs_acquired(st: &mut SwState, m: &mut Mach, t: ThreadId) {
 /// Re-drives a spin phase after the thread was rescheduled (its watch may
 /// have been lost across a preemption or migration).
 pub(crate) fn redrive(st: &mut SwState, m: &mut Mach, t: ThreadId) {
-    let Some(tsm) = st.threads.get_mut(&t) else {
+    let Some(tsm) = st.threads.get_mut(t) else {
         return;
     };
     let q = tsm.qnode;

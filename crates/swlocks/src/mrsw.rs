@@ -18,27 +18,27 @@ use crate::state::{read, rmw, write, OpKind, Phase, Step, SwState};
 const MINUS_ONE: u64 = u64::MAX; // wrapping -1 for FetchAdd
 
 pub(crate) fn start_acquire_read(st: &mut SwState, m: &mut Mach, t: ThreadId) {
-    let lock = st.threads[&t].lock;
+    let lock = st.threads[t].lock;
     let lm = st.lock_mem(m, lock);
-    let tsm = st.threads.get_mut(&t).expect("tsm");
+    let tsm = st.threads.get_mut(t).expect("tsm");
     tsm.phase = Phase::MrswRInc;
     rmw(m, t, lm.rdr, RmwOp::FetchAdd(1));
 }
 
 pub(crate) fn start_release_read(st: &mut SwState, m: &mut Mach, t: ThreadId) {
-    let lock = st.threads[&t].lock;
+    let lock = st.threads[t].lock;
     let lm = st.lock_mem(m, lock);
-    let tsm = st.threads.get_mut(&t).expect("tsm");
+    let tsm = st.threads.get_mut(t).expect("tsm");
     debug_assert_eq!(tsm.op, OpKind::Release);
     tsm.phase = Phase::MrswRRelDec;
     rmw(m, t, lm.rdr, RmwOp::FetchAdd(MINUS_ONE));
 }
 
 pub(crate) fn start_release_write(st: &mut SwState, m: &mut Mach, t: ThreadId) {
-    let lock = st.threads[&t].lock;
+    let lock = st.threads[t].lock;
     let lm = st.lock_mem(m, lock);
     let q = st.qnode(m, t, lock);
-    let tsm = st.threads.get_mut(&t).expect("tsm");
+    let tsm = st.threads.get_mut(t).expect("tsm");
     tsm.qnode = q;
     tsm.scratch = lm.tail.0;
     tsm.phase = Phase::MrswWRelReadNext;
@@ -48,20 +48,20 @@ pub(crate) fn start_release_write(st: &mut SwState, m: &mut Mach, t: ThreadId) {
 /// An MRSW writer reached the head of the writer queue: set the active
 /// flag and drain readers.
 pub(crate) fn writer_at_head(st: &mut SwState, m: &mut Mach, t: ThreadId) {
-    let lock = st.threads[&t].lock;
+    let lock = st.threads[t].lock;
     let lm = st.lock_mem(m, lock);
-    let tsm = st.threads.get_mut(&t).expect("tsm");
+    let tsm = st.threads.get_mut(t).expect("tsm");
     tsm.phase = Phase::MrswWSetActive;
     write(m, t, lm.wactive, 1);
 }
 
 pub(crate) fn advance(st: &mut SwState, m: &mut Mach, t: ThreadId, step: Step) {
-    let lock = match st.threads.get(&t) {
+    let lock = match st.threads.get(t) {
         Some(tsm) => tsm.lock,
         None => return,
     };
     let lm = st.lock_mem(m, lock);
-    let tsm = st.threads.get_mut(&t).expect("tsm");
+    let tsm = st.threads.get_mut(t).expect("tsm");
     match (tsm.phase, step) {
         // ---- reader acquire ----
         (Phase::MrswRInc, Step::Value(_)) => {
@@ -191,12 +191,12 @@ fn write_locked(st: &mut SwState, m: &mut Mach, t: ThreadId) {
 /// Re-drives a spin phase after reschedule (watches do not survive
 /// migrations).
 pub(crate) fn redrive(st: &mut SwState, m: &mut Mach, t: ThreadId) {
-    let lock = match st.threads.get(&t) {
+    let lock = match st.threads.get(t) {
         Some(tsm) => tsm.lock,
         None => return,
     };
     let lm = st.lock_mem(m, lock);
-    let tsm = st.threads.get_mut(&t).expect("tsm");
+    let tsm = st.threads.get_mut(t).expect("tsm");
     match tsm.phase {
         Phase::MrswRWait => {
             tsm.phase = Phase::MrswRWaitCheck;

@@ -2,7 +2,7 @@
 
 use locksim_engine::stats::Counters;
 use locksim_engine::FxHashMap;
-use locksim_machine::{Addr, Mach, MemKind, Mode, RmwOp, ThreadId};
+use locksim_machine::{Addr, InFlight, Mach, MemKind, Mode, PerThread, RmwOp, ThreadId};
 
 use crate::backend::SwAlg;
 
@@ -208,11 +208,10 @@ pub(crate) enum ReaderPath {
 /// Shared backend state handed to the per-algorithm modules.
 pub(crate) struct SwState {
     pub alg: SwAlg,
-    pub threads: FxHashMap<ThreadId, Tsm>,
+    pub threads: PerThread<Tsm>,
     pub mem: FxHashMap<Addr, LockMem>,
     pub qnodes: FxHashMap<(ThreadId, Addr), Addr>,
-    pub timers: FxHashMap<u64, (ThreadId, TimerPurpose)>,
-    pub timer_seq: u64,
+    pub timers: InFlight<(ThreadId, TimerPurpose)>,
     pub counters: Counters,
     /// BRAVO per-lock metadata (lazily allocated; empty for other algs so
     /// the allocation sequence of existing algorithms is untouched).
@@ -229,11 +228,10 @@ impl SwState {
     pub fn new(alg: SwAlg) -> Self {
         SwState {
             alg,
-            threads: FxHashMap::default(),
+            threads: PerThread::new(),
             mem: FxHashMap::default(),
             qnodes: FxHashMap::default(),
-            timers: FxHashMap::default(),
-            timer_seq: 0,
+            timers: InFlight::new(),
             counters: Counters::new(),
             bravo: FxHashMap::default(),
             rtable: Vec::new(),
@@ -313,20 +311,18 @@ impl SwState {
     /// current wait phase.
     pub fn guarded_watch(&mut self, m: &mut Mach, t: ThreadId, a: Addr) {
         watch(m, t, a);
-        let phase = self.threads[&t].phase;
+        let phase = self.threads[t].phase;
         self.arm(m, t, 5_000, TimerPurpose::Fallback(phase));
     }
 
     fn arm(&mut self, m: &mut Mach, t: ThreadId, delay: u64, purpose: TimerPurpose) {
-        let token = self.timer_seq;
-        self.timer_seq += 1;
-        self.timers.insert(token, (t, purpose));
+        let token = self.timers.put((t, purpose));
         m.set_timer(delay, token);
     }
 
     /// Completes an acquire: grant, state cleared.
     pub fn grant(&mut self, m: &mut Mach, t: ThreadId) {
-        let tsm = self.threads.remove(&t).expect("grant without op");
+        let tsm = self.threads.remove(t).expect("grant without op");
         debug_assert_eq!(tsm.op, OpKind::Acquire);
         self.counters.incr("sw_grants");
         m.grant_lock(t);
@@ -334,7 +330,7 @@ impl SwState {
 
     /// Completes a failed trylock.
     pub fn fail(&mut self, m: &mut Mach, t: ThreadId) {
-        self.threads.remove(&t);
+        self.threads.remove(t);
         self.counters.incr("sw_tryfails");
         m.fail_lock(t);
     }
@@ -346,7 +342,7 @@ impl SwState {
     pub fn released(&mut self, m: &mut Mach, t: ThreadId) {
         let tsm = self
             .threads
-            .remove(&t)
+            .remove(t)
             .expect("release completion without op");
         debug_assert_eq!(tsm.op, OpKind::Release);
         self.counters.incr("sw_releases");

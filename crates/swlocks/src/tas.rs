@@ -15,7 +15,7 @@ const POSIX_SPIN_LIMIT: u64 = 3;
 const POSIX_PARK: u64 = 3_000;
 
 pub(crate) fn start_acquire(st: &mut SwState, m: &mut Mach, t: ThreadId, tatas: bool) {
-    let tsm = st.threads.get_mut(&t).expect("tsm");
+    let tsm = st.threads.get_mut(t).expect("tsm");
     if tatas {
         tsm.phase = Phase::TatasRead;
         let lock = tsm.lock;
@@ -28,7 +28,7 @@ pub(crate) fn start_acquire(st: &mut SwState, m: &mut Mach, t: ThreadId, tatas: 
 }
 
 pub(crate) fn start_release(st: &mut SwState, m: &mut Mach, t: ThreadId) {
-    let tsm = st.threads.get_mut(&t).expect("tsm");
+    let tsm = st.threads.get_mut(t).expect("tsm");
     debug_assert_eq!(tsm.op, OpKind::Release);
     tsm.phase = Phase::SimpleRelStore;
     let lock = tsm.lock;
@@ -37,7 +37,7 @@ pub(crate) fn start_release(st: &mut SwState, m: &mut Mach, t: ThreadId) {
 
 /// Advances the TAS/TATAS/Posix machine. `posix` enables parking.
 pub(crate) fn advance(st: &mut SwState, m: &mut Mach, t: ThreadId, step: Step, posix: bool) {
-    let Some(tsm) = st.threads.get_mut(&t) else {
+    let Some(tsm) = st.threads.get_mut(t) else {
         return;
     };
     let lock = tsm.lock;
@@ -125,7 +125,7 @@ pub(crate) fn advance(st: &mut SwState, m: &mut Mach, t: ThreadId, step: Step, p
 /// Marks a pending acquire as aborted; the machine unwinds at its next
 /// step. Spinners parked on a watch or timer are failed immediately.
 pub(crate) fn abort(st: &mut SwState, m: &mut Mach, t: ThreadId) {
-    let Some(tsm) = st.threads.get_mut(&t) else {
+    let Some(tsm) = st.threads.get_mut(t) else {
         return;
     };
     match tsm.phase {

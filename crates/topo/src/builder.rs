@@ -1,10 +1,9 @@
-//! Graph construction and all-pairs next-hop routing.
+//! Graph construction and all-pairs route tables.
 
 use crate::network::{Link, Network, NodeId};
-use std::collections::VecDeque;
 
-/// Incrementally builds a network graph, then computes shortest-path routing
-/// tables with [`TopoBuilder::build`].
+/// Incrementally builds a network graph, then computes every shortest-path
+/// route with [`TopoBuilder::build`].
 ///
 /// Nodes are either *endpoints* (cores, cache banks, memory controllers —
 /// places a message can originate or terminate) or *switches* (interior
@@ -62,7 +61,8 @@ impl TopoBuilder {
 
     /// Adds a bidirectional link with the given propagation `latency`
     /// (cycles) and `cycles_per_flit` serialization cost. Each direction has
-    /// independent occupancy.
+    /// independent occupancy. The two directions are pushed together, so
+    /// directed link `i ^ 1` is the reverse of link `i`.
     ///
     /// # Panics
     ///
@@ -80,50 +80,85 @@ impl TopoBuilder {
         }
     }
 
-    /// Finalizes the graph: computes all-pairs next-hop tables by per-node
-    /// BFS (the graphs here have at most ~100 nodes).
+    /// Breadth-first search towards `dst`: afterwards `dist[v]` is `v`'s hop
+    /// count to `dst` and `hop[v]` the first hop of its route, packed as
+    /// `next node << 16 | link`. The link is the reverse, `i ^ 1`, of the
+    /// link `i` the search reached `v` over. `order` is the search queue.
     ///
     /// # Panics
     ///
-    /// Panics if the graph is disconnected (some endpoint pair unreachable).
-    pub fn build(self) -> Network {
-        let n = self.names.len();
-        // next_link[src][dst] = index of the first directed link on the
-        // shortest path src -> dst, or usize::MAX on the diagonal.
-        let mut next_link = vec![vec![usize::MAX; n]; n];
-        for dst in 0..n {
-            // BFS backwards from dst over reversed edges == BFS over the
-            // symmetric graph; record, for each node, the link to take.
-            let mut dist = vec![usize::MAX; n];
-            let mut q = VecDeque::new();
-            dist[dst] = 0;
-            q.push_back(dst);
-            while let Some(u) = q.pop_front() {
-                for &(v, _link_idx) in &self.adj[u] {
-                    // link u->v exists; by symmetry v->u exists too and is
-                    // the hop v takes towards dst through u.
-                    let back = self.adj[v]
-                        .iter()
-                        .find(|&&(w, _)| w == u)
-                        .map(|&(_, idx)| idx)
-                        .expect("links are symmetric");
-                    if dist[v] == usize::MAX {
-                        dist[v] = dist[u] + 1;
-                        next_link[v][dst] = back;
-                        q.push_back(v);
-                    }
+    /// Panics if some node cannot reach `dst`.
+    fn bfs(&self, dst: usize, hop: &mut [u32], dist: &mut [u32], order: &mut Vec<usize>) {
+        dist.fill(u32::MAX);
+        dist[dst] = 0;
+        order.clear();
+        order.push(dst);
+        let mut head = 0;
+        while let Some(&u) = order.get(head) {
+            head += 1;
+            for &(v, link) in &self.adj[u] {
+                if dist[v] == u32::MAX {
+                    dist[v] = dist[u] + 1;
+                    hop[v] = (u as u32) << 16 | (link ^ 1) as u32;
+                    order.push(v);
                 }
             }
-            for (src, &d) in dist.iter().enumerate() {
-                assert!(
-                    d != usize::MAX || src == dst,
-                    "disconnected topology: {} cannot reach {}",
-                    self.names[src],
-                    self.names[dst]
-                );
+        }
+        if order.len() < dist.len() {
+            let src = dist.iter().position(|&d| d == u32::MAX).expect("unvisited");
+            panic!(
+                "disconnected topology: {} cannot reach {}",
+                self.names[src], self.names[dst]
+            );
+        }
+    }
+
+    /// Finalizes the graph: computes every `src → dst` route once and
+    /// stores it as a run of link indices in one flat table, sized exactly
+    /// (the graphs here have at most ~100 nodes).
+    ///
+    /// Pass 1 runs one BFS per destination and parks each node's first hop
+    /// in the slot that will hold the start of its route, so no next-hop
+    /// table is allocated beside the route table. Pass 2 walks every route
+    /// into a table allocated once, at the total hop count pass 1 summed.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the graph is disconnected (some endpoint pair unreachable)
+    /// or has more nodes or directed links than a `u16` can name.
+    pub fn build(self) -> Network {
+        let n = self.names.len();
+        let u16_range = usize::from(u16::MAX) + 1;
+        assert!(
+            n <= u16_range && self.links.len() <= u16_range,
+            "more nodes or directed links than a u16 can name"
+        );
+        let mut hop = vec![0u32; n];
+        let mut dist = vec![0u32; n];
+        let mut order = Vec::with_capacity(n);
+        let mut route_start: Vec<u32> = Vec::with_capacity(n * n + 1);
+        let mut hops = 0usize;
+        for dst in 0..n {
+            self.bfs(dst, &mut hop, &mut dist, &mut order);
+            route_start.extend_from_slice(&hop);
+            hops += dist.iter().map(|&d| d as usize).sum::<usize>();
+        }
+        let total = u32::try_from(hops).expect("route table too large");
+        let mut route_links = Vec::with_capacity(hops);
+        for dst in 0..n {
+            let block = &mut route_start[dst * n..(dst + 1) * n];
+            hop.copy_from_slice(block);
+            for (src, start) in block.iter_mut().enumerate() {
+                *start = route_links.len() as u32;
+                let mut cur = src;
+                while cur != dst {
+                    route_links.push(hop[cur] as u16);
+                    cur = (hop[cur] >> 16) as usize;
+                }
             }
         }
-        Network::from_parts(self.is_endpoint, self.links, next_link)
+        route_start.push(total);
+        Network::from_parts(self.is_endpoint, self.links, route_start, route_links)
     }
 }
 
@@ -133,19 +168,17 @@ mod tests {
     use crate::network::MsgClass;
     use locksim_engine::Time;
 
-    #[test]
-    fn two_nodes_one_link() {
+    /// `x - y`, one link.
+    fn pair() -> (Network, NodeId, NodeId) {
         let mut b = TopoBuilder::new();
         let x = b.endpoint("x");
         let y = b.endpoint("y");
         b.link(x, y, 10, 2);
-        let mut net = b.build();
-        let arr = net.send(Time::ZERO, x, y, MsgClass::Control);
-        assert_eq!(arr.cycles(), 10 + 2);
+        (b.build(), x, y)
     }
 
-    #[test]
-    fn routes_through_switch_chain() {
+    /// `x - s1 - s2 - y`.
+    fn chain() -> (Network, NodeId, NodeId) {
         let mut b = TopoBuilder::new();
         let x = b.endpoint("x");
         let s1 = b.switch("s1");
@@ -154,14 +187,11 @@ mod tests {
         b.link(x, s1, 3, 1);
         b.link(s1, s2, 3, 1);
         b.link(s2, y, 3, 1);
-        let mut net = b.build();
-        let arr = net.send(Time::ZERO, x, y, MsgClass::Control);
-        assert_eq!(arr.cycles(), 9 + 1);
+        (b.build(), x, y)
     }
 
-    #[test]
-    fn picks_shortest_path() {
-        // x - s - y (2 hops) and x - a - b - y (3 hops): shortest wins.
+    /// `x - s - y` (2 hops, slow) beside `x - a - c - y` (3 hops, fast).
+    fn shortcut() -> (Network, NodeId, NodeId) {
         let mut b = TopoBuilder::new();
         let x = b.endpoint("x");
         let y = b.endpoint("y");
@@ -173,7 +203,26 @@ mod tests {
         b.link(x, a, 1, 1);
         b.link(a, c, 1, 1);
         b.link(c, y, 1, 1);
-        let mut net = b.build();
+        (b.build(), x, y)
+    }
+
+    #[test]
+    fn two_nodes_one_link() {
+        let (mut net, x, y) = pair();
+        let arr = net.send(Time::ZERO, x, y, MsgClass::Control);
+        assert_eq!(arr.cycles(), 10 + 2);
+    }
+
+    #[test]
+    fn routes_through_switch_chain() {
+        let (mut net, x, y) = chain();
+        let arr = net.send(Time::ZERO, x, y, MsgClass::Control);
+        assert_eq!(arr.cycles(), 9 + 1);
+    }
+
+    #[test]
+    fn picks_shortest_path() {
+        let (mut net, x, y) = shortcut();
         // BFS counts hops, not latency: 2-hop path through s is chosen even
         // though it is slower — matching fixed hardware routing tables.
         let arr = net.send(Time::ZERO, x, y, MsgClass::Control);
@@ -195,5 +244,112 @@ mod tests {
         let mut b = TopoBuilder::new();
         let x = b.endpoint("x");
         b.link(x, x, 1, 1);
+    }
+
+    /// Every network the route-table checks run on.
+    fn networks() -> Vec<(&'static str, Network)> {
+        vec![
+            ("model_a(32)", Network::model_a(32)),
+            ("model_b(4, 8)", Network::model_b(4, 8)),
+            ("pair", pair().0),
+            ("chain", chain().0),
+            ("shortcut", shortcut().0),
+        ]
+    }
+
+    fn nodes(net: &Network) -> Vec<NodeId> {
+        (0..net.node_count()).map(|i| NodeId(i as u32)).collect()
+    }
+
+    /// All-pairs hop distances by Floyd–Warshall over the directed links,
+    /// independent of the builder's BFS.
+    fn hop_distances(net: &Network) -> Vec<Vec<usize>> {
+        let n = net.node_count();
+        let mut d = vec![vec![usize::MAX; n]; n];
+        for (i, row) in d.iter_mut().enumerate() {
+            row[i] = 0;
+        }
+        for l in net.link_stats() {
+            d[l.src.index()][l.dst.index()] = 1;
+        }
+        for k in 0..n {
+            for i in 0..n {
+                for j in 0..n {
+                    if d[i][k] != usize::MAX && d[k][j] != usize::MAX {
+                        d[i][j] = d[i][j].min(d[i][k] + d[k][j]);
+                    }
+                }
+            }
+        }
+        d
+    }
+
+    #[test]
+    fn every_route_is_a_chain_of_links_from_src_to_dst() {
+        for (name, net) in networks() {
+            let links = net.link_stats();
+            for src in nodes(&net) {
+                for dst in nodes(&net) {
+                    let mut at = src;
+                    for &l in net.route(src, dst) {
+                        let link = &links[usize::from(l)];
+                        assert_eq!(link.src, at, "{name}: {src:?} -> {dst:?} breaks at {l}");
+                        at = link.dst;
+                    }
+                    assert_eq!(at, dst, "{name}: {src:?} -> {dst:?} ends at {at:?}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn every_route_is_as_long_as_the_hop_distance() {
+        for (name, net) in networks() {
+            let dist = hop_distances(&net);
+            for src in nodes(&net) {
+                for dst in nodes(&net) {
+                    assert_eq!(
+                        net.route(src, dst).len(),
+                        dist[src.index()][dst.index()],
+                        "{name}: {src:?} -> {dst:?}"
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn fresh_send_takes_base_latency_for_every_pair() {
+        for (name, net) in networks() {
+            let endpoints: Vec<NodeId> = nodes(&net)
+                .into_iter()
+                .filter(|&v| net.is_endpoint(v))
+                .collect();
+            for &src in &endpoints {
+                for &dst in endpoints.iter().filter(|&&d| d != src) {
+                    for class in [MsgClass::Control, MsgClass::Data] {
+                        let mut fresh = net.clone();
+                        let arrival = fresh.send(Time::ZERO, src, dst, class);
+                        assert_eq!(
+                            arrival.cycles(),
+                            net.base_latency(src, dst, class),
+                            "{name}: {src:?} -> {dst:?} {class:?}"
+                        );
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn link_pairs_are_reverses() {
+        for (name, net) in networks() {
+            let links = net.link_stats();
+            for (i, l) in links.iter().enumerate() {
+                let r = &links[i ^ 1];
+                assert_eq!((r.src, r.dst), (l.dst, l.src), "{name}: link {i}");
+                assert_eq!(net.link_cost(i), net.link_cost(i ^ 1), "{name}: link {i}");
+            }
+        }
     }
 }

@@ -9,9 +9,11 @@
 //!   [`Network::model_b`].
 //!
 //! The network is a *pure timing* component: [`Network::send`] walks the
-//! route from source to destination endpoint, reserving occupancy on each
-//! link (wormhole-style serialization), and returns the arrival time. The
-//! caller (the machine crate) schedules the corresponding delivery event.
+//! route from source to destination endpoint, computed once when the
+//! network is built, reserving occupancy on each link (wormhole-style
+//! serialization), counts the message by class, and returns the arrival
+//! time. The caller (the machine crate) schedules the corresponding
+//! delivery event.
 //! Modelling per-link occupancy is what lets inter-chip congestion emerge in
 //! Model B — the effect behind the paper's Figure 9b, where the SSB's
 //! remote-retry traffic saturates the hub links.

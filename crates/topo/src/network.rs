@@ -78,34 +78,55 @@ pub struct LinkStats {
 ///
 /// Construct with [`Network::model_a`], [`Network::model_b`] or a custom
 /// [`crate::TopoBuilder`]. See the crate docs for an example.
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 pub struct Network {
     is_endpoint: Vec<bool>,
     links: Vec<Link>,
-    next_link: Vec<Vec<usize>>,
+    /// The `src → dst` route is `route_links[route_start[k]..route_start[k + 1]]`
+    /// with `k = dst * nodes + src`: the links it crosses, in order.
+    route_start: Vec<u32>,
+    route_links: Vec<u16>,
     cores: Vec<NodeId>,
     mems: Vec<NodeId>,
     chip_of_core: Vec<usize>,
     chip_of_mem: Vec<usize>,
     queue_delay: Cycles,
+    control_msgs: u64,
+    data_msgs: u64,
 }
 
 impl Network {
     pub(crate) fn from_parts(
         is_endpoint: Vec<bool>,
         links: Vec<Link>,
-        next_link: Vec<Vec<usize>>,
+        route_start: Vec<u32>,
+        route_links: Vec<u16>,
     ) -> Self {
         Network {
             is_endpoint,
             links,
-            next_link,
+            route_start,
+            route_links,
             cores: Vec::new(),
             mems: Vec::new(),
             chip_of_core: Vec::new(),
             chip_of_mem: Vec::new(),
             queue_delay: 0,
+            control_msgs: 0,
+            data_msgs: 0,
         }
+    }
+
+    /// Where the `src → dst` route lies in `route_links` (empty when
+    /// `src == dst`).
+    fn route_span(&self, src: NodeId, dst: NodeId) -> std::ops::Range<usize> {
+        let k = dst.index() * self.is_endpoint.len() + src.index();
+        self.route_start[k] as usize..self.route_start[k + 1] as usize
+    }
+
+    /// The directed links of the `src → dst` route, in order.
+    pub(crate) fn route(&self, src: NodeId, dst: NodeId) -> &[u16] {
+        &self.route_links[self.route_span(src, dst)]
     }
 
     /// Builds the paper's **Model A**: `chips` single-core chips under a
@@ -228,7 +249,8 @@ impl Network {
     }
 
     /// Sends a message from `src` to `dst` at time `now`, reserving link
-    /// occupancy along the route, and returns the arrival time.
+    /// occupancy along the precomputed route, and returns the arrival time.
+    /// The message counts towards [`Network::messages`] of its class.
     ///
     /// Uses cut-through switching: propagation latencies accumulate per hop,
     /// serialization is paid once (on the slowest link of the route), and
@@ -241,14 +263,16 @@ impl Network {
         assert!(self.is_endpoint[src.index()], "src {:?} is a switch", src);
         assert!(self.is_endpoint[dst.index()], "dst {:?} is a switch", dst);
         assert_ne!(src, dst, "message to self needs no network");
+        match class {
+            MsgClass::Control => self.control_msgs += 1,
+            MsgClass::Data => self.data_msgs += 1,
+        }
         let flits = class.flits();
         let mut at = now;
-        let mut cur = src.index();
         let mut max_ser = 0;
-        while cur != dst.index() {
-            let link_idx = self.next_link[cur][dst.index()];
-            debug_assert_ne!(link_idx, usize::MAX, "no route");
-            let link = &mut self.links[link_idx];
+        let span = self.route_span(src, dst);
+        for &l in &self.route_links[span] {
+            let link = &mut self.links[usize::from(l)];
             let ser = flits * link.cycles_per_flit;
             let depart = at.max(link.next_free);
             self.queue_delay += depart - at;
@@ -257,7 +281,6 @@ impl Network {
             link.msgs += 1;
             at = depart + link.latency;
             max_ser = max_ser.max(ser);
-            cur = link.dst;
         }
         at + max_ser
     }
@@ -265,19 +288,13 @@ impl Network {
     /// Zero-congestion latency between two endpoints for a message class
     /// (does not reserve occupancy). Useful for calibration and tests.
     pub fn base_latency(&self, src: NodeId, dst: NodeId, class: MsgClass) -> Cycles {
-        if src == dst {
-            return 0;
-        }
         let flits = class.flits();
         let mut total = 0;
         let mut max_ser = 0;
-        let mut cur = src.index();
-        while cur != dst.index() {
-            let link_idx = self.next_link[cur][dst.index()];
-            let link = &self.links[link_idx];
+        for &l in self.route(src, dst) {
+            let link = &self.links[usize::from(l)];
             total += link.latency;
             max_ser = max_ser.max(flits * link.cycles_per_flit);
-            cur = link.dst;
         }
         total + max_ser
     }
@@ -285,6 +302,15 @@ impl Network {
     /// Cumulative cycles messages spent waiting for busy links.
     pub fn total_queue_delay(&self) -> Cycles {
         self.queue_delay
+    }
+
+    /// Messages of `class` sent so far, counted once each however many
+    /// links they cross.
+    pub fn messages(&self, class: MsgClass) -> u64 {
+        match class {
+            MsgClass::Control => self.control_msgs,
+            MsgClass::Data => self.data_msgs,
+        }
     }
 
     /// Per-link occupancy statistics.
@@ -298,6 +324,23 @@ impl Network {
                 messages: l.msgs,
             })
             .collect()
+    }
+}
+
+/// Read-outs for the route-table tests in `builder.rs`.
+#[cfg(test)]
+impl Network {
+    pub(crate) fn node_count(&self) -> usize {
+        self.is_endpoint.len()
+    }
+
+    pub(crate) fn is_endpoint(&self, v: NodeId) -> bool {
+        self.is_endpoint[v.index()]
+    }
+
+    /// Link `i`'s `(latency, cycles_per_flit)`.
+    pub(crate) fn link_cost(&self, i: usize) -> (Cycles, Cycles) {
+        (self.links[i].latency, self.links[i].cycles_per_flit)
     }
 }
 
@@ -371,8 +414,6 @@ mod tests {
 
     #[test]
     fn link_occupancy_tracks_classes() {
-        // Message accounting lives with the caller (the machine's metrics
-        // registry); the network itself only tracks per-link occupancy.
         let mut net = Network::model_a(4);
         let a = net.core_endpoint(0);
         let m = net.mem_endpoint(1);
@@ -384,6 +425,9 @@ mod tests {
         assert!(after_data - after_control > after_control);
         let msgs: u64 = net.link_stats().iter().map(|s| s.messages).sum();
         assert!(msgs >= 4, "two messages over at least two hops, got {msgs}");
+        // Each message counts once in its class, not once per hop.
+        assert_eq!(net.messages(MsgClass::Control), 1);
+        assert_eq!(net.messages(MsgClass::Data), 1);
     }
 
     #[test]

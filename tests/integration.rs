@@ -67,6 +67,17 @@ fn every_backend_provides_mutual_exclusion() {
             snap.counters.get("evq_events") + w.mach().events_pending(),
             "{name} event accounting"
         );
+        // Every network message crosses at least one link.
+        let c = &snap.counters;
+        let (links, control, data) = (
+            c.get("net_link_msgs"),
+            c.get("net_control_msgs"),
+            c.get("net_data_msgs"),
+        );
+        assert!(
+            links >= control + data,
+            "{name}: {links} link messages < {control} control + {data} data"
+        );
         // At quiescence every grant was sampled once and released once.
         for hist in ["lock_wait_cycles", "lock_hold_cycles"] {
             let samples = snap
