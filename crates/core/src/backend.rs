@@ -286,7 +286,7 @@ impl LcuBackend {
                 cnt,
             },
         );
-        m.grant_lock_in(t, m.cfg().lcu_latency);
+        m.grant_lock(t, m.cfg().lcu_latency);
     }
 
     /// A grant sits in `(lcu, addr, tid)` with status `Rcv`; take it if the
@@ -1393,7 +1393,7 @@ impl LockBackend for LcuBackend {
                         cnt,
                     },
                 );
-                m.grant_lock_in(t, m.cfg().lcu_latency);
+                m.grant_lock(t, m.cfg().lcu_latency);
                 return;
             }
             // A different local thread (or a read acquire): the parked
@@ -1441,7 +1441,7 @@ impl LockBackend for LcuBackend {
                 overflow: true,
             };
             self.send_to_lrt(m, core, rel);
-            m.complete_release_in(t, lcu_lat);
+            m.complete_release(t, lcu_lat);
             return;
         }
         let local = self.lcus[core].get(lock, t).is_some();
@@ -1520,7 +1520,7 @@ impl LockBackend for LcuBackend {
                 }
             }
         }
-        m.complete_release_in(t, lcu_lat);
+        m.complete_release(t, lcu_lat);
     }
 
     fn on_wire(&mut self, m: &mut Mach, token: u64) {
@@ -1546,7 +1546,7 @@ impl LockBackend for LcuBackend {
                     // Entry cleanup is lazy: any grant that arrives for the
                     // abandoned entry passes through. If the entry is still
                     // merely Issued/Wait, it stays queued and forwards.
-                    m.fail_lock(t);
+                    m.fail_lock(t, 0);
                     let _ = req;
                 }
             }
@@ -1610,7 +1610,7 @@ impl LockBackend for LcuBackend {
                         overflow: false,
                     };
                     self.send_to_lrt(m, core, rel);
-                    m.complete_release_in(tid, m.cfg().lcu_latency);
+                    m.complete_release(tid, m.cfg().lcu_latency);
                 } else {
                     let backoff = m.cfg().retry_backoff;
                     self.arm(

@@ -406,7 +406,7 @@ fn migration_storm_completes() {
         }
         for t in 0..4u32 {
             if w.mach().core_of(ThreadId(t)).map(|c| c.0) == Some(1) && next_free < 16 {
-                w.migrate(ThreadId(t), next_free);
+                assert!(w.migrate(ThreadId(t), next_free));
                 next_free += 1;
             }
         }

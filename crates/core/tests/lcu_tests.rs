@@ -410,7 +410,7 @@ fn migration_while_waiting_still_acquires() {
     ])));
     // Let the waiter enqueue, then migrate it to a distant core.
     w.run_for(Some(Time::from_cycles(20_000)));
-    w.migrate(ThreadId(1), 5);
+    assert!(w.migrate(ThreadId(1), 5));
     w.run_to_completion();
     assert_eq!(w.report_counters().get("locks_granted"), 2);
 }
@@ -449,7 +449,7 @@ fn migration_while_holding_releases_remotely() {
     ])));
     // Migrate the holder mid-critical-section.
     w.run_for(Some(Time::from_cycles(20_000)));
-    w.migrate(ThreadId(0), 6);
+    assert!(w.migrate(ThreadId(0), 6));
     w.run_to_completion();
     let c = w.report_counters();
     assert_eq!(c.get("locks_granted"), 2);

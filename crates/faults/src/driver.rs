@@ -261,7 +261,7 @@ impl FaultDriver {
             Inject::Migrate { thread, to_core } => {
                 thread_ok(w, thread)
                     && (to_core as usize) < w.mach().n_cores()
-                    && w.force_migrate(ThreadId(thread), to_core as usize)
+                    && w.migrate(ThreadId(thread), to_core as usize)
             }
             Inject::FltEvict { core } => {
                 (core as usize) < w.mach().n_cores()

@@ -108,19 +108,53 @@ pub struct CliOpts {
     pub self_profile: Option<PathBuf>,
 }
 
-/// Parses the shared observability flags (`--trace <path>`,
-/// `--trace-cap <records>`, `--lockstat <path>`, `--watchdog-cycles <n>`,
-/// `--self-profile <path>`) from an argument list (without the program
-/// name). Unrecognized
-/// arguments are returned for the caller to handle — bins with their own
-/// flags (e.g. `lockstat --quick`) parse the remainder themselves.
+/// A bin-specific flag recognized by [`parse_bin_cli`] on top of the
+/// shared observability flags.
+#[derive(Debug, Clone, Copy)]
+pub struct BinFlag {
+    /// The flag, including the leading dashes (e.g. `"--quick"`).
+    pub name: &'static str,
+    /// Whether the flag consumes the following argument as its value.
+    /// Switches store `"1"` when present.
+    pub takes_value: bool,
+}
+
+impl BinFlag {
+    /// A switch: `name` alone, no value.
+    pub const fn switch(name: &'static str) -> Self {
+        BinFlag {
+            name,
+            takes_value: false,
+        }
+    }
+
+    /// A flag that consumes the following argument as its value.
+    pub const fn value(name: &'static str) -> Self {
+        BinFlag {
+            name,
+            takes_value: true,
+        }
+    }
+}
+
+/// Parses a bin's full argument list (without the program name): the
+/// shared observability flags (`--trace <path>`, `--trace-cap <records>`,
+/// `--lockstat <path>`, `--watchdog-cycles <n>`, `--self-profile <path>`)
+/// plus the bin-specific `flags`, whose values come back keyed by name.
+/// Every bin goes through this one helper so unknown-flag handling is
+/// uniform: the error names the offending argument and lists everything
+/// supported.
 ///
 /// # Errors
 ///
-/// Returns a usage message on a missing or invalid flag value.
-pub fn parse_cli_partial(args: &[String]) -> Result<(CliOpts, Vec<String>), String> {
+/// Returns a usage message naming the flag on an unknown argument or a
+/// missing/invalid value.
+pub fn parse_bin_cli(
+    args: &[String],
+    flags: &[BinFlag],
+) -> Result<(CliOpts, BTreeMap<&'static str, String>), String> {
     let mut opts = CliOpts::default();
-    let mut rest = Vec::new();
+    let mut extras = BTreeMap::new();
     let mut it = args.iter();
     while let Some(a) = it.next() {
         match a.as_str() {
@@ -152,103 +186,37 @@ pub fn parse_cli_partial(args: &[String]) -> Result<(CliOpts, Vec<String>), Stri
                 let v = it.next().ok_or("--self-profile requires a file path")?;
                 opts.self_profile = Some(PathBuf::from(v));
             }
-            other => rest.push(other.to_string()),
+            other => {
+                let Some(f) = flags.iter().find(|f| f.name == other) else {
+                    let mut supported: Vec<&str> = flags.iter().map(|f| f.name).collect();
+                    supported.extend([
+                        "--trace <path>",
+                        "--trace-cap <records>",
+                        "--lockstat <path>",
+                        "--watchdog-cycles <n>",
+                        "--self-profile <path>",
+                    ]);
+                    return Err(format!(
+                        "unknown argument {other:?} (supported: {})",
+                        supported.join(", ")
+                    ));
+                };
+                let value = if f.takes_value {
+                    it.next()
+                        .ok_or_else(|| format!("{} requires a value", f.name))?
+                        .clone()
+                } else {
+                    "1".to_string()
+                };
+                extras.insert(f.name, value);
+            }
         }
-    }
-    Ok((opts, rest))
-}
-
-/// Parses the shared observability flags, rejecting anything else.
-///
-/// # Errors
-///
-/// Returns a usage message on an unknown flag or a missing/invalid value.
-pub fn parse_cli(args: &[String]) -> Result<CliOpts, String> {
-    let (opts, rest) = parse_cli_partial(args)?;
-    if let Some(other) = rest.first() {
-        return Err(format!(
-            "unknown argument {other:?} (supported: --trace <path>, --trace-cap <records>, \
-             --lockstat <path>, --watchdog-cycles <n>, --self-profile <path>)"
-        ));
-    }
-    Ok(opts)
-}
-
-/// A bin-specific flag recognized by [`parse_bin_cli`] on top of the
-/// shared observability flags.
-#[derive(Debug, Clone, Copy)]
-pub struct BinFlag {
-    /// The flag, including the leading dashes (e.g. `"--quick"`).
-    pub name: &'static str,
-    /// Whether the flag consumes the following argument as its value.
-    /// Switches store `"1"` when present.
-    pub takes_value: bool,
-}
-
-impl BinFlag {
-    /// A switch: `name` alone, no value.
-    pub const fn switch(name: &'static str) -> Self {
-        BinFlag {
-            name,
-            takes_value: false,
-        }
-    }
-
-    /// A flag that consumes the following argument as its value.
-    pub const fn value(name: &'static str) -> Self {
-        BinFlag {
-            name,
-            takes_value: true,
-        }
-    }
-}
-
-/// Parses a bin's full argument list: the shared observability flags
-/// (see [`parse_cli_partial`]) plus the bin-specific `flags`. Every bin
-/// with its own flags (`lockstat`, `faultsim`) goes through this one
-/// helper so unknown-flag handling is uniform: the error names the
-/// offending argument and lists everything supported.
-///
-/// # Errors
-///
-/// Returns a usage message naming the flag on an unknown argument or a
-/// missing/invalid value.
-pub fn parse_bin_cli(
-    args: &[String],
-    flags: &[BinFlag],
-) -> Result<(CliOpts, BTreeMap<&'static str, String>), String> {
-    let (opts, rest) = parse_cli_partial(args)?;
-    let mut extras = BTreeMap::new();
-    let mut it = rest.iter();
-    while let Some(a) = it.next() {
-        let Some(f) = flags.iter().find(|f| f.name == a.as_str()) else {
-            let mut supported: Vec<&str> = flags.iter().map(|f| f.name).collect();
-            supported.extend([
-                "--trace <path>",
-                "--trace-cap <records>",
-                "--lockstat <path>",
-                "--watchdog-cycles <n>",
-                "--self-profile <path>",
-            ]);
-            return Err(format!(
-                "unknown argument {a:?} (supported: {})",
-                supported.join(", ")
-            ));
-        };
-        let value = if f.takes_value {
-            it.next()
-                .ok_or_else(|| format!("{} requires a value", f.name))?
-                .clone()
-        } else {
-            "1".to_string()
-        };
-        extras.insert(f.name, value);
     }
     Ok((opts, extras))
 }
 
-/// Applies already-parsed observability options to the process state (used
-/// by bins that parse their own extra flags via [`parse_cli_partial`]).
+/// Applies observability options parsed by [`parse_bin_cli`] to the
+/// process state.
 /// `--self-profile <path>` (or the `LOCKSIM_SELF_PROFILE=<path>` env var)
 /// additionally switches on the host-side span profiler; everything else
 /// leaves it disabled, where a span is a single thread-local flag load.
@@ -528,55 +496,67 @@ mod tests {
 
     #[test]
     fn parse_trace_flag() {
-        let o = parse_cli(&args(&["--trace", "out.json"])).unwrap();
+        let (o, _) = parse_bin_cli(&args(&["--trace", "out.json"]), &[]).unwrap();
         assert_eq!(o.trace_path, Some(PathBuf::from("out.json")));
         assert_eq!(o.trace_cap, None);
     }
 
     #[test]
     fn parse_trace_cap() {
-        let o = parse_cli(&args(&["--trace", "t.json", "--trace-cap", "512"])).unwrap();
+        let (o, _) =
+            parse_bin_cli(&args(&["--trace", "t.json", "--trace-cap", "512"]), &[]).unwrap();
         assert_eq!(o.trace_cap, Some(512));
         // Zero is clamped to a one-record ring rather than rejected.
-        let o = parse_cli(&args(&["--trace-cap", "0"])).unwrap();
+        let (o, _) = parse_bin_cli(&args(&["--trace-cap", "0"]), &[]).unwrap();
         assert_eq!(o.trace_cap, Some(1));
     }
 
     #[test]
     fn parse_rejects_unknown_and_missing() {
-        assert!(parse_cli(&args(&["--frobnicate"])).is_err());
-        assert!(parse_cli(&args(&["--trace"])).is_err());
-        assert!(parse_cli(&args(&["--trace-cap", "many"])).is_err());
-        assert!(parse_cli(&args(&["--lockstat"])).is_err());
-        assert!(parse_cli(&args(&["--watchdog-cycles", "soon"])).is_err());
+        for bad in [
+            &["--frobnicate"][..],
+            &["--trace"],
+            &["--trace-cap", "many"],
+            &["--lockstat"],
+            &["--watchdog-cycles", "soon"],
+        ] {
+            assert!(parse_bin_cli(&args(bad), &[]).is_err(), "{bad:?}");
+        }
     }
 
     #[test]
     fn parse_lockstat_flags() {
-        let o = parse_cli(&args(&[
-            "--lockstat",
-            "out.html",
-            "--watchdog-cycles",
-            "25000",
-        ]))
+        let (o, _) = parse_bin_cli(
+            &args(&["--lockstat", "out.html", "--watchdog-cycles", "25000"]),
+            &[],
+        )
         .unwrap();
         assert_eq!(o.lockstat_path, Some(PathBuf::from("out.html")));
         assert_eq!(o.watchdog_cycles, Some(25_000));
     }
 
     #[test]
-    fn partial_parse_passes_unknowns_through() {
-        let (o, rest) =
-            parse_cli_partial(&args(&["--quick", "--lockstat", "r.html", "extra"])).unwrap();
+    fn shared_flags_mix_with_bin_switches() {
+        let (o, extras) =
+            parse_bin_cli(&args(&["--quick", "--lockstat", "r.html"]), BIN_FLAGS).unwrap();
         assert_eq!(o.lockstat_path, Some(PathBuf::from("r.html")));
-        assert_eq!(rest, args(&["--quick", "extra"]));
-        // Value errors are still hard errors, not pass-throughs.
-        assert!(parse_cli_partial(&args(&["--quick", "--trace"])).is_err());
+        assert_eq!(extras.keys().copied().collect::<Vec<_>>(), ["--quick"]);
+        // A stray positional argument is an unknown argument.
+        let err = parse_bin_cli(
+            &args(&["--quick", "--lockstat", "r.html", "extra"]),
+            BIN_FLAGS,
+        )
+        .unwrap_err();
+        assert!(err.contains("\"extra\""), "{err}");
+        // Value errors are hard errors too.
+        assert!(parse_bin_cli(&args(&["--quick", "--trace"]), BIN_FLAGS).is_err());
     }
 
     #[test]
     fn empty_args_are_fine() {
-        assert_eq!(parse_cli(&[]).unwrap(), CliOpts::default());
+        let (o, extras) = parse_bin_cli(&[], &[]).unwrap();
+        assert_eq!(o, CliOpts::default());
+        assert!(extras.is_empty());
     }
 
     const BIN_FLAGS: &[BinFlag] = &[BinFlag::switch("--quick"), BinFlag::value("--seed")];

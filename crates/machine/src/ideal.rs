@@ -58,7 +58,7 @@ impl IdealBackend {
                     if st.writer.is_none() && st.readers.is_empty() {
                         st.queue.pop_front();
                         st.writer = Some(t);
-                        m.grant_lock(t);
+                        m.grant_lock(t, 0);
                     }
                     break;
                 }
@@ -66,7 +66,7 @@ impl IdealBackend {
                     if st.writer.is_none() {
                         st.queue.pop_front();
                         st.readers.push(t);
-                        m.grant_lock(t);
+                        m.grant_lock(t, 0);
                         // Continue: consecutive readers enter together.
                         continue;
                     }
@@ -97,11 +97,11 @@ impl LockBackend for IdealBackend {
                 Mode::Write => st.writer = Some(t),
                 Mode::Read => st.readers.push(t),
             }
-            m.grant_lock(t);
+            m.grant_lock(t, 0);
         } else if try_for == Some(0) {
             // An impatient trylock that will not wait at all.
             self.counters.incr("ideal_tryfails");
-            m.fail_lock(t);
+            m.fail_lock(t, 0);
         } else {
             // The ideal backend has no timeouts: a positive try budget waits
             // in queue like a blocking acquire (granted in FIFO order, and
@@ -130,7 +130,7 @@ impl LockBackend for IdealBackend {
                 st.readers.swap_remove(pos);
             }
         }
-        m.complete_release(t);
+        m.complete_release(t, 0);
         self.grant_from_queue(m, lock);
     }
 

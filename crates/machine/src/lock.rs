@@ -45,7 +45,8 @@ pub enum BackendFault {
 /// program lock actions and asynchronous events (wire messages, timers,
 /// memory completions, invalidation wakeups, scheduling changes); the
 /// backend eventually resolves each acquire with [`Mach::grant_lock`] or
-/// [`Mach::fail_lock`] and each release with [`Mach::complete_release`].
+/// [`Mach::fail_lock`] and each release with [`Mach::complete_release`],
+/// each taking the backend's own processing delay in cycles (0 for none).
 /// The machine checks reader-writer exclusion at every grant and release,
 /// so a backend carries no checker of its own.
 ///
@@ -103,7 +104,9 @@ pub trait LockBackend {
         let _ = (m, t, core);
     }
 
-    /// Thread `t` was preempted off its core.
+    /// Thread `t` left its core: preempted by a quantum tick, yielded,
+    /// suspended, evicted by a migration onto its core, or migrated itself
+    /// (see [`crate::World::migrate`]).
     fn on_thread_descheduled(&mut self, m: &mut Mach, t: ThreadId) {
         let _ = (m, t);
     }

@@ -196,25 +196,15 @@ pub struct ThreadStats {
     pub preemptions: u64,
 }
 
-#[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
-enum ThreadRun {
-    #[default]
-    Ready,
-    Running,
-    Finished,
-}
-
 struct ThreadState {
     program: Option<Box<dyn Program>>,
     core: Option<CoreId>,
-    run: ThreadRun,
     pending_outcome: Option<Outcome>,
     rng: RngStream,
     deferred_mem: VecDeque<(Addr, MemKind)>,
     stats: ThreadStats,
-    waiting_since: Option<Time>,
-    /// The lock and mode of the outstanding acquire, if any.
-    waiting_on: Option<(Addr, Mode)>,
+    /// The lock, mode and request time of the outstanding acquire, if any.
+    waiting: Option<(Addr, Mode, Time)>,
     /// Locks currently held, with grant times (for hold-time accounting).
     holding: Vec<(Addr, Time)>,
     /// Current cycle-accounting category and the time it was entered.
@@ -237,7 +227,6 @@ impl std::fmt::Debug for ThreadState {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("ThreadState")
             .field("core", &self.core)
-            .field("run", &self.run)
             .field("pending_outcome", &self.pending_outcome)
             .field("stats", &self.stats)
             .finish_non_exhaustive()
@@ -375,7 +364,9 @@ impl Mach {
 
     /// The lock and mode of thread `t`'s outstanding acquire, if any.
     pub fn waiting_on(&self, t: ThreadId) -> Option<(Addr, Mode)> {
-        self.threads[t.0 as usize].waiting_on
+        self.threads[t.0 as usize]
+            .waiting
+            .map(|(lock, mode, _)| (lock, mode))
     }
 
     /// Whether thread `t` has run to completion.
@@ -403,12 +394,6 @@ impl Mach {
         self.sim.pending() as u64
     }
 
-    /// High-water mark of the event queue's backlog — the occupancy
-    /// waterline reported as `evq_peak_pending`.
-    pub fn evq_peak_pending(&self) -> usize {
-        self.sim.peak_pending()
-    }
-
     /// Every unfinished thread with an acquire outstanding, in thread order
     /// — the quiescence hook the chaos deadlock detector snapshots when
     /// progress stops.
@@ -418,7 +403,7 @@ impl Mach {
             .enumerate()
             .filter(|(_, th)| th.finished_at.is_none())
             .filter_map(|(i, th)| {
-                th.waiting_on.map(|(lock, mode)| PendingWaiter {
+                th.waiting.map(|(lock, mode, _)| PendingWaiter {
                     thread: ThreadId(i as u32),
                     lock,
                     write: mode == Mode::Write,
@@ -498,12 +483,6 @@ impl Mach {
         &mut self.lockstat
     }
 
-    /// The windowed time-series collector (disabled unless
-    /// [`World::enable_series`] was called).
-    pub fn series(&self) -> &SeriesCollector {
-        &self.series
-    }
-
     /// Records a marked event (fault injection, oracle firing, ...) on the
     /// time-series at the current simulated time. No-op while the series
     /// collector is disabled.
@@ -575,6 +554,17 @@ impl Mach {
         th.acct_cat = new;
     }
 
+    /// The category of on-core work by thread `ti`: `outside` normally,
+    /// but time inside a critical section counts as lock_hold whatever the
+    /// instruction mix.
+    fn work_cat(&self, ti: usize, outside: CycleCat) -> CycleCat {
+        if self.threads[ti].holding.is_empty() {
+            outside
+        } else {
+            CycleCat::LockHold
+        }
+    }
+
     /// Thread `t`'s cycle dissection, accounted up to now (or up to its
     /// finish time if it is done). Buckets sum to the thread's lifetime.
     pub fn thread_dissection(&self, t: ThreadId) -> CycleDissection {
@@ -618,10 +608,10 @@ impl Mach {
     /// Panics if `t` has no acquire outstanding, or if the grant breaks
     /// reader-writer exclusion (the message carries the lock's recent trace
     /// history and lockstat snapshot).
-    pub fn grant_lock_in(&mut self, t: ThreadId, delay: Cycles) {
+    pub fn grant_lock(&mut self, t: ThreadId, delay: Cycles) {
         let ti = t.0 as usize;
-        let since = self.threads[ti]
-            .waiting_since
+        let (lock, mode, since) = self.threads[ti]
+            .waiting
             .take()
             .expect("grant_lock without outstanding acquire");
         let granted_at = self.sim.now() + delay;
@@ -632,26 +622,24 @@ impl Mach {
         self.metrics.observe("lock_wait_cycles", wait);
         self.waiting_threads = self.waiting_threads.saturating_sub(1);
         self.series.on_grant(granted_at.cycles(), wait);
-        if let Some((lock, mode)) = self.threads[ti].waiting_on.take() {
-            self.checker
-                .on_grant(lock, t, mode, &self.tracer, &self.lockstat);
-            self.threads[ti].holding.push((lock, granted_at));
-            self.tracer.record(|| TraceEvent {
-                t: granted_at,
-                ep: TraceEp::Thread(t.0),
-                kind: TraceKind::LockGrant {
-                    lock: lock.0,
-                    thread: t.0,
-                    write: mode == Mode::Write,
-                    wait,
-                },
-            });
-            if let Some(flag) =
-                self.lockstat
-                    .on_grant(lock.0, t.0, mode == Mode::Write, wait, granted_at.cycles())
-            {
-                self.note_starvation(flag);
-            }
+        self.checker
+            .on_grant(lock, t, mode, &self.tracer, &self.lockstat);
+        self.threads[ti].holding.push((lock, granted_at));
+        self.tracer.record(|| TraceEvent {
+            t: granted_at,
+            ep: TraceEp::Thread(t.0),
+            kind: TraceKind::LockGrant {
+                lock: lock.0,
+                thread: t.0,
+                write: mode == Mode::Write,
+                wait,
+            },
+        });
+        if let Some(flag) =
+            self.lockstat
+                .on_grant(lock.0, t.0, mode == Mode::Write, wait, granted_at.cycles())
+        {
+            self.note_starvation(flag);
         }
         // The grant ends the acquire period; if the thread is off-core
         // (suspension backends) it stays in `preempted` until rescheduled.
@@ -666,59 +654,34 @@ impl Mach {
     /// # Panics
     ///
     /// Panics if `t` has no acquire outstanding.
-    pub fn fail_lock_in(&mut self, t: ThreadId, delay: Cycles) {
+    pub fn fail_lock(&mut self, t: ThreadId, delay: Cycles) {
         let ti = t.0 as usize;
-        let since = self.threads[ti]
-            .waiting_since
+        let (lock, _, since) = self.threads[ti]
+            .waiting
             .take()
             .expect("fail_lock without outstanding acquire");
         self.threads[ti].stats.fails += 1;
         self.threads[ti].stats.wait_cycles += (self.sim.now() + delay) - since;
         self.metrics.incr("locks_failed");
         self.waiting_threads = self.waiting_threads.saturating_sub(1);
-        if let Some((lock, _)) = self.threads[ti].waiting_on.take() {
-            let now = self.sim.now();
-            self.tracer.record(|| TraceEvent {
-                t: now,
-                ep: TraceEp::Thread(t.0),
-                kind: TraceKind::LockFail {
-                    lock: lock.0,
-                    thread: t.0,
-                },
-            });
-            if let Some(flag) = self.lockstat.on_fail(lock.0, t.0, now.cycles()) {
-                self.note_starvation(flag);
-            }
+        let now = self.sim.now();
+        self.tracer.record(|| TraceEvent {
+            t: now,
+            ep: TraceEp::Thread(t.0),
+            kind: TraceKind::LockFail {
+                lock: lock.0,
+                thread: t.0,
+            },
+        });
+        if let Some(flag) = self.lockstat.on_fail(lock.0, t.0, now.cycles()) {
+            self.note_starvation(flag);
         }
         self.sched_resume(t, Outcome::Failed, delay);
     }
 
     /// Completes thread `t`'s outstanding release after `delay` cycles.
-    pub fn complete_release_in(&mut self, t: ThreadId, delay: Cycles) {
+    pub fn complete_release(&mut self, t: ThreadId, delay: Cycles) {
         self.sched_resume(t, Outcome::Completed, delay);
-    }
-
-    /// Grants thread `t`'s outstanding acquire.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `t` has no acquire outstanding.
-    pub fn grant_lock(&mut self, t: ThreadId) {
-        self.grant_lock_in(t, 0);
-    }
-
-    /// Fails thread `t`'s outstanding trylock.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `t` has no acquire outstanding.
-    pub fn fail_lock(&mut self, t: ThreadId) {
-        self.fail_lock_in(t, 0);
-    }
-
-    /// Completes thread `t`'s outstanding release.
-    pub fn complete_release(&mut self, t: ThreadId) {
-        self.sched_resume(t, Outcome::Completed, 0);
     }
 
     fn sched_resume(&mut self, t: ThreadId, outcome: Outcome, delay: Cycles) {
@@ -851,11 +814,6 @@ impl Mach {
     /// Number of spawned threads.
     pub fn n_threads(&self) -> usize {
         self.threads.len()
-    }
-
-    /// The network (for calibration probes and link statistics).
-    pub fn network(&self) -> &Network {
-        &self.net
     }
 
     fn ep_node(&self, ep: Ep) -> NodeId {
@@ -1159,17 +1117,15 @@ impl World {
         self.mach.threads.push(ThreadState {
             program: Some(prog),
             core: None,
-            run: ThreadRun::Ready,
             pending_outcome: Some(Outcome::Started),
             rng,
             deferred_mem: VecDeque::new(),
             stats: ThreadStats::default(),
-            waiting_since: None,
+            waiting: None,
             computing: None,
             compute_left: 0,
             resume_gen: 0,
             suspended: false,
-            waiting_on: None,
             holding: Vec::new(),
             acct_cat: CycleCat::default(),
             acct_since: now,
@@ -1186,115 +1142,75 @@ impl World {
         tid
     }
 
-    /// Explicitly migrates a scheduled thread to another core (used by
-    /// migration experiments). The target core must be free.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `t` is not scheduled or the target core is occupied.
-    pub fn migrate(&mut self, t: ThreadId, to: usize) {
+    /// Migrates thread `t` to core `to`. A thread running there is
+    /// preempted to the ready queue, and the core `t` leaves goes to the
+    /// next ready thread. Works on both running and ready threads. Returns
+    /// `false` (no-op) if the thread is suspended, finished, or already on
+    /// `to`.
+    pub fn migrate(&mut self, t: ThreadId, to: usize) -> bool {
         let ti = t.0 as usize;
-        let from = self.mach.threads[ti]
-            .core
-            .expect("migrating unscheduled thread");
-        assert!(self.mach.cores[to].is_none(), "target core busy");
-        self.mach.cores[from.0 as usize] = None;
-        self.mach.threads[ti].core = None;
-        self.backend.on_thread_descheduled(&mut self.mach, t);
+        let th = &self.mach.threads[ti];
+        if th.suspended || th.finished_at.is_some() || th.core == Some(CoreId(to as u32)) {
+            return false;
+        }
+        if let Some(victim) = self.mach.cores[to] {
+            self.mach.threads[victim.0 as usize].stats.preemptions += 1;
+            self.deschedule(victim);
+        }
         self.mach.metrics.incr("migrations");
-        self.mach.acct_switch(ti, CycleCat::Preempted);
+        let from = self.mach.threads[ti].core;
+        match from {
+            // Unlike a descheduled thread's, the mover's in-flight compute
+            // is not banked, so a thread migrated mid-compute keeps
+            // computing through its context switch. Banking it changes
+            // chaos-sweep results (an open ROADMAP item).
+            Some(from) => {
+                self.mach.cores[from.0 as usize] = None;
+                self.mach.threads[ti].core = None;
+                self.backend.on_thread_descheduled(&mut self.mach, t);
+                self.mach.acct_switch(ti, CycleCat::Preempted);
+            }
+            None => self.mach.ready.retain(|&x| x != t),
+        }
         self.mach.trace(|now| TraceEvent {
             t: now,
             ep: TraceEp::Thread(t.0),
             kind: TraceKind::SchedMigrate {
                 thread: t.0,
-                from: from.0,
+                from: from.map_or(u32::MAX, |c| c.0),
                 to: to as u32,
             },
         });
-        self.install(t, to, self.mach.cfg.ctx_switch);
-    }
-
-    /// Forcibly deschedules a thread (simulating OS preemption for tests and
-    /// suspension experiments). The thread rejoins the ready queue.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `t` is not scheduled.
-    pub fn preempt(&mut self, t: ThreadId) {
-        let ti = t.0 as usize;
-        let core = self.mach.threads[ti]
-            .core
-            .expect("preempting unscheduled thread");
-        self.suspend_compute(t);
-        self.mach.acct_switch(ti, CycleCat::Preempted);
-        self.mach.trace(|now| TraceEvent {
-            t: now,
-            ep: TraceEp::Thread(t.0),
-            kind: TraceKind::SchedPreempt {
-                thread: t.0,
-                core: core.0,
-            },
-        });
-        self.mach.cores[core.0 as usize] = None;
-        self.mach.threads[ti].core = None;
-        self.mach.threads[ti].stats.preemptions += 1;
-        self.mach.ready.push_back(t);
-        self.backend.on_thread_descheduled(&mut self.mach, t);
-        // Give the freed core to the next ready thread (possibly t itself if
-        // alone in the queue).
-        if let Some(next) = self.mach.ready.pop_front() {
-            self.install(next, core.0 as usize, self.mach.cfg.ctx_switch);
+        if let Some(from) = from {
+            // Possibly with the thread just evicted from `to`.
+            self.refill(from.0 as usize);
         }
-    }
-
-    /// Force-deschedules a running thread to the ready queue; its core is
-    /// left empty for the caller to refill.
-    fn deschedule_to_ready(&mut self, t: ThreadId) {
-        let ti = t.0 as usize;
-        let core = self.mach.threads[ti]
-            .core
-            .expect("descheduling off-core thread");
-        self.suspend_compute(t);
-        self.mach.acct_switch(ti, CycleCat::Preempted);
-        self.mach.trace(|now| TraceEvent {
-            t: now,
-            ep: TraceEp::Thread(t.0),
-            kind: TraceKind::SchedPreempt {
-                thread: t.0,
-                core: core.0,
-            },
-        });
-        self.mach.cores[core.0 as usize] = None;
-        self.mach.threads[ti].core = None;
-        self.mach.threads[ti].run = ThreadRun::Ready;
-        self.mach.threads[ti].stats.preemptions += 1;
-        self.mach.ready.push_back(t);
-        self.backend.on_thread_descheduled(&mut self.mach, t);
+        self.install(t, to, self.mach.cfg.ctx_switch);
+        true
     }
 
     /// Suspends a thread by fault injection: it leaves its core (or the
     /// ready queue) and will not run again until [`World::resume_thread`].
-    /// Unlike [`World::preempt`] the thread does *not* rejoin the ready
-    /// queue — this models a thread the OS has descheduled for an unbounded
-    /// time, the robustness regime of the paper's Section 3.5. Returns
-    /// `false` (no-op) if the thread is already suspended or finished.
+    /// Unlike a preemption the thread does *not* rejoin the ready queue —
+    /// this models a thread the OS has descheduled for an unbounded time,
+    /// the robustness regime of the paper's Section 3.5. Returns `false`
+    /// (no-op) if the thread is already suspended or finished.
     pub fn suspend(&mut self, t: ThreadId) -> bool {
         let ti = t.0 as usize;
-        if self.mach.threads[ti].suspended || self.mach.threads[ti].run == ThreadRun::Finished {
+        let th = &self.mach.threads[ti];
+        if th.suspended || th.finished_at.is_some() {
             return false;
         }
+        let on_core = th.core.is_some();
         self.mach.threads[ti].suspended = true;
         self.mach.metrics.incr("fault_suspensions");
-        let core = self.mach.threads[ti].core;
-        if core.is_some() {
-            self.deschedule_to_ready(t);
-        }
+        let core = on_core.then(|| {
+            self.mach.threads[ti].stats.preemptions += 1;
+            self.deschedule(t)
+        });
         self.mach.ready.retain(|&x| x != t);
-        if let Some(c) = core {
-            if let Some(next) = self.mach.ready.pop_front() {
-                self.install(next, c.0 as usize, self.mach.cfg.ctx_switch);
-            }
+        if let Some(core) = core {
+            self.refill(core);
         }
         true
     }
@@ -1315,59 +1231,6 @@ impl World {
             self.mach.ready.push_back(t);
         }
         self.maybe_activate_quantum();
-        true
-    }
-
-    /// Forcibly migrates a thread to core `to`, evicting any thread
-    /// currently running there to the ready queue (unlike
-    /// [`World::migrate`], which requires a free target core). Works on
-    /// both running and ready threads. Returns `false` (no-op) if the
-    /// thread is suspended, finished, or already on `to`.
-    pub fn force_migrate(&mut self, t: ThreadId, to: usize) -> bool {
-        let ti = t.0 as usize;
-        let th = &self.mach.threads[ti];
-        if th.suspended || th.run == ThreadRun::Finished || th.core == Some(CoreId(to as u32)) {
-            return false;
-        }
-        if let Some(victim) = self.mach.cores[to] {
-            self.deschedule_to_ready(victim);
-        }
-        self.mach.metrics.incr("migrations");
-        match self.mach.threads[ti].core {
-            Some(from) => {
-                self.mach.cores[from.0 as usize] = None;
-                self.mach.threads[ti].core = None;
-                self.backend.on_thread_descheduled(&mut self.mach, t);
-                self.mach.acct_switch(ti, CycleCat::Preempted);
-                self.mach.trace(|now| TraceEvent {
-                    t: now,
-                    ep: TraceEp::Thread(t.0),
-                    kind: TraceKind::SchedMigrate {
-                        thread: t.0,
-                        from: from.0,
-                        to: to as u32,
-                    },
-                });
-                // Refill the vacated source core (possibly with the thread
-                // just evicted from the target).
-                if let Some(next) = self.mach.ready.pop_front() {
-                    self.install(next, from.0 as usize, self.mach.cfg.ctx_switch);
-                }
-            }
-            None => {
-                self.mach.ready.retain(|&x| x != t);
-                self.mach.trace(|now| TraceEvent {
-                    t: now,
-                    ep: TraceEp::Thread(t.0),
-                    kind: TraceKind::SchedMigrate {
-                        thread: t.0,
-                        from: u32::MAX,
-                        to: to as u32,
-                    },
-                });
-            }
-        }
-        self.install(t, to, self.mach.cfg.ctx_switch);
         true
     }
 
@@ -1407,8 +1270,8 @@ impl World {
                     .threads
                     .iter()
                     .enumerate()
-                    .filter(|(_, th)| th.run != ThreadRun::Finished)
-                    .map(|(i, th)| format!("t{i}: core={:?} waiting={:?} computing={:?} left={} pending={:?} run={:?} gen={}", th.core, th.waiting_since, th.computing, th.compute_left, th.pending_outcome, th.run, th.resume_gen))
+                    .filter(|(_, th)| th.finished_at.is_none())
+                    .map(|(i, th)| format!("t{i}: core={:?} waiting={:?} computing={:?} left={} pending={:?} gen={}", th.core, th.waiting, th.computing, th.compute_left, th.pending_outcome, th.resume_gen))
                     .collect();
                 panic!(
                     "simulation stalled with live threads: {blocked:?}\nbackend state:\n{}",
@@ -1624,24 +1487,17 @@ impl World {
 
     /// A requested yield fires: hand the core to the next ready thread. By
     /// the time the event is dispatched the requester may already be
-    /// off-core (quantum preemption raced it) or alone (ready queue
+    /// off-core (preempted, suspended or finished) or alone (ready queue
     /// drained) — both are no-ops.
     fn yield_now(&mut self, t: ThreadId) {
         let ti = t.0 as usize;
-        let th = &self.mach.threads[ti];
-        if th.core.is_none()
-            || th.run == ThreadRun::Finished
-            || th.suspended
-            || self.mach.ready.is_empty()
-        {
+        if self.mach.threads[ti].core.is_none() || self.mach.ready.is_empty() {
             return;
         }
-        let core = th.core.expect("checked on-core");
         self.mach.metrics.incr("yields_taken");
-        self.deschedule_to_ready(t);
-        if let Some(next) = self.mach.ready.pop_front() {
-            self.install(next, core.0 as usize, self.mach.cfg.ctx_switch);
-        }
+        self.mach.threads[ti].stats.preemptions += 1;
+        let core = self.deschedule(t);
+        self.refill(core);
     }
 
     fn fire_watchers(&mut self, cache: usize, line: LineAddr) {
@@ -1702,7 +1558,7 @@ impl World {
 
     fn drive(&mut self, t: ThreadId, outcome: Outcome) {
         let ti = t.0 as usize;
-        if self.mach.threads[ti].run == ThreadRun::Finished {
+        if self.mach.threads[ti].finished_at.is_some() {
             return;
         }
         let Some(core) = self.mach.threads[ti].core else {
@@ -1735,58 +1591,17 @@ impl World {
     fn apply_action(&mut self, t: ThreadId, core: CoreId, action: Action) {
         let ti = t.0 as usize;
         // Cycle-dissection bookkeeping: the action decides what the thread
-        // spends its next cycles on. Time inside a critical section counts
-        // as lock_hold whatever the instruction mix.
-        let in_cs = !self.mach.threads[ti].holding.is_empty();
+        // spends its next cycles on.
         match action {
             Action::Compute(c) => {
-                self.mach.acct_switch(
-                    ti,
-                    if in_cs {
-                        CycleCat::LockHold
-                    } else {
-                        CycleCat::Compute
-                    },
-                );
+                let cat = self.mach.work_cat(ti, CycleCat::Compute);
+                self.mach.acct_switch(ti, cat);
                 self.mach.threads[ti].computing = Some(self.mach.sim.now() + c);
                 self.mach.sched_resume(t, Outcome::Completed, c);
             }
-            Action::Read(a) => {
-                self.mach.acct_switch(
-                    ti,
-                    if in_cs {
-                        CycleCat::LockHold
-                    } else {
-                        CycleCat::Memory
-                    },
-                );
-                self.mach
-                    .issue_mem(core.0 as usize, a, MemKind::Load, MemIssuer::Prog(t));
-            }
-            Action::Write(a, v) => {
-                self.mach.acct_switch(
-                    ti,
-                    if in_cs {
-                        CycleCat::LockHold
-                    } else {
-                        CycleCat::Memory
-                    },
-                );
-                self.mach
-                    .issue_mem(core.0 as usize, a, MemKind::Store(v), MemIssuer::Prog(t));
-            }
-            Action::Rmw(a, op) => {
-                self.mach.acct_switch(
-                    ti,
-                    if in_cs {
-                        CycleCat::LockHold
-                    } else {
-                        CycleCat::Memory
-                    },
-                );
-                self.mach
-                    .issue_mem(core.0 as usize, a, MemKind::Rmw(op), MemIssuer::Prog(t));
-            }
+            Action::Read(a) => self.prog_mem(t, core, a, MemKind::Load),
+            Action::Write(a, v) => self.prog_mem(t, core, a, MemKind::Store(v)),
+            Action::Rmw(a, op) => self.prog_mem(t, core, a, MemKind::Rmw(op)),
             Action::Acquire {
                 lock,
                 mode,
@@ -1794,8 +1609,7 @@ impl World {
             } => {
                 self.mach.acct_switch(ti, CycleCat::LockAcquire);
                 let req_at = self.mach.sim.now();
-                self.mach.threads[ti].waiting_since = Some(req_at);
-                self.mach.threads[ti].waiting_on = Some((lock, mode));
+                self.mach.threads[ti].waiting = Some((lock, mode, req_at));
                 self.mach.waiting_threads += 1;
                 let depth = self.mach.waiting_threads;
                 self.mach.series.on_queue_depth(req_at.cycles(), depth);
@@ -1847,36 +1661,61 @@ impl World {
                 self.backend.on_release(&mut self.mach, t, lock, mode);
             }
             Action::Yield => {
-                self.mach.acct_switch(ti, CycleCat::Preempted);
-                self.mach.trace(|now| TraceEvent {
-                    t: now,
-                    ep: TraceEp::Thread(t.0),
-                    kind: TraceKind::SchedPreempt {
-                        thread: t.0,
-                        core: core.0,
-                    },
-                });
+                // A voluntary yield, so not counted as a preemption.
                 self.mach.threads[ti].pending_outcome = Some(Outcome::Completed);
-                self.mach.cores[core.0 as usize] = None;
-                self.mach.threads[ti].core = None;
-                self.mach.threads[ti].run = ThreadRun::Ready;
-                self.mach.ready.push_back(t);
-                self.backend.on_thread_descheduled(&mut self.mach, t);
-                if let Some(next) = self.mach.ready.pop_front() {
-                    self.install(next, core.0 as usize, self.mach.cfg.ctx_switch);
-                }
+                self.deschedule(t);
+                self.refill(core.0 as usize);
             }
             Action::Done => {
                 self.mach.acct_switch(ti, CycleCat::Preempted);
                 self.mach.threads[ti].finished_at = Some(self.mach.sim.now());
-                self.mach.threads[ti].run = ThreadRun::Finished;
                 self.mach.threads[ti].core = None;
                 self.mach.cores[core.0 as usize] = None;
                 self.mach.alive -= 1;
-                if let Some(next) = self.mach.ready.pop_front() {
-                    self.install(next, core.0 as usize, self.mach.cfg.ctx_switch);
-                }
+                self.refill(core.0 as usize);
             }
+        }
+    }
+
+    /// Issues a program's memory op from `core`.
+    fn prog_mem(&mut self, t: ThreadId, core: CoreId, a: Addr, kind: MemKind) {
+        let ti = t.0 as usize;
+        let cat = self.mach.work_cat(ti, CycleCat::Memory);
+        self.mach.acct_switch(ti, cat);
+        self.mach
+            .issue_mem(core.0 as usize, a, kind, MemIssuer::Prog(t));
+    }
+
+    /// Takes running thread `t` off its core: banks its in-flight compute,
+    /// accounts it as preempted, queues it as ready and tells the backend.
+    /// Returns the vacated core for the caller to `refill`. Callers count
+    /// the preemption themselves, since a voluntary yield is not one.
+    fn deschedule(&mut self, t: ThreadId) -> usize {
+        let ti = t.0 as usize;
+        let core = self.mach.threads[ti]
+            .core
+            .expect("descheduling off-core thread");
+        self.suspend_compute(t);
+        self.mach.acct_switch(ti, CycleCat::Preempted);
+        self.mach.trace(|now| TraceEvent {
+            t: now,
+            ep: TraceEp::Thread(t.0),
+            kind: TraceKind::SchedPreempt {
+                thread: t.0,
+                core: core.0,
+            },
+        });
+        self.mach.cores[core.0 as usize] = None;
+        self.mach.threads[ti].core = None;
+        self.mach.ready.push_back(t);
+        self.backend.on_thread_descheduled(&mut self.mach, t);
+        core.0 as usize
+    }
+
+    /// Hands free core `core` to the next ready thread, if any.
+    fn refill(&mut self, core: usize) {
+        if let Some(next) = self.mach.ready.pop_front() {
+            self.install(next, core, self.mach.cfg.ctx_switch);
         }
     }
 
@@ -1897,10 +1736,9 @@ impl World {
     fn install(&mut self, t: ThreadId, core: usize, delay: Cycles) {
         let ti = t.0 as usize;
         debug_assert!(self.mach.cores[core].is_none());
-        debug_assert!(self.mach.threads[ti].run != ThreadRun::Finished);
+        debug_assert!(self.mach.threads[ti].finished_at.is_none());
         self.mach.cores[core] = Some(t);
         self.mach.threads[ti].core = Some(CoreId(core as u32));
-        self.mach.threads[ti].run = ThreadRun::Running;
         self.mach.sim.schedule_in(delay, Ev::Installed(t, core));
     }
 
@@ -1908,12 +1746,12 @@ impl World {
         let ti = t.0 as usize;
         // The thread may have been preempted again during the context
         // switch; only proceed if it still owns the core.
-        if self.mach.cores[core] != Some(t) || self.mach.threads[ti].run == ThreadRun::Finished {
+        if self.mach.cores[core] != Some(t) {
             return;
         }
         // Back on a core: resume the accounting category the thread was in
         // when it left (acquiring, inside a critical section, or plain work).
-        let resumed = if self.mach.threads[ti].waiting_on.is_some() {
+        let resumed = if self.mach.threads[ti].waiting.is_some() {
             CycleCat::LockAcquire
         } else if !self.mach.threads[ti].holding.is_empty() {
             CycleCat::LockHold
@@ -1969,31 +1807,15 @@ impl World {
             self.mach.quantum_active = false;
             return;
         }
+        // Slice the running thread out only if another is waiting; the
+        // core is then free unless nobody is ready, and refill fills it.
         if let Some(cur) = self.mach.cores[core] {
             if !self.mach.ready.is_empty() {
-                let ci = cur.0 as usize;
-                self.suspend_compute(cur);
-                self.mach.acct_switch(ci, CycleCat::Preempted);
-                self.mach.trace(|now| TraceEvent {
-                    t: now,
-                    ep: TraceEp::Thread(cur.0),
-                    kind: TraceKind::SchedPreempt {
-                        thread: cur.0,
-                        core: core as u32,
-                    },
-                });
-                self.mach.cores[core] = None;
-                self.mach.threads[ci].core = None;
-                self.mach.threads[ci].run = ThreadRun::Ready;
-                self.mach.threads[ci].stats.preemptions += 1;
-                self.mach.ready.push_back(cur);
-                self.backend.on_thread_descheduled(&mut self.mach, cur);
-                let next = self.mach.ready.pop_front().expect("checked non-empty");
-                self.install(next, core, self.mach.cfg.ctx_switch);
+                self.mach.threads[cur.0 as usize].stats.preemptions += 1;
+                self.deschedule(cur);
             }
-        } else if let Some(next) = self.mach.ready.pop_front() {
-            self.install(next, core, self.mach.cfg.ctx_switch);
         }
+        self.refill(core);
         let q = self.mach.cfg.quantum;
         self.mach.sim.schedule_in(q, Ev::Quantum(core, gen));
     }

@@ -79,13 +79,13 @@ impl LockBackend for ProbeBackend {
             .borrow_mut()
             .events
             .push(format!("release t{}", t.0));
-        m.complete_release(t);
+        m.complete_release(t, 0);
     }
 
     fn on_wire(&mut self, m: &mut Mach, token: u64) {
         let (t, _lock) = self.wire.take(token);
         self.log.borrow_mut().events.push(format!("wire t{}", t.0));
-        m.grant_lock(t);
+        m.grant_lock(t, 0);
     }
 
     fn on_timer(&mut self, _m: &mut Mach, token: u64) {
@@ -273,10 +273,10 @@ fn unwatch_suppresses_wake() {
         ) {
             m.watch_line(t, self.target.line());
             m.unwatch_line(t, self.target.line());
-            m.grant_lock(t);
+            m.grant_lock(t, 0);
         }
         fn on_release(&mut self, m: &mut Mach, t: ThreadId, _l: Addr, _mo: Mode) {
-            m.complete_release(t);
+            m.complete_release(t, 0);
         }
         fn on_line_invalidated(&mut self, _m: &mut Mach, t: ThreadId, _line: LineAddr) {
             self.log.borrow_mut().events.push(format!("inval t{}", t.0));
@@ -433,10 +433,10 @@ impl LockBackend for GrantAllBackend {
         "grant-all"
     }
     fn on_acquire(&mut self, m: &mut Mach, t: ThreadId, _l: Addr, _mo: Mode, _tf: Option<Cycles>) {
-        m.grant_lock(t);
+        m.grant_lock(t, 0);
     }
     fn on_release(&mut self, m: &mut Mach, t: ThreadId, _l: Addr, _mo: Mode) {
-        m.complete_release(t);
+        m.complete_release(t, 0);
     }
 }
 

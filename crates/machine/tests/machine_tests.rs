@@ -1,7 +1,8 @@
 //! Machine-level integration tests: programs + memory system + scheduler +
 //! the idealized lock backend.
 
-use std::cell::RefCell;
+use std::cell::{Cell, RefCell};
+use std::collections::VecDeque;
 use std::rc::Rc;
 
 use locksim_machine::testing::{FnProgram, ScriptProgram};
@@ -369,7 +370,7 @@ fn migration_moves_thread_to_new_core() {
     // Run a little, then migrate to core 2.
     w.run_for(Some(locksim_engine::Time::from_cycles(500)));
     assert_eq!(w.mach().core_of(t).map(|c| c.0), Some(0));
-    w.migrate(t, 2);
+    assert!(w.migrate(t, 2));
     w.run_to_completion();
     assert_eq!(w.mach().counters_mut().get("migrations"), 1);
 }
@@ -505,7 +506,7 @@ fn suspend_from_ready_queue_and_resume() {
 }
 
 #[test]
-fn force_migrate_evicts_target_occupant() {
+fn migrate_evicts_target_occupant() {
     let mut w = world_a(2);
     let n = w.mach().n_cores();
     assert!(n >= 2);
@@ -518,9 +519,9 @@ fn force_migrate_evicts_target_occupant() {
     let (t0, t1) = (ThreadId(0), ThreadId(1));
     w.run_until_cycle(500);
     let c1 = w.mach().core_of(t1).unwrap().0 as usize;
-    // Force t0 onto t1's core: t1 is evicted to the ready queue and picks
+    // Move t0 onto t1's core: t1 is evicted to the ready queue and picks
     // up t0's vacated core.
-    assert!(w.force_migrate(t0, c1));
+    assert!(w.migrate(t0, c1));
     w.run_to_completion();
     assert!(w.mach().counters_mut().get("migrations") >= 1);
     assert!(w.mach().thread_stats(t1).preemptions >= 1);
@@ -590,4 +591,76 @@ fn suspended_holder_blocks_then_unblocks_waiters() {
     assert!(w.mach().waiting_on(ThreadId(1)).is_some());
     w.resume_thread(t0);
     w.run_to_completion();
+}
+
+#[test]
+fn every_way_on_and_off_a_core_accounts_and_refills() {
+    // 4 threads on 2 cores: t0 yields, quantum ticks slice everyone, t0 is
+    // suspended mid-compute and later resumed, and t1 migrates onto t3's
+    // core while t2 waits in the ready queue.
+    let mut cfg = MachineConfig::model_a(2);
+    cfg.quantum = 5_000;
+    let mut w = World::new(cfg, Box::new(IdealBackend::new()), 5);
+    w.enable_trace(1 << 12);
+    let finished: Vec<Rc<Cell<u64>>> = (0..4).map(|_| Rc::new(Cell::new(0))).collect();
+    for (i, at) in finished.iter().enumerate() {
+        let mut steps = VecDeque::from(if i == 0 {
+            vec![
+                Action::Compute(3_000),
+                Action::Yield,
+                Action::Compute(12_000),
+            ]
+        } else {
+            vec![Action::Compute(12_000)]
+        });
+        let at = at.clone();
+        w.spawn(Box::new(FnProgram(
+            move |ctx: &mut locksim_machine::Ctx<'_>, _: Outcome| {
+                steps.pop_front().unwrap_or_else(|| {
+                    at.set(ctx.now.cycles());
+                    Action::Done
+                })
+            },
+        )));
+    }
+    let core = |w: &World, t: u32| w.mach_ref().core_of(ThreadId(t)).map(|c| c.0);
+    w.run_until_cycle(12_000);
+    assert_eq!(core(&w, 0), Some(1), "t0 is mid-compute on core 1");
+    assert!(w.suspend(ThreadId(0)));
+    w.run_until_cycle(16_000);
+    assert_eq!((core(&w, 1), core(&w, 3)), (Some(0), Some(1)));
+    assert!(w.mach().has_ready_threads(), "t2 waits for a core");
+    assert!(w.migrate(ThreadId(1), 1));
+    // t3 is evicted to the ready queue and t2 refills t1's vacated core.
+    assert_eq!(
+        (core(&w, 1), core(&w, 2), core(&w, 3)),
+        (Some(1), Some(0), None)
+    );
+    w.run_until_cycle(20_000);
+    assert!(w.resume_thread(ThreadId(0)));
+    w.run_to_completion();
+
+    // The suspension and the eviction count as preemptions; the yield
+    // does not.
+    let preemptions: Vec<u64> = (0..4)
+        .map(|i| w.mach().thread_stats(ThreadId(i)).preemptions)
+        .collect();
+    assert_eq!(preemptions, [3, 4, 5, 4]);
+    assert_eq!(w.mach().counters_mut().get("migrations"), 1);
+    let records = |name: &str| {
+        w.mach_ref()
+            .tracer()
+            .events()
+            .filter(|e| e.kind.name() == name)
+            .count()
+    };
+    // One `sched_preempt` per preemption plus one for the yield.
+    assert_eq!(records("sched_preempt"), 17);
+    assert_eq!(records("sched_migrate"), 1);
+    // Every thread spawned at cycle 0, so its lifetime is its finish time.
+    let ends: Vec<u64> = finished.iter().map(|at| at.get()).collect();
+    assert_eq!(ends, [46_000, 33_500, 41_500, 38_500]);
+    for (i, &end) in ends.iter().enumerate() {
+        assert_eq!(w.thread_dissection(ThreadId(i as u32)).total(), end);
+    }
 }

@@ -97,21 +97,9 @@ impl Value {
     }
 }
 
-/// Escapes `s` for embedding in a JSON string literal.
-pub fn escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out
-}
+/// Escapes `s` for embedding in a JSON string literal (the trace
+/// exporter's escaper).
+pub use locksim_trace::tracer::json_escape as escape;
 
 /// Parses `text` as a single JSON value (trailing content is an error).
 ///

@@ -302,7 +302,7 @@ impl LockBackend for SsbBackend {
                     return;
                 }
                 self.pending.remove(tid);
-                m.grant_lock(tid);
+                m.grant_lock(tid, 0);
             }
             SsbMsg::Deny { addr, tid } => {
                 let Some(p) = self.pending.get(tid).copied() else {
@@ -313,7 +313,7 @@ impl LockBackend for SsbBackend {
                     if m.now() >= deadline {
                         self.pending.remove(tid);
                         self.counters.incr("ssb_try_expires");
-                        m.fail_lock(tid);
+                        m.fail_lock(tid, 0);
                         return;
                     }
                 }
@@ -323,7 +323,7 @@ impl LockBackend for SsbBackend {
             }
             SsbMsg::RelAck { tid, orphan } => {
                 if !orphan {
-                    m.complete_release(tid);
+                    m.complete_release(tid, 0);
                 }
             }
         }

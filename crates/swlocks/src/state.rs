@@ -325,14 +325,14 @@ impl SwState {
         let tsm = self.threads.remove(t).expect("grant without op");
         debug_assert_eq!(tsm.op, OpKind::Acquire);
         self.counters.incr("sw_grants");
-        m.grant_lock(t);
+        m.grant_lock(t, 0);
     }
 
     /// Completes a failed trylock.
     pub fn fail(&mut self, m: &mut Mach, t: ThreadId) {
         self.threads.remove(t);
         self.counters.incr("sw_tryfails");
-        m.fail_lock(t);
+        m.fail_lock(t, 0);
     }
 
     /// Completes a release. (The machine's exclusion checker records the
@@ -346,6 +346,6 @@ impl SwState {
             .expect("release completion without op");
         debug_assert_eq!(tsm.op, OpKind::Release);
         self.counters.incr("sw_releases");
-        m.complete_release(t);
+        m.complete_release(t, 0);
     }
 }

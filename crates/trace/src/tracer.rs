@@ -176,16 +176,16 @@ impl Tracer {
                 write!(
                     w,
                     "{{\"name\":\"thread_name\",\"ph\":\"M\",\"pid\":{pid},\"tid\":{tid},\
-                     \"args\":{{\"name\":{}}}}}",
-                    json_str(&track_name(e.ep))
+                     \"args\":{{\"name\":\"{}\"}}}}",
+                    json_escape(&track_name(e.ep))
                 )?;
             }
             write_sep(w, &mut first)?;
             write!(
                 w,
-                "{{\"name\":{},\"ph\":\"i\",\"s\":\"t\",\"ts\":{},\"pid\":{pid},\"tid\":{tid},\
+                "{{\"name\":\"{}\",\"ph\":\"i\",\"s\":\"t\",\"ts\":{},\"pid\":{pid},\"tid\":{tid},\
                  \"args\":{{{}}}}}",
-                json_str(e.kind.name()),
+                json_escape(e.kind.name()),
                 e.t.cycles(),
                 args_json(&e.kind)
             )?;
@@ -202,8 +202,8 @@ impl Tracer {
                 write!(
                     w,
                     "{{\"name\":\"process_name\",\"ph\":\"M\",\"pid\":{pid},\"tid\":0,\
-                     \"args\":{{\"name\":{}}}}}",
-                    json_str(name)
+                     \"args\":{{\"name\":\"{}\"}}}}",
+                    json_escape(name)
                 )?;
             }
         }
@@ -262,35 +262,40 @@ fn write_sep(w: &mut impl Write, first: &mut bool) -> io::Result<()> {
     }
 }
 
-/// JSON string literal with the escapes our label set can need.
-fn json_str(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
+/// Escapes `s` for embedding in a JSON string literal: quotes,
+/// backslashes, newlines and tabs by name, other control characters as
+/// `\uXXXX`. The workspace's one JSON escaper: trace exports and (through
+/// `locksim_report::json::escape`) run manifests both use it.
+pub fn json_escape(s: &str) -> String {
+    let mut out = String::with_capacity(s.len());
     for c in s.chars() {
         match c {
             '"' => out.push_str("\\\""),
             '\\' => out.push_str("\\\\"),
             '\n' => out.push_str("\\n"),
+            '\t' => out.push_str("\\t"),
             c if (c as u32) < 0x20 => {
                 let _ = write!(out, "\\u{:04x}", c as u32);
             }
             c => out.push(c),
         }
     }
-    out.push('"');
     out
 }
 
 fn args_json(kind: &TraceKind) -> String {
     match *kind {
         TraceKind::MsgSend { class, from, to } | TraceKind::MsgRecv { class, from, to } => {
-            format!("\"class\":{},\"from\":{from},\"to\":{to}", json_str(class))
+            format!(
+                "\"class\":\"{}\",\"from\":{from},\"to\":{to}",
+                json_escape(class)
+            )
         }
         TraceKind::Coherence { line, from, to } => {
             format!(
-                "\"line\":{line},\"from\":{},\"to\":{}",
-                json_str(from),
-                json_str(to)
+                "\"line\":{line},\"from\":\"{}\",\"to\":\"{}\"",
+                json_escape(from),
+                json_escape(to)
             )
         }
         TraceKind::LockRequest {
@@ -319,7 +324,7 @@ fn args_json(kind: &TraceKind) -> String {
             format!("\"lock\":{lock},\"thread\":{thread}")
         }
         TraceKind::EntryState { lock, state } => {
-            format!("\"lock\":{lock},\"state\":{}", json_str(state))
+            format!("\"lock\":{lock},\"state\":\"{}\"", json_escape(state))
         }
         TraceKind::SchedRun { thread, core } | TraceKind::SchedPreempt { thread, core } => {
             format!("\"thread\":{thread},\"core\":{core}")
@@ -337,8 +342,8 @@ fn args_json(kind: &TraceKind) -> String {
         }
         TraceKind::FaultInject { fault, thread, arg } => {
             format!(
-                "\"fault\":{},\"thread\":{thread},\"arg\":{arg}",
-                json_str(fault)
+                "\"fault\":\"{}\",\"thread\":{thread},\"arg\":{arg}",
+                json_escape(fault)
             )
         }
         TraceKind::Deadlock { lock, waiters } => {
@@ -351,12 +356,12 @@ fn args_json(kind: &TraceKind) -> String {
             value,
         } => {
             format!(
-                "\"oracle\":{},\"lock\":{lock},\"thread\":{thread},\"value\":{value}",
-                json_str(oracle)
+                "\"oracle\":\"{}\",\"lock\":{lock},\"thread\":{thread},\"value\":{value}",
+                json_escape(oracle)
             )
         }
         TraceKind::TimerFire { label } | TraceKind::Mark { label } => {
-            format!("\"label\":{}", json_str(label))
+            format!("\"label\":\"{}\"", json_escape(label))
         }
     }
 }
@@ -613,7 +618,10 @@ mod tests {
     }
 
     #[test]
-    fn json_str_escapes() {
-        assert_eq!(json_str("a\"b\\c\nd"), "\"a\\\"b\\\\c\\nd\"");
+    fn json_escape_escapes() {
+        assert_eq!(
+            json_escape("a\"b\\c\nd\te\u{1}"),
+            "a\\\"b\\\\c\\nd\\te\\u0001"
+        );
     }
 }

@@ -48,8 +48,8 @@ fn main() {
     // (its enqueued entry times out and passes the grant through; the
     // request is re-issued from the new core).
     w.run_for(Some(Time::from_cycles(20_000)));
-    w.migrate(ThreadId(0), 6);
-    w.migrate(ThreadId(1), 7);
+    assert!(w.migrate(ThreadId(0), 6));
+    assert!(w.migrate(ThreadId(1), 7));
     w.run_to_completion();
 
     let c = w.report_counters();
