@@ -38,6 +38,23 @@ struct Held {
     cnt: u64,
 }
 
+/// A release of a lock taken uncontended, whose LCU entry was freed at take
+/// time (§III-A case (a)) or whose lock sat parked in the FLT: an entry must
+/// be re-allocated before the LRT can hear of the release.
+#[derive(Debug, Clone, Copy)]
+struct UncontendedRelease {
+    tid: ThreadId,
+    addr: Addr,
+    mode: Mode,
+    core: usize,
+    /// Transfer count of the hold being released.
+    cnt: u64,
+    /// The thread is blocked in its release until the message goes out, so
+    /// the release path owes it the completion. An FLT unpark releases a
+    /// lock whose thread finished releasing it when it was parked.
+    waiting: bool,
+}
+
 #[derive(Debug, Clone, Copy)]
 enum TimerKind {
     /// A trylock budget expired.
@@ -50,18 +67,11 @@ enum TimerKind {
     },
     /// Software retry of an acquire (LCU exhaustion / nonblocking retry).
     RetryAcquire(ThreadId),
-    /// A release could not allocate an LCU entry; retry the protocol part
-    /// (the thread itself has already moved on).
-    RetryRelease {
-        tid: ThreadId,
-        addr: Addr,
-        mode: Mode,
-        core: usize,
-        cnt: u64,
-    },
+    /// An uncontended release found no LCU entry free; retry it.
+    RetryRelease(UncontendedRelease),
     /// A forwarded request found a full LCU; redeliver it shortly.
     RedeliverFwd {
-        at: usize,
+        core: usize,
         addr: Addr,
         tail_tid: ThreadId,
         req: Node,
@@ -175,21 +185,169 @@ impl LcuBackend {
         self.send(m, Ep::Core(from), Ep::Core(to), extra, Wire::Lcu(wrapped));
     }
 
-    /// Allocates an entry for queue maintenance (release re-allocation or
-    /// owner re-allocation on a forwarded request): ordinary entries first,
+    /// Allocates an entry for an uncontended release: ordinary entries first,
     /// then the remote-request nonblocking entry (§III-D), which exists so
     /// remote-service operations make progress when ordinary entries are
     /// exhausted.
     fn alloc_service_entry(&mut self, core: usize, addr: Addr, tid: ThreadId, mode: Mode) -> bool {
-        if self.lcus[core]
-            .alloc(addr, tid, mode, EntryKind::Ordinary)
-            .is_some()
-        {
-            return true;
-        }
-        self.lcus[core]
-            .alloc(addr, tid, mode, EntryKind::RemoteRequest)
-            .is_some()
+        let lcu = &mut self.lcus[core];
+        lcu.alloc(addr, tid, mode, EntryKind::Ordinary).is_some()
+            || lcu
+                .alloc(addr, tid, mode, EntryKind::RemoteRequest)
+                .is_some()
+    }
+
+    // ----------------------------------------------------------------
+    // Message and timer builders: each is built in one place
+    // ----------------------------------------------------------------
+
+    /// Sends `ReleaseToLrt` from `lcu`. `overflow` marks an overflow-mode
+    /// reader, which holds no queue position.
+    fn release_to_lrt(
+        &mut self,
+        m: &mut Mach,
+        lcu: usize,
+        addr: Addr,
+        tid: ThreadId,
+        overflow: bool,
+    ) {
+        let rel = Msg::ReleaseToLrt {
+            addr,
+            tid,
+            lcu,
+            overflow,
+        };
+        self.send_to_lrt(m, lcu, rel);
+    }
+
+    /// The LRT hands `to` the queue-head token at transfer count `cnt`.
+    fn lrt_grant_head(
+        &mut self,
+        m: &mut Mach,
+        mem: usize,
+        addr: Addr,
+        to: Node,
+        penalty: Cycles,
+        cnt: u64,
+    ) {
+        let g = Msg::LrtGrant {
+            addr,
+            tid: to.tid,
+            head: true,
+            overflow: false,
+            cnt,
+        };
+        self.lrt_to_lcu(m, mem, to.lcu, penalty, g);
+    }
+
+    /// The LRT grants `to` an overflow-mode read: no queue membership, one
+    /// more reader in the entry's count.
+    fn lrt_grant_overflow(
+        &mut self,
+        m: &mut Mach,
+        mem: usize,
+        addr: Addr,
+        to: Node,
+        penalty: Cycles,
+    ) {
+        self.counters.incr("lrt_overflow_grants");
+        let g = Msg::LrtGrant {
+            addr,
+            tid: to.tid,
+            head: false,
+            overflow: true,
+            cnt: 0,
+        };
+        self.lrt_to_lcu(m, mem, to.lcu, penalty, g);
+    }
+
+    /// Passes the queue-head token directly from the head at `from`, whose
+    /// transfer count is `cnt`, to `to`. The LRT acknowledges `ack`'s entry
+    /// once `to` notifies it.
+    fn grant_head_token(
+        &mut self,
+        m: &mut Mach,
+        from: usize,
+        addr: Addr,
+        to: Node,
+        cnt: u64,
+        ack: Option<(usize, ThreadId)>,
+    ) {
+        let g = Msg::DirectGrant {
+            addr,
+            tid: to.tid,
+            head: true,
+            cnt: cnt + 1,
+            ack,
+        };
+        self.lcu_to_lcu(m, from, to.lcu, g);
+    }
+
+    /// Shares a read grant with the next reader `to`, without the token.
+    fn grant_read_share(&mut self, m: &mut Mach, from: usize, addr: Addr, to: Node) {
+        let g = Msg::DirectGrant {
+            addr,
+            tid: to.tid,
+            head: false,
+            cnt: 0,
+            ack: None,
+        };
+        self.lcu_to_lcu(m, from, to.lcu, g);
+    }
+
+    /// Makes entry `(core, addr, tid)` the queue head at transfer count
+    /// `cnt` and tells the LRT, which then acknowledges `ack`'s entry.
+    fn notify_head(
+        &mut self,
+        m: &mut Mach,
+        core: usize,
+        addr: Addr,
+        tid: ThreadId,
+        cnt: u64,
+        ack: Option<(usize, ThreadId)>,
+    ) {
+        let e = self.lcus[core].get_mut(addr, tid).expect("entry");
+        e.head = true;
+        e.cnt = cnt;
+        let node = Node {
+            tid,
+            lcu: core,
+            mode: e.mode,
+            nonblocking: false,
+            no_ovf: true,
+        };
+        let msg = Msg::HeadNotify {
+            addr,
+            node,
+            cnt,
+            ack,
+        };
+        self.send_to_lrt(m, core, msg);
+    }
+
+    /// The acquire spins in software; retries it after a backoff.
+    fn retry_acquire_later(&mut self, m: &mut Mach, t: ThreadId) {
+        let backoff = m.cfg().retry_backoff;
+        self.arm(m, backoff, TimerKind::RetryAcquire(t));
+    }
+
+    /// NACKs a forwarded request: redelivers it after a backoff.
+    fn redeliver_later(
+        &mut self,
+        m: &mut Mach,
+        core: usize,
+        addr: Addr,
+        tail_tid: ThreadId,
+        req: Node,
+    ) {
+        let backoff = m.cfg().retry_backoff;
+        let kind = TimerKind::RedeliverFwd {
+            core,
+            addr,
+            tail_tid,
+            req,
+        };
+        self.arm(m, backoff, kind);
     }
 
     // ----------------------------------------------------------------
@@ -235,8 +393,7 @@ impl LcuBackend {
                 // Entry busy releasing or otherwise unusable; spin in
                 // software and retry.
                 _ => {
-                    let backoff = m.cfg().retry_backoff;
-                    self.arm(m, backoff, TimerKind::RetryAcquire(t));
+                    self.retry_acquire_later(m, t);
                     return;
                 }
             }
@@ -261,8 +418,7 @@ impl LcuBackend {
                 // No entry of any kind: software spin, retry later (§III-D
                 // guarantees the local-request entry frees eventually).
                 self.counters.incr("lcu_exhausted");
-                let backoff = m.cfg().retry_backoff;
-                self.arm(m, backoff, TimerKind::RetryAcquire(t));
+                self.retry_acquire_later(m, t);
             }
         }
     }
@@ -278,14 +434,12 @@ impl LcuBackend {
         cnt: u64,
     ) {
         self.reqs.remove(t);
-        self.held.insert(
-            (t, addr),
-            Held {
-                mode,
-                overflow,
-                cnt,
-            },
-        );
+        let held = Held {
+            mode,
+            overflow,
+            cnt,
+        };
+        self.held.insert((t, addr), held);
         m.grant_lock(t, m.cfg().lcu_latency);
     }
 
@@ -344,54 +498,25 @@ impl LcuBackend {
                 return;
             }
             // New status decided up front; messages sent after the borrow ends.
-            e.status = match (e.next, e.head) {
-                (Some(_), true) | (None, true) => Status::Rel,
-                (Some(_), false) | (None, false) => Status::RdRel,
-            };
+            e.status = if e.head { Status::Rel } else { Status::RdRel };
             (e.head, e.cnt, e.mode, e.next)
         };
         self.counters.incr("lcu_pass_throughs");
         m.trace_entry_state(Ep::Core(lcu), addr, if head { "Rel" } else { "RdRel" });
-        match next {
-            Some(n) => {
-                if mode == Mode::Write && head {
-                    // An aborted writer relinquishes its waiting-writer slot.
-                    self.send_to_lrt(m, lcu, Msg::AbortNotify { addr });
-                }
-                if head {
-                    self.send_head_token(m, lcu, tid, addr, cnt, n, mode == Mode::Read);
-                } else {
-                    // Non-head read grant we do not want: behave as an
-                    // instantly-released intermediate reader.
-                    debug_assert_eq!(mode, Mode::Read);
-                    let g = Msg::DirectGrant {
-                        addr,
-                        tid: n.tid,
-                        head: false,
-                        cnt: 0,
-                        ack: None,
-                    };
-                    self.lcu_to_lcu(m, lcu, n.lcu, g);
-                }
-            }
-            None if head => {
-                if mode == Mode::Write {
-                    self.send_to_lrt(m, lcu, Msg::AbortNotify { addr });
-                }
-                let rel = Msg::ReleaseToLrt {
-                    addr,
-                    tid,
-                    lcu,
-                    mode,
-                    overflow: false,
-                };
-                self.send_to_lrt(m, lcu, rel);
-            }
-            None => {
-                // Non-head read grant, no next: parked as an instantly
-                // released reader; the head token will flush the entry.
-                debug_assert_eq!(mode, Mode::Read);
-            }
+        if head && mode == Mode::Write {
+            // An aborted writer relinquishes its waiting-writer slot.
+            self.send_to_lrt(m, lcu, Msg::AbortNotify { addr });
+        }
+        debug_assert!(head || mode == Mode::Read, "non-head writer grant");
+        match (next, head) {
+            (Some(n), true) => self.send_head_token(m, lcu, tid, addr, cnt, n, mode == Mode::Read),
+            // Non-head read grant we do not want: behave as an
+            // instantly-released intermediate reader.
+            (Some(n), false) => self.grant_read_share(m, lcu, addr, n),
+            (None, true) => self.release_to_lrt(m, lcu, addr, tid, false),
+            // Non-head read grant, no next: parked as an instantly released
+            // reader; the head token will flush the entry.
+            (None, false) => {}
         }
     }
 
@@ -423,26 +548,14 @@ impl LcuBackend {
     fn release_head(&mut self, m: &mut Mach, lcu: usize, addr: Addr, tid: ThreadId) {
         let e = self.lcus[lcu].get_mut(addr, tid).expect("head entry");
         debug_assert!(e.head, "release_head on non-head");
-        let cnt = e.cnt;
+        e.status = Status::Rel;
+        let (cnt, from_read) = (e.cnt, e.mode == Mode::Read);
         m.trace_entry_state(Ep::Core(lcu), addr, "Rel");
         match e.next {
-            Some(n) => {
-                let from_read = e.mode == Mode::Read;
-                e.status = Status::Rel;
-                self.send_head_token(m, lcu, tid, addr, cnt, n, from_read);
-            }
+            Some(n) => self.send_head_token(m, lcu, tid, addr, cnt, n, from_read),
             None => {
-                e.status = Status::Rel;
                 self.counters.incr("lcu_lrt_releases");
-                let mode = e.mode;
-                let rel = Msg::ReleaseToLrt {
-                    addr,
-                    tid,
-                    lcu,
-                    mode,
-                    overflow: false,
-                };
-                self.send_to_lrt(m, lcu, rel);
+                self.release_to_lrt(m, lcu, addr, tid, false);
             }
         }
     }
@@ -478,52 +591,53 @@ impl LcuBackend {
         } else {
             self.counters.incr("lcu_direct_transfers");
             m.lockstat_bump(addr, "lcu_direct_transfers");
-            let g = Msg::DirectGrant {
-                addr,
-                tid: next.tid,
-                head: true,
-                cnt: cnt + 1,
-                ack: Some((lcu, releaser)),
-            };
-            self.lcu_to_lcu(m, lcu, next.lcu, g);
+            self.grant_head_token(m, lcu, addr, next, cnt, Some((lcu, releaser)));
         }
     }
 
-    /// Makes a parked (FLT) release visible: re-allocates an entry for the
-    /// owner-of-record and releases through the LRT, exactly as an
-    /// uncontended release would have.
+    /// The one uncontended-release path (§III-A): re-allocates a service
+    /// entry, makes it the releasing head and sends `ReleaseToLrt`. With no
+    /// entry free it retries after a backoff. It owes a waiting thread its
+    /// completion, once the message is out. Returns whether it went out now.
+    fn release_uncontended(&mut self, m: &mut Mach, r: UncontendedRelease) -> bool {
+        if !self.alloc_service_entry(r.core, r.addr, r.tid, r.mode) {
+            let backoff = m.cfg().retry_backoff;
+            self.arm(m, backoff, TimerKind::RetryRelease(r));
+            return false;
+        }
+        let e = self.lcus[r.core]
+            .get_mut(r.addr, r.tid)
+            .expect("just allocated");
+        e.status = Status::Rel;
+        e.head = true;
+        e.cnt = r.cnt;
+        if r.waiting {
+            self.counters.incr("lcu_uncontended_releases");
+        }
+        self.release_to_lrt(m, r.core, r.addr, r.tid, false);
+        if r.waiting {
+            m.complete_release(r.tid, m.cfg().lcu_latency);
+        }
+        true
+    }
+
+    /// Makes a parked (FLT) release visible: releases through the LRT for
+    /// the owner-of-record, exactly as an uncontended release would have.
+    /// Its thread finished releasing when the lock was parked.
     fn flt_unpark_release(&mut self, m: &mut Mach, core: usize, lock: Addr) {
         let Some((tid, cnt)) = self.flts[core].remove(&lock) else {
             return;
         };
         self.counters.incr("flt_unparks");
-        if self.alloc_service_entry(core, lock, tid, Mode::Write) {
-            let e = self.lcus[core].get_mut(lock, tid).expect("just allocated");
-            e.status = Status::Rel;
-            e.head = true;
-            e.cnt = cnt;
-            let rel = Msg::ReleaseToLrt {
-                addr: lock,
-                tid,
-                lcu: core,
-                mode: Mode::Write,
-                overflow: false,
-            };
-            self.send_to_lrt(m, core, rel);
-        } else {
-            let backoff = m.cfg().retry_backoff;
-            self.arm(
-                m,
-                backoff,
-                TimerKind::RetryRelease {
-                    tid,
-                    addr: lock,
-                    mode: Mode::Write,
-                    core,
-                    cnt,
-                },
-            );
-        }
+        let r = UncontendedRelease {
+            tid,
+            addr: lock,
+            mode: Mode::Write,
+            core,
+            cnt,
+            waiting: false,
+        };
+        self.release_uncontended(m, r);
     }
 
     // ----------------------------------------------------------------
@@ -537,9 +651,8 @@ impl LcuBackend {
                 addr,
                 tid,
                 lcu,
-                mode,
                 overflow,
-            } => self.lrt_release(m, mem, addr, tid, lcu, mode, overflow),
+            } => self.lrt_release(m, mem, addr, tid, lcu, overflow),
             Msg::HeadNotify {
                 addr,
                 node,
@@ -593,14 +706,7 @@ impl LcuBackend {
                         .get_mut(addr)
                         .map(|(e, _)| e.cnt)
                         .unwrap_or(cnt);
-                    let g = Msg::LrtGrant {
-                        addr,
-                        tid: writer.tid,
-                        head: true,
-                        overflow: false,
-                        cnt: gcnt,
-                    };
-                    self.lrt_to_lcu(m, mem, writer.lcu, penalty, g);
+                    self.lrt_grant_head(m, mem, addr, writer, penalty, gcnt);
                 }
             }
             Msg::AbortNotify { addr } => {
@@ -634,15 +740,7 @@ impl LcuBackend {
                 match (req.mode, req.nonblocking) {
                     (Mode::Read, true) => {
                         e.reader_cnt += 1;
-                        self.counters.incr("lrt_overflow_grants");
-                        let g = Msg::LrtGrant {
-                            addr,
-                            tid: req.tid,
-                            head: false,
-                            overflow: true,
-                            cnt: 0,
-                        };
-                        self.lrt_to_lcu(m, mem, req.lcu, penalty, g);
+                        self.lrt_grant_overflow(m, mem, addr, req, penalty);
                     }
                     (Mode::Read, false) => {
                         // Join the (empty) queue as head of the read session.
@@ -650,14 +748,7 @@ impl LcuBackend {
                         e.tail = Some(req);
                         e.cnt += 1;
                         let gcnt = e.cnt;
-                        let g = Msg::LrtGrant {
-                            addr,
-                            tid: req.tid,
-                            head: true,
-                            overflow: false,
-                            cnt: gcnt,
-                        };
-                        self.lrt_to_lcu(m, mem, req.lcu, penalty, g);
+                        self.lrt_grant_head(m, mem, addr, req, penalty, gcnt);
                     }
                     (Mode::Write, false) => {
                         // Writer must wait for the overflow readers.
@@ -681,14 +772,7 @@ impl LcuBackend {
             let gcnt = e.cnt;
             self.counters.incr("lrt_free_grants");
             m.trace_entry_state(Ep::Mem(mem), addr, "LrtHead");
-            let g = Msg::LrtGrant {
-                addr,
-                tid: req.tid,
-                head: true,
-                overflow: false,
-                cnt: gcnt,
-            };
-            self.lrt_to_lcu(m, mem, req.lcu, penalty, g);
+            self.lrt_grant_head(m, mem, addr, req, penalty, gcnt);
             return;
         }
         // Lock taken with a queue (or at least an owner).
@@ -700,15 +784,7 @@ impl LcuBackend {
                 && e.pending_writer.is_none();
             if readable {
                 e.reader_cnt += 1;
-                self.counters.incr("lrt_overflow_grants");
-                let g = Msg::LrtGrant {
-                    addr,
-                    tid: req.tid,
-                    head: false,
-                    overflow: true,
-                    cnt: 0,
-                };
-                self.lrt_to_lcu(m, mem, req.lcu, penalty, g);
+                self.lrt_grant_overflow(m, mem, addr, req, penalty);
             } else {
                 self.deny_nonblocking(m, mem, addr, req, penalty, reservation_timeout);
             }
@@ -756,7 +832,6 @@ impl LcuBackend {
         self.lrt_to_lcu(m, mem, req.lcu, penalty, Msg::Retry { addr, tid: req.tid });
     }
 
-    #[allow(clippy::too_many_arguments)] // protocol message fields travel together
     fn lrt_release(
         &mut self,
         m: &mut Mach,
@@ -764,7 +839,6 @@ impl LcuBackend {
         addr: Addr,
         tid: ThreadId,
         lcu: usize,
-        mode: Mode,
         overflow: bool,
     ) {
         let now = m.now();
@@ -780,14 +854,7 @@ impl LcuBackend {
                     e.cnt = e.cnt.max(wcnt);
                     let gcnt = e.cnt;
                     self.counters.incr("lrt_writer_grants");
-                    let g = Msg::LrtGrant {
-                        addr,
-                        tid: writer.tid,
-                        head: true,
-                        overflow: false,
-                        cnt: gcnt,
-                    };
-                    self.lrt_to_lcu(m, mem, writer.lcu, penalty, g);
+                    self.lrt_grant_head(m, mem, addr, writer, penalty, gcnt);
                 }
             }
             self.lrts[mem].remove_if_dead(addr, now);
@@ -819,7 +886,7 @@ impl LcuBackend {
         // owner (§III-C). Forward to the head LCU; it hops along the queue
         // if needed.
         self.counters.incr("lrt_remote_releases");
-        let fwd = Msg::FwdRelease { addr, tid, mode };
+        let fwd = Msg::FwdRelease { addr, tid };
         self.lrt_to_lcu(m, mem, head.lcu, penalty, fwd);
     }
 
@@ -827,7 +894,7 @@ impl LcuBackend {
     // LCU message handling
     // ----------------------------------------------------------------
 
-    fn lcu_handle(&mut self, m: &mut Mach, at: usize, msg: Msg) {
+    fn lcu_handle(&mut self, m: &mut Mach, core: usize, msg: Msg) {
         match msg {
             Msg::LrtGrant {
                 addr,
@@ -839,28 +906,19 @@ impl LcuBackend {
                 if overflow {
                     // Overflow-mode read grant: the nonblocking entry is
                     // freed; the thread holds without queue membership.
-                    let core = at;
                     if self.lcus[core].get(addr, tid).is_some() {
                         self.lcus[core].free(addr, tid);
                     }
                     if self.reqs.get(tid).map(|r| r.addr) != Some(addr) {
                         // Trylock expired while the grant was in flight:
                         // give it straight back.
-                        let rel = Msg::ReleaseToLrt {
-                            addr,
-                            tid,
-                            lcu: core,
-                            mode: Mode::Read,
-                            overflow: true,
-                        };
-                        self.send_to_lrt(m, core, rel);
+                        self.release_to_lrt(m, core, addr, tid, true);
                         return;
                     }
                     self.counters.incr("lcu_overflow_takes");
                     self.finish_grant(m, tid, addr, Mode::Read, true, 0);
                     return;
                 }
-                let core = at;
                 if self.lcus[core].get(addr, tid).is_none() {
                     // Entry vanished (aborted + freed): the LRT granted us a
                     // lock nobody wants; the grant is dropped and the LRT
@@ -878,37 +936,31 @@ impl LcuBackend {
                 addr,
                 tail_tid,
                 req,
-            } => self.lcu_fwd_request(m, at, addr, tail_tid, req),
-            Msg::Retry { addr, tid } => {
-                // Either a nonblocking denial (entry Issued) or a release
-                // race (entry Rel).
-                let core = at;
-                if self.lcus[core].get(addr, tid).is_some() {
-                    let e = self.lcus[core].get_mut(addr, tid).expect("entry");
-                    match e.status {
-                        Status::Issued => {
-                            // Nonblocking request denied: free the entry and
-                            // retry from software after a backoff.
-                            self.lcus[core].free(addr, tid);
-                            self.counters.incr("lcu_nb_retries");
-                            if self.reqs.contains_key(tid) {
-                                let backoff = m.cfg().retry_backoff;
-                                self.arm(m, backoff, TimerKind::RetryAcquire(tid));
-                            }
-                        }
-                        Status::Rel => {
-                            // Release race: keep the entry; the forwarded
-                            // request will arrive and we transfer directly.
-                            self.counters.incr("lcu_release_races");
-                        }
-                        other => panic!("Retry at entry in {other:?}"),
+            } => self.lcu_fwd_request(m, core, addr, tail_tid, req),
+            // Either a nonblocking denial (entry Issued) or a release race
+            // (entry Rel).
+            Msg::Retry { addr, tid } => match self.lcus[core].get(addr, tid).map(|e| e.status) {
+                Some(Status::Issued) => {
+                    // Nonblocking request denied: free the entry and retry
+                    // from software after a backoff.
+                    self.lcus[core].free(addr, tid);
+                    self.counters.incr("lcu_nb_retries");
+                    if self.reqs.contains_key(tid) {
+                        self.retry_acquire_later(m, tid);
                     }
                 }
-            }
+                Some(Status::Rel) => {
+                    // Release race: keep the entry; the forwarded request
+                    // will arrive and we transfer directly.
+                    self.counters.incr("lcu_release_races");
+                }
+                Some(other) => panic!("Retry at entry in {other:?}"),
+                None => {}
+            },
             Msg::ReleaseAck { addr, tid } => {
-                if let Some(e) = self.lcus[at].get(addr, tid) {
+                if let Some(e) = self.lcus[core].get(addr, tid) {
                     debug_assert_eq!(e.status, Status::Rel, "ack for non-releasing entry");
-                    self.lcus[at].free(addr, tid);
+                    self.lcus[core].free(addr, tid);
                     self.counters.incr("lcu_entry_frees");
                 }
             }
@@ -918,16 +970,16 @@ impl LcuBackend {
                 head,
                 cnt,
                 ack,
-            } => self.lcu_direct_grant(m, at, addr, tid, head, cnt, ack),
+            } => self.lcu_direct_grant(m, core, addr, tid, head, cnt, ack),
             Msg::Wait { addr, tid } => {
-                if let Some(e) = self.lcus[at].get_mut(addr, tid) {
+                if let Some(e) = self.lcus[core].get_mut(addr, tid) {
                     if e.status == Status::Issued {
                         e.status = Status::Wait;
-                        m.trace_entry_state(Ep::Core(at), addr, "Wait");
+                        m.trace_entry_state(Ep::Core(core), addr, "Wait");
                     }
                 }
             }
-            Msg::FwdRelease { addr, tid, mode } => self.lcu_fwd_release(m, at, addr, tid, mode),
+            Msg::FwdRelease { addr, tid } => self.lcu_fwd_release(m, core, addr, tid),
             other => panic!("LCU received unexpected message {other:?}"),
         }
     }
@@ -943,60 +995,40 @@ impl LcuBackend {
     fn lcu_fwd_request(
         &mut self,
         m: &mut Mach,
-        at: usize,
+        core: usize,
         addr: Addr,
         tail_tid: ThreadId,
         req: Node,
     ) {
+        // A remote requestor appeared for a parked lock: unpark the
+        // deferred release and transfer to the requestor directly.
+        if self.flts[core]
+            .get(&addr)
+            .is_some_and(|&(owner, _)| owner == tail_tid)
+        {
+            self.counters.incr("flt_fwd_unparks");
+            if self.lcus[core]
+                .alloc(addr, tail_tid, Mode::Write, EntryKind::Ordinary)
+                .is_none()
+            {
+                // Table full: stay parked and NACK-redeliver.
+                self.redeliver_later(m, core, addr, tail_tid, req);
+                return;
+            }
+            let (_, cnt) = self.flts[core].remove(&addr).expect("parked");
+            let e = self.lcus[core]
+                .get_mut(addr, tail_tid)
+                .expect("just allocated");
+            e.status = Status::Rel;
+            e.head = true;
+            e.cnt = cnt;
+            e.next = Some(req);
+            self.send_head_token(m, core, tail_tid, addr, cnt, req, false);
+            return;
+        }
         // Locate the tail entry at the addressed LCU; if the owner took the
         // lock uncontended the entry was deallocated here and must be
         // re-allocated (§III-A case (b)).
-        let core = at;
-        // A remote requestor appeared for a parked lock: unpark the
-        // deferred release and transfer to the requestor directly.
-        if let Some(&(owner, cnt)) = self.flts[core].get(&addr) {
-            if owner == tail_tid {
-                self.flts[core].remove(&addr);
-                self.counters.incr("flt_fwd_unparks");
-                if self.lcus[core]
-                    .alloc(addr, tail_tid, Mode::Write, EntryKind::Ordinary)
-                    .is_none()
-                {
-                    // Table full: repark and NACK-redeliver.
-                    self.flts[core].insert(addr, (owner, cnt));
-                    let backoff = m.cfg().retry_backoff;
-                    self.arm(
-                        m,
-                        backoff,
-                        TimerKind::RedeliverFwd {
-                            at,
-                            addr,
-                            tail_tid,
-                            req,
-                        },
-                    );
-                    return;
-                }
-                let e = self.lcus[core]
-                    .get_mut(addr, tail_tid)
-                    .expect("just allocated");
-                e.status = Status::Rel;
-                e.head = true;
-                e.cnt = cnt;
-                e.next = Some(req);
-                let g = Msg::DirectGrant {
-                    addr,
-                    tid: req.tid,
-                    head: true,
-                    cnt: cnt + 1,
-                    ack: Some((core, tail_tid)),
-                };
-                self.counters.incr("lcu_direct_transfers");
-                m.lockstat_bump(addr, "lcu_direct_transfers");
-                self.lcu_to_lcu(m, core, req.lcu, g);
-                return;
-            }
-        }
         if self.lcus[core].get(addr, tail_tid).is_none() {
             let Some(held) = self.held.get(&(tail_tid, addr)).copied() else {
                 // The owner's release is racing with this forward: its
@@ -1004,17 +1036,7 @@ impl LcuBackend {
                 // the new tail) and its entry will be waiting for exactly
                 // this message. Redeliver until that entry exists.
                 self.counters.incr("lcu_fwd_orphans");
-                let backoff = m.cfg().retry_backoff;
-                self.arm(
-                    m,
-                    backoff,
-                    TimerKind::RedeliverFwd {
-                        at,
-                        addr,
-                        tail_tid,
-                        req,
-                    },
-                );
+                self.redeliver_later(m, core, addr, tail_tid, req);
                 return;
             };
             // Re-allocation creates a *queue node*, so only ordinary
@@ -1027,17 +1049,7 @@ impl LcuBackend {
                 .is_none()
             {
                 self.counters.incr("lcu_fwd_noentry");
-                let backoff = m.cfg().retry_backoff;
-                self.arm(
-                    m,
-                    backoff,
-                    TimerKind::RedeliverFwd {
-                        at,
-                        addr,
-                        tail_tid,
-                        req,
-                    },
-                );
+                self.redeliver_later(m, core, addr, tail_tid, req);
                 return;
             }
             let e = self.lcus[core]
@@ -1062,14 +1074,7 @@ impl LcuBackend {
         if shared_read {
             // Concurrent reader: grant immediately (non-head).
             self.counters.incr("lcu_read_shares");
-            let g = Msg::DirectGrant {
-                addr,
-                tid: req.tid,
-                head: false,
-                cnt: 0,
-                ack: None,
-            };
-            self.lcu_to_lcu(m, core, req.lcu, g);
+            self.grant_read_share(m, core, addr, req);
         } else if releasing {
             // Release race resolution: transfer to the requestor (gated if
             // it is a writer that may coexist with overflow readers).
@@ -1090,52 +1095,26 @@ impl LcuBackend {
     fn lcu_direct_grant(
         &mut self,
         m: &mut Mach,
-        at: usize,
+        core: usize,
         addr: Addr,
         tid: ThreadId,
         head: bool,
         cnt: u64,
         ack: Option<(usize, ThreadId)>,
     ) {
-        let core = at;
-        if self.lcus[core].get(addr, tid).is_none() {
+        let Some(status) = self.lcus[core].get(addr, tid).map(|e| e.status) else {
             self.counters.incr("lcu_orphan_grants");
             return;
-        }
-        let status = self.lcus[core].get(addr, tid).expect("entry").status;
+        };
         match status {
             Status::Issued | Status::Wait => {
-                let notify = {
-                    let e = self.lcus[core].get_mut(addr, tid).expect("entry");
-                    e.status = Status::Rcv;
-                    m.trace_entry_state(Ep::Core(core), addr, "Rcv");
-                    e.head |= head;
-                    if head {
-                        e.cnt = cnt;
-                        Some(Node {
-                            tid,
-                            lcu: core,
-                            mode: e.mode,
-                            nonblocking: false,
-                            no_ovf: true,
-                        })
-                    } else {
-                        debug_assert!(ack.is_none());
-                        None
-                    }
-                };
-                if let Some(node) = notify {
+                self.lcus[core].get_mut(addr, tid).expect("entry").status = Status::Rcv;
+                m.trace_entry_state(Ep::Core(core), addr, "Rcv");
+                if head {
                     self.counters.incr("lcu_head_notifies");
-                    self.send_to_lrt(
-                        m,
-                        core,
-                        Msg::HeadNotify {
-                            addr,
-                            node,
-                            cnt,
-                            ack,
-                        },
-                    );
+                    self.notify_head(m, core, addr, tid, cnt, ack);
+                } else {
+                    debug_assert!(ack.is_none());
                 }
                 self.propagate_read_grant(m, core, addr, tid);
                 self.try_take(m, core, addr, tid);
@@ -1144,33 +1123,9 @@ impl LcuBackend {
                 // A reader that already holds (or received) the lock gets
                 // the head token.
                 debug_assert!(head, "duplicate non-head grant");
-                let (node, was_rcv) = {
-                    let e = self.lcus[core].get_mut(addr, tid).expect("entry");
-                    e.head = true;
-                    e.cnt = cnt;
-                    (
-                        Node {
-                            tid,
-                            lcu: core,
-                            mode: e.mode,
-                            nonblocking: false,
-                            no_ovf: true,
-                        },
-                        e.status == Status::Rcv,
-                    )
-                };
                 self.counters.incr("lcu_head_notifies");
-                self.send_to_lrt(
-                    m,
-                    core,
-                    Msg::HeadNotify {
-                        addr,
-                        node,
-                        cnt,
-                        ack,
-                    },
-                );
-                if was_rcv {
+                self.notify_head(m, core, addr, tid, cnt, ack);
+                if status == Status::Rcv {
                     self.try_take(m, core, addr, tid);
                 }
             }
@@ -1180,85 +1135,25 @@ impl LcuBackend {
                 debug_assert!(head, "non-head grant to RdRel entry");
                 let next = self.lcus[core].get(addr, tid).expect("entry").next;
                 self.counters.incr("lcu_token_bypasses");
+                let direct = m.cfg().lcu_direct_transfer;
                 match next {
-                    Some(n)
-                        if n.mode == Mode::Write && (!n.no_ovf || !m.cfg().lcu_direct_transfer) =>
-                    {
-                        // The writer may coexist with overflow readers: the
-                        // LRT must gate its grant. Become the head first
-                        // (acknowledging the original releaser), then hand
-                        // off; our entry awaits the handoff's ack.
-                        {
-                            let e = self.lcus[core].get_mut(addr, tid).expect("entry");
-                            e.status = Status::Rel;
-                            e.head = true;
-                            e.cnt = cnt;
-                        }
-                        let node = Node {
-                            tid,
-                            lcu: core,
-                            mode: Mode::Read,
-                            nonblocking: false,
-                            no_ovf: true,
-                        };
-                        self.send_to_lrt(
-                            m,
-                            core,
-                            Msg::HeadNotify {
-                                addr,
-                                node,
-                                cnt,
-                                ack,
-                            },
-                        );
-                        self.send_head_token(m, core, tid, addr, cnt, n, true);
-                    }
-                    Some(n) => {
+                    // A reader, or a writer that no overflow reader can
+                    // coexist with: the token skips this entry.
+                    Some(n) if n.mode == Mode::Read || (n.no_ovf && direct) => {
                         self.lcus[core].free(addr, tid);
-                        let g = Msg::DirectGrant {
-                            addr,
-                            tid: n.tid,
-                            head: true,
-                            cnt: cnt + 1,
-                            ack,
-                        };
-                        self.lcu_to_lcu(m, core, n.lcu, g);
+                        self.grant_head_token(m, core, addr, n, cnt, ack);
                     }
-                    None => {
-                        // Last reader in the session: the lock frees. We
-                        // must both notify the LRT (becoming head) and
-                        // immediately release.
-                        {
-                            let e = self.lcus[core].get_mut(addr, tid).expect("entry");
-                            e.status = Status::Rel;
-                            e.head = true;
-                            e.cnt = cnt;
+                    // A writer the LRT must gate, or no one: become the
+                    // head (acknowledging the original releaser), then hand
+                    // off or, as the session's last reader, release. Our
+                    // entry awaits the handoff's or the release's ack.
+                    next => {
+                        self.lcus[core].get_mut(addr, tid).expect("entry").status = Status::Rel;
+                        self.notify_head(m, core, addr, tid, cnt, ack);
+                        match next {
+                            Some(n) => self.send_head_token(m, core, tid, addr, cnt, n, true),
+                            None => self.release_to_lrt(m, core, addr, tid, false),
                         }
-                        let node = Node {
-                            tid,
-                            lcu: core,
-                            mode: Mode::Read,
-                            nonblocking: false,
-                            no_ovf: true,
-                        };
-                        self.send_to_lrt(
-                            m,
-                            core,
-                            Msg::HeadNotify {
-                                addr,
-                                node,
-                                cnt,
-                                ack,
-                            },
-                        );
-                        let rel = Msg::ReleaseToLrt {
-                            addr,
-                            tid,
-                            lcu: core,
-                            mode: Mode::Read,
-                            overflow: false,
-                        };
-                        self.send_to_lrt(m, core, rel);
                     }
                 }
             }
@@ -1280,19 +1175,12 @@ impl LcuBackend {
         if let Some(n) = e.next {
             if n.mode == Mode::Read {
                 self.counters.incr("lcu_read_propagations");
-                let g = Msg::DirectGrant {
-                    addr,
-                    tid: n.tid,
-                    head: false,
-                    cnt: 0,
-                    ack: None,
-                };
-                self.lcu_to_lcu(m, core, n.lcu, g);
+                self.grant_read_share(m, core, addr, n);
             }
         }
     }
 
-    fn lcu_fwd_release(&mut self, m: &mut Mach, at: usize, addr: Addr, tid: ThreadId, mode: Mode) {
+    fn lcu_fwd_release(&mut self, m: &mut Mach, at: usize, addr: Addr, tid: ThreadId) {
         // Look at the addressed LCU first; if the entry moved (reader chain
         // traversal), fall back to locating it anywhere. In hardware the
         // message hops next-pointer by next-pointer; the tuple lookup
@@ -1303,25 +1191,19 @@ impl LcuBackend {
         } else {
             self.find_entry_core(addr, tid)
         };
-        if let Some(core) = found {
-            let st = self.lcus[core].get(addr, tid).expect("entry").status;
-            match st {
-                Status::Acq | Status::Rcv => {
-                    self.counters.incr("lcu_remote_release_served");
-                    // Make sure a parked Rcv becomes a real hold first.
-                    if st == Status::Rcv {
-                        let e = self.lcus[core].get_mut(addr, tid).expect("entry");
-                        e.status = Status::Acq;
-                    }
-                    self.release_entry(m, core, addr, tid);
-                }
-                _ => {
-                    self.counters.incr("lcu_remote_release_dropped");
-                }
-            }
-        } else {
-            let _ = mode;
+        let Some(core) = found else {
             self.counters.incr("lcu_remote_release_missing");
+            return;
+        };
+        let e = self.lcus[core].get_mut(addr, tid).expect("entry");
+        match e.status {
+            Status::Acq | Status::Rcv => {
+                // Make sure a parked Rcv becomes a real hold first.
+                e.status = Status::Acq;
+                self.counters.incr("lcu_remote_release_served");
+                self.release_entry(m, core, addr, tid);
+            }
+            _ => self.counters.incr("lcu_remote_release_dropped"),
         }
     }
 }
@@ -1385,15 +1267,7 @@ impl LockBackend for LcuBackend {
             if owner == t && mode == Mode::Write {
                 self.flts[core].remove(&lock);
                 self.counters.incr("flt_hits");
-                self.held.insert(
-                    (t, lock),
-                    Held {
-                        mode,
-                        overflow: false,
-                        cnt,
-                    },
-                );
-                m.grant_lock(t, m.cfg().lcu_latency);
+                self.finish_grant(m, t, lock, mode, false, cnt);
                 return;
             }
             // A different local thread (or a read acquire): the parked
@@ -1410,14 +1284,14 @@ impl LockBackend for LcuBackend {
             },
         );
         if let Some(budget) = try_for {
-            if budget == 0 {
-                // Degenerate trylock: single attempt semantics still need a
-                // request round-trip; give it one retry-backoff window.
-                let backoff = m.cfg().retry_backoff;
-                self.arm(m, backoff, TimerKind::TryExpire(t));
+            // A degenerate trylock's single attempt still needs a request
+            // round-trip; give it one retry-backoff window.
+            let budget = if budget == 0 {
+                m.cfg().retry_backoff
             } else {
-                self.arm(m, budget, TimerKind::TryExpire(t));
-            }
+                budget
+            };
+            self.arm(m, budget, TimerKind::TryExpire(t));
         }
         self.try_start_request(m, t);
     }
@@ -1430,97 +1304,51 @@ impl LockBackend for LcuBackend {
             .unwrap_or_else(|| panic!("{t:?} releasing {lock} it does not hold"));
         debug_assert_eq!(held.mode, mode, "release mode mismatch");
         let core = m.core_of(t).expect("release from scheduled thread").0 as usize;
-        let lcu_lat = m.cfg().lcu_latency;
         if held.overflow {
             // Overflow readers have no entry; release goes straight home.
-            let rel = Msg::ReleaseToLrt {
-                addr: lock,
+            self.release_to_lrt(m, core, lock, t, true);
+        } else if self.lcus[core].get(lock, t).is_some() {
+            self.release_entry(m, core, lock, t);
+        } else if self.find_entry_core(lock, t).is_some() {
+            // The holding entry is on another core (we migrated while
+            // holding). Send the release to the LRT, which forwards it to
+            // the entry (§III-C remote release).
+            self.counters.incr("lcu_remote_release_sent");
+            self.release_to_lrt(m, core, lock, t, false);
+        } else if mode == Mode::Write && m.cfg().flt_entries > 0 {
+            // FLT (§IV-C): park the uncontended write release locally.
+            // The LRT keeps recording us as owner; a forwarded request
+            // unparks and transfers.
+            if self.flts[core].len() >= m.cfg().flt_entries {
+                // Evict the lowest-addressed park by making its release
+                // visible (deterministic victim selection).
+                if let Some(&victim) = self.flts[core].keys().next() {
+                    self.flt_unpark_release(m, core, victim);
+                }
+            }
+            self.flts[core].insert(lock, (t, held.cnt));
+            self.counters.incr("flt_parks");
+        } else {
+            // Uncontended hold: the entry was deallocated at take time.
+            // Re-allocate and release through the LRT (§III-A); that path
+            // completes the release.
+            let r = UncontendedRelease {
                 tid: t,
-                lcu: core,
+                addr: lock,
                 mode,
-                overflow: true,
+                core,
+                cnt: held.cnt,
+                waiting: true,
             };
-            self.send_to_lrt(m, core, rel);
-            m.complete_release(t, lcu_lat);
+            if !self.release_uncontended(m, r) {
+                // No entry free, not even the remote-request one: the rel
+                // instruction spins, the thread blocked in the release
+                // until a retry finds an entry.
+                self.counters.incr("lcu_release_noentry");
+            }
             return;
         }
-        let local = self.lcus[core].get(lock, t).is_some();
-        match (local, self.find_entry_core(lock, t)) {
-            (true, _) => {
-                self.release_entry(m, core, lock, t);
-            }
-            (false, Some(_remote_core)) => {
-                // The holding entry is on another core (we migrated while
-                // holding). Send the release to the LRT, which forwards it
-                // to the entry (§III-C remote release).
-                self.counters.incr("lcu_remote_release_sent");
-                let rel = Msg::ReleaseToLrt {
-                    addr: lock,
-                    tid: t,
-                    lcu: core,
-                    mode,
-                    overflow: false,
-                };
-                self.send_to_lrt(m, core, rel);
-            }
-            (false, None)
-                if mode == Mode::Write
-                    && m.cfg().flt_entries > 0
-                    && self.lcus[core].get(lock, t).is_none() =>
-            {
-                // FLT (§IV-C): park the uncontended write release locally.
-                // The LRT keeps recording us as owner; a forwarded request
-                // unparks and transfers.
-                if self.flts[core].len() >= m.cfg().flt_entries {
-                    // Evict the lowest-addressed park by making its release
-                    // visible (deterministic victim selection).
-                    if let Some(&victim) = self.flts[core].keys().next() {
-                        self.flt_unpark_release(m, core, victim);
-                    }
-                }
-                self.flts[core].insert(lock, (t, held.cnt));
-                self.counters.incr("flt_parks");
-            }
-            (false, None) => {
-                // Uncontended hold: the entry was deallocated at take time.
-                // Re-allocate and release through the LRT (§III-A). If no
-                // entry is free (even the remote-request one), retry the
-                // protocol part shortly — the thread itself proceeds.
-                if self.alloc_service_entry(core, lock, t, mode) {
-                    let e = self.lcus[core].get_mut(lock, t).expect("just allocated");
-                    e.status = Status::Rel;
-                    e.head = true;
-                    e.cnt = held.cnt;
-                    self.counters.incr("lcu_uncontended_releases");
-                    let rel = Msg::ReleaseToLrt {
-                        addr: lock,
-                        tid: t,
-                        lcu: core,
-                        mode,
-                        overflow: false,
-                    };
-                    self.send_to_lrt(m, core, rel);
-                } else {
-                    // The rel instruction spins until an entry frees; the
-                    // thread stays blocked in the release meanwhile.
-                    self.counters.incr("lcu_release_noentry");
-                    let backoff = m.cfg().retry_backoff;
-                    self.arm(
-                        m,
-                        backoff,
-                        TimerKind::RetryRelease {
-                            tid: t,
-                            addr: lock,
-                            mode,
-                            core,
-                            cnt: held.cnt,
-                        },
-                    );
-                    return;
-                }
-            }
-        }
-        m.complete_release(t, lcu_lat);
+        m.complete_release(t, m.cfg().lcu_latency);
     }
 
     fn on_wire(&mut self, m: &mut Mach, token: u64) {
@@ -1540,22 +1368,17 @@ impl LockBackend for LcuBackend {
         self.ensure_init(m);
         match self.timers.take(token) {
             TimerKind::TryExpire(t) => {
-                if let Some(req) = self.reqs.get(t).copied() {
+                if self.reqs.remove(t).is_some() {
                     self.counters.incr("lcu_try_expires");
-                    self.reqs.remove(t);
                     // Entry cleanup is lazy: any grant that arrives for the
                     // abandoned entry passes through. If the entry is still
                     // merely Issued/Wait, it stays queued and forwards.
                     m.fail_lock(t, 0);
-                    let _ = req;
                 }
             }
             TimerKind::GrantTimeout { lcu, addr, tid } => {
-                let still_rcv = self.lcus[lcu]
-                    .get(addr, tid)
-                    .map(|e| e.status == Status::Rcv)
-                    .unwrap_or(false);
-                if !still_rcv {
+                let still_rcv = self.lcus[lcu].get(addr, tid).map(|e| e.status);
+                if still_rcv != Some(Status::Rcv) {
                     return;
                 }
                 // Thread returned meanwhile?
@@ -1589,51 +1412,17 @@ impl LockBackend for LcuBackend {
                     self.try_start_request(m, t);
                 }
             }
-            TimerKind::RetryRelease {
-                tid,
-                addr,
-                mode,
-                core,
-                cnt,
-            } => {
-                if self.alloc_service_entry(core, addr, tid, mode) {
-                    let e = self.lcus[core].get_mut(addr, tid).expect("just allocated");
-                    e.status = Status::Rel;
-                    e.head = true;
-                    e.cnt = cnt;
-                    self.counters.incr("lcu_uncontended_releases");
-                    let rel = Msg::ReleaseToLrt {
-                        addr,
-                        tid,
-                        lcu: core,
-                        mode,
-                        overflow: false,
-                    };
-                    self.send_to_lrt(m, core, rel);
-                    m.complete_release(tid, m.cfg().lcu_latency);
-                } else {
-                    let backoff = m.cfg().retry_backoff;
-                    self.arm(
-                        m,
-                        backoff,
-                        TimerKind::RetryRelease {
-                            tid,
-                            addr,
-                            mode,
-                            core,
-                            cnt,
-                        },
-                    );
-                }
+            TimerKind::RetryRelease(r) => {
+                self.release_uncontended(m, r);
             }
             TimerKind::RedeliverFwd {
-                at,
+                core,
                 addr,
                 tail_tid,
                 req,
             } => {
                 self.counters.incr("lcu_fwd_redeliveries");
-                self.lcu_fwd_request(m, at, addr, tail_tid, req);
+                self.lcu_fwd_request(m, core, addr, tail_tid, req);
             }
         }
     }

@@ -37,7 +37,8 @@ pub enum Msg {
     },
     /// Release reaching the LRT: uncontended release, sole-node queue
     /// release, overflow-reader release, or a release from a migrated
-    /// thread's current core.
+    /// thread's current core. It carries no mode: the LRT tells an
+    /// overflow reader by `overflow` and a queue node by its identity.
     ReleaseToLrt {
         /// Lock address.
         addr: Addr,
@@ -45,8 +46,6 @@ pub enum Msg {
         tid: ThreadId,
         /// LCU the release was issued from.
         lcu: usize,
-        /// Mode held.
-        mode: Mode,
         /// The holder was an overflow-mode reader (not in the queue).
         overflow: bool,
     },
@@ -145,14 +144,13 @@ pub enum Msg {
         tid: ThreadId,
     },
     /// A release by a migrated thread, forwarded along the queue until the
-    /// LCU holding the matching entry is found (paper §III-C).
+    /// LCU holding the matching entry is found (paper §III-C). The entry
+    /// found knows its own mode.
     FwdRelease {
         /// Lock address.
         addr: Addr,
         /// Thread whose entry must be released.
         tid: ThreadId,
-        /// Mode held.
-        mode: Mode,
     },
 }
 

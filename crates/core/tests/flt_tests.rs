@@ -212,3 +212,45 @@ fn radiosity_pattern_recovers_with_flt() {
         "FLT should recover most of the biasing: flt={lcu_flt} lcu={lcu} posix={posix}"
     );
 }
+
+#[test]
+fn flt_unpark_retry_does_not_complete_a_finished_release() {
+    // With no ordinary LCU entries, every uncontended release borrows the
+    // one remote-request entry until the LRT acknowledges it. An FLT unpark
+    // that finds it busy retries later; that retry must not complete a
+    // release, because the thread finished releasing the parked lock long
+    // ago and is now blocked in an acquire.
+    let mut cfg = MachineConfig::model_a(1);
+    cfg.lcu_entries = 0;
+    cfg.flt_entries = 1;
+    let mut w = World::new(cfg, Box::new(LcuBackend::new()), 1);
+    let l1 = w.mach().alloc().alloc_line();
+    let l3 = w.mach().alloc().alloc_line();
+    let acquire = |lock, mode| Action::Acquire {
+        lock,
+        mode,
+        try_for: None,
+    };
+    let release = |lock, mode| Action::Release { lock, mode };
+    w.spawn(Box::new(ScriptProgram::new(vec![
+        // Parks l1 in the FLT.
+        acquire(l1, Mode::Write),
+        release(l1, Mode::Write),
+        // Its release holds the remote-request entry until acknowledged.
+        acquire(l3, Mode::Read),
+        release(l3, Mode::Read),
+        // A read acquire unparks l1 while that entry is still busy.
+        acquire(l1, Mode::Read),
+        Action::Compute(100),
+        release(l1, Mode::Read),
+    ])));
+    w.run_to_completion();
+    let c = w.report_counters();
+    assert_eq!(c.get("locks_granted"), 3, "{c:?}");
+    assert_eq!(c.get("flt_unparks"), 1, "{c:?}");
+    assert_eq!(
+        c.get("lcu_uncontended_releases"),
+        2,
+        "only the two releases a thread waited on count: {c:?}"
+    );
+}

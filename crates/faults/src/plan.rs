@@ -461,7 +461,7 @@ impl FaultPlan {
                 let trigger = match head {
                     "at" => Trigger::AtCycle(num(toks, "cycle")?),
                     cond => {
-                        let thread = num(toks, "thread id")? as u32;
+                        let thread = num_u32(toks, "thread id")?;
                         keyword(toks, "after")?;
                         let after = num(toks, "cycle")?;
                         if cond == "when-waiting" {
@@ -476,7 +476,7 @@ impl FaultPlan {
                     .ok_or_else(|| "missing injection verb after trigger".to_string())?;
                 let inject = match verb {
                     "suspend" => {
-                        let thread = num(toks, "thread id")? as u32;
+                        let thread = num_u32(toks, "thread id")?;
                         let duration = match toks.next() {
                             None => None,
                             Some("for") => Some(num(toks, "duration")?),
@@ -487,18 +487,18 @@ impl FaultPlan {
                         Inject::Suspend { thread, duration }
                     }
                     "resume" => Inject::Resume {
-                        thread: num(toks, "thread id")? as u32,
+                        thread: num_u32(toks, "thread id")?,
                     },
                     "migrate" => {
-                        let thread = num(toks, "thread id")? as u32;
+                        let thread = num_u32(toks, "thread id")?;
                         keyword(toks, "to")?;
                         Inject::Migrate {
                             thread,
-                            to_core: num(toks, "core id")? as u32,
+                            to_core: num_u32(toks, "core id")?,
                         }
                     }
                     "flt-evict" => Inject::FltEvict {
-                        core: num(toks, "core id")? as u32,
+                        core: num_u32(toks, "core id")?,
                     },
                     "wire-delay" => {
                         keyword(toks, "every")?;
@@ -531,6 +531,13 @@ pub(crate) fn num(toks: &mut std::str::SplitWhitespace<'_>, what: &str) -> Resul
     let tok = toks.next().ok_or_else(|| format!("missing {what}"))?;
     tok.parse::<u64>()
         .map_err(|_| format!("bad {what} {tok:?} (expected a number)"))
+}
+
+/// Consumes the next token as a number that fits a `u32` (an id or a
+/// count), naming `what` and the value when it does not.
+pub(crate) fn num_u32(toks: &mut std::str::SplitWhitespace<'_>, what: &str) -> Result<u32, String> {
+    let n = num(toks, what)?;
+    u32::try_from(n).map_err(|_| format!("{what} {n} out of range (at most {})", u32::MAX))
 }
 
 /// Consumes the next token, requiring it to be exactly `kw`.
@@ -630,6 +637,14 @@ at 50000 wire-clear
             ("at 10 wire-delay every 0 extra 5", "must be positive"),
             ("horizon 5 extra", "trailing token"),
             ("when-waiting 1 5000 suspend 1", "expected \"after\""),
+            (
+                "at 100 suspend 4294967297 for 10",
+                "thread id 4294967297 out of range",
+            ),
+            (
+                "at 5 migrate 1 to 4294967296",
+                "core id 4294967296 out of range",
+            ),
         ] {
             let err = FaultPlan::parse(text).expect_err(text);
             assert!(err.contains("line 1"), "{err}");

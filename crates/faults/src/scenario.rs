@@ -21,7 +21,7 @@
 //! ```
 
 use crate::fuzz::{ChaosCase, ChaosWorkload};
-use crate::plan::{num, FaultPlan};
+use crate::plan::{num, num_u32, FaultPlan};
 
 /// One fully-specified, replayable chaos run.
 #[derive(Debug, Clone, PartialEq)]
@@ -101,10 +101,10 @@ impl ChaosScenario {
                 }
             }
             "seed" => self.seed = num(toks, "seed")?,
-            "threads" => self.workload.threads = num(toks, "thread count")? as u32,
-            "iters" => self.workload.iters = num(toks, "iteration count")? as u32,
+            "threads" => self.workload.threads = num_u32(toks, "thread count")?,
+            "iters" => self.workload.iters = num_u32(toks, "iteration count")?,
             "cs-compute" => self.workload.cs_compute = num(toks, "cycle count")?,
-            "write-pct" => self.workload.write_pct = num(toks, "percentage")? as u32,
+            "write-pct" => self.workload.write_pct = num_u32(toks, "percentage")?,
             "lrt-pressure" => {
                 self.workload.lrt_pressure = match toks.next() {
                     Some("on") => true,
@@ -206,5 +206,10 @@ when-holding 0 after 200 suspend 0
         assert!(err.contains("unknown directive"), "{err}");
         let err = ChaosScenario::parse("lrt-pressure maybe\n").unwrap_err();
         assert!(err.contains("expected \"on\" or \"off\""), "{err}");
+        let err = ChaosScenario::parse("threads 4294967298\n").unwrap_err();
+        assert!(
+            err.contains("thread count 4294967298 out of range"),
+            "{err}"
+        );
     }
 }

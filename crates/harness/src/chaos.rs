@@ -1,8 +1,9 @@
 //! The `chaossim` bin's engine: fuzz → soak → detect → shrink → corpus.
 //!
-//! Each seed maps deterministically to a [`ChaosCase`] — a backend, a
-//! workload shape, and a fuzzed [`FaultPlan`] — via the split-stream
-//! generator in `locksim-faults`. The soak runner executes each case with
+//! Each seed maps deterministically to a
+//! [`ChaosCase`](locksim_faults::ChaosCase) — a backend, a workload shape,
+//! and a fuzzed [`FaultPlan`] — via the split-stream generator in
+//! `locksim-faults`. The soak runner executes each case with
 //! the quiescence deadlock detector armed, so a plan that wedges the run
 //! (suspend a holder forever) ends in a structured `DEADLOCK` verdict with
 //! a blocking-chain dump instead of burning its deadline or hanging the

@@ -3,7 +3,7 @@
 //! "Metrics" sections.
 //!
 //! Every experiment executor in [`crate::run`] arms the world before the
-//! run ([`arm`]) and reports it afterwards ([`observe`]). When `--trace`
+//! run (`arm`) and reports it afterwards (`observe`). When `--trace`
 //! was given, the first simulated run of the process is captured into the
 //! machine's trace ring and exported as Chrome trace-event JSON (loadable
 //! in Perfetto or `chrome://tracing`); every run additionally contributes

@@ -12,7 +12,7 @@
 //! * **per-run isolation** — each job's world owns its RNG, trace ring,
 //!   and metrics registry; the harness-side observability state
 //!   ([`crate::obs`]) is thread-local, and each worker drains it into a
-//!   [`obs::WorkerCapture`] after every job;
+//!   `obs::WorkerCapture` after every job;
 //! * **canonical-order merge** — results come back indexed, and the caller
 //!   merges the captures on the main thread in job order, which reproduces
 //!   the sequential "last observe wins / run counts accumulate" semantics

@@ -83,9 +83,7 @@ impl SwLockBackend {
                 crate::state::read(m, t, lock);
             }
             Phase::McsSpinWait | Phase::McsRelSpinWait => mcs::redrive(&mut self.st, m, t),
-            Phase::MrswRWait | Phase::MrswWWaitRdr | Phase::MrswWRelSpinWait => {
-                mrsw::redrive(&mut self.st, m, t)
-            }
+            Phase::MrswRWait | Phase::MrswWWaitRdr => mrsw::redrive(&mut self.st, m, t),
             Phase::BravoWScanWait => bravo::redrive(&mut self.st, m, t),
             Phase::FisRWait | Phase::FisWWait => fissile::redrive(&mut self.st, m, t),
             _ => {}
@@ -202,11 +200,10 @@ impl LockBackend for SwLockBackend {
             .insert(t, tas::new_tsm(lock, mode, OpKind::Release));
         match (self.alg, mode) {
             (SwAlg::Tas | SwAlg::Tatas | SwAlg::Posix, _) => tas::start_release(&mut self.st, m, t),
-            (SwAlg::Mcs, _) => mcs::start_release(&mut self.st, m, t),
-            (SwAlg::Mrsw, Mode::Read) => mrsw::start_release_read(&mut self.st, m, t),
-            (SwAlg::Mrsw | SwAlg::Bravo, Mode::Write) => {
-                mrsw::start_release_write(&mut self.st, m, t)
+            (SwAlg::Mcs, _) | (SwAlg::Mrsw | SwAlg::Bravo, Mode::Write) => {
+                mcs::start_release(&mut self.st, m, t)
             }
+            (SwAlg::Mrsw, Mode::Read) => mrsw::start_release_read(&mut self.st, m, t),
             (SwAlg::Bravo, Mode::Read) => bravo::start_release_read(&mut self.st, m, t),
             (SwAlg::Fissile, Mode::Read) => fissile::start_release_read(&mut self.st, m, t),
             (SwAlg::Fissile, Mode::Write) => fissile::start_release_write(&mut self.st, m, t),

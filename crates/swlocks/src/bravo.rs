@@ -63,11 +63,7 @@ pub(crate) fn start_release_read(st: &mut SwState, m: &mut Mach, t: ThreadId) {
 /// Diverts an acquiring reader onto the underlying MRSW read lock.
 fn slow_path(st: &mut SwState, m: &mut Mach, t: ThreadId) {
     st.counters.incr("sw_bravo_slow_reads");
-    let lock = st.threads[t].lock;
-    let lm = st.lock_mem(m, lock);
-    let tsm = st.threads.get_mut(t).expect("tsm");
-    tsm.phase = Phase::MrswRInc;
-    rmw(m, t, lm.rdr, RmwOp::FetchAdd(1));
+    crate::mrsw::start_acquire_read(st, m, t);
 }
 
 /// The underlying MRSW read lock is held (slow path): decide whether to

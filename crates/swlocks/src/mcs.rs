@@ -2,9 +2,11 @@
 //!
 //! Queue node layout (one line per `(thread, lock)`): word 0 = `next`
 //! pointer, word 1 = `locked` flag. The lock's tail pointer lives in the
-//! lock's side memory. MRSW reuses this machine for its writer queue; on
-//! MCS-acquisition an MRSW writer continues into the reader-drain phases
-//! instead of being granted.
+//! lock's side memory. MRSW, BRAVO and Fissile run their writer queues on
+//! this machine, both ways: on MCS-acquisition a writer continues into its
+//! algorithm's phases instead of being granted ([`mcs_acquired`]), and its
+//! release is this machine's, with one hook for MRSW and BRAVO when the
+//! queue empties ([`queue_emptied`]).
 
 use locksim_machine::{Addr, Mach, RmwOp, ThreadId};
 
@@ -106,7 +108,7 @@ pub(crate) fn advance(st: &mut SwState, m: &mut Mach, t: ThreadId, step: Step) {
         (Phase::McsRelCas, Step::Value(old)) => {
             if old == q.0 {
                 // No successor: lock is free.
-                st.released(m, t);
+                queue_emptied(st, m, t);
             } else {
                 // A successor is mid-enqueue: wait for it to link.
                 tsm.phase = Phase::McsRelSpinRead;
@@ -140,6 +142,16 @@ fn mcs_acquired(st: &mut SwState, m: &mut Mach, t: ThreadId) {
         crate::SwAlg::Mrsw | crate::SwAlg::Bravo => crate::mrsw::writer_at_head(st, m, t),
         crate::SwAlg::Fissile => crate::fissile::writer_at_head(st, m, t),
         _ => st.grant(m, t),
+    }
+}
+
+/// A release emptied the queue. An MRSW or BRAVO writer still holds the
+/// writer-active flag (a handoff to a queued writer keeps it set): clear
+/// it, waking spinning readers, then complete. Other algorithms are done.
+fn queue_emptied(st: &mut SwState, m: &mut Mach, t: ThreadId) {
+    match st.alg {
+        crate::SwAlg::Mrsw | crate::SwAlg::Bravo => crate::mrsw::clear_wactive(st, m, t),
+        _ => st.released(m, t),
     }
 }
 

@@ -8,8 +8,9 @@
 //!
 //! Writers: MCS-enqueue on the writer queue (reusing [`crate::mcs`]); at
 //! the head, set `wactive`, then spin until the reader counter drains.
-//! Release hands off to the next queued writer directly (keeping `wactive`
-//! set) or clears `wactive`, waking readers.
+//! Release is the MCS release: it hands off to the next queued writer
+//! directly (keeping `wactive` set) or, when the queue empties, clears
+//! `wactive` ([`clear_wactive`]), waking readers.
 
 use locksim_machine::{Mach, RmwOp, ThreadId};
 
@@ -34,15 +35,14 @@ pub(crate) fn start_release_read(st: &mut SwState, m: &mut Mach, t: ThreadId) {
     rmw(m, t, lm.rdr, RmwOp::FetchAdd(MINUS_ONE));
 }
 
-pub(crate) fn start_release_write(st: &mut SwState, m: &mut Mach, t: ThreadId) {
+/// The writer's MCS release emptied the queue: clear the active flag,
+/// waking readers, then complete.
+pub(crate) fn clear_wactive(st: &mut SwState, m: &mut Mach, t: ThreadId) {
     let lock = st.threads[t].lock;
     let lm = st.lock_mem(m, lock);
-    let q = st.qnode(m, t, lock);
     let tsm = st.threads.get_mut(t).expect("tsm");
-    tsm.qnode = q;
-    tsm.scratch = lm.tail.0;
-    tsm.phase = Phase::MrswWRelReadNext;
-    read(m, t, q);
+    tsm.phase = Phase::MrswWRelClear;
+    write(m, t, lm.wactive, 0);
 }
 
 /// An MRSW writer reached the head of the writer queue: set the active
@@ -116,55 +116,8 @@ pub(crate) fn advance(st: &mut SwState, m: &mut Mach, t: ThreadId, step: Step) {
             tsm.phase = Phase::MrswWReadRdr;
             read(m, t, lm.rdr);
         }
-        // ---- writer release ----
-        (Phase::MrswWRelReadNext, Step::Value(next)) => {
-            if next != 0 {
-                // Direct handoff: wactive stays set for the next writer.
-                tsm.phase = Phase::MrswWRelUnlock;
-                write(m, t, locksim_machine::Addr(next).add(1), 0);
-            } else {
-                tsm.phase = Phase::MrswWRelCas;
-                let q = tsm.qnode;
-                rmw(
-                    m,
-                    t,
-                    lm.tail,
-                    RmwOp::CompareSwap {
-                        expect: q.0,
-                        new: 0,
-                    },
-                );
-            }
-        }
-        (Phase::MrswWRelCas, Step::Value(old)) => {
-            if old == tsm.qnode.0 {
-                // Queue empty: clear the writer flag, waking readers.
-                tsm.phase = Phase::MrswWRelClear;
-                write(m, t, lm.wactive, 0);
-            } else {
-                tsm.phase = Phase::MrswWRelSpinRead;
-                let q = tsm.qnode;
-                read(m, t, q);
-            }
-        }
-        (Phase::MrswWRelSpinRead, Step::Value(next)) => {
-            if next != 0 {
-                tsm.phase = Phase::MrswWRelUnlock;
-                write(m, t, locksim_machine::Addr(next).add(1), 0);
-            } else {
-                tsm.phase = Phase::MrswWRelSpinWait;
-                let q = tsm.qnode;
-                st.guarded_watch(m, t, q);
-            }
-        }
-        (Phase::MrswWRelSpinWait, Step::Wake) => {
-            tsm.phase = Phase::MrswWRelSpinRead;
-            let q = tsm.qnode;
-            read(m, t, q);
-        }
-        (Phase::MrswWRelClear, Step::Value(_)) | (Phase::MrswWRelUnlock, Step::Value(_)) => {
-            st.released(m, t)
-        }
+        // ---- writer release (after the MCS release emptied the queue) ----
+        (Phase::MrswWRelClear, Step::Value(_)) => st.released(m, t),
         (_, Step::Wake) | (_, Step::Timer) => {}
         (p, s) => panic!("mrsw machine: unexpected {s:?} in {p:?}"),
     }
@@ -205,11 +158,6 @@ pub(crate) fn redrive(st: &mut SwState, m: &mut Mach, t: ThreadId) {
         Phase::MrswWWaitRdr => {
             tsm.phase = Phase::MrswWReadRdr;
             read(m, t, lm.rdr);
-        }
-        Phase::MrswWRelSpinWait => {
-            tsm.phase = Phase::MrswWRelSpinRead;
-            let q = tsm.qnode;
-            read(m, t, q);
         }
         _ => {}
     }

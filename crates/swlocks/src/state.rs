@@ -98,13 +98,8 @@ pub(crate) enum Phase {
     MrswWSetActive,
     MrswWReadRdr,
     MrswWWaitRdr,
-    // MRSW write release
-    MrswWRelReadNext,
-    MrswWRelCas,
+    // MRSW/BRAVO write release, once the MCS release emptied the queue
     MrswWRelClear,
-    MrswWRelSpinRead,
-    MrswWRelSpinWait,
-    MrswWRelUnlock,
     // BRAVO reader fast path (publish into the visible-readers table)
     BravoRReadBias,
     BravoRPublish,
