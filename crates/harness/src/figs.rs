@@ -651,19 +651,19 @@ pub fn summary() -> Vec<Table> {
     vec![t]
 }
 
-/// Runs one LCU world (seed 42) to completion and returns its simulated
-/// cycles; `spawn` allocates the run's lines and spawns its threads.
-fn lcu_cycles(cfg: MachineConfig, spawn: impl FnOnce(&mut World)) -> u64 {
+/// Runs one LCU world (seed 42) to completion; `spawn` allocates the run's
+/// lines and spawns its threads.
+fn lcu_run(cfg: MachineConfig, spawn: impl FnOnce(&mut World)) -> World {
     let mut w = World::new(cfg, BackendKind::Lcu.build(), 42);
     spawn(&mut w);
     w.run_to_completion();
-    w.mach().now().cycles()
+    w
 }
 
 /// The single-lock microbenchmark on a custom LCU configuration: `threads`
 /// threads share 2 000 critical sections.
-fn lcu_microbench_cycles(cfg: MachineConfig, threads: usize, write_pct: u32) -> u64 {
-    lcu_cycles(cfg, |w| {
+fn lcu_microbench(cfg: MachineConfig, threads: usize, write_pct: u32) -> World {
+    lcu_run(cfg, |w| {
         let lock = w.mach().alloc().alloc_line();
         let data = w.mach().alloc().alloc_line();
         let pool = IterPool::new(2_000);
@@ -673,20 +673,53 @@ fn lcu_microbench_cycles(cfg: MachineConfig, threads: usize, write_pct: u32) -> 
     })
 }
 
+/// The multi-lock read pattern: 8 threads each hold 12 read locks at once,
+/// 20 rounds. Small tables overflow into nonblocking mode, and readers
+/// re-acquire entries still in RD_REL.
+fn lcu_multi_read(cfg: MachineConfig) -> World {
+    lcu_run(cfg, |w| {
+        let locks: Vec<_> = (0..12).map(|_| w.mach().alloc().alloc_line()).collect();
+        for _ in 0..8 {
+            let mut script = Vec::new();
+            for _ in 0..20 {
+                script.extend(locks.iter().map(|&lock| Action::Acquire {
+                    lock,
+                    mode: Mode::Read,
+                    try_for: None,
+                }));
+                script.push(Action::Compute(500));
+                script.extend(locks.iter().map(|&lock| Action::Release {
+                    lock,
+                    mode: Mode::Read,
+                }));
+            }
+            w.spawn(Box::new(ScriptProgram::new(script)));
+        }
+    })
+}
+
+/// An on/off ablation measures its mechanism only if the "on" run fires it
+/// (`counter` above zero) and the "off" run never does.
+fn assert_fired(w: &World, counter: &str, on: bool) {
+    let fired = w.report_counters().get(counter);
+    assert_eq!(fired > 0, on, "{counter} = {fired}, mechanism on: {on}");
+}
+
 /// Ablations of the LCU's design choices, one run each, in simulated
 /// cycles. The sizes are fixed (`LOCKSIM_QUICK` does not shrink them), so
 /// the table is a golden:
 ///
 /// * `direct_transfer` — direct LCU→LCU grants vs routing every transfer
 ///   through the home LRT (the paper's headline mechanism).
-/// * `fast_reacquire` — RD_REL local re-acquisition on vs off (this
-///   workload never re-acquires an RD_REL entry, so both rows match).
+/// * `fast_reacquire` — RD_REL local re-acquisition on vs off, on the
+///   multi-lock read pattern with 8 entries.
 /// * `grant_timeout` — sensitivity to the §III-C timeout threshold under
 ///   oversubscription.
-/// * `lcu_entries` — table size 2 vs 8 vs 16 under multi-lock load.
-/// * `reservation` — LRT anti-starvation reservation on vs off with a
-///   2-entry LCU (each thread holds one lock, so the entries never run out
-///   and both rows match).
+/// * `lcu_entries` — table size 2 vs 8 vs 16 on the multi-lock read
+///   pattern.
+/// * `reservation` — LRT anti-starvation reservation on vs off, with no
+///   ordinary LCU entries, so every request is nonblocking, and 16 writers
+///   on 8 cores, so the LRT keeps denying them.
 /// * `flt` — the §IV-C Free Lock Table off vs 4 entries per core on a
 ///   private-lock pattern.
 pub fn ablations() -> Vec<Table> {
@@ -694,18 +727,22 @@ pub fn ablations() -> Vec<Table> {
         "Ablations — LCU design choices (simulated cycles of one run, seed 42)",
         &["ablation", "setting", "cycles"],
     );
-    let mut row = |ablation: &str, setting: &str, cycles: u64| {
+    let mut row = |ablation: &str, setting: &str, mut w: World| {
+        let cycles = w.mach().now().cycles();
         t.push(vec![ablation.into(), setting.into(), cycles.to_string()]);
     };
     for (name, direct) in [("direct", true), ("via_lrt", false)] {
         let mut cfg = MachineConfig::model_a(32);
         cfg.lcu_direct_transfer = direct;
-        row("direct_transfer", name, lcu_microbench_cycles(cfg, 16, 100));
+        row("direct_transfer", name, lcu_microbench(cfg, 16, 100));
     }
     for (name, on) in [("on", true), ("off", false)] {
-        let mut cfg = MachineConfig::model_a(32);
+        let mut cfg = MachineConfig::model_a(8);
+        cfg.lcu_entries = 8;
         cfg.lcu_fast_reacquire = on;
-        row("fast_reacquire", name, lcu_microbench_cycles(cfg, 16, 10));
+        let w = lcu_multi_read(cfg);
+        assert_fired(&w, "lcu_fast_reacquires", on);
+        row("fast_reacquire", name, w);
     }
     for timeout in [200u64, 1_000, 5_000] {
         // 8 cores, 16 threads: grants regularly land on preempted threads
@@ -714,46 +751,31 @@ pub fn ablations() -> Vec<Table> {
         cfg.grant_timeout = timeout;
         cfg.quantum = 20_000;
         let name = format!("timeout_{timeout}");
-        row("grant_timeout", &name, lcu_microbench_cycles(cfg, 16, 100));
+        row("grant_timeout", &name, lcu_microbench(cfg, 16, 100));
     }
     for entries in [2usize, 8, 16] {
         let mut cfg = MachineConfig::model_a(8);
         cfg.lcu_entries = entries;
-        // Each thread holds 12 read locks at once, so small tables overflow
-        // into nonblocking mode.
-        let cycles = lcu_cycles(cfg, |w| {
-            let locks: Vec<_> = (0..12).map(|_| w.mach().alloc().alloc_line()).collect();
-            for _ in 0..8 {
-                let mut script = Vec::new();
-                for _ in 0..20 {
-                    script.extend(locks.iter().map(|&lock| Action::Acquire {
-                        lock,
-                        mode: Mode::Read,
-                        try_for: None,
-                    }));
-                    script.push(Action::Compute(500));
-                    script.extend(locks.iter().map(|&lock| Action::Release {
-                        lock,
-                        mode: Mode::Read,
-                    }));
-                }
-                w.spawn(Box::new(ScriptProgram::new(script)));
-            }
-        });
-        row("lcu_entries", &format!("entries_{entries}"), cycles);
+        row(
+            "lcu_entries",
+            &format!("entries_{entries}"),
+            lcu_multi_read(cfg),
+        );
     }
     for (name, on) in [("on", true), ("off", false)] {
         let mut cfg = MachineConfig::model_a(8);
-        cfg.lcu_entries = 2;
+        cfg.lcu_entries = 0;
         cfg.lcu_reservation = on;
-        row("reservation", name, lcu_microbench_cycles(cfg, 8, 100));
+        let w = lcu_microbench(cfg, 16, 100);
+        assert_fired(&w, "lrt_reservations", on);
+        row("reservation", name, w);
     }
     for (name, entries) in [("off", 0usize), ("entries_4", 4)] {
         // Private-lock pattern: each of 8 threads hammers its own lock (the
         // paper's Radiosity observation, §IV-C).
         let mut cfg = MachineConfig::model_a(8);
         cfg.flt_entries = entries;
-        let cycles = lcu_cycles(cfg, |w| {
+        let w = lcu_run(cfg, |w| {
             let locks: Vec<_> = (0..8).map(|_| w.mach().alloc().alloc_line()).collect();
             for lock in locks {
                 let mut script = Vec::new();
@@ -772,7 +794,7 @@ pub fn ablations() -> Vec<Table> {
                 w.spawn(Box::new(ScriptProgram::new(script)));
             }
         });
-        row("flt", name, cycles);
+        row("flt", name, w);
     }
     vec![t]
 }

@@ -8,16 +8,16 @@ use locksim_harness::figs::ablations;
 const GOLDEN: &[(&str, &str, u64)] = &[
     ("direct_transfer", "direct", 174_070),
     ("direct_transfer", "via_lrt", 310_002),
-    ("fast_reacquire", "on", 136_723),
-    ("fast_reacquire", "off", 136_723),
+    ("fast_reacquire", "on", 55_294),
+    ("fast_reacquire", "off", 61_129),
     ("grant_timeout", "timeout_200", 214_184),
     ("grant_timeout", "timeout_1000", 254_442),
     ("grant_timeout", "timeout_5000", 5_365_484),
     ("lcu_entries", "entries_2", 51_210),
     ("lcu_entries", "entries_8", 55_294),
     ("lcu_entries", "entries_16", 60_556),
-    ("reservation", "on", 174_070),
-    ("reservation", "off", 174_070),
+    ("reservation", "on", 1_233_033),
+    ("reservation", "off", 1_113_816),
     ("flt", "off", 37_500),
     ("flt", "entries_4", 4_731),
 ];
