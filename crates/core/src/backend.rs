@@ -190,11 +190,15 @@ impl LcuBackend {
     /// remote-service operations make progress when ordinary entries are
     /// exhausted.
     fn alloc_service_entry(&mut self, core: usize, addr: Addr, tid: ThreadId, mode: Mode) -> bool {
-        let lcu = &mut self.lcus[core];
-        lcu.alloc(addr, tid, mode, EntryKind::Ordinary).is_some()
-            || lcu
-                .alloc(addr, tid, mode, EntryKind::RemoteRequest)
-                .is_some()
+        if self.lcus[core]
+            .alloc(addr, tid, mode, EntryKind::Ordinary)
+            .is_some()
+        {
+            return true;
+        }
+        self.lcus[core]
+            .alloc(addr, tid, mode, EntryKind::RemoteRequest)
+            .is_some()
     }
 
     // ----------------------------------------------------------------
@@ -434,12 +438,14 @@ impl LcuBackend {
         cnt: u64,
     ) {
         self.reqs.remove(t);
-        let held = Held {
-            mode,
-            overflow,
-            cnt,
-        };
-        self.held.insert((t, addr), held);
+        self.held.insert(
+            (t, addr),
+            Held {
+                mode,
+                overflow,
+                cnt,
+            },
+        );
         m.grant_lock(t, m.cfg().lcu_latency);
     }
 
@@ -1377,8 +1383,11 @@ impl LockBackend for LcuBackend {
                 }
             }
             TimerKind::GrantTimeout { lcu, addr, tid } => {
-                let still_rcv = self.lcus[lcu].get(addr, tid).map(|e| e.status);
-                if still_rcv != Some(Status::Rcv) {
+                let still_rcv = self.lcus[lcu]
+                    .get(addr, tid)
+                    .map(|e| e.status == Status::Rcv)
+                    .unwrap_or(false);
+                if !still_rcv {
                     return;
                 }
                 // Thread returned meanwhile?

@@ -34,8 +34,9 @@
 //!   lock-protocol progress freezes with runnable waiters blocked and no
 //!   injection left to unwedge it ends in a structured [`DeadlockReport`]
 //!   (with a blocking-chain dump) instead of burning its deadline;
-//! * [`shrink`](mod@shrink) — a delta-debugging shrinker reducing a violating plan to
-//!   a locally-minimal one (no removable event, no halvable parameter);
+//! * [`shrink`](mod@shrink) — a delta-debugging shrinker reducing a
+//!   violating plan to a locally-minimal one (no removable event, no
+//!   halvable parameter);
 //! * [`scenario`] — the self-contained replay format (backend + seed +
 //!   workload + plan + expected verdict) the `tests/corpus/` suite stores.
 //!
