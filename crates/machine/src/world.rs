@@ -797,15 +797,6 @@ impl Mach {
         self.sim.schedule_in(0, Ev::YieldNow(t));
     }
 
-    /// Removes any watches registered for `t` on `line` at its current core.
-    pub fn unwatch_line(&mut self, t: ThreadId, line: LineAddr) {
-        if let Some(core) = self.threads[t.0 as usize].core {
-            if let Some(v) = self.watchers.get_mut(&(core.0 as usize, line)) {
-                v.retain(|&w| w != t);
-            }
-        }
-    }
-
     /// Per-thread statistics.
     pub fn thread_stats(&self, t: ThreadId) -> ThreadStats {
         self.threads[t.0 as usize].stats
@@ -1641,7 +1632,7 @@ impl World {
                     self.mach.metrics.observe("lock_hold_cycles", held);
                     self.mach
                         .lockstat
-                        .on_release(lock.0, t.0, mode == Mode::Write, held);
+                        .on_release(lock.0, mode == Mode::Write, held);
                 }
                 self.mach.trace(|now| TraceEvent {
                     t: now,

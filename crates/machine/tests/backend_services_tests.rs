@@ -253,72 +253,6 @@ fn watch_fires_on_remote_write() {
 }
 
 #[test]
-fn unwatch_suppresses_wake() {
-    // Registering then unregistering a watch must not deliver a wake.
-    struct UnwatchBackend {
-        log: Rc<RefCell<Log>>,
-        target: Addr,
-    }
-    impl LockBackend for UnwatchBackend {
-        fn name(&self) -> &'static str {
-            "unwatch"
-        }
-        fn on_acquire(
-            &mut self,
-            m: &mut Mach,
-            t: ThreadId,
-            _l: Addr,
-            _mo: Mode,
-            _tf: Option<Cycles>,
-        ) {
-            m.watch_line(t, self.target.line());
-            m.unwatch_line(t, self.target.line());
-            m.grant_lock(t, 0);
-        }
-        fn on_release(&mut self, m: &mut Mach, t: ThreadId, _l: Addr, _mo: Mode) {
-            m.complete_release(t, 0);
-        }
-        fn on_line_invalidated(&mut self, _m: &mut Mach, t: ThreadId, _line: LineAddr) {
-            self.log.borrow_mut().events.push(format!("inval t{}", t.0));
-        }
-    }
-    let log = Rc::new(RefCell::new(Log::default()));
-    let shared = Addr(0x4000);
-    let mut w = World::new(
-        MachineConfig::model_a(4),
-        Box::new(UnwatchBackend {
-            log: log.clone(),
-            target: shared,
-        }),
-        1,
-    );
-    let lock = w.mach().alloc().alloc_line();
-    w.spawn(Box::new(ScriptProgram::new(vec![
-        Action::Read(shared),
-        Action::Acquire {
-            lock,
-            mode: Mode::Write,
-            try_for: None,
-        },
-        Action::Compute(20_000),
-        Action::Release {
-            lock,
-            mode: Mode::Write,
-        },
-    ])));
-    w.spawn(Box::new(ScriptProgram::new(vec![
-        Action::Compute(2_000),
-        Action::Write(shared, 1),
-    ])));
-    w.run_to_completion();
-    assert!(
-        log.borrow().events.is_empty(),
-        "unexpected {:?}",
-        log.borrow().events
-    );
-}
-
-#[test]
 fn trace_records_bounded_events() {
     let log = Rc::new(RefCell::new(Log::default()));
     let mut w = world_with_probe(log, |_| {});

@@ -5,7 +5,7 @@ use locksim_engine::stats::Counters;
 use locksim_engine::Cycles;
 use locksim_machine::{Addr, CoreId, LineAddr, LockBackend, Mach, Mode, ThreadId};
 
-use crate::state::{OpKind, Phase, Step, SwState, TimerPurpose};
+use crate::state::{OpKind, Phase, Step, SwState, TimerPurpose, Tsm, YIELD_AFTER_FUTILE};
 use crate::{bravo, fissile, mcs, mrsw, tas};
 
 /// Which software lock algorithm the backend runs.
@@ -48,14 +48,13 @@ impl SwAlg {
 
 /// Software-lock backend. See the crate docs.
 pub struct SwLockBackend {
-    alg: SwAlg,
     st: SwState,
 }
 
 impl std::fmt::Debug for SwLockBackend {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("SwLockBackend")
-            .field("alg", &self.alg)
+            .field("alg", &self.st.alg)
             .finish()
     }
 }
@@ -64,29 +63,7 @@ impl SwLockBackend {
     /// Creates a backend running `alg`.
     pub fn new(alg: SwAlg) -> Self {
         SwLockBackend {
-            alg,
             st: SwState::new(alg),
-        }
-    }
-
-    /// Re-reads whatever a waiting thread spins on (fresh watch included).
-    fn redrive(&mut self, m: &mut Mach, t: ThreadId) {
-        let Some(tsm) = self.st.threads.get(t) else {
-            return;
-        };
-        match tsm.phase {
-            Phase::TatasWait => {
-                let lock = tsm.lock;
-                if let Some(x) = self.st.threads.get_mut(t) {
-                    x.phase = Phase::TatasRead;
-                }
-                crate::state::read(m, t, lock);
-            }
-            Phase::McsSpinWait | Phase::McsRelSpinWait => mcs::redrive(&mut self.st, m, t),
-            Phase::MrswRWait | Phase::MrswWWaitRdr => mrsw::redrive(&mut self.st, m, t),
-            Phase::BravoWScanWait => bravo::redrive(&mut self.st, m, t),
-            Phase::FisRWait | Phase::FisWWait => fissile::redrive(&mut self.st, m, t),
-            _ => {}
         }
     }
 
@@ -98,11 +75,10 @@ impl SwLockBackend {
             Phase::TasRmw
             | Phase::TasUndo
             | Phase::TatasRead
-            | Phase::TatasWait
             | Phase::TatasRmw
             | Phase::PosixParked
             | Phase::SimpleRelStore => {
-                let posix = self.alg == SwAlg::Posix;
+                let posix = self.st.alg == SwAlg::Posix;
                 tas::advance(&mut self.st, m, t, step, posix);
             }
             Phase::McsInit
@@ -110,11 +86,9 @@ impl SwLockBackend {
             | Phase::McsStoreLocked
             | Phase::McsLinkPred
             | Phase::McsSpinRead
-            | Phase::McsSpinWait
             | Phase::McsRelReadNext
             | Phase::McsRelCas
             | Phase::McsRelSpinRead
-            | Phase::McsRelSpinWait
             | Phase::McsRelUnlock => mcs::advance(&mut self.st, m, t, step),
             Phase::BravoRReadBias
             | Phase::BravoRPublish
@@ -124,16 +98,13 @@ impl SwLockBackend {
             | Phase::BravoRSetBias
             | Phase::BravoWReadBias
             | Phase::BravoWClearBias
-            | Phase::BravoWScanRead
-            | Phase::BravoWScanWait => bravo::advance(&mut self.st, m, t, step),
+            | Phase::BravoWScanRead => bravo::advance(&mut self.st, m, t, step),
             Phase::FisRInc
             | Phase::FisRDec
             | Phase::FisRWaitCheck
-            | Phase::FisRWait
             | Phase::FisRRelDec
             | Phase::FisWSetBit
             | Phase::FisWReadWord
-            | Phase::FisWWait
             | Phase::FisWRelClear => fissile::advance(&mut self.st, m, t, step),
             _ => mrsw::advance(&mut self.st, m, t, step),
         }
@@ -142,7 +113,7 @@ impl SwLockBackend {
 
 impl LockBackend for SwLockBackend {
     fn name(&self) -> &'static str {
-        self.alg.label()
+        self.st.alg.label()
     }
 
     fn on_acquire(
@@ -159,25 +130,23 @@ impl LockBackend for SwLockBackend {
         );
         if mode == Mode::Read {
             assert!(
-                matches!(self.alg, SwAlg::Mrsw | SwAlg::Bravo | SwAlg::Fissile),
+                matches!(self.st.alg, SwAlg::Mrsw | SwAlg::Bravo | SwAlg::Fissile),
                 "{} does not support read locking; use a reader-writer alg",
-                self.alg.label()
+                self.st.alg.label()
             );
         }
         if try_for.is_some() {
             assert!(
-                matches!(self.alg, SwAlg::Tas | SwAlg::Tatas | SwAlg::Posix),
+                matches!(self.st.alg, SwAlg::Tas | SwAlg::Tatas | SwAlg::Posix),
                 "{} does not support trylock (no queue-lock trylock exists)",
-                self.alg.label()
+                self.st.alg.label()
             );
         }
-        self.st
-            .threads
-            .insert(t, tas::new_tsm(lock, mode, OpKind::Acquire));
+        self.st.threads.insert(t, Tsm::new(lock, OpKind::Acquire));
         if let Some(budget) = try_for {
             self.st.arm_abort(m, t, budget.max(1));
         }
-        match (self.alg, mode) {
+        match (self.st.alg, mode) {
             (SwAlg::Tas, _) => tas::start_acquire(&mut self.st, m, t, false),
             (SwAlg::Tatas | SwAlg::Posix, _) => tas::start_acquire(&mut self.st, m, t, true),
             (SwAlg::Mcs, _) => mcs::start_acquire(&mut self.st, m, t),
@@ -195,10 +164,8 @@ impl LockBackend for SwLockBackend {
             !self.st.threads.contains_key(t),
             "{t:?} already mid-operation"
         );
-        self.st
-            .threads
-            .insert(t, tas::new_tsm(lock, mode, OpKind::Release));
-        match (self.alg, mode) {
+        self.st.threads.insert(t, Tsm::new(lock, OpKind::Release));
+        match (self.st.alg, mode) {
             (SwAlg::Tas | SwAlg::Tatas | SwAlg::Posix, _) => tas::start_release(&mut self.st, m, t),
             (SwAlg::Mcs, _) | (SwAlg::Mrsw | SwAlg::Bravo, Mode::Write) => {
                 mcs::start_release(&mut self.st, m, t)
@@ -217,11 +184,10 @@ impl LockBackend for SwLockBackend {
     fn on_line_invalidated(&mut self, m: &mut Mach, t: ThreadId, _line: LineAddr) {
         // A wake can reach a thread that was preempted after arming its
         // watch (watches stay registered at the old core). Acting on it
-        // would advance the spin machine into a mid-read phase that
-        // neither the fallback timer nor the reschedule re-drive covers —
-        // the lost-grant wedge of `tests/corpus/s00025_mrsw_none.txt`.
-        // A preempted thread executes nothing: drop the wake and let
-        // `on_thread_scheduled` re-drive the spin loop with a fresh read.
+        // would start a read that neither the fallback timer nor the
+        // reschedule re-read covers — the lost-grant wedge of
+        // `tests/corpus/s00025_mrsw_none.txt`. A preempted thread executes
+        // nothing: drop the wake and let `on_thread_scheduled` re-read.
         if !m.is_scheduled(t) {
             self.st.counters.incr("sw_wakes_dropped_offcore");
             return;
@@ -231,7 +197,7 @@ impl LockBackend for SwLockBackend {
         if let Some(tsm) = self.st.threads.get_mut(t) {
             tsm.futile = 0;
         }
-        self.dispatch(m, t, Step::Wake);
+        self.st.reread(m, t);
     }
 
     fn on_timer(&mut self, m: &mut Mach, token: u64) {
@@ -239,38 +205,31 @@ impl LockBackend for SwLockBackend {
         match purpose {
             TimerPurpose::Park => self.dispatch(m, t, Step::Timer),
             TimerPurpose::Fallback(phase) => {
-                // Only meaningful if the thread is still stuck in the same
-                // wait phase (the wake may have been lost to a message
-                // race); otherwise it is a stale no-op.
-                let stuck = self.st.threads.get(t).is_some_and(|tsm| tsm.phase == phase);
-                if stuck {
-                    // Off-core: the thread cannot re-read; the re-drive on
-                    // its next `on_thread_scheduled` covers it.
-                    if !m.is_scheduled(t) {
-                        return;
-                    }
-                    self.st.counters.incr("sw_fallback_redrives");
-                    if let Some(lock) = self.st.threads.get(t).map(|tsm| tsm.lock) {
-                        m.lockstat_bump(lock, "sw_fallback_redrives");
-                    }
-                    let futile = {
-                        let tsm = self.st.threads.get_mut(t).expect("stuck checked");
-                        tsm.futile += 1;
-                        tsm.futile
-                    };
-                    if futile >= crate::state::YIELD_AFTER_FUTILE && m.has_ready_threads() {
-                        // Stuck several full fallback periods with threads
-                        // waiting for a core: donate the timeslice
-                        // (spin-then-yield) so a preempted predecessor —
-                        // possibly the thread this spin is waiting on —
-                        // gets a core well before the next quantum tick.
-                        // The re-drive runs when this thread is
-                        // rescheduled.
-                        self.st.counters.incr("sw_spin_yields");
-                        m.request_yield(t);
-                    } else {
-                        self.redrive(m, t);
-                    }
+                // Only meaningful if the thread is still spinning in the
+                // phase that armed it (the wake may have been lost to a
+                // message race); otherwise it is a stale no-op. Off-core,
+                // the thread cannot re-read; `on_thread_scheduled` will.
+                let Some(tsm) = self.st.threads.get_mut(t) else {
+                    return;
+                };
+                if tsm.spin.is_none() || tsm.phase != phase || !m.is_scheduled(t) {
+                    return;
+                }
+                tsm.futile += 1;
+                let (lock, futile) = (tsm.lock, tsm.futile);
+                self.st.counters.incr("sw_fallback_redrives");
+                m.lockstat_bump(lock, "sw_fallback_redrives");
+                if futile >= YIELD_AFTER_FUTILE && m.has_ready_threads() {
+                    // Stuck several full fallback periods with threads
+                    // waiting for a core: donate the timeslice
+                    // (spin-then-yield) so a preempted predecessor —
+                    // possibly the thread this spin is waiting on — gets
+                    // a core well before the next quantum tick. The
+                    // re-read runs when this thread is rescheduled.
+                    self.st.counters.incr("sw_spin_yields");
+                    m.request_yield(t);
+                } else {
+                    self.st.reread(m, t);
                 }
             }
             TimerPurpose::Abort => {
@@ -288,9 +247,9 @@ impl LockBackend for SwLockBackend {
     }
 
     fn on_thread_scheduled(&mut self, m: &mut Mach, t: ThreadId, _core: CoreId) {
-        // Watches do not survive preemption/migration: re-drive any
-        // spin-wait phase with a fresh read.
-        self.redrive(m, t);
+        // Watches do not survive preemption/migration: end any spin-wait
+        // with a fresh read.
+        self.st.reread(m, t);
     }
 
     fn on_thread_descheduled(&mut self, m: &mut Mach, t: ThreadId) {
@@ -315,8 +274,8 @@ impl LockBackend for SwLockBackend {
         for (t, tsm) in self.st.threads.iter() {
             writeln!(
                 out,
-                "{t:?}: lock={} mode={:?} op={:?} phase={:?} qnode={} scratch={:#x} spins={}",
-                tsm.lock, tsm.mode, tsm.op, tsm.phase, tsm.qnode, tsm.scratch, tsm.spins
+                "{t:?}: lock={} op={:?} phase={:?} spin={:?} qnode={} scratch={:#x} spins={}",
+                tsm.lock, tsm.op, tsm.phase, tsm.spin, tsm.qnode, tsm.scratch, tsm.spins
             )
             .ok();
         }

@@ -181,9 +181,7 @@ pub(crate) fn advance(st: &mut SwState, m: &mut Mach, t: ThreadId, step: Step) {
             if v == lock.0 {
                 // A visible reader of this lock: wait for it to leave.
                 let slot = st.rtable_slot(m, i);
-                let tsm = st.threads.get_mut(t).expect("tsm");
-                tsm.phase = Phase::BravoWScanWait;
-                st.guarded_watch(m, t, slot);
+                st.spin(m, t, slot);
             } else if i + 1 == BRAVO_SLOTS {
                 // Scan complete: charge its cost to the re-bias window.
                 let now = m.now().cycles();
@@ -198,30 +196,6 @@ pub(crate) fn advance(st: &mut SwState, m: &mut Mach, t: ThreadId, step: Step) {
                 read(m, t, slot);
             }
         }
-        (Phase::BravoWScanWait, Step::Wake) => {
-            let i = st.threads[t].scratch as usize;
-            let slot = st.rtable_slot(m, i);
-            let tsm = st.threads.get_mut(t).expect("tsm");
-            tsm.phase = Phase::BravoWScanRead;
-            read(m, t, slot);
-        }
-        (_, Step::Wake) | (_, Step::Timer) => {}
         (p, s) => panic!("bravo machine: unexpected {s:?} in {p:?}"),
-    }
-}
-
-/// Re-drives the revocation-scan wait after reschedule (watches do not
-/// survive migrations). Reader wait phases are the underlying MRSW
-/// machine's and are re-driven there.
-pub(crate) fn redrive(st: &mut SwState, m: &mut Mach, t: ThreadId) {
-    let Some(tsm) = st.threads.get(t) else {
-        return;
-    };
-    if tsm.phase == Phase::BravoWScanWait {
-        let i = tsm.scratch as usize;
-        let slot = st.rtable_slot(m, i);
-        let tsm = st.threads.get_mut(t).expect("tsm");
-        tsm.phase = Phase::BravoWScanRead;
-        read(m, t, slot);
     }
 }

@@ -93,13 +93,8 @@ pub(crate) fn advance(st: &mut SwState, m: &mut Mach, t: ThreadId, step: Step) {
                 tsm.phase = Phase::FisRInc;
                 rmw(m, t, word, RmwOp::FetchAdd(R_UNIT));
             } else {
-                tsm.phase = Phase::FisRWait;
-                st.guarded_watch(m, t, word);
+                st.spin(m, t, word);
             }
-        }
-        (Phase::FisRWait, Step::Wake) => {
-            tsm.phase = Phase::FisRWaitCheck;
-            read(m, t, word);
         }
         // ---- reader release ----
         (Phase::FisRRelDec, Step::Value(_)) => st.released(m, t),
@@ -118,13 +113,8 @@ pub(crate) fn advance(st: &mut SwState, m: &mut Mach, t: ThreadId, step: Step) {
             if v == WRITE_BIT {
                 st.grant(m, t);
             } else {
-                tsm.phase = Phase::FisWWait;
-                st.guarded_watch(m, t, word);
+                st.spin(m, t, word);
             }
-        }
-        (Phase::FisWWait, Step::Wake) => {
-            tsm.phase = Phase::FisWReadWord;
-            read(m, t, word);
         }
         // ---- writer release ----
         (Phase::FisWRelClear, Step::Value(_)) => {
@@ -132,29 +122,6 @@ pub(crate) fn advance(st: &mut SwState, m: &mut Mach, t: ThreadId, step: Step) {
             // inner core to the next queued writer.
             crate::mcs::start_release(st, m, t);
         }
-        (_, Step::Wake) | (_, Step::Timer) => {}
         (p, s) => panic!("fissile machine: unexpected {s:?} in {p:?}"),
-    }
-}
-
-/// Re-drives the word-spin phases after reschedule (watches do not
-/// survive migrations).
-pub(crate) fn redrive(st: &mut SwState, m: &mut Mach, t: ThreadId) {
-    let lock = match st.threads.get(t) {
-        Some(tsm) => tsm.lock,
-        None => return,
-    };
-    let word = st.fissile_word(m, lock);
-    let tsm = st.threads.get_mut(t).expect("tsm");
-    match tsm.phase {
-        Phase::FisRWait => {
-            tsm.phase = Phase::FisRWaitCheck;
-            read(m, t, word);
-        }
-        Phase::FisWWait => {
-            tsm.phase = Phase::FisWReadWord;
-            read(m, t, word);
-        }
-        _ => {}
     }
 }

@@ -78,14 +78,9 @@ pub(crate) fn advance(st: &mut SwState, m: &mut Mach, t: ThreadId, step: Step) {
             if v == 0 {
                 mcs_acquired(st, m, t);
             } else {
-                tsm.phase = Phase::McsSpinWait;
                 st.counters.incr("sw_mcs_spins");
-                st.guarded_watch(m, t, q.add(1));
+                st.spin(m, t, q.add(1));
             }
-        }
-        (Phase::McsSpinWait, Step::Wake) => {
-            tsm.phase = Phase::McsSpinRead;
-            read(m, t, q.add(1));
         }
         // ---- release ----
         (Phase::McsRelReadNext, Step::Value(next)) => {
@@ -120,16 +115,10 @@ pub(crate) fn advance(st: &mut SwState, m: &mut Mach, t: ThreadId, step: Step) {
                 tsm.phase = Phase::McsRelUnlock;
                 write(m, t, Addr(next).add(1), 0);
             } else {
-                tsm.phase = Phase::McsRelSpinWait;
-                st.guarded_watch(m, t, q);
+                st.spin(m, t, q);
             }
         }
-        (Phase::McsRelSpinWait, Step::Wake) => {
-            tsm.phase = Phase::McsRelSpinRead;
-            read(m, t, q);
-        }
         (Phase::McsRelUnlock, Step::Value(_)) => st.released(m, t),
-        (_, Step::Wake) | (_, Step::Timer) => {}
         (p, s) => panic!("mcs machine: unexpected {s:?} in {p:?}"),
     }
 }
@@ -152,25 +141,5 @@ fn queue_emptied(st: &mut SwState, m: &mut Mach, t: ThreadId) {
     match st.alg {
         crate::SwAlg::Mrsw | crate::SwAlg::Bravo => crate::mrsw::clear_wactive(st, m, t),
         _ => st.released(m, t),
-    }
-}
-
-/// Re-drives a spin phase after the thread was rescheduled (its watch may
-/// have been lost across a preemption or migration).
-pub(crate) fn redrive(st: &mut SwState, m: &mut Mach, t: ThreadId) {
-    let Some(tsm) = st.threads.get_mut(t) else {
-        return;
-    };
-    let q = tsm.qnode;
-    match tsm.phase {
-        Phase::McsSpinWait => {
-            tsm.phase = Phase::McsSpinRead;
-            read(m, t, q.add(1));
-        }
-        Phase::McsRelSpinWait => {
-            tsm.phase = Phase::McsRelSpinRead;
-            read(m, t, q);
-        }
-        _ => {}
     }
 }

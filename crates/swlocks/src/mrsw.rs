@@ -88,13 +88,8 @@ pub(crate) fn advance(st: &mut SwState, m: &mut Mach, t: ThreadId, step: Step) {
                 tsm.phase = Phase::MrswRInc;
                 rmw(m, t, lm.rdr, RmwOp::FetchAdd(1));
             } else {
-                tsm.phase = Phase::MrswRWait;
-                st.guarded_watch(m, t, lm.wactive);
+                st.spin(m, t, lm.wactive);
             }
-        }
-        (Phase::MrswRWait, Step::Wake) => {
-            tsm.phase = Phase::MrswRWaitCheck;
-            read(m, t, lm.wactive);
         }
         // ---- reader release ----
         (Phase::MrswRRelDec, Step::Value(_)) => st.released(m, t),
@@ -107,18 +102,12 @@ pub(crate) fn advance(st: &mut SwState, m: &mut Mach, t: ThreadId, step: Step) {
             if r == 0 {
                 write_locked(st, m, t);
             } else {
-                tsm.phase = Phase::MrswWWaitRdr;
                 st.counters.incr("sw_mrsw_writer_waits");
-                st.guarded_watch(m, t, lm.rdr);
+                st.spin(m, t, lm.rdr);
             }
-        }
-        (Phase::MrswWWaitRdr, Step::Wake) => {
-            tsm.phase = Phase::MrswWReadRdr;
-            read(m, t, lm.rdr);
         }
         // ---- writer release (after the MCS release emptied the queue) ----
         (Phase::MrswWRelClear, Step::Value(_)) => st.released(m, t),
-        (_, Step::Wake) | (_, Step::Timer) => {}
         (p, s) => panic!("mrsw machine: unexpected {s:?} in {p:?}"),
     }
 }
@@ -138,27 +127,5 @@ fn write_locked(st: &mut SwState, m: &mut Mach, t: ThreadId) {
     match st.alg {
         crate::SwAlg::Bravo => crate::bravo::writer_locked(st, m, t),
         _ => st.grant(m, t),
-    }
-}
-
-/// Re-drives a spin phase after reschedule (watches do not survive
-/// migrations).
-pub(crate) fn redrive(st: &mut SwState, m: &mut Mach, t: ThreadId) {
-    let lock = match st.threads.get(t) {
-        Some(tsm) => tsm.lock,
-        None => return,
-    };
-    let lm = st.lock_mem(m, lock);
-    let tsm = st.threads.get_mut(t).expect("tsm");
-    match tsm.phase {
-        Phase::MrswRWait => {
-            tsm.phase = Phase::MrswRWaitCheck;
-            read(m, t, lm.wactive);
-        }
-        Phase::MrswWWaitRdr => {
-            tsm.phase = Phase::MrswWReadRdr;
-            read(m, t, lm.rdr);
-        }
-        _ => {}
     }
 }

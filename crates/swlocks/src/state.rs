@@ -2,7 +2,7 @@
 
 use locksim_engine::stats::Counters;
 use locksim_engine::FxHashMap;
-use locksim_machine::{Addr, InFlight, Mach, MemKind, Mode, PerThread, RmwOp, ThreadId};
+use locksim_machine::{Addr, InFlight, Mach, MemKind, PerThread, RmwOp, ThreadId};
 
 use crate::backend::SwAlg;
 
@@ -21,18 +21,11 @@ pub(crate) fn rmw(m: &mut Mach, t: ThreadId, a: Addr, op: RmwOp) {
     m.backend_mem(t, a, MemKind::Rmw(op));
 }
 
-/// One-shot invalidation watch on the line of `a`.
-pub(crate) fn watch(m: &mut Mach, t: ThreadId, a: Addr) {
-    m.watch_line(t, a.line());
-}
-
 /// Event driving a lock state machine forward.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) enum Step {
     /// A memory operation completed with this (old) value.
     Value(u64),
-    /// A watched line was invalidated.
-    Wake,
     /// A parked thread's timer fired.
     Timer,
 }
@@ -44,7 +37,7 @@ pub(crate) enum TimerPurpose {
     Park,
     /// Trylock budget expiry.
     Abort,
-    /// Spin-wait fallback: if the thread is still in the recorded wait
+    /// Spin-wait fallback: if the thread is still spinning in the recorded
     /// phase when this fires, re-read instead of trusting the wake. Real
     /// spin loops poll; the invalidation watch is only a fast path.
     Fallback(Phase),
@@ -58,7 +51,8 @@ pub(crate) enum OpKind {
 }
 
 /// Phases of all the algorithms' state machines (flat enum; each algorithm
-/// uses its own subset).
+/// uses its own subset). A spin-wait has no phase of its own: the thread
+/// stays in the phase that judges the re-read ([`SwState::spin`]).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) enum Phase {
     // TAS
@@ -68,7 +62,6 @@ pub(crate) enum Phase {
     TasUndo,
     // TATAS / Posix
     TatasRead,
-    TatasWait,
     TatasRmw,
     PosixParked,
     // simple release (store 0)
@@ -79,25 +72,21 @@ pub(crate) enum Phase {
     McsStoreLocked,
     McsLinkPred,
     McsSpinRead,
-    McsSpinWait,
     // MCS release
     McsRelReadNext,
     McsRelCas,
     McsRelSpinRead,
-    McsRelSpinWait,
     McsRelUnlock,
     // MRSW read acquire
     MrswRInc,
     MrswRCheckW,
     MrswRDec,
     MrswRWaitCheck,
-    MrswRWait,
     // MRSW read release
     MrswRRelDec,
     // MRSW write acquire
     MrswWSetActive,
     MrswWReadRdr,
-    MrswWWaitRdr,
     // MRSW/BRAVO write release, once the MCS release emptied the queue
     MrswWRelClear,
     // BRAVO reader fast path (publish into the visible-readers table)
@@ -112,17 +101,14 @@ pub(crate) enum Phase {
     BravoWReadBias,
     BravoWClearBias,
     BravoWScanRead,
-    BravoWScanWait,
     // Fissile reader aggregation on the lock word
     FisRInc,
     FisRDec,
     FisRWaitCheck,
-    FisRWait,
     FisRRelDec,
     // Fissile writer (runs after winning the inner MCS queue)
     FisWSetBit,
     FisWReadWord,
-    FisWWait,
     FisWRelClear,
 }
 
@@ -130,9 +116,11 @@ pub(crate) enum Phase {
 #[derive(Debug)]
 pub(crate) struct Tsm {
     pub lock: Addr,
-    pub mode: Mode,
     pub op: OpKind,
     pub phase: Phase,
+    /// The word this thread spin-waits on, while it waits
+    /// ([`SwState::spin`]).
+    pub spin: Option<Addr>,
     /// This thread's queue node for `lock` (queue locks).
     pub qnode: Addr,
     /// Scratch register (predecessor / next pointer / table slot).
@@ -150,11 +138,33 @@ pub(crate) struct Tsm {
     pub futile: u32,
 }
 
-/// Futile fallback periods (5 000 cycles each) a spinner tolerates before
-/// yielding its core when other threads are waiting to run. Low enough
-/// that a handoff stalled behind a preempted queue head recovers well
-/// inside the chaos detector's quiescence window; high enough that the
-/// oversubscription anomaly of pure spinning (Fig. 10) still shows.
+impl Tsm {
+    /// The record for a new acquire or release of `lock`.
+    pub fn new(lock: Addr, op: OpKind) -> Self {
+        Tsm {
+            lock,
+            op,
+            phase: Phase::TasRmw,
+            spin: None,
+            qnode: Addr(0),
+            scratch: 0,
+            scratch2: 0,
+            aborted: false,
+            spins: 0,
+            futile: 0,
+        }
+    }
+}
+
+/// Cycles between a spinner's fallback polls of its watched word.
+pub(crate) const SPIN_POLL: u64 = 5_000;
+
+/// Futile fallback periods ([`SPIN_POLL`] cycles each) a spinner
+/// tolerates before yielding its core when other threads are waiting to
+/// run. Low enough that a handoff stalled behind a preempted queue head
+/// recovers well inside the chaos detector's quiescence window; high
+/// enough that the oversubscription anomaly of pure spinning (Fig. 10)
+/// still shows.
 pub(crate) const YIELD_AFTER_FUTILE: u32 = 6;
 
 /// Side memory for one lock (allocated lazily, each word on its own line).
@@ -302,12 +312,24 @@ impl SwState {
         self.arm(m, t, delay, TimerPurpose::Abort);
     }
 
-    /// Watches `a`'s line and arms a fallback re-check for the thread's
-    /// current wait phase.
-    pub fn guarded_watch(&mut self, m: &mut Mach, t: ThreadId, a: Addr) {
-        watch(m, t, a);
-        let phase = self.threads[t].phase;
-        self.arm(m, t, 5_000, TimerPurpose::Fallback(phase));
+    /// Spin-waits on the word at `a`: watches its line and arms the
+    /// fallback poll. The thread stays in its current phase, which judges
+    /// the value [`SwState::reread`] fetches.
+    pub fn spin(&mut self, m: &mut Mach, t: ThreadId, a: Addr) {
+        m.watch_line(t, a.line());
+        let tsm = self.threads.get_mut(t).expect("spin without op");
+        tsm.spin = Some(a);
+        let phase = tsm.phase;
+        self.arm(m, t, SPIN_POLL, TimerPurpose::Fallback(phase));
+    }
+
+    /// Ends a spin-wait, if `t` is in one, by reading its word again. The
+    /// one step for an invalidation wake, a fallback poll and a reschedule
+    /// (watches do not survive preemption or migration).
+    pub fn reread(&mut self, m: &mut Mach, t: ThreadId) {
+        if let Some(a) = self.threads.get_mut(t).and_then(|tsm| tsm.spin.take()) {
+            read(m, t, a);
+        }
     }
 
     fn arm(&mut self, m: &mut Mach, t: ThreadId, delay: u64, purpose: TimerPurpose) {

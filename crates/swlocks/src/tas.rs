@@ -7,7 +7,7 @@
 
 use locksim_machine::{Mach, RmwOp, ThreadId};
 
-use crate::state::{read, rmw, write, OpKind, Phase, Step, SwState, Tsm};
+use crate::state::{read, rmw, write, OpKind, Phase, Step, SwState};
 
 /// Wake-ups a Posix-mutex spinner tolerates before parking.
 const POSIX_SPIN_LIMIT: u64 = 3;
@@ -68,14 +68,13 @@ pub(crate) fn advance(st: &mut SwState, m: &mut Mach, t: ThreadId, step: Step, p
                 tsm.phase = Phase::TatasRmw;
                 rmw(m, t, lock, RmwOp::Swap(1));
             } else {
-                tsm.phase = Phase::TatasWait;
                 tsm.spins += 1;
                 if posix && tsm.spins > POSIX_SPIN_LIMIT {
                     tsm.phase = Phase::PosixParked;
                     st.counters.incr("sw_posix_parks");
                     st.park(m, t, POSIX_PARK);
                 } else {
-                    st.guarded_watch(m, t, lock);
+                    st.spin(m, t, lock);
                 }
             }
         }
@@ -96,14 +95,6 @@ pub(crate) fn advance(st: &mut SwState, m: &mut Mach, t: ThreadId, step: Step, p
                 read(m, t, lock);
             }
         }
-        (Phase::TatasWait, Step::Wake) => {
-            if tsm.aborted {
-                st.fail(m, t);
-            } else {
-                tsm.phase = Phase::TatasRead;
-                read(m, t, lock);
-            }
-        }
         (Phase::PosixParked, Step::Timer) => {
             if tsm.aborted {
                 st.fail(m, t);
@@ -115,42 +106,22 @@ pub(crate) fn advance(st: &mut SwState, m: &mut Mach, t: ThreadId, step: Step, p
         }
         (Phase::TasUndo, Step::Value(_)) => st.fail(m, t),
         (Phase::SimpleRelStore, Step::Value(_)) => st.released(m, t),
-        // Spurious wake-ups (e.g. a watch firing after the op finished its
-        // read) are ignored.
-        (_, Step::Wake) | (_, Step::Timer) => {}
+        // A park timer left over from an operation that failed is ignored.
+        (_, Step::Timer) => {}
         (p, s) => panic!("tas machine: unexpected {s:?} in {p:?}"),
     }
 }
 
 /// Marks a pending acquire as aborted; the machine unwinds at its next
-/// step. Spinners parked on a watch or timer are failed immediately.
+/// step. A spinning or parked thread has no step in flight, so it fails at
+/// once.
 pub(crate) fn abort(st: &mut SwState, m: &mut Mach, t: ThreadId) {
     let Some(tsm) = st.threads.get_mut(t) else {
         return;
     };
-    match tsm.phase {
-        Phase::TatasWait | Phase::PosixParked => {
-            st.fail(m, t);
-        }
-        _ => {
-            tsm.aborted = true;
-        }
-    }
-}
-
-/// Creates the per-thread record for an acquire/release (shared by all
-/// simple-word algorithms).
-pub(crate) fn new_tsm(lock: locksim_machine::Addr, mode: locksim_machine::Mode, op: OpKind) -> Tsm {
-    Tsm {
-        lock,
-        mode,
-        op,
-        phase: Phase::TasRmw,
-        qnode: locksim_machine::Addr(0),
-        scratch: 0,
-        scratch2: 0,
-        aborted: false,
-        spins: 0,
-        futile: 0,
+    if tsm.spin.is_some() || tsm.phase == Phase::PosixParked {
+        st.fail(m, t);
+    } else {
+        tsm.aborted = true;
     }
 }

@@ -328,20 +328,43 @@ fn mcs_fifo_order() {
 }
 
 #[test]
-fn oversubscription_queue_lock_suffers_but_completes() {
-    // 8 threads on 2 cores with a contended MCS lock: handoffs to
-    // preempted threads stall until their next quantum, but correctness
-    // must hold.
-    let mut cfg = MachineConfig::model_a(2);
-    cfg.quantum = 15_000;
-    let mut w = World::new(cfg, Box::new(SwLockBackend::new(SwAlg::Mcs)), 9);
-    let lock = w.mach().alloc().alloc_line();
-    let counter = w.mach().alloc().alloc_line();
-    for _ in 0..8 {
-        w.spawn(Box::new(CsLoop::new(lock, counter, 6, 100)));
+fn oversubscribed_spinners_reread_after_reschedule() {
+    // 8 threads on 2 cores: handoffs to preempted threads stall until their
+    // next quantum, and a spinner preempted mid-wait must read its word
+    // again when it is rescheduled. Every algorithm must still complete.
+    // For the queue and reader-writer locks the waits outlast the fallback
+    // poll and wakes reach spinners off their core, so both paths into
+    // `SwState::reread` must have run.
+    let table = [
+        (SwAlg::Tas, 100, false),
+        (SwAlg::Tatas, 100, false),
+        (SwAlg::Posix, 100, false),
+        (SwAlg::Mcs, 100, true),
+        (SwAlg::Mrsw, 50, true),
+        (SwAlg::Bravo, 50, true),
+        (SwAlg::Fissile, 50, true),
+    ];
+    for (alg, write_pct, rereads) in table {
+        let mut cfg = MachineConfig::model_a(2);
+        cfg.quantum = 15_000;
+        let mut w = World::new(cfg, Box::new(SwLockBackend::new(alg)), 9);
+        let lock = w.mach().alloc().alloc_line();
+        let counter = w.mach().alloc().alloc_line();
+        for _ in 0..8 {
+            w.spawn(Box::new(CsLoop::new(lock, counter, 6, write_pct)));
+        }
+        w.run_to_completion();
+        let c = w.report_counters();
+        assert_eq!(c.get("locks_granted"), 8 * 6, "{alg:?}");
+        if write_pct == 100 {
+            assert_eq!(w.mach().mem_peek(counter), 8 * 6, "{alg:?} lost updates");
+        }
+        if rereads {
+            for name in ["sw_fallback_redrives", "sw_wakes_dropped_offcore"] {
+                assert!(c.get(name) > 0, "{alg:?}: no {name}");
+            }
+        }
     }
-    w.run_to_completion();
-    assert_eq!(w.mach().mem_peek(counter), 8 * 6);
 }
 
 #[test]

@@ -215,11 +215,10 @@ impl LockStats {
     }
 
     /// A thread released `lock` after holding it for `held` cycles.
-    pub fn on_release(&mut self, lock: u64, thread: u32, write: bool, held: u64) {
+    pub fn on_release(&mut self, lock: u64, write: bool, held: u64) {
         if !self.enabled {
             return;
         }
-        let _ = thread;
         let s = self.locks.entry(lock).or_default();
         s.releases[mode_ix(write)] += 1;
         s.hold.add(held);
@@ -521,7 +520,7 @@ mod tests {
         let mut ls = LockStats::new();
         ls.on_request(0x40, 0, true, 0);
         assert!(ls.on_grant(0x40, 0, true, 10, 10).is_none());
-        ls.on_release(0x40, 0, true, 5);
+        ls.on_release(0x40, true, 5);
         ls.bump(0x40, "x");
         assert_eq!(ls.locks().count(), 0);
         assert!(ls.report(100).contains("disabled"));
@@ -536,10 +535,10 @@ mod tests {
         ls.on_request(0x40, 2, true, 0);
         assert!(ls.on_grant(0x40, 0, false, 4, 4).is_none());
         assert!(ls.on_grant(0x40, 1, false, 6, 6).is_none());
-        ls.on_release(0x40, 0, false, 100);
-        ls.on_release(0x40, 1, false, 90);
+        ls.on_release(0x40, false, 100);
+        ls.on_release(0x40, false, 90);
         assert!(ls.on_grant(0x40, 2, true, 200, 206).is_none());
-        ls.on_release(0x40, 2, true, 50);
+        ls.on_release(0x40, true, 50);
         let s = ls.lock(0x40).unwrap();
         assert_eq!(s.acquires, [2, 1]);
         assert_eq!(s.releases, [2, 1]);
@@ -651,9 +650,9 @@ mod tests {
         ls.on_request(0x40, 0, true, 0);
         ls.on_request(0x40, 1, true, 0);
         ls.on_grant(0x40, 0, true, 4, 4);
-        ls.on_release(0x40, 0, true, 200);
+        ls.on_release(0x40, true, 200);
         ls.on_grant(0x40, 1, true, 400, 404);
-        ls.on_release(0x40, 1, true, 150);
+        ls.on_release(0x40, true, 150);
         ls
     }
 
@@ -685,7 +684,7 @@ mod tests {
         ls.enable(Some(1_000_000));
         ls.on_request(0x40, 0, true, 0);
         ls.on_grant(0x40, 0, true, 4, 4);
-        ls.on_release(0x40, 0, true, 10);
+        ls.on_release(0x40, true, 10);
         let html = render_html(
             "t",
             &[HtmlSeries {

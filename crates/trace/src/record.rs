@@ -167,11 +167,6 @@ pub enum TraceKind {
         /// What the timer guards (protocol-specific label).
         label: &'static str,
     },
-    /// Free-form instant marker.
-    Mark {
-        /// The marker label.
-        label: &'static str,
-    },
 }
 
 impl TraceKind {
@@ -194,7 +189,6 @@ impl TraceKind {
             TraceKind::Deadlock { .. } => "deadlock",
             TraceKind::OracleViolation { .. } => "oracle_violation",
             TraceKind::TimerFire { .. } => "timer_fire",
-            TraceKind::Mark { .. } => "mark",
         }
     }
 

@@ -33,7 +33,7 @@ use crate::record::{Ep, TraceEvent, TraceKind};
 /// tr.record(|| TraceEvent {
 ///     t: Time::from_cycles(10),
 ///     ep: Ep::Core(0),
-///     kind: TraceKind::Mark { label: "start" },
+///     kind: TraceKind::TimerFire { label: "retry" },
 /// });
 /// assert_eq!(tr.len(), 1);
 /// ```
@@ -360,7 +360,7 @@ fn args_json(kind: &TraceKind) -> String {
                 json_escape(oracle)
             )
         }
-        TraceKind::TimerFire { label } | TraceKind::Mark { label } => {
+        TraceKind::TimerFire { label } => {
             format!("\"label\":\"{}\"", json_escape(label))
         }
     }
@@ -444,7 +444,7 @@ fn render_line(e: &TraceEvent) -> String {
         } => {
             let _ = write!(line, "{oracle} lock {lock:#x} t{thread} value={value}");
         }
-        TraceKind::TimerFire { label } | TraceKind::Mark { label } => {
+        TraceKind::TimerFire { label } => {
             let _ = write!(line, "{label}");
         }
     }
@@ -474,11 +474,11 @@ mod tests {
     use super::*;
     use locksim_engine::Time;
 
-    fn mark(t: u64, label: &'static str) -> TraceEvent {
+    fn timer_fire(t: u64, label: &'static str) -> TraceEvent {
         TraceEvent {
             t: Time::from_cycles(t),
             ep: Ep::Global,
-            kind: TraceKind::Mark { label },
+            kind: TraceKind::TimerFire { label },
         }
     }
 
@@ -508,7 +508,7 @@ mod tests {
         let mut tr = Tracer::new();
         tr.enable(3);
         for i in 0..10 {
-            tr.record(|| mark(i, "m"));
+            tr.record(|| timer_fire(i, "m"));
         }
         assert_eq!(tr.len(), 3);
         assert_eq!(tr.dropped(), 7);
@@ -545,8 +545,8 @@ mod tests {
     fn cap_one_keeps_only_latest() {
         let mut tr = Tracer::new();
         tr.enable(1);
-        tr.record(|| mark(1, "a"));
-        tr.record(|| mark(2, "b"));
+        tr.record(|| timer_fire(1, "a"));
+        tr.record(|| timer_fire(2, "b"));
         let ts: Vec<u64> = tr.events().map(|e| e.t.cycles()).collect();
         assert_eq!(ts, vec![2]);
         assert_eq!(tr.dropped(), 1);
@@ -557,7 +557,7 @@ mod tests {
         let mut tr = Tracer::new();
         tr.enable(100);
         tr.record(|| grant(1, 0x40, 0));
-        tr.record(|| mark(2, "noise"));
+        tr.record(|| timer_fire(2, "noise"));
         tr.record(|| grant(3, 0x80, 1));
         tr.record(|| grant(4, 0x40, 2));
         let h = tr.recent_for_lock(0x40, 10);
@@ -609,7 +609,7 @@ mod tests {
         let mut tr = Tracer::new();
         tr.enable(2);
         for i in 0..5 {
-            tr.record(|| mark(i, "x"));
+            tr.record(|| timer_fire(i, "x"));
         }
         let mut out = Vec::new();
         tr.export_timeline(&mut out).unwrap();
