@@ -119,6 +119,9 @@ pub const ALL_FIGS: &[(&str, FigFn)] = &[
 /// figures run on worker threads via [`sweep`]; each figure's tables and
 /// observability still emit on the main thread in [`ALL_FIGS`] order, so
 /// stdout and every `results/` artifact are byte-identical to `jobs == 1`.
+/// The process-wide outputs (the `--lockstat` report and the
+/// `--self-profile` stacks) cover every figure and are written once, as
+/// `all`.
 ///
 /// # Panics
 ///
@@ -129,27 +132,40 @@ pub fn run_all(jobs: usize) {
             eprintln!("== regenerating {name} ==");
             let tables = f();
             emit(name, &tables);
-            finish_bin(name);
+            finish_figure(name);
         }
-        return;
+    } else {
+        let outs = sweep::run_jobs(jobs, ALL_FIGS.len(), || false, |i| (ALL_FIGS[i].1)());
+        for ((name, _), out) in ALL_FIGS.iter().zip(outs) {
+            eprintln!("== regenerating {name} ==");
+            let tables = sweep::include(out);
+            emit(name, &tables);
+            finish_figure(name);
+        }
     }
-    let outs = sweep::run_jobs(jobs, ALL_FIGS.len(), || false, |i| (ALL_FIGS[i].1)());
-    for ((name, _), out) in ALL_FIGS.iter().zip(outs) {
-        eprintln!("== regenerating {name} ==");
-        let tables = sweep::include(out);
-        emit(name, &tables);
-        finish_bin(name);
-    }
+    finish_process("all");
 }
 
 /// Emits the deferred observability outputs collected during a bin's runs:
-/// the metrics section and, when `--lockstat` was given, the HTML report.
-/// Split out of [`run_bin`] for bins that drive their own argument parsing.
+/// the metrics section and run manifests, then the `--lockstat` HTML
+/// report and the `--self-profile` stacks. Split out of [`run_bin`] for
+/// bins that drive their own argument parsing.
 ///
 /// # Panics
 ///
 /// Panics if the results directory or the report file cannot be written.
 pub fn finish_bin(name: &str) {
+    finish_figure(name);
+    finish_process(name);
+}
+
+/// Emits one figure's metrics section (markdown and
+/// `results/<name>_metrics.csv`) and its run-ledger manifests.
+///
+/// # Panics
+///
+/// Panics if the results directory cannot be written.
+fn finish_figure(name: &str) {
     let runs = obs::take_runs();
     if let Some(t) = obs::metrics_table(name, &runs) {
         println!("{}", t.markdown());
@@ -169,6 +185,15 @@ pub fn finish_bin(name: &str) {
             dir.display()
         );
     }
+}
+
+/// Writes the outputs that cover the whole process: the `--lockstat` HTML
+/// report titled `name` and the `--self-profile` collapsed stacks.
+///
+/// # Panics
+///
+/// Panics if the report or profile file cannot be written.
+fn finish_process(name: &str) {
     if let Some((path, html)) = obs::take_lockstat_html(name) {
         write_artifact(&path, &html);
         eprintln!("lockstat: wrote HTML report to {}", path.display());

@@ -20,9 +20,8 @@
 
 use std::path::PathBuf;
 
-use locksim_machine::{
-    blocking_chains, render_chains, LockChain, LockStats, StarvationFlag, World,
-};
+use locksim_machine::{LockStats, World};
+use locksim_trace::{deepest_first, render_chains, StarvationFlag};
 use locksim_workloads::{CsThread, IterPool};
 
 use crate::obs;
@@ -35,10 +34,6 @@ use crate::{emit, finish_bin};
 /// 10k cycles at both scales) and the SSB's (the whole reader phase, over
 /// 100k cycles even in quick mode).
 pub const DEFAULT_WATCHDOG_CYCLES: u64 = 30_000;
-
-/// Trace-ring capacity for the starvation runs (they emit far fewer
-/// records than the figure workloads).
-const TRACE_CAP: usize = 100_000;
 
 /// Parameters of one starvation contrast run.
 #[derive(Debug, Clone, Copy)]
@@ -78,10 +73,8 @@ impl StarvationCfg {
 pub struct LockstatRun {
     /// Backend label for tables and the report.
     pub label: &'static str,
-    /// Per-lock statistics (watchdog armed).
+    /// Per-lock statistics and blocking chains (watchdog armed).
     pub stats: LockStats,
-    /// Longest blocking chains reconstructed from the run's trace.
-    pub chains: Vec<LockChain>,
     /// Simulated end time.
     pub end_cycles: u64,
 }
@@ -105,7 +98,7 @@ impl LockstatRun {
             "== backend {} ==\n{}{}",
             self.label,
             self.stats.report(self.end_cycles),
-            render_chains(&self.chains)
+            render_chains(&self.stats.chains())
         )
     }
 }
@@ -117,9 +110,6 @@ pub fn run_starvation(backend: BackendKind, cfg: &StarvationCfg) -> LockstatRun 
     let mut w = World::new(mach_cfg, backend.build(), cfg.seed);
     obs::arm(&mut w);
     w.enable_lockstat(Some(cfg.watchdog_cycles));
-    if !w.mach_ref().tracer().is_enabled() {
-        w.enable_trace(TRACE_CAP);
-    }
     let lock = w.mach().alloc().alloc_line();
     let data = w.mach().alloc().alloc_line();
     let reader_pool = IterPool::new(cfg.reader_iters);
@@ -140,7 +130,6 @@ pub fn run_starvation(backend: BackendKind, cfg: &StarvationCfg) -> LockstatRun 
     LockstatRun {
         label: backend.label(),
         stats: w.lockstat().clone(),
-        chains: blocking_chains(w.mach_ref().tracer().events()),
         end_cycles,
     }
 }
@@ -232,9 +221,7 @@ pub fn tables(cfg: &StarvationCfg, runs: &[LockstatRun]) -> Vec<Table> {
         &["backend", "lock", "depth", "span", "total wait", "chain"],
     );
     for r in runs {
-        let mut by_depth: Vec<&LockChain> = r.chains.iter().collect();
-        by_depth.sort_by_key(|c| std::cmp::Reverse(c.links.len()));
-        for c in by_depth {
+        for c in deepest_first(&r.stats.chains()) {
             chains.push(vec![
                 r.label.to_string(),
                 format!("{:#x}", c.lock),

@@ -4,26 +4,24 @@
 //!
 //! Every experiment executor in [`crate::run`] arms the world before the
 //! run (`arm`) and reports it afterwards (`observe`). When `--trace`
-//! was given, the first simulated run of the process is captured into the
-//! machine's trace ring and exported as Chrome trace-event JSON (loadable
-//! in Perfetto or `chrome://tracing`); every run additionally contributes
-//! its end-of-run [`MetricsSnapshot`] to a per-series table that
-//! [`crate::run_bin`] prints and saves next to the figure CSVs. When
-//! `--lockstat <path>` was given, every run also collects per-lock
-//! contention statistics (plus a trace for blocking-chain analysis) and
-//! the accumulated series render into one self-contained HTML report at
-//! that path; `--watchdog-cycles <n>` additionally arms the starvation
-//! watchdog at that threshold.
+//! was given, every run keeps a trace ring (so an exclusion abort in any
+//! run dumps its lock's history) and the first simulated run of the
+//! process is exported as Chrome trace-event JSON (loadable in Perfetto or
+//! `chrome://tracing`); every run additionally contributes its end-of-run
+//! [`MetricsSnapshot`] to a per-series table that [`crate::run_bin`]
+//! prints and saves next to the figure CSVs. When `--lockstat <path>` was
+//! given, every run also collects per-lock contention statistics and
+//! blocking chains, and the accumulated series render into one
+//! self-contained HTML report at that path; `--watchdog-cycles <n>`
+//! additionally arms the starvation watchdog at that threshold.
 
 use std::cell::RefCell;
 use std::collections::BTreeMap;
 use std::path::PathBuf;
 
-use locksim_machine::{
-    blocking_chains, render_html, HtmlSeries, LockChain, LockStats, MetricsSnapshot, World,
-};
+use locksim_machine::{LockStats, MetricsSnapshot, World};
 use locksim_report::{RunManifest, Verdict};
-use locksim_trace::SeriesSnapshot;
+use locksim_trace::{render_html, HtmlSeries, SeriesSnapshot};
 
 use crate::table::Table;
 
@@ -34,7 +32,6 @@ const DEFAULT_TRACE_CAP: usize = 200_000;
 struct LockstatSeries {
     label: String,
     stats: LockStats,
-    chains: Vec<LockChain>,
     end_cycles: u64,
 }
 
@@ -55,13 +52,11 @@ pub(crate) struct RunCapture {
     pub series: SeriesSnapshot,
 }
 
+#[derive(Default)]
 struct Obs {
-    trace_path: Option<PathBuf>,
-    trace_cap: usize,
-    lockstat_path: Option<PathBuf>,
-    watchdog_cycles: Option<u64>,
-    self_profile: Option<PathBuf>,
-    /// A trace has been exported; later runs are left uninstrumented.
+    /// The parsed observability flags.
+    opts: CliOpts,
+    /// A trace has been exported; later runs' rings are not.
     captured: bool,
     /// Per-series (backend/variant label) run captures.
     metrics: BTreeMap<String, RunCapture>,
@@ -70,22 +65,6 @@ struct Obs {
     verdicts: BTreeMap<String, Vec<Verdict>>,
     /// Per-run lockstat captures, in run order.
     lockstat: Vec<LockstatSeries>,
-}
-
-impl Default for Obs {
-    fn default() -> Self {
-        Obs {
-            trace_path: None,
-            trace_cap: DEFAULT_TRACE_CAP,
-            lockstat_path: None,
-            watchdog_cycles: None,
-            self_profile: None,
-            captured: false,
-            metrics: BTreeMap::new(),
-            verdicts: BTreeMap::new(),
-            lockstat: Vec::new(),
-        }
-    }
 }
 
 thread_local! {
@@ -215,51 +194,37 @@ pub fn parse_bin_cli(
     Ok((opts, extras))
 }
 
-/// Applies observability options parsed by [`parse_bin_cli`] to the
-/// process state.
-/// `--self-profile <path>` (or the `LOCKSIM_SELF_PROFILE=<path>` env var)
-/// additionally switches on the host-side span profiler; everything else
-/// leaves it disabled, where a span is a single thread-local flag load.
+/// Applies observability options parsed by [`parse_bin_cli`] to this
+/// thread's state. `--self-profile <path>` additionally switches on the
+/// host-side span profiler; everything else leaves it disabled, where a
+/// span is a single thread-local flag load.
 pub fn apply_opts(opts: &CliOpts) {
-    let self_profile = opts.self_profile.clone().or_else(|| {
-        std::env::var_os("LOCKSIM_SELF_PROFILE")
-            .filter(|v| !v.is_empty())
-            .map(PathBuf::from)
-    });
-    OBS.with(|o| {
-        let mut o = o.borrow_mut();
-        o.trace_path = opts.trace_path.clone();
-        if let Some(cap) = opts.trace_cap {
-            o.trace_cap = cap;
-        }
-        o.lockstat_path = opts.lockstat_path.clone();
-        o.watchdog_cycles = opts.watchdog_cycles;
-        o.self_profile = self_profile;
-        if o.self_profile.is_some() {
-            locksim_trace::prof::enable();
-        }
-    });
+    if opts.self_profile.is_some() {
+        locksim_trace::prof::enable();
+    }
+    OBS.with(|o| o.borrow_mut().opts = opts.clone());
 }
 
-/// Enables instrumentation on a freshly built world: tracing when a
-/// `--trace` capture is still pending, and per-lock stats (plus a trace
-/// ring for blocking-chain analysis) when `--lockstat` was given. Runs
-/// execute sequentially, so at most one world is armed at a time.
+/// This thread's observability options, for sweep workers to apply.
+pub(crate) fn opts() -> CliOpts {
+    OBS.with(|o| o.borrow().opts.clone())
+}
+
+/// Enables instrumentation on a freshly built world: a trace ring when
+/// `--trace` was given (only the first run's is exported), and per-lock
+/// stats with blocking chains when `--lockstat` was given.
 pub(crate) fn arm(w: &mut World) {
     OBS.with(|o| {
-        let o = o.borrow();
+        let opts = &o.borrow().opts;
         // The windowed time-series collector is always on: it is bounded
         // memory, purely simulation-derived, and feeds the run-ledger
         // manifests every bin writes (0 = default window).
         w.enable_series(0);
-        if o.trace_path.is_some() && !o.captured {
-            w.enable_trace(o.trace_cap);
+        if opts.trace_path.is_some() {
+            w.enable_trace(opts.trace_cap.unwrap_or(DEFAULT_TRACE_CAP));
         }
-        if o.lockstat_path.is_some() {
-            w.enable_lockstat(o.watchdog_cycles);
-            if !w.mach_ref().tracer().is_enabled() {
-                w.enable_trace(o.trace_cap);
-            }
+        if opts.lockstat_path.is_some() {
+            w.enable_lockstat(opts.watchdog_cycles);
         }
     });
 }
@@ -271,7 +236,7 @@ pub(crate) fn observe(label: &str, w: &World) {
     OBS.with(|o| {
         let mut o = o.borrow_mut();
         if !o.captured && w.mach_ref().tracer().is_enabled() {
-            if let Some(path) = o.trace_path.clone() {
+            if let Some(path) = o.opts.trace_path.clone() {
                 let tracer = w.mach_ref().tracer();
                 let file = std::fs::File::create(&path)
                     .unwrap_or_else(|e| panic!("create trace file {}: {e}", path.display()));
@@ -304,13 +269,11 @@ pub(crate) fn observe(label: &str, w: &World) {
         entry.end_cycles = end_cycles;
         entry.snap = snap;
         entry.series = series;
-        if o.lockstat_path.is_some() && w.lockstat().is_enabled() {
-            let chains = blocking_chains(w.mach_ref().tracer().events());
+        if o.opts.lockstat_path.is_some() && w.lockstat().is_enabled() {
             o.lockstat.push(LockstatSeries {
                 label: label.to_string(),
                 stats: w.lockstat().clone(),
-                chains,
-                end_cycles: w.mach_ref().now().cycles(),
+                end_cycles,
             });
         }
     });
@@ -322,7 +285,7 @@ pub(crate) fn observe(label: &str, w: &World) {
 pub(crate) fn take_lockstat_html(name: &str) -> Option<(PathBuf, String)> {
     OBS.with(|o| {
         let mut o = o.borrow_mut();
-        let path = o.lockstat_path.clone()?;
+        let path = o.opts.lockstat_path.clone()?;
         let series = std::mem::take(&mut o.lockstat);
         if series.is_empty() {
             return None;
@@ -332,7 +295,6 @@ pub(crate) fn take_lockstat_html(name: &str) -> Option<(PathBuf, String)> {
             .map(|s| HtmlSeries {
                 label: &s.label,
                 stats: &s.stats,
-                chains: &s.chains,
                 end_cycles: s.end_cycles,
             })
             .collect();
@@ -341,14 +303,13 @@ pub(crate) fn take_lockstat_html(name: &str) -> Option<(PathBuf, String)> {
     })
 }
 
-/// Drains the self-profiler when `--self-profile <path>` (or
-/// `LOCKSIM_SELF_PROFILE`) armed it: returns the destination path and the
-/// aggregated report, or `None` when profiling was off or recorded
-/// nothing. [`crate::finish_bin`] writes the collapsed-stack file and
-/// prints the hierarchical table.
+/// Drains the self-profiler when `--self-profile <path>` armed it: returns
+/// the destination path and the aggregated report, or `None` when
+/// profiling was off or recorded nothing. [`crate::finish_bin`] writes the
+/// collapsed-stack file and prints the hierarchical table.
 pub(crate) fn take_self_profile() -> Option<(PathBuf, locksim_trace::ProfileReport)> {
     OBS.with(|o| {
-        let path = o.borrow().self_profile.clone()?;
+        let path = o.borrow().opts.self_profile.clone()?;
         let report = locksim_trace::prof::take_report();
         if report.is_empty() {
             return None;
@@ -363,35 +324,37 @@ pub(crate) fn take_runs() -> BTreeMap<String, RunCapture> {
     OBS.with(|o| std::mem::take(&mut o.borrow_mut().metrics))
 }
 
-/// A worker thread's drained observability: the run captures and verdicts
-/// its jobs produced, carried back to the main thread by the sweep runner
-/// (see [`crate::sweep`]) and merged in canonical job order.
+/// A worker thread's drained observability: the run captures, verdicts
+/// and lockstat captures its jobs produced, carried back to the main thread
+/// by the sweep runner (see [`crate::sweep`]) and merged in canonical job
+/// order.
 #[derive(Default)]
 pub(crate) struct WorkerCapture {
     metrics: BTreeMap<String, RunCapture>,
     verdicts: BTreeMap<String, Vec<Verdict>>,
+    lockstat: Vec<LockstatSeries>,
 }
 
-/// True when the process-wide observability options capture per-run state
-/// that only works single-threaded (trace export, lockstat, the
-/// self-profiler) — the sweep runner then falls back to sequential
-/// execution so those captures see every run.
+/// True when the observability options capture state that spans runs on
+/// one thread — the exported first-run trace and the self-profiler's span
+/// tree — so the sweep runner falls back to sequential execution.
 pub(crate) fn wants_sequential() -> bool {
     OBS.with(|o| {
-        let o = o.borrow();
-        o.trace_path.is_some() || o.lockstat_path.is_some() || o.self_profile.is_some()
+        let opts = &o.borrow().opts;
+        opts.trace_path.is_some() || opts.self_profile.is_some()
     })
 }
 
-/// Drains this thread's run captures and verdicts into a [`WorkerCapture`].
-/// Called by sweep workers after each job, so one capture holds exactly
-/// one job's observability.
+/// Drains this thread's run captures, verdicts and lockstat captures into
+/// a [`WorkerCapture`]. Called by sweep workers after each job, so one
+/// capture holds exactly one job's observability.
 pub(crate) fn drain_worker() -> WorkerCapture {
     OBS.with(|o| {
         let mut o = o.borrow_mut();
         WorkerCapture {
             metrics: std::mem::take(&mut o.metrics),
             verdicts: std::mem::take(&mut o.verdicts),
+            lockstat: std::mem::take(&mut o.lockstat),
         }
     })
 }
@@ -418,6 +381,7 @@ pub(crate) fn merge_worker(c: WorkerCapture) {
             }
         }
         o.verdicts.extend(c.verdicts);
+        o.lockstat.extend(c.lockstat);
     });
 }
 

@@ -10,8 +10,9 @@
 //!   shared atomic counter, so long jobs don't serialize behind short ones
 //!   and every host core stays busy regardless of job-length skew;
 //! * **per-run isolation** — each job's world owns its RNG, trace ring,
-//!   and metrics registry; the harness-side observability state
-//!   ([`crate::obs`]) is thread-local, and each worker drains it into a
+//!   lockstat and metrics registry; the harness-side observability state
+//!   ([`crate::obs`]) is thread-local, each worker starts from the main
+//!   thread's observability options, and drains its state into an
 //!   `obs::WorkerCapture` after every job;
 //! * **canonical-order merge** — results come back indexed, and the caller
 //!   merges the captures on the main thread in job order, which reproduces
@@ -24,9 +25,9 @@
 //!   settled stops spending CPU on jobs the caller would drop. The claimed
 //!   jobs always form a prefix of the index range.
 //!
-//! Observability modes that capture per-run state across runs — `--trace`,
-//! `--lockstat`, `--self-profile` — force the sweep sequential (with a
-//! stderr note), since their captures live on the main thread.
+//! The two observability modes whose capture spans runs on one thread —
+//! `--trace` (the first run's export) and `--self-profile` (the span
+//! tree) — force the sweep sequential, with a stderr note.
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
@@ -77,10 +78,7 @@ pub fn parse_jobs(v: &str) -> Result<usize, String> {
 pub(crate) fn effective_jobs(jobs: usize, n: usize) -> usize {
     let jobs = resolve_jobs(jobs).min(n.max(1));
     if jobs > 1 && obs::wants_sequential() {
-        eprintln!(
-            "sweep: --trace/--lockstat/--self-profile capture per-run state; \
-             running sequentially"
-        );
+        eprintln!("sweep: --trace/--self-profile capture across runs; running sequentially");
         return 1;
     }
     jobs
@@ -119,9 +117,11 @@ where
     // saw was claimed before any claim that follows it.
     let next = AtomicUsize::new(0);
     let slots: Vec<Mutex<Option<JobOutput<T>>>> = (0..n).map(|_| Mutex::new(None)).collect();
+    let opts = obs::opts();
     std::thread::scope(|scope| {
         for _ in 0..jobs {
             scope.spawn(|| {
+                obs::apply_opts(&opts);
                 while !stop() {
                     let i = next.fetch_add(1, Ordering::SeqCst);
                     if i >= n {

@@ -12,29 +12,8 @@ use crate::addr::Addr;
 use crate::lock::Mode;
 use crate::prog::ThreadId;
 
-/// Default number of trace records to dump when a violation aborts the run;
-/// override with the `LOCKSIM_ABORT_DUMP` environment variable.
+/// Trace records touching the lock that an abort dump includes.
 const ABORT_DUMP_RECORDS: usize = 32;
-
-/// Records to include in an abort dump: `LOCKSIM_ABORT_DUMP` when set,
-/// else the built-in default of 32. Unset or empty means the default; a
-/// set-but-unparseable value is a configuration error and panics naming the
-/// variable and the offending value — silently falling back would hide a
-/// typo exactly when the user is trying to widen a violation dump.
-///
-/// # Panics
-///
-/// Panics if `LOCKSIM_ABORT_DUMP` is set to a non-empty value that does not
-/// parse as an unsigned record count.
-fn abort_dump_records() -> usize {
-    match std::env::var("LOCKSIM_ABORT_DUMP") {
-        Err(_) => ABORT_DUMP_RECORDS,
-        Ok(v) if v.trim().is_empty() => ABORT_DUMP_RECORDS,
-        Ok(v) => v.trim().parse().unwrap_or_else(|_| {
-            panic!("LOCKSIM_ABORT_DUMP: expected a record count (e.g. 64), got {v:?}")
-        }),
-    }
-}
 
 /// Tracks, per lock, the current writer and reader set, and asserts the
 /// reader-writer exclusion invariant on every transition. The machine owns
@@ -56,8 +35,8 @@ impl Checker {
     /// # Panics
     ///
     /// Panics if the grant violates reader-writer exclusion. The message
-    /// carries the last trace records touching the lock (count configurable
-    /// via `LOCKSIM_ABORT_DUMP`) and the lock's lockstat snapshot.
+    /// carries the last 32 trace records touching the lock and the lock's
+    /// lockstat snapshot.
     pub fn on_grant(
         &mut self,
         lock: Addr,
@@ -143,7 +122,7 @@ impl Checker {
 fn abort(msg: &str, lock: Addr, tracer: &Tracer, lockstat: &LockStats) -> ! {
     panic!(
         "{msg}\n{}{}",
-        tracer.lock_history_report(lock.0, abort_dump_records()),
+        tracer.lock_history_report(lock.0, ABORT_DUMP_RECORDS),
         lockstat.lock_snapshot(lock.0)
     );
 }
@@ -245,50 +224,5 @@ mod tests {
         .unwrap_err();
         let msg = err.downcast_ref::<String>().expect("string panic");
         assert!(msg.contains("unread lock"), "{msg}");
-    }
-
-    #[test]
-    fn abort_dump_count_reads_env_override() {
-        // Serialized by being the only test touching this env var.
-        assert_eq!(abort_dump_records(), 32);
-        std::env::set_var("LOCKSIM_ABORT_DUMP", "7");
-        assert_eq!(abort_dump_records(), 7);
-        std::env::set_var("LOCKSIM_ABORT_DUMP", " 64 ");
-        assert_eq!(abort_dump_records(), 64, "surrounding whitespace is fine");
-        std::env::set_var("LOCKSIM_ABORT_DUMP", "");
-        assert_eq!(abort_dump_records(), 32, "empty means unset");
-        std::env::remove_var("LOCKSIM_ABORT_DUMP");
-    }
-
-    #[test]
-    fn abort_dump_garbage_is_rejected_with_the_value_named() {
-        // Runs in a child process so the env var and the panic cannot leak
-        // into sibling tests sharing this process.
-        let exe = std::env::current_exe().expect("test exe");
-        let out = std::process::Command::new(exe)
-            .args([
-                "--exact",
-                "checker::tests::abort_dump_garbage_inner",
-                "--nocapture",
-            ])
-            .env("LOCKSIM_ABORT_DUMP", "junk")
-            .env("LOCKSIM_ABORT_DUMP_INNER", "1")
-            .output()
-            .expect("spawn child test");
-        assert!(!out.status.success(), "garbage value must abort");
-        let text = String::from_utf8_lossy(&out.stdout).into_owned()
-            + &String::from_utf8_lossy(&out.stderr);
-        assert!(
-            text.contains("LOCKSIM_ABORT_DUMP") && text.contains("\"junk\""),
-            "message must name the variable and the bad value: {text}"
-        );
-    }
-
-    #[test]
-    fn abort_dump_garbage_inner() {
-        // Child half of the test above: only panics when dispatched by it.
-        if std::env::var("LOCKSIM_ABORT_DUMP_INNER").is_ok() {
-            let _ = abort_dump_records();
-        }
     }
 }

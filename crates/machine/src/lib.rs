@@ -47,7 +47,5 @@ pub use world::{CycleDissection, Ep, Mach, MemKind, PendingWaiter, RunExit, Thre
 // directly. The trace crate's endpoint enum is re-exported as `TraceEp` to
 // avoid clashing with the machine's own [`Ep`].
 pub use locksim_trace::{
-    blocking_chains, render_chains, render_html, ChainLink, Ep as TraceEp, FlagOutcome, HtmlSeries,
-    LockChain, LockStat, LockStats, MetricsRegistry, MetricsSnapshot, StarvationFlag, TraceEvent,
-    TraceKind, Tracer,
+    Ep as TraceEp, LockStats, MetricsRegistry, MetricsSnapshot, TraceEvent, TraceKind, Tracer,
 };

@@ -1628,11 +1628,16 @@ impl World {
                     .rposition(|&(a, _)| a == lock)
                 {
                     let (_, since) = self.mach.threads[ti].holding.remove(pos);
-                    let held = self.mach.sim.now().saturating_since(since);
+                    let now = self.mach.sim.now();
+                    let held = now.saturating_since(since);
                     self.mach.metrics.observe("lock_hold_cycles", held);
-                    self.mach
-                        .lockstat
-                        .on_release(lock.0, mode == Mode::Write, held);
+                    self.mach.lockstat.on_release(
+                        lock.0,
+                        t.0,
+                        mode == Mode::Write,
+                        held,
+                        now.cycles(),
+                    );
                 }
                 self.mach.trace(|now| TraceEvent {
                     t: now,

@@ -1,12 +1,11 @@
 //! Structured observability for the simulator: a zero-cost-when-disabled
-//! event trace, the streaming liveness and fairness oracles it feeds
-//! during fault runs, a metrics registry, per-lock contention statistics with a
-//! starvation watchdog, post-hoc blocking-chain analysis, the one HTML
-//! emitter every published page is built from, and host-side self-observability (span profiler + allocation
-//! telemetry) for the simulator's own performance.
+//! event trace, the streaming liveness and fairness oracles it feeds during
+//! fault runs, a metrics registry, per-lock contention statistics with a
+//! starvation watchdog and blocking chains built as the run goes, the one
+//! HTML emitter every published page is built from, and host-side
+//! self-observability (span profiler + allocation telemetry).
 
 pub mod alloc;
-pub mod chain;
 pub mod html;
 pub mod lockstat;
 pub mod metrics;
@@ -18,8 +17,10 @@ pub mod sketch;
 pub mod tracer;
 
 pub use alloc::{AllocSnapshot, CountingAlloc};
-pub use chain::{blocking_chains, render_chains, ChainLink, LockChain};
-pub use lockstat::{render_html, FlagOutcome, HtmlSeries, LockStat, LockStats, StarvationFlag};
+pub use lockstat::{
+    deepest_first, render_chains, render_html, ChainLink, FlagOutcome, HtmlSeries, LockChain,
+    LockStat, LockStats, StarvationFlag,
+};
 pub use metrics::{MetricsRegistry, MetricsSnapshot};
 pub use oracle::{Oracles, Violation};
 pub use prof::{ProfileReport, Span, SpanRow};

@@ -19,14 +19,22 @@
 //! steady reader stream trips the watchdog; the LCU's fair queue keeps the
 //! same workload silent (asserted by the harness tests).
 //!
+//! **Blocking chains** grow on the same feed, as the run goes: a run of
+//! grants where each grantee was already waiting when its predecessor
+//! released, so the lock went from holder to waiter with no idle gap. The
+//! longest chain per lock is the serialized handoff path that the paper's
+//! direct LCU→LCU transfer shortens. A grant links to the lock's last
+//! release iff the grantee requested at or before it; nodes link only to
+//! their predecessor, so a chain nothing reaches any more is freed.
+//!
 //! Like the [`crate::Tracer`], a `LockStats` is disabled by default and
 //! every record call is a single branch until [`LockStats::enable`] runs.
 //! All internal maps are `BTreeMap`s so reports render deterministically.
 
 use std::collections::BTreeMap;
-use std::fmt::Write as _;
+use std::fmt::{self, Write as _};
+use std::sync::Arc;
 
-use crate::chain::LockChain;
 use crate::html;
 use crate::sketch::QuantileSketch;
 
@@ -66,11 +74,6 @@ pub struct LockStat {
 }
 
 impl LockStat {
-    /// Total grants across both modes.
-    pub fn total_acquires(&self) -> u64 {
-        self.acquires[0] + self.acquires[1]
-    }
-
     /// One-lock summary block used by reports and the exclusion checker's
     /// abort dump.
     pub fn render(&self, addr: u64) -> String {
@@ -139,6 +142,155 @@ impl FlagOutcome {
     }
 }
 
+/// One grant in a blocking chain.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct ChainLink {
+    /// The granted thread.
+    pub thread: u32,
+    /// True for a write-mode grant.
+    pub write: bool,
+    /// Simulated time of the grant.
+    pub granted_at: u64,
+    /// Cycles the thread waited for this grant.
+    pub wait: u64,
+}
+
+/// The longest blocking chain of one lock.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct LockChain {
+    /// Lock line address.
+    pub lock: u64,
+    /// Grants in handoff order, earliest first.
+    pub links: Vec<ChainLink>,
+    /// Cycles from the chain's first grant to its last.
+    pub span: u64,
+    /// Total wait cycles accumulated across the chain's links.
+    pub total_wait: u64,
+}
+
+impl LockChain {
+    /// One-line rendering, e.g.
+    /// `lock 0x40: depth 3 span 1040 cy wait 960 cy  t0:w -> t1:w -> t2:w`.
+    pub fn describe(&self) -> String {
+        format!(
+            "lock {:#x}: depth {} span {} cy wait {} cy  {}",
+            self.lock,
+            self.links.len(),
+            self.span,
+            self.total_wait,
+            self.path(" -> ")
+        )
+    }
+
+    /// The handoff order as `t0:w`-style links joined by `sep`.
+    pub fn path(&self, sep: &str) -> String {
+        let links: Vec<String> = self
+            .links
+            .iter()
+            .map(|l| format!("t{}:{}", l.thread, if l.write { "w" } else { "r" }))
+            .collect();
+        links.join(sep)
+    }
+}
+
+/// `chains` deepest first (ties broken by lock address via the stable sort
+/// over the address-ordered input).
+pub fn deepest_first(chains: &[LockChain]) -> Vec<&LockChain> {
+    let mut by_depth: Vec<&LockChain> = chains.iter().collect();
+    by_depth.sort_by_key(|c| std::cmp::Reverse(c.links.len()));
+    by_depth
+}
+
+/// Renders a chain listing, deepest chain first.
+pub fn render_chains(chains: &[LockChain]) -> String {
+    if chains.is_empty() {
+        return "no blocking chains (no lock grants in trace)\n".to_string();
+    }
+    let mut out = String::from("longest blocking chains per lock:\n");
+    for c in deepest_first(chains) {
+        let _ = writeln!(out, "  {}", c.describe());
+    }
+    out
+}
+
+/// A grant in a lock's chain, linked to the grant it was handed off from.
+struct Node {
+    link: ChainLink,
+    depth: u32,
+    pred: Option<Arc<Node>>,
+}
+
+impl Drop for Node {
+    /// Frees the predecessors this node alone kept alive one at a time, so
+    /// dropping a chain of any length does not recurse once per link.
+    fn drop(&mut self) {
+        let mut pred = self.pred.take();
+        while let Some(p) = pred {
+            pred = Arc::into_inner(p).and_then(|mut n| n.pred.take());
+        }
+    }
+}
+
+/// Not derived: a derived `Debug` would recurse once per link.
+impl fmt::Debug for Node {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        write!(f, "{:?} at depth {}", self.link, self.depth)
+    }
+}
+
+/// One lock's chain state, extended at every grant and release.
+#[derive(Debug, Clone, Default)]
+struct ChainState {
+    /// Current holders: thread → the node of their grant.
+    holders: BTreeMap<u32, Arc<Node>>,
+    /// The lock's most recent release: (release time, releasing node).
+    last_release: Option<(u64, Arc<Node>)>,
+    /// The deepest node so far (the first to reach its depth).
+    deepest: Option<Arc<Node>>,
+}
+
+impl ChainState {
+    /// Adds a grant, linked to the last release when the grantee requested
+    /// (`wait` cycles before the grant) at or before it.
+    fn grant(&mut self, link: ChainLink) {
+        let req_at = link.granted_at.saturating_sub(link.wait);
+        let pred = match &self.last_release {
+            Some((rel_t, node)) if req_at <= *rel_t => Some(Arc::clone(node)),
+            _ => None,
+        };
+        let depth = pred.as_ref().map_or(1, |p| p.depth + 1);
+        let node = Arc::new(Node { link, depth, pred });
+        if self.deepest.as_ref().is_none_or(|d| depth > d.depth) {
+            self.deepest = Some(Arc::clone(&node));
+        }
+        self.holders.insert(link.thread, node);
+        // A reader group admitted together chains through the lock's last
+        // release, so clearing it only after a writer grant (which ends any
+        // group) keeps sibling readers at equal depth rather than stacking
+        // them artificially.
+        if link.write {
+            self.last_release = None;
+        }
+    }
+
+    /// The deepest chain, earliest grant first, or `None` before any grant.
+    fn longest(&self, lock: u64) -> Option<LockChain> {
+        let mut links: Vec<ChainLink> =
+            std::iter::successors(self.deepest.as_deref(), |n| n.pred.as_deref())
+                .map(|n| n.link)
+                .collect();
+        links.reverse();
+        let span = links.last()?.granted_at - links[0].granted_at;
+        let total_wait = links.iter().map(|l| l.wait).sum();
+        Some(LockChain {
+            lock,
+            links,
+            span,
+            total_wait,
+        })
+    }
+}
+
 /// Per-lock statistics collector plus starvation watchdog. Disabled (and
 /// nearly free) until [`LockStats::enable`].
 #[derive(Debug, Clone, Default)]
@@ -149,6 +301,8 @@ pub struct LockStats {
     /// Outstanding waits: `(lock, thread)` → `(enqueue time, write)`.
     waiting: BTreeMap<(u64, u32), (u64, bool)>,
     flags: Vec<StarvationFlag>,
+    /// Per-lock blocking-chain state.
+    chains: BTreeMap<u64, ChainState>,
 }
 
 impl LockStats {
@@ -186,7 +340,9 @@ impl LockStats {
         s.max_queue = s.max_queue.max(s.cur_queue);
     }
 
-    /// A thread's acquire was granted after `wait` cycles. Returns a
+    /// A thread's acquire was granted at `now` after `wait` cycles, so it
+    /// requested at `now - wait`; the grant extends the lock's blocking
+    /// chain when that was at or before the lock's last release. Returns a
     /// [`StarvationFlag`] when the wait trips the watchdog.
     pub fn on_grant(
         &mut self,
@@ -211,11 +367,17 @@ impl LockStats {
             s.cur_readers += 1;
             s.max_readers = s.max_readers.max(s.cur_readers);
         }
+        self.chains.entry(lock).or_default().grant(ChainLink {
+            thread,
+            write,
+            granted_at: now,
+            wait,
+        });
         self.watchdog_check(lock, thread, write, wait, now, FlagOutcome::Granted)
     }
 
-    /// A thread released `lock` after holding it for `held` cycles.
-    pub fn on_release(&mut self, lock: u64, write: bool, held: u64) {
+    /// A thread released `lock` at `now` after holding it for `held` cycles.
+    pub fn on_release(&mut self, lock: u64, thread: u32, write: bool, held: u64, now: u64) {
         if !self.enabled {
             return;
         }
@@ -224,6 +386,10 @@ impl LockStats {
         s.hold.add(held);
         if !write {
             s.cur_readers = s.cur_readers.saturating_sub(1);
+        }
+        let c = self.chains.entry(lock).or_default();
+        if let Some(node) = c.holders.remove(&thread) {
+            c.last_release = Some((now, node));
         }
     }
 
@@ -320,6 +486,16 @@ impl LockStats {
         self.locks.get(&addr)
     }
 
+    /// The longest blocking chain of every granted lock, in address order.
+    /// A lock whose grants never chained (every grant found it idle)
+    /// reports its first grant.
+    pub fn chains(&self) -> Vec<LockChain> {
+        self.chains
+            .iter()
+            .filter_map(|(&lock, c)| c.longest(lock))
+            .collect()
+    }
+
     /// One-lock summary for abort dumps; explains itself when the lock was
     /// never seen or collection is off.
     pub fn lock_snapshot(&self, addr: u64) -> String {
@@ -378,10 +554,8 @@ impl LockStats {
 pub struct HtmlSeries<'a> {
     /// Display label, e.g. "ssb" or "lcu".
     pub label: &'a str,
-    /// The per-lock stats collected for this run.
+    /// The per-lock stats and chains collected for this run.
     pub stats: &'a LockStats,
-    /// Longest blocking chains reconstructed from this run's trace.
-    pub chains: &'a [LockChain],
     /// Simulated end time of the run (for the overdue-waiter scan).
     pub end_cycles: u64,
 }
@@ -448,7 +622,7 @@ fn render_series(out: &mut String, s: &HtmlSeries<'_>) {
     }
 
     render_watchdog(out, s);
-    render_chains_html(out, s.chains);
+    render_chains_html(out, &s.stats.chains());
 }
 
 fn render_watchdog(out: &mut String, s: &HtmlSeries<'_>) {
@@ -497,9 +671,7 @@ fn render_chains_html(out: &mut String, chains: &[LockChain]) {
         out.push_str("<p>no lock grants in trace</p>\n");
         return;
     }
-    let mut by_depth: Vec<&LockChain> = chains.iter().collect();
-    by_depth.sort_by_key(|c| std::cmp::Reverse(c.links.len()));
-    let rows = by_depth.into_iter().map(|c| {
+    let rows = deepest_first(chains).into_iter().map(|c| {
         [
             format!("{:#x}", c.lock),
             c.links.len().to_string(),
@@ -520,7 +692,7 @@ mod tests {
         let mut ls = LockStats::new();
         ls.on_request(0x40, 0, true, 0);
         assert!(ls.on_grant(0x40, 0, true, 10, 10).is_none());
-        ls.on_release(0x40, true, 5);
+        ls.on_release(0x40, 0, true, 5, 15);
         ls.bump(0x40, "x");
         assert_eq!(ls.locks().count(), 0);
         assert!(ls.report(100).contains("disabled"));
@@ -535,10 +707,10 @@ mod tests {
         ls.on_request(0x40, 2, true, 0);
         assert!(ls.on_grant(0x40, 0, false, 4, 4).is_none());
         assert!(ls.on_grant(0x40, 1, false, 6, 6).is_none());
-        ls.on_release(0x40, false, 100);
-        ls.on_release(0x40, false, 90);
+        ls.on_release(0x40, 1, false, 90, 96);
+        ls.on_release(0x40, 0, false, 100, 104);
         assert!(ls.on_grant(0x40, 2, true, 200, 206).is_none());
-        ls.on_release(0x40, true, 50);
+        ls.on_release(0x40, 2, true, 50, 256);
         let s = ls.lock(0x40).unwrap();
         assert_eq!(s.acquires, [2, 1]);
         assert_eq!(s.releases, [2, 1]);
@@ -650,9 +822,9 @@ mod tests {
         ls.on_request(0x40, 0, true, 0);
         ls.on_request(0x40, 1, true, 0);
         ls.on_grant(0x40, 0, true, 4, 4);
-        ls.on_release(0x40, true, 200);
+        ls.on_release(0x40, 0, true, 200, 204);
         ls.on_grant(0x40, 1, true, 400, 404);
-        ls.on_release(0x40, true, 150);
+        ls.on_release(0x40, 1, true, 150, 554);
         ls
     }
 
@@ -664,7 +836,6 @@ mod tests {
             &[HtmlSeries {
                 label: "ssb & friends",
                 stats: &ls,
-                chains: &[],
                 end_cycles: 1000,
             }],
         );
@@ -684,13 +855,12 @@ mod tests {
         ls.enable(Some(1_000_000));
         ls.on_request(0x40, 0, true, 0);
         ls.on_grant(0x40, 0, true, 4, 4);
-        ls.on_release(0x40, true, 10);
+        ls.on_release(0x40, 0, true, 10, 14);
         let html = render_html(
             "t",
             &[HtmlSeries {
                 label: "lcu",
                 stats: &ls,
-                chains: &[],
                 end_cycles: 100,
             }],
         );
@@ -707,11 +877,191 @@ mod tests {
                 &[HtmlSeries {
                     label: "x",
                     stats: &ls,
-                    chains: &[],
                     end_cycles: 500,
                 }],
             )
         };
         assert_eq!(mk(), mk());
+    }
+
+    /// One machine step of a chain test, taken by a thread on a lock.
+    #[derive(Clone, Copy)]
+    enum Op {
+        /// Request in write (`true`) or read mode.
+        Req(bool),
+        Grant,
+        Rel,
+        Fail,
+    }
+
+    /// Feeds `(cycle, lock, thread, op)` steps to an enabled `LockStats`
+    /// the way the machine does: a grant waited since the thread's request,
+    /// and a release held the lock since the thread's grant.
+    fn feed(steps: &[(u64, u64, u32, Op)]) -> LockStats {
+        let mut ls = LockStats::new();
+        ls.enable(None);
+        // (lock, thread) → (cycle of the thread's request or grant, write).
+        let mut since = BTreeMap::new();
+        for &(t, lock, thread, op) in steps {
+            let (at, write) = since.get(&(lock, thread)).copied().unwrap_or((t, false));
+            match op {
+                Op::Req(write) => {
+                    since.insert((lock, thread), (t, write));
+                    ls.on_request(lock, thread, write, t);
+                }
+                Op::Grant => {
+                    since.insert((lock, thread), (t, write));
+                    ls.on_grant(lock, thread, write, t - at, t);
+                }
+                Op::Rel => ls.on_release(lock, thread, write, t - at, t),
+                Op::Fail => _ = ls.on_fail(lock, thread, t),
+            }
+        }
+        ls
+    }
+
+    const W: Op = Op::Req(true);
+    const R: Op = Op::Req(false);
+
+    #[test]
+    fn three_thread_handoff_chain_builds_exactly() {
+        let chains = feed(&[
+            (0, 0x40, 0, W),
+            (1, 0x40, 0, Op::Grant),
+            (10, 0x40, 1, W),
+            (20, 0x40, 2, W),
+            (500, 0x40, 0, Op::Rel),
+            (510, 0x40, 1, Op::Grant),
+            (900, 0x40, 1, Op::Rel),
+            (910, 0x40, 2, Op::Grant),
+            (1200, 0x40, 2, Op::Rel),
+        ])
+        .chains();
+        assert_eq!(chains.len(), 1);
+        let c = &chains[0];
+        assert_eq!(c.lock, 0x40);
+        let threads: Vec<u32> = c.links.iter().map(|l| l.thread).collect();
+        assert_eq!(threads, vec![0, 1, 2]);
+        assert_eq!(c.span, 909);
+        assert_eq!(c.total_wait, 1391);
+        assert_eq!(c.path(" -> "), "t0:w -> t1:w -> t2:w");
+    }
+
+    #[test]
+    fn idle_gap_breaks_the_chain() {
+        let chains = feed(&[
+            (0, 0x40, 0, W),
+            (1, 0x40, 0, Op::Grant),
+            (100, 0x40, 0, Op::Rel),
+            // Thread 1 only asks after the lock went idle: no handoff.
+            (200, 0x40, 1, W),
+            (201, 0x40, 1, Op::Grant),
+            (300, 0x40, 1, Op::Rel),
+        ])
+        .chains();
+        assert_eq!(chains.len(), 1);
+        assert_eq!(chains[0].links.len(), 1);
+    }
+
+    #[test]
+    fn failed_trylock_does_not_join_a_chain() {
+        let chains = feed(&[
+            (0, 0x40, 0, W),
+            (1, 0x40, 0, Op::Grant),
+            (10, 0x40, 1, W),
+            (90, 0x40, 1, Op::Fail),
+            (100, 0x40, 0, Op::Rel),
+            // Thread 1 re-requests after the release; its old (pre-release)
+            // request must not make this look like a handoff.
+            (150, 0x40, 1, W),
+            (151, 0x40, 1, Op::Grant),
+            (200, 0x40, 1, Op::Rel),
+        ])
+        .chains();
+        assert_eq!(chains[0].links.len(), 1);
+    }
+
+    #[test]
+    fn reader_group_members_share_depth() {
+        let chains = feed(&[
+            (0, 0x40, 0, W),
+            (1, 0x40, 0, Op::Grant),
+            (10, 0x40, 1, R),
+            (11, 0x40, 2, R),
+            (100, 0x40, 0, Op::Rel),
+            (110, 0x40, 1, Op::Grant),
+            (111, 0x40, 2, Op::Grant),
+            (200, 0x40, 1, Op::Rel),
+            (201, 0x40, 2, Op::Rel),
+        ])
+        .chains();
+        // Both readers chain off the writer: depth 2, not 3.
+        assert_eq!(chains[0].links.len(), 2);
+        assert_eq!(chains[0].links[0].thread, 0);
+        assert!(!chains[0].links[1].write);
+    }
+
+    #[test]
+    fn locks_tracked_independently() {
+        let chains = feed(&[
+            (0, 0x40, 0, W),
+            (1, 0x40, 0, Op::Grant),
+            (0, 0x80, 1, W),
+            (1, 0x80, 1, Op::Grant),
+            (5, 0x40, 2, W),
+            (50, 0x40, 0, Op::Rel),
+            (55, 0x40, 2, Op::Grant),
+            (60, 0x80, 1, Op::Rel),
+            (90, 0x40, 2, Op::Rel),
+        ])
+        .chains();
+        assert_eq!(chains.len(), 2);
+        assert_eq!(chains[0].lock, 0x40);
+        assert_eq!(chains[0].links.len(), 2);
+        assert_eq!(chains[1].lock, 0x80);
+        assert_eq!(chains[1].links.len(), 1);
+    }
+
+    #[test]
+    fn render_orders_deepest_first() {
+        let chains = feed(&[
+            (0, 0x80, 0, W),
+            (1, 0x80, 0, Op::Grant),
+            (10, 0x80, 0, Op::Rel),
+            (0, 0x40, 1, W),
+            (1, 0x40, 1, Op::Grant),
+            (2, 0x40, 2, W),
+            (20, 0x40, 1, Op::Rel),
+            (25, 0x40, 2, Op::Grant),
+            (40, 0x40, 2, Op::Rel),
+        ])
+        .chains();
+        let text = render_chains(&chains);
+        let p40 = text.find("lock 0x40").unwrap();
+        let p80 = text.find("lock 0x80").unwrap();
+        assert!(p40 < p80, "{text}");
+    }
+
+    #[test]
+    fn no_grants_render_explanation() {
+        let chains = feed(&[(0, 0x40, 0, W), (5, 0x40, 0, Op::Fail)]).chains();
+        assert!(chains.is_empty());
+        assert!(render_chains(&chains).contains("no blocking chains"));
+    }
+
+    #[test]
+    fn a_long_chain_drops_without_recursing() {
+        // Far deeper than a recursive drop could go on a test thread's stack.
+        const N: u32 = 200_000;
+        let mut ls = LockStats::new();
+        ls.enable(None);
+        ls.on_grant(0x40, 0, true, 0, 0);
+        for i in 1..N {
+            let t = u64::from(i) * 10;
+            ls.on_release(0x40, i - 1, true, 10, t);
+            ls.on_grant(0x40, i, true, 5, t);
+        }
+        assert_eq!(ls.chains()[0].links.len(), N as usize);
+        drop(ls);
     }
 }

@@ -10,8 +10,8 @@
 //!
 //! # Cost model
 //!
-//! Profiling is opt-in ([`enable`], the harness `--self-profile` flag, or
-//! the `LOCKSIM_SELF_PROFILE` env var). When disabled — the default —
+//! Profiling is opt-in ([`enable`] or the harness `--self-profile` flag).
+//! When disabled — the default —
 //! [`span`] and [`count`] are one thread-local flag load and a predictable
 //! branch: no clock read, no allocation. Host-time measurement never feeds
 //! back into the simulation, so simulated outputs are byte-identical with

@@ -56,7 +56,7 @@ proptest! {
             let now = i as u64 * 10;
             ls.on_request(0x40, 0, true, now);
             ls.on_grant(0x40, 0, true, v, now);
-            ls.on_release(0x40, true, v);
+            ls.on_release(0x40, 0, true, v, now + v);
         }
         let snap = m.snapshot([]);
         prop_assert_eq!(snap.hists.len(), 1);

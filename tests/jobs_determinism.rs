@@ -4,9 +4,9 @@
 //! Each sweep job builds its own world from a fixed seed and the sweep
 //! runner merges observability in canonical job order, so worker count
 //! (and scheduling) must be invisible in the results: stdout tables,
-//! verdict CSVs, HTML artifacts, metrics CSVs, corpus entries, and run
-//! manifests. stderr is exempt — progress lines from worker threads
-//! interleave with the main thread's emission notes.
+//! verdict CSVs, HTML artifacts, metrics CSVs, `--lockstat` reports,
+//! corpus entries, and run manifests. stderr is exempt — progress lines
+//! from worker threads interleave with the main thread's emission notes.
 //!
 //! The host here may have a single core; `--jobs 2` still spawns two real
 //! worker threads (timesliced), so the cross-thread capture/merge path is
@@ -104,13 +104,22 @@ fn golden(bin: &str, name: &str, base_args: &[&str]) -> (String, [String; 2]) {
     (stdout, [err_seq, err_par])
 }
 
+/// Asserts a `--jobs 2` run really ran in parallel.
+fn assert_parallel(stderr: &str) {
+    assert!(
+        !stderr.contains("running sequentially"),
+        "--jobs 2 fell back to one worker:\n{stderr}"
+    );
+}
+
 #[test]
 fn chaossim_jobs_is_byte_deterministic() {
-    golden(
+    let (_, [_, err_par]) = golden(
         env!("CARGO_BIN_EXE_chaossim"),
         "chaossim",
-        &["--quick", "--corpus-out", "corpus"],
+        &["--quick", "--corpus-out", "corpus", "--lockstat", "ls.html"],
     );
+    assert_parallel(&err_par);
 }
 
 /// A cycle budget that cuts the sweep: of 24 quick seeds, a 12 M-cycle
@@ -158,5 +167,10 @@ fn chaossim_jobs_is_byte_deterministic_at_the_budget_cutoff() {
 
 #[test]
 fn faultsim_jobs_is_byte_deterministic() {
-    golden(env!("CARGO_BIN_EXE_faultsim"), "faultsim", &["--quick"]);
+    let (_, [_, err_par]) = golden(
+        env!("CARGO_BIN_EXE_faultsim"),
+        "faultsim",
+        &["--quick", "--lockstat", "ls.html"],
+    );
+    assert_parallel(&err_par);
 }

@@ -1,12 +1,13 @@
 //! End-to-end tests of the lockstat pipeline: the starvation watchdog must
 //! flag the SSB's reader preference and stay silent for the LCU on the
-//! same schedule, the blocking-chain analyzer must reconstruct a known
-//! handoff sequence from a real run's trace, and the whole report must be
-//! a deterministic function of the seed.
+//! same schedule, the blocking chains built during a real run must follow
+//! a known handoff sequence and cover a whole contended run, and the whole
+//! report must be a deterministic function of the seed.
 
 use locksim::harness::lockstat::{run_starvation, tables, StarvationCfg};
 use locksim::harness::BackendKind;
-use locksim::machine::{blocking_chains, render_html, HtmlSeries, MachineConfig, World};
+use locksim::machine::{MachineConfig, World};
+use locksim::trace::{render_html, HtmlSeries};
 use locksim::workloads::{CsThread, IterPool};
 
 fn contrast_cfg() -> StarvationCfg {
@@ -59,27 +60,34 @@ fn lcu_same_schedule_reports_zero_violations() {
     assert_eq!(lcu_stat.releases, ssb_stat.releases);
 }
 
-#[test]
-fn three_thread_handoff_chain_reconstructs_from_a_real_run() {
-    // Three mutually exclusive threads, one critical section each, CS long
-    // enough that both losers queue before the first release: the trace
-    // must yield exactly one chain covering all three grants in handoff
-    // order.
+/// Runs `threads` LCU writers over `iters` shared 500-cycle critical
+/// sections on one lock, with lockstat on and no trace ring.
+fn lcu_writers(threads: usize, iters: u64) -> (World, u64) {
     let mut w = World::new(MachineConfig::model_a(8), BackendKind::Lcu.build(), 7);
-    w.enable_trace(1 << 14);
+    w.enable_lockstat(None);
     let lock = w.mach().alloc().alloc_line();
     let data = w.mach().alloc().alloc_line();
-    let pool = IterPool::new(3);
-    for _ in 0..3 {
+    let pool = IterPool::new(iters);
+    for _ in 0..threads {
         w.spawn(Box::new(
             CsThread::new(lock, data, pool.clone(), 100).with_cs_compute(500),
         ));
     }
     w.run_to_completion();
-    let chains = blocking_chains(w.mach_ref().tracer().events());
+    assert!(!w.mach_ref().tracer().is_enabled());
+    (w, lock.0)
+}
+
+#[test]
+fn three_thread_handoff_chain_reconstructs_from_a_real_run() {
+    // Three mutually exclusive threads, one critical section each, CS long
+    // enough that both losers queue before the first release: the run must
+    // yield exactly one chain covering all three grants in handoff order.
+    let (w, lock) = lcu_writers(3, 3);
+    let chains = w.lockstat().chains();
     assert_eq!(chains.len(), 1, "one lock, one chain: {chains:?}");
     let c = &chains[0];
-    assert_eq!(c.lock, lock.0);
+    assert_eq!(c.lock, lock);
     assert_eq!(c.links.len(), 3, "all three grants chain: {c:?}");
     assert!(c.links.iter().all(|l| l.write));
     let mut threads: Vec<u32> = c.links.iter().map(|l| l.thread).collect();
@@ -92,6 +100,20 @@ fn three_thread_handoff_chain_reconstructs_from_a_real_run() {
         assert!(pair[0].wait < pair[1].wait, "waits accumulate: {c:?}");
     }
     assert_eq!(c.total_wait, c.links.iter().map(|l| l.wait).sum::<u64>());
+}
+
+#[test]
+fn contended_lcu_chain_covers_every_grant() {
+    // Four writers always queued on one lock: the LCU hands it from holder
+    // to waiter at every release, so one chain runs through the whole run,
+    // however many grants it has.
+    let (w, lock) = lcu_writers(4, 2_000);
+    let granted = w.report_counters().get("locks_granted");
+    assert_eq!(granted, 2_000);
+    let chains = w.lockstat().chains();
+    assert_eq!(chains.len(), 1, "one lock, one chain");
+    assert_eq!(chains[0].lock, lock);
+    assert_eq!(chains[0].links.len() as u64, granted);
 }
 
 #[test]
@@ -114,7 +136,6 @@ fn lockstat_outputs_are_byte_identical_across_same_seed_runs() {
             .map(|r| HtmlSeries {
                 label: r.label,
                 stats: &r.stats,
-                chains: &r.chains,
                 end_cycles: r.end_cycles,
             })
             .collect();
