@@ -50,7 +50,7 @@ struct Line {
 /// outstanding miss per line.
 ///
 /// See the crate docs for the protocol overview and an example.
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 pub struct CacheCtrl {
     id: CacheId,
     lines: FxHashMap<LineAddr, Line>,

@@ -66,7 +66,7 @@ enum DirState {
     Excl(CacheId),
 }
 
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 struct Transaction {
     requestor: CacheId,
     kind: ReqKind,
@@ -79,7 +79,7 @@ struct Transaction {
     prev_owner: Option<CacheId>,
 }
 
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 struct DirLine {
     state: DirState,
     busy: Option<Transaction>,
@@ -101,7 +101,7 @@ impl Default for DirLine {
 /// lock lines and produces the hotspot behaviour of single-line locks).
 ///
 /// See the crate docs for the protocol overview.
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 pub struct DirCtrl {
     id: DirId,
     lines: FxHashMap<LineAddr, DirLine>,

@@ -83,7 +83,7 @@ enum TimerKind {
 /// One [`Lcu`] per core and one [`Lrt`] per memory controller exchange the
 /// messages of [`Msg`] over the simulated network. See the crate docs for
 /// the protocol walkthrough.
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 pub struct LcuBackend {
     lcus: Vec<Lcu>,
     lrts: Vec<Lrt>,
@@ -1225,7 +1225,7 @@ fn overflow_penalty(m: &Mach, res: Residency) -> Cycles {
 /// An LCU-bound message with its destination core: protocol messages are
 /// physically addressed to a specific LCU, which matters when a migrated
 /// thread briefly has entries at two LCUs.
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 struct ToLcu {
     core: usize,
     msg: Msg,
@@ -1233,7 +1233,7 @@ struct ToLcu {
 
 /// A wire message of the LCU protocol, kept in the backend's
 /// [`InFlight`] store while the machine carries its token.
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 enum Wire {
     /// LCU → home LRT.
     Lrt(Msg),
@@ -1247,6 +1247,10 @@ enum Wire {
 impl LockBackend for LcuBackend {
     fn name(&self) -> &'static str {
         "lcu"
+    }
+
+    fn fork(&self) -> Box<dyn LockBackend> {
+        Box::new(self.clone())
     }
 
     fn on_acquire(

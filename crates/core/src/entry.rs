@@ -99,7 +99,7 @@ impl Entry {
 /// lcu.alloc(Addr(8), ThreadId(0), Mode::Write, EntryKind::Ordinary).unwrap();
 /// assert_eq!(lcu.get(Addr(8), ThreadId(0)).unwrap().tid, ThreadId(0));
 /// ```
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 pub struct Lcu {
     ordinary_cap: usize,
     entries: Vec<Entry>,

@@ -78,7 +78,7 @@ pub enum Residency {
 /// entry.reader_cnt += 1;
 /// assert_eq!(res, locksim_core::lrt_table::Residency::Table);
 /// ```
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 pub struct Lrt {
     n_sets: usize,
     assoc: usize,

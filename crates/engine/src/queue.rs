@@ -92,7 +92,7 @@ const NIL: u32 = u32::MAX;
 /// One arena slot: an event tagged with its absolute cycle, linked into
 /// whichever bucket currently holds that cycle. `event` is `None` only
 /// while the slot sits on the free list.
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 struct Node<E> {
     at: u64,
     next: u32,
@@ -137,7 +137,7 @@ impl List {
 /// }
 /// assert_eq!(order, ['x', 'y']);
 /// ```
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 pub struct Simulator<E> {
     now: Time,
     seq: EventSeq,

@@ -60,24 +60,63 @@ impl DriveOutcome {
 }
 
 /// Drives one [`World`] through a [`FaultPlan`].
-#[derive(Debug)]
+///
+/// The driver holds the whole state of a driven run besides the world, and
+/// advances it one poll at a time. Each poll it stands at, the world has
+/// run to exactly that cycle and the poll's injections are not yet
+/// applied; poll 0 is the freshly built world. A copy of the driver taken
+/// there, with a fork of the world ([`World::fork`]), resumes the run from
+/// that poll: that is how [`crate::resume`] replays a plan's run from a
+/// checkpoint instead of from cycle 0.
+#[derive(Debug, Clone)]
 pub struct FaultDriver {
     plan: FaultPlan,
+    /// The deadlock detector's quiescence window; 0 disarms it.
+    quiesce: u64,
+    /// Whether each plan event was attempted.
     fired: Vec<bool>,
     /// Scheduled auto-resumes, keyed by due cycle then arming order.
     auto_resumes: BTreeMap<(u64, u64), u32>,
     auto_seq: u64,
+    /// Injections attempted so far, in application order.
+    applied: Vec<Applied>,
+    /// The poll the driver stands at.
+    at: u64,
+    /// How the last `run_until_cycle` ended.
+    exit: RunExit,
+    /// Lock-protocol progress plus the applied-record count, and the poll
+    /// it last moved at. Injection activity is part of the stamp: an
+    /// auto-resume landing in the same poll as the quiescence check must
+    /// reset the clock, or the just-resumed thread gets flagged before it
+    /// has run a single cycle.
+    stamp: ((u64, u64), usize),
+    stamp_cycle: u64,
+    /// The first poll at which the detector consulted
+    /// [`FaultDriver::injections_pending`].
+    first_pending_check: Option<u64>,
+    deadlock: Option<DeadlockReport>,
+    /// The run is over: the world finished, the detector stopped it, or
+    /// the deadline poll was handled.
+    ended: bool,
 }
 
 impl FaultDriver {
     /// Prepares a driver for `plan`.
     pub fn new(plan: FaultPlan) -> Self {
-        let fired = vec![false; plan.events.len()];
         FaultDriver {
+            fired: vec![false; plan.events.len()],
             plan,
-            fired,
+            quiesce: 0,
             auto_resumes: BTreeMap::new(),
             auto_seq: 0,
+            applied: Vec::new(),
+            at: 0,
+            exit: RunExit::TimeLimit,
+            stamp: ((0, 0), 0),
+            stamp_cycle: 0,
+            first_pending_check: None,
+            deadlock: None,
+            ended: false,
         }
     }
 
@@ -88,7 +127,7 @@ impl FaultDriver {
     /// per-lock `oracle_violation` lockstat bump and one
     /// [`TraceKind::OracleViolation`] record.
     pub fn run(&mut self, w: &mut World) -> DriveOutcome {
-        self.drive(w, 0)
+        self.run_detected(w, 0)
     }
 
     /// Like [`FaultDriver::run`], but with the quiescence deadlock detector
@@ -99,76 +138,152 @@ impl FaultDriver {
     /// unfinished thread suspended forever; the liveness oracle judges
     /// that). `quiesce_cycles` of 0 disables detection.
     pub fn run_detected(&mut self, w: &mut World, quiesce_cycles: u64) -> DriveOutcome {
-        self.drive(w, quiesce_cycles)
+        self.quiesce = quiesce_cycles;
+        self.drive(w, |_, _| {})
     }
 
-    fn drive(&mut self, w: &mut World, quiesce: u64) -> DriveOutcome {
+    /// The plan being driven.
+    pub(crate) fn plan(&self) -> &FaultPlan {
+        &self.plan
+    }
+
+    /// The poll the driver stands at; once the run is over, the poll it
+    /// ended at.
+    pub(crate) fn at(&self) -> u64 {
+        self.at
+    }
+
+    /// How the last `run_until_cycle` ended.
+    pub(crate) fn exit(&self) -> RunExit {
+        self.exit
+    }
+
+    /// The first poll at which the detector consulted
+    /// `injections_pending`, or `None` if it never did.
+    pub(crate) fn first_pending_check(&self) -> Option<u64> {
+        self.first_pending_check
+    }
+
+    /// A fresh driver for `plan` with this one's detector setting, standing
+    /// at poll 0.
+    pub(crate) fn restart(&self, plan: &FaultPlan) -> FaultDriver {
+        FaultDriver {
+            quiesce: self.quiesce,
+            ..FaultDriver::new(plan.clone())
+        }
+    }
+
+    /// This driver's state moved onto `plan`, whose run agrees with this
+    /// one's up to the poll the driver stands at. `pairs[j]` names the event
+    /// of this driver's plan that `plan`'s event `j` pairs with: a paired
+    /// event keeps its attempt record, an unpaired one starts unattempted.
+    pub(crate) fn rebase(&self, plan: &FaultPlan, pairs: &[Option<usize>]) -> FaultDriver {
+        FaultDriver {
+            plan: plan.clone(),
+            fired: pairs
+                .iter()
+                .map(|p| p.is_some_and(|i| self.fired[i]))
+                .collect(),
+            auto_resumes: self.auto_resumes.clone(),
+            applied: self.applied.clone(),
+            deadlock: self.deadlock.clone(),
+            ..*self
+        }
+    }
+
+    /// Runs the plan from the poll the driver stands at to the end and
+    /// judges the run. `at_poll` sees the driver and the world at every
+    /// poll it stands at, before that poll's injections.
+    pub(crate) fn drive(
+        &mut self,
+        w: &mut World,
+        mut at_poll: impl FnMut(&FaultDriver, &World),
+    ) -> DriveOutcome {
         let _prof = locksim_trace::prof::span("faults/drive");
-        let mut out = DriveOutcome {
-            exit: RunExit::TimeLimit,
-            end_cycle: 0,
-            applied: Vec::new(),
-            violations: Vec::new(),
-            deadlock: None,
-        };
-        w.mach()
-            .tracer_mut()
-            .arm_oracles(Oracles::new(self.plan.horizon, self.plan.fairness_k));
-        let poll = self.plan.poll.max(1);
-        let mut c = 0u64;
-        // Apply cycle-0 injections (wire faults, initial pressure) before
-        // the first event fires.
-        self.apply_due(w, 0, &mut out);
-        // Injection activity (the applied-record count) is part of the
-        // progress stamp: an auto-resume landing in the same poll as the
-        // quiescence check must reset the clock, or the just-resumed thread
-        // gets flagged before it has run a single cycle.
-        let mut stamp = (detect::progress_stamp(w.mach_ref()), out.applied.len());
-        let mut stamp_cycle = 0u64;
-        while c < self.plan.deadline {
-            c = (c + poll).min(self.plan.deadline);
-            out.exit = w.run_until_cycle(c);
-            if out.exit == RunExit::AllFinished {
-                break;
-            }
-            self.apply_due(w, c, &mut out);
-            if quiesce == 0 {
-                continue;
-            }
-            let now_stamp = (detect::progress_stamp(w.mach_ref()), out.applied.len());
-            if now_stamp != stamp {
-                stamp = now_stamp;
-                stamp_cycle = c;
-                continue;
-            }
-            if c - stamp_cycle < quiesce || self.injections_pending(c) {
-                continue;
-            }
-            if let Some(report) = detect::snapshot(w.mach_ref(), c) {
-                let (lock, waiters) = (report.lock, report.waiters);
-                w.mach().metrics_mut().incr("deadlocks_detected");
-                w.mach().lockstat_mut().bump(lock, "deadlock");
-                w.mach().trace(|now| TraceEvent {
-                    t: now,
-                    ep: TraceEp::Global,
-                    kind: TraceKind::Deadlock { lock, waiters },
-                });
-                out.deadlock = Some(report);
-                break;
-            }
-            if detect::all_unfinished_suspended(w.mach_ref()) {
-                // Nothing can ever run again; stop burning the deadline.
-                break;
+        while !self.ended {
+            at_poll(self, w);
+            self.act(w);
+            if !self.ended {
+                self.advance(w);
             }
         }
-        out.end_cycle = w.mach().now().cycles();
+        self.finish(w)
+    }
+
+    /// Handles the poll the driver stands at: applies due injections and,
+    /// with detection armed, checks for quiescence.
+    fn act(&mut self, w: &mut World) {
+        let c = self.at;
+        if c == 0 {
+            w.mach()
+                .tracer_mut()
+                .arm_oracles(Oracles::new(self.plan.horizon, self.plan.fairness_k));
+            // Cycle-0 injections (wire faults, initial pressure) land
+            // before the first event fires.
+            self.apply_due(w, 0);
+            self.stamp = (detect::progress_stamp(w.mach_ref()), self.applied.len());
+            self.stamp_cycle = 0;
+            return;
+        }
+        self.apply_due(w, c);
+        if self.quiesce == 0 {
+            return;
+        }
+        let now_stamp = (detect::progress_stamp(w.mach_ref()), self.applied.len());
+        if now_stamp != self.stamp {
+            self.stamp = now_stamp;
+            self.stamp_cycle = c;
+            return;
+        }
+        if c - self.stamp_cycle < self.quiesce {
+            return;
+        }
+        self.first_pending_check.get_or_insert(c);
+        if self.injections_pending(c) {
+            return;
+        }
+        if let Some(report) = detect::snapshot(w.mach_ref(), c) {
+            let (lock, waiters) = (report.lock, report.waiters);
+            w.mach().metrics_mut().incr("deadlocks_detected");
+            w.mach().lockstat_mut().bump(lock, "deadlock");
+            w.mach().trace(|now| TraceEvent {
+                t: now,
+                ep: TraceEp::Global,
+                kind: TraceKind::Deadlock { lock, waiters },
+            });
+            self.deadlock = Some(report);
+            self.ended = true;
+        } else if detect::all_unfinished_suspended(w.mach_ref()) {
+            // Nothing can ever run again; stop burning the deadline.
+            self.ended = true;
+        }
+    }
+
+    /// Runs the world to the next poll, or ends the run at the deadline or
+    /// once every thread has finished.
+    fn advance(&mut self, w: &mut World) {
+        if self.at >= self.plan.deadline {
+            self.ended = true;
+            return;
+        }
+        self.at = (self.at + self.plan.poll.max(1)).min(self.plan.deadline);
+        self.exit = w.run_until_cycle(self.at);
+        if self.exit == RunExit::AllFinished {
+            self.ended = true;
+        }
+    }
+
+    /// Closes the oracles at the clock's final cycle and writes their
+    /// violations back into the world.
+    fn finish(&mut self, w: &mut World) -> DriveOutcome {
+        let end_cycle = w.mach().now().cycles();
         let m = w.mach();
-        out.violations = m
+        let violations = m
             .tracer_mut()
             .take_oracles()
             .expect("the drive armed the oracles")
-            .finish(out.end_cycle);
-        for &v in &out.violations {
+            .finish(end_cycle);
+        for &v in &violations {
             m.metrics_mut().incr("oracle_violations");
             m.lockstat_mut().bump(v.lock, "oracle_violation");
             m.trace(|now| TraceEvent {
@@ -182,7 +297,13 @@ impl FaultDriver {
                 },
             });
         }
-        out
+        DriveOutcome {
+            exit: self.exit,
+            end_cycle,
+            applied: self.applied.clone(),
+            violations,
+            deadlock: self.deadlock.clone(),
+        }
     }
 
     /// Whether any injection might still fire at a cycle past `c`: a
@@ -197,18 +318,12 @@ impl FaultDriver {
                 .iter()
                 .zip(&self.fired)
                 .any(|(ev, &fired)| {
-                    !fired
-                        && (matches!(ev.inject, Inject::Resume { .. })
-                            || match ev.trigger {
-                                Trigger::AtCycle(at) => at > c,
-                                Trigger::WhenWaiting { after, .. }
-                                | Trigger::WhenHolding { after, .. } => after > c,
-                            })
+                    !fired && (matches!(ev.inject, Inject::Resume { .. }) || ev.trigger.cycle() > c)
                 })
     }
 
     /// Applies auto-resumes and plan events due at polling cycle `c`.
-    fn apply_due(&mut self, w: &mut World, c: u64, out: &mut DriveOutcome) {
+    fn apply_due(&mut self, w: &mut World, c: u64) {
         let _prof = locksim_trace::prof::span("faults/apply_due");
         let due: Vec<_> = self
             .auto_resumes
@@ -217,7 +332,7 @@ impl FaultDriver {
             .collect();
         for (k, thread) in due {
             self.auto_resumes.remove(&k);
-            self.apply(w, c, Inject::Resume { thread }, out);
+            self.apply(w, c, Inject::Resume { thread });
         }
         for i in 0..self.plan.events.len() {
             if self.fired[i] {
@@ -239,12 +354,12 @@ impl FaultDriver {
             };
             if due {
                 self.fired[i] = true;
-                self.apply(w, c, ev.inject, out);
+                self.apply(w, c, ev.inject);
             }
         }
     }
 
-    fn apply(&mut self, w: &mut World, c: u64, inject: Inject, out: &mut DriveOutcome) {
+    fn apply(&mut self, w: &mut World, c: u64, inject: Inject) {
         let thread_ok = |w: &mut World, t: u32| (t as usize) < w.mach().n_threads();
         let applied = match inject {
             Inject::Suspend { thread, duration } => {
@@ -302,7 +417,7 @@ impl FaultDriver {
                 },
             });
         }
-        out.applied.push(Applied {
+        self.applied.push(Applied {
             at: c,
             inject,
             applied,

@@ -37,6 +37,10 @@
 //! * [`shrink`](mod@shrink) — a delta-debugging shrinker reducing a
 //!   violating plan to a locally-minimal one (no removable event, no
 //!   halvable parameter);
+//! * [`resume`] — incremental candidate evaluation for the shrinker: a
+//!   [`Resumer`] runs each candidate plan from a checkpoint of the adopted
+//!   plan's run, taken at or before the first poll where the two runs can
+//!   differ, instead of from cycle 0;
 //! * [`scenario`] — the self-contained replay format (backend + seed +
 //!   workload + plan + expected verdict) the `tests/corpus/` suite stores.
 //!
@@ -53,6 +57,7 @@ pub mod driver;
 pub mod fuzz;
 pub mod plan;
 pub mod report;
+pub mod resume;
 pub mod scenario;
 pub mod shrink;
 
@@ -62,5 +67,6 @@ pub use fuzz::{generate, ChaosCase, ChaosWorkload, FuzzConfig};
 pub use locksim_trace::Violation;
 pub use plan::{FaultEvent, FaultPlan, Inject, PlanError, Trigger};
 pub use report::{chaos_csv, chaos_html, csv, html, ChaosRow, MatrixCell};
+pub use resume::Resumer;
 pub use scenario::ChaosScenario;
 pub use shrink::{shrink, ShrinkResult};

@@ -106,6 +106,16 @@ pub enum Trigger {
     },
 }
 
+impl Trigger {
+    /// The earliest cycle the trigger can fire at.
+    pub(crate) fn cycle(&self) -> u64 {
+        match *self {
+            Trigger::AtCycle(at) => at,
+            Trigger::WhenWaiting { after, .. } | Trigger::WhenHolding { after, .. } => after,
+        }
+    }
+}
+
 /// What to inject.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Inject {

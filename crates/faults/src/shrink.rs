@@ -9,14 +9,23 @@
 //! complement removal at geometrically shrinking chunk sizes, then
 //! parameter halving toward zero, repeated to a fixpoint.
 //!
-//! The caller supplies the oracle as a closure that re-runs the scenario
-//! from scratch on a candidate plan and reports whether the *original*
-//! violation still trips (same oracle kind, typically same lock). The
-//! closure must be deterministic — in this codebase every run is — and must
-//! return `false` for candidates it cannot run (e.g. a removal that
-//! orphaned a `resume`), which the shrinker then simply keeps out of the
-//! result. Shrinking is itself deterministic: same plan, same closure, same
-//! budget ⇒ same minimal plan.
+//! The caller supplies the oracle as a closure that runs the scenario on a
+//! candidate plan and reports whether the *original* violation still trips
+//! (same oracle kind, typically same lock). The closure must be
+//! deterministic — in this codebase every run is — and must return `false`
+//! for candidates it cannot run (e.g. a removal that orphaned a `resume`),
+//! which the shrinker then simply keeps out of the result. Shrinking is
+//! itself deterministic: same plan, same closure, same budget ⇒ same
+//! minimal plan.
+//!
+//! **Adoption contract.** The first call is the input plan. After that,
+//! every candidate is one step from the current plan, and the shrinker
+//! adopts a candidate as the current plan exactly when the closure returns
+//! `true` for it; it never adopts a plan any other way. So the current
+//! plan is always the last plan the closure returned `true` for, or the
+//! input plan. An incremental closure ([`crate::Resumer`]) relies on this:
+//! it adopts the candidate's run as its parent whenever it returns `true`,
+//! and resumes the next candidate from that run.
 
 use crate::plan::{FaultPlan, Inject, Trigger};
 
@@ -25,7 +34,7 @@ use crate::plan::{FaultPlan, Inject, Trigger};
 pub struct ShrinkResult {
     /// The locally-minimal plan (equals the input if it never failed).
     pub plan: FaultPlan,
-    /// Candidate re-runs spent (each one a full scenario execution).
+    /// Candidate evaluations spent (each one a closure call).
     pub runs: u64,
     /// Events removed from the input plan.
     pub removed_events: usize,

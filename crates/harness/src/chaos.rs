@@ -21,7 +21,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 
 use locksim_faults::{
     chaos_csv, chaos_html, generate, shrink, ChaosRow, ChaosScenario, ChaosWorkload, DriveOutcome,
-    FaultDriver, FaultPlan, FuzzConfig,
+    FaultDriver, FaultPlan, FuzzConfig, Resumer,
 };
 use locksim_machine::{MachineConfig, World};
 use locksim_workloads::{CsThread, IterPool};
@@ -59,10 +59,32 @@ pub fn run_chaos(
     plan: &FaultPlan,
     quiesce: u64,
 ) -> Result<DriveOutcome, String> {
-    let backend = BackendKind::by_label(backend_label)
-        .ok_or_else(|| format!("unknown backend label {backend_label:?}"))?;
     let label = format!("chaos/{backend_label}/s{seed}");
-    run_faulted(backend, workload, seed, plan, quiesce, &label)
+    run_faulted(
+        backend_of(backend_label)?,
+        workload,
+        seed,
+        plan,
+        quiesce,
+        &label,
+    )
+}
+
+/// The world every run of a chaos case starts from: `workload`'s threads
+/// on the backend labelled `backend_label`, before any injection. Fails on
+/// an unknown label or a read-mode workload on a writer-only backend.
+pub fn chaos_world(
+    backend_label: &str,
+    workload: &ChaosWorkload,
+    seed: u64,
+) -> Result<World, String> {
+    let backend = backend_of(backend_label)?;
+    check_workload(backend, workload)?;
+    Ok(faulted_world(backend, workload, seed))
+}
+
+fn backend_of(label: &str) -> Result<BackendKind, String> {
+    BackendKind::by_label(label).ok_or_else(|| format!("unknown backend label {label:?}"))
 }
 
 /// The one fault-run path, shared by chaos cases and faultsim cells: runs
@@ -79,6 +101,16 @@ pub(crate) fn run_faulted(
     quiesce: u64,
     label: &str,
 ) -> Result<DriveOutcome, String> {
+    check_workload(backend, workload)?;
+    check_plan(workload, plan)?;
+    let mut w = faulted_world(backend, workload, seed);
+    let out = FaultDriver::new(plan.clone()).run_detected(&mut w, quiesce);
+    obs::observe(label, &w);
+    Ok(out)
+}
+
+/// Refuses a read-mode workload on a writer-only backend.
+fn check_workload(backend: BackendKind, workload: &ChaosWorkload) -> Result<(), String> {
     if workload.write_pct < 100 && !backend.reads() {
         return Err(format!(
             "{} takes no read-mode acquires, but write-pct is {}",
@@ -86,8 +118,19 @@ pub(crate) fn run_faulted(
             workload.write_pct
         ));
     }
+    Ok(())
+}
+
+/// Refuses a plan that does not validate against the workload/machine
+/// shape.
+fn check_plan(workload: &ChaosWorkload, plan: &FaultPlan) -> Result<(), String> {
     plan.validate(workload.threads, N_CORES)
-        .map_err(|e| format!("invalid plan: {e}"))?;
+        .map_err(|e| format!("invalid plan: {e}"))
+}
+
+/// The world a fault run starts from: `workload`'s threads on `backend`,
+/// armed for observability, before any injection.
+fn faulted_world(backend: BackendKind, workload: &ChaosWorkload, seed: u64) -> World {
     let mut mach_cfg = backend.machine_config(MachineConfig::model_a(N_CORES as usize));
     if workload.lrt_pressure {
         // One direct-mapped pair of entries for one hot lock plus
@@ -106,9 +149,7 @@ pub(crate) fn run_faulted(
                 .with_cs_compute(workload.cs_compute),
         ));
     }
-    let out = FaultDriver::new(plan.clone()).run_detected(&mut w, quiesce);
-    obs::observe(label, &w);
-    Ok(out)
+    w
 }
 
 /// Replays a scenario file's run exactly.
@@ -178,41 +219,64 @@ struct SeedOutcome {
 }
 
 /// Runs one fuzz seed end to end: generate, run with detection armed, and
-/// — on a violation — delta-debug shrink to a locally-minimal repro.
+/// — on a violation — delta-debug shrink to a locally-minimal repro. The
+/// shrinker's candidates run incrementally ([`Resumer`]): each resumes the
+/// adopted plan's run from a checkpoint at or before the first poll where
+/// the two can differ. The seed's runs file their observability once, as
+/// the last run's state with the seed's run count, plus one lockstat
+/// capture per run.
 fn soak_seed(cfg: &ChaosCfg, seed: u64) -> SeedOutcome {
     let case = generate(seed, &cfg.fuzz);
-    let out = run_chaos(case.backend, &case.workload, seed, &case.plan, cfg.quiesce)
+    let mut world = check_plan(&case.workload, &case.plan)
+        .and_then(|()| chaos_world(case.backend, &case.workload, seed))
         .unwrap_or_else(|e| panic!("fuzz seed {seed} generated an unrunnable case: {e}"));
+    let build = || chaos_world(case.backend, &case.workload, seed).expect("the case built once");
+    let label = format!("chaos/{}/s{seed}", case.backend);
+    let mut driver = FaultDriver::new(case.plan.clone());
+    let out = driver.run_detected(&mut world, cfg.quiesce);
+    obs::export_trace(&label, &world);
+    obs::record_lockstat(&label, &world);
     let mut cycles = out.end_cycle;
     let mut row = ChaosRow::from_run(seed, case.backend, &out, case.plan.events.len());
-    let mut shrunk = None;
-    if !row.ok() {
-        let target = row.verdict.clone();
-        let workload = case.workload;
-        let mut shrink_cycles = 0u64;
-        let res = shrink(
-            &case.plan,
-            |p| match run_chaos(case.backend, &workload, seed, p, cfg.quiesce) {
-                Ok(out) => {
-                    shrink_cycles += out.end_cycle;
-                    ChaosRow::verdict_of(&out) == target
-                }
-                // A removal that orphaned a resume etc. — not a repro.
-                Err(_) => false,
-            },
-            cfg.shrink_budget,
-        );
-        cycles += shrink_cycles;
-        row.shrunk_events = res.plan.events.len();
-        let mut sc = ChaosScenario::from_case(&case);
-        sc.plan = res.plan;
-        sc.expect = expect_label(&target);
-        shrunk = Some(sc);
+    if row.ok() {
+        obs::record_runs(&label, &world, 1);
+        return SeedOutcome {
+            row,
+            cycles,
+            shrunk: None,
+        };
     }
+    let target = row.verdict.clone();
+    let mut resumer = Resumer::new(build, driver, out, world);
+    let mut runs = 1;
+    let res = shrink(
+        &case.plan,
+        |p| {
+            // A removal that orphaned a resume etc. — not a repro.
+            if check_plan(&case.workload, p).is_err() {
+                return false;
+            }
+            let out = resumer.eval(p);
+            cycles += out.end_cycle;
+            let fails = ChaosRow::verdict_of(out) == target;
+            runs += 1;
+            obs::record_lockstat(&label, resumer.last_world());
+            if fails {
+                resumer.adopt();
+            }
+            fails
+        },
+        cfg.shrink_budget,
+    );
+    obs::record_runs(&label, resumer.last_world(), runs);
+    row.shrunk_events = res.plan.events.len();
+    let mut sc = ChaosScenario::from_case(&case);
+    sc.plan = res.plan;
+    sc.expect = expect_label(&target);
     SeedOutcome {
         row,
         cycles,
-        shrunk,
+        shrunk: Some(sc),
     }
 }
 

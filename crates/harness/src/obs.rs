@@ -230,50 +230,68 @@ pub(crate) fn arm(w: &mut World) {
 }
 
 /// Reports a finished run: exports the pending trace capture (if this was
-/// the armed run) and records the run's metrics snapshot under `label`.
+/// the armed run) and records the run's metrics snapshot and lockstat
+/// capture under `label`.
 pub(crate) fn observe(label: &str, w: &World) {
-    let snap = w.metrics_snapshot();
+    export_trace(label, w);
+    record_runs(label, w, 1);
+    record_lockstat(label, w);
+}
+
+/// Exports the world's trace ring when `--trace` was given and no run of
+/// the process has been exported yet.
+pub(crate) fn export_trace(label: &str, w: &World) {
     OBS.with(|o| {
         let mut o = o.borrow_mut();
-        if !o.captured && w.mach_ref().tracer().is_enabled() {
-            if let Some(path) = o.opts.trace_path.clone() {
-                let tracer = w.mach_ref().tracer();
-                let file = std::fs::File::create(&path)
-                    .unwrap_or_else(|e| panic!("create trace file {}: {e}", path.display()));
-                let mut buf = std::io::BufWriter::new(file);
-                tracer.export_chrome(&mut buf).expect("write chrome trace");
-                eprintln!(
-                    "trace: wrote {} records ({} dropped) for series `{label}` to {}",
-                    tracer.len(),
-                    tracer.dropped(),
-                    path.display()
-                );
-                o.captured = true;
-            }
+        if o.captured || !w.mach_ref().tracer().is_enabled() {
+            return;
         }
-        let seed = w.mach_ref().seed();
-        let end_cycles = w.mach_ref().now().cycles();
-        let series = w.series_snapshot();
-        let entry = o
-            .metrics
-            .entry(label.to_string())
-            .or_insert_with(|| RunCapture {
-                runs: 0,
-                seed,
-                end_cycles,
-                snap: snap.clone(),
-                series: series.clone(),
-            });
-        entry.runs += 1;
-        entry.seed = seed;
-        entry.end_cycles = end_cycles;
-        entry.snap = snap;
-        entry.series = series;
+        let Some(path) = o.opts.trace_path.clone() else {
+            return;
+        };
+        let tracer = w.mach_ref().tracer();
+        let file = std::fs::File::create(&path)
+            .unwrap_or_else(|e| panic!("create trace file {}: {e}", path.display()));
+        let mut buf = std::io::BufWriter::new(file);
+        tracer.export_chrome(&mut buf).expect("write chrome trace");
+        eprintln!(
+            "trace: wrote {} records ({} dropped) for series `{label}` to {}",
+            tracer.len(),
+            tracer.dropped(),
+            path.display()
+        );
+        o.captured = true;
+    });
+}
+
+/// Records `runs` runs under `label`, of which `w` is the last: the
+/// capture keeps its end-of-run state and adds `runs` to the run count.
+pub(crate) fn record_runs(label: &str, w: &World, runs: u64) {
+    let (seed, end_cycles) = (w.mach_ref().seed(), w.mach_ref().now().cycles());
+    let (snap, series) = (w.metrics_snapshot(), w.series_snapshot());
+    OBS.with(|o| {
+        let mut o = o.borrow_mut();
+        let runs = runs + o.metrics.get(label).map_or(0, |c| c.runs);
+        let capture = RunCapture {
+            runs,
+            seed,
+            end_cycles,
+            snap,
+            series,
+        };
+        o.metrics.insert(label.to_string(), capture);
+    });
+}
+
+/// Keeps the run's lockstat capture for the `--lockstat` report.
+pub(crate) fn record_lockstat(label: &str, w: &World) {
+    OBS.with(|o| {
+        let mut o = o.borrow_mut();
         if o.opts.lockstat_path.is_some() && w.lockstat().is_enabled() {
             o.lockstat.push(LockstatSeries {
                 label: label.to_string(),
                 stats: w.lockstat().clone(),
-                end_cycles,
+                end_cycles: w.mach_ref().now().cycles(),
             });
         }
     });

@@ -18,7 +18,7 @@ const ABORT_DUMP_RECORDS: usize = 32;
 /// Tracks, per lock, the current writer and reader set, and asserts the
 /// reader-writer exclusion invariant on every transition. The machine owns
 /// one and feeds it every backend's grants and releases.
-#[derive(Debug, Default)]
+#[derive(Debug, Clone, Default)]
 pub struct Checker {
     writer: FxHashMap<Addr, ThreadId>,
     readers: FxHashMap<Addr, Vec<ThreadId>>,

@@ -18,7 +18,7 @@ use crate::lock::{LockBackend, Mode};
 use crate::prog::ThreadId;
 use crate::world::Mach;
 
-#[derive(Debug, Default)]
+#[derive(Debug, Clone, Default)]
 struct LockState {
     writer: Option<ThreadId>,
     readers: Vec<ThreadId>,
@@ -38,7 +38,7 @@ impl LockState {
 ///
 /// Fairness: strict FIFO. A waiting writer blocks later readers (no reader
 /// barging), so writers cannot starve.
-#[derive(Debug, Default)]
+#[derive(Debug, Clone, Default)]
 pub struct IdealBackend {
     locks: FxHashMap<Addr, LockState>,
     counters: Counters,
@@ -80,6 +80,10 @@ impl IdealBackend {
 impl LockBackend for IdealBackend {
     fn name(&self) -> &'static str {
         "ideal"
+    }
+
+    fn fork(&self) -> Box<dyn LockBackend> {
+        Box::new(self.clone())
     }
 
     fn on_acquire(

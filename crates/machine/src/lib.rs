@@ -38,7 +38,7 @@ pub use ideal::IdealBackend;
 pub use lock::{BackendFault, LockBackend, Mode};
 pub use locksim_coherence::LineAddr;
 pub use per_thread::PerThread;
-pub use prog::{Action, CoreId, Ctx, Outcome, Program, RmwOp, ThreadId};
+pub use prog::{Action, CoreId, Ctx, Forks, Outcome, Program, RmwOp, ThreadId};
 pub use wire::InFlight;
 pub use world::{CycleDissection, Ep, Mach, MemKind, PendingWaiter, RunExit, ThreadStats, World};
 

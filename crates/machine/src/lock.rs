@@ -59,6 +59,10 @@ pub trait LockBackend {
     /// Short name for reports (e.g. `"lcu"`, `"mcs"`).
     fn name(&self) -> &'static str;
 
+    /// An independent copy of this backend's state, for [`crate::World::fork`].
+    /// Every backend is plain data, so this is a `Box` of its `clone()`.
+    fn fork(&self) -> Box<dyn LockBackend>;
+
     /// Thread `t` requests `lock` in `mode`. `try_for` of `Some(budget)`
     /// means the attempt must fail after `budget` cycles if not granted.
     fn on_acquire(

@@ -12,7 +12,7 @@ use crate::prog::ThreadId;
 /// The API mirrors the map it replaces: `insert`, `get`, `get_mut`,
 /// `remove`, `contains_key`, and indexing, which panics when the thread
 /// has no entry.
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 pub struct PerThread<T> {
     slots: Vec<Option<T>>,
 }

@@ -6,6 +6,9 @@
 //! [`Action::Acquire`] is not resumed until the lock backend grants or
 //! fails the request.
 
+use std::any::Any;
+use std::rc::Rc;
+
 use locksim_engine::{Cycles, RngStream, Time};
 
 use crate::addr::Addr;
@@ -126,6 +129,41 @@ pub trait Program {
     /// Short label for traces.
     fn label(&self) -> &'static str {
         "program"
+    }
+
+    /// An independent copy of this program's state, for
+    /// [`crate::World::fork`]. State the program shares with other programs
+    /// of its world through an `Rc` goes through [`Forks::share`], so the
+    /// fork's programs share one copy of it. The default, `None`, makes the
+    /// world unforkable.
+    fn fork(&self, forks: &mut Forks) -> Option<Box<dyn Program>> {
+        let _ = forks;
+        None
+    }
+}
+
+/// The copies made while forking one world's programs: each `Rc` the
+/// source programs share maps to one fresh copy, so the fork's programs
+/// share their own value and never the source's.
+#[derive(Default)]
+pub struct Forks {
+    /// Source allocation address → its copy.
+    copies: Vec<(*const (), Rc<dyn Any>)>,
+}
+
+impl Forks {
+    /// The fork's copy of `shared`: made on the first call for that `Rc`,
+    /// returned again for every later one.
+    pub fn share<T: Clone + 'static>(&mut self, shared: &Rc<T>) -> Rc<T> {
+        let key = Rc::as_ptr(shared).cast::<()>();
+        if let Some((_, copy)) = self.copies.iter().find(|(k, _)| *k == key) {
+            return Rc::clone(copy)
+                .downcast()
+                .unwrap_or_else(|_| unreachable!("one allocation has one type"));
+        }
+        let copy = Rc::new(T::clone(shared));
+        self.copies.push((key, Rc::clone(&copy) as Rc<dyn Any>));
+        copy
     }
 }
 

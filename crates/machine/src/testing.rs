@@ -2,7 +2,7 @@
 
 use std::collections::VecDeque;
 
-use crate::prog::{Action, Ctx, Outcome, Program};
+use crate::prog::{Action, Ctx, Forks, Outcome, Program};
 
 /// Runs a fixed list of actions in order, ignoring outcomes, then finishes.
 ///
@@ -15,7 +15,7 @@ use crate::prog::{Action, Ctx, Outcome, Program};
 /// let p = ScriptProgram::new(vec![Action::Compute(10), Action::Compute(20)]);
 /// assert_eq!(p.remaining(), 2);
 /// ```
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 pub struct ScriptProgram {
     steps: VecDeque<Action>,
 }
@@ -41,6 +41,10 @@ impl Program for ScriptProgram {
 
     fn label(&self) -> &'static str {
         "script"
+    }
+
+    fn fork(&self, _forks: &mut Forks) -> Option<Box<dyn Program>> {
+        Some(Box::new(self.clone()))
     }
 }
 

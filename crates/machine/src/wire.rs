@@ -17,7 +17,7 @@
 /// `on_timer`. A slot is therefore free again as soon as its payload is
 /// taken, and no stale event can reach a reused slot. A timer whose purpose
 /// lapsed still fires; its handler takes the payload and ignores it.
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 pub struct InFlight<T> {
     slots: Vec<Option<T>>,
     free: Vec<u32>,

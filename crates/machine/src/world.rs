@@ -19,7 +19,7 @@ use crate::addr::{home_of, Addr, Alloc};
 use crate::checker::Checker;
 use crate::config::MachineConfig;
 use crate::lock::{BackendFault, LockBackend, Mode};
-use crate::prog::{Action, CoreId, Ctx, Outcome, Program, RmwOp, ThreadId};
+use crate::prog::{Action, CoreId, Ctx, Forks, Outcome, Program, RmwOp, ThreadId};
 
 /// A memory operation kind carried through the memory system.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -74,7 +74,7 @@ struct PendingMem {
 }
 
 /// Simulation events.
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 enum Ev {
     /// Deliver an outcome to a thread's program. The generation tag lets
     /// preemption cancel a stale compute completion.
@@ -196,8 +196,8 @@ pub struct ThreadStats {
     pub preemptions: u64,
 }
 
+#[derive(Clone)]
 struct ThreadState {
-    program: Option<Box<dyn Program>>,
     core: Option<CoreId>,
     pending_outcome: Option<Outcome>,
     rng: RngStream,
@@ -260,7 +260,7 @@ pub enum Ep {
 /// Everything in the simulated machine *except* the lock backend. Backends
 /// receive `&mut Mach` and use its services; programs interact only through
 /// [`crate::Ctx`] and [`Action`]s.
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 pub struct Mach {
     cfg: MachineConfig,
     sim: Simulator<Ev>,
@@ -913,6 +913,8 @@ pub enum RunExit {
 pub struct World {
     mach: Mach,
     backend: Box<dyn LockBackend>,
+    /// Each thread's program, indexed by thread id.
+    programs: Vec<Box<dyn Program>>,
 }
 
 impl std::fmt::Debug for World {
@@ -980,7 +982,28 @@ impl World {
                 watch_scratch: Vec::new(),
             },
             backend,
+            programs: Vec::new(),
         }
+    }
+
+    /// An independent copy of this world: the machine, the backend and
+    /// every thread's program, at the same simulated instant. Running the
+    /// copy does exactly what running `self` would, and touches nothing of
+    /// `self`. Hash maps clone with their bucket layout, so iteration order
+    /// and every output follow the source's. `None` when a program cannot
+    /// be forked (see [`Program::fork`]).
+    pub fn fork(&self) -> Option<World> {
+        let mut forks = Forks::default();
+        let programs = self
+            .programs
+            .iter()
+            .map(|p| p.fork(&mut forks))
+            .collect::<Option<Vec<_>>>()?;
+        Some(World {
+            mach: self.mach.clone(),
+            backend: self.backend.fork(),
+            programs,
+        })
     }
 
     /// Starts recording a bounded structured event trace (newest records
@@ -1105,8 +1128,8 @@ impl World {
         let tid = ThreadId(self.mach.threads.len() as u32);
         let rng = self.mach.rng_stream();
         let now = self.mach.sim.now();
+        self.programs.push(prog);
         self.mach.threads.push(ThreadState {
-            program: Some(prog),
             core: None,
             pending_outcome: Some(Outcome::Started),
             rng,
@@ -1561,21 +1584,13 @@ impl World {
             return;
         };
         self.mach.threads[ti].computing = None;
-        let mut prog = self.mach.threads[ti]
-            .program
-            .take()
-            .expect("thread has no program");
-        let action = {
-            let now = self.mach.sim.now();
-            let mut ctx = Ctx {
-                now,
-                tid: t,
-                core,
-                rng: &mut self.mach.threads[ti].rng,
-            };
-            prog.resume(&mut ctx, outcome)
+        let mut ctx = Ctx {
+            now: self.mach.sim.now(),
+            tid: t,
+            core,
+            rng: &mut self.mach.threads[ti].rng,
         };
-        self.mach.threads[ti].program = Some(prog);
+        let action = self.programs[ti].resume(&mut ctx, outcome);
         self.apply_action(t, core, action);
     }
 

@@ -21,7 +21,8 @@ struct Log {
 }
 
 /// A backend that grants instantly but exercises every Mach service and
-/// records what it observes.
+/// records what it observes. A fork shares the log.
+#[derive(Clone)]
 struct ProbeBackend {
     log: Rc<RefCell<Log>>,
     /// Addresses to read via `backend_mem` on the first acquire.
@@ -46,6 +47,10 @@ impl ProbeBackend {
 impl LockBackend for ProbeBackend {
     fn name(&self) -> &'static str {
         "probe"
+    }
+
+    fn fork(&self) -> Box<dyn LockBackend> {
+        Box::new(self.clone())
     }
 
     fn on_acquire(
@@ -365,6 +370,9 @@ struct GrantAllBackend;
 impl LockBackend for GrantAllBackend {
     fn name(&self) -> &'static str {
         "grant-all"
+    }
+    fn fork(&self) -> Box<dyn LockBackend> {
+        Box::new(GrantAllBackend)
     }
     fn on_acquire(&mut self, m: &mut Mach, t: ThreadId, _l: Addr, _mo: Mode, _tf: Option<Cycles>) {
         m.grant_lock(t, 0);

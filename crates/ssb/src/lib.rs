@@ -92,7 +92,7 @@ struct Pending {
 }
 
 /// The SSB lock backend. See the crate docs.
-#[derive(Debug, Default)]
+#[derive(Debug, Clone, Default)]
 pub struct SsbBackend {
     banks: Vec<FxHashMap<Addr, SsbState>>,
     pending: PerThread<Pending>,
@@ -238,6 +238,10 @@ impl SsbBackend {
 impl LockBackend for SsbBackend {
     fn name(&self) -> &'static str {
         "ssb"
+    }
+
+    fn fork(&self) -> Box<dyn LockBackend> {
+        Box::new(self.clone())
     }
 
     fn on_acquire(

@@ -47,6 +47,7 @@ impl SwAlg {
 }
 
 /// Software-lock backend. See the crate docs.
+#[derive(Clone)]
 pub struct SwLockBackend {
     st: SwState,
 }
@@ -114,6 +115,10 @@ impl SwLockBackend {
 impl LockBackend for SwLockBackend {
     fn name(&self) -> &'static str {
         self.st.alg.label()
+    }
+
+    fn fork(&self) -> Box<dyn LockBackend> {
+        Box::new(self.clone())
     }
 
     fn on_acquire(

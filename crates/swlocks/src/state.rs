@@ -113,7 +113,7 @@ pub(crate) enum Phase {
 }
 
 /// Per-thread in-flight lock operation.
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 pub(crate) struct Tsm {
     pub lock: Addr,
     pub op: OpKind,
@@ -211,6 +211,7 @@ pub(crate) enum ReaderPath {
 }
 
 /// Shared backend state handed to the per-algorithm modules.
+#[derive(Clone)]
 pub(crate) struct SwState {
     pub alg: SwAlg,
     pub threads: PerThread<Tsm>,

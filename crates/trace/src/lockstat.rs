@@ -182,16 +182,29 @@ impl LockChain {
         )
     }
 
-    /// The handoff order as `t0:w`-style links joined by `sep`.
+    /// The handoff order as `t0:w`-style links joined by `sep`. A chain of
+    /// more than 32 links prints its first 16 and last 16 with
+    /// `… N more …` between them; depth, span and total wait still cover
+    /// the whole chain.
     pub fn path(&self, sep: &str) -> String {
-        let links: Vec<String> = self
-            .links
-            .iter()
-            .map(|l| format!("t{}:{}", l.thread, if l.write { "w" } else { "r" }))
-            .collect();
-        links.join(sep)
+        let link = |l: &ChainLink| format!("t{}:{}", l.thread, if l.write { "w" } else { "r" });
+        let n = self.links.len();
+        let parts: Vec<String> = if n <= PATH_LINKS {
+            self.links.iter().map(link).collect()
+        } else {
+            let half = PATH_LINKS / 2;
+            let head = self.links[..half].iter().map(link);
+            let tail = self.links[n - half..].iter().map(link);
+            head.chain([format!("… {} more …", n - PATH_LINKS)])
+                .chain(tail)
+                .collect()
+        };
+        parts.join(sep)
     }
 }
+
+/// The longest chain [`LockChain::path`] prints link by link.
+const PATH_LINKS: usize = 32;
 
 /// `chains` deepest first (ties broken by lock address via the stable sort
 /// over the address-ordered input).
@@ -945,6 +958,35 @@ mod tests {
         assert_eq!(c.span, 909);
         assert_eq!(c.total_wait, 1391);
         assert_eq!(c.path(" -> "), "t0:w -> t1:w -> t2:w");
+    }
+
+    #[test]
+    fn a_long_path_prints_its_ends() {
+        let chain = |n: u32| LockChain {
+            lock: 0x40,
+            links: (0..n)
+                .map(|i| ChainLink {
+                    thread: i,
+                    write: i % 2 == 0,
+                    granted_at: u64::from(i),
+                    wait: 1,
+                })
+                .collect(),
+            span: u64::from(n),
+            total_wait: u64::from(n),
+        };
+        let full = chain(32).path(",");
+        assert_eq!(full.split(',').count(), 32);
+        assert!(full.ends_with("t31:r"), "{full}");
+        let cut = chain(40).path(",");
+        let parts: Vec<&str> = cut.split(',').collect();
+        assert_eq!(parts.len(), 33);
+        assert_eq!(parts[..2], ["t0:w", "t1:r"]);
+        assert_eq!(parts[15..18], ["t15:r", "… 8 more …", "t24:w"]);
+        assert_eq!(parts[32], "t39:r");
+        assert!(chain(40)
+            .describe()
+            .starts_with("lock 0x40: depth 40 span 40"));
     }
 
     #[test]

@@ -8,12 +8,12 @@ use std::cell::RefCell;
 use std::rc::Rc;
 
 use locksim_engine::Cycles;
-use locksim_machine::{Action, Addr, Ctx, Mode, Outcome, Program};
+use locksim_machine::{Action, Addr, Ctx, Forks, Mode, Outcome, Program};
 
 /// Shared iteration budget: threads pull from a common pool so the run
 /// finishes after a fixed total iteration count, matching the paper's
 /// "50 000 iterations" methodology.
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 pub struct IterPool {
     remaining: RefCell<u64>,
 }
@@ -24,6 +24,11 @@ impl IterPool {
         Rc::new(IterPool {
             remaining: RefCell::new(total),
         })
+    }
+
+    /// Iterations not yet taken.
+    pub fn remaining(&self) -> u64 {
+        *self.remaining.borrow()
     }
 
     fn take(&self) -> bool {
@@ -161,5 +166,12 @@ impl Program for CsThread {
 
     fn label(&self) -> &'static str {
         "cs-microbench"
+    }
+
+    fn fork(&self, forks: &mut Forks) -> Option<Box<dyn Program>> {
+        Some(Box::new(CsThread {
+            pool: forks.share(&self.pool),
+            ..*self
+        }))
     }
 }
