@@ -24,7 +24,7 @@ use std::hash::{BuildHasherDefault, Hash, Hasher};
 /// }
 /// assert_eq!(r.count(), 8);
 /// assert!((r.mean() - 5.0).abs() < 1e-12);
-/// assert!((r.population_stddev() - 2.0).abs() < 1e-12);
+/// assert!((r.sample_variance() - 32.0 / 7.0).abs() < 1e-12);
 /// ```
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct Running {
@@ -89,20 +89,6 @@ impl Running {
         } else {
             self.max
         }
-    }
-
-    /// Population variance (dividing by n; 0 if empty).
-    pub fn population_variance(&self) -> f64 {
-        if self.n == 0 {
-            0.0
-        } else {
-            self.m2 / self.n as f64
-        }
-    }
-
-    /// Population standard deviation.
-    pub fn population_stddev(&self) -> f64 {
-        self.population_variance().sqrt()
     }
 
     /// Unbiased sample variance (dividing by n-1; 0 if fewer than 2 samples).

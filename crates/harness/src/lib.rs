@@ -115,33 +115,24 @@ pub const ALL_FIGS: &[(&str, FigFn)] = &[
     ("ablations", figs::ablations),
 ];
 
-/// Regenerates every figure (the `all` bin's work). With `jobs > 1` the
-/// figures run on worker threads via [`sweep`]; each figure's tables and
-/// observability still emit on the main thread in [`ALL_FIGS`] order, so
-/// stdout and every `results/` artifact are byte-identical to `jobs == 1`.
-/// The process-wide outputs (the `--lockstat` report and the
-/// `--self-profile` stacks) cover every figure and are written once, as
-/// `all`.
+/// Regenerates every figure (the `all` bin's work). The figures are the
+/// jobs of one [`sweep`], on `jobs` worker threads; once every figure has
+/// run, each one's tables and observability emit on the main thread in
+/// [`ALL_FIGS`] order, so stdout and every `results/` artifact are the
+/// same bytes at any `jobs`. The process-wide outputs (the `--lockstat`
+/// report and the `--self-profile` stacks) cover every figure and are
+/// written once, as `all`.
 ///
 /// # Panics
 ///
 /// Panics if the results directory cannot be written.
 pub fn run_all(jobs: usize) {
-    if sweep::effective_jobs(jobs, ALL_FIGS.len()) <= 1 {
-        for (name, f) in ALL_FIGS {
-            eprintln!("== regenerating {name} ==");
-            let tables = f();
-            emit(name, &tables);
-            finish_figure(name);
-        }
-    } else {
-        let outs = sweep::run_jobs(jobs, ALL_FIGS.len(), || false, |i| (ALL_FIGS[i].1)());
-        for ((name, _), out) in ALL_FIGS.iter().zip(outs) {
-            eprintln!("== regenerating {name} ==");
-            let tables = sweep::include(out);
-            emit(name, &tables);
-            finish_figure(name);
-        }
+    let outs = sweep::run_jobs(jobs, ALL_FIGS.len(), || false, |i| (ALL_FIGS[i].1)());
+    for ((name, _), out) in ALL_FIGS.iter().zip(outs) {
+        eprintln!("== regenerating {name} ==");
+        let tables = sweep::include(out);
+        emit(name, &tables);
+        finish_figure(name);
     }
     finish_process("all");
 }

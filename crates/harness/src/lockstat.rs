@@ -21,7 +21,7 @@
 use std::path::PathBuf;
 
 use locksim_machine::{LockStats, World};
-use locksim_trace::{deepest_first, render_chains, StarvationFlag};
+use locksim_trace::{deepest_first, render_chains, StarvationFlag, WatchdogVerdict};
 use locksim_workloads::{CsThread, IterPool};
 
 use crate::obs;
@@ -82,14 +82,12 @@ pub struct LockstatRun {
 impl LockstatRun {
     /// Watchdog firings plus still-overdue waits at run end.
     pub fn all_flags(&self) -> Vec<StarvationFlag> {
-        let mut v = self.stats.flags().to_vec();
-        v.extend(self.stats.overdue(self.end_cycles));
-        v
+        self.stats.flags_at(self.end_cycles)
     }
 
     /// Whether any write-mode wait tripped the watchdog.
     pub fn writer_starved(&self) -> bool {
-        self.all_flags().iter().any(|f| f.write)
+        self.stats.watchdog_verdict(self.end_cycles) == WatchdogVerdict::Starved
     }
 
     /// The full text report: per-lock stats, watchdog section, chains.
@@ -192,13 +190,7 @@ pub fn tables(cfg: &StarvationCfg, runs: &[LockstatRun]) -> Vec<Table> {
     );
     for r in runs {
         let flags = r.all_flags();
-        let verdict = if r.writer_starved() {
-            "STARVED"
-        } else if flags.is_empty() {
-            "ok"
-        } else {
-            "reader flags only"
-        };
+        let verdict = r.stats.watchdog_verdict(r.end_cycles).label();
         let max_waited = flags.iter().map(|f| f.waited).max().unwrap_or(0);
         let mut threads: Vec<u32> = flags.iter().map(|f| f.thread).collect();
         threads.sort_unstable();

@@ -14,14 +14,22 @@
 //! blocking chains, and the accumulated series render into one
 //! self-contained HTML report at that path; `--watchdog-cycles <n>`
 //! additionally arms the starvation watchdog at that threshold.
+//!
+//! Inside a sweep job (`job`) runs file into the job's own
+//! `WorkerCapture`, which the sweep hands back for the main thread to
+//! merge in job order (`merge_worker`); that merge reproduces what running
+//! the jobs one after another on the main thread files.
 
 use std::cell::RefCell;
 use std::collections::BTreeMap;
+use std::io::Write as _;
 use std::path::PathBuf;
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::Arc;
 
 use locksim_machine::{LockStats, MetricsSnapshot, World};
 use locksim_report::{RunManifest, Verdict};
-use locksim_trace::{render_html, HtmlSeries, SeriesSnapshot};
+use locksim_trace::{prof, render_html, HtmlSeries, SeriesSnapshot, Tracer};
 
 use crate::table::Table;
 
@@ -52,19 +60,31 @@ pub(crate) struct RunCapture {
     pub series: SeriesSnapshot,
 }
 
+/// A run's trace ring, kept for export under its series label.
+struct TraceRing {
+    label: String,
+    tracer: Tracer,
+}
+
+/// The sweep job running on this thread.
+struct Job {
+    index: usize,
+    /// The lowest index of the sweep's jobs that kept a trace ring so far
+    /// (`usize::MAX` before any did), shared by the sweep's threads.
+    traced: Arc<AtomicUsize>,
+}
+
 #[derive(Default)]
 struct Obs {
     /// The parsed observability flags.
     opts: CliOpts,
     /// A trace has been exported; later runs' rings are not.
     captured: bool,
-    /// Per-series (backend/variant label) run captures.
-    metrics: BTreeMap<String, RunCapture>,
-    /// Per-series oracle/gate verdicts, attached to the matching ledger
-    /// manifest by label (faultsim cells, chaossim seeds).
-    verdicts: BTreeMap<String, Vec<Verdict>>,
-    /// Per-run lockstat captures, in run order.
-    lockstat: Vec<LockstatSeries>,
+    /// The sweep job running on this thread, if any.
+    job: Option<Job>,
+    /// What this thread's runs filed: the running job's, or else the
+    /// process's, which the `finish_*` functions drain.
+    filed: WorkerCapture,
 }
 
 thread_local! {
@@ -200,7 +220,7 @@ pub fn parse_bin_cli(
 /// span is a single thread-local flag load.
 pub fn apply_opts(opts: &CliOpts) {
     if opts.self_profile.is_some() {
-        locksim_trace::prof::enable();
+        prof::enable();
     }
     OBS.with(|o| o.borrow_mut().opts = opts.clone());
 }
@@ -239,29 +259,49 @@ pub(crate) fn observe(label: &str, w: &World) {
 }
 
 /// Exports the world's trace ring when `--trace` was given and no run of
-/// the process has been exported yet.
+/// the process has been exported yet. Inside a sweep job the ring is kept
+/// in the job's capture instead, and only while no lower job keeps one:
+/// the sweep then exports the first run of the lowest job that made one,
+/// the run a one-by-one sweep exports.
 pub(crate) fn export_trace(label: &str, w: &World) {
     OBS.with(|o| {
         let mut o = o.borrow_mut();
-        if o.captured || !w.mach_ref().tracer().is_enabled() {
+        let tracer = w.mach_ref().tracer();
+        if o.captured || o.opts.trace_path.is_none() || !tracer.is_enabled() {
             return;
         }
-        let Some(path) = o.opts.trace_path.clone() else {
+        let Some(job) = &o.job else {
+            write_trace(&mut o, label, tracer);
             return;
         };
-        let tracer = w.mach_ref().tracer();
-        let file = std::fs::File::create(&path)
-            .unwrap_or_else(|e| panic!("create trace file {}: {e}", path.display()));
-        let mut buf = std::io::BufWriter::new(file);
-        tracer.export_chrome(&mut buf).expect("write chrome trace");
-        eprintln!(
-            "trace: wrote {} records ({} dropped) for series `{label}` to {}",
-            tracer.len(),
-            tracer.dropped(),
-            path.display()
-        );
-        o.captured = true;
+        if job.traced.fetch_min(job.index, Ordering::SeqCst) > job.index {
+            o.filed.trace = Some(TraceRing {
+                label: label.to_string(),
+                tracer: tracer.clone(),
+            });
+        }
     });
+}
+
+/// Writes `tracer` to the `--trace` path as the process's one export.
+fn write_trace(o: &mut Obs, label: &str, tracer: &Tracer) {
+    let Some(path) = &o.opts.trace_path else {
+        return;
+    };
+    let file = std::fs::File::create(path)
+        .unwrap_or_else(|e| panic!("create trace file {}: {e}", path.display()));
+    let mut buf = std::io::BufWriter::new(file);
+    tracer
+        .export_chrome(&mut buf)
+        .and_then(|()| buf.flush())
+        .expect("write chrome trace");
+    eprintln!(
+        "trace: wrote {} records ({} dropped) for series `{label}` to {}",
+        tracer.len(),
+        tracer.dropped(),
+        path.display()
+    );
+    o.captured = true;
 }
 
 /// Records `runs` runs under `label`, of which `w` is the last: the
@@ -270,8 +310,8 @@ pub(crate) fn record_runs(label: &str, w: &World, runs: u64) {
     let (seed, end_cycles) = (w.mach_ref().seed(), w.mach_ref().now().cycles());
     let (snap, series) = (w.metrics_snapshot(), w.series_snapshot());
     OBS.with(|o| {
-        let mut o = o.borrow_mut();
-        let runs = runs + o.metrics.get(label).map_or(0, |c| c.runs);
+        let metrics = &mut o.borrow_mut().filed.metrics;
+        let runs = runs + metrics.get(label).map_or(0, |c| c.runs);
         let capture = RunCapture {
             runs,
             seed,
@@ -279,7 +319,7 @@ pub(crate) fn record_runs(label: &str, w: &World, runs: u64) {
             snap,
             series,
         };
-        o.metrics.insert(label.to_string(), capture);
+        metrics.insert(label.to_string(), capture);
     });
 }
 
@@ -288,7 +328,7 @@ pub(crate) fn record_lockstat(label: &str, w: &World) {
     OBS.with(|o| {
         let mut o = o.borrow_mut();
         if o.opts.lockstat_path.is_some() && w.lockstat().is_enabled() {
-            o.lockstat.push(LockstatSeries {
+            o.filed.lockstat.push(LockstatSeries {
                 label: label.to_string(),
                 stats: w.lockstat().clone(),
                 end_cycles: w.mach_ref().now().cycles(),
@@ -304,7 +344,7 @@ pub(crate) fn take_lockstat_html(name: &str) -> Option<(PathBuf, String)> {
     OBS.with(|o| {
         let mut o = o.borrow_mut();
         let path = o.opts.lockstat_path.clone()?;
-        let series = std::mem::take(&mut o.lockstat);
+        let series = std::mem::take(&mut o.filed.lockstat);
         if series.is_empty() {
             return None;
         }
@@ -328,7 +368,7 @@ pub(crate) fn take_lockstat_html(name: &str) -> Option<(PathBuf, String)> {
 pub(crate) fn take_self_profile() -> Option<(PathBuf, locksim_trace::ProfileReport)> {
     OBS.with(|o| {
         let path = o.borrow().opts.self_profile.clone()?;
-        let report = locksim_trace::prof::take_report();
+        let report = prof::take_report();
         if report.is_empty() {
             return None;
         }
@@ -339,54 +379,74 @@ pub(crate) fn take_self_profile() -> Option<(PathBuf, locksim_trace::ProfileRepo
 /// Drains the accumulated per-series run captures. [`crate::finish_bin`]
 /// renders them into the metrics table and the run-ledger manifests.
 pub(crate) fn take_runs() -> BTreeMap<String, RunCapture> {
-    OBS.with(|o| std::mem::take(&mut o.borrow_mut().metrics))
+    OBS.with(|o| std::mem::take(&mut o.borrow_mut().filed.metrics))
 }
 
-/// A worker thread's drained observability: the run captures, verdicts
-/// and lockstat captures its jobs produced, carried back to the main thread
-/// by the sweep runner (see [`crate::sweep`]) and merged in canonical job
-/// order.
+/// The observability one sweep job's runs filed: its run captures,
+/// verdicts and lockstat captures, its trace ring when it is the lowest
+/// job so far to keep one, and, when it ran on a worker thread, its span
+/// tree. The sweep runner (see [`crate::sweep`]) hands it back for the
+/// main thread to merge in job order.
 #[derive(Default)]
 pub(crate) struct WorkerCapture {
     metrics: BTreeMap<String, RunCapture>,
     verdicts: BTreeMap<String, Vec<Verdict>>,
     lockstat: Vec<LockstatSeries>,
+    trace: Option<TraceRing>,
+    profile: prof::Profile,
 }
 
-/// True when the observability options capture state that spans runs on
-/// one thread — the exported first-run trace and the self-profiler's span
-/// tree — so the sweep runner falls back to sequential execution.
-pub(crate) fn wants_sequential() -> bool {
-    OBS.with(|o| {
-        let opts = &o.borrow().opts;
-        opts.trace_path.is_some() || opts.self_profile.is_some()
-    })
+#[cfg(test)]
+impl WorkerCapture {
+    /// The series labels this capture holds verdicts for.
+    pub(crate) fn verdict_labels(&self) -> Vec<&str> {
+        self.verdicts.keys().map(String::as_str).collect()
+    }
 }
 
-/// Drains this thread's run captures, verdicts and lockstat captures into
-/// a [`WorkerCapture`]. Called by sweep workers after each job, so one
-/// capture holds exactly one job's observability.
-pub(crate) fn drain_worker() -> WorkerCapture {
-    OBS.with(|o| {
+/// Runs sweep job `index` on this thread and returns its result with the
+/// observability its runs filed, leaving what the thread filed before
+/// untouched. `traced` is shared by the sweep's jobs (see
+/// [`export_trace`]). A `worker` thread's span tree goes into the capture
+/// too, leaving the thread's tree empty for its next job; otherwise the
+/// job's spans stay where the calling thread records them.
+pub(crate) fn job<T>(
+    index: usize,
+    traced: &Arc<AtomicUsize>,
+    worker: bool,
+    f: impl FnOnce() -> T,
+) -> (T, WorkerCapture) {
+    let outer = OBS.with(|o| {
         let mut o = o.borrow_mut();
-        WorkerCapture {
-            metrics: std::mem::take(&mut o.metrics),
-            verdicts: std::mem::take(&mut o.verdicts),
-            lockstat: std::mem::take(&mut o.lockstat),
-        }
-    })
+        o.job = Some(Job {
+            index,
+            traced: Arc::clone(traced),
+        });
+        std::mem::take(&mut o.filed)
+    });
+    let result = f();
+    let mut capture = OBS.with(|o| {
+        let mut o = o.borrow_mut();
+        o.job = None;
+        std::mem::replace(&mut o.filed, outer)
+    });
+    if worker {
+        capture.profile = prof::take();
+    }
+    (result, capture)
 }
 
-/// Merges a worker's drained capture into this thread's observability
-/// state. Calling this on the main thread, in canonical job order, leaves
-/// OBS byte-identical to having run the jobs sequentially: per-label run
-/// counts accumulate and the *last* merged capture for a label wins,
-/// exactly like repeated [`observe`] calls.
+/// Merges a job's capture into this thread's observability state. Calling
+/// this on the main thread, in job order, leaves the state as running the
+/// jobs there one after another would: per-label run counts accumulate and
+/// the *last* merged capture for a label wins, exactly like repeated
+/// [`observe`] calls; the first trace ring merged is written if no run has
+/// been exported yet; span trees fold under the innermost open span.
 pub(crate) fn merge_worker(c: WorkerCapture) {
     OBS.with(|o| {
         let mut o = o.borrow_mut();
         for (label, cap) in c.metrics {
-            match o.metrics.entry(label) {
+            match o.filed.metrics.entry(label) {
                 std::collections::btree_map::Entry::Vacant(e) => {
                     e.insert(cap);
                 }
@@ -398,9 +458,13 @@ pub(crate) fn merge_worker(c: WorkerCapture) {
                 }
             }
         }
-        o.verdicts.extend(c.verdicts);
-        o.lockstat.extend(c.lockstat);
+        o.filed.verdicts.extend(c.verdicts);
+        o.filed.lockstat.extend(c.lockstat);
+        if let Some(ring) = c.trace.filter(|_| !o.captured) {
+            write_trace(&mut o, &ring.label, &ring.tracer);
+        }
     });
+    prof::fold(c.profile);
 }
 
 /// Renders drained run captures into the metrics table (one row per
@@ -438,7 +502,7 @@ pub(crate) fn metrics_table(name: &str, runs: &BTreeMap<String, RunCapture>) -> 
 /// attached to that series' ledger manifest when [`manifests`] drains.
 pub(crate) fn record_verdicts(label: &str, verdicts: Vec<(String, String)>) {
     OBS.with(|o| {
-        o.borrow_mut().verdicts.insert(
+        o.borrow_mut().filed.verdicts.insert(
             label.to_string(),
             verdicts
                 .into_iter()
@@ -451,7 +515,7 @@ pub(crate) fn record_verdicts(label: &str, verdicts: Vec<(String, String)>) {
 /// Builds one `locksim-run-v1` ledger manifest per drained series,
 /// attaching any verdicts recorded for its label (and draining them).
 pub(crate) fn manifests(bin: &str, runs: &BTreeMap<String, RunCapture>) -> Vec<RunManifest> {
-    let mut verdicts = OBS.with(|o| std::mem::take(&mut o.borrow_mut().verdicts));
+    let mut verdicts = OBS.with(|o| std::mem::take(&mut o.borrow_mut().filed.verdicts));
     runs.iter()
         .map(|(label, cap)| {
             RunManifest::from_snapshot(

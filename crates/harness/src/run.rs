@@ -419,13 +419,6 @@ pub fn run_app(app: AppSel, backend: BackendKind, seed: u64) -> u64 {
     w.mach().now().cycles()
 }
 
-/// Sum of per-thread machine lock stats over a run (diagnostics).
-pub fn total_acquires(w: &mut World) -> u64 {
-    (0..w.mach().n_threads() as u32)
-        .map(|i| w.mach().thread_stats(ThreadId(i)).acquires)
-        .sum()
-}
-
 /// Scale knob: `LOCKSIM_QUICK=1` shrinks experiments (used by the smoke
 /// runs and tests). `0`, empty, `false` and `off` mean off.
 pub fn quick() -> bool {

@@ -12,25 +12,25 @@
 //! * **per-run isolation** — each job's world owns its RNG, trace ring,
 //!   lockstat and metrics registry; the harness-side observability state
 //!   ([`crate::obs`]) is thread-local, each worker starts from the main
-//!   thread's observability options, and drains its state into an
-//!   `obs::WorkerCapture` after every job;
+//!   thread's observability options, and every job, on a worker or
+//!   inline, files its observability into its own `obs::WorkerCapture`:
+//!   run captures, verdicts, lockstat captures, the trace ring it may
+//!   export and, on a worker, its profiler span tree;
 //! * **canonical-order merge** — results come back indexed, and the caller
 //!   merges the captures on the main thread in job order, which reproduces
 //!   the sequential "last observe wins / run counts accumulate" semantics
-//!   exactly. Callers with an inclusion rule (chaossim's simulated-cycle
+//!   exactly, writes the first run of the lowest job that made one as the
+//!   `--trace` export, and folds span trees as one thread would have built
+//!   them. Callers with an inclusion rule (chaossim's simulated-cycle
 //!   budget) decide *after* the sweep which jobs to merge, in job order,
 //!   so the budget cutoff is independent of worker count;
 //! * **early stop** — every worker asks the caller's stop predicate before
 //!   it claims the next index, so a sweep whose inclusion rule is already
 //!   settled stops spending CPU on jobs the caller would drop. The claimed
 //!   jobs always form a prefix of the index range.
-//!
-//! The two observability modes whose capture spans runs on one thread —
-//! `--trace` (the first run's export) and `--self-profile` (the span
-//! tree) — force the sweep sequential, with a stderr note.
 
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Mutex;
+use std::sync::{Arc, Mutex};
 
 use crate::obs;
 
@@ -70,20 +70,6 @@ pub fn parse_jobs(v: &str) -> Result<usize, String> {
         .map_err(|_| format!("--jobs: invalid count {v:?} (0 = one per host core)"))
 }
 
-/// The worker count a sweep of `n` jobs will actually use: the resolved
-/// `--jobs` value, clamped to the job count, forced to `1` (with a stderr
-/// note) when an observability mode needs every run on the main thread.
-/// The `all` bin, whose sequential path interleaves runs with emission,
-/// branches on this to decide whether to sweep at all.
-pub(crate) fn effective_jobs(jobs: usize, n: usize) -> usize {
-    let jobs = resolve_jobs(jobs).min(n.max(1));
-    if jobs > 1 && obs::wants_sequential() {
-        eprintln!("sweep: --trace/--self-profile capture across runs; running sequentially");
-        return 1;
-    }
-    jobs
-}
-
 /// Runs jobs `0..n` with up to `jobs` worker threads and returns the
 /// outputs of the jobs it claimed, indexed by job. Before claiming each
 /// index a worker calls `stop`; once it returns `true` that worker claims
@@ -91,25 +77,27 @@ pub(crate) fn effective_jobs(jobs: usize, n: usize) -> usize {
 /// a prefix `0..m` of the jobs, and `m < n` only if some call to `stop`
 /// returned `true`. Pass `|| false` to run every job.
 ///
-/// With `jobs <= 1` (or when an observability mode requires it) the jobs
-/// run inline on the calling thread, `stop` is asked before each one, and
-/// their observability flows straight into the main state — byte-for-byte
-/// the pre-`--jobs` behavior; the returned captures are then empty and
-/// [`include`] is a no-op merge.
+/// With one worker (`jobs <= 1`, or a single job) the jobs run inline on
+/// the calling thread and `stop` is asked before each one. Either way each
+/// job's observability comes back in its own capture, for [`include`] to
+/// merge; inline jobs record their profiler spans straight into the
+/// calling thread's tree, under whatever spans it has open.
 pub(crate) fn run_jobs<T, S, F>(jobs: usize, n: usize, stop: S, f: F) -> Vec<JobOutput<T>>
 where
     T: Send,
     S: Fn() -> bool + Sync,
     F: Fn(usize) -> T + Sync,
 {
-    let jobs = effective_jobs(jobs, n);
+    let traced = Arc::new(AtomicUsize::new(usize::MAX));
+    let run = |i: usize, worker: bool| {
+        let (result, capture) = obs::job(i, &traced, worker, || f(i));
+        JobOutput { result, capture }
+    };
+    let jobs = resolve_jobs(jobs).min(n.max(1));
     if jobs <= 1 {
         return (0..n)
             .take_while(|_| !stop())
-            .map(|i| JobOutput {
-                result: f(i),
-                capture: obs::WorkerCapture::default(),
-            })
+            .map(|i| run(i, false))
             .collect();
     }
     // SeqCst: `stop` may read atomics that `f` updates, and one total order
@@ -127,13 +115,9 @@ where
                     if i >= n {
                         break;
                     }
-                    let result = f(i);
-                    // Drain per job, not per worker: the caller may exclude
-                    // individual jobs, so each capture must hold exactly one
-                    // job's observability.
-                    let capture = obs::drain_worker();
-                    *slots[i].lock().expect("sweep slot poisoned") =
-                        Some(JobOutput { result, capture });
+                    // One capture per job, not per worker: the caller may
+                    // exclude individual jobs.
+                    *slots[i].lock().expect("sweep slot poisoned") = Some(run(i, true));
                 }
             });
         }
@@ -152,7 +136,15 @@ where
 
 #[cfg(test)]
 mod tests {
+    use std::sync::atomic::AtomicBool;
+    use std::time::{Duration, Instant};
+
+    use locksim_machine::{MachineConfig, World};
+    use locksim_trace::prof;
+    use locksim_workloads::{CsThread, IterPool};
+
     use super::*;
+    use crate::BackendKind;
 
     #[test]
     fn runs_every_job_in_index_order() {
@@ -199,6 +191,107 @@ mod tests {
             // then, and at most one per worker had not yet run.
             assert!((limit..limit + jobs).contains(&ran.len()), "{}", ran.len());
         }
+    }
+
+    /// With `--trace` and `--self-profile` applied, a two-worker sweep runs
+    /// its jobs off the calling thread and folds their spans in; an inline
+    /// sweep hands back each job's observability in that job's capture.
+    #[test]
+    fn traced_profiled_sweeps_run_in_parallel_and_capture_per_job() {
+        obs::apply_opts(&obs::CliOpts {
+            trace_path: Some("unwritten.json".into()),
+            self_profile: Some("unwritten.txt".into()),
+            ..obs::CliOpts::default()
+        });
+        let caller = std::thread::current().id();
+        let outs = run_jobs(
+            2,
+            4,
+            || false,
+            |_| {
+                let _s = prof::span("job");
+                std::thread::current().id()
+            },
+        );
+        assert!(outs.iter().all(|o| o.result != caller));
+        outs.into_iter().for_each(|o| {
+            include(o);
+        });
+        assert_eq!(prof::take_report().span("job").map(|s| s.calls), Some(4));
+
+        let outs = run_jobs(
+            1,
+            3,
+            || false,
+            |i| {
+                obs::record_verdicts(&format!("job{i}"), Vec::new());
+            },
+        );
+        for (i, out) in outs.iter().enumerate() {
+            assert_eq!(out.capture.verdict_labels(), [format!("job{i}")]);
+        }
+        prof::disable();
+    }
+
+    /// A two-thread world on the ideal lock, armed like a harness run.
+    fn traced_world(seed: u64) -> World {
+        let mut w = World::new(MachineConfig::model_a(2), BackendKind::Ideal.build(), seed);
+        obs::arm(&mut w);
+        let lock = w.mach().alloc().alloc_line();
+        let data = w.mach().alloc().alloc_line();
+        let pool = IterPool::new(4);
+        for _ in 0..2 {
+            w.spawn(Box::new(CsThread::new(lock, data, pool.clone(), 100)));
+        }
+        w.run_to_completion();
+        w
+    }
+
+    /// Job 0 makes no run and job 2 makes its runs before job 1 does; the
+    /// export is still job 1's first run, as in a one-by-one sweep.
+    #[test]
+    fn a_sweep_exports_the_first_run_of_the_lowest_job_that_made_one() {
+        let path = std::env::temp_dir().join(format!(
+            "locksim_sweep_first_trace_{}.json",
+            std::process::id()
+        ));
+        obs::apply_opts(&obs::CliOpts {
+            trace_path: Some(path.clone()),
+            ..obs::CliOpts::default()
+        });
+        let job2_done = AtomicBool::new(false);
+        // Bounded, so that a sweep running its jobs inline fails the
+        // ordering check below instead of hanging.
+        let deadline = Instant::now() + Duration::from_secs(10);
+        let outs = run_jobs(
+            2,
+            3,
+            || false,
+            |i| {
+                while i == 1 && !job2_done.load(Ordering::SeqCst) && Instant::now() < deadline {
+                    std::thread::yield_now();
+                }
+                let after_job2 = job2_done.load(Ordering::SeqCst);
+                if i > 0 {
+                    for seed in [i as u64, 10 + i as u64] {
+                        obs::observe("run", &traced_world(seed));
+                    }
+                }
+                job2_done.store(i == 2, Ordering::SeqCst);
+                after_job2
+            },
+        );
+        let results: Vec<bool> = outs.into_iter().map(include).collect();
+        assert!(results[1], "job 1 did not run after job 2");
+        let mut want = Vec::new();
+        traced_world(1)
+            .mach_ref()
+            .tracer()
+            .export_chrome(&mut want)
+            .expect("render trace");
+        let got = std::fs::read(&path).expect("the sweep wrote a trace");
+        std::fs::remove_file(&path).expect("remove trace");
+        assert!(got == want, "the export is not job 1's first run");
     }
 
     #[test]

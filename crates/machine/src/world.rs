@@ -1075,7 +1075,9 @@ impl World {
     /// # Panics
     ///
     /// Panics if the links carried fewer messages than the network sent:
-    /// every message crosses at least one link.
+    /// every message crosses at least one link. Panics if the event queue
+    /// scheduled a different number of events than it dispatched plus
+    /// still holds.
     pub fn metrics_snapshot(&self) -> MetricsSnapshot {
         let mut net = Counters::new();
         net.add("net_queue_delay_cycles", self.mach.net.total_queue_delay());
@@ -1105,8 +1107,17 @@ impl World {
         }
         // Event-queue telemetry: all simulation-derived, so deterministic
         // for a given seed like every other counter here.
-        net.add("evq_events", self.mach.sim.events_processed());
-        net.add("evq_scheduled", self.mach.sim.events_scheduled());
+        let (events, scheduled) = (
+            self.mach.sim.events_processed(),
+            self.mach.sim.events_scheduled(),
+        );
+        let pending = self.mach.events_pending();
+        assert!(
+            scheduled == events + pending,
+            "evq_scheduled {scheduled} != evq_events {events} + pending {pending}"
+        );
+        net.add("evq_events", events);
+        net.add("evq_scheduled", scheduled);
         net.add("evq_peak_pending", self.mach.sim.peak_pending() as u64);
         let backend = self.backend.counters();
         let mut extra: Vec<&Counters> = vec![&backend, &net];

@@ -19,7 +19,7 @@ pub mod tracer;
 pub use alloc::{AllocSnapshot, CountingAlloc};
 pub use lockstat::{
     deepest_first, render_chains, render_html, ChainLink, FlagOutcome, HtmlSeries, LockChain,
-    LockStat, LockStats, StarvationFlag,
+    LockStat, LockStats, StarvationFlag, WatchdogVerdict,
 };
 pub use metrics::{MetricsRegistry, MetricsSnapshot};
 pub use oracle::{Oracles, Violation};

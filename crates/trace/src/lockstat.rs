@@ -142,6 +142,29 @@ impl FlagOutcome {
     }
 }
 
+/// The starvation watchdog's verdict on a run, over every wait that passed
+/// its threshold ([`LockStats::flags_at`]).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum WatchdogVerdict {
+    /// No wait passed the threshold.
+    Ok,
+    /// Only read-mode waits passed it.
+    ReaderFlagsOnly,
+    /// A write-mode wait passed it: a writer starved.
+    Starved,
+}
+
+impl WatchdogVerdict {
+    /// Display label.
+    pub fn label(self) -> &'static str {
+        match self {
+            WatchdogVerdict::Ok => "ok",
+            WatchdogVerdict::ReaderFlagsOnly => "reader flags only",
+            WatchdogVerdict::Starved => "STARVED",
+        }
+    }
+}
+
 /// One grant in a blocking chain.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ChainLink {
@@ -489,6 +512,28 @@ impl LockStats {
             .collect()
     }
 
+    /// Every wait that passed the watchdog threshold by `now`: the
+    /// firings so far, then the waits still overdue at `now`.
+    pub fn flags_at(&self, now: u64) -> Vec<StarvationFlag> {
+        let mut v = self.flags.clone();
+        v.extend(self.overdue(now));
+        v
+    }
+
+    /// The watchdog's verdict at `now`. A writer's wait past the threshold
+    /// is starvation; readers' waits alone are not, since a fair lock
+    /// still makes readers wait out a writer.
+    pub fn watchdog_verdict(&self, now: u64) -> WatchdogVerdict {
+        let flags = self.flags_at(now);
+        if flags.iter().any(|f| f.write) {
+            WatchdogVerdict::Starved
+        } else if flags.is_empty() {
+            WatchdogVerdict::Ok
+        } else {
+            WatchdogVerdict::ReaderFlagsOnly
+        }
+    }
+
     /// Iterates `(lock address, stats)` in address order.
     pub fn locks(&self) -> impl Iterator<Item = (u64, &LockStat)> + '_ {
         self.locks.iter().map(|(&a, s)| (a, s))
@@ -644,20 +689,21 @@ fn render_watchdog(out: &mut String, s: &HtmlSeries<'_>) {
         out.push_str("<p>not armed</p>\n");
         return;
     };
-    let flags = s.stats.flags();
-    let overdue = s.stats.overdue(s.end_cycles);
-    if flags.is_empty() && overdue.is_empty() {
+    let verdict = s.stats.watchdog_verdict(s.end_cycles);
+    let class = html::verdict_class(verdict.label());
+    if verdict == WatchdogVerdict::Ok {
         let _ = writeln!(
             out,
-            "<p class=\"{}\">OK — no wait exceeded {threshold} cycles</p>",
-            html::verdict_class("ok")
+            "<p class=\"{class}\">OK — no wait exceeded {threshold} cycles</p>"
         );
         return;
     }
+    let flags = s.stats.flags();
+    let overdue = s.stats.overdue(s.end_cycles);
     let _ = writeln!(
         out,
-        "<p class=\"{}\">STARVED — {} flags, {} overdue (threshold {threshold} cycles)</p>",
-        html::verdict_class("starved"),
+        "<p class=\"{class}\">{} — {} flags, {} overdue (threshold {threshold} cycles)</p>",
+        verdict.label(),
         flags.len(),
         overdue.len()
     );
@@ -879,6 +925,34 @@ mod tests {
         );
         assert!(html.contains("class=\"ok\">OK"), "{html}");
         assert!(!html.contains("STARVED"));
+    }
+
+    #[test]
+    fn reader_only_flags_are_not_starvation() {
+        let mut ls = LockStats::new();
+        ls.enable(Some(100));
+        ls.on_request(0x40, 0, false, 0);
+        ls.on_grant(0x40, 0, false, 500, 500);
+        ls.on_release(0x40, 0, false, 10, 510);
+        assert_eq!(ls.watchdog_verdict(600), WatchdogVerdict::ReaderFlagsOnly);
+        let html = render_html(
+            "t",
+            &[HtmlSeries {
+                label: "ssb",
+                stats: &ls,
+                end_cycles: 600,
+            }],
+        );
+        assert!(
+            html.contains("class=\"bad\">reader flags only — 1 flags, 0 overdue"),
+            "{html}"
+        );
+        assert!(!html.contains("STARVED"), "{html}");
+        // A writer still waiting past the threshold at report time starves.
+        ls.on_request(0x40, 1, true, 600);
+        assert_eq!(ls.watchdog_verdict(650), WatchdogVerdict::ReaderFlagsOnly);
+        assert_eq!(ls.watchdog_verdict(800), WatchdogVerdict::Starved);
+        assert_eq!(ls.flags_at(800).len(), 2);
     }
 
     #[test]

@@ -23,7 +23,10 @@
 //! for the calling thread only, and span/counter data is thread-local (the
 //! simulator is single-threaded per world). [`report`] and [`take_report`]
 //! return the calling thread's data only. Two threads profiling at once
-//! never see each other's switch or spans.
+//! never see each other's switch or spans. To gather work done on several
+//! threads, each thread moves its profile out with [`take`] and one thread
+//! [`fold`]s them into its own, in the order one thread would have done
+//! the work.
 //!
 //! # Example
 //!
@@ -100,7 +103,14 @@ struct ProfData {
 
 impl ProfData {
     fn enter(&mut self, name: &'static str) -> usize {
-        let parent = self.stack.last().copied();
+        let idx = self.child(self.stack.last().copied(), name);
+        self.stack.push(idx);
+        idx
+    }
+
+    /// The node `name` under `parent` (a root when `None`), created on
+    /// first use.
+    fn child(&mut self, parent: Option<usize>, name: &'static str) -> usize {
         let found = match parent {
             Some(p) => self.nodes[p]
                 .children
@@ -112,7 +122,7 @@ impl ProfData {
                 .iter()
                 .position(|n| n.parent.is_none() && n.name == name),
         };
-        let idx = found.unwrap_or_else(|| {
+        found.unwrap_or_else(|| {
             let idx = self.nodes.len();
             self.nodes.push(Node {
                 name,
@@ -126,9 +136,7 @@ impl ProfData {
                 self.nodes[p].children.push(idx);
             }
             idx
-        });
-        self.stack.push(idx);
-        idx
+        })
     }
 
     fn exit(&mut self, idx: usize, elapsed_ns: u64) {
@@ -150,6 +158,36 @@ impl ProfData {
         match self.counters.iter_mut().find(|(k, _)| *k == name) {
             Some((_, v)) => *v += n,
             None => self.counters.push((name, n)),
+        }
+    }
+
+    /// Adds `other`'s spans under the innermost open span, merged by path,
+    /// and its counters, merged by name. New nodes and counters are
+    /// appended in `other`'s order, so they land where running `other`'s
+    /// work here, after this thread's own, would have put them.
+    fn fold(&mut self, other: &ProfData) {
+        fn graft(dst: &mut ProfData, src: &ProfData, from: usize, parent: Option<usize>) {
+            let n = &src.nodes[from];
+            let to = dst.child(parent, n.name);
+            let m = &mut dst.nodes[to];
+            m.calls += n.calls;
+            m.total_ns += n.total_ns;
+            m.child_ns += n.child_ns;
+            for &c in &n.children {
+                graft(dst, src, c, Some(to));
+            }
+        }
+        let top = self.stack.last().copied();
+        for (i, n) in other.nodes.iter().enumerate() {
+            if n.parent.is_none() {
+                graft(self, other, i, top);
+                if let Some(p) = top {
+                    self.nodes[p].child_ns += n.total_ns;
+                }
+            }
+        }
+        for &(name, n) in &other.counters {
+            self.count(name, n);
         }
     }
 }
@@ -219,7 +257,7 @@ pub struct SpanRow {
 }
 
 /// A snapshot of one thread's aggregated profile.
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct ProfileReport {
     /// Spans in depth-first order (parents before children).
     pub spans: Vec<SpanRow>,
@@ -323,12 +361,26 @@ pub fn report() -> ProfileReport {
 
 /// Snapshots the calling thread's profile and clears it.
 pub fn take_report() -> ProfileReport {
-    PROF.with(|p| {
-        let mut p = p.borrow_mut();
-        let r = build_report(&p);
-        *p = ProfData::default();
-        r
-    })
+    build_report(&take().0)
+}
+
+/// One thread's aggregated spans and counters, moved out by [`take`] for
+/// another thread to [`fold`] into its own.
+#[derive(Debug, Default)]
+pub struct Profile(ProfData);
+
+/// Moves the calling thread's profile out, leaving it empty.
+pub fn take() -> Profile {
+    Profile(PROF.with(|p| std::mem::take(&mut *p.borrow_mut())))
+}
+
+/// Folds a profile taken on another thread into the calling thread's,
+/// under its innermost open span: spans merge by path, counters by name.
+/// Folding the profiles of several threads' work in some order gives the
+/// profile one thread builds doing that work in that order; only the host
+/// times differ. Works whether or not recording is on here.
+pub fn fold(profile: Profile) {
+    PROF.with(|p| p.borrow_mut().fold(&profile.0));
 }
 
 #[cfg(test)]
@@ -438,6 +490,53 @@ mod tests {
         assert_eq!(seen, (false, true), "enable leaked to another thread");
         assert!(enabled(), "another thread switched this one off");
         disable();
+    }
+
+    /// Records job `k` with fixed host times: a `run` span around an
+    /// `even` or `odd` leaf, a job-3-only root, and two counters.
+    fn job(p: &mut ProfData, k: u64) {
+        let run = p.enter("run");
+        let leaf = p.enter(if k.is_multiple_of(2) { "even" } else { "odd" });
+        p.count("jobs", 1);
+        p.exit(leaf, 10 * k + 1);
+        p.exit(run, 10 * k + 3);
+        if k == 3 {
+            let late = p.enter("late");
+            p.count("late", k);
+            p.exit(late, 7);
+        }
+    }
+
+    #[test]
+    fn folding_threads_gives_the_one_thread_tree() {
+        let mut one = ProfData::default();
+        (0..4).for_each(|k| job(&mut one, k));
+        let (mut first, mut second) = (ProfData::default(), ProfData::default());
+        (0..1).for_each(|k| job(&mut first, k));
+        (1..4).for_each(|k| job(&mut second, k));
+        let mut folded = ProfData::default();
+        folded.fold(&first);
+        folded.fold(&second);
+        assert_eq!(build_report(&folded), build_report(&one));
+        let paths: Vec<_> = build_report(&one)
+            .spans
+            .into_iter()
+            .map(|s| s.path)
+            .collect();
+        assert_eq!(paths, ["run", "run;even", "run;odd", "late"]);
+
+        // Under an open span the folded work nests there, as it would
+        // have run there.
+        let mut nested = ProfData::default();
+        let sweep = nested.enter("sweep");
+        (0..4).for_each(|k| job(&mut nested, k));
+        nested.exit(sweep, 100);
+        let mut grafted = ProfData::default();
+        let sweep = grafted.enter("sweep");
+        grafted.fold(&first);
+        grafted.fold(&second);
+        grafted.exit(sweep, 100);
+        assert_eq!(build_report(&grafted), build_report(&nested));
     }
 
     #[test]

@@ -5,8 +5,10 @@
 //! runner merges observability in canonical job order, so worker count
 //! (and scheduling) must be invisible in the results: stdout tables,
 //! verdict CSVs, HTML artifacts, metrics CSVs, `--lockstat` reports,
-//! corpus entries, and run manifests. stderr is exempt — progress lines
-//! from worker threads interleave with the main thread's emission notes.
+//! `--trace` exports, corpus entries, and run manifests. stderr is exempt —
+//! progress lines from worker threads interleave with the main thread's
+//! emission notes — except for the `--self-profile` table's span paths,
+//! call counts and counters; its host times differ from run to run.
 //!
 //! The host here may have a single core; `--jobs 2` still spawns two real
 //! worker threads (timesliced), so the cross-thread capture/merge path is
@@ -173,4 +175,107 @@ fn faultsim_jobs_is_byte_deterministic() {
         &["--quick", "--lockstat", "ls.html"],
     );
     assert_parallel(&err_par);
+}
+
+/// `--trace` keeps a ring on every run and exports the first run of the
+/// lowest seed that made one; at `--jobs 2` that ring comes back from a
+/// worker and must write the same file.
+#[test]
+fn chaossim_trace_is_byte_deterministic() {
+    let (_, err) = golden(
+        env!("CARGO_BIN_EXE_chaossim"),
+        "chaossim_trace",
+        &["--quick", "--seeds", "4", "--trace", "t.json"],
+    );
+    assert_parallel(&err[1]);
+    for e in &err {
+        assert!(e.contains("trace: wrote "), "no trace export:\n{e}");
+    }
+}
+
+#[test]
+fn faultsim_trace_is_byte_deterministic() {
+    let (_, err) = golden(
+        env!("CARGO_BIN_EXE_faultsim"),
+        "faultsim_trace",
+        &["--quick", "--trace", "t.json"],
+    );
+    assert_parallel(&err[1]);
+    for e in &err {
+        assert!(e.contains("trace: wrote "), "no trace export:\n{e}");
+    }
+}
+
+/// The `--self-profile` table on stderr without its host times: one
+/// `path calls` row per span, its path `;`-joined from the indentation,
+/// then one `name value` row per counter.
+fn profile_counts(stderr: &str) -> Vec<String> {
+    let mut stack: Vec<&str> = Vec::new();
+    let mut rows = Vec::new();
+    for line in stderr
+        .lines()
+        .skip_while(|l| !l.starts_with("span "))
+        .skip(1)
+    {
+        if let Some(counter) = line.strip_prefix("counter ") {
+            rows.push(counter.to_string());
+            continue;
+        }
+        let mut cols = line.split_whitespace();
+        let (Some(name), Some(calls)) = (cols.next(), cols.next()) else {
+            break;
+        };
+        if calls.parse::<u64>().is_err() {
+            break;
+        }
+        stack.truncate((line.len() - line.trim_start().len()) / 2);
+        stack.push(name);
+        rows.push(format!("{} {calls}", stack.join(";")));
+    }
+    rows
+}
+
+/// Worker span trees fold into the main thread's in seed order, so the
+/// profile names the same spans with the same call counts and counters at
+/// both `--jobs` values; only host times differ.
+#[test]
+fn chaossim_self_profile_counts_match_across_jobs() {
+    let scratch = std::env::temp_dir().join(format!(
+        "locksim_jobs_golden_profile_{}",
+        std::process::id()
+    ));
+    let runs: Vec<(Vec<u8>, String)> = ["1", "2"]
+        .iter()
+        .map(|j| {
+            run_in(
+                &scratch.join(format!("jobs{j}")),
+                env!("CARGO_BIN_EXE_chaossim"),
+                &[
+                    "--quick",
+                    "--seeds",
+                    "4",
+                    "--jobs",
+                    j,
+                    "--self-profile",
+                    "p.txt",
+                ],
+            )
+        })
+        .collect();
+    let _ = std::fs::remove_dir_all(&scratch);
+    assert_eq!(runs[0].0, runs[1].0, "--jobs changed stdout");
+    assert_parallel(&runs[1].1);
+    let seq = profile_counts(&runs[0].1);
+    assert!(
+        seq.iter()
+            .any(|r| r.starts_with("faults/drive;sim/run_for "))
+            && seq.iter().any(|r| r.starts_with("trace/records ")),
+        "no profile table on stderr:\n{}",
+        runs[0].1
+    );
+    assert_eq!(
+        seq,
+        profile_counts(&runs[1].1),
+        "--jobs changed the profile"
+    );
 }
