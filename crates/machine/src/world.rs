@@ -1077,7 +1077,9 @@ impl World {
     /// Panics if the links carried fewer messages than the network sent:
     /// every message crosses at least one link. Panics if the event queue
     /// scheduled a different number of events than it dispatched plus
-    /// still holds.
+    /// still holds. Panics unless the `lock_wait_cycles` sketch holds one
+    /// sample per `locks_granted` and `lock_hold_cycles` at most that many
+    /// (a hold is sampled at the release of a granted lock).
     pub fn metrics_snapshot(&self) -> MetricsSnapshot {
         let mut net = Counters::new();
         net.add("net_queue_delay_cycles", self.mach.net.total_queue_delay());
@@ -1124,7 +1126,19 @@ impl World {
         for d in &self.mach.dirs {
             extra.push(d.counters());
         }
-        self.mach.metrics.snapshot(extra)
+        let snap = self.mach.metrics.snapshot(extra);
+        let granted = snap.counters.get("locks_granted");
+        let samples = |name| self.mach.metrics.hist(name).map_or(0, |h| h.count());
+        let (waits, holds) = (samples("lock_wait_cycles"), samples("lock_hold_cycles"));
+        assert!(
+            waits == granted,
+            "lock_wait_cycles count {waits} != locks_granted {granted}"
+        );
+        assert!(
+            holds <= granted,
+            "lock_hold_cycles count {holds} > locks_granted {granted}"
+        );
+        snap
     }
 
     /// Thread `t`'s cycle dissection (see [`CycleDissection`]).

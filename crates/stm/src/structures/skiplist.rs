@@ -68,6 +68,10 @@ impl SkipList {
 
     /// Finds predecessors at every level. Returns `(visited_objs, preds,
     /// found_node_or_NIL)`; `preds[i] == NIL` means the head tower.
+    ///
+    /// Each object is visited once: keys strictly increase along the
+    /// search, and every live node owns its own object (`insert`
+    /// allocates one even for a recycled slot), so no dedupe is needed.
     fn search(&self, key: u64) -> (Vec<ObjId>, Vec<usize>, usize) {
         let mut visited = vec![self.head_obj];
         let mut preds = vec![NIL; MAX_LEVEL];
@@ -82,9 +86,8 @@ impl SkipList {
                 if nxt != NIL && self.nodes[nxt].key < key {
                     cur = nxt;
                     let obj = self.nodes[nxt].obj;
-                    if !visited.contains(&obj) {
-                        visited.push(obj);
-                    }
+                    debug_assert!(!visited.contains(&obj), "{obj:?} visited twice");
+                    visited.push(obj);
                 } else {
                     break;
                 }
@@ -98,9 +101,8 @@ impl SkipList {
         };
         let found = if candidate != NIL && self.nodes[candidate].key == key {
             let obj = self.nodes[candidate].obj;
-            if !visited.contains(&obj) {
-                visited.push(obj);
-            }
+            debug_assert!(!visited.contains(&obj), "{obj:?} visited twice");
+            visited.push(obj);
             candidate
         } else {
             NIL

@@ -10,8 +10,6 @@
 //! (which embeds the serialized sketches), and by the golden determinism
 //! tests, which compare snapshots byte-for-byte.
 
-use std::collections::BTreeMap;
-
 use locksim_engine::stats::Counters;
 
 use crate::sketch::{QuantileSketch, TailSummary};
@@ -20,7 +18,12 @@ use crate::sketch::{QuantileSketch, TailSummary};
 #[derive(Debug, Clone, Default)]
 pub struct MetricsRegistry {
     counters: Counters,
-    hists: BTreeMap<&'static str, QuantileSketch>,
+    /// One sketch per name, in the order names were first observed. A run
+    /// records into a handful of names, so a scan by the name's address
+    /// finds one faster than a tree walk that compares bytes; the same
+    /// literal can live at two addresses, so a miss falls back to the
+    /// bytes before taking a new entry (the rule [`Counters`] keys by).
+    hists: Vec<(&'static str, QuantileSketch)>,
 }
 
 impl MetricsRegistry {
@@ -52,12 +55,21 @@ impl MetricsRegistry {
     /// Records a latency sample (in cycles) into sketch `name`.
     pub fn observe(&mut self, name: &'static str, cycles: u64) {
         crate::prof::count("metrics/hist_samples", 1);
-        self.hists.entry(name).or_default().add(cycles);
+        let i = self
+            .hists
+            .iter()
+            .position(|&(n, _)| std::ptr::eq(n, name))
+            .or_else(|| self.hists.iter().position(|&(n, _)| n == name))
+            .unwrap_or_else(|| {
+                self.hists.push((name, QuantileSketch::new()));
+                self.hists.len() - 1
+            });
+        self.hists[i].1.add(cycles);
     }
 
     /// Sketch `name`, if any samples were recorded.
     pub fn hist(&self, name: &str) -> Option<&QuantileSketch> {
-        self.hists.get(name)
+        self.hists.iter().find(|&&(n, _)| n == name).map(|(_, h)| h)
     }
 
     /// Owned summary of everything recorded, merged with `extra` counter
@@ -67,15 +79,15 @@ impl MetricsRegistry {
         for c in extra {
             counters.merge(c);
         }
-        let hists = self
-            .hists
+        let mut sorted: Vec<&(&'static str, QuantileSketch)> = self.hists.iter().collect();
+        sorted.sort_unstable_by_key(|&&(name, _)| name);
+        let hists = sorted
             .iter()
-            .map(|(&name, h)| (name, h.tail_summary()))
+            .map(|(name, h)| (*name, h.tail_summary()))
             .collect();
-        let sketches = self
-            .hists
+        let sketches = sorted
             .iter()
-            .map(|(&name, h)| (name.to_string(), h.to_text()))
+            .map(|(name, h)| (name.to_string(), h.to_text()))
             .collect();
         MetricsSnapshot {
             counters,
@@ -178,6 +190,47 @@ mod tests {
         let mut backend = Counters::new();
         backend.add(String::from("grants").leak(), 3);
         assert_eq!(m.snapshot([&backend]).render(), "counter grants 5\n");
+    }
+
+    #[test]
+    fn one_name_at_two_addresses_lands_in_one_sketch() {
+        let mut m = MetricsRegistry::new();
+        m.observe(String::from("wait").leak(), 10);
+        m.observe(String::from("wait").leak(), 20);
+        m.observe("wait", 30);
+        assert_eq!(m.hist("wait").map(QuantileSketch::count), Some(3));
+        let snap = m.snapshot([]);
+        assert_eq!(snap.hists.len(), 1);
+        assert_eq!(snap.sketches.len(), 1);
+        assert_eq!(snap.hists[0].1.count, 3);
+    }
+
+    #[test]
+    fn snapshot_lists_sketches_in_name_order_whatever_the_first_observation() {
+        let names = [
+            "mem_op_cycles",
+            "lock_wait_cycles",
+            "lock_hold_cycles",
+            "a",
+            "zz",
+        ];
+        let mut m = MetricsRegistry::new();
+        for (i, &name) in names.iter().enumerate() {
+            m.observe(name, i as u64);
+        }
+        let mut sorted = names.to_vec();
+        sorted.sort_unstable();
+        let snap = m.snapshot([]);
+        let hists: Vec<&str> = snap.hists.iter().map(|&(n, _)| n).collect();
+        let sketches: Vec<&str> = snap.sketches.iter().map(|(n, _)| n.as_str()).collect();
+        assert_eq!(hists, sorted);
+        assert_eq!(sketches, sorted);
+        // The reverse observation order snapshots to the same bytes.
+        let mut r = MetricsRegistry::new();
+        for (i, &name) in names.iter().enumerate().rev() {
+            r.observe(name, i as u64);
+        }
+        assert_eq!(r.snapshot([]), snap);
     }
 
     #[test]

@@ -96,7 +96,9 @@ impl SeriesCollector {
 
     fn slot(&mut self, now: u64) -> &mut WindowStat {
         let ix = now / self.window;
-        if !self.windows.contains_key(&ix) && self.windows.len() >= self.max_windows {
+        // Length first: the map is full only in the window before a
+        // rescale, so most samples are searched for once, by `entry`.
+        if self.windows.len() >= self.max_windows && !self.windows.contains_key(&ix) {
             self.rescale();
             return self.slot(now);
         }
@@ -298,6 +300,39 @@ mod tests {
         b.enable(a.window()); // start at the final width
         feed(&mut b);
         assert_eq!(a.snapshot(), b.snapshot());
+    }
+
+    #[test]
+    fn out_of_order_feed_credits_every_window() {
+        // A grant stamped in window k+1 (`now + delay`), then a request at
+        // `now` back in window k, then enough later windows to force a
+        // rescale: every observation stays in the window it fell in.
+        let mut s = SeriesCollector::new();
+        s.enable(100);
+        s.on_grant(150, 40);
+        s.on_queue_depth(90, 3);
+        s.on_grant(95, 7);
+        s.mark(99, "late");
+        s.on_grant(160, 5);
+        for k in 2..=DEFAULT_MAX_WINDOWS as u64 {
+            s.on_grant(k * 100, k);
+        }
+        let snap = s.snapshot();
+        assert_eq!(snap.window, 200, "one rescale");
+        let first = &snap.rows[0];
+        assert_eq!(
+            (first.start_cycle, first.grants, first.queue_peak),
+            (0, 3, 3)
+        );
+        assert_eq!(first.marks, vec![("late".to_string(), 1)]);
+        let mut wait = crate::sketch::QuantileSketch::new();
+        for v in [40, 7, 5] {
+            wait.add(v);
+        }
+        assert_eq!(first.wait_sketch, wait.to_text());
+        let total: u64 = snap.rows.iter().map(|r| r.grants).sum();
+        assert_eq!(total, 3 + DEFAULT_MAX_WINDOWS as u64 - 1);
+        assert_eq!(snap.rows.len(), DEFAULT_MAX_WINDOWS / 2 + 1);
     }
 
     #[test]

@@ -19,8 +19,13 @@
 //! [`QuantileSketch::from_text`] and diffs byte-for-byte across same-seed
 //! runs. That makes the sketch the unit of exchange for the run-manifest
 //! ledger (`locksim-report`).
+//!
+//! Buckets live in two sorted parallel arrays (bucket indices and their
+//! counts): `add` and `merge` find each bucket by binary search, so
+//! recording a sample never walks a tree. A sketch holds few buckets over
+//! a wide range (a window's waits span octaves), which is why the arrays
+//! are sparse rather than one slot per bucket index.
 
-use std::collections::BTreeMap;
 use std::fmt;
 
 /// Sub-bucket resolution: each power-of-two octave is split into `2^K`
@@ -75,7 +80,10 @@ fn low(ix: u32) -> u64 {
 /// counts, so clone/merge/serialize are cheap and exact.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct QuantileSketch {
-    buckets: BTreeMap<u32, u64>,
+    /// Indices of the recorded buckets, strictly increasing.
+    ixs: Vec<u32>,
+    /// `counts[i]` samples fell in bucket `ixs[i]`.
+    counts: Vec<u64>,
     count: u64,
     min: u64,
     max: u64,
@@ -125,8 +133,24 @@ impl QuantileSketch {
             self.min = self.min.min(v);
             self.max = self.max.max(v);
         }
-        *self.buckets.entry(bucket(v)).or_insert(0) += 1;
+        self.bump(bucket(v), 1);
         self.count += 1;
+    }
+
+    /// Adds `c` samples to bucket `ix`, inserting it in index order if new.
+    fn bump(&mut self, ix: u32, c: u64) {
+        match self.ixs.binary_search(&ix) {
+            Ok(i) => self.counts[i] += c,
+            Err(i) => {
+                self.ixs.insert(i, ix);
+                self.counts.insert(i, c);
+            }
+        }
+    }
+
+    /// `(bucket index, count)` for every recorded bucket, in index order.
+    fn buckets(&self) -> impl Iterator<Item = (u32, u64)> + '_ {
+        self.ixs.iter().copied().zip(self.counts.iter().copied())
     }
 
     /// Number of samples.
@@ -154,7 +178,7 @@ impl QuantileSketch {
         }
         let target = ((self.count as f64) * q.clamp(0.0, 1.0)).ceil().max(1.0) as u64;
         let mut seen = 0;
-        for (&ix, &c) in &self.buckets {
+        for (ix, c) in self.buckets() {
             seen += c;
             if seen >= target {
                 // The top bucket cannot report past the true maximum.
@@ -177,8 +201,8 @@ impl QuantileSketch {
             self.min = self.min.min(other.min);
             self.max = self.max.max(other.max);
         }
-        for (&ix, &c) in &other.buckets {
-            *self.buckets.entry(ix).or_insert(0) += c;
+        for (ix, c) in other.buckets() {
+            self.bump(ix, c);
         }
         self.count += other.count;
     }
@@ -201,7 +225,7 @@ impl QuantileSketch {
     /// the sketch's sub-buckets summed per octave, for coarse bar charts.
     pub fn octaves(&self) -> Vec<(u64, u64)> {
         let mut out: Vec<(u64, u64)> = Vec::new();
-        for (&ix, &c) in &self.buckets {
+        for (ix, c) in self.buckets() {
             let low = 1u64 << octave(ix);
             match out.last_mut() {
                 Some((l, n)) if *l == low => *n += c,
@@ -215,11 +239,7 @@ impl QuantileSketch {
     /// `qsketch-v1 k=<K> count=<n> min=<m> max=<x> buckets=<ix>:<c>,...`.
     /// Byte-identical for equal sketches (buckets in index order).
     pub fn to_text(&self) -> String {
-        let buckets: Vec<String> = self
-            .buckets
-            .iter()
-            .map(|(ix, c)| format!("{ix}:{c}"))
-            .collect();
+        let buckets: Vec<String> = self.buckets().map(|(ix, c)| format!("{ix}:{c}")).collect();
         format!(
             "{TAG} k={K} count={} min={} max={} buckets={}",
             self.count,
@@ -234,7 +254,8 @@ impl QuantileSketch {
     /// # Errors
     ///
     /// Returns a message on a wrong tag, a resolution mismatch, malformed
-    /// fields, or a bucket total that disagrees with `count`.
+    /// fields, a repeated bucket index, or a bucket total that disagrees
+    /// with `count`. Buckets may come in any index order.
     pub fn from_text(text: &str) -> Result<QuantileSketch, String> {
         let mut parts = text.split_whitespace();
         if parts.next() != Some(TAG) {
@@ -258,7 +279,7 @@ impl QuantileSketch {
         let min: u64 = field("min")?.parse().map_err(|_| "bad min".to_string())?;
         let max: u64 = field("max")?.parse().map_err(|_| "bad max".to_string())?;
         let spec = field("buckets")?;
-        let mut buckets = BTreeMap::new();
+        let mut buckets: Vec<(u32, u64)> = Vec::new();
         let mut total = 0u64;
         if !spec.is_empty() {
             for pair in spec.split(',') {
@@ -267,21 +288,155 @@ impl QuantileSketch {
                     .ok_or_else(|| format!("bad bucket {pair:?}"))?;
                 let ix: u32 = ix.parse().map_err(|_| format!("bad bucket index {ix:?}"))?;
                 let c: u64 = c.parse().map_err(|_| format!("bad bucket count {c:?}"))?;
-                if buckets.insert(ix, c).is_some() {
-                    return Err(format!("duplicate bucket {ix}"));
-                }
+                buckets.push((ix, c));
                 total += c;
             }
+        }
+        buckets.sort_unstable_by_key(|&(ix, _)| ix);
+        if let Some(w) = buckets.windows(2).find(|w| w[0].0 == w[1].0) {
+            return Err(format!("duplicate bucket {}", w[0].0));
         }
         if total != count {
             return Err(format!("bucket total {total} != count {count}"));
         }
+        let (ixs, counts) = buckets.into_iter().unzip();
         Ok(QuantileSketch {
-            buckets,
+            ixs,
+            counts,
             count,
             min,
             max,
         })
+    }
+}
+
+/// The retired `BTreeMap` sketch, kept as the reference model for the
+/// differential property test: the same encoding and rank rule over a
+/// bucket map that is obviously in index order.
+#[cfg(test)]
+mod model {
+    use std::collections::BTreeMap;
+
+    use super::{bucket, low, octave, K, TAG};
+
+    #[derive(Debug, Clone, Default, PartialEq, Eq)]
+    pub struct MapSketch {
+        buckets: BTreeMap<u32, u64>,
+        count: u64,
+        min: u64,
+        max: u64,
+    }
+
+    impl MapSketch {
+        pub fn add(&mut self, v: u64) {
+            if self.count == 0 {
+                self.min = v;
+                self.max = v;
+            } else {
+                self.min = self.min.min(v);
+                self.max = self.max.max(v);
+            }
+            *self.buckets.entry(bucket(v)).or_insert(0) += 1;
+            self.count += 1;
+        }
+
+        pub fn quantile(&self, q: f64) -> Option<u64> {
+            if self.count == 0 {
+                return None;
+            }
+            let target = ((self.count as f64) * q.clamp(0.0, 1.0)).ceil().max(1.0) as u64;
+            let mut seen = 0;
+            for (&ix, &c) in &self.buckets {
+                seen += c;
+                if seen >= target {
+                    return Some(low(ix).min(self.max));
+                }
+            }
+            Some(self.max)
+        }
+
+        pub fn merge(&mut self, other: &MapSketch) {
+            if other.count == 0 {
+                return;
+            }
+            if self.count == 0 {
+                self.min = other.min;
+                self.max = other.max;
+            } else {
+                self.min = self.min.min(other.min);
+                self.max = self.max.max(other.max);
+            }
+            for (&ix, &c) in &other.buckets {
+                *self.buckets.entry(ix).or_insert(0) += c;
+            }
+            self.count += other.count;
+        }
+
+        pub fn octaves(&self) -> Vec<(u64, u64)> {
+            let mut out: Vec<(u64, u64)> = Vec::new();
+            for (&ix, &c) in &self.buckets {
+                let low = 1u64 << octave(ix);
+                match out.last_mut() {
+                    Some((l, n)) if *l == low => *n += c,
+                    _ => out.push((low, c)),
+                }
+            }
+            out
+        }
+
+        pub fn to_text(&self) -> String {
+            let buckets: Vec<String> = self
+                .buckets
+                .iter()
+                .map(|(ix, c)| format!("{ix}:{c}"))
+                .collect();
+            format!(
+                "{TAG} k={K} count={} min={} max={} buckets={}",
+                self.count,
+                self.min,
+                self.max,
+                buckets.join(",")
+            )
+        }
+
+        /// The retired parser, reduced to the bucket list: the header
+        /// fields parse exactly as in `QuantileSketch::from_text`.
+        pub fn from_text(text: &str) -> Result<MapSketch, String> {
+            let field = |name: &str| -> Result<&str, String> {
+                text.split_whitespace()
+                    .find_map(|p| p.strip_prefix(&format!("{name}=")))
+                    .ok_or_else(|| format!("missing {name}="))
+            };
+            let num = |name: &str| -> Result<u64, String> {
+                field(name)?.parse().map_err(|_| format!("bad {name}"))
+            };
+            let (count, min, max) = (num("count")?, num("min")?, num("max")?);
+            let spec = field("buckets")?;
+            let mut buckets = BTreeMap::new();
+            let mut total = 0u64;
+            if !spec.is_empty() {
+                for pair in spec.split(',') {
+                    let (ix, c) = pair
+                        .split_once(':')
+                        .ok_or_else(|| format!("bad bucket {pair:?}"))?;
+                    let ix: u32 = ix.parse().map_err(|_| format!("bad bucket index {ix:?}"))?;
+                    let c: u64 = c.parse().map_err(|_| format!("bad bucket count {c:?}"))?;
+                    if buckets.insert(ix, c).is_some() {
+                        return Err(format!("duplicate bucket {ix}"));
+                    }
+                    total += c;
+                }
+            }
+            if total != count {
+                return Err(format!("bucket total {total} != count {count}"));
+            }
+            Ok(MapSketch {
+                buckets,
+                count,
+                min,
+                max,
+            })
+        }
     }
 }
 
@@ -464,5 +619,182 @@ mod tests {
         s.add(1_000);
         s.add(1_001);
         assert!(s.quantile(1.0).unwrap() <= 1_001);
+    }
+
+    mod differential {
+        //! The sorted-array sketch and the retired `BTreeMap` sketch are
+        //! driven with identical random adds, merges in both directions
+        //! (empty sides included) and re-parses of their text with the
+        //! bucket list shuffled, and must agree at every step on
+        //! `to_text` bytes, quantiles, `octaves` and `==`.
+
+        use super::super::model::MapSketch;
+        use super::*;
+        use proptest::prelude::*;
+        use proptest::test_runner::TestRng;
+
+        #[derive(Debug, Clone)]
+        enum Op {
+            /// Record `v` on side `a` (else `b`).
+            Add { a: bool, v: u64 },
+            /// Fold `b` into `a` (else `a` into `b`).
+            Merge { into_a: bool },
+            /// Empty side `a` (else `b`).
+            Clear { a: bool },
+            /// Re-parse side `a` (else `b`) from its text, the bucket list
+            /// permuted by `seed`, with a zero-count bucket inserted if
+            /// `zero` and a bucket repeated (which both must reject) if
+            /// `dup`.
+            Reparse {
+                a: bool,
+                seed: u64,
+                zero: bool,
+                dup: bool,
+            },
+        }
+
+        /// The vendored proptest has no combinators, so `Op` gets a bespoke
+        /// strategy biased toward adds, with values exact (below `SUBS`),
+        /// mid-range and spread over every octave.
+        #[derive(Debug, Clone, Copy)]
+        struct OpStrategy;
+
+        impl Strategy for OpStrategy {
+            type Value = Op;
+            fn new_value(&self, rng: &mut TestRng) -> Op {
+                let a = rng.below(2) == 0;
+                match rng.below(10) {
+                    0..=5 => {
+                        let x = rng.next_u64();
+                        let v = match rng.below(3) {
+                            0 => x % SUBS,
+                            1 => x % 100_000,
+                            _ => x >> (x % 64),
+                        };
+                        Op::Add { a, v }
+                    }
+                    6 | 7 => Op::Merge { into_a: a },
+                    8 => Op::Clear { a },
+                    _ => Op::Reparse {
+                        a,
+                        seed: rng.next_u64(),
+                        zero: rng.below(4) == 0,
+                        dup: rng.below(8) == 0,
+                    },
+                }
+            }
+        }
+
+        /// `text` with its bucket list permuted by `seed` (Fisher-Yates
+        /// over an LCG), plus a zero-count bucket or a repeated bucket.
+        fn scramble(text: &str, seed: u64, zero: bool, dup: bool) -> String {
+            let (head, spec) = text.split_once(" buckets=").expect("buckets field");
+            let mut pairs: Vec<&str> = spec.split(',').filter(|p| !p.is_empty()).collect();
+            // An index some 64-bit value reaches (`bucket(u64::MAX)` is the
+            // last), so every reader can place it.
+            let spare = format!("{}:0", seed % (u64::from(bucket(u64::MAX)) + 1));
+            let taken = |p: &&str| p.split(':').next() == spare.split(':').next();
+            if zero && !pairs.iter().any(taken) {
+                pairs.push(&spare);
+            }
+            if dup {
+                if let Some(&first) = pairs.first() {
+                    pairs.push(first);
+                }
+            }
+            let mut x = seed;
+            for i in (1..pairs.len()).rev() {
+                x = x
+                    .wrapping_mul(6364136223846793005)
+                    .wrapping_add(1442695040888963407);
+                pairs.swap(i, ((x >> 33) % (i as u64 + 1)) as usize);
+            }
+            format!("{head} buckets={}", pairs.join(","))
+        }
+
+        fn check_same(s: &QuantileSketch, m: &MapSketch, side: &str) -> TestCaseResult {
+            prop_assert_eq!(s.to_text(), m.to_text(), "side {} text", side);
+            prop_assert_eq!(s.octaves(), m.octaves(), "side {} octaves", side);
+            for q in [0.0, 0.1, 0.5, 0.9, 0.99, 0.999, 1.0] {
+                prop_assert_eq!(s.quantile(q), m.quantile(q), "side {} q={}", side, q);
+            }
+            Ok(())
+        }
+
+        fn check_agree(ops: Vec<Op>) -> TestCaseResult {
+            let (mut a, mut b) = (QuantileSketch::new(), QuantileSketch::new());
+            let (mut ma, mut mb) = (MapSketch::default(), MapSketch::default());
+            for op in ops {
+                match op {
+                    Op::Add { a: true, v } => {
+                        a.add(v);
+                        ma.add(v);
+                    }
+                    Op::Add { a: false, v } => {
+                        b.add(v);
+                        mb.add(v);
+                    }
+                    Op::Merge { into_a: true } => {
+                        a.merge(&b);
+                        ma.merge(&mb);
+                    }
+                    Op::Merge { into_a: false } => {
+                        b.merge(&a);
+                        mb.merge(&ma);
+                    }
+                    Op::Clear { a: true } => {
+                        a = QuantileSketch::new();
+                        ma = MapSketch::default();
+                    }
+                    Op::Clear { a: false } => {
+                        b = QuantileSketch::new();
+                        mb = MapSketch::default();
+                    }
+                    Op::Reparse {
+                        a: on_a,
+                        seed,
+                        zero,
+                        dup,
+                    } => {
+                        let (s, m) = if on_a {
+                            (&mut a, &mut ma)
+                        } else {
+                            (&mut b, &mut mb)
+                        };
+                        let text = scramble(&m.to_text(), seed, zero, dup);
+                        match (
+                            QuantileSketch::from_text(&text),
+                            MapSketch::from_text(&text),
+                        ) {
+                            (Ok(ps), Ok(pm)) => {
+                                *s = ps;
+                                *m = pm;
+                            }
+                            (Err(_), Err(_)) => prop_assert!(dup, "rejected {}", text),
+                            (ps, pm) => {
+                                return Err(TestCaseError::fail(format!(
+                                    "parsers disagree on {text:?}: {ps:?} vs {pm:?}"
+                                )))
+                            }
+                        }
+                    }
+                }
+                check_same(&a, &ma, "a")?;
+                check_same(&b, &mb, "b")?;
+                prop_assert_eq!(a == b, ma == mb, "== disagrees");
+            }
+            Ok(())
+        }
+
+        proptest! {
+            #![proptest_config(ProptestConfig::with_cases(128))]
+
+            #[test]
+            fn sorted_arrays_match_btree_model(
+                ops in proptest::collection::vec(OpStrategy, 1..200),
+            ) {
+                check_agree(ops)?;
+            }
+        }
     }
 }
