@@ -2,7 +2,7 @@
 //! messages through a FIFO "network", with coherence invariants checked
 //! after every step. Includes property tests over random traffic.
 
-use proptest::prelude::*;
+use locksim_engine::RngStream;
 use std::collections::VecDeque;
 
 use crate::{
@@ -226,54 +226,59 @@ fn mixed_concurrent_traffic_completes() {
     assert_eq!(done, 8);
 }
 
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(64))]
+/// The three CPU ops, drawn uniformly.
+fn random_op(rng: &mut RngStream) -> CpuOp {
+    [CpuOp::Load, CpuOp::Store, CpuOp::Rmw][rng.below(3) as usize]
+}
 
-    /// Random op sequences over a handful of lines: every issued op
-    /// completes, and the single-writer invariant holds at every step.
-    #[test]
-    fn random_traffic_is_coherent(
-        ops in proptest::collection::vec(
-            (0usize..6, 0u64..4, 0usize..3, 0usize..4), 1..200)
-    ) {
+/// Random op sequences over a handful of lines: every issued op
+/// completes, and the single-writer invariant holds at every step.
+#[test]
+fn random_traffic_is_coherent() {
+    for case in 0..64 {
+        let mut rng = RngStream::new(case, 1);
         let mut l = Loop::new(6);
         let mut issued = 0usize;
-        for (cache, line, op, drain_mod) in ops {
-            let op = match op { 0 => CpuOp::Load, 1 => CpuOp::Store, _ => CpuOp::Rmw };
-            if l.issue(cache, LineAddr(line), op) {
+        for _ in 0..rng.range(1, 200) {
+            let cache = rng.below(6) as usize;
+            let line = LineAddr(rng.below(4));
+            if l.issue(cache, line, random_op(&mut rng)) {
                 issued += 1;
             }
             // Sometimes deliver a few messages to interleave traffic.
-            for _ in 0..drain_mod {
+            for _ in 0..rng.below(4) {
                 l.deliver_one();
                 l.check_invariants();
             }
         }
         l.drain();
-        prop_assert!(l.outstanding.is_empty());
+        assert!(l.outstanding.is_empty(), "case {case}: {:?}", l.outstanding);
         let done: usize = l.completions.iter().map(|v| v.len()).sum();
-        prop_assert_eq!(done, issued);
+        assert_eq!(done, issued, "case {case}");
     }
+}
 
-    /// After draining, the directory's holder count matches the caches'
-    /// actual states.
-    #[test]
-    fn directory_agrees_with_caches(
-        ops in proptest::collection::vec((0usize..4, 0u64..3, 0usize..3), 1..80)
-    ) {
+/// After draining, the directory's holder count matches the caches'
+/// actual states.
+#[test]
+fn directory_agrees_with_caches() {
+    for case in 0..64 {
+        let mut rng = RngStream::new(case, 2);
         let mut l = Loop::new(4);
-        for (cache, line, op) in ops {
-            let op = match op { 0 => CpuOp::Load, 1 => CpuOp::Store, _ => CpuOp::Rmw };
-            l.issue(cache, LineAddr(line), op);
+        for _ in 0..rng.range(1, 80) {
+            let cache = rng.below(4) as usize;
+            let line = LineAddr(rng.below(3));
+            l.issue(cache, line, random_op(&mut rng));
             l.drain();
         }
         for line in 0..3u64 {
             let line = LineAddr(line);
             let holders = l.caches.iter().filter(|c| c.state(line).readable()).count();
-            prop_assert_eq!(l.dir.holders(line), holders, "line {}", line);
+            assert_eq!(l.dir.holders(line), holders, "case {case}, line {line}");
         }
     }
 }
+
 /// Regression: a specific interleaving of 6 caches over 4 lines (found by
 /// the property test above) once left an op outstanding after drain. The
 /// fourth tuple element is how many single messages to deliver between

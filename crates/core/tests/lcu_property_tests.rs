@@ -2,12 +2,11 @@
 //! workloads over random configurations must complete with exact grant
 //! accounting (the machine's checker enforces exclusion throughout).
 
-use proptest::prelude::*;
 use std::cell::RefCell;
 use std::rc::Rc;
 
 use locksim_core::LcuBackend;
-use locksim_engine::Time;
+use locksim_engine::{RngStream, Time};
 use locksim_machine::testing::FnProgram;
 use locksim_machine::{Action, Addr, Ctx, MachineConfig, Mode, Outcome, ThreadId, World};
 
@@ -61,61 +60,65 @@ fn spawn_script(w: &mut World, locks: &[Addr], script: OpScript, done: Rc<RefCel
     )));
 }
 
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(24))]
-
-    /// Random single-lock-at-a-time workloads over random machine shapes
-    /// complete with every acquire granted exactly once.
-    #[test]
-    fn random_workloads_complete_exactly(
-        chips in 2usize..12,
-        n_locks in 1usize..4,
-        lcu_entries in 2usize..10,
-        scripts in proptest::collection::vec(
-            proptest::collection::vec(
-                (0usize..4, any::<bool>(), 0u16..200, 0u16..200), 1..12),
-            1..10),
-    ) {
-        let mut cfg = MachineConfig::model_a(chips);
-        cfg.lcu_entries = lcu_entries;
+/// Random single-lock-at-a-time workloads over random machine shapes
+/// complete with every acquire granted exactly once.
+#[test]
+fn random_workloads_complete_exactly() {
+    for case in 0..24 {
+        let mut rng = RngStream::new(case, 3);
+        let mut cfg = MachineConfig::model_a(rng.range(2, 12) as usize);
+        let n_locks = rng.range(1, 4);
+        cfg.lcu_entries = rng.range(2, 10) as usize;
         let mut w = World::new(cfg, Box::new(LcuBackend::new()), 1234);
-        let locks: Vec<Addr> = (0..n_locks).map(|_| w.mach().alloc().alloc_line()).collect();
+        let locks: Vec<Addr> = (0..n_locks)
+            .map(|_| w.mach().alloc().alloc_line())
+            .collect();
         let done = Rc::new(RefCell::new(0u64));
         let mut expected = 0;
-        for ops in scripts {
+        for _ in 0..rng.range(1, 10) {
+            let ops: Vec<_> = (0..rng.range(1, 12))
+                .map(|_| {
+                    let lock = rng.below(4) as usize;
+                    let write = rng.chance(0.5);
+                    (lock, write, rng.below(200) as u16, rng.below(200) as u16)
+                })
+                .collect();
             expected += ops.len() as u64;
             spawn_script(&mut w, &locks, OpScript { ops }, done.clone());
         }
         w.run_to_completion();
-        prop_assert_eq!(*done.borrow(), expected);
-        prop_assert_eq!(w.report_counters().get("locks_granted"), expected);
+        assert_eq!(*done.borrow(), expected, "case {case}");
+        let granted = w.report_counters().get("locks_granted");
+        assert_eq!(granted, expected, "case {case}");
     }
+}
 
-    /// The ablated configurations (no direct transfer, no fast re-acquire,
-    /// no reservation) remain correct — only timing may change.
-    #[test]
-    fn ablated_configs_remain_correct(
-        direct in any::<bool>(),
-        fast in any::<bool>(),
-        reservation in any::<bool>(),
-        write_pct in 0u8..=100,
-    ) {
+/// The ablated configurations (no direct transfer, no fast re-acquire,
+/// no reservation) remain correct — only timing may change.
+#[test]
+fn ablated_configs_remain_correct() {
+    for case in 0..24 {
+        let mut rng = RngStream::new(case, 4);
         let mut cfg = MachineConfig::model_a(8);
-        cfg.lcu_direct_transfer = direct;
-        cfg.lcu_fast_reacquire = fast;
-        cfg.lcu_reservation = reservation;
+        cfg.lcu_direct_transfer = rng.chance(0.5);
+        cfg.lcu_fast_reacquire = rng.chance(0.5);
+        cfg.lcu_reservation = rng.chance(0.5);
         cfg.lcu_entries = 3;
+        let write_pct = rng.below(101) as u16;
         let mut w = World::new(cfg, Box::new(LcuBackend::new()), 99);
         let lock = w.mach().alloc().alloc_line();
         let done = Rc::new(RefCell::new(0u64));
         for t in 0..8u16 {
             let ops = (0..6)
-                .map(|i| (0usize, (u16::from(write_pct) * 101 + t * 7 + i) % 100 < u16::from(write_pct), 50u16, 50u16))
+                .map(|i| {
+                    let write = (write_pct * 101 + t * 7 + i) % 100 < write_pct;
+                    (0usize, write, 50u16, 50u16)
+                })
                 .collect();
             spawn_script(&mut w, &[lock], OpScript { ops }, done.clone());
         }
         w.run_to_completion();
-        prop_assert_eq!(*done.borrow(), 48);
+        assert_eq!(*done.borrow(), 48, "case {case}");
     }
 }
 

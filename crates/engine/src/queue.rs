@@ -722,15 +722,15 @@ mod tests {
     }
 
     mod differential {
-        //! Satellite: the new wheel and the retired heap queue are driven
-        //! with identical random schedule/pop/advance sequences — including
-        //! same-cycle bursts, far-future overflow, and drain-then-advance —
-        //! and must agree on pop order, clock, and the
+        //! The wheel and the retired heap queue are driven with identical
+        //! random schedule/pop/advance sequences — including same-cycle
+        //! bursts, far-future overflow, and drain-then-advance — and must
+        //! agree on pop order, clock, and the
         //! `scheduled = processed + pending` accounting at every step.
 
         use super::super::model::HeapSimulator;
         use super::*;
-        use proptest::prelude::*;
+        use crate::RngStream;
 
         #[derive(Debug, Clone)]
         enum Op {
@@ -747,34 +747,27 @@ mod tests {
             },
         }
 
-        /// The vendored proptest has no combinators, so `Op` gets a bespoke
-        /// strategy biased toward schedules, with delays mixing near-window,
-        /// far-wheel, and overflow targets.
-        #[derive(Debug, Clone, Copy)]
-        struct OpStrategy;
-
-        impl Strategy for OpStrategy {
-            type Value = Op;
-            fn new_value(&self, rng: &mut proptest::test_runner::TestRng) -> Op {
-                let delay = rng.below(600);
-                match rng.below(8) {
-                    0..=3 => Op::Schedule {
-                        delay: match delay % 3 {
-                            0 => delay,
-                            1 => delay * 97,
-                            _ => FAR_SPAN + delay * 13,
-                        },
-                        burst: rng.below(4) as u8,
+        /// One random op, biased toward schedules, with delays mixing
+        /// near-window, far-wheel, and overflow targets.
+        fn random_op(rng: &mut RngStream) -> Op {
+            let delay = rng.below(600);
+            match rng.below(8) {
+                0..=3 => Op::Schedule {
+                    delay: match delay % 3 {
+                        0 => delay,
+                        1 => delay * 97,
+                        _ => FAR_SPAN + delay * 13,
                     },
-                    4..=6 => Op::Pop,
-                    _ => Op::DrainThenAdvance {
-                        gap: 1 + rng.below(2000),
-                    },
-                }
+                    burst: rng.below(4) as u8,
+                },
+                4..=6 => Op::Pop,
+                _ => Op::DrainThenAdvance {
+                    gap: 1 + rng.below(2000),
+                },
             }
         }
 
-        fn check_agree(ops: Vec<Op>) -> Result<(), TestCaseError> {
+        fn check_agree(case: u64, ops: Vec<Op>) {
             let mut wheel = Simulator::new();
             let mut heap = HeapSimulator::new();
             let mut id = 0u64;
@@ -784,17 +777,17 @@ mod tests {
                         for _ in 0..=burst {
                             let a = wheel.schedule_in(delay, id);
                             let b = heap.schedule_in(delay, id);
-                            prop_assert_eq!(a, b, "sequence numbers diverged");
+                            assert_eq!(a, b, "case {case}: sequence numbers diverged");
                             id += 1;
                         }
                     }
                     Op::Pop => {
-                        prop_assert_eq!(wheel.pop(), heap.pop());
+                        assert_eq!(wheel.pop(), heap.pop(), "case {case}");
                     }
                     Op::DrainThenAdvance { gap } => {
                         loop {
                             let (a, b) = (wheel.pop(), heap.pop());
-                            prop_assert_eq!(a, b);
+                            assert_eq!(a, b, "case {case}");
                             if a.is_none() {
                                 break;
                             }
@@ -804,39 +797,44 @@ mod tests {
                         heap.advance_to(target);
                     }
                 }
-                prop_assert_eq!(wheel.now(), heap.now());
-                prop_assert_eq!(wheel.peek_time(), heap.peek_time());
-                prop_assert_eq!(wheel.pending(), heap.pending());
-                prop_assert_eq!(wheel.peak_pending(), heap.peak_pending());
-                prop_assert_eq!(
+                assert_eq!(wheel.now(), heap.now(), "case {case}");
+                assert_eq!(wheel.peek_time(), heap.peek_time(), "case {case}");
+                assert_eq!(wheel.pending(), heap.pending(), "case {case}");
+                assert_eq!(wheel.peak_pending(), heap.peak_pending(), "case {case}");
+                assert_eq!(
                     wheel.events_scheduled(),
-                    wheel.events_processed() + wheel.pending() as u64
+                    wheel.events_processed() + wheel.pending() as u64,
+                    "case {case}"
                 );
-                prop_assert_eq!(
+                assert_eq!(
                     heap.events_scheduled(),
-                    heap.events_processed() + heap.pending() as u64
+                    heap.events_processed() + heap.pending() as u64,
+                    "case {case}"
                 );
             }
             // Final drain: both queues must agree to exhaustion.
             loop {
                 let (a, b) = (wheel.pop(), heap.pop());
-                prop_assert_eq!(a, b);
+                assert_eq!(a, b, "case {case}");
                 if a.is_none() {
                     break;
                 }
             }
-            prop_assert_eq!(wheel.events_processed(), heap.events_processed());
-            Ok(())
+            assert_eq!(
+                wheel.events_processed(),
+                heap.events_processed(),
+                "case {case}"
+            );
         }
 
-        proptest! {
-            #![proptest_config(ProptestConfig::with_cases(128))]
-
-            #[test]
-            fn wheel_matches_heap_model(
-                ops in proptest::collection::vec(OpStrategy, 1..200),
-            ) {
-                check_agree(ops)?;
+        #[test]
+        fn wheel_matches_heap_model() {
+            for case in 0..128 {
+                let mut rng = RngStream::new(case, 5);
+                let ops = (0..rng.range(1, 200))
+                    .map(|_| random_op(&mut rng))
+                    .collect();
+                check_agree(case, ops);
             }
         }
     }

@@ -1,14 +1,13 @@
-//! Property tests for the deterministic event queue — the safety net any
-//! future queue swap (e.g. a timing wheel, ROADMAP item 2) must pass.
+//! Property tests for the deterministic event queue — the contract the
+//! timing wheel in `queue.rs` meets, and the safety net any later queue
+//! swap must pass.
 //!
 //! The contract under test: pops are nondecreasing in time, same-cycle
 //! events fire in scheduling order (FIFO), every scheduled event is popped
 //! exactly once, and `advance_to` moves the clock without disturbing any
 //! of that.
 
-use proptest::prelude::*;
-
-use locksim_engine::{Simulator, Time};
+use locksim_engine::{RngStream, Simulator, Time};
 
 /// Schedules `delays` up front (payload = scheduling index) and drains.
 fn run_schedule(delays: &[u64]) -> Vec<(u64, usize)> {
@@ -23,71 +22,70 @@ fn run_schedule(delays: &[u64]) -> Vec<(u64, usize)> {
     popped
 }
 
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(64))]
-
-    /// Same-cycle events pop in scheduling order; across cycles, time wins.
-    /// Equivalently: the pop order is exactly a stable sort of the schedule
-    /// order by fire time.
-    #[test]
-    fn pop_order_is_stable_sort_by_time(
-        delays in proptest::collection::vec(0u64..16, 1..64),
-    ) {
+/// Same-cycle events pop in scheduling order; across cycles, time wins.
+/// Equivalently: the pop order is exactly a stable sort of the schedule
+/// order by fire time.
+#[test]
+fn pop_order_is_stable_sort_by_time() {
+    for case in 0..64 {
+        let mut rng = RngStream::new(case, 6);
+        let delays: Vec<u64> = (0..rng.range(1, 64)).map(|_| rng.below(16)).collect();
         let popped = run_schedule(&delays);
-        prop_assert_eq!(popped.len(), delays.len());
+        assert_eq!(popped.len(), delays.len(), "case {case}");
 
-        let mut expected: Vec<(u64, usize)> = delays
-            .iter()
-            .enumerate()
-            .map(|(i, &d)| (d, i))
-            .collect();
+        let mut expected: Vec<(u64, usize)> =
+            delays.iter().enumerate().map(|(i, &d)| (d, i)).collect();
         expected.sort_by_key(|&(t, _)| t); // sort_by_key is stable
-        prop_assert_eq!(popped, expected);
+        assert_eq!(popped, expected, "case {case}");
     }
+}
 
-    /// FIFO stability in the purest form: everything lands on one cycle,
-    /// so the pop order must be precisely the scheduling order.
-    #[test]
-    fn same_cycle_batch_is_fifo(
-        n in 1usize..128,
-        delay in 0u64..1000,
-    ) {
+/// FIFO stability in the purest form: everything lands on one cycle,
+/// so the pop order must be precisely the scheduling order.
+#[test]
+fn same_cycle_batch_is_fifo() {
+    for case in 0..64 {
+        let mut rng = RngStream::new(case, 7);
+        let n = rng.range(1, 128) as usize;
+        let delay = rng.below(1000);
         let popped = run_schedule(&vec![delay; n]);
         let indices: Vec<usize> = popped.iter().map(|&(_, i)| i).collect();
-        prop_assert_eq!(indices, (0..n).collect::<Vec<_>>());
-        prop_assert!(popped.iter().all(|&(t, _)| t == delay));
+        assert_eq!(indices, (0..n).collect::<Vec<_>>(), "case {case}");
+        assert!(popped.iter().all(|&(t, _)| t == delay), "case {case}");
     }
+}
 
-    /// Interleaving pops with new (future) schedules keeps times
-    /// nondecreasing, delivers every event exactly once, and the
-    /// scheduled/processed/pending accounting balances throughout.
-    #[test]
-    fn interleaved_pops_preserve_order_and_accounting(
-        seed_delays in proptest::collection::vec(0u64..32, 1..16),
-        respawn in proptest::collection::vec((0u64..32, any::<bool>()), 0..64),
-    ) {
+/// Interleaving pops with new (future) schedules keeps times
+/// nondecreasing, delivers every event exactly once, and the
+/// scheduled/processed/pending accounting balances throughout.
+#[test]
+fn interleaved_pops_preserve_order_and_accounting() {
+    for case in 0..64 {
+        let mut rng = RngStream::new(case, 8);
         let mut sim = Simulator::new();
         let mut next_id = 0usize;
-        for &d in &seed_delays {
-            sim.schedule_in(d, next_id);
+        for _ in 0..rng.range(1, 16) {
+            sim.schedule_in(rng.below(32), next_id);
             next_id += 1;
         }
-        let mut respawn = respawn.into_iter();
+        let mut respawns = rng.below(64);
         let mut last_t = 0u64;
         let mut seen = Vec::new();
         while let Some((t, id)) = sim.pop() {
-            prop_assert!(t.cycles() >= last_t, "time went backwards");
+            assert!(t.cycles() >= last_t, "case {case}: time went backwards");
             last_t = t.cycles();
             seen.push(id);
             // Consistency between the three counters at every step.
-            prop_assert_eq!(
+            assert_eq!(
                 sim.events_scheduled(),
-                sim.events_processed() + sim.pending() as u64
+                sim.events_processed() + sim.pending() as u64,
+                "case {case}"
             );
-            if let Some((d, twice)) = respawn.next() {
-                sim.schedule_in(d, next_id);
-                next_id += 1;
-                if twice {
+            if respawns > 0 {
+                respawns -= 1;
+                let d = rng.below(32);
+                let copies = 1 + rng.below(2) as usize;
+                for _ in 0..copies {
                     sim.schedule_in(d, next_id);
                     next_id += 1;
                 }
@@ -96,20 +94,25 @@ proptest! {
         // Exactly-once delivery of every id.
         let mut sorted = seen.clone();
         sorted.sort_unstable();
-        prop_assert_eq!(sorted, (0..next_id).collect::<Vec<_>>());
-        prop_assert_eq!(sim.events_processed(), next_id as u64);
-        prop_assert!(sim.peak_pending() as u64 <= sim.events_scheduled());
+        assert_eq!(sorted, (0..next_id).collect::<Vec<_>>(), "case {case}");
+        assert_eq!(sim.events_processed(), next_id as u64, "case {case}");
+        assert!(
+            sim.peak_pending() as u64 <= sim.events_scheduled(),
+            "case {case}"
+        );
     }
+}
 
-    /// Drain-after-advance: advancing the clock past the drained prefix
-    /// never reorders or loses the remaining events, and relative
-    /// scheduling is anchored at the advanced clock.
-    #[test]
-    fn drain_then_advance_keeps_invariants(
-        early in proptest::collection::vec(0u64..50, 1..16),
-        late_gap in 1u64..100,
-        late in proptest::collection::vec(0u64..50, 1..16),
-    ) {
+/// Drain-after-advance: advancing the clock past the drained prefix
+/// never reorders or loses the remaining events, and relative
+/// scheduling is anchored at the advanced clock.
+#[test]
+fn drain_then_advance_keeps_invariants() {
+    for case in 0..64 {
+        let mut rng = RngStream::new(case, 9);
+        let early: Vec<u64> = (0..rng.range(1, 16)).map(|_| rng.below(50)).collect();
+        let late_gap = rng.range(1, 100);
+        let late: Vec<u64> = (0..rng.range(1, 16)).map(|_| rng.below(50)).collect();
         let mut sim = Simulator::new();
         for (i, &d) in early.iter().enumerate() {
             sim.schedule_in(d, i);
@@ -119,14 +122,14 @@ proptest! {
         let drained_at = sim.now();
         let target = drained_at + late_gap;
         sim.advance_to(target);
-        prop_assert_eq!(sim.now(), target);
-        prop_assert_eq!(sim.events_processed(), early.len() as u64);
-        prop_assert!(sim.is_empty());
+        assert_eq!(sim.now(), target, "case {case}");
+        assert_eq!(sim.events_processed(), early.len() as u64, "case {case}");
+        assert!(sim.is_empty(), "case {case}");
 
         // advance_to backwards (or to now) is a no-op.
         sim.advance_to(Time::ZERO);
         sim.advance_to(target);
-        prop_assert_eq!(sim.now(), target);
+        assert_eq!(sim.now(), target, "case {case}");
 
         // New relative schedules are anchored at the advanced clock and
         // drain in stable order.
@@ -135,32 +138,34 @@ proptest! {
         }
         let mut popped = Vec::new();
         while let Some((t, id)) = sim.pop() {
-            prop_assert!(t >= target, "event fired before the advanced clock");
+            assert!(
+                t >= target,
+                "case {case}: event fired before the advanced clock"
+            );
             popped.push((t.cycles() - target.cycles(), id - early.len()));
         }
-        let mut expected: Vec<(u64, usize)> = late
-            .iter()
-            .enumerate()
-            .map(|(i, &d)| (d, i))
-            .collect();
+        let mut expected: Vec<(u64, usize)> =
+            late.iter().enumerate().map(|(i, &d)| (d, i)).collect();
         expected.sort_by_key(|&(t, _)| t);
-        prop_assert_eq!(popped, expected);
+        assert_eq!(popped, expected, "case {case}");
     }
+}
 
-    /// The peak-pending waterline is exactly the maximum backlog over the
-    /// run when all events are scheduled up front, and never decreases.
-    #[test]
-    fn peak_pending_matches_max_backlog(
-        delays in proptest::collection::vec(0u64..8, 1..64),
-    ) {
+/// The peak-pending waterline is exactly the maximum backlog over the
+/// run when all events are scheduled up front, and never decreases.
+#[test]
+fn peak_pending_matches_max_backlog() {
+    for case in 0..64 {
+        let mut rng = RngStream::new(case, 10);
+        let n = rng.range(1, 64) as usize;
         let mut sim = Simulator::new();
-        for (i, &d) in delays.iter().enumerate() {
-            sim.schedule_in(d, i);
-            prop_assert_eq!(sim.peak_pending(), i + 1);
+        for i in 0..n {
+            sim.schedule_in(rng.below(8), i);
+            assert_eq!(sim.peak_pending(), i + 1, "case {case}");
         }
         let peak_before = sim.peak_pending();
         while sim.pop().is_some() {}
-        prop_assert_eq!(sim.peak_pending(), peak_before);
-        prop_assert_eq!(peak_before, delays.len());
+        assert_eq!(sim.peak_pending(), peak_before, "case {case}");
+        assert_eq!(peak_before, n, "case {case}");
     }
 }

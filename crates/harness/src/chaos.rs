@@ -471,14 +471,12 @@ pub fn cli_main() {
 }
 
 fn usage_exit(msg: &str) -> ! {
-    eprintln!(
-        "error: {msg}\nusage: chaossim [--quick] [--seed-start <n>] [--seeds <n>] \
-         [--quiesce <cycles>] [--shrink-budget <runs>] [--cycle-budget <cycles>] \
-         [--jobs <n|0=cores>] [--corpus-out <dir>] [--csv <path>] [--html <path>] \
-         [--trace <path>] [--trace-cap <records>] [--lockstat <path>] \
-         [--watchdog-cycles <n>]"
-    );
-    std::process::exit(2);
+    obs::usage_exit(
+        msg,
+        "chaossim [--quick] [--seed-start <n>] [--seeds <n>] [--quiesce <cycles>] \
+         [--shrink-budget <runs>] [--cycle-budget <cycles>] [--jobs <n|0=cores>] \
+         [--corpus-out <dir>] [--csv <path>] [--html <path>]",
+    )
 }
 
 #[cfg(test)]

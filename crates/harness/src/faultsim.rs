@@ -281,12 +281,11 @@ pub fn cli_main() {
 }
 
 fn usage_exit(msg: &str) -> ! {
-    eprintln!(
-        "error: {msg}\nusage: faultsim [--quick] [--seed <n>] [--horizon <cycles>] \
-         [--jobs <n|0=cores>] [--csv <path>] [--html <path>] [--trace <path>] \
-         [--trace-cap <records>] [--lockstat <path>] [--watchdog-cycles <n>]"
-    );
-    std::process::exit(2);
+    obs::usage_exit(
+        msg,
+        "faultsim [--quick] [--seed <n>] [--horizon <cycles>] [--jobs <n|0=cores>] \
+         [--csv <path>] [--html <path>]",
+    )
 }
 
 #[cfg(test)]

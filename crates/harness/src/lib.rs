@@ -10,10 +10,10 @@
 //! cargo run --release -p locksim-harness --bin all
 //! ```
 //!
-//! Every binary accepts `--trace <path>` (plus `--trace-cap <records>`),
-//! which captures the first simulated run as Chrome trace-event JSON for
-//! Perfetto / `chrome://tracing`, and appends a metrics-registry section
-//! to the markdown output and `results/` CSVs.
+//! Every binary accepts the [`obs::SHARED_FLAGS`]; `--trace <path>`
+//! captures the first simulated run as Chrome trace-event JSON for
+//! Perfetto / `chrome://tracing`. Every binary appends a metrics-registry
+//! section to the markdown output and `results/` CSVs.
 
 #![forbid(unsafe_code)]
 
@@ -65,13 +65,12 @@ pub(crate) fn write_artifact(path: &Path, content: &str) {
         .unwrap_or_else(|e| panic!("write artifact {}: {e}", path.display()));
 }
 
-/// Entry point shared by the figure binaries: parses the shared
-/// observability flags (`--trace <path>`, `--trace-cap <records>`,
-/// `--lockstat <path>`, `--watchdog-cycles <n>`, `--self-profile <path>`)
-/// plus `--quick` (equivalent to `LOCKSIM_QUICK=1`) through the uniform
-/// [`obs::parse_bin_cli`] helper, regenerates the figure, emits its
-/// tables, and appends the metrics section collected from the figure's
-/// runs (printed as markdown, saved as `results/<name>_metrics.csv`).
+/// Entry point shared by the figure binaries: parses the
+/// [`obs::SHARED_FLAGS`] plus `--quick` (equivalent to `LOCKSIM_QUICK=1`)
+/// through the uniform [`obs::parse_bin_cli`] helper, regenerates the
+/// figure, emits its tables, and appends the metrics section collected
+/// from the figure's runs (printed as markdown, saved as
+/// `results/<name>_metrics.csv`).
 ///
 /// # Panics
 ///
@@ -86,10 +85,7 @@ pub fn run_bin(name: &str, f: impl FnOnce() -> Vec<Table>) {
             }
             obs::apply_opts(&opts);
         }
-        Err(msg) => {
-            eprintln!("error: {msg}");
-            std::process::exit(2);
-        }
+        Err(msg) => obs::usage_exit(&msg, &format!("{name} [--quick]")),
     }
     let tables = f();
     emit(name, &tables);

@@ -237,7 +237,7 @@ pub fn cli_main() {
     let flags = [obs::BinFlag::switch("--quick")];
     let (mut opts, extras) = match obs::parse_bin_cli(&args, &flags) {
         Ok(parsed) => parsed,
-        Err(msg) => usage_exit(&msg),
+        Err(msg) => obs::usage_exit(&msg, "lockstat [--quick]"),
     };
     if extras.contains_key("--quick") {
         std::env::set_var("LOCKSIM_QUICK", "1");
@@ -265,12 +265,4 @@ pub fn cli_main() {
         println!("{}", r.report());
     }
     finish_bin("lockstat");
-}
-
-fn usage_exit(msg: &str) -> ! {
-    eprintln!(
-        "error: {msg}\nusage: lockstat [--quick] [--lockstat <path>] [--watchdog-cycles <n>] \
-         [--trace <path>] [--trace-cap <records>]"
-    );
-    std::process::exit(2);
 }

@@ -136,13 +136,30 @@ impl BinFlag {
     }
 }
 
+/// The observability flags every bin accepts through [`parse_bin_cli`],
+/// each with its value placeholder: the one list that the unknown-argument
+/// error and every bin's usage line ([`usage_exit`]) print.
+pub const SHARED_FLAGS: &[&str] = &[
+    "--trace <path>",
+    "--trace-cap <records>",
+    "--lockstat <path>",
+    "--watchdog-cycles <n>",
+    "--self-profile <path>",
+];
+
+/// Prints `msg` and a bin's usage line, `usage` (its name and its own
+/// flags) followed by [`SHARED_FLAGS`], then exits with status 2.
+pub fn usage_exit(msg: &str, usage: &str) -> ! {
+    let shared: Vec<String> = SHARED_FLAGS.iter().map(|f| format!("[{f}]")).collect();
+    eprintln!("error: {msg}\nusage: {usage} {}", shared.join(" "));
+    std::process::exit(2);
+}
+
 /// Parses a bin's full argument list (without the program name): the
-/// shared observability flags (`--trace <path>`, `--trace-cap <records>`,
-/// `--lockstat <path>`, `--watchdog-cycles <n>`, `--self-profile <path>`)
-/// plus the bin-specific `flags`, whose values come back keyed by name.
-/// Every bin goes through this one helper so unknown-flag handling is
-/// uniform: the error names the offending argument and lists everything
-/// supported.
+/// [`SHARED_FLAGS`] plus the bin-specific `flags`, whose values come back
+/// keyed by name. Every bin goes through this one helper so unknown-flag
+/// handling is uniform: the error names the offending argument and lists
+/// everything supported.
 ///
 /// # Errors
 ///
@@ -188,13 +205,7 @@ pub fn parse_bin_cli(
             other => {
                 let Some(f) = flags.iter().find(|f| f.name == other) else {
                     let mut supported: Vec<&str> = flags.iter().map(|f| f.name).collect();
-                    supported.extend([
-                        "--trace <path>",
-                        "--trace-cap <records>",
-                        "--lockstat <path>",
-                        "--watchdog-cycles <n>",
-                        "--self-profile <path>",
-                    ]);
+                    supported.extend(SHARED_FLAGS);
                     return Err(format!(
                         "unknown argument {other:?} (supported: {})",
                         supported.join(", ")
@@ -624,7 +635,20 @@ mod tests {
         let err = parse_bin_cli(&args(&["--frobnicate"]), BIN_FLAGS).unwrap_err();
         assert!(err.contains("--frobnicate"), "{err}");
         assert!(err.contains("--quick"), "lists bin flags: {err}");
-        assert!(err.contains("--trace"), "lists shared flags: {err}");
+        for flag in SHARED_FLAGS {
+            assert!(err.contains(flag), "lists shared flag {flag}: {err}");
+        }
+    }
+
+    #[test]
+    fn every_shared_flag_parses() {
+        for flag in SHARED_FLAGS {
+            let name = flag.split(' ').next().unwrap();
+            let (opts, extras) =
+                parse_bin_cli(&args(&[name, "1"]), &[]).unwrap_or_else(|e| panic!("{flag}: {e}"));
+            assert_ne!(opts, CliOpts::default(), "{flag} set no option");
+            assert!(extras.is_empty(), "{flag}");
+        }
     }
 
     #[test]

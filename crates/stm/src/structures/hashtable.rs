@@ -150,7 +150,7 @@ impl TxStructure for HashTable {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use proptest::prelude::*;
+    use locksim_engine::RngStream;
     use std::collections::BTreeSet;
 
     fn fresh(buckets: usize) -> (HashTable, ObjectSpace, Alloc) {
@@ -195,21 +195,28 @@ mod tests {
         }
     }
 
-    proptest! {
-        #![proptest_config(ProptestConfig::with_cases(64))]
-
-        #[test]
-        fn matches_btreeset(ops in proptest::collection::vec((0u8..3, 0u64..64), 1..300)) {
+    #[test]
+    fn matches_btreeset() {
+        for case in 0..64 {
+            let mut rng = RngStream::new(case, 11);
             let (mut h, mut s, mut a) = fresh(16);
             let mut model = BTreeSet::new();
-            for (kind, key) in ops {
+            for _ in 0..rng.range(1, 300) {
+                let kind = rng.below(3);
+                let key = rng.below(64);
                 match kind {
-                    0 => { h.perform(&mut s, &mut a, Op::Insert(key), 0); model.insert(key); }
-                    1 => { h.perform(&mut s, &mut a, Op::Delete(key), 0); model.remove(&key); }
-                    _ => prop_assert_eq!(h.contains(key), model.contains(&key)),
+                    0 => {
+                        h.perform(&mut s, &mut a, Op::Insert(key), 0);
+                        model.insert(key);
+                    }
+                    1 => {
+                        h.perform(&mut s, &mut a, Op::Delete(key), 0);
+                        model.remove(&key);
+                    }
+                    _ => assert_eq!(h.contains(key), model.contains(&key), "case {case}"),
                 }
                 h.check_invariants();
-                prop_assert_eq!(h.len(), model.len());
+                assert_eq!(h.len(), model.len(), "case {case}");
             }
         }
     }

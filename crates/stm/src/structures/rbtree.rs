@@ -552,7 +552,7 @@ impl TxStructure for RbTree {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use proptest::prelude::*;
+    use locksim_engine::RngStream;
     use std::collections::BTreeSet;
 
     fn fresh() -> (RbTree, ObjectSpace, Alloc) {
@@ -619,14 +619,15 @@ mod tests {
         assert!(t.depth() <= 20, "depth {} too large", t.depth());
     }
 
-    proptest! {
-        #![proptest_config(ProptestConfig::with_cases(64))]
-
-        #[test]
-        fn matches_btreeset(ops in proptest::collection::vec((0u8..3, 0u64..64), 1..400)) {
+    #[test]
+    fn matches_btreeset() {
+        for case in 0..64 {
+            let mut rng = RngStream::new(case, 12);
             let (mut t, mut s, mut a) = fresh();
             let mut model = BTreeSet::new();
-            for (kind, key) in ops {
+            for _ in 0..rng.range(1, 400) {
+                let kind = rng.below(3);
+                let key = rng.below(64);
                 match kind {
                     0 => {
                         t.perform(&mut s, &mut a, Op::Insert(key), 0);
@@ -636,31 +637,33 @@ mod tests {
                         t.perform(&mut s, &mut a, Op::Delete(key), 0);
                         model.remove(&key);
                     }
-                    _ => {
-                        prop_assert_eq!(t.contains(key), model.contains(&key));
-                    }
+                    _ => assert_eq!(t.contains(key), model.contains(&key), "case {case}"),
                 }
                 t.check_invariants();
-                prop_assert_eq!(t.len(), model.len());
+                assert_eq!(t.len(), model.len(), "case {case}");
             }
             for key in 0..64 {
-                prop_assert_eq!(t.contains(key), model.contains(&key));
+                assert_eq!(t.contains(key), model.contains(&key), "case {case}");
             }
         }
+    }
 
-        #[test]
-        fn perform_touches_are_bounded(ops in proptest::collection::vec(0u64..128, 1..200)) {
-            // Mutations touch O(log n) nodes, not the whole tree.
+    #[test]
+    fn perform_touches_are_bounded() {
+        // Mutations touch O(log n) nodes, not the whole tree.
+        for case in 0..64 {
+            let mut rng = RngStream::new(case, 13);
+            let keys: Vec<u64> = (0..rng.range(1, 200)).map(|_| rng.below(128)).collect();
             let (mut t, mut s, mut a) = fresh();
-            for k in &ops {
-                let touched = t.perform(&mut s, &mut a, Op::Insert(*k), 0);
-                prop_assert!(touched.len() <= 3 * 8, "insert touched {}", touched.len());
+            for &k in &keys {
+                let n = t.perform(&mut s, &mut a, Op::Insert(k), 0).len();
+                assert!(n <= 3 * 8, "case {case}: insert touched {n}");
             }
-            for k in &ops {
-                let touched = t.perform(&mut s, &mut a, Op::Delete(*k), 0);
-                prop_assert!(touched.len() <= 3 * 8, "delete touched {}", touched.len());
+            for &k in &keys {
+                let n = t.perform(&mut s, &mut a, Op::Delete(k), 0).len();
+                assert!(n <= 3 * 8, "case {case}: delete touched {n}");
             }
-            prop_assert_eq!(t.len(), 0);
+            assert_eq!(t.len(), 0, "case {case}");
         }
     }
 }

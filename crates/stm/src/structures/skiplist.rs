@@ -300,7 +300,7 @@ impl TxStructure for SkipList {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use proptest::prelude::*;
+    use locksim_engine::RngStream;
     use std::collections::BTreeSet;
 
     fn fresh() -> (SkipList, ObjectSpace, Alloc) {
@@ -343,17 +343,18 @@ mod tests {
         assert_eq!(p.reads[0], l.header());
     }
 
-    proptest! {
-        #![proptest_config(ProptestConfig::with_cases(64))]
-
-        #[test]
-        fn matches_btreeset(ops in proptest::collection::vec((0u8..3, 0u64..64, 0u64..u64::MAX), 1..300)) {
+    #[test]
+    fn matches_btreeset() {
+        for case in 0..64 {
+            let mut rng = RngStream::new(case, 14);
             let (mut l, mut s, mut a) = fresh();
             let mut model = BTreeSet::new();
-            for (kind, key, seed) in ops {
+            for _ in 0..rng.range(1, 300) {
+                let kind = rng.below(3);
+                let key = rng.below(64);
                 match kind {
                     0 => {
-                        let lvl = SkipList::level_from_seed(seed) as u64;
+                        let lvl = SkipList::level_from_seed(rng.next_u64()) as u64;
                         l.perform(&mut s, &mut a, Op::Insert(key), lvl);
                         model.insert(key);
                     }
@@ -361,12 +362,10 @@ mod tests {
                         l.perform(&mut s, &mut a, Op::Delete(key), 0);
                         model.remove(&key);
                     }
-                    _ => {
-                        prop_assert_eq!(l.contains(key), model.contains(&key));
-                    }
+                    _ => assert_eq!(l.contains(key), model.contains(&key), "case {case}"),
                 }
                 l.check_invariants();
-                prop_assert_eq!(l.len(), model.len());
+                assert_eq!(l.len(), model.len(), "case {case}");
             }
         }
     }

@@ -5,10 +5,10 @@
 //! case is also a safety check; `run_to_completion` returning at all is
 //! the liveness half (a wedged schedule would spin the watchdog forever).
 
-use proptest::prelude::*;
 use std::cell::RefCell;
 use std::rc::Rc;
 
+use locksim_engine::RngStream;
 use locksim_machine::testing::FnProgram;
 use locksim_machine::{Action, Addr, Ctx, MachineConfig, Mode, Outcome, World};
 use locksim_swlocks::{SwAlg, SwLockBackend};
@@ -58,66 +58,56 @@ fn spawn_script(w: &mut World, lock: Addr, script: OpScript, done: Rc<RefCell<u6
     )));
 }
 
-fn rw_schedule_case(alg: SwAlg, chips: usize, scripts: Vec<Vec<(bool, u16, u16)>>) {
-    let mut w = World::new(
-        MachineConfig::model_a(chips),
-        Box::new(SwLockBackend::new(alg)),
-        4321,
-    );
-    let lock = w.mach().alloc().alloc_line();
-    let done = Rc::new(RefCell::new(0u64));
-    let mut expected = 0;
-    for ops in scripts {
-        expected += ops.len() as u64;
-        spawn_script(&mut w, lock, OpScript { ops }, done.clone());
+/// Runs 24 random read/write schedules over random machine shapes on
+/// `alg`, drawn from stream `stream`: every acquire must be granted
+/// exactly once (exclusion enforced by the checker throughout).
+fn rw_schedules_complete(alg: SwAlg, stream: u64) {
+    for case in 0..24 {
+        let mut rng = RngStream::new(case, stream);
+        let mut w = World::new(
+            MachineConfig::model_a(rng.range(2, 12) as usize),
+            Box::new(SwLockBackend::new(alg)),
+            4321,
+        );
+        let lock = w.mach().alloc().alloc_line();
+        let done = Rc::new(RefCell::new(0u64));
+        let mut expected = 0;
+        for _ in 0..rng.range(1, 10) {
+            let ops: Vec<_> = (0..rng.range(1, 12))
+                .map(|_| {
+                    let write = rng.chance(0.5);
+                    (write, rng.below(200) as u16, rng.below(200) as u16)
+                })
+                .collect();
+            expected += ops.len() as u64;
+            spawn_script(&mut w, lock, OpScript { ops }, done.clone());
+        }
+        w.run_to_completion();
+        assert_eq!(*done.borrow(), expected, "{alg:?} case {case}: ops lost");
+        assert_eq!(
+            w.report_counters().get("locks_granted"),
+            expected,
+            "{alg:?} case {case}: grant accounting off"
+        );
     }
-    w.run_to_completion();
-    assert_eq!(*done.borrow(), expected, "{alg:?}: ops lost");
-    assert_eq!(
-        w.report_counters().get("locks_granted"),
-        expected,
-        "{alg:?}: grant accounting off"
-    );
 }
 
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(24))]
+/// BRAVO: random read/write schedules complete with every acquire
+/// granted exactly once.
+#[test]
+fn bravo_random_schedules_complete() {
+    rw_schedules_complete(SwAlg::Bravo, 15);
+}
 
-    /// BRAVO: random read/write schedules complete with every acquire
-    /// granted exactly once (exclusion enforced by the checker throughout).
-    #[test]
-    fn bravo_random_schedules_complete(
-        chips in 2usize..12,
-        scripts in proptest::collection::vec(
-            proptest::collection::vec(
-                (any::<bool>(), 0u16..200, 0u16..200), 1..12),
-            1..10),
-    ) {
-        rw_schedule_case(SwAlg::Bravo, chips, scripts);
-    }
+/// Fissile: same property.
+#[test]
+fn fissile_random_schedules_complete() {
+    rw_schedules_complete(SwAlg::Fissile, 16);
+}
 
-    /// Fissile: same property.
-    #[test]
-    fn fissile_random_schedules_complete(
-        chips in 2usize..12,
-        scripts in proptest::collection::vec(
-            proptest::collection::vec(
-                (any::<bool>(), 0u16..200, 0u16..200), 1..12),
-            1..10),
-    ) {
-        rw_schedule_case(SwAlg::Fissile, chips, scripts);
-    }
-
-    /// MRSW (the slow-path substrate BRAVO revokes onto) under the same
-    /// schedules — a regression net for the shared mrsw/mcs plumbing.
-    #[test]
-    fn mrsw_random_schedules_complete(
-        chips in 2usize..12,
-        scripts in proptest::collection::vec(
-            proptest::collection::vec(
-                (any::<bool>(), 0u16..200, 0u16..200), 1..12),
-            1..10),
-    ) {
-        rw_schedule_case(SwAlg::Mrsw, chips, scripts);
-    }
+/// MRSW (the slow-path substrate BRAVO revokes onto) under the same
+/// schedules — a regression net for the shared mrsw/mcs plumbing.
+#[test]
+fn mrsw_random_schedules_complete() {
+    rw_schedules_complete(SwAlg::Mrsw, 17);
 }

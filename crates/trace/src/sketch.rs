@@ -254,8 +254,8 @@ impl QuantileSketch {
     /// # Errors
     ///
     /// Returns a message on a wrong tag, a resolution mismatch, malformed
-    /// fields, a repeated bucket index, or a bucket total that disagrees
-    /// with `count`. Buckets may come in any index order.
+    /// fields, a repeated bucket index, or a bucket total that overflows
+    /// `u64` or disagrees with `count`. Buckets may come in any index order.
     pub fn from_text(text: &str) -> Result<QuantileSketch, String> {
         let mut parts = text.split_whitespace();
         if parts.next() != Some(TAG) {
@@ -289,7 +289,9 @@ impl QuantileSketch {
                 let ix: u32 = ix.parse().map_err(|_| format!("bad bucket index {ix:?}"))?;
                 let c: u64 = c.parse().map_err(|_| format!("bad bucket count {c:?}"))?;
                 buckets.push((ix, c));
-                total += c;
+                total = total
+                    .checked_add(c)
+                    .ok_or_else(|| format!("bucket total overflows at {pair:?}"))?;
             }
         }
         buckets.sort_unstable_by_key(|&(ix, _)| ix);
@@ -424,7 +426,9 @@ mod model {
                     if buckets.insert(ix, c).is_some() {
                         return Err(format!("duplicate bucket {ix}"));
                     }
-                    total += c;
+                    total = total
+                        .checked_add(c)
+                        .ok_or_else(|| format!("bucket total overflows at {pair:?}"))?;
                 }
             }
             if total != count {
@@ -567,6 +571,14 @@ mod tests {
     }
 
     #[test]
+    fn parse_rejects_a_bucket_total_that_overflows() {
+        // Wrapping, the counts would sum to 0 and match `count`.
+        let text = "qsketch-v1 k=5 count=0 min=0 max=0 buckets=0:18446744073709551615,1:1";
+        let err = QuantileSketch::from_text(text).unwrap_err();
+        assert!(err.contains("overflows"), "{err}");
+    }
+
+    #[test]
     fn tail_summary_reads_all_quantiles() {
         let mut s = QuantileSketch::new();
         for v in 1..=100_000u64 {
@@ -630,8 +642,7 @@ mod tests {
 
         use super::super::model::MapSketch;
         use super::*;
-        use proptest::prelude::*;
-        use proptest::test_runner::TestRng;
+        use locksim_engine::RngStream;
 
         #[derive(Debug, Clone)]
         enum Op {
@@ -653,35 +664,28 @@ mod tests {
             },
         }
 
-        /// The vendored proptest has no combinators, so `Op` gets a bespoke
-        /// strategy biased toward adds, with values exact (below `SUBS`),
-        /// mid-range and spread over every octave.
-        #[derive(Debug, Clone, Copy)]
-        struct OpStrategy;
-
-        impl Strategy for OpStrategy {
-            type Value = Op;
-            fn new_value(&self, rng: &mut TestRng) -> Op {
-                let a = rng.below(2) == 0;
-                match rng.below(10) {
-                    0..=5 => {
-                        let x = rng.next_u64();
-                        let v = match rng.below(3) {
-                            0 => x % SUBS,
-                            1 => x % 100_000,
-                            _ => x >> (x % 64),
-                        };
-                        Op::Add { a, v }
-                    }
-                    6 | 7 => Op::Merge { into_a: a },
-                    8 => Op::Clear { a },
-                    _ => Op::Reparse {
-                        a,
-                        seed: rng.next_u64(),
-                        zero: rng.below(4) == 0,
-                        dup: rng.below(8) == 0,
-                    },
+        /// One random op, biased toward adds, with values exact (below
+        /// `SUBS`), mid-range and spread over every octave.
+        fn random_op(rng: &mut RngStream) -> Op {
+            let a = rng.below(2) == 0;
+            match rng.below(10) {
+                0..=5 => {
+                    let x = rng.next_u64();
+                    let v = match rng.below(3) {
+                        0 => x % SUBS,
+                        1 => x % 100_000,
+                        _ => x >> (x % 64),
+                    };
+                    Op::Add { a, v }
                 }
+                6 | 7 => Op::Merge { into_a: a },
+                8 => Op::Clear { a },
+                _ => Op::Reparse {
+                    a,
+                    seed: rng.next_u64(),
+                    zero: rng.below(4) == 0,
+                    dup: rng.below(8) == 0,
+                },
             }
         }
 
@@ -712,16 +716,19 @@ mod tests {
             format!("{head} buckets={}", pairs.join(","))
         }
 
-        fn check_same(s: &QuantileSketch, m: &MapSketch, side: &str) -> TestCaseResult {
-            prop_assert_eq!(s.to_text(), m.to_text(), "side {} text", side);
-            prop_assert_eq!(s.octaves(), m.octaves(), "side {} octaves", side);
+        fn check_same(case: u64, s: &QuantileSketch, m: &MapSketch, side: &str) {
+            assert_eq!(s.to_text(), m.to_text(), "case {case}, side {side} text");
+            assert_eq!(s.octaves(), m.octaves(), "case {case}, side {side} octaves");
             for q in [0.0, 0.1, 0.5, 0.9, 0.99, 0.999, 1.0] {
-                prop_assert_eq!(s.quantile(q), m.quantile(q), "side {} q={}", side, q);
+                assert_eq!(
+                    s.quantile(q),
+                    m.quantile(q),
+                    "case {case}, side {side} q={q}"
+                );
             }
-            Ok(())
         }
 
-        fn check_agree(ops: Vec<Op>) -> TestCaseResult {
+        fn check_agree(case: u64, ops: Vec<Op>) {
             let (mut a, mut b) = (QuantileSketch::new(), QuantileSketch::new());
             let (mut ma, mut mb) = (MapSketch::default(), MapSketch::default());
             for op in ops {
@@ -770,30 +777,27 @@ mod tests {
                                 *s = ps;
                                 *m = pm;
                             }
-                            (Err(_), Err(_)) => prop_assert!(dup, "rejected {}", text),
-                            (ps, pm) => {
-                                return Err(TestCaseError::fail(format!(
-                                    "parsers disagree on {text:?}: {ps:?} vs {pm:?}"
-                                )))
-                            }
+                            (Err(_), Err(_)) => assert!(dup, "case {case}: rejected {text}"),
+                            (ps, pm) => panic!(
+                                "case {case}: parsers disagree on {text:?}: {ps:?} vs {pm:?}"
+                            ),
                         }
                     }
                 }
-                check_same(&a, &ma, "a")?;
-                check_same(&b, &mb, "b")?;
-                prop_assert_eq!(a == b, ma == mb, "== disagrees");
+                check_same(case, &a, &ma, "a");
+                check_same(case, &b, &mb, "b");
+                assert_eq!(a == b, ma == mb, "case {case}: == disagrees");
             }
-            Ok(())
         }
 
-        proptest! {
-            #![proptest_config(ProptestConfig::with_cases(128))]
-
-            #[test]
-            fn sorted_arrays_match_btree_model(
-                ops in proptest::collection::vec(OpStrategy, 1..200),
-            ) {
-                check_agree(ops)?;
+        #[test]
+        fn sorted_arrays_match_btree_model() {
+            for case in 0..128 {
+                let mut rng = RngStream::new(case, 18);
+                let ops = (0..rng.range(1, 200))
+                    .map(|_| random_op(&mut rng))
+                    .collect();
+                check_agree(case, ops);
             }
         }
     }

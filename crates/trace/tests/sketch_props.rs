@@ -10,8 +10,8 @@
 //! width — `est / 32` with the sketch's 32 sub-buckets per octave
 //! (values below 32 are exact).
 
+use locksim_engine::RngStream;
 use locksim_trace::{LockStats, MetricsRegistry, QuantileSketch, TailSummary};
-use proptest::prelude::*;
 
 /// Exact order statistic with the sketch's rank rule: the smallest value
 /// with at least `ceil(n * q)` (min 1) samples at or below it.
@@ -28,26 +28,32 @@ fn sketch_of(samples: &[u64]) -> QuantileSketch {
     s
 }
 
-fn assert_monotone(t: &TailSummary, fed: usize, what: &str) -> Result<(), TestCaseError> {
-    prop_assert_eq!(t.count, fed as u64, "{} count", what);
-    let chain = [t.p50, t.p95, t.p99, t.p999, t.p9999, t.max];
-    prop_assert!(
-        chain.windows(2).all(|w| w[0] <= w[1]),
-        "{} quantiles not monotone: {}",
-        what,
-        t
-    );
-    Ok(())
+/// `n` arbitrary 64-bit samples, `n` drawn from `len`.
+fn any_u64s(rng: &mut RngStream, len: std::ops::Range<u64>) -> Vec<u64> {
+    (0..rng.range(len.start, len.end))
+        .map(|_| rng.next_u64())
+        .collect()
 }
 
-proptest! {
-    #[test]
-    fn published_summaries_are_monotone(
-        lo in 0u64..1_000_000,
-        width in 1u64..2_000,
-        xs in proptest::collection::vec(any::<u64>(), 1..300),
-    ) {
-        let samples: Vec<u64> = xs.iter().map(|x| lo + x % width).collect();
+fn assert_monotone(t: &TailSummary, fed: usize, what: &str) {
+    assert_eq!(t.count, fed as u64, "{what} count");
+    let chain = [t.p50, t.p95, t.p99, t.p999, t.p9999, t.max];
+    assert!(
+        chain.windows(2).all(|w| w[0] <= w[1]),
+        "{what} quantiles not monotone: {t}"
+    );
+}
+
+#[test]
+fn published_summaries_are_monotone() {
+    for case in 0..64 {
+        let mut rng = RngStream::new(case, 19);
+        let lo = rng.below(1_000_000);
+        let width = rng.range(1, 2_000);
+        let samples: Vec<u64> = any_u64s(&mut rng, 1..300)
+            .iter()
+            .map(|x| lo + x % width)
+            .collect();
         let mut m = MetricsRegistry::new();
         let mut ls = LockStats::new();
         ls.enable(None);
@@ -59,84 +65,96 @@ proptest! {
             ls.on_release(0x40, 0, true, v, now + v);
         }
         let snap = m.snapshot([]);
-        prop_assert_eq!(snap.hists.len(), 1);
-        assert_monotone(&snap.hists[0].1, samples.len(), "registry")?;
+        assert_eq!(snap.hists.len(), 1, "case {case}");
+        let n = samples.len();
+        assert_monotone(&snap.hists[0].1, n, &format!("case {case} registry"));
         let st = ls.lock(0x40).expect("lock recorded");
-        assert_monotone(&st.handoff.tail_summary(), samples.len(), "handoff")?;
-        assert_monotone(&st.hold.tail_summary(), samples.len(), "hold")?;
+        assert_monotone(
+            &st.handoff.tail_summary(),
+            n,
+            &format!("case {case} handoff"),
+        );
+        assert_monotone(&st.hold.tail_summary(), n, &format!("case {case} hold"));
     }
+}
 
-    #[test]
-    fn quantile_error_is_bounded(
-        samples in proptest::collection::vec(any::<u64>(), 1..200),
-        qm in 0u64..=1000,
-    ) {
-        let q = qm as f64 / 1000.0;
+#[test]
+fn quantile_error_is_bounded() {
+    for case in 0..64 {
+        let mut rng = RngStream::new(case, 20);
+        let samples = any_u64s(&mut rng, 1..200);
+        let q = rng.below(1001) as f64 / 1000.0;
         let sk = sketch_of(&samples);
         let mut sorted = samples.clone();
         sorted.sort_unstable();
         let exact = exact_quantile(&sorted, q);
         let est = sk.quantile(q).expect("non-empty sketch");
-        prop_assert!(est <= exact, "estimate {} above exact {}", est, exact);
-        prop_assert!(
+        assert!(
+            est <= exact,
+            "case {case}: estimate {est} above exact {exact}"
+        );
+        assert!(
             exact - est <= est / 32,
-            "error {} above bound {} (exact {}, est {})",
+            "case {case}: error {} above bound {} (exact {exact}, est {est})",
             exact - est,
-            est / 32,
-            exact,
-            est
+            est / 32
         );
     }
+}
 
-    #[test]
-    fn merge_is_commutative_and_associative(
-        a in proptest::collection::vec(any::<u64>(), 0..100),
-        b in proptest::collection::vec(any::<u64>(), 0..100),
-        c in proptest::collection::vec(any::<u64>(), 0..100),
-    ) {
-        let (sa, sb, sc) = (sketch_of(&a), sketch_of(&b), sketch_of(&c));
-        let mut ab = sa.clone();
-        ab.merge(&sb);
-        let mut ba = sb.clone();
-        ba.merge(&sa);
-        prop_assert_eq!(ab.to_text(), ba.to_text());
+#[test]
+fn merge_is_commutative_and_associative() {
+    for case in 0..64 {
+        let mut rng = RngStream::new(case, 21);
+        let a = sketch_of(&any_u64s(&mut rng, 0..100));
+        let b = sketch_of(&any_u64s(&mut rng, 0..100));
+        let c = sketch_of(&any_u64s(&mut rng, 0..100));
+        let mut ab = a.clone();
+        ab.merge(&b);
+        let mut ba = b.clone();
+        ba.merge(&a);
+        assert_eq!(ab.to_text(), ba.to_text(), "case {case}");
         let mut ab_c = ab;
-        ab_c.merge(&sc);
-        let mut bc = sb.clone();
-        bc.merge(&sc);
-        let mut a_bc = sa.clone();
+        ab_c.merge(&c);
+        let mut bc = b.clone();
+        bc.merge(&c);
+        let mut a_bc = a.clone();
         a_bc.merge(&bc);
-        prop_assert_eq!(ab_c.to_text(), a_bc.to_text());
+        assert_eq!(ab_c.to_text(), a_bc.to_text(), "case {case}");
     }
+}
 
-    #[test]
-    fn merge_equals_combined_feed(
-        a in proptest::collection::vec(any::<u64>(), 0..100),
-        b in proptest::collection::vec(any::<u64>(), 0..100),
-    ) {
+#[test]
+fn merge_equals_combined_feed() {
+    for case in 0..64 {
+        let mut rng = RngStream::new(case, 22);
+        let a = any_u64s(&mut rng, 0..100);
+        let b = any_u64s(&mut rng, 0..100);
         let mut merged = sketch_of(&a);
         merged.merge(&sketch_of(&b));
-        let mut combined: Vec<u64> = a.clone();
-        combined.extend_from_slice(&b);
-        prop_assert_eq!(merged.to_text(), sketch_of(&combined).to_text());
+        let combined = [a, b].concat();
+        assert_eq!(
+            merged.to_text(),
+            sketch_of(&combined).to_text(),
+            "case {case}"
+        );
     }
+}
 
-    #[test]
-    fn serialization_round_trips(
-        samples in proptest::collection::vec(any::<u64>(), 0..200),
-    ) {
-        let sk = sketch_of(&samples);
+#[test]
+fn serialization_round_trips() {
+    for case in 0..64 {
+        let mut rng = RngStream::new(case, 23);
+        let sk = sketch_of(&any_u64s(&mut rng, 0..200));
         let text = sk.to_text();
         let back = QuantileSketch::from_text(&text).expect("own serialization parses");
-        prop_assert_eq!(text.clone(), back.to_text());
-        prop_assert_eq!(sk.count(), back.count());
-        prop_assert_eq!(sk.min(), back.min());
-        prop_assert_eq!(sk.max(), back.max());
-        let mut qm = 0u64;
-        while qm <= 1000 {
+        assert_eq!(text, back.to_text(), "case {case}");
+        assert_eq!(sk.count(), back.count(), "case {case}");
+        assert_eq!(sk.min(), back.min(), "case {case}");
+        assert_eq!(sk.max(), back.max(), "case {case}");
+        for qm in (0..=1000).step_by(100) {
             let q = qm as f64 / 1000.0;
-            prop_assert_eq!(sk.quantile(q), back.quantile(q));
-            qm += 100;
+            assert_eq!(sk.quantile(q), back.quantile(q), "case {case}, q={q}");
         }
     }
 }

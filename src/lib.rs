@@ -17,7 +17,7 @@
 //! | [`machine`] | cores, threads, OS scheduler, timed memory system, the `LockBackend` plug-in trait |
 //! | [`core`] | **the paper's contribution**: LCU + LRT protocol |
 //! | [`ssb`] | Synchronization State Buffer baseline (Zhu et al., ISCA'07) |
-//! | [`swlocks`] | TAS, TATAS, MCS, MRSW, adaptive-mutex software locks run against the coherence model |
+//! | [`swlocks`] | TAS, TATAS, MCS, MRSW, BRAVO, Fissile, adaptive-mutex software locks run against the coherence model |
 //! | [`stm`] | object-based STM (visible-reader lock-based OSTM and Fraser-style nonblocking) with RB-tree / skip-list / hash-table |
 //! | [`workloads`] | microbenchmark + fluidanimate/cholesky/radiosity-like kernels |
 //! | [`harness`] | regenerates every figure/table of the paper's evaluation |
