@@ -54,8 +54,6 @@ struct Line {
 pub struct CacheCtrl {
     id: CacheId,
     lines: FxHashMap<LineAddr, Line>,
-    hits: u64,
-    misses: u64,
 }
 
 impl CacheCtrl {
@@ -64,8 +62,6 @@ impl CacheCtrl {
         CacheCtrl {
             id,
             lines: FxHashMap::default(),
-            hits: 0,
-            misses: 0,
         }
     }
 
@@ -77,11 +73,6 @@ impl CacheCtrl {
     /// Current MESI state of `line` (I if never touched).
     pub fn state(&self, line: LineAddr) -> CacheState {
         self.lines.get(&line).map_or(CacheState::I, |l| l.state)
-    }
-
-    /// Hit / miss counters (for reports).
-    pub fn hit_miss(&self) -> (u64, u64) {
-        (self.hits, self.misses)
     }
 
     /// Presents a CPU operation. On [`CacheOpResult::Miss`] the caller must
@@ -110,10 +101,8 @@ impl CacheCtrl {
             entry.state.readable()
         };
         if hit {
-            self.hits += 1;
             CacheOpResult::Hit
         } else {
-            self.misses += 1;
             entry.pending = Some(op);
             CacheOpResult::Miss(if op.needs_ownership() {
                 ReqKind::GetM
@@ -279,7 +268,6 @@ mod tests {
         c.cpu_op(L, CpuOp::Load);
         c.handle_v(L, DirToCache::DataS { exclusive: false });
         assert_eq!(c.cpu_op(L, CpuOp::Load), CacheOpResult::Hit);
-        assert_eq!(c.hit_miss(), (1, 1));
     }
 
     #[test]

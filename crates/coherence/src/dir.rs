@@ -105,7 +105,6 @@ impl Default for DirLine {
 pub struct DirCtrl {
     id: DirId,
     lines: FxHashMap<LineAddr, DirLine>,
-    counters: Counters,
 }
 
 impl DirCtrl {
@@ -114,18 +113,12 @@ impl DirCtrl {
         DirCtrl {
             id,
             lines: FxHashMap::default(),
-            counters: Counters::new(),
         }
     }
 
     /// This directory's identifier.
     pub fn id(&self) -> DirId {
         self.id
-    }
-
-    /// Protocol event counters (`dir_gets`, `dir_getm`, `dir_invs`, ...).
-    pub fn counters(&self) -> &Counters {
-        &self.counters
     }
 
     /// Number of caches currently recorded as holding `line` (diagnostics).
@@ -139,7 +132,8 @@ impl DirCtrl {
 
     /// Handles a cache→directory message, pushing responses to send into
     /// `out` (a caller-owned scratch vector, so the per-message hot path
-    /// allocates nothing).
+    /// allocates nothing) and counting protocol events (`dir_gets`,
+    /// `dir_getm`, `dir_invs`, ...) into the run's counters `ctr`.
     ///
     /// # Panics
     ///
@@ -151,34 +145,27 @@ impl DirCtrl {
         from: CacheId,
         msg: CacheToDir,
         out: &mut Vec<DirAction>,
+        ctr: &mut Counters,
     ) {
         let _prof = locksim_trace::prof::span("coherence/dir_handle");
         match msg {
             CacheToDir::Req(kind) => {
                 let entry = self.lines.entry(line).or_default();
                 if entry.busy.is_some() {
-                    self.counters.incr("dir_queued");
+                    ctr.incr("dir_queued");
                 }
                 entry.queue.push_back((from, kind));
-                self.pump(line, out);
+                self.pump(line, out, ctr);
             }
             CacheToDir::InvAck { dirty } | CacheToDir::DowngradeAck { dirty } => {
-                self.ack(line, dirty, out);
+                self.ack(line, dirty, out, ctr);
             }
         }
     }
 
-    /// Vec-returning [`DirCtrl::handle`] wrapper for tests.
-    #[cfg(test)]
-    fn handle_v(&mut self, line: LineAddr, from: CacheId, msg: CacheToDir) -> Vec<DirAction> {
-        let mut out = Vec::new();
-        self.handle(line, from, msg, &mut out);
-        out
-    }
-
     /// Serves queued requests in order until one starts a multi-step
     /// transaction (goes busy) or the queue empties.
-    fn pump(&mut self, line: LineAddr, out: &mut Vec<DirAction>) {
+    fn pump(&mut self, line: LineAddr, out: &mut Vec<DirAction>, ctr: &mut Counters) {
         loop {
             let entry = self.lines.get_mut(&line).expect("line exists");
             if entry.busy.is_some() {
@@ -187,16 +174,23 @@ impl DirCtrl {
             let Some((from, kind)) = entry.queue.pop_front() else {
                 break;
             };
-            self.start(line, from, kind, out);
+            self.start(line, from, kind, out, ctr);
         }
     }
 
-    fn start(&mut self, line: LineAddr, from: CacheId, kind: ReqKind, out: &mut Vec<DirAction>) {
+    fn start(
+        &mut self,
+        line: LineAddr,
+        from: CacheId,
+        kind: ReqKind,
+        out: &mut Vec<DirAction>,
+        ctr: &mut Counters,
+    ) {
         let entry = self.lines.get_mut(&line).expect("line exists");
         debug_assert!(entry.busy.is_none());
         match kind {
-            ReqKind::GetS => self.counters.incr("dir_gets"),
-            ReqKind::GetM => self.counters.incr("dir_getm"),
+            ReqKind::GetS => ctr.incr("dir_gets"),
+            ReqKind::GetM => ctr.incr("dir_getm"),
         }
         match (&mut entry.state, kind) {
             (DirState::Uncached, ReqKind::GetS) => {
@@ -241,7 +235,7 @@ impl DirCtrl {
                     });
                     return;
                 }
-                self.counters.add("dir_invs", others as u64);
+                ctr.add("dir_invs", others as u64);
                 out.extend(set.others(from).map(|to| DirAction {
                     to,
                     msg: DirToCache::Inv,
@@ -260,11 +254,11 @@ impl DirCtrl {
             (DirState::Excl(owner), kind) => {
                 let owner = *owner;
                 assert_ne!(owner, from, "owner re-requesting {kind:?}");
-                let (msg, ctr) = match kind {
+                let (msg, name) = match kind {
                     ReqKind::GetS => (DirToCache::Downgrade, "dir_downgrades"),
                     ReqKind::GetM => (DirToCache::Inv, "dir_invs"),
                 };
-                self.counters.incr(ctr);
+                ctr.incr(name);
                 entry.busy = Some(Transaction {
                     requestor: from,
                     kind,
@@ -283,7 +277,7 @@ impl DirCtrl {
         }
     }
 
-    fn ack(&mut self, line: LineAddr, dirty: bool, out: &mut Vec<DirAction>) {
+    fn ack(&mut self, line: LineAddr, dirty: bool, out: &mut Vec<DirAction>, ctr: &mut Counters) {
         let entry = self.lines.get_mut(&line).expect("ack for unknown line");
         let tx = entry.busy.as_mut().expect("ack outside transaction");
         debug_assert!(tx.acks_left > 0);
@@ -322,7 +316,7 @@ impl DirCtrl {
             }
         }
         // Serve queued requests until one goes busy.
-        self.pump(line, out);
+        self.pump(line, out, ctr);
     }
 }
 
@@ -335,8 +329,30 @@ mod tests {
     const C1: CacheId = CacheId(1);
     const C2: CacheId = CacheId(2);
 
-    fn dir() -> DirCtrl {
-        DirCtrl::new(DirId(0))
+    /// A directory and the registry its handler counts into.
+    struct Dir {
+        d: DirCtrl,
+        ctr: Counters,
+    }
+
+    impl Dir {
+        /// Vec-returning [`DirCtrl::handle`].
+        fn handle_v(&mut self, line: LineAddr, from: CacheId, msg: CacheToDir) -> Vec<DirAction> {
+            let mut out = Vec::new();
+            self.d.handle(line, from, msg, &mut out, &mut self.ctr);
+            out
+        }
+
+        fn holders(&self, line: LineAddr) -> usize {
+            self.d.holders(line)
+        }
+    }
+
+    fn dir() -> Dir {
+        Dir {
+            d: DirCtrl::new(DirId(0)),
+            ctr: Counters::new(),
+        }
     }
 
     #[test]
@@ -452,7 +468,7 @@ mod tests {
         assert_eq!(out[0].to, C0);
         // C2's request must queue.
         assert!(d.handle_v(L, C2, CacheToDir::Req(ReqKind::GetM)).is_empty());
-        assert_eq!(d.counters().get("dir_queued"), 1);
+        assert_eq!(d.ctr.get("dir_queued"), 1);
         // C0's ack completes C1's grant AND starts C2's transaction.
         let out = d.handle_v(L, C0, CacheToDir::InvAck { dirty: true });
         assert_eq!(out.len(), 2);
@@ -493,9 +509,9 @@ mod tests {
         d.handle_v(L, C0, CacheToDir::Req(ReqKind::GetS));
         d.handle_v(L, C1, CacheToDir::Req(ReqKind::GetM));
         d.handle_v(L, C0, CacheToDir::InvAck { dirty: false });
-        assert_eq!(d.counters().get("dir_gets"), 1);
-        assert_eq!(d.counters().get("dir_getm"), 1);
-        assert_eq!(d.counters().get("dir_invs"), 1);
+        assert_eq!(d.ctr.get("dir_gets"), 1);
+        assert_eq!(d.ctr.get("dir_getm"), 1);
+        assert_eq!(d.ctr.get("dir_invs"), 1);
     }
 
     #[test]

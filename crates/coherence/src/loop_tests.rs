@@ -2,6 +2,7 @@
 //! messages through a FIFO "network", with coherence invariants checked
 //! after every step. Includes property tests over random traffic.
 
+use locksim_engine::stats::Counters;
 use locksim_engine::RngStream;
 use std::collections::VecDeque;
 
@@ -71,7 +72,8 @@ impl Loop {
         match msg {
             Wire::ToDir(line, from, m) => {
                 let mut acts = Vec::new();
-                self.dir.handle(line, from, m, &mut acts);
+                self.dir
+                    .handle(line, from, m, &mut acts, &mut Counters::new());
                 for act in acts {
                     let DirAction { to, msg, .. } = act;
                     self.wire.push_back(Wire::ToCache(line, to, msg));

@@ -4,7 +4,6 @@
 
 use std::collections::BTreeMap;
 
-use locksim_engine::stats::Counters;
 use locksim_engine::{Cycles, FxHashMap};
 use locksim_machine::{
     Addr, BackendFault, CoreId, Ep, InFlight, LockBackend, Mach, Mode, PerThread, ThreadId,
@@ -97,7 +96,6 @@ pub struct LcuBackend {
     held: FxHashMap<(ThreadId, Addr), Held>,
     timers: InFlight<TimerKind>,
     wire: InFlight<Wire>,
-    counters: Counters,
     initialized: bool,
 }
 
@@ -119,12 +117,11 @@ impl LcuBackend {
             held: FxHashMap::default(),
             timers: InFlight::new(),
             wire: InFlight::new(),
-            counters: Counters::new(),
             initialized: false,
         }
     }
 
-    fn ensure_init(&mut self, m: &Mach) {
+    fn ensure_init(&mut self, m: &mut Mach) {
         if !self.initialized {
             let cfg = m.cfg();
             self.lcus = (0..m.n_cores())
@@ -134,6 +131,9 @@ impl LcuBackend {
                 .map(|_| Lrt::new(cfg.lrt_entries, cfg.lrt_assoc))
                 .collect();
             self.flts = (0..m.n_cores()).map(|_| BTreeMap::new()).collect();
+            // An LCU run reports the LRT overflow counters even at zero.
+            m.counters_mut().add("lrt_evictions", 0);
+            m.counters_mut().add("lrt_overflow_hits", 0);
             self.initialized = true;
         }
     }
@@ -254,7 +254,7 @@ impl LcuBackend {
         to: Node,
         penalty: Cycles,
     ) {
-        self.counters.incr("lrt_overflow_grants");
+        m.counters_mut().incr("lrt_overflow_grants");
         let g = Msg::LrtGrant {
             addr,
             tid: to.tid,
@@ -384,7 +384,7 @@ impl LcuBackend {
                 {
                     e.status = Status::Acq;
                     let cnt = e.cnt;
-                    self.counters.incr("lcu_fast_reacquires");
+                    m.counters_mut().incr("lcu_fast_reacquires");
                     m.trace_entry_state(Ep::Core(core), addr, "Acq");
                     self.finish_grant(m, t, addr, mode, false, cnt);
                     return;
@@ -414,14 +414,14 @@ impl LcuBackend {
                     nonblocking,
                     no_ovf: true,
                 };
-                self.counters.incr("lcu_requests");
+                m.counters_mut().incr("lcu_requests");
                 m.trace_entry_state(Ep::Core(core), addr, "Issued");
                 self.send_to_lrt(m, core, Msg::Request { addr, req: node });
             }
             None => {
                 // No entry of any kind: software spin, retry later (§III-D
                 // guarantees the local-request entry frees eventually).
-                self.counters.incr("lcu_exhausted");
+                m.counters_mut().incr("lcu_exhausted");
                 self.retry_acquire_later(m, t);
             }
         }
@@ -473,16 +473,16 @@ impl LcuBackend {
                     // Entry removed to leave room (§III-A case (a)); the LRT
                     // still records us as owner.
                     self.lcus[lcu].free(addr, tid);
-                    self.counters.incr("lcu_uncontended_takes");
+                    m.counters_mut().incr("lcu_uncontended_takes");
                 } else {
-                    self.counters.incr("lcu_contended_takes");
+                    m.counters_mut().incr("lcu_contended_takes");
                 }
                 self.finish_grant(m, tid, addr, mode, false, cnt);
             }
             Some(req) if req.addr == addr && !here => {
                 // Thread migrated or preempted: arm the grant timeout.
                 let timeout = m.cfg().grant_timeout;
-                self.counters.incr("lcu_grant_waits");
+                m.counters_mut().incr("lcu_grant_waits");
                 self.arm(m, timeout, TimerKind::GrantTimeout { lcu, addr, tid });
             }
             _ => {
@@ -507,7 +507,7 @@ impl LcuBackend {
             e.status = if e.head { Status::Rel } else { Status::RdRel };
             (e.head, e.cnt, e.mode, e.next)
         };
-        self.counters.incr("lcu_pass_throughs");
+        m.counters_mut().incr("lcu_pass_throughs");
         m.trace_entry_state(Ep::Core(lcu), addr, if head { "Rel" } else { "RdRel" });
         if head && mode == Mode::Write {
             // An aborted writer relinquishes its waiting-writer slot.
@@ -542,7 +542,7 @@ impl LcuBackend {
             // Intermediate reader: silent release; wait for the head token
             // (§III-B). Locally re-acquirable meanwhile.
             e.status = Status::RdRel;
-            self.counters.incr("lcu_rd_rel");
+            m.counters_mut().incr("lcu_rd_rel");
             m.trace_entry_state(Ep::Core(lcu), addr, "RdRel");
             return;
         }
@@ -560,7 +560,7 @@ impl LcuBackend {
         match e.next {
             Some(n) => self.send_head_token(m, lcu, tid, addr, cnt, n, from_read),
             None => {
-                self.counters.incr("lcu_lrt_releases");
+                m.counters_mut().incr("lcu_lrt_releases");
                 self.release_to_lrt(m, lcu, addr, tid, false);
             }
         }
@@ -585,7 +585,6 @@ impl LcuBackend {
     ) {
         let gated = from_read_session && next.mode == Mode::Write && !next.no_ovf;
         if gated || !m.cfg().lcu_direct_transfer {
-            self.counters.incr("lcu_writer_handoffs");
             m.lockstat_bump(addr, "lcu_writer_handoffs");
             let msg = Msg::WriterHandoff {
                 addr,
@@ -595,7 +594,6 @@ impl LcuBackend {
             };
             self.send_to_lrt(m, lcu, msg);
         } else {
-            self.counters.incr("lcu_direct_transfers");
             m.lockstat_bump(addr, "lcu_direct_transfers");
             self.grant_head_token(m, lcu, addr, next, cnt, Some((lcu, releaser)));
         }
@@ -618,7 +616,7 @@ impl LcuBackend {
         e.head = true;
         e.cnt = r.cnt;
         if r.waiting {
-            self.counters.incr("lcu_uncontended_releases");
+            m.counters_mut().incr("lcu_uncontended_releases");
         }
         self.release_to_lrt(m, r.core, r.addr, r.tid, false);
         if r.waiting {
@@ -634,7 +632,7 @@ impl LcuBackend {
         let Some((tid, cnt)) = self.flts[core].remove(&lock) else {
             return;
         };
-        self.counters.incr("flt_unparks");
+        m.counters_mut().incr("flt_unparks");
         let r = UncontendedRelease {
             tid,
             addr: lock,
@@ -666,7 +664,7 @@ impl LcuBackend {
                 ack,
             } => {
                 let lrt = &mut self.lrts[mem];
-                if let Some((e, _)) = lrt.get_mut(addr) {
+                if let Some((e, _)) = lrt.get_mut(addr, m.counters_mut()) {
                     if cnt > e.cnt {
                         e.cnt = cnt;
                         let was_writer_wait = node.mode == Mode::Write;
@@ -686,7 +684,7 @@ impl LcuBackend {
                 cnt,
                 releaser,
             } => {
-                let (e, res) = self.lrts[mem].entry_mut(addr);
+                let (e, res) = self.lrts[mem].entry_mut(addr, m.counters_mut());
                 e.cnt = e.cnt.max(cnt);
                 e.head = Some(writer);
                 e.pending_writer = Some((writer, cnt));
@@ -707,16 +705,16 @@ impl LcuBackend {
                     },
                 );
                 if fire {
-                    self.counters.incr("lrt_writer_grants");
+                    m.counters_mut().incr("lrt_writer_grants");
                     let gcnt = self.lrts[mem]
-                        .get_mut(addr)
+                        .get_mut(addr, m.counters_mut())
                         .map(|(e, _)| e.cnt)
                         .unwrap_or(cnt);
                     self.lrt_grant_head(m, mem, addr, writer, penalty, gcnt);
                 }
             }
             Msg::AbortNotify { addr } => {
-                if let Some((e, _)) = self.lrts[mem].get_mut(addr) {
+                if let Some((e, _)) = self.lrts[mem].get_mut(addr, m.counters_mut()) {
                     e.waiting_writers = e.waiting_writers.saturating_sub(1);
                 }
             }
@@ -727,7 +725,7 @@ impl LcuBackend {
     fn lrt_request(&mut self, m: &mut Mach, mem: usize, addr: Addr, req: Node) {
         let now = m.now();
         let reservation_timeout = m.cfg().reservation_timeout;
-        let (e, res) = self.lrts[mem].entry_mut(addr);
+        let (e, res) = self.lrts[mem].entry_mut(addr, m.counters_mut());
         let penalty = overflow_penalty(m, res);
         if e.head.is_none() {
             // Lock is free (possibly with draining overflow readers or an
@@ -735,7 +733,7 @@ impl LcuBackend {
             if let Some((rt, _, expiry)) = e.reservation {
                 if now < expiry && rt != req.tid {
                     // Reserved for someone else: everyone retries (§III-D).
-                    self.counters.incr("lrt_reservation_denials");
+                    m.counters_mut().incr("lrt_reservation_denials");
                     self.lrt_to_lcu(m, mem, req.lcu, penalty, Msg::Retry { addr, tid: req.tid });
                     return;
                 }
@@ -762,7 +760,7 @@ impl LcuBackend {
                         e.tail = Some(req);
                         e.waiting_writers += 1;
                         e.pending_writer = Some((req, e.cnt));
-                        self.counters.incr("lrt_writer_gated");
+                        m.counters_mut().incr("lrt_writer_gated");
                         m.trace_entry_state(Ep::Mem(mem), addr, "LrtWriterGated");
                     }
                     (Mode::Write, true) => {
@@ -776,7 +774,7 @@ impl LcuBackend {
             e.tail = Some(req);
             e.cnt += 1;
             let gcnt = e.cnt;
-            self.counters.incr("lrt_free_grants");
+            m.counters_mut().incr("lrt_free_grants");
             m.trace_entry_state(Ep::Mem(mem), addr, "LrtHead");
             self.lrt_grant_head(m, mem, addr, req, penalty, gcnt);
             return;
@@ -806,7 +804,7 @@ impl LcuBackend {
         if req.mode == Mode::Write {
             e.waiting_writers += 1;
         }
-        self.counters.incr("lrt_forwards");
+        m.counters_mut().incr("lrt_forwards");
         m.trace_entry_state(Ep::Mem(mem), addr, "LrtEnqueued");
         let fwd = Msg::FwdRequest {
             addr,
@@ -827,14 +825,14 @@ impl LcuBackend {
     ) {
         let now = m.now();
         let reservations_on = m.cfg().lcu_reservation;
-        let (e, _) = self.lrts[mem].entry_mut(addr);
+        let (e, _) = self.lrts[mem].entry_mut(addr, m.counters_mut());
         let expired = e.reservation.is_none_or(|(_, _, exp)| exp <= now);
         if expired && reservations_on {
             e.reservation = Some((req.tid, req.lcu, now + window));
-            self.counters.incr("lrt_reservations");
+            m.counters_mut().incr("lrt_reservations");
             m.trace_entry_state(Ep::Mem(mem), addr, "LrtReserved");
         }
-        self.counters.incr("lrt_retries");
+        m.counters_mut().incr("lrt_retries");
         self.lrt_to_lcu(m, mem, req.lcu, penalty, Msg::Retry { addr, tid: req.tid });
     }
 
@@ -848,18 +846,18 @@ impl LcuBackend {
         overflow: bool,
     ) {
         let now = m.now();
-        let (e, res) = self.lrts[mem].entry_mut(addr);
+        let (e, res) = self.lrts[mem].entry_mut(addr, m.counters_mut());
         let penalty = overflow_penalty(m, res);
         if overflow {
             debug_assert!(e.reader_cnt > 0, "overflow release with zero count");
             e.reader_cnt = e.reader_cnt.saturating_sub(1);
-            self.counters.incr("lrt_overflow_releases");
+            m.counters_mut().incr("lrt_overflow_releases");
             if e.reader_cnt == 0 {
                 if let Some((writer, wcnt)) = e.pending_writer.take() {
                     e.waiting_writers = e.waiting_writers.saturating_sub(1);
                     e.cnt = e.cnt.max(wcnt);
                     let gcnt = e.cnt;
-                    self.counters.incr("lrt_writer_grants");
+                    m.counters_mut().incr("lrt_writer_grants");
                     self.lrt_grant_head(m, mem, addr, writer, penalty, gcnt);
                 }
             }
@@ -875,7 +873,7 @@ impl LcuBackend {
                 // Sole node: the lock becomes free.
                 e.head = None;
                 e.tail = None;
-                self.counters.incr("lrt_frees");
+                m.counters_mut().incr("lrt_frees");
                 m.trace_entry_state(Ep::Mem(mem), addr, "LrtFree");
                 self.lrt_to_lcu(m, mem, lcu, penalty, Msg::ReleaseAck { addr, tid });
                 self.lrts[mem].remove_if_dead(addr, now);
@@ -883,7 +881,7 @@ impl LcuBackend {
                 // Race (§III-A): a new requestor was recorded as tail while
                 // this release was in flight; the releasing entry will serve
                 // the forwarded request directly.
-                self.counters.incr("lrt_release_retries");
+                m.counters_mut().incr("lrt_release_retries");
                 self.lrt_to_lcu(m, mem, lcu, penalty, Msg::Retry { addr, tid });
             }
             return;
@@ -891,7 +889,7 @@ impl LcuBackend {
         // Release from an LCU that is not the recorded head: a migrated
         // owner (§III-C). Forward to the head LCU; it hops along the queue
         // if needed.
-        self.counters.incr("lrt_remote_releases");
+        m.counters_mut().incr("lrt_remote_releases");
         let fwd = Msg::FwdRelease { addr, tid };
         self.lrt_to_lcu(m, mem, head.lcu, penalty, fwd);
     }
@@ -921,7 +919,7 @@ impl LcuBackend {
                         self.release_to_lrt(m, core, addr, tid, true);
                         return;
                     }
-                    self.counters.incr("lcu_overflow_takes");
+                    m.counters_mut().incr("lcu_overflow_takes");
                     self.finish_grant(m, tid, addr, Mode::Read, true, 0);
                     return;
                 }
@@ -930,10 +928,10 @@ impl LcuBackend {
                     // lock nobody wants; the grant is dropped and the LRT
                     // entry will be repaired by the next requestor's race
                     // handling.
-                    self.counters.incr("lcu_orphan_grants");
+                    m.counters_mut().incr("lcu_orphan_grants");
                     return;
                 }
-                self.counters.incr("lcu_lrt_grants");
+                m.counters_mut().incr("lcu_lrt_grants");
                 // Arrival handling is identical to a direct grant (the LRT
                 // already points at us, so no acknowledgement is owed).
                 self.lcu_direct_grant(m, core, addr, tid, head, cnt, None);
@@ -950,7 +948,7 @@ impl LcuBackend {
                     // Nonblocking request denied: free the entry and retry
                     // from software after a backoff.
                     self.lcus[core].free(addr, tid);
-                    self.counters.incr("lcu_nb_retries");
+                    m.counters_mut().incr("lcu_nb_retries");
                     if self.reqs.contains_key(tid) {
                         self.retry_acquire_later(m, tid);
                     }
@@ -958,7 +956,7 @@ impl LcuBackend {
                 Some(Status::Rel) => {
                     // Release race: keep the entry; the forwarded request
                     // will arrive and we transfer directly.
-                    self.counters.incr("lcu_release_races");
+                    m.counters_mut().incr("lcu_release_races");
                 }
                 Some(other) => panic!("Retry at entry in {other:?}"),
                 None => {}
@@ -967,7 +965,7 @@ impl LcuBackend {
                 if let Some(e) = self.lcus[core].get(addr, tid) {
                     debug_assert_eq!(e.status, Status::Rel, "ack for non-releasing entry");
                     self.lcus[core].free(addr, tid);
-                    self.counters.incr("lcu_entry_frees");
+                    m.counters_mut().incr("lcu_entry_frees");
                 }
             }
             Msg::DirectGrant {
@@ -1012,7 +1010,7 @@ impl LcuBackend {
             .get(&addr)
             .is_some_and(|&(owner, _)| owner == tail_tid)
         {
-            self.counters.incr("flt_fwd_unparks");
+            m.counters_mut().incr("flt_fwd_unparks");
             if self.lcus[core]
                 .alloc(addr, tail_tid, Mode::Write, EntryKind::Ordinary)
                 .is_none()
@@ -1041,7 +1039,7 @@ impl LcuBackend {
                 // ReleaseToLrt will get a Retry (the LRT already recorded
                 // the new tail) and its entry will be waiting for exactly
                 // this message. Redeliver until that entry exists.
-                self.counters.incr("lcu_fwd_orphans");
+                m.counters_mut().incr("lcu_fwd_orphans");
                 self.redeliver_later(m, core, addr, tail_tid, req);
                 return;
             };
@@ -1054,7 +1052,7 @@ impl LcuBackend {
                 .alloc(addr, tail_tid, held.mode, EntryKind::Ordinary)
                 .is_none()
             {
-                self.counters.incr("lcu_fwd_noentry");
+                m.counters_mut().incr("lcu_fwd_noentry");
                 self.redeliver_later(m, core, addr, tail_tid, req);
                 return;
             }
@@ -1064,13 +1062,13 @@ impl LcuBackend {
             e.status = Status::Acq;
             e.head = true;
             e.cnt = held.cnt;
-            self.counters.incr("lcu_reallocs");
+            m.counters_mut().incr("lcu_reallocs");
         }
         let e = self.lcus[core].get_mut(addr, tail_tid).expect("tail entry");
         if e.next.is_some() {
             // Stale forward (should not happen: the LRT serializes tail
             // updates); count and drop.
-            self.counters.incr("lcu_stale_forwards");
+            m.counters_mut().incr("lcu_stale_forwards");
             return;
         }
         e.next = Some(req);
@@ -1079,14 +1077,14 @@ impl LcuBackend {
         let releasing = e.status == Status::Rel;
         if shared_read {
             // Concurrent reader: grant immediately (non-head).
-            self.counters.incr("lcu_read_shares");
+            m.counters_mut().incr("lcu_read_shares");
             self.grant_read_share(m, core, addr, req);
         } else if releasing {
             // Release race resolution: transfer to the requestor (gated if
             // it is a writer that may coexist with overflow readers).
             let cnt = e.cnt;
             let from_read = e.mode == Mode::Read;
-            self.counters.incr("lcu_race_transfers");
+            m.counters_mut().incr("lcu_race_transfers");
             self.send_head_token(m, core, tail_tid, addr, cnt, req, from_read);
         } else if stale {
             // Grant parked with no taker: pass it on at once.
@@ -1109,7 +1107,7 @@ impl LcuBackend {
         ack: Option<(usize, ThreadId)>,
     ) {
         let Some(status) = self.lcus[core].get(addr, tid).map(|e| e.status) else {
-            self.counters.incr("lcu_orphan_grants");
+            m.counters_mut().incr("lcu_orphan_grants");
             return;
         };
         match status {
@@ -1117,7 +1115,7 @@ impl LcuBackend {
                 self.lcus[core].get_mut(addr, tid).expect("entry").status = Status::Rcv;
                 m.trace_entry_state(Ep::Core(core), addr, "Rcv");
                 if head {
-                    self.counters.incr("lcu_head_notifies");
+                    m.counters_mut().incr("lcu_head_notifies");
                     self.notify_head(m, core, addr, tid, cnt, ack);
                 } else {
                     debug_assert!(ack.is_none());
@@ -1129,7 +1127,7 @@ impl LcuBackend {
                 // A reader that already holds (or received) the lock gets
                 // the head token.
                 debug_assert!(head, "duplicate non-head grant");
-                self.counters.incr("lcu_head_notifies");
+                m.counters_mut().incr("lcu_head_notifies");
                 self.notify_head(m, core, addr, tid, cnt, ack);
                 if status == Status::Rcv {
                     self.try_take(m, core, addr, tid);
@@ -1140,7 +1138,7 @@ impl LcuBackend {
                 // it to the next node, or release to the LRT if last.
                 debug_assert!(head, "non-head grant to RdRel entry");
                 let next = self.lcus[core].get(addr, tid).expect("entry").next;
-                self.counters.incr("lcu_token_bypasses");
+                m.counters_mut().incr("lcu_token_bypasses");
                 let direct = m.cfg().lcu_direct_transfer;
                 match next {
                     // A reader, or a writer that no overflow reader can
@@ -1166,7 +1164,7 @@ impl LcuBackend {
             Status::Rel => {
                 // Grant reached an entry that is already releasing — the
                 // release-race transfer already happened; drop.
-                self.counters.incr("lcu_grant_to_releasing");
+                m.counters_mut().incr("lcu_grant_to_releasing");
             }
         }
     }
@@ -1180,7 +1178,7 @@ impl LcuBackend {
         }
         if let Some(n) = e.next {
             if n.mode == Mode::Read {
-                self.counters.incr("lcu_read_propagations");
+                m.counters_mut().incr("lcu_read_propagations");
                 self.grant_read_share(m, core, addr, n);
             }
         }
@@ -1198,7 +1196,7 @@ impl LcuBackend {
             self.find_entry_core(addr, tid)
         };
         let Some(core) = found else {
-            self.counters.incr("lcu_remote_release_missing");
+            m.counters_mut().incr("lcu_remote_release_missing");
             return;
         };
         let e = self.lcus[core].get_mut(addr, tid).expect("entry");
@@ -1206,10 +1204,10 @@ impl LcuBackend {
             Status::Acq | Status::Rcv => {
                 // Make sure a parked Rcv becomes a real hold first.
                 e.status = Status::Acq;
-                self.counters.incr("lcu_remote_release_served");
+                m.counters_mut().incr("lcu_remote_release_served");
                 self.release_entry(m, core, addr, tid);
             }
-            _ => self.counters.incr("lcu_remote_release_dropped"),
+            _ => m.counters_mut().incr("lcu_remote_release_dropped"),
         }
     }
 }
@@ -1276,7 +1274,7 @@ impl LockBackend for LcuBackend {
         if let Some(&(owner, cnt)) = self.flts[core].get(&lock) {
             if owner == t && mode == Mode::Write {
                 self.flts[core].remove(&lock);
-                self.counters.incr("flt_hits");
+                m.counters_mut().incr("flt_hits");
                 self.finish_grant(m, t, lock, mode, false, cnt);
                 return;
             }
@@ -1323,7 +1321,7 @@ impl LockBackend for LcuBackend {
             // The holding entry is on another core (we migrated while
             // holding). Send the release to the LRT, which forwards it to
             // the entry (§III-C remote release).
-            self.counters.incr("lcu_remote_release_sent");
+            m.counters_mut().incr("lcu_remote_release_sent");
             self.release_to_lrt(m, core, lock, t, false);
         } else if mode == Mode::Write && m.cfg().flt_entries > 0 {
             // FLT (§IV-C): park the uncontended write release locally.
@@ -1337,7 +1335,7 @@ impl LockBackend for LcuBackend {
                 }
             }
             self.flts[core].insert(lock, (t, held.cnt));
-            self.counters.incr("flt_parks");
+            m.counters_mut().incr("flt_parks");
         } else {
             // Uncontended hold: the entry was deallocated at take time.
             // Re-allocate and release through the LRT (§III-A); that path
@@ -1354,7 +1352,7 @@ impl LockBackend for LcuBackend {
                 // No entry free, not even the remote-request one: the rel
                 // instruction spins, the thread blocked in the release
                 // until a retry finds an entry.
-                self.counters.incr("lcu_release_noentry");
+                m.counters_mut().incr("lcu_release_noentry");
             }
             return;
         }
@@ -1379,7 +1377,7 @@ impl LockBackend for LcuBackend {
         match self.timers.take(token) {
             TimerKind::TryExpire(t) => {
                 if self.reqs.remove(t).is_some() {
-                    self.counters.incr("lcu_try_expires");
+                    m.counters_mut().incr("lcu_try_expires");
                     // Entry cleanup is lazy: any grant that arrives for the
                     // abandoned entry passes through. If the entry is still
                     // merely Issued/Wait, it stays queued and forwards.
@@ -1400,7 +1398,7 @@ impl LockBackend for LcuBackend {
                     self.try_take(m, lcu, addr, tid);
                     return;
                 }
-                self.counters.incr("lcu_grant_timeouts");
+                m.counters_mut().incr("lcu_grant_timeouts");
                 let has_next = self.lcus[lcu].get(addr, tid).and_then(|e| e.next).is_some();
                 if has_next {
                     self.pass_through(m, lcu, addr, tid);
@@ -1434,7 +1432,7 @@ impl LockBackend for LcuBackend {
                 tail_tid,
                 req,
             } => {
-                self.counters.incr("lcu_fwd_redeliveries");
+                m.counters_mut().incr("lcu_fwd_redeliveries");
                 self.lcu_fwd_request(m, core, addr, tail_tid, req);
             }
         }
@@ -1455,7 +1453,7 @@ impl LockBackend for LcuBackend {
         }
         // Migrated (or told to re-issue): issue a fresh request from the
         // new core; stale entries elsewhere pass grants through on timeout.
-        self.counters.incr("lcu_reissues");
+        m.counters_mut().incr("lcu_reissues");
         self.try_start_request(m, t);
     }
 
@@ -1468,7 +1466,7 @@ impl LockBackend for LcuBackend {
                 let Some(&lock) = self.flts.get(core).and_then(|f| f.keys().next()) else {
                     return false;
                 };
-                self.counters.incr("flt_fault_evictions");
+                m.counters_mut().incr("flt_fault_evictions");
                 self.flt_unpark_release(m, core, lock);
                 true
             }
@@ -1527,26 +1525,6 @@ impl LockBackend for LcuBackend {
                 }
             }
         }
-        let mut c = self.counters.clone();
-        for l in &self.lrts {
-            c.add("lrt_evictions", l.evictions);
-        }
-        for (k, v) in c.iter() {
-            writeln!(out, "ctr {k} = {v}").ok();
-        }
         out
-    }
-
-    fn counters(&self) -> Counters {
-        let mut c = self.counters.clone();
-        let mut ev = 0;
-        let mut oh = 0;
-        for l in &self.lrts {
-            ev += l.evictions;
-            oh += l.overflow_hits;
-        }
-        c.add("lrt_evictions", ev);
-        c.add("lrt_overflow_hits", oh);
-        c
     }
 }

@@ -1,5 +1,6 @@
 //! The Lock Reservation Table: per-memory-controller lock queue management.
 
+use locksim_engine::stats::Counters;
 use locksim_engine::{FxHashMap, Time};
 use locksim_machine::{Addr, ThreadId};
 
@@ -65,16 +66,19 @@ pub enum Residency {
 }
 
 /// A set-associative LRT backed by a per-controller in-memory overflow
-/// hash table.
+/// hash table. Lookups count evictions (`lrt_evictions`) and overflow-table
+/// hits (`lrt_overflow_hits`) into the run's counters they are handed.
 ///
 /// # Example
 ///
 /// ```
 /// use locksim_core::lrt_table::Lrt;
+/// use locksim_engine::stats::Counters;
 /// use locksim_machine::Addr;
 ///
 /// let mut lrt = Lrt::new(512, 16);
-/// let (entry, res) = lrt.entry_mut(Addr(0x40));
+/// let mut ctr = Counters::new();
+/// let (entry, res) = lrt.entry_mut(Addr(0x40), &mut ctr);
 /// entry.reader_cnt += 1;
 /// assert_eq!(res, locksim_core::lrt_table::Residency::Table);
 /// ```
@@ -84,10 +88,6 @@ pub struct Lrt {
     assoc: usize,
     sets: Vec<Vec<LrtEntry>>,
     overflow: FxHashMap<Addr, LrtEntry>,
-    /// Eviction count (reported in experiment counters).
-    pub evictions: u64,
-    /// Overflow-table hits.
-    pub overflow_hits: u64,
 }
 
 impl Lrt {
@@ -104,8 +104,6 @@ impl Lrt {
             assoc,
             sets: (0..n_sets).map(|_| Vec::new()).collect(),
             overflow: FxHashMap::default(),
-            evictions: 0,
-            overflow_hits: 0,
         }
     }
 
@@ -116,14 +114,18 @@ impl Lrt {
 
     /// Looks up `addr`, returning the entry and where it lives. Does not
     /// allocate.
-    pub fn get_mut(&mut self, addr: Addr) -> Option<(&mut LrtEntry, Residency)> {
+    pub fn get_mut(
+        &mut self,
+        addr: Addr,
+        ctr: &mut Counters,
+    ) -> Option<(&mut LrtEntry, Residency)> {
         let set = self.set_of(addr);
         // Split-borrow dance: find index first.
         if let Some(pos) = self.sets[set].iter().position(|e| e.addr == addr) {
             return Some((&mut self.sets[set][pos], Residency::Table));
         }
         if self.overflow.contains_key(&addr) {
-            self.overflow_hits += 1;
+            ctr.incr("lrt_overflow_hits");
             return self
                 .overflow
                 .get_mut(&addr)
@@ -134,19 +136,19 @@ impl Lrt {
 
     /// Looks up or allocates the entry for `addr`. Allocation may evict a
     /// victim line to the overflow table.
-    pub fn entry_mut(&mut self, addr: Addr) -> (&mut LrtEntry, Residency) {
+    pub fn entry_mut(&mut self, addr: Addr, ctr: &mut Counters) -> (&mut LrtEntry, Residency) {
         let set = self.set_of(addr);
         if let Some(pos) = self.sets[set].iter().position(|e| e.addr == addr) {
             return (&mut self.sets[set][pos], Residency::Table);
         }
         if self.overflow.contains_key(&addr) {
-            self.overflow_hits += 1;
+            ctr.incr("lrt_overflow_hits");
             // Bring the entry back to the table (swapping out a victim if
             // the set is full), as the paper describes.
             let entry = self.overflow.remove(&addr).expect("just checked");
             if self.sets[set].len() >= self.assoc {
                 let victim = self.sets[set].swap_remove(0);
-                self.evictions += 1;
+                ctr.incr("lrt_evictions");
                 self.overflow.insert(victim.addr, victim);
             }
             self.sets[set].push(entry);
@@ -157,7 +159,7 @@ impl Lrt {
         let mut residency = Residency::Table;
         if self.sets[set].len() >= self.assoc {
             let victim = self.sets[set].swap_remove(0);
-            self.evictions += 1;
+            ctr.incr("lrt_evictions");
             residency = Residency::Overflow;
             self.overflow.insert(victim.addr, victim);
         }
@@ -220,42 +222,46 @@ mod tests {
 
     #[test]
     fn entry_roundtrip() {
+        let mut ctr = Counters::new();
         let mut lrt = Lrt::new(16, 4);
         let a = Addr(0x77);
         {
-            let (e, res) = lrt.entry_mut(a);
+            let (e, res) = lrt.entry_mut(a, &mut ctr);
             assert_eq!(res, Residency::Table);
             e.head = Some(node(1));
             e.tail = Some(node(1));
         }
-        let (e, _) = lrt.get_mut(a).unwrap();
+        let (e, _) = lrt.get_mut(a, &mut ctr).unwrap();
         assert_eq!(e.head.unwrap().tid, ThreadId(1));
         assert_eq!(lrt.len(), 1);
     }
 
     #[test]
     fn dead_entries_are_removed() {
+        let mut ctr = Counters::new();
         let mut lrt = Lrt::new(16, 4);
         let a = Addr(0x5);
-        lrt.entry_mut(a);
+        lrt.entry_mut(a, &mut ctr);
         lrt.remove_if_dead(a, Time::ZERO);
         assert!(lrt.is_empty());
     }
 
     #[test]
     fn live_entries_survive_removal_attempts() {
+        let mut ctr = Counters::new();
         let mut lrt = Lrt::new(16, 4);
         let a = Addr(0x5);
-        lrt.entry_mut(a).0.head = Some(node(3));
+        lrt.entry_mut(a, &mut ctr).0.head = Some(node(3));
         lrt.remove_if_dead(a, Time::ZERO);
         assert_eq!(lrt.len(), 1);
     }
 
     #[test]
     fn reservation_keeps_entry_alive_until_expiry() {
+        let mut ctr = Counters::new();
         let mut lrt = Lrt::new(16, 4);
         let a = Addr(0x6);
-        lrt.entry_mut(a).0.reservation = Some((ThreadId(9), 0, Time::from_cycles(100)));
+        lrt.entry_mut(a, &mut ctr).0.reservation = Some((ThreadId(9), 0, Time::from_cycles(100)));
         lrt.remove_if_dead(a, Time::from_cycles(50));
         assert_eq!(lrt.len(), 1, "unexpired reservation pins the entry");
         lrt.remove_if_dead(a, Time::from_cycles(100));
@@ -267,27 +273,29 @@ mod tests {
         // 4 entries, 1-way: 4 sets of 1. Force collisions by filling with
         // many addresses; spills must land in the overflow table without
         // losing entries.
+        let mut ctr = Counters::new();
         let mut lrt = Lrt::new(4, 1);
         for i in 0..32 {
-            let (e, _) = lrt.entry_mut(Addr(i));
+            let (e, _) = lrt.entry_mut(Addr(i), &mut ctr);
             e.head = Some(node(i as u32));
         }
         assert_eq!(lrt.len(), 32);
         assert!(lrt.overflow_len() >= 28);
-        assert!(lrt.evictions >= 28);
+        assert!(ctr.get("lrt_evictions") >= 28);
         // Every entry still findable with correct contents.
         for i in 0..32 {
-            let (e, _) = lrt.get_mut(Addr(i)).expect("entry lost");
+            let (e, _) = lrt.get_mut(Addr(i), &mut ctr).expect("entry lost");
             assert_eq!(e.head.unwrap().tid, ThreadId(i as u32));
         }
     }
 
     #[test]
     fn overflowed_entry_comes_back_on_access() {
+        let mut ctr = Counters::new();
         let mut lrt = Lrt::new(2, 1);
         // Fill enough to guarantee at least one spill.
         for i in 0..8 {
-            lrt.entry_mut(Addr(i)).0.head = Some(node(i as u32));
+            lrt.entry_mut(Addr(i), &mut ctr).0.head = Some(node(i as u32));
         }
         let spilled: Vec<Addr> = (0..8)
             .map(Addr)
@@ -298,10 +306,10 @@ mod tests {
             .collect();
         assert!(!spilled.is_empty());
         let victim = spilled[0];
-        let before = lrt.overflow_hits;
-        let (_, res) = lrt.entry_mut(victim);
+        let before = ctr.get("lrt_overflow_hits");
+        let (_, res) = lrt.entry_mut(victim, &mut ctr);
         assert_eq!(res, Residency::Overflow);
-        assert_eq!(lrt.overflow_hits, before + 1);
+        assert_eq!(ctr.get("lrt_overflow_hits"), before + 1);
         // Now resident in the table.
         let set = lrt.set_of(victim);
         assert!(lrt.sets[set].iter().any(|e| e.addr == victim));

@@ -7,6 +7,7 @@ use std::cell::RefCell;
 use std::rc::Rc;
 
 use locksim_core::LcuBackend;
+use locksim_engine::stats::Counters;
 use locksim_engine::Time;
 use locksim_machine::testing::ScriptProgram;
 use locksim_machine::{Action, Addr, Ctx, MachineConfig, Mode, Outcome, Program, ThreadId, World};
@@ -508,13 +509,13 @@ fn tiny_lcu_overflow_readers_preserve_exclusion() {
     assert_eq!(c.get("locks_granted"), 3 * 6 + 6);
 }
 
-#[test]
-fn lrt_eviction_to_memory_table_is_correct() {
-    // Shrink the LRT so live locks spill to the memory-backed overflow
-    // table; everything must still complete correctly.
+/// Four threads each hold six distinct write locks at once on an LRT of
+/// `lrt_entries` lines, `lrt_assoc`-way, so live entries spill to the
+/// memory-backed overflow table. Returns the run's counters.
+fn held_lock_pileup(lrt_entries: usize, lrt_assoc: usize) -> Counters {
     let mut cfg = MachineConfig::model_a(4);
-    cfg.lrt_entries = 4;
-    cfg.lrt_assoc = 2;
+    cfg.lrt_entries = lrt_entries;
+    cfg.lrt_assoc = lrt_assoc;
     let mut w = World::new(cfg, Box::new(LcuBackend::new()), 12);
     let locks: Vec<Addr> = (0..24).map(|_| w.mach().alloc().alloc_line()).collect();
     for t in 0..4u64 {
@@ -539,9 +540,54 @@ fn lrt_eviction_to_memory_table_is_correct() {
         w.spawn(Box::new(ScriptProgram::new(script)));
     }
     w.run_to_completion();
-    let c = w.report_counters();
+    w.report_counters()
+}
+
+#[test]
+fn lrt_eviction_to_memory_table_is_correct() {
+    // Everything must still complete correctly after spilling.
+    let c = held_lock_pileup(4, 2);
     assert_eq!(c.get("locks_granted"), 24);
     assert!(c.get("lrt_evictions") > 0, "expected LRT pressure: {c:?}");
+}
+
+#[test]
+fn two_line_lrt_counts_every_eviction_into_the_run() {
+    // The LRTs count into the machine's registry: the run reports exactly
+    // the evictions and overflow-table hits of every LRT.
+    let c = held_lock_pileup(2, 2);
+    assert_eq!(c.get("locks_granted"), 24);
+    assert_eq!(
+        (c.get("lrt_evictions"), c.get("lrt_overflow_hits")),
+        (20, 16)
+    );
+}
+
+#[test]
+fn lrt_overflow_counters_are_listed_at_zero() {
+    // `get` reads 0 for an absent name too, so look the names up in the
+    // snapshot's listing: an LCU run reports both even when nothing spills.
+    let mut w = lcu_world(MachineConfig::model_a(4), 1);
+    let lock = w.mach().alloc().alloc_line();
+    w.spawn(Box::new(ScriptProgram::new(vec![
+        Action::Acquire {
+            lock,
+            mode: Mode::Write,
+            try_for: None,
+        },
+        Action::Release {
+            lock,
+            mode: Mode::Write,
+        },
+    ])));
+    w.run_to_completion();
+    let listed: Vec<(&str, u64)> = w
+        .metrics_snapshot()
+        .counters
+        .iter()
+        .filter(|(name, _)| matches!(*name, "lrt_evictions" | "lrt_overflow_hits"))
+        .collect();
+    assert_eq!(listed, [("lrt_evictions", 0), ("lrt_overflow_hits", 0)]);
 }
 
 #[test]

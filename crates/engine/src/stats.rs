@@ -266,12 +266,13 @@ impl Hash for Name {
 
 /// A named bundle of monotonically increasing event counters.
 ///
-/// Components count protocol events (messages sent, retries, grants,
-/// overflows, ...) into a `Counters` and the harness folds them into reports.
-/// Bumps are hot-path, so storage is an [`FxHashMap`] keyed by where each
-/// name's `&'static str` lives, not by its bytes. The same literal can live
-/// at more than one address (one copy per crate, say), so every read —
-/// [`get`](Counters::get), [`iter`](Counters::iter), [`merge`](Counters::merge)
+/// A run keeps one, in its metrics registry: the machine, the lock backend,
+/// the directories and the LRTs all count protocol events (messages sent,
+/// retries, grants, overflows, ...) into it, and the harness reads its
+/// reports from it. Bumps are hot-path, so storage is an [`FxHashMap`]
+/// keyed by where each name's `&'static str` lives, not by its bytes. The
+/// same literal can live at more than one address (one copy per crate,
+/// say), so every read — [`get`](Counters::get), [`iter`](Counters::iter)
 /// and `==` — folds keys by name, and iteration sorts by name so every
 /// rendered report stays deterministic.
 #[derive(Clone, Default)]
@@ -319,20 +320,6 @@ impl Counters {
             same
         });
         entries.into_iter()
-    }
-
-    /// Folds another bundle into this one. A name this bundle already
-    /// holds at another address adds to that entry instead of taking a
-    /// second one.
-    pub fn merge(&mut self, other: &Counters) {
-        for (&k, &v) in &other.map {
-            let key = if self.map.contains_key(&k) {
-                k
-            } else {
-                self.map.keys().copied().find(|n| n.0 == k.0).unwrap_or(k)
-            };
-            *self.map.entry(key).or_insert(0) += v;
-        }
     }
 }
 
@@ -482,15 +469,12 @@ mod tests {
     }
 
     #[test]
-    fn counters_accumulate_and_merge() {
+    fn counters_accumulate() {
         let mut a = Counters::new();
         a.incr("msgs");
         a.add("msgs", 4);
         a.incr("retries");
-        let mut b = Counters::new();
-        b.add("msgs", 10);
-        a.merge(&b);
-        assert_eq!(a.get("msgs"), 15);
+        assert_eq!(a.get("msgs"), 5);
         assert_eq!(a.get("retries"), 1);
         assert_eq!(a.get("absent"), 0);
         let names: Vec<&str> = a.iter().map(|(k, _)| k).collect();
@@ -512,12 +496,5 @@ mod tests {
         assert_eq!(split, whole);
         whole.incr("retries");
         assert_ne!(split, whole);
-        let mut merged = Counters::new();
-        merged.merge(&split);
-        merged.merge(&whole);
-        assert_eq!(
-            merged.iter().collect::<Vec<_>>(),
-            vec![("msgs", 10), ("retries", 1)]
-        );
     }
 }

@@ -40,17 +40,18 @@ pub struct DeadlockReport {
 }
 
 /// The driver's between-polls progress measure: lock-protocol completions
-/// plus finished threads. Strictly monotone in a live run, frozen in a
-/// wedged one.
+/// (each thread's grants plus trylock failures, which sum to
+/// `locks_granted + locks_failed`) plus finished threads. Strictly monotone
+/// in a live run, frozen in a wedged one.
 pub(crate) fn progress_stamp(m: &Mach) -> (u64, u64) {
-    let counters = m.metrics().counters();
-    let finished = (0..m.n_threads())
-        .filter(|&i| m.is_finished(ThreadId(i as u32)))
-        .count() as u64;
-    (
-        counters.get("locks_granted") + counters.get("locks_failed"),
-        finished,
-    )
+    let (mut completions, mut finished) = (0, 0);
+    for i in 0..m.n_threads() {
+        let t = ThreadId(i as u32);
+        let stats = m.thread_stats(t);
+        completions += stats.acquires + stats.fails;
+        finished += u64::from(m.is_finished(t));
+    }
+    (completions, finished)
 }
 
 /// Whether every unfinished thread is suspended — the idle-wedge case where

@@ -117,6 +117,17 @@ impl Checker {
             }
         }
     }
+
+    /// A lock some thread still holds, if any: the lowest-addressed one,
+    /// with its writer or lowest reader.
+    pub fn any_held(&self) -> Option<(Addr, ThreadId)> {
+        let writers = self.writer.iter().map(|(&l, &t)| (l, t));
+        let readers = self
+            .readers
+            .iter()
+            .filter_map(|(&l, rs)| rs.iter().min().map(|&t| (l, t)));
+        writers.chain(readers).min()
+    }
 }
 
 fn abort(msg: &str, lock: Addr, tracer: &Tracer, lockstat: &LockStats) -> ! {

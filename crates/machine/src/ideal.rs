@@ -10,7 +10,6 @@
 
 use std::collections::VecDeque;
 
-use locksim_engine::stats::Counters;
 use locksim_engine::{Cycles, FxHashMap};
 
 use crate::addr::Addr;
@@ -41,7 +40,6 @@ impl LockState {
 #[derive(Debug, Clone, Default)]
 pub struct IdealBackend {
     locks: FxHashMap<Addr, LockState>,
-    counters: Counters,
 }
 
 impl IdealBackend {
@@ -94,7 +92,7 @@ impl LockBackend for IdealBackend {
         mode: Mode,
         try_for: Option<Cycles>,
     ) {
-        self.counters.incr("ideal_acquires");
+        m.counters_mut().incr("ideal_acquires");
         let st = self.locks.entry(lock).or_default();
         if st.queue.is_empty() && st.is_free_for(mode) {
             match mode {
@@ -104,7 +102,7 @@ impl LockBackend for IdealBackend {
             m.grant_lock(t, 0);
         } else if try_for == Some(0) {
             // An impatient trylock that will not wait at all.
-            self.counters.incr("ideal_tryfails");
+            m.counters_mut().incr("ideal_tryfails");
             m.fail_lock(t, 0);
         } else {
             // The ideal backend has no timeouts: a positive try budget waits
@@ -136,9 +134,5 @@ impl LockBackend for IdealBackend {
         }
         m.complete_release(t, 0);
         self.grant_from_queue(m, lock);
-    }
-
-    fn counters(&self) -> Counters {
-        self.counters.clone()
     }
 }

@@ -2,7 +2,6 @@
 //! units or software algorithms) plug into the machine.
 
 use locksim_coherence::LineAddr;
-use locksim_engine::stats::Counters;
 use locksim_engine::Cycles;
 
 use crate::addr::Addr;
@@ -120,11 +119,6 @@ pub trait LockBackend {
     fn on_fault(&mut self, m: &mut Mach, fault: BackendFault) -> bool {
         let _ = (m, fault);
         false
-    }
-
-    /// Protocol counters for reports.
-    fn counters(&self) -> Counters {
-        Counters::new()
     }
 
     /// Human-readable internal state dump for stall diagnostics.

@@ -446,7 +446,9 @@ impl Mach {
         self.wire_fault = None;
     }
 
-    /// Global machine counters (mutable for backends).
+    /// The run's counters: the machine, the lock backend, the directories
+    /// and the LRTs all count here.
+    #[inline]
     pub fn counters_mut(&mut self) -> &mut Counters {
         self.metrics.counters_mut()
     }
@@ -494,10 +496,12 @@ impl Mach {
         }
     }
 
-    /// Backend hook: bumps a protocol-specific per-lock counter (no-op while
-    /// lockstat is disabled).
+    /// Backend hook: bumps run counter `name` and lock `lock`'s protocol
+    /// counter of the same name (the latter a no-op while lockstat is
+    /// disabled).
     #[inline]
     pub fn lockstat_bump(&mut self, lock: Addr, name: &'static str) {
+        self.metrics.incr(name);
         self.lockstat.bump(lock.0, name);
     }
 
@@ -1062,26 +1066,32 @@ impl World {
         &self.mach
     }
 
-    /// Every counter of [`World::metrics_snapshot`]: the machine's, the
-    /// lock backend's, the directories' and the network-derived ones.
+    /// Every counter of [`World::metrics_snapshot`]: the run's registry
+    /// plus the network and event-queue counts derived at snapshot time.
     pub fn report_counters(&self) -> Counters {
         self.metrics_snapshot().counters
     }
 
-    /// End-of-run metrics: machine counters merged with backend, directory,
-    /// and network-derived counters, plus all latency histograms. The
-    /// rendering of this snapshot is deterministic for a given seed.
+    /// End-of-run metrics: the run's counters (machine, lock backend,
+    /// directories and LRTs all count into one registry) plus the
+    /// network-derived and event-queue counters, and all latency
+    /// histograms. The rendering of this snapshot is deterministic for a
+    /// given seed.
     ///
     /// # Panics
     ///
     /// Panics if the links carried fewer messages than the network sent:
     /// every message crosses at least one link. Panics if the event queue
     /// scheduled a different number of events than it dispatched plus
-    /// still holds. Panics unless the `lock_wait_cycles` sketch holds one
-    /// sample per `locks_granted` and `lock_hold_cycles` at most that many
-    /// (a hold is sampled at the release of a granted lock).
+    /// still holds. Panics unless `locks_granted` and `locks_failed` equal
+    /// the threads' own grant and failure counts, the `lock_wait_cycles`
+    /// sketch holds one sample per `locks_granted` and `lock_hold_cycles`
+    /// at most that many (a hold is sampled at the release of a granted
+    /// lock). Once every thread has finished, panics if any lock is still
+    /// held: per lock, grants must equal releases.
     pub fn metrics_snapshot(&self) -> MetricsSnapshot {
-        let mut net = Counters::new();
+        let mut snap = self.mach.metrics.snapshot();
+        let net = &mut snap.counters;
         net.add("net_queue_delay_cycles", self.mach.net.total_queue_delay());
         let (mut busy, mut msgs) = (0u64, 0u64);
         for l in self.mach.net.link_stats() {
@@ -1121,13 +1131,23 @@ impl World {
         net.add("evq_events", events);
         net.add("evq_scheduled", scheduled);
         net.add("evq_peak_pending", self.mach.sim.peak_pending() as u64);
-        let backend = self.backend.counters();
-        let mut extra: Vec<&Counters> = vec![&backend, &net];
-        for d in &self.mach.dirs {
-            extra.push(d.counters());
+        let (granted, failed) = (
+            snap.counters.get("locks_granted"),
+            snap.counters.get("locks_failed"),
+        );
+        let (acquires, fails) = self.mach.threads.iter().fold((0, 0), |(a, f), th| {
+            (a + th.stats.acquires, f + th.stats.fails)
+        });
+        assert!(
+            (granted, failed) == (acquires, fails),
+            "locks_granted {granted} / locks_failed {failed} != \
+             per-thread acquires {acquires} / fails {fails}"
+        );
+        if self.mach.alive == 0 {
+            if let Some((lock, holder)) = self.mach.checker.any_held() {
+                panic!("every thread finished, but {holder:?} still holds {lock}");
+            }
         }
-        let snap = self.mach.metrics.snapshot(extra);
-        let granted = snap.counters.get("locks_granted");
         let samples = |name| self.mach.metrics.hist(name).map_or(0, |h| h.count());
         let (waits, holds) = (samples("lock_wait_cycles"), samples("lock_hold_cycles"));
         assert!(
@@ -1312,8 +1332,10 @@ impl World {
                     .filter(|(_, th)| th.finished_at.is_none())
                     .map(|(i, th)| format!("t{i}: core={:?} waiting={:?} computing={:?} left={} pending={:?} gen={}", th.core, th.waiting, th.computing, th.compute_left, th.pending_outcome, th.resume_gen))
                     .collect();
+                let counters = self.mach.metrics.counters().iter();
+                let counters: String = counters.map(|(k, v)| format!("ctr {k} = {v}\n")).collect();
                 panic!(
-                    "simulation stalled with live threads: {blocked:?}\nbackend state:\n{}",
+                    "simulation stalled with live threads: {blocked:?}\nbackend state:\n{}{counters}",
                     self.backend.debug_state()
                 );
             }
@@ -1461,7 +1483,8 @@ impl World {
                     });
                 }
                 let mut actions = std::mem::take(&mut self.mach.dir_scratch);
-                self.mach.dirs[dir].handle(line, from, msg, &mut actions);
+                let m = &mut self.mach;
+                m.dirs[dir].handle(line, from, msg, &mut actions, m.metrics.counters_mut());
                 for act in actions.drain(..) {
                     // A data grant is the transaction's serialization point:
                     // apply the requestor's pending value effect now so that

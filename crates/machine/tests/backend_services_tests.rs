@@ -5,7 +5,6 @@
 use std::cell::RefCell;
 use std::rc::Rc;
 
-use locksim_engine::stats::Counters;
 use locksim_engine::Cycles;
 use locksim_machine::testing::ScriptProgram;
 use locksim_machine::{
@@ -106,10 +105,6 @@ impl LockBackend for ProbeBackend {
 
     fn on_line_invalidated(&mut self, _m: &mut Mach, t: ThreadId, _line: LineAddr) {
         self.log.borrow_mut().events.push(format!("inval t{}", t.0));
-    }
-
-    fn counters(&self) -> Counters {
-        Counters::new()
     }
 }
 

@@ -436,6 +436,38 @@ fn report_counters_include_lock_and_network_activity() {
 }
 
 #[test]
+#[should_panic(expected = "every thread finished, but ThreadId(0) still holds")]
+fn snapshot_rejects_a_lock_still_held_when_every_thread_finished() {
+    let mut w = world_a(2);
+    let lock = w.mach().alloc().alloc_line();
+    w.spawn(Box::new(ScriptProgram::new(vec![Action::Acquire {
+        lock,
+        mode: Mode::Write,
+        try_for: None,
+    }])));
+    w.run_to_completion();
+    w.metrics_snapshot();
+}
+
+#[test]
+fn lockstat_bump_counts_into_the_run_and_the_lock() {
+    for lockstat in [false, true] {
+        let mut w = world_a(2);
+        if lockstat {
+            w.enable_lockstat(None);
+        }
+        let lock = w.mach().alloc().alloc_line();
+        w.mach().lockstat_bump(lock, "probe_events");
+        assert_eq!(w.report_counters().get("probe_events"), 1);
+        let per_lock = w
+            .lockstat()
+            .lock(lock.0)
+            .and_then(|s| s.aux.get("probe_events").copied());
+        assert_eq!(per_lock, lockstat.then_some(1), "lockstat {lockstat}");
+    }
+}
+
+#[test]
 fn deterministic_across_runs() {
     let run = |seed| {
         let mut w = World::new(

@@ -411,7 +411,7 @@ mod tests {
         for v in [10u64, 20, 30, 4000] {
             reg.observe("lock_wait_cycles", v);
         }
-        let snap = reg.snapshot([]);
+        let snap = reg.snapshot();
         let mut sc = locksim_trace::SeriesCollector::new();
         sc.enable(100);
         sc.on_grant(10, 5);
@@ -459,7 +459,7 @@ mod tests {
     #[test]
     fn empty_series_is_omitted() {
         let reg = MetricsRegistry::new();
-        let snap = reg.snapshot([]);
+        let snap = reg.snapshot();
         let empty = locksim_trace::SeriesCollector::new().snapshot();
         let m = RunManifest::from_snapshot("x", "y", "", 1, 2, vec![], &snap, Some(&empty));
         assert!(m.series.is_none());

@@ -35,7 +35,6 @@
 
 #![forbid(unsafe_code)]
 
-use locksim_engine::stats::Counters;
 use locksim_engine::{Cycles, FxHashMap, Time};
 use locksim_machine::{Addr, Ep, InFlight, LockBackend, Mach, Mode, PerThread, ThreadId};
 use locksim_topo::MsgClass;
@@ -99,7 +98,6 @@ pub struct SsbBackend {
     /// The thread each retry timer re-drives.
     retry_timers: InFlight<ThreadId>,
     wire: InFlight<SsbMsg>,
-    counters: Counters,
 }
 
 impl SsbBackend {
@@ -125,7 +123,7 @@ impl SsbBackend {
         };
         let core = core.0 as usize;
         let home = m.home_of(p.addr);
-        self.counters.incr("ssb_requests");
+        m.counters_mut().incr("ssb_requests");
         let msg = SsbMsg::Req {
             addr: p.addr,
             tid: t,
@@ -162,7 +160,7 @@ impl SsbBackend {
                             // Table full: deny; the requestor's software
                             // retry loop stands in for the SSB's software
                             // fallback path.
-                            self.counters.incr("ssb_overflow_denials");
+                            m.counters_mut().incr("ssb_overflow_denials");
                             false
                         } else {
                             bank.insert(
@@ -184,7 +182,7 @@ impl SsbBackend {
                     _ => false,
                 };
                 let reply = if granted {
-                    self.counters.incr("ssb_grants");
+                    m.counters_mut().incr("ssb_grants");
                     m.trace_entry_state(
                         Ep::Mem(home),
                         addr,
@@ -195,7 +193,7 @@ impl SsbBackend {
                     );
                     SsbMsg::Grant { addr, tid, mode }
                 } else {
-                    self.counters.incr("ssb_denials");
+                    m.counters_mut().incr("ssb_denials");
                     SsbMsg::Deny { addr, tid }
                 };
                 let lat = m.cfg().lrt_latency;
@@ -270,7 +268,7 @@ impl LockBackend for SsbBackend {
         self.ensure_init(m);
         let core = m.core_of(t).expect("release from scheduled thread").0 as usize;
         let home = m.home_of(lock);
-        self.counters.incr("ssb_releases");
+        m.counters_mut().incr("ssb_releases");
         let msg = SsbMsg::Rel {
             addr: lock,
             tid: t,
@@ -291,7 +289,7 @@ impl LockBackend for SsbBackend {
                 if !wants {
                     // Trylock expired while the grant was in flight: give
                     // the lock straight back.
-                    self.counters.incr("ssb_orphan_grants");
+                    m.counters_mut().incr("ssb_orphan_grants");
                     let home = m.home_of(addr);
                     // The ack will go to whatever core; nobody waits on it.
                     let core = m.core_of(tid).map(|c| c.0 as usize).unwrap_or(0);
@@ -316,13 +314,13 @@ impl LockBackend for SsbBackend {
                 if let Some(deadline) = p.deadline {
                     if m.now() >= deadline {
                         self.pending.remove(tid);
-                        self.counters.incr("ssb_try_expires");
+                        m.counters_mut().incr("ssb_try_expires");
                         m.fail_lock(tid, 0);
                         return;
                     }
                 }
-                self.counters.incr("ssb_retries");
-                m.lockstat_bump(addr, "ssb_remote_retries");
+                m.counters_mut().incr("ssb_retries");
+                m.lockstat_mut().bump(addr.0, "ssb_remote_retries");
                 self.arm_retry(m, tid);
             }
             SsbMsg::RelAck { tid, orphan } => {
@@ -346,12 +344,7 @@ impl LockBackend for SsbBackend {
         // fault attribution.
         if let Some(p) = self.pending.get(t) {
             let addr = p.addr;
-            self.counters.incr("ssb_descheduled_midop");
             m.lockstat_bump(addr, "ssb_descheduled_midop");
         }
-    }
-
-    fn counters(&self) -> Counters {
-        self.counters.clone()
     }
 }

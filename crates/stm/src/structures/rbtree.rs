@@ -12,8 +12,9 @@ struct Node {
     key: u64,
     obj: ObjId,
     red: bool,
-    l: usize,
-    r: usize,
+    /// Left and right child: `ch[d]` and `ch[1 - d]` mirror each other, so
+    /// every rebalancing case is written once for both sides.
+    ch: [usize; 2],
     p: usize,
 }
 
@@ -55,8 +56,7 @@ impl RbTree {
             key,
             obj,
             red: true,
-            l: NIL,
-            r: NIL,
+            ch: [NIL; 2],
             p: NIL,
         };
         if let Some(idx) = self.free.pop() {
@@ -68,6 +68,8 @@ impl RbTree {
         }
     }
 
+    /// Adds `idx`'s object to the write set (the touched set is the
+    /// transaction's write set, in first-touch order).
     fn touch(&mut self, idx: usize) {
         if idx != NIL {
             let obj = self.nodes[idx].obj;
@@ -83,6 +85,16 @@ impl RbTree {
         }
     }
 
+    fn is_red(&self, x: usize) -> bool {
+        x != NIL && self.nodes[x].red
+    }
+
+    /// Which child of `parent` `child` is (0 left, 1 right; a NIL child of
+    /// a node with no left child reads as left).
+    fn side(&self, parent: usize, child: usize) -> usize {
+        usize::from(self.nodes[parent].ch[0] != child)
+    }
+
     /// Search path from the root to `key` (or to the leaf where it would
     /// attach). Returns `(path_objs, node_or_NIL, parent_or_NIL)`.
     fn search(&self, key: u64) -> (Vec<ObjId>, usize, usize) {
@@ -91,79 +103,52 @@ impl RbTree {
         let mut parent = NIL;
         while cur != NIL {
             path.push(self.nodes[cur].obj);
-            match key.cmp(&self.nodes[cur].key) {
-                std::cmp::Ordering::Equal => return (path, cur, parent),
-                std::cmp::Ordering::Less => {
-                    parent = cur;
-                    cur = self.nodes[cur].l;
-                }
-                std::cmp::Ordering::Greater => {
-                    parent = cur;
-                    cur = self.nodes[cur].r;
-                }
+            let k = self.nodes[cur].key;
+            if key == k {
+                return (path, cur, parent);
             }
+            parent = cur;
+            cur = self.nodes[cur].ch[usize::from(key > k)];
         }
         (path, NIL, parent)
     }
 
     fn minimum(&self, mut x: usize) -> usize {
-        while self.nodes[x].l != NIL {
-            x = self.nodes[x].l;
+        while self.nodes[x].ch[0] != NIL {
+            x = self.nodes[x].ch[0];
         }
         x
     }
 
-    fn rotate_left(&mut self, x: usize) {
-        let y = self.nodes[x].r;
-        self.touch(x);
-        self.touch(y);
-        let yl = self.nodes[y].l;
-        self.nodes[x].r = yl;
-        if yl != NIL {
-            self.nodes[yl].p = x;
-            self.touch(yl);
-        }
-        let xp = self.nodes[x].p;
-        self.nodes[y].p = xp;
-        if xp == NIL {
-            self.root = y;
+    /// Points `parent`'s link to `old` (the root pointer if `parent` is
+    /// NIL) at `new`.
+    fn relink(&mut self, parent: usize, old: usize, new: usize) {
+        if parent == NIL {
+            self.root = new;
             self.touch_header();
         } else {
-            self.touch(xp);
-            if self.nodes[xp].l == x {
-                self.nodes[xp].l = y;
-            } else {
-                self.nodes[xp].r = y;
-            }
+            self.touch(parent);
+            let d = self.side(parent, old);
+            self.nodes[parent].ch[d] = new;
         }
-        self.nodes[y].l = x;
-        self.nodes[x].p = y;
     }
 
-    fn rotate_right(&mut self, x: usize) {
-        let y = self.nodes[x].l;
+    /// Rotates `x` down towards side `d`: its child on the other side takes
+    /// its place (`d = 0` is a left rotation).
+    fn rotate(&mut self, x: usize, d: usize) {
+        let y = self.nodes[x].ch[1 - d];
         self.touch(x);
         self.touch(y);
-        let yr = self.nodes[y].r;
-        self.nodes[x].l = yr;
-        if yr != NIL {
-            self.nodes[yr].p = x;
-            self.touch(yr);
+        let inner = self.nodes[y].ch[d];
+        self.nodes[x].ch[1 - d] = inner;
+        if inner != NIL {
+            self.nodes[inner].p = x;
+            self.touch(inner);
         }
         let xp = self.nodes[x].p;
         self.nodes[y].p = xp;
-        if xp == NIL {
-            self.root = y;
-            self.touch_header();
-        } else {
-            self.touch(xp);
-            if self.nodes[xp].l == x {
-                self.nodes[xp].l = y;
-            } else {
-                self.nodes[xp].r = y;
-            }
-        }
-        self.nodes[y].r = x;
+        self.relink(xp, x, y);
+        self.nodes[y].ch[d] = x;
         self.nodes[x].p = y;
     }
 
@@ -174,55 +159,31 @@ impl RbTree {
             if g == NIL {
                 break;
             }
-            if self.nodes[g].l == p {
-                let u = self.nodes[g].r;
-                if u != NIL && self.nodes[u].red {
-                    self.nodes[p].red = false;
-                    self.nodes[u].red = false;
-                    self.nodes[g].red = true;
-                    self.touch(p);
-                    self.touch(u);
-                    self.touch(g);
-                    z = g;
-                } else {
-                    if self.nodes[p].r == z {
-                        z = p;
-                        self.rotate_left(z);
-                    }
-                    let p = self.nodes[z].p;
-                    let g = self.nodes[p].p;
-                    self.nodes[p].red = false;
-                    self.nodes[g].red = true;
-                    self.touch(p);
-                    self.touch(g);
-                    self.rotate_right(g);
-                }
+            let d = self.side(g, p);
+            let u = self.nodes[g].ch[1 - d];
+            if self.is_red(u) {
+                self.nodes[p].red = false;
+                self.nodes[u].red = false;
+                self.nodes[g].red = true;
+                self.touch(p);
+                self.touch(u);
+                self.touch(g);
+                z = g;
             } else {
-                let u = self.nodes[g].l;
-                if u != NIL && self.nodes[u].red {
-                    self.nodes[p].red = false;
-                    self.nodes[u].red = false;
-                    self.nodes[g].red = true;
-                    self.touch(p);
-                    self.touch(u);
-                    self.touch(g);
-                    z = g;
-                } else {
-                    if self.nodes[p].l == z {
-                        z = p;
-                        self.rotate_right(z);
-                    }
-                    let p = self.nodes[z].p;
-                    let g = self.nodes[p].p;
-                    self.nodes[p].red = false;
-                    self.nodes[g].red = true;
-                    self.touch(p);
-                    self.touch(g);
-                    self.rotate_left(g);
+                if self.nodes[p].ch[1 - d] == z {
+                    z = p;
+                    self.rotate(z, d);
                 }
+                let p = self.nodes[z].p;
+                let g = self.nodes[p].p;
+                self.nodes[p].red = false;
+                self.nodes[g].red = true;
+                self.touch(p);
+                self.touch(g);
+                self.rotate(g, 1 - d);
             }
         }
-        if self.root != NIL && self.nodes[self.root].red {
+        if self.is_red(self.root) {
             self.nodes[self.root].red = false;
             self.touch(self.root);
         }
@@ -240,11 +201,8 @@ impl RbTree {
             self.touch_header();
         } else {
             self.touch(parent);
-            if key < self.nodes[parent].key {
-                self.nodes[parent].l = z;
-            } else {
-                self.nodes[parent].r = z;
-            }
+            let d = usize::from(key > self.nodes[parent].key);
+            self.nodes[parent].ch[d] = z;
         }
         self.insert_fixup(z);
         self.len += 1;
@@ -254,17 +212,7 @@ impl RbTree {
     /// Replaces subtree `u` with subtree `v` (CLRS transplant).
     fn transplant(&mut self, u: usize, v: usize) {
         let up = self.nodes[u].p;
-        if up == NIL {
-            self.root = v;
-            self.touch_header();
-        } else {
-            self.touch(up);
-            if self.nodes[up].l == u {
-                self.nodes[up].l = v;
-            } else {
-                self.nodes[up].r = v;
-            }
-        }
+        self.relink(up, u, v);
         if v != NIL {
             self.nodes[v].p = up;
             self.touch(v);
@@ -273,109 +221,58 @@ impl RbTree {
 
     fn delete_fixup(&mut self, mut x: usize, mut xp: usize) {
         // x may be NIL; xp tracks its parent.
-        while x != self.root && (x == NIL || !self.nodes[x].red) {
+        while x != self.root && !self.is_red(x) {
             if xp == NIL {
                 break;
             }
-            if self.nodes[xp].l == x {
-                let mut w = self.nodes[xp].r;
-                if w != NIL && self.nodes[w].red {
-                    self.nodes[w].red = false;
-                    self.nodes[xp].red = true;
-                    self.touch(w);
-                    self.touch(xp);
-                    self.rotate_left(xp);
-                    w = self.nodes[xp].r;
-                }
-                if w == NIL {
-                    x = xp;
-                    xp = self.nodes[x].p;
-                    continue;
-                }
-                let wl = self.nodes[w].l;
-                let wr = self.nodes[w].r;
-                let wl_red = wl != NIL && self.nodes[wl].red;
-                let wr_red = wr != NIL && self.nodes[wr].red;
-                if !wl_red && !wr_red {
-                    self.nodes[w].red = true;
-                    self.touch(w);
-                    x = xp;
-                    xp = self.nodes[x].p;
-                } else {
-                    if !wr_red {
-                        if wl != NIL {
-                            self.nodes[wl].red = false;
-                            self.touch(wl);
-                        }
-                        self.nodes[w].red = true;
-                        self.touch(w);
-                        self.rotate_right(w);
-                        w = self.nodes[xp].r;
-                    }
-                    self.nodes[w].red = self.nodes[xp].red;
-                    self.nodes[xp].red = false;
-                    self.touch(w);
-                    self.touch(xp);
-                    let wr = self.nodes[w].r;
-                    if wr != NIL {
-                        self.nodes[wr].red = false;
-                        self.touch(wr);
-                    }
-                    self.rotate_left(xp);
-                    x = self.root;
-                    xp = NIL;
-                }
-            } else {
-                let mut w = self.nodes[xp].l;
-                if w != NIL && self.nodes[w].red {
-                    self.nodes[w].red = false;
-                    self.nodes[xp].red = true;
-                    self.touch(w);
-                    self.touch(xp);
-                    self.rotate_right(xp);
-                    w = self.nodes[xp].l;
-                }
-                if w == NIL {
-                    x = xp;
-                    xp = self.nodes[x].p;
-                    continue;
-                }
-                let wl = self.nodes[w].l;
-                let wr = self.nodes[w].r;
-                let wl_red = wl != NIL && self.nodes[wl].red;
-                let wr_red = wr != NIL && self.nodes[wr].red;
-                if !wl_red && !wr_red {
-                    self.nodes[w].red = true;
-                    self.touch(w);
-                    x = xp;
-                    xp = self.nodes[x].p;
-                } else {
-                    if !wl_red {
-                        if wr != NIL {
-                            self.nodes[wr].red = false;
-                            self.touch(wr);
-                        }
-                        self.nodes[w].red = true;
-                        self.touch(w);
-                        self.rotate_left(w);
-                        w = self.nodes[xp].l;
-                    }
-                    self.nodes[w].red = self.nodes[xp].red;
-                    self.nodes[xp].red = false;
-                    self.touch(w);
-                    self.touch(xp);
-                    let wl = self.nodes[w].l;
-                    if wl != NIL {
-                        self.nodes[wl].red = false;
-                        self.touch(wl);
-                    }
-                    self.rotate_right(xp);
-                    x = self.root;
-                    xp = NIL;
-                }
+            let d = self.side(xp, x);
+            let mut w = self.nodes[xp].ch[1 - d];
+            if self.is_red(w) {
+                self.nodes[w].red = false;
+                self.nodes[xp].red = true;
+                self.touch(w);
+                self.touch(xp);
+                self.rotate(xp, d);
+                w = self.nodes[xp].ch[1 - d];
             }
+            if w == NIL {
+                x = xp;
+                xp = self.nodes[x].p;
+                continue;
+            }
+            let near = self.nodes[w].ch[d];
+            let far = self.nodes[w].ch[1 - d];
+            if !self.is_red(near) && !self.is_red(far) {
+                self.nodes[w].red = true;
+                self.touch(w);
+                x = xp;
+                xp = self.nodes[x].p;
+                continue;
+            }
+            if !self.is_red(far) {
+                if near != NIL {
+                    self.nodes[near].red = false;
+                    self.touch(near);
+                }
+                self.nodes[w].red = true;
+                self.touch(w);
+                self.rotate(w, 1 - d);
+                w = self.nodes[xp].ch[1 - d];
+            }
+            self.nodes[w].red = self.nodes[xp].red;
+            self.nodes[xp].red = false;
+            self.touch(w);
+            self.touch(xp);
+            let far = self.nodes[w].ch[1 - d];
+            if far != NIL {
+                self.nodes[far].red = false;
+                self.touch(far);
+            }
+            self.rotate(xp, d);
+            x = self.root;
+            xp = NIL;
         }
-        if x != NIL && self.nodes[x].red {
+        if self.is_red(x) {
             self.nodes[x].red = false;
             self.touch(x);
         }
@@ -387,23 +284,18 @@ impl RbTree {
             return false;
         }
         self.touch(z);
-        let mut y = z;
-        let mut y_was_red = self.nodes[y].red;
-        let x;
-        let xp;
-        if self.nodes[z].l == NIL {
-            x = self.nodes[z].r;
-            xp = self.nodes[z].p;
-            self.transplant(z, x);
-        } else if self.nodes[z].r == NIL {
-            x = self.nodes[z].l;
+        let [zl, zr] = self.nodes[z].ch;
+        let mut y_was_red = self.nodes[z].red;
+        let (x, xp);
+        if zl == NIL || zr == NIL {
+            x = if zl == NIL { zr } else { zl };
             xp = self.nodes[z].p;
             self.transplant(z, x);
         } else {
-            y = self.minimum(self.nodes[z].r);
+            let y = self.minimum(zr);
             self.touch(y);
             y_was_red = self.nodes[y].red;
-            x = self.nodes[y].r;
+            x = self.nodes[y].ch[1];
             if self.nodes[y].p == z {
                 xp = y;
                 if x != NIL {
@@ -413,14 +305,12 @@ impl RbTree {
             } else {
                 xp = self.nodes[y].p;
                 self.transplant(y, x);
-                let zr = self.nodes[z].r;
-                self.nodes[y].r = zr;
+                self.nodes[y].ch[1] = zr;
                 self.nodes[zr].p = y;
                 self.touch(zr);
             }
             self.transplant(z, y);
-            let zl = self.nodes[z].l;
-            self.nodes[y].l = zl;
+            self.nodes[y].ch[0] = zl;
             self.nodes[zl].p = y;
             self.nodes[y].red = self.nodes[z].red;
             self.touch(zl);
@@ -439,7 +329,8 @@ impl RbTree {
             if n == NIL {
                 0
             } else {
-                1 + go(t, t.nodes[n].l).max(go(t, t.nodes[n].r))
+                let [l, r] = t.nodes[n].ch;
+                1 + go(t, l).max(go(t, r))
             }
         }
         go(self, self.root)
@@ -462,11 +353,12 @@ impl TxStructure for RbTree {
             Op::Delete(_) if found == NIL => Vec::new(),
             Op::Delete(_) => {
                 // Extend the read path with the successor walk.
-                if self.nodes[found].l != NIL && self.nodes[found].r != NIL {
-                    let mut cur = self.nodes[found].r;
+                let [l, r] = self.nodes[found].ch;
+                if l != NIL && r != NIL {
+                    let mut cur = r;
                     while cur != NIL {
                         reads.push(self.nodes[cur].obj);
-                        cur = self.nodes[cur].l;
+                        cur = self.nodes[cur].ch[0];
                     }
                 }
                 let n = reads.len();
@@ -521,19 +413,14 @@ impl TxStructure for RbTree {
             if let Some(hi) = hi {
                 assert!(node.key < hi, "BST order violated");
             }
-            if node.red {
-                for c in [node.l, node.r] {
-                    assert!(c == NIL || !t.nodes[c].red, "red-red violation");
+            for c in node.ch {
+                assert!(!(node.red && t.is_red(c)), "red-red violation");
+                if c != NIL {
+                    assert_eq!(t.nodes[c].p, n, "parent pointer broken");
                 }
             }
-            if node.l != NIL {
-                assert_eq!(t.nodes[node.l].p, n, "parent pointer broken");
-            }
-            if node.r != NIL {
-                assert_eq!(t.nodes[node.r].p, n, "parent pointer broken");
-            }
-            let bl = go(t, node.l, lo, Some(node.key));
-            let br = go(t, node.r, Some(node.key), hi);
+            let bl = go(t, node.ch[0], lo, Some(node.key));
+            let br = go(t, node.ch[1], Some(node.key), hi);
             assert_eq!(bl, br, "black height mismatch");
             bl + usize::from(!node.red)
         }

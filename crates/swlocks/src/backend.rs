@@ -1,7 +1,6 @@
 //! The software-lock [`LockBackend`]: routes machine events into the
 //! per-algorithm state machines.
 
-use locksim_engine::stats::Counters;
 use locksim_engine::Cycles;
 use locksim_machine::{Addr, CoreId, LineAddr, LockBackend, Mach, Mode, ThreadId};
 
@@ -194,7 +193,7 @@ impl LockBackend for SwLockBackend {
         // `tests/corpus/s00025_mrsw_none.txt`. A preempted thread executes
         // nothing: drop the wake and let `on_thread_scheduled` re-read.
         if !m.is_scheduled(t) {
-            self.st.counters.incr("sw_wakes_dropped_offcore");
+            m.counters_mut().incr("sw_wakes_dropped_offcore");
             return;
         }
         // A real invalidation means the line the spin watches changed —
@@ -222,7 +221,6 @@ impl LockBackend for SwLockBackend {
                 }
                 tsm.futile += 1;
                 let (lock, futile) = (tsm.lock, tsm.futile);
-                self.st.counters.incr("sw_fallback_redrives");
                 m.lockstat_bump(lock, "sw_fallback_redrives");
                 if futile >= YIELD_AFTER_FUTILE && m.has_ready_threads() {
                     // Stuck several full fallback periods with threads
@@ -231,7 +229,7 @@ impl LockBackend for SwLockBackend {
                     // possibly the thread this spin is waiting on — gets
                     // a core well before the next quantum tick. The
                     // re-read runs when this thread is rescheduled.
-                    self.st.counters.incr("sw_spin_yields");
+                    m.counters_mut().incr("sw_spin_yields");
                     m.request_yield(t);
                 } else {
                     self.st.reread(m, t);
@@ -264,13 +262,8 @@ impl LockBackend for SwLockBackend {
         // can attribute the resulting stalls.
         if let Some(tsm) = self.st.threads.get(t) {
             let lock = tsm.lock;
-            self.st.counters.incr("sw_descheduled_midop");
             m.lockstat_bump(lock, "sw_descheduled_midop");
         }
-    }
-
-    fn counters(&self) -> Counters {
-        self.st.counters.clone()
     }
 
     fn debug_state(&self) -> String {

@@ -62,7 +62,7 @@ pub(crate) fn start_release_read(st: &mut SwState, m: &mut Mach, t: ThreadId) {
 
 /// Diverts an acquiring reader onto the underlying MRSW read lock.
 fn slow_path(st: &mut SwState, m: &mut Mach, t: ThreadId) {
-    st.counters.incr("sw_bravo_slow_reads");
+    m.counters_mut().incr("sw_bravo_slow_reads");
     crate::mrsw::start_acquire_read(st, m, t);
 }
 
@@ -73,7 +73,7 @@ pub(crate) fn slow_read_locked(st: &mut SwState, m: &mut Mach, t: ThreadId) {
     st.rpaths.insert((t, lock), ReaderPath::Slow);
     let meta = st.bravo_meta(m, lock);
     if m.now().cycles() >= meta.inhibit_until {
-        st.counters.incr("sw_bravo_rebias");
+        m.counters_mut().incr("sw_bravo_rebias");
         let tsm = st.threads.get_mut(t).expect("tsm");
         tsm.phase = Phase::BravoRSetBias;
         write(m, t, meta.bias, 1);
@@ -129,7 +129,7 @@ pub(crate) fn advance(st: &mut SwState, m: &mut Mach, t: ThreadId, step: Step) {
             } else {
                 // Slot collision (another reader, possibly of another
                 // lock): fall back without publishing.
-                st.counters.incr("sw_bravo_slot_collisions");
+                m.counters_mut().incr("sw_bravo_slot_collisions");
                 slow_path(st, m, t);
             }
         }
@@ -137,7 +137,7 @@ pub(crate) fn advance(st: &mut SwState, m: &mut Mach, t: ThreadId, step: Step) {
             if b == 1 {
                 let i = st.threads[t].scratch as usize;
                 st.rpaths.insert((t, lock), ReaderPath::Fast(i));
-                st.counters.incr("sw_bravo_fast_reads");
+                m.counters_mut().incr("sw_bravo_fast_reads");
                 st.grant(m, t);
             } else {
                 // A writer revoked the bias between publish and re-check:
@@ -159,7 +159,6 @@ pub(crate) fn advance(st: &mut SwState, m: &mut Mach, t: ThreadId, step: Step) {
             if b == 0 {
                 st.grant(m, t);
             } else {
-                st.counters.incr("sw_bravo_revocations");
                 m.lockstat_bump(lock, "sw_bravo_revocations");
                 let meta = st.bravo_meta(m, lock);
                 let tsm = st.threads.get_mut(t).expect("tsm");

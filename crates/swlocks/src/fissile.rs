@@ -74,12 +74,12 @@ pub(crate) fn advance(st: &mut SwState, m: &mut Mach, t: ThreadId, step: Step) {
         // ---- reader acquire ----
         (Phase::FisRInc, Step::Value(old)) => {
             if old & WRITE_BIT == 0 {
-                st.counters.incr("sw_fissile_read_fast");
+                m.counters_mut().incr("sw_fissile_read_fast");
                 st.grant(m, t);
             } else {
                 // Writer present: roll the aggregation back and wait.
                 tsm.phase = Phase::FisRDec;
-                st.counters.incr("sw_fissile_rollbacks");
+                m.counters_mut().incr("sw_fissile_rollbacks");
                 rmw(m, t, word, RmwOp::FetchAdd(R_UNIT.wrapping_neg()));
             }
         }
@@ -105,7 +105,7 @@ pub(crate) fn advance(st: &mut SwState, m: &mut Mach, t: ThreadId, step: Step) {
                 st.grant(m, t);
             } else {
                 tsm.phase = Phase::FisWReadWord;
-                st.counters.incr("sw_fissile_writer_waits");
+                m.counters_mut().incr("sw_fissile_writer_waits");
                 read(m, t, word);
             }
         }

@@ -78,7 +78,7 @@ pub(crate) fn advance(st: &mut SwState, m: &mut Mach, t: ThreadId, step: Step) {
             if v == 0 {
                 mcs_acquired(st, m, t);
             } else {
-                st.counters.incr("sw_mcs_spins");
+                m.counters_mut().incr("sw_mcs_spins");
                 st.spin(m, t, q.add(1));
             }
         }

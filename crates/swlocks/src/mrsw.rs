@@ -74,7 +74,7 @@ pub(crate) fn advance(st: &mut SwState, m: &mut Mach, t: ThreadId, step: Step) {
             } else {
                 // Roll back and wait for the writer to finish.
                 tsm.phase = Phase::MrswRDec;
-                st.counters.incr("sw_mrsw_rollbacks");
+                m.counters_mut().incr("sw_mrsw_rollbacks");
                 rmw(m, t, lm.rdr, RmwOp::FetchAdd(MINUS_ONE));
             }
         }
@@ -102,7 +102,7 @@ pub(crate) fn advance(st: &mut SwState, m: &mut Mach, t: ThreadId, step: Step) {
             if r == 0 {
                 write_locked(st, m, t);
             } else {
-                st.counters.incr("sw_mrsw_writer_waits");
+                m.counters_mut().incr("sw_mrsw_writer_waits");
                 st.spin(m, t, lm.rdr);
             }
         }

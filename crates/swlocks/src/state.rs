@@ -1,6 +1,5 @@
 //! Shared state for the software-lock state machines.
 
-use locksim_engine::stats::Counters;
 use locksim_engine::FxHashMap;
 use locksim_machine::{Addr, InFlight, Mach, MemKind, PerThread, RmwOp, ThreadId};
 
@@ -218,7 +217,6 @@ pub(crate) struct SwState {
     pub mem: FxHashMap<Addr, LockMem>,
     pub qnodes: FxHashMap<(ThreadId, Addr), Addr>,
     pub timers: InFlight<(ThreadId, TimerPurpose)>,
-    pub counters: Counters,
     /// BRAVO per-lock metadata (lazily allocated; empty for other algs so
     /// the allocation sequence of existing algorithms is untouched).
     pub bravo: FxHashMap<Addr, BravoMeta>,
@@ -238,7 +236,6 @@ impl SwState {
             mem: FxHashMap::default(),
             qnodes: FxHashMap::default(),
             timers: InFlight::new(),
-            counters: Counters::new(),
             bravo: FxHashMap::default(),
             rtable: Vec::new(),
             rpaths: FxHashMap::default(),
@@ -342,14 +339,14 @@ impl SwState {
     pub fn grant(&mut self, m: &mut Mach, t: ThreadId) {
         let tsm = self.threads.remove(t).expect("grant without op");
         debug_assert_eq!(tsm.op, OpKind::Acquire);
-        self.counters.incr("sw_grants");
+        m.counters_mut().incr("sw_grants");
         m.grant_lock(t, 0);
     }
 
     /// Completes a failed trylock.
     pub fn fail(&mut self, m: &mut Mach, t: ThreadId) {
         self.threads.remove(t);
-        self.counters.incr("sw_tryfails");
+        m.counters_mut().incr("sw_tryfails");
         m.fail_lock(t, 0);
     }
 
@@ -363,7 +360,7 @@ impl SwState {
             .remove(t)
             .expect("release completion without op");
         debug_assert_eq!(tsm.op, OpKind::Release);
-        self.counters.incr("sw_releases");
+        m.counters_mut().incr("sw_releases");
         m.complete_release(t, 0);
     }
 }

@@ -57,7 +57,7 @@ pub(crate) fn advance(st: &mut SwState, m: &mut Mach, t: ThreadId, step: Step, p
             } else if old == 0 {
                 st.grant(m, t);
             } else {
-                st.counters.incr("sw_tas_retries");
+                m.counters_mut().incr("sw_tas_retries");
                 rmw(m, t, lock, RmwOp::Swap(1));
             }
         }
@@ -71,7 +71,7 @@ pub(crate) fn advance(st: &mut SwState, m: &mut Mach, t: ThreadId, step: Step, p
                 tsm.spins += 1;
                 if posix && tsm.spins > POSIX_SPIN_LIMIT {
                     tsm.phase = Phase::PosixParked;
-                    st.counters.incr("sw_posix_parks");
+                    m.counters_mut().incr("sw_posix_parks");
                     st.park(m, t, POSIX_PARK);
                 } else {
                     st.spin(m, t, lock);
@@ -91,7 +91,7 @@ pub(crate) fn advance(st: &mut SwState, m: &mut Mach, t: ThreadId, step: Step, p
             } else {
                 // Lost the race: back to spinning.
                 tsm.phase = Phase::TatasRead;
-                st.counters.incr("sw_tatas_races");
+                m.counters_mut().incr("sw_tatas_races");
                 read(m, t, lock);
             }
         }

@@ -1,14 +1,15 @@
 //! The metrics registry: named counters plus one latency sketch per name
 //! with p50–p99.99 summaries.
 //!
-//! Counters reuse [`locksim_engine::stats::Counters`] (the type every
-//! backend already reports), so the registry slots into the existing
-//! `report_counters()` flow. Each latency sample lands in exactly one
-//! [`QuantileSketch`], and every published quantile is read from it. A
-//! [`MetricsSnapshot`] is an owned, deterministic rendering of all of it —
-//! used by the harness for its metrics tables, by the run-manifest ledger
-//! (which embeds the serialized sketches), and by the golden determinism
-//! tests, which compare snapshots byte-for-byte.
+//! Counters are one [`locksim_engine::stats::Counters`]: a run's machine,
+//! lock backend, directories and LRTs all count into the machine's
+//! registry, so a snapshot reads every count from one place. Each latency
+//! sample lands in exactly one [`QuantileSketch`], and every published
+//! quantile is read from it. A [`MetricsSnapshot`] is an owned,
+//! deterministic rendering of all of it — used by the harness for its
+//! metrics tables, by the run-manifest ledger (which embeds the serialized
+//! sketches), and by the golden determinism tests, which compare snapshots
+//! byte-for-byte.
 
 use locksim_engine::stats::Counters;
 
@@ -32,22 +33,25 @@ impl MetricsRegistry {
         Self::default()
     }
 
-    /// The counter bundle (for reading and merging).
+    /// The counter bundle.
     pub fn counters(&self) -> &Counters {
         &self.counters
     }
 
     /// Mutable access for components that count through the registry.
+    #[inline]
     pub fn counters_mut(&mut self) -> &mut Counters {
         &mut self.counters
     }
 
     /// Increments counter `name`.
+    #[inline]
     pub fn incr(&mut self, name: &'static str) {
         self.counters.incr(name);
     }
 
     /// Adds `n` to counter `name`.
+    #[inline]
     pub fn add(&mut self, name: &'static str, n: u64) {
         self.counters.add(name, n);
     }
@@ -72,13 +76,8 @@ impl MetricsRegistry {
         self.hists.iter().find(|&&(n, _)| n == name).map(|(_, h)| h)
     }
 
-    /// Owned summary of everything recorded, merged with `extra` counter
-    /// bundles (backend/directory counters reported at end of run).
-    pub fn snapshot<'a>(&self, extra: impl IntoIterator<Item = &'a Counters>) -> MetricsSnapshot {
-        let mut counters = self.counters.clone();
-        for c in extra {
-            counters.merge(c);
-        }
+    /// Owned summary of everything recorded.
+    pub fn snapshot(&self) -> MetricsSnapshot {
         let mut sorted: Vec<&(&'static str, QuantileSketch)> = self.hists.iter().collect();
         sorted.sort_unstable_by_key(|&&(name, _)| name);
         let hists = sorted
@@ -90,7 +89,7 @@ impl MetricsRegistry {
             .map(|(name, h)| (name.to_string(), h.to_text()))
             .collect();
         MetricsSnapshot {
-            counters,
+            counters: self.counters.clone(),
             hists,
             sketches,
         }
@@ -103,7 +102,7 @@ impl MetricsRegistry {
 /// re-quantile across runs).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct MetricsSnapshot {
-    /// Merged counters, iterated in name order.
+    /// The run's counters, iterated in name order.
     pub counters: Counters,
     /// `(name, tail summary)` for each latency sketch, in name order.
     pub hists: Vec<(&'static str, TailSummary)>,
@@ -149,22 +148,21 @@ mod tests {
         for _ in 0..100 {
             m.observe("hold", 20);
         }
-        let snap = m.snapshot([]);
+        let snap = m.snapshot();
         let (name, t) = snap.hists[0];
         assert_eq!(name, "hold");
         assert_eq!((t.p50, t.p95, t.p99, t.max), (20, 20, 20, 20));
     }
 
     #[test]
-    fn snapshot_merges_extra_counters_and_renders_deterministically() {
+    fn snapshot_renders_counters_and_sketches_deterministically() {
         let mut m = MetricsRegistry::new();
         m.incr("a");
         m.add("b", 3);
+        m.counters_mut().add("b", 2);
+        m.counters_mut().incr("c");
         m.observe("lat", 16);
-        let mut backend = Counters::new();
-        backend.add("b", 2);
-        backend.add("c", 1);
-        let snap = m.snapshot([&backend]);
+        let snap = m.snapshot();
         assert_eq!(snap.counters.get("b"), 5);
         assert_eq!(snap.counters.get("c"), 1);
         let r = snap.render();
@@ -174,7 +172,7 @@ mod tests {
              hist lat count 1 p50 16 p95 16 p99 16 p999 16 p9999 16 max 16\n"
         );
         // Identical input → identical rendering.
-        assert_eq!(r, m.snapshot([&backend]).render());
+        assert_eq!(r, m.snapshot().render());
         // The snapshot carries the serialized sketch for the ledger.
         assert_eq!(snap.sketches.len(), 1);
         assert_eq!(snap.sketches[0].0, "lat");
@@ -187,9 +185,8 @@ mod tests {
     fn render_folds_one_name_at_two_addresses() {
         let mut m = MetricsRegistry::new();
         m.add(String::from("grants").leak(), 2);
-        let mut backend = Counters::new();
-        backend.add(String::from("grants").leak(), 3);
-        assert_eq!(m.snapshot([&backend]).render(), "counter grants 5\n");
+        m.counters_mut().add(String::from("grants").leak(), 3);
+        assert_eq!(m.snapshot().render(), "counter grants 5\n");
     }
 
     #[test]
@@ -199,7 +196,7 @@ mod tests {
         m.observe(String::from("wait").leak(), 20);
         m.observe("wait", 30);
         assert_eq!(m.hist("wait").map(QuantileSketch::count), Some(3));
-        let snap = m.snapshot([]);
+        let snap = m.snapshot();
         assert_eq!(snap.hists.len(), 1);
         assert_eq!(snap.sketches.len(), 1);
         assert_eq!(snap.hists[0].1.count, 3);
@@ -220,7 +217,7 @@ mod tests {
         }
         let mut sorted = names.to_vec();
         sorted.sort_unstable();
-        let snap = m.snapshot([]);
+        let snap = m.snapshot();
         let hists: Vec<&str> = snap.hists.iter().map(|&(n, _)| n).collect();
         let sketches: Vec<&str> = snap.sketches.iter().map(|(n, _)| n.as_str()).collect();
         assert_eq!(hists, sorted);
@@ -230,7 +227,7 @@ mod tests {
         for (i, &name) in names.iter().enumerate().rev() {
             r.observe(name, i as u64);
         }
-        assert_eq!(r.snapshot([]), snap);
+        assert_eq!(r.snapshot(), snap);
     }
 
     #[test]
@@ -239,7 +236,7 @@ mod tests {
         for v in 1..=10_000u64 {
             m.observe("lat", v);
         }
-        let snap = m.snapshot([]);
+        let snap = m.snapshot();
         let (_, h) = &snap.hists[0];
         // A power-of-two histogram would round p50 down to 4096; the sketch
         // stays within 1/32 of the true 5000.

@@ -64,7 +64,7 @@ fn published_summaries_are_monotone() {
             ls.on_grant(0x40, 0, true, v, now);
             ls.on_release(0x40, 0, true, v, now + v);
         }
-        let snap = m.snapshot([]);
+        let snap = m.snapshot();
         assert_eq!(snap.hists.len(), 1, "case {case}");
         let n = samples.len();
         assert_monotone(&snap.hists[0].1, n, &format!("case {case} registry"));
