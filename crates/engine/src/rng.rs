@@ -120,17 +120,6 @@ impl RngStream {
     pub fn split(&mut self, tag: u64) -> RngStream {
         RngStream::new(self.next_u64(), tag)
     }
-
-    /// Draws a random permutation index order of `n` elements.
-    pub fn permutation(&mut self, n: usize) -> Vec<usize> {
-        let mut v: Vec<usize> = (0..n).collect();
-        // Fisher–Yates.
-        for i in (1..n).rev() {
-            let j = self.below(i as u64 + 1) as usize;
-            v.swap(i, j);
-        }
-        v
-    }
 }
 
 #[cfg(test)]
@@ -223,20 +212,5 @@ mod tests {
         let mean = sum as f64 / n as f64;
         // Theoretical mean (failures before success) = (1-p)/p = 1.0.
         assert!((mean - 1.0).abs() < 0.1, "mean = {mean}");
-    }
-
-    #[test]
-    fn permutation_is_a_permutation() {
-        let mut r = RngStream::new(13, 13);
-        let mut p = r.permutation(50);
-        p.sort_unstable();
-        assert_eq!(p, (0..50).collect::<Vec<_>>());
-    }
-
-    #[test]
-    fn permutation_of_zero_and_one() {
-        let mut r = RngStream::new(13, 14);
-        assert!(r.permutation(0).is_empty());
-        assert_eq!(r.permutation(1), vec![0]);
     }
 }

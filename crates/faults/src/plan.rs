@@ -270,18 +270,6 @@ impl FaultPlan {
         )
     }
 
-    /// Suspends `thread` for `duration` cycles once it holds a lock (polled
-    /// from `after` cycles on).
-    pub fn suspend_when_holding(self, thread: u32, after: u64, duration: u64) -> Self {
-        self.event(
-            Trigger::WhenHolding { thread, after },
-            Inject::Suspend {
-                thread,
-                duration: Some(duration),
-            },
-        )
-    }
-
     /// Migrates `thread` to `to_core` at `cycle`.
     pub fn migrate_at(self, cycle: u64, thread: u32, to_core: u32) -> Self {
         self.event(Trigger::AtCycle(cycle), Inject::Migrate { thread, to_core })
@@ -812,7 +800,16 @@ at 50000 wire-clear
             .event(Trigger::AtCycle(40_000), Inject::Resume { thread: 2 })
             .migrate_at(50_000, 0, 3)
             .migrate_when_waiting(3, 1_000, 2)
-            .suspend_when_holding(0, 2_000, 9_000)
+            .event(
+                Trigger::WhenHolding {
+                    thread: 0,
+                    after: 2_000,
+                },
+                Inject::Suspend {
+                    thread: 0,
+                    duration: Some(9_000),
+                },
+            )
             .flt_evict_at(60_000, 1)
             .wire_delay_at(0, 7, 350)
             .event(Trigger::AtCycle(70_000), Inject::WireClear);

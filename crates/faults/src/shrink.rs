@@ -36,8 +36,6 @@ pub struct ShrinkResult {
     pub plan: FaultPlan,
     /// Candidate evaluations spent (each one a closure call).
     pub runs: u64,
-    /// Events removed from the input plan.
-    pub removed_events: usize,
 }
 
 struct Budget {
@@ -67,14 +65,12 @@ pub fn shrink<F: FnMut(&FaultPlan) -> bool>(
         spent: 0,
         max: max_runs,
     };
-    let original_events = plan.events.len();
     let mut best = plan.clone();
     if !budget.run(&mut fails, &best) {
         // The input does not violate (or the budget is 0): nothing to do.
         return ShrinkResult {
             plan: best,
             runs: budget.spent,
-            removed_events: 0,
         };
     }
     loop {
@@ -85,9 +81,8 @@ pub fn shrink<F: FnMut(&FaultPlan) -> bool>(
         }
     }
     ShrinkResult {
-        removed_events: original_events - best.events.len(),
-        runs: budget.spent,
         plan: best,
+        runs: budget.spent,
     }
 }
 
@@ -252,7 +247,6 @@ mod tests {
     fn shrinks_to_single_relevant_event() {
         let r = shrink(&noisy_plan(), trips, 10_000);
         assert_eq!(r.plan.events.len(), 1, "kept: {:?}", r.plan.events);
-        assert_eq!(r.removed_events, 5);
         assert!(trips(&r.plan));
         // Parameter halving drove the trigger to 0 and the duration to the
         // smallest power-of-two-halving still >= the threshold.
@@ -281,7 +275,6 @@ mod tests {
         let r = shrink(&p, trips, 10_000);
         assert_eq!(r.plan, p);
         assert_eq!(r.runs, 1);
-        assert_eq!(r.removed_events, 0);
     }
 
     #[test]

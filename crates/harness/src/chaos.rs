@@ -26,9 +26,10 @@ use locksim_faults::{
 use locksim_machine::{MachineConfig, World};
 use locksim_workloads::{CsThread, IterPool};
 
+use crate::obs::{self, BinFlag};
 use crate::run::{scaled, BackendKind};
 use crate::table::Table;
-use crate::{emit, finish_bin, obs, write_artifact};
+use crate::{emit, finish_bin, write_artifact};
 
 /// Default quiescence window for the deadlock detector, in cycles: long
 /// enough that a congested-but-live run always produces a grant inside it,
@@ -384,56 +385,36 @@ pub fn verdict_table(cfg: &ChaosCfg, report: &SoakReport) -> Table {
     t
 }
 
+/// chaossim's own flags, next to `--quick` and the shared observability
+/// flags.
+pub(crate) const FLAGS: &[BinFlag] = &[
+    BinFlag::number("--seed-start"),
+    BinFlag::number("--seeds"),
+    BinFlag::number("--cycle-budget"),
+    BinFlag::number("--jobs"),
+    BinFlag::path("--corpus-out"),
+    BinFlag::path("--csv"),
+    BinFlag::path("--html"),
+];
+
 /// Entry point of the `chaossim` bin (a root-package bin).
 pub fn cli_main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let flags = [
-        obs::BinFlag::switch("--quick"),
-        obs::BinFlag::value("--seed-start"),
-        obs::BinFlag::value("--seeds"),
-        obs::BinFlag::value("--quiesce"),
-        obs::BinFlag::value("--shrink-budget"),
-        obs::BinFlag::value("--cycle-budget"),
-        obs::BinFlag::value("--jobs"),
-        obs::BinFlag::value("--corpus-out"),
-        obs::BinFlag::value("--csv"),
-        obs::BinFlag::value("--html"),
-    ];
-    let (opts, extras) = match obs::parse_bin_cli(&args, &flags) {
-        Ok(parsed) => parsed,
-        Err(msg) => usage_exit(&msg),
+    let args = obs::bin_cli("chaossim", FLAGS);
+    let d = ChaosCfg::default_scaled();
+    let cfg = ChaosCfg {
+        seed_start: args.number("--seed-start", d.seed_start),
+        seeds: args.number("--seeds", d.seeds),
+        cycle_budget: args.number("--cycle-budget", d.cycle_budget),
+        ..d
     };
-    obs::apply_opts(&opts);
-    if extras.contains_key("--quick") {
-        std::env::set_var("LOCKSIM_QUICK", "1");
-    }
-    let mut cfg = ChaosCfg::default_scaled();
-    let num = |flag: &str, slot: &mut u64| {
-        if let Some(v) = extras.get(flag) {
-            *slot = v
-                .parse()
-                .unwrap_or_else(|_| usage_exit(&format!("{flag}: invalid number {v:?}")));
-        }
-    };
-    num("--seed-start", &mut cfg.seed_start);
-    num("--seeds", &mut cfg.seeds);
-    num("--quiesce", &mut cfg.quiesce);
-    num("--shrink-budget", &mut cfg.shrink_budget);
-    num("--cycle-budget", &mut cfg.cycle_budget);
-    let jobs = extras
-        .get("--jobs")
-        .map(|v| crate::sweep::parse_jobs(v).unwrap_or_else(|e| usage_exit(&e)))
-        .unwrap_or(1);
-    let csv_path = extras
-        .get("--csv")
-        .map(PathBuf::from)
-        .unwrap_or_else(|| PathBuf::from("results/chaossim.csv"));
-    let html_path = extras
-        .get("--html")
-        .map(PathBuf::from)
-        .unwrap_or_else(|| PathBuf::from("results/chaossim.html"));
+    let csv_path = args
+        .path("--csv")
+        .unwrap_or(Path::new("results/chaossim.csv"));
+    let html_path = args
+        .path("--html")
+        .unwrap_or(Path::new("results/chaossim.html"));
 
-    let report = soak(&cfg, jobs);
+    let report = soak(&cfg, args.jobs());
     eprintln!(
         "chaossim: executed {} of {} seeds, kept {}",
         report.seeds_executed, cfg.seeds, report.seeds_run
@@ -446,9 +427,9 @@ pub fn cli_main() {
     }
     emit("chaossim_verdicts", &[verdict_table(&cfg, &report)]);
 
-    write_artifact(&csv_path, &chaos_csv(&report.rows));
+    write_artifact(csv_path, &chaos_csv(&report.rows));
     write_artifact(
-        &html_path,
+        html_path,
         &chaos_html(&report.rows, "chaossim — chaos soak sweep"),
     );
     eprintln!(
@@ -456,9 +437,13 @@ pub fn cli_main() {
         csv_path.display(),
         html_path.display()
     );
-    if let Some(dir) = extras.get("--corpus-out") {
-        let paths = write_corpus(Path::new(dir), &report.shrunk);
-        eprintln!("chaossim: wrote {} corpus entries to {dir}", paths.len());
+    if let Some(dir) = args.path("--corpus-out") {
+        let paths = write_corpus(dir, &report.shrunk);
+        eprintln!(
+            "chaossim: wrote {} corpus entries to {}",
+            paths.len(),
+            dir.display()
+        );
     }
 
     let violating = report.rows.iter().filter(|r| !r.ok()).count();
@@ -468,15 +453,6 @@ pub fn cli_main() {
         report.seeds_run, violating, deadlocks, report.cycles
     );
     finish_bin("chaossim");
-}
-
-fn usage_exit(msg: &str) -> ! {
-    obs::usage_exit(
-        msg,
-        "chaossim [--quick] [--seed-start <n>] [--seeds <n>] [--quiesce <cycles>] \
-         [--shrink-budget <runs>] [--cycle-budget <cycles>] [--jobs <n|0=cores>] \
-         [--corpus-out <dir>] [--csv <path>] [--html <path>]",
-    )
 }
 
 #[cfg(test)]

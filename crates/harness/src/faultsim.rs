@@ -20,15 +20,16 @@
 //! fairness for locality under a degraded interconnect, surfaced by the
 //! oracle rather than hidden; the CI smoke job pins this verdict.
 
-use std::path::PathBuf;
+use std::path::Path;
 
 use locksim_faults::{csv, html, ChaosWorkload, FaultPlan, MatrixCell};
 use locksim_machine::MachineConfig;
 
 use crate::chaos::run_faulted;
+use crate::obs::{self, BinFlag};
 use crate::run::{scaled, BackendKind};
 use crate::table::Table;
-use crate::{emit, finish_bin, obs, write_artifact};
+use crate::{emit, finish_bin, write_artifact};
 
 /// The injected fault classes of the matrix.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -84,13 +85,13 @@ impl FaultClass {
     }
 
     /// The injection plan for this class.
-    fn plan(self, horizon: u64) -> FaultPlan {
-        let base = FaultPlan::new().horizon(horizon).deadline(1_000_000);
+    fn plan(self) -> FaultPlan {
+        let base = FaultPlan::new().horizon(HORIZON).deadline(1_000_000);
         match self {
             FaultClass::None | FaultClass::LrtPressure => base,
             // Twice the horizon: a backend that wedges its queue behind the
             // sleeper must blow the liveness bound before the auto-resume.
-            FaultClass::Suspend => base.suspend_when_waiting(1, 200, 2 * horizon),
+            FaultClass::Suspend => base.suspend_when_waiting(1, 200, 2 * HORIZON),
             FaultClass::Migrate => base
                 .migrate_when_waiting(1, 200, 3)
                 .migrate_at(6_000, 1, 0)
@@ -103,27 +104,28 @@ impl FaultClass {
     }
 }
 
+/// Threads hammering the lock in every cell.
+const THREADS: u32 = 4;
+
+/// Liveness horizon of every cell, in effective (non-suspended) wait
+/// cycles.
+const HORIZON: u64 = 30_000;
+
 /// Parameters of one matrix run.
 #[derive(Debug, Clone, Copy)]
 pub struct FaultsimCfg {
-    /// Threads hammering the lock.
-    pub threads: usize,
     /// Total critical sections shared across the threads.
     pub iters: u64,
     /// World seed.
     pub seed: u64,
-    /// Liveness horizon in effective (non-suspended) wait cycles.
-    pub horizon: u64,
 }
 
 impl FaultsimCfg {
     /// The default configuration (scaled down under `LOCKSIM_QUICK`).
     pub fn default_scaled() -> Self {
         FaultsimCfg {
-            threads: 4,
             iters: scaled(400, 100),
             seed: 42,
-            horizon: 30_000,
         }
     }
 }
@@ -138,14 +140,14 @@ pub fn run_cell(backend: BackendKind, class: FaultClass, cfg: &FaultsimCfg) -> M
     // Write mode throughout: every backend, including mutex-only MCS, runs
     // the identical schedule.
     let workload = ChaosWorkload {
-        threads: cfg.threads as u32,
+        threads: THREADS,
         iters: cfg.iters as u32,
         cs_compute: 20,
         write_pct: 100,
         lrt_pressure: class == FaultClass::LrtPressure,
     };
     let label = format!("{}/{}", backend.label(), class.label());
-    let plan = class.plan(cfg.horizon);
+    let plan = class.plan();
     let out = run_faulted(backend, &workload, cfg.seed, &plan, 0, &label)
         .unwrap_or_else(|e| panic!("faultsim cell {label}: {e}"));
     MatrixCell::from_run(backend.label(), class.label(), &out)
@@ -178,8 +180,8 @@ pub fn run_matrix(cfg: &FaultsimCfg, jobs: usize) -> Vec<MatrixCell> {
 pub fn verdict_table(cfg: &FaultsimCfg, cells: &[MatrixCell]) -> Table {
     let mut t = Table::new(
         format!(
-            "Fault-injection matrix — {} threads, {} iters, seed {}, horizon {} cycles",
-            cfg.threads, cfg.iters, cfg.seed, cfg.horizon
+            "Fault-injection matrix — {THREADS} threads, {} iters, seed {}, horizon {HORIZON} cycles",
+            cfg.iters, cfg.seed
         ),
         &MatrixCell::COLUMNS,
     );
@@ -189,52 +191,33 @@ pub fn verdict_table(cfg: &FaultsimCfg, cells: &[MatrixCell]) -> Table {
     t
 }
 
+/// faultsim's own flags, next to `--quick` and the shared observability
+/// flags.
+pub(crate) const FLAGS: &[BinFlag] = &[
+    BinFlag::number("--seed"),
+    BinFlag::number("--jobs"),
+    BinFlag::path("--csv"),
+    BinFlag::path("--html"),
+];
+
 /// Entry point of the `faultsim` bin (a root-package bin):
 /// parses flags, runs the matrix, and emits the verdict table plus the
 /// CSV and self-contained HTML artifacts.
 pub fn cli_main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let flags = [
-        obs::BinFlag::switch("--quick"),
-        obs::BinFlag::value("--seed"),
-        obs::BinFlag::value("--horizon"),
-        obs::BinFlag::value("--jobs"),
-        obs::BinFlag::value("--csv"),
-        obs::BinFlag::value("--html"),
-    ];
-    let (opts, extras) = match obs::parse_bin_cli(&args, &flags) {
-        Ok(parsed) => parsed,
-        Err(msg) => usage_exit(&msg),
+    let args = obs::bin_cli("faultsim", FLAGS);
+    let d = FaultsimCfg::default_scaled();
+    let cfg = FaultsimCfg {
+        seed: args.number("--seed", d.seed),
+        ..d
     };
-    obs::apply_opts(&opts);
-    if extras.contains_key("--quick") {
-        std::env::set_var("LOCKSIM_QUICK", "1");
-    }
-    let mut cfg = FaultsimCfg::default_scaled();
-    if let Some(v) = extras.get("--seed") {
-        cfg.seed = v
-            .parse()
-            .unwrap_or_else(|_| usage_exit(&format!("--seed: invalid number {v:?}")));
-    }
-    if let Some(v) = extras.get("--horizon") {
-        cfg.horizon = v
-            .parse()
-            .unwrap_or_else(|_| usage_exit(&format!("--horizon: invalid number {v:?}")));
-    }
-    let jobs = extras
-        .get("--jobs")
-        .map(|v| crate::sweep::parse_jobs(v).unwrap_or_else(|e| usage_exit(&e)))
-        .unwrap_or(1);
-    let csv_path = extras
-        .get("--csv")
-        .map(PathBuf::from)
-        .unwrap_or_else(|| PathBuf::from("results/faultsim.csv"));
-    let html_path = extras
-        .get("--html")
-        .map(PathBuf::from)
-        .unwrap_or_else(|| PathBuf::from("results/faultsim.html"));
+    let csv_path = args
+        .path("--csv")
+        .unwrap_or(Path::new("results/faultsim.csv"));
+    let html_path = args
+        .path("--html")
+        .unwrap_or(Path::new("results/faultsim.html"));
 
-    let cells = run_matrix(&cfg, jobs);
+    let cells = run_matrix(&cfg, args.jobs());
     for c in cells.iter().filter(|c| c.verdict != "n/a") {
         obs::record_verdicts(
             &format!("{}/{}", c.backend, c.fault),
@@ -251,9 +234,9 @@ pub fn cli_main() {
     // artifact below, which defaults to results/faultsim.csv.
     emit("faultsim_verdicts", &[verdict_table(&cfg, &cells)]);
 
-    write_artifact(&csv_path, &csv(&cells));
+    write_artifact(csv_path, &csv(&cells));
     write_artifact(
-        &html_path,
+        html_path,
         &html(&cells, "faultsim — fault-injection matrix"),
     );
     eprintln!(
@@ -280,14 +263,6 @@ pub fn cli_main() {
     finish_bin("faultsim");
 }
 
-fn usage_exit(msg: &str) -> ! {
-    obs::usage_exit(
-        msg,
-        "faultsim [--quick] [--seed <n>] [--horizon <cycles>] [--jobs <n|0=cores>] \
-         [--csv <path>] [--html <path>]",
-    )
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -308,12 +283,7 @@ mod tests {
 
     #[test]
     fn matrix_covers_every_backend_and_class() {
-        let quick = FaultsimCfg {
-            threads: 2,
-            iters: 10,
-            seed: 1,
-            horizon: 30_000,
-        };
+        let quick = FaultsimCfg { iters: 10, seed: 1 };
         // Single cheap cell smoke; the full matrix runs in the e2e tests.
         let cell = run_cell(BackendKind::Ideal, FaultClass::None, &quick);
         assert_eq!(cell.verdict, "pass");

@@ -65,28 +65,18 @@ pub(crate) fn write_artifact(path: &Path, content: &str) {
         .unwrap_or_else(|e| panic!("write artifact {}: {e}", path.display()));
 }
 
-/// Entry point shared by the figure binaries: parses the
-/// [`obs::SHARED_FLAGS`] plus `--quick` (equivalent to `LOCKSIM_QUICK=1`)
-/// through the uniform [`obs::parse_bin_cli`] helper, regenerates the
-/// figure, emits its tables, and appends the metrics section collected
-/// from the figure's runs (printed as markdown, saved as
+/// Entry point shared by the figure binaries: parses `--quick`
+/// (equivalent to `LOCKSIM_QUICK=1`) and the [`obs::SHARED_FLAGS`]
+/// through the one front end, [`obs::bin_cli`], regenerates the figure,
+/// emits its tables, and appends the metrics section collected from the
+/// figure's runs (printed as markdown, saved as
 /// `results/<name>_metrics.csv`).
 ///
 /// # Panics
 ///
 /// Panics if the results directory cannot be written.
 pub fn run_bin(name: &str, f: impl FnOnce() -> Vec<Table>) {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let flags = [obs::BinFlag::switch("--quick")];
-    match obs::parse_bin_cli(&args, &flags) {
-        Ok((opts, extras)) => {
-            if extras.contains_key("--quick") {
-                std::env::set_var("LOCKSIM_QUICK", "1");
-            }
-            obs::apply_opts(&opts);
-        }
-        Err(msg) => obs::usage_exit(&msg, &format!("{name} [--quick]")),
-    }
+    obs::bin_cli(name, &[]);
     let tables = f();
     emit(name, &tables);
     finish_bin(name);
@@ -136,7 +126,7 @@ pub fn run_all(jobs: usize) {
 /// Emits the deferred observability outputs collected during a bin's runs:
 /// the metrics section and run manifests, then the `--lockstat` HTML
 /// report and the `--self-profile` stacks. Split out of [`run_bin`] for
-/// bins that drive their own argument parsing.
+/// bins that do more than emit one figure's tables.
 ///
 /// # Panics
 ///

@@ -29,28 +29,29 @@ use crate::run::{scaled, BackendKind, ModelSel};
 use crate::table::Table;
 use crate::{emit, finish_bin};
 
-/// Watchdog threshold used when `--watchdog-cycles` is not given. Sized
-/// between the LCU's worst writer wait (one reader-group drain, well under
-/// 10k cycles at both scales) and the SSB's (the whole reader phase, over
-/// 100k cycles even in quick mode).
-pub const DEFAULT_WATCHDOG_CYCLES: u64 = 30_000;
+/// Starvation-watchdog threshold in cycles. Sized between the LCU's worst
+/// writer wait (one reader-group drain, well under 10k cycles at both
+/// scales) and the SSB's (the whole reader phase, over 100k cycles even in
+/// quick mode).
+const WATCHDOG_CYCLES: u64 = 30_000;
+
+/// Reader thread count.
+const READERS: u64 = 8;
+
+/// Read critical-section length in cycles. Long enough that the read
+/// sessions of the [`READERS`] threads always overlap.
+const READER_CS: u64 = 400;
+
+/// World seed.
+const SEED: u64 = 42;
 
 /// Parameters of one starvation contrast run.
 #[derive(Debug, Clone, Copy)]
 pub struct StarvationCfg {
-    /// Reader thread count.
-    pub readers: usize,
     /// Total read critical sections shared across the readers.
     pub reader_iters: u64,
-    /// Read critical-section length in cycles. Long enough that the read
-    /// sessions of [`StarvationCfg::readers`] threads always overlap.
-    pub reader_cs: u64,
     /// Write critical sections issued by the single writer.
     pub writer_iters: u64,
-    /// Starvation-watchdog threshold in cycles.
-    pub watchdog_cycles: u64,
-    /// World seed.
-    pub seed: u64,
 }
 
 impl StarvationCfg {
@@ -58,12 +59,8 @@ impl StarvationCfg {
     /// `LOCKSIM_QUICK`).
     pub fn default_scaled() -> Self {
         StarvationCfg {
-            readers: 8,
             reader_iters: scaled(4_000, 600),
-            reader_cs: 400,
             writer_iters: scaled(20, 5),
-            watchdog_cycles: DEFAULT_WATCHDOG_CYCLES,
-            seed: 42,
         }
     }
 }
@@ -105,17 +102,17 @@ impl LockstatRun {
 /// profiles it per lock.
 pub fn run_starvation(backend: BackendKind, cfg: &StarvationCfg) -> LockstatRun {
     let mach_cfg = backend.machine_config(ModelSel::A.config());
-    let mut w = World::new(mach_cfg, backend.build(), cfg.seed);
+    let mut w = World::new(mach_cfg, backend.build(), SEED);
     obs::arm(&mut w);
-    w.enable_lockstat(Some(cfg.watchdog_cycles));
+    w.enable_lockstat(Some(WATCHDOG_CYCLES));
     let lock = w.mach().alloc().alloc_line();
     let data = w.mach().alloc().alloc_line();
     let reader_pool = IterPool::new(cfg.reader_iters);
-    for i in 0..cfg.readers {
+    for i in 0..READERS {
         // Stagger the read sections so the readers fall out of lockstep:
         // with distinct lengths the read sessions overlap persistently
         // instead of opening a writer-sized gap every round.
-        let cs = cfg.reader_cs + 37 * i as u64;
+        let cs = READER_CS + 37 * i;
         w.spawn(Box::new(
             CsThread::new(lock, data, reader_pool.clone(), 0).with_cs_compute(cs),
         ));
@@ -137,8 +134,8 @@ pub fn run_starvation(backend: BackendKind, cfg: &StarvationCfg) -> LockstatRun 
 pub fn tables(cfg: &StarvationCfg, runs: &[LockstatRun]) -> Vec<Table> {
     let mut stats = Table::new(
         format!(
-            "Per-lock contention — {} readers ({} iters) vs 1 writer ({} iters), seed {}",
-            cfg.readers, cfg.reader_iters, cfg.writer_iters, cfg.seed
+            "Per-lock contention — {READERS} readers ({} iters) vs 1 writer ({} iters), seed {SEED}",
+            cfg.reader_iters, cfg.writer_iters
         ),
         &[
             "backend",
@@ -176,10 +173,7 @@ pub fn tables(cfg: &StarvationCfg, runs: &[LockstatRun]) -> Vec<Table> {
     }
 
     let mut watchdog = Table::new(
-        format!(
-            "Starvation watchdog — threshold {} cycles",
-            cfg.watchdog_cycles
-        ),
+        format!("Starvation watchdog — threshold {WATCHDOG_CYCLES} cycles"),
         &[
             "backend",
             "verdict",
@@ -233,27 +227,14 @@ pub fn tables(cfg: &StarvationCfg, runs: &[LockstatRun]) -> Vec<Table> {
 /// flags, runs the SSB-vs-LCU starvation contrast, and emits the tables,
 /// text reports, CSVs, and HTML report.
 pub fn cli_main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let flags = [obs::BinFlag::switch("--quick")];
-    let (mut opts, extras) = match obs::parse_bin_cli(&args, &flags) {
-        Ok(parsed) => parsed,
-        Err(msg) => obs::usage_exit(&msg, "lockstat [--quick]"),
-    };
-    if extras.contains_key("--quick") {
-        std::env::set_var("LOCKSIM_QUICK", "1");
-    }
+    obs::bin_cli("lockstat", &[]);
     // This bin always writes the HTML report; --lockstat only moves it.
-    if opts.lockstat_path.is_none() {
-        opts.lockstat_path = Some(PathBuf::from("results/lockstat.html"));
-    }
-
-    let mut cfg = StarvationCfg::default_scaled();
-    if let Some(n) = opts.watchdog_cycles {
-        cfg.watchdog_cycles = n;
-    }
-    opts.watchdog_cycles = Some(cfg.watchdog_cycles);
+    let mut opts = obs::opts();
+    opts.lockstat_path
+        .get_or_insert_with(|| PathBuf::from("results/lockstat.html"));
     obs::apply_opts(&opts);
 
+    let cfg = StarvationCfg::default_scaled();
     let runs = [
         run_starvation(BackendKind::Ssb, &cfg),
         run_starvation(BackendKind::Lcu, &cfg),

@@ -1,4 +1,5 @@
-//! Harness-side observability: the shared `--trace` / `--lockstat` CLI
+//! Harness-side observability and every bin's command-line front end
+//! ([`bin_cli`]): the shared `--trace` / `--lockstat` / `--self-profile`
 //! flags and the per-figure metrics accumulation behind the emitted
 //! "Metrics" sections.
 //!
@@ -12,8 +13,8 @@
 //! prints and saves next to the figure CSVs. When `--lockstat <path>` was
 //! given, every run also collects per-lock contention statistics and
 //! blocking chains, and the accumulated series render into one
-//! self-contained HTML report at that path; `--watchdog-cycles <n>`
-//! additionally arms the starvation watchdog at that threshold.
+//! self-contained HTML report at that path. The starvation watchdog stays
+//! unarmed there; the `lockstat` bin arms it for its own runs.
 //!
 //! Inside a sweep job (`job`) runs file into the job's own
 //! `WorkerCapture`, which the sweep hands back for the main thread to
@@ -23,7 +24,7 @@
 use std::cell::RefCell;
 use std::collections::BTreeMap;
 use std::io::Write as _;
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 
@@ -33,8 +34,9 @@ use locksim_trace::{prof, render_html, HtmlSeries, SeriesSnapshot, Tracer};
 
 use crate::table::Table;
 
-/// Default `--trace` ring capacity (records kept; oldest are dropped).
-const DEFAULT_TRACE_CAP: usize = 200_000;
+/// The capacity of the trace ring `--trace` arms (records kept; the oldest
+/// are dropped).
+const TRACE_CAP: usize = 200_000;
 
 /// One run's lockstat capture, kept until the end-of-process HTML render.
 struct LockstatSeries {
@@ -91,145 +93,187 @@ thread_local! {
     static OBS: RefCell<Obs> = RefCell::new(Obs::default());
 }
 
-/// Parsed harness CLI options.
+/// The shared observability options, as [`parse_bin_cli`] parsed them.
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
-pub struct CliOpts {
+pub(crate) struct CliOpts {
     /// Write a Chrome trace of the first run here.
     pub trace_path: Option<PathBuf>,
-    /// Override the trace ring capacity.
-    pub trace_cap: Option<usize>,
     /// Write the per-lock contention HTML report here.
     pub lockstat_path: Option<PathBuf>,
-    /// Starvation-watchdog threshold in cycles.
-    pub watchdog_cycles: Option<u64>,
     /// Enable the host-side self-profiler and write the collapsed-stack
     /// profile (flamegraph/speedscope format) here.
     pub self_profile: Option<PathBuf>,
 }
 
-/// A bin-specific flag recognized by [`parse_bin_cli`] on top of the
-/// shared observability flags.
+/// What a bin's own flag takes as its value.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum FlagKind {
+    /// A non-negative integer: a count, a seed or a cycle budget.
+    Number,
+    /// A file or directory path.
+    Path,
+}
+
+/// A bin's own flag, parsed by [`bin_cli`] next to `--quick` and the
+/// [`SHARED_FLAGS`]. Every one takes a value.
 #[derive(Debug, Clone, Copy)]
 pub struct BinFlag {
-    /// The flag, including the leading dashes (e.g. `"--quick"`).
-    pub name: &'static str,
-    /// Whether the flag consumes the following argument as its value.
-    /// Switches store `"1"` when present.
-    pub takes_value: bool,
+    /// The flag, including the leading dashes (e.g. `"--seeds"`).
+    name: &'static str,
+    /// What its value is.
+    kind: FlagKind,
 }
 
 impl BinFlag {
-    /// A switch: `name` alone, no value.
-    pub const fn switch(name: &'static str) -> Self {
+    /// A flag whose value is a non-negative integer.
+    pub const fn number(name: &'static str) -> Self {
         BinFlag {
             name,
-            takes_value: false,
+            kind: FlagKind::Number,
         }
     }
 
-    /// A flag that consumes the following argument as its value.
-    pub const fn value(name: &'static str) -> Self {
+    /// A flag whose value is a path.
+    pub const fn path(name: &'static str) -> Self {
         BinFlag {
             name,
-            takes_value: true,
+            kind: FlagKind::Path,
         }
     }
 }
 
-/// The observability flags every bin accepts through [`parse_bin_cli`],
-/// each with its value placeholder: the one list that the unknown-argument
-/// error and every bin's usage line ([`usage_exit`]) print.
+/// The observability flags every bin accepts through [`bin_cli`], each
+/// with its value placeholder: the one list that the unknown-argument
+/// error and every bin's usage line print.
 pub const SHARED_FLAGS: &[&str] = &[
     "--trace <path>",
-    "--trace-cap <records>",
     "--lockstat <path>",
-    "--watchdog-cycles <n>",
     "--self-profile <path>",
 ];
 
-/// Prints `msg` and a bin's usage line, `usage` (its name and its own
-/// flags) followed by [`SHARED_FLAGS`], then exits with status 2.
-pub fn usage_exit(msg: &str, usage: &str) -> ! {
-    let shared: Vec<String> = SHARED_FLAGS.iter().map(|f| format!("[{f}]")).collect();
-    eprintln!("error: {msg}\nusage: {usage} {}", shared.join(" "));
+/// A bin's own flags, as [`bin_cli`] parsed and checked them.
+#[derive(Debug, Default)]
+pub struct BinArgs {
+    quick: bool,
+    numbers: BTreeMap<&'static str, u64>,
+    paths: BTreeMap<&'static str, PathBuf>,
+}
+
+impl BinArgs {
+    /// Number flag `name`'s value, or `default` when it was not given.
+    pub fn number(&self, name: &str, default: u64) -> u64 {
+        self.numbers.get(name).copied().unwrap_or(default)
+    }
+
+    /// The `--jobs` worker count: 1 when the flag was not given, and 0 for
+    /// one worker per host core.
+    pub fn jobs(&self) -> usize {
+        usize::try_from(self.number("--jobs", 1)).unwrap_or(usize::MAX)
+    }
+
+    /// Path flag `name`'s value, if it was given.
+    pub fn path(&self, name: &str) -> Option<&Path> {
+        self.paths.get(name).map(PathBuf::as_path)
+    }
+}
+
+/// Every bin's command-line front end. Parses the process's arguments:
+/// `--quick`, the [`SHARED_FLAGS`] and the bin's own `flags`. It sets
+/// `LOCKSIM_QUICK` for `--quick`, applies the shared options to this
+/// thread and returns the bin's own flags' values. On an unknown argument
+/// or a missing or invalid value it prints the error and the bin's usage
+/// line (`usage: <bin> ...`) to stderr and exits with status 2, before
+/// anything runs.
+pub fn bin_cli(bin: &str, flags: &[BinFlag]) -> BinArgs {
+    let args: Vec<String> = std::env::args().skip(1).collect();
+    let (opts, parsed) =
+        parse_bin_cli(&args, flags).unwrap_or_else(|msg| usage_exit(&msg, bin, flags));
+    if parsed.quick {
+        std::env::set_var("LOCKSIM_QUICK", "1");
+    }
+    apply_opts(&opts);
+    parsed
+}
+
+/// Prints `msg` and the bin's usage line, built from `--quick`, its own
+/// `flags` and the [`SHARED_FLAGS`], then exits with status 2.
+fn usage_exit(msg: &str, bin: &str, flags: &[BinFlag]) -> ! {
+    let own = flags.iter().map(|f| match f.kind {
+        FlagKind::Number => format!("[{} <n>]", f.name),
+        FlagKind::Path => format!("[{} <path>]", f.name),
+    });
+    let shared = SHARED_FLAGS.iter().map(|f| format!("[{f}]"));
+    let usage: Vec<String> = std::iter::once("[--quick]".to_string())
+        .chain(own)
+        .chain(shared)
+        .collect();
+    eprintln!("error: {msg}\nusage: {bin} {}", usage.join(" "));
     std::process::exit(2);
 }
 
-/// Parses a bin's full argument list (without the program name): the
-/// [`SHARED_FLAGS`] plus the bin-specific `flags`, whose values come back
-/// keyed by name. Every bin goes through this one helper so unknown-flag
-/// handling is uniform: the error names the offending argument and lists
-/// everything supported.
+/// Parses a bin's full argument list (without the program name):
+/// `--quick`, the [`SHARED_FLAGS`] and the bin's own `flags`, whose values
+/// come back checked against their kind.
 ///
 /// # Errors
 ///
-/// Returns a usage message naming the flag on an unknown argument or a
-/// missing/invalid value.
-pub fn parse_bin_cli(
+/// Returns a message naming the flag on an unknown argument or a missing
+/// or invalid value; an unknown argument's message lists every flag the
+/// bin takes.
+pub(crate) fn parse_bin_cli(
     args: &[String],
     flags: &[BinFlag],
-) -> Result<(CliOpts, BTreeMap<&'static str, String>), String> {
+) -> Result<(CliOpts, BinArgs), String> {
     let mut opts = CliOpts::default();
-    let mut extras = BTreeMap::new();
+    let mut parsed = BinArgs::default();
     let mut it = args.iter();
     while let Some(a) = it.next() {
+        let mut path = || {
+            it.next()
+                .map(PathBuf::from)
+                .ok_or_else(|| format!("{a} requires a file path"))
+        };
         match a.as_str() {
-            "--trace" => {
-                let v = it.next().ok_or("--trace requires a file path")?;
-                opts.trace_path = Some(PathBuf::from(v));
-            }
-            "--trace-cap" => {
-                let v = it.next().ok_or("--trace-cap requires a record count")?;
-                let n: usize = v
-                    .parse()
-                    .map_err(|_| format!("--trace-cap: invalid count {v:?}"))?;
-                opts.trace_cap = Some(n.max(1));
-            }
-            "--lockstat" => {
-                let v = it.next().ok_or("--lockstat requires a file path")?;
-                opts.lockstat_path = Some(PathBuf::from(v));
-            }
-            "--watchdog-cycles" => {
-                let v = it
-                    .next()
-                    .ok_or("--watchdog-cycles requires a cycle count")?;
-                let n: u64 = v
-                    .parse()
-                    .map_err(|_| format!("--watchdog-cycles: invalid count {v:?}"))?;
-                opts.watchdog_cycles = Some(n);
-            }
-            "--self-profile" => {
-                let v = it.next().ok_or("--self-profile requires a file path")?;
-                opts.self_profile = Some(PathBuf::from(v));
-            }
+            "--quick" => parsed.quick = true,
+            "--trace" => opts.trace_path = Some(path()?),
+            "--lockstat" => opts.lockstat_path = Some(path()?),
+            "--self-profile" => opts.self_profile = Some(path()?),
             other => {
                 let Some(f) = flags.iter().find(|f| f.name == other) else {
-                    let mut supported: Vec<&str> = flags.iter().map(|f| f.name).collect();
-                    supported.extend(SHARED_FLAGS);
+                    let supported: Vec<&str> = std::iter::once("--quick")
+                        .chain(flags.iter().map(|f| f.name))
+                        .chain(SHARED_FLAGS.iter().copied())
+                        .collect();
                     return Err(format!(
                         "unknown argument {other:?} (supported: {})",
                         supported.join(", ")
                     ));
                 };
-                let value = if f.takes_value {
-                    it.next()
-                        .ok_or_else(|| format!("{} requires a value", f.name))?
-                        .clone()
-                } else {
-                    "1".to_string()
-                };
-                extras.insert(f.name, value);
+                let v = it
+                    .next()
+                    .ok_or_else(|| format!("{} requires a value", f.name))?;
+                match f.kind {
+                    FlagKind::Number => {
+                        let n = v
+                            .parse()
+                            .map_err(|_| format!("{}: invalid number {v:?}", f.name))?;
+                        parsed.numbers.insert(f.name, n);
+                    }
+                    FlagKind::Path => {
+                        parsed.paths.insert(f.name, PathBuf::from(v));
+                    }
+                }
             }
         }
     }
-    Ok((opts, extras))
+    Ok((opts, parsed))
 }
 
 /// Applies observability options parsed by [`parse_bin_cli`] to this
 /// thread's state. `--self-profile <path>` additionally switches on the
 /// host-side span profiler; everything else leaves it disabled, where a
 /// span is a single thread-local flag load.
-pub fn apply_opts(opts: &CliOpts) {
+pub(crate) fn apply_opts(opts: &CliOpts) {
     if opts.self_profile.is_some() {
         prof::enable();
     }
@@ -252,10 +296,10 @@ pub(crate) fn arm(w: &mut World) {
         // manifests every bin writes (0 = default window).
         w.enable_series(0);
         if opts.trace_path.is_some() {
-            w.enable_trace(opts.trace_cap.unwrap_or(DEFAULT_TRACE_CAP));
+            w.enable_trace(TRACE_CAP);
         }
         if opts.lockstat_path.is_some() {
-            w.enable_lockstat(opts.watchdog_cycles);
+            w.enable_lockstat(None);
         }
     });
 }
@@ -555,17 +599,6 @@ mod tests {
     fn parse_trace_flag() {
         let (o, _) = parse_bin_cli(&args(&["--trace", "out.json"]), &[]).unwrap();
         assert_eq!(o.trace_path, Some(PathBuf::from("out.json")));
-        assert_eq!(o.trace_cap, None);
-    }
-
-    #[test]
-    fn parse_trace_cap() {
-        let (o, _) =
-            parse_bin_cli(&args(&["--trace", "t.json", "--trace-cap", "512"]), &[]).unwrap();
-        assert_eq!(o.trace_cap, Some(512));
-        // Zero is clamped to a one-record ring rather than rejected.
-        let (o, _) = parse_bin_cli(&args(&["--trace-cap", "0"]), &[]).unwrap();
-        assert_eq!(o.trace_cap, Some(1));
     }
 
     #[test]
@@ -573,9 +606,9 @@ mod tests {
         for bad in [
             &["--frobnicate"][..],
             &["--trace"],
-            &["--trace-cap", "many"],
             &["--lockstat"],
-            &["--watchdog-cycles", "soon"],
+            &["--trace-cap", "512"],
+            &["--watchdog-cycles", "30000"],
         ] {
             assert!(parse_bin_cli(&args(bad), &[]).is_err(), "{bad:?}");
         }
@@ -583,21 +616,17 @@ mod tests {
 
     #[test]
     fn parse_lockstat_flags() {
-        let (o, _) = parse_bin_cli(
-            &args(&["--lockstat", "out.html", "--watchdog-cycles", "25000"]),
-            &[],
-        )
-        .unwrap();
+        let (o, _) = parse_bin_cli(&args(&["--lockstat", "out.html"]), &[]).unwrap();
         assert_eq!(o.lockstat_path, Some(PathBuf::from("out.html")));
-        assert_eq!(o.watchdog_cycles, Some(25_000));
     }
 
     #[test]
-    fn shared_flags_mix_with_bin_switches() {
-        let (o, extras) =
+    fn shared_flags_mix_with_quick() {
+        let (o, parsed) =
             parse_bin_cli(&args(&["--quick", "--lockstat", "r.html"]), BIN_FLAGS).unwrap();
         assert_eq!(o.lockstat_path, Some(PathBuf::from("r.html")));
-        assert_eq!(extras.keys().copied().collect::<Vec<_>>(), ["--quick"]);
+        assert!(parsed.quick);
+        assert!(parsed.numbers.is_empty() && parsed.paths.is_empty());
         // A stray positional argument is an unknown argument.
         let err = parse_bin_cli(
             &args(&["--quick", "--lockstat", "r.html", "extra"]),
@@ -611,30 +640,49 @@ mod tests {
 
     #[test]
     fn empty_args_are_fine() {
-        let (o, extras) = parse_bin_cli(&[], &[]).unwrap();
+        let (o, parsed) = parse_bin_cli(&[], &[]).unwrap();
         assert_eq!(o, CliOpts::default());
-        assert!(extras.is_empty());
+        assert!(!parsed.quick);
+        assert_eq!(parsed.jobs(), 1);
     }
 
-    const BIN_FLAGS: &[BinFlag] = &[BinFlag::switch("--quick"), BinFlag::value("--seed")];
+    const BIN_FLAGS: &[BinFlag] = &[
+        BinFlag::number("--seed"),
+        BinFlag::number("--jobs"),
+        BinFlag::path("--csv"),
+    ];
 
     #[test]
     fn bin_cli_mixes_shared_and_bin_flags() {
-        let (opts, extras) = parse_bin_cli(
-            &args(&["--quick", "--lockstat", "r.html", "--seed", "7"]),
+        let (opts, parsed) = parse_bin_cli(
+            &args(&[
+                "--quick",
+                "--lockstat",
+                "r.html",
+                "--seed",
+                "7",
+                "--jobs",
+                "0",
+                "--csv",
+                "out.csv",
+            ]),
             BIN_FLAGS,
         )
         .unwrap();
         assert_eq!(opts.lockstat_path, Some(PathBuf::from("r.html")));
-        assert_eq!(extras.get("--quick").map(String::as_str), Some("1"));
-        assert_eq!(extras.get("--seed").map(String::as_str), Some("7"));
+        assert!(parsed.quick);
+        assert_eq!(parsed.number("--seed", 42), 7);
+        assert_eq!(parsed.jobs(), 0);
+        assert_eq!(parsed.path("--csv"), Some(Path::new("out.csv")));
+        assert_eq!(parsed.path("--html"), None);
     }
 
     #[test]
     fn bin_cli_names_the_unknown_flag() {
         let err = parse_bin_cli(&args(&["--frobnicate"]), BIN_FLAGS).unwrap_err();
         assert!(err.contains("--frobnicate"), "{err}");
-        assert!(err.contains("--quick"), "lists bin flags: {err}");
+        assert!(err.contains("--quick"), "lists --quick: {err}");
+        assert!(err.contains("--seed"), "lists bin flags: {err}");
         for flag in SHARED_FLAGS {
             assert!(err.contains(flag), "lists shared flag {flag}: {err}");
         }
@@ -644,18 +692,46 @@ mod tests {
     fn every_shared_flag_parses() {
         for flag in SHARED_FLAGS {
             let name = flag.split(' ').next().unwrap();
-            let (opts, extras) =
+            let (opts, parsed) =
                 parse_bin_cli(&args(&[name, "1"]), &[]).unwrap_or_else(|e| panic!("{flag}: {e}"));
             assert_ne!(opts, CliOpts::default(), "{flag} set no option");
-            assert!(extras.is_empty(), "{flag}");
+            assert!(
+                parsed.numbers.is_empty() && parsed.paths.is_empty(),
+                "{flag}"
+            );
         }
     }
 
     #[test]
-    fn bin_cli_requires_values() {
+    fn bin_cli_requires_valid_values() {
         let err = parse_bin_cli(&args(&["--seed"]), BIN_FLAGS).unwrap_err();
         assert!(err.contains("--seed requires a value"), "{err}");
+        let err = parse_bin_cli(&args(&["--jobs", "many"]), BIN_FLAGS).unwrap_err();
+        assert!(err.contains("--jobs: invalid number \"many\""), "{err}");
         // Shared-flag value errors propagate unchanged.
         assert!(parse_bin_cli(&args(&["--trace"]), BIN_FLAGS).is_err());
+    }
+
+    /// chaossim and faultsim refuse the flags that only ever set their
+    /// defaults, and take every flag left in their tables.
+    #[test]
+    fn fault_bins_take_their_tables_and_refuse_removed_flags() {
+        for (flags, removed) in [
+            (crate::chaos::FLAGS, &["--quiesce", "--shrink-budget"][..]),
+            (crate::faultsim::FLAGS, &["--horizon"]),
+        ] {
+            for name in removed {
+                let err = parse_bin_cli(&args(&[name, "30000"]), flags).unwrap_err();
+                assert!(err.contains("unknown argument"), "{name}: {err}");
+            }
+            for f in flags {
+                let (_, parsed) = parse_bin_cli(&args(&[f.name, "12"]), flags)
+                    .unwrap_or_else(|e| panic!("{}: {e}", f.name));
+                match f.kind {
+                    FlagKind::Number => assert_eq!(parsed.number(f.name, 0), 12, "{}", f.name),
+                    FlagKind::Path => assert_eq!(parsed.path(f.name), Some(Path::new("12"))),
+                }
+            }
+        }
     }
 }

@@ -271,10 +271,6 @@ impl StmVariant {
 pub struct StmResult {
     /// Mean cycles per committed transaction (wall time / commits).
     pub cycles_per_tx: f64,
-    /// Mean read/search-phase cycles per transaction.
-    pub read_cycles_per_tx: f64,
-    /// Mean commit-phase cycles per transaction.
-    pub commit_cycles_per_tx: f64,
     /// Aborts per commit.
     pub abort_ratio: f64,
     /// Machine-level cycle dissection summed over all threads; the six
@@ -339,8 +335,6 @@ pub fn run_stm(
     let commits = s.commits.max(1) as f64;
     StmResult {
         cycles_per_tx: s.total_cycles as f64 / commits,
-        read_cycles_per_tx: s.read_cycles as f64 / commits,
-        commit_cycles_per_tx: s.commit_cycles as f64 / commits,
         abort_ratio: s.aborts as f64 / commits,
         dissection,
     }

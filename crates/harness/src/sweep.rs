@@ -60,16 +60,6 @@ pub fn resolve_jobs(requested: usize) -> usize {
     }
 }
 
-/// Parses a `--jobs` flag value (`0` = auto-detect host cores).
-///
-/// # Errors
-///
-/// Returns a usage message when the value is not a number.
-pub fn parse_jobs(v: &str) -> Result<usize, String> {
-    v.parse::<usize>()
-        .map_err(|_| format!("--jobs: invalid count {v:?} (0 = one per host core)"))
-}
-
 /// Runs jobs `0..n` with up to `jobs` worker threads and returns the
 /// outputs of the jobs it claimed, indexed by job. Before claiming each
 /// index a worker calls `stop`; once it returns `true` that worker claims
@@ -298,13 +288,6 @@ mod tests {
     fn zero_jobs_resolves_to_host_cores() {
         assert!(resolve_jobs(0) >= 1);
         assert_eq!(resolve_jobs(3), 3);
-    }
-
-    #[test]
-    fn parse_jobs_accepts_numbers_only() {
-        assert_eq!(parse_jobs("4"), Ok(4));
-        assert_eq!(parse_jobs("0"), Ok(0));
-        assert!(parse_jobs("many").is_err());
     }
 
     #[test]

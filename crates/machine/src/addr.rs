@@ -97,19 +97,6 @@ impl Alloc {
         self.next += WORDS_PER_LINE;
         a
     }
-
-    /// Allocates `n` line-aligned lines and returns the first address.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `n == 0`.
-    pub fn alloc_lines(&mut self, n: u64) -> Addr {
-        assert!(n > 0);
-        self.next = self.next.next_multiple_of(WORDS_PER_LINE);
-        let a = Addr(self.next);
-        self.next += n * WORDS_PER_LINE;
-        a
-    }
 }
 
 /// Maps a line to its home memory controller by interleaving on line
@@ -151,14 +138,6 @@ mod tests {
         assert_eq!(l1.offset(), 0);
         assert_eq!(l2.offset(), 0);
         assert_ne!(l1.line(), l2.line());
-    }
-
-    #[test]
-    fn alloc_lines_spans_n_lines() {
-        let mut a = Alloc::new();
-        let base = a.alloc_lines(4);
-        let after = a.alloc_line();
-        assert_eq!(after.0 - base.0, 4 * WORDS_PER_LINE);
     }
 
     #[test]

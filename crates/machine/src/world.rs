@@ -205,8 +205,8 @@ struct ThreadState {
     stats: ThreadStats,
     /// The lock, mode and request time of the outstanding acquire, if any.
     waiting: Option<(Addr, Mode, Time)>,
-    /// Locks currently held, with grant times (for hold-time accounting).
-    holding: Vec<(Addr, Time)>,
+    /// Number of locks currently held (the exclusion checker records which).
+    holding: u32,
     /// Current cycle-accounting category and the time it was entered.
     acct_cat: CycleCat,
     acct_since: Time,
@@ -416,17 +416,12 @@ impl Mach {
     /// Threads currently holding `lock`, in thread order — the other half
     /// of the waiting graph for blocking-chain dumps.
     pub fn holders_of(&self, lock: Addr) -> Vec<ThreadId> {
-        self.threads
-            .iter()
-            .enumerate()
-            .filter(|(_, th)| th.holding.iter().any(|&(a, _)| a == lock))
-            .map(|(i, _)| ThreadId(i as u32))
-            .collect()
+        self.checker.holders(lock)
     }
 
     /// Number of locks thread `t` currently holds.
     pub fn holding_count(&self, t: ThreadId) -> usize {
-        self.threads[t.0 as usize].holding.len()
+        self.threads[t.0 as usize].holding as usize
     }
 
     /// Installs a deterministic wire-delay fault: every `period`-th network
@@ -562,7 +557,7 @@ impl Mach {
     /// but time inside a critical section counts as lock_hold whatever the
     /// instruction mix.
     fn work_cat(&self, ti: usize, outside: CycleCat) -> CycleCat {
-        if self.threads[ti].holding.is_empty() {
+        if self.threads[ti].holding == 0 {
             outside
         } else {
             CycleCat::LockHold
@@ -627,8 +622,8 @@ impl Mach {
         self.waiting_threads = self.waiting_threads.saturating_sub(1);
         self.series.on_grant(granted_at.cycles(), wait);
         self.checker
-            .on_grant(lock, t, mode, &self.tracer, &self.lockstat);
-        self.threads[ti].holding.push((lock, granted_at));
+            .on_grant(lock, t, mode, granted_at, &self.tracer, &self.lockstat);
+        self.threads[ti].holding += 1;
         self.tracer.record(|| TraceEvent {
             t: granted_at,
             ep: TraceEp::Thread(t.0),
@@ -1045,17 +1040,6 @@ impl World {
         self.mach.lockstat()
     }
 
-    /// The recorded trace as `(time, rendered record)` entries, oldest
-    /// first — a convenience view over [`Mach::tracer`] for tests and
-    /// debugging.
-    pub fn trace_entries(&self) -> Vec<(Time, String)> {
-        self.mach
-            .tracer
-            .events()
-            .map(|e| (e.t, format!("{:?}", e.kind)))
-            .collect()
-    }
-
     /// Access to machine state (allocation, peeking, stats).
     pub fn mach(&mut self) -> &mut Mach {
         &mut self.mach
@@ -1185,7 +1169,7 @@ impl World {
             compute_left: 0,
             resume_gen: 0,
             suspended: false,
-            holding: Vec::new(),
+            holding: 0,
             acct_cat: CycleCat::default(),
             acct_since: now,
             dissect: CycleDissection::default(),
@@ -1685,23 +1669,6 @@ impl World {
             }
             Action::Release { lock, mode } => {
                 self.mach.acct_switch(ti, CycleCat::LockRelease);
-                if let Some(pos) = self.mach.threads[ti]
-                    .holding
-                    .iter()
-                    .rposition(|&(a, _)| a == lock)
-                {
-                    let (_, since) = self.mach.threads[ti].holding.remove(pos);
-                    let now = self.mach.sim.now();
-                    let held = now.saturating_since(since);
-                    self.mach.metrics.observe("lock_hold_cycles", held);
-                    self.mach.lockstat.on_release(
-                        lock.0,
-                        t.0,
-                        mode == Mode::Write,
-                        held,
-                        now.cycles(),
-                    );
-                }
                 self.mach.trace(|now| TraceEvent {
                     t: now,
                     ep: TraceEp::Thread(t.0),
@@ -1713,9 +1680,16 @@ impl World {
                 });
                 // The critical section ends when the thread invokes the
                 // release; the backend's release traffic may legitimately
-                // race the next owner's grant.
+                // race the next owner's grant. The record above goes first,
+                // so an abort dump ends with the violating release.
                 let m = &mut self.mach;
-                m.checker.on_release(lock, t, mode, &m.tracer, &m.lockstat);
+                let since = m.checker.on_release(lock, t, mode, &m.tracer, &m.lockstat);
+                m.threads[ti].holding -= 1;
+                let now = m.sim.now();
+                let held = now.saturating_since(since);
+                m.metrics.observe("lock_hold_cycles", held);
+                m.lockstat
+                    .on_release(lock.0, t.0, mode == Mode::Write, held, now.cycles());
                 let _prof = prof::span("backend/on_release");
                 self.backend.on_release(&mut self.mach, t, lock, mode);
             }
@@ -1812,7 +1786,7 @@ impl World {
         // when it left (acquiring, inside a critical section, or plain work).
         let resumed = if self.mach.threads[ti].waiting.is_some() {
             CycleCat::LockAcquire
-        } else if !self.mach.threads[ti].holding.is_empty() {
+        } else if self.mach.threads[ti].holding > 0 {
             CycleCat::LockHold
         } else {
             CycleCat::Compute

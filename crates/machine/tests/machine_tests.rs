@@ -626,6 +626,45 @@ fn suspended_holder_blocks_then_unblocks_waiters() {
 }
 
 #[test]
+fn holders_of_lists_readers_in_thread_order() {
+    // Thread 2 asks first and thread 1 last, so the three readers are
+    // granted out of thread order; the holder list is in thread order.
+    let mut w = world_a(8);
+    w.enable_trace(1 << 12);
+    let lock = w.mach().alloc().alloc_line();
+    for delay in [200, 300, 100] {
+        w.spawn(Box::new(ScriptProgram::new(vec![
+            Action::Compute(delay),
+            Action::Acquire {
+                lock,
+                mode: Mode::Read,
+                try_for: None,
+            },
+            Action::Compute(10_000),
+            Action::Release {
+                lock,
+                mode: Mode::Read,
+            },
+        ])));
+    }
+    w.run_until_cycle(5_000);
+    let granted: Vec<u32> = w
+        .mach_ref()
+        .tracer()
+        .events()
+        .filter_map(|e| match e.kind {
+            locksim_trace::TraceKind::LockGrant { thread, .. } => Some(thread),
+            _ => None,
+        })
+        .collect();
+    assert_eq!(granted, [2, 0, 1]);
+    let all = [ThreadId(0), ThreadId(1), ThreadId(2)];
+    assert_eq!(w.mach_ref().holders_of(lock), all);
+    w.run_to_completion();
+    assert!(w.mach_ref().holders_of(lock).is_empty());
+}
+
+#[test]
 fn every_way_on_and_off_a_core_accounts_and_refills() {
     // 4 threads on 2 cores: t0 yields, quantum ticks slice everyone, t0 is
     // suspended mid-compute and later resumed, and t1 migrates onto t3's

@@ -85,11 +85,11 @@ fn tail_table(out: &mut String, manifests: &[(String, RunManifest)]) {
         return;
     }
     let rows = manifests.iter().flat_map(|(_, m)| {
-        m.hists.iter().map(|h| {
+        m.hists.iter().map(|(name, h)| {
             [
                 m.bin.clone(),
                 m.label.clone(),
-                h.name.clone(),
+                name.clone(),
                 h.count.to_string(),
                 h.p50.to_string(),
                 h.p99.to_string(),
@@ -169,7 +169,8 @@ pub fn render_dashboard(manifests: &[(String, RunManifest)]) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::manifest::{HistRow, SeriesOut, SeriesRow, Verdict};
+    use crate::manifest::{SeriesOut, SeriesRow, Verdict};
+    use locksim_trace::TailSummary;
 
     fn manifest() -> RunManifest {
         RunManifest {
@@ -183,16 +184,18 @@ mod tests {
                 verdict: "pass".to_string(),
             }],
             counters: vec![("locks_granted".to_string(), 64)],
-            hists: vec![HistRow {
-                name: "lock_wait_cycles".to_string(),
-                count: 64,
-                p50: 120,
-                p95: 256,
-                p99: 310,
-                p999: 420,
-                p9999: 420,
-                max: 433,
-            }],
+            hists: vec![(
+                "lock_wait_cycles".to_string(),
+                TailSummary {
+                    count: 64,
+                    p50: 120,
+                    p95: 256,
+                    p99: 310,
+                    p999: 420,
+                    p9999: 420,
+                    max: 433,
+                },
+            )],
             sketches: vec![(
                 "lock_wait_cycles".to_string(),
                 "qsketch-v1 k=5 count=1 min=7 max=7 buckets=7:1".to_string(),

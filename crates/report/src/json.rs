@@ -40,14 +40,6 @@ impl Value {
         }
     }
 
-    /// Field `key`, or `None` when absent (still an error on non-objects).
-    pub fn get_opt(&self, key: &str) -> Option<&Value> {
-        match self {
-            Value::Obj(kvs) => kvs.iter().find(|(k, _)| k == key).map(|(_, v)| v),
-            _ => None,
-        }
-    }
-
     /// String field `key`.
     ///
     /// # Errors
@@ -270,7 +262,7 @@ mod tests {
         assert_eq!(v.get_arr("a").unwrap().len(), 3);
         assert!(v.get("b").unwrap().get_bool("c").unwrap());
         assert_eq!(v.get("b").unwrap().get("d").unwrap(), &Value::Null);
-        assert!(v.get_opt("zzz").is_none());
+        assert!(v.get("zzz").is_err());
     }
 
     #[test]

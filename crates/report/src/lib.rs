@@ -20,9 +20,7 @@ pub mod json;
 pub mod manifest;
 
 pub use dashboard::render_dashboard;
-pub use manifest::{
-    read_manifests, write_manifest, HistRow, RunManifest, SeriesOut, SeriesRow, Verdict,
-};
+pub use manifest::{read_manifests, write_manifest, RunManifest, SeriesOut, SeriesRow, Verdict};
 
 use std::path::{Path, PathBuf};
 

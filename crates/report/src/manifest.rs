@@ -14,6 +14,7 @@ use std::path::{Path, PathBuf};
 
 use locksim_trace::metrics::MetricsSnapshot;
 use locksim_trace::series::SeriesSnapshot;
+use locksim_trace::TailSummary;
 
 use crate::json::{self, escape, Value};
 
@@ -27,27 +28,6 @@ pub struct Verdict {
     pub name: String,
     /// The outcome label (`pass`, `fail`, `LIVENESS`, ...).
     pub verdict: String,
-}
-
-/// Tail summary of one latency sketch, as recorded in the manifest.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct HistRow {
-    /// Latency metric name.
-    pub name: String,
-    /// Number of samples.
-    pub count: u64,
-    /// Median.
-    pub p50: u64,
-    /// 95th percentile.
-    pub p95: u64,
-    /// 99th percentile.
-    pub p99: u64,
-    /// 99.9th percentile.
-    pub p999: u64,
-    /// 99.99th percentile.
-    pub p9999: u64,
-    /// Largest sample.
-    pub max: u64,
 }
 
 /// One time-series window, as recorded in the manifest.
@@ -96,8 +76,8 @@ pub struct RunManifest {
     pub verdicts: Vec<Verdict>,
     /// End-of-run counters, in name order.
     pub counters: Vec<(String, u64)>,
-    /// Latency tail summaries, in name order.
-    pub hists: Vec<HistRow>,
+    /// `(name, tail summary)` per latency histogram, in name order.
+    pub hists: Vec<(String, TailSummary)>,
     /// `(name, qsketch-v1 text)` per histogram, in name order.
     pub sketches: Vec<(String, String)>,
     /// The windowed time-series, when collection was enabled.
@@ -133,16 +113,7 @@ impl RunManifest {
             hists: snap
                 .hists
                 .iter()
-                .map(|(name, t)| HistRow {
-                    name: name.to_string(),
-                    count: t.count,
-                    p50: t.p50,
-                    p95: t.p95,
-                    p99: t.p99,
-                    p999: t.p999,
-                    p9999: t.p9999,
-                    max: t.max,
-                })
+                .map(|&(name, t)| (name.to_string(), t))
                 .collect(),
             sketches: snap.sketches.clone(),
             series: series.filter(|s| !s.is_empty()).map(|s| SeriesOut {
@@ -198,11 +169,11 @@ impl RunManifest {
             ));
         }
         s.push_str("  ],\n  \"hists\": [\n");
-        for (i, h) in self.hists.iter().enumerate() {
+        for (i, (name, h)) in self.hists.iter().enumerate() {
             s.push_str(&format!(
                 "    {{\"name\": \"{}\", \"count\": {}, \"p50\": {}, \"p95\": {}, \
                  \"p99\": {}, \"p999\": {}, \"p9999\": {}, \"max\": {}}}{}\n",
-                escape(&h.name),
+                escape(name),
                 h.count,
                 h.p50,
                 h.p95,
@@ -280,16 +251,18 @@ impl RunManifest {
         }
         let mut hists = Vec::new();
         for item in v.get_arr("hists")? {
-            hists.push(HistRow {
-                name: item.get_str("name")?.to_string(),
-                count: num(item, "count")?,
-                p50: num(item, "p50")?,
-                p95: num(item, "p95")?,
-                p99: num(item, "p99")?,
-                p999: num(item, "p999")?,
-                p9999: num(item, "p9999")?,
-                max: num(item, "max")?,
-            });
+            hists.push((
+                item.get_str("name")?.to_string(),
+                TailSummary {
+                    count: num(item, "count")?,
+                    p50: num(item, "p50")?,
+                    p95: num(item, "p95")?,
+                    p99: num(item, "p99")?,
+                    p999: num(item, "p999")?,
+                    p9999: num(item, "p9999")?,
+                    max: num(item, "max")?,
+                },
+            ));
         }
         let mut sketches = Vec::new();
         for item in v.get_arr("sketches")? {
@@ -444,7 +417,7 @@ mod tests {
         assert_eq!(parsed.end_cycle, 9_999);
         assert_eq!(parsed.verdicts.len(), 1);
         assert_eq!(parsed.hists.len(), 1);
-        assert_eq!(parsed.hists[0].max, 4000);
+        assert_eq!(parsed.hists[0].1.max, 4000);
         assert_eq!(parsed.sketches.len(), 1);
         let series = parsed.series.as_ref().unwrap();
         assert_eq!(series.rows.len(), 2);

@@ -141,10 +141,6 @@ impl TxStructure for HashTable {
         }
         assert_eq!(total, self.len, "len bookkeeping broken");
     }
-
-    fn name(&self) -> &'static str {
-        "hash-table"
-    }
 }
 
 #[cfg(test)]

@@ -81,7 +81,4 @@ pub trait TxStructure {
 
     /// Checks internal invariants, panicking on violation (tests).
     fn check_invariants(&self);
-
-    /// Structure name for reports.
-    fn name(&self) -> &'static str;
 }

@@ -430,10 +430,6 @@ impl TxStructure for RbTree {
             go(self, self.root, None, None);
         }
     }
-
-    fn name(&self) -> &'static str {
-        "rb-tree"
-    }
 }
 
 #[cfg(test)]

@@ -291,10 +291,6 @@ impl TxStructure for SkipList {
             }
         }
     }
-
-    fn name(&self) -> &'static str {
-        "skip-list"
-    }
 }
 
 #[cfg(test)]

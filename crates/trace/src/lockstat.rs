@@ -56,8 +56,6 @@ pub struct LockStat {
     pub handoff: QuantileSketch,
     /// Critical-section hold times.
     pub hold: QuantileSketch,
-    /// Sum of wait cycles, by `[read, write]` mode.
-    pub total_wait: [u64; 2],
     /// Largest single wait, by `[read, write]` mode.
     pub max_wait: [u64; 2],
     /// Threads currently enqueued (waiting) on this lock.
@@ -396,7 +394,6 @@ impl LockStats {
         let ix = mode_ix(write);
         s.acquires[ix] += 1;
         s.handoff.add(wait);
-        s.total_wait[ix] += wait;
         s.max_wait[ix] = s.max_wait[ix].max(wait);
         s.cur_queue = s.cur_queue.saturating_sub(1);
         if !write {
@@ -782,7 +779,6 @@ mod tests {
         assert_eq!(s.hold.count(), 3);
         assert_eq!(s.hold.max(), Some(100));
         assert_eq!(s.max_wait, [6, 200]);
-        assert_eq!(s.total_wait, [10, 200]);
         let report = ls.report(300);
         assert!(
             report.contains("handoff wait: count 3 p50 6 p95 200 p99 200"),

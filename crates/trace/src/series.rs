@@ -201,28 +201,6 @@ pub struct SeriesSnapshot {
 }
 
 impl SeriesSnapshot {
-    /// Canonical CSV rendering (header + one line per window); marks are
-    /// `kind:count` joined with `;`. Byte-identical across same-seed runs.
-    pub fn to_csv(&self) -> String {
-        let mut out =
-            String::from("start_cycle,window,grants,wait_p50,wait_p99,wait_max,queue_peak,marks\n");
-        for r in &self.rows {
-            let marks: Vec<String> = r.marks.iter().map(|(k, v)| format!("{k}:{v}")).collect();
-            out.push_str(&format!(
-                "{},{},{},{},{},{},{},{}\n",
-                r.start_cycle,
-                self.window,
-                r.grants,
-                r.wait_p50,
-                r.wait_p99,
-                r.wait_max,
-                r.queue_peak,
-                marks.join(";")
-            ));
-        }
-        out
-    }
-
     /// Whether anything was recorded.
     pub fn is_empty(&self) -> bool {
         self.rows.is_empty()
@@ -336,19 +314,19 @@ mod tests {
     }
 
     #[test]
-    fn csv_is_deterministic_and_ordered() {
+    fn snapshot_is_deterministic_and_ordered() {
         let mut s = SeriesCollector::new();
         s.enable(100);
         s.on_grant(250, 12);
         s.on_grant(50, 3);
         s.mark(250, "b");
         s.mark(250, "a");
-        let csv = s.snapshot().to_csv();
-        assert_eq!(csv, s.snapshot().to_csv());
-        let lines: Vec<&str> = csv.lines().collect();
-        assert_eq!(lines.len(), 3);
-        assert!(lines[1].starts_with("0,100,1,"));
-        assert!(lines[2].starts_with("200,100,1,"));
-        assert!(lines[2].ends_with("a:1;b:1"), "{}", lines[2]);
+        let snap = s.snapshot();
+        assert_eq!(snap, s.snapshot());
+        let starts: Vec<u64> = snap.rows.iter().map(|r| r.start_cycle).collect();
+        assert_eq!(starts, [0, 200]);
+        assert!(snap.rows.iter().all(|r| r.grants == 1));
+        let marks = &snap.rows[1].marks;
+        assert_eq!(marks, &[("a".to_string(), 1), ("b".to_string(), 1)]);
     }
 }

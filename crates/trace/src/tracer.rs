@@ -209,21 +209,6 @@ impl Tracer {
         }
         w.write_all(b"]\n")
     }
-
-    /// Writes the buffer as a human-readable timeline, oldest first.
-    pub fn export_timeline(&self, w: &mut impl Write) -> io::Result<()> {
-        if self.dropped > 0 {
-            writeln!(
-                w,
-                "... {} earlier records dropped (ring full) ...",
-                self.dropped
-            )?;
-        }
-        for e in &self.buf {
-            writeln!(w, "{}", render_line(e))?;
-        }
-        Ok(())
-    }
 }
 
 const PID_CORES: u32 = 1;
@@ -602,19 +587,6 @@ mod tests {
         assert!(s.contains("\"ph\":\"i\""));
         assert!(s.contains("thread_name"));
         assert!(s.contains("process_name"));
-    }
-
-    #[test]
-    fn timeline_mentions_drops() {
-        let mut tr = Tracer::new();
-        tr.enable(2);
-        for i in 0..5 {
-            tr.record(|| timer_fire(i, "x"));
-        }
-        let mut out = Vec::new();
-        tr.export_timeline(&mut out).unwrap();
-        let s = String::from_utf8(out).unwrap();
-        assert!(s.contains("3 earlier records dropped"), "{s}");
     }
 
     #[test]

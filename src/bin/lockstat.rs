@@ -4,8 +4,7 @@
 //!
 //! ```text
 //! cargo run --release --bin lockstat -- --quick
-//! cargo run --release --bin lockstat -- --lockstat results/lockstat.html \
-//!     --watchdog-cycles 30000
+//! cargo run --release --bin lockstat -- --lockstat results/lockstat.html
 //! ```
 
 fn main() {

@@ -9,8 +9,9 @@ use locksim::machine::{MachineConfig, ThreadId, World};
 use locksim::workloads::{CsThread, IterPool};
 
 /// Runs a small contended microbenchmark with tracing on; returns the
-/// Chrome export, the human timeline, and the metrics snapshot rendering.
-fn traced_run(seed: u64) -> (String, String, String) {
+/// Chrome export, the ring's dropped-record count, and the metrics snapshot
+/// rendering.
+fn traced_run(seed: u64) -> (String, u64, String) {
     let mut w = World::new(MachineConfig::model_a(8), Box::new(LcuBackend::new()), seed);
     w.enable_trace(1 << 16);
     let lock = w.mach().alloc().alloc_line();
@@ -22,14 +23,9 @@ fn traced_run(seed: u64) -> (String, String, String) {
     w.run_to_completion();
     let mut chrome = Vec::new();
     w.mach_ref().tracer().export_chrome(&mut chrome).unwrap();
-    let mut timeline = Vec::new();
-    w.mach_ref()
-        .tracer()
-        .export_timeline(&mut timeline)
-        .unwrap();
     (
         String::from_utf8(chrome).unwrap(),
-        String::from_utf8(timeline).unwrap(),
+        w.mach_ref().tracer().dropped(),
         w.metrics_snapshot().render(),
     )
 }
@@ -39,7 +35,7 @@ fn same_seed_traces_and_metrics_are_byte_identical() {
     let a = traced_run(7);
     let b = traced_run(7);
     assert_eq!(a.0, b.0, "chrome trace export must be deterministic");
-    assert_eq!(a.1, b.1, "timeline export must be deterministic");
+    assert_eq!(a.1, b.1, "dropped-record count must be deterministic");
     assert_eq!(a.2, b.2, "metrics snapshot must be deterministic");
     assert!(a.0.len() > 2, "trace export must not be empty");
     assert!(a.2.contains("counter"), "snapshot must carry counters");

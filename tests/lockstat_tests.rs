@@ -12,12 +12,8 @@ use locksim::workloads::{CsThread, IterPool};
 
 fn contrast_cfg() -> StarvationCfg {
     StarvationCfg {
-        readers: 8,
         reader_iters: 600,
-        reader_cs: 400,
         writer_iters: 5,
-        watchdog_cycles: 30_000,
-        seed: 42,
     }
 }
 

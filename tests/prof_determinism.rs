@@ -1,9 +1,9 @@
 //! Self-profiling must be invisible to the simulation: host-time spans and
 //! counters measure the *host*, and enabling them must not perturb any
 //! simulated output. These goldens run the same seeded workload with the
-//! profiler off and on and require byte-identical trace exports, timeline,
-//! and metrics renderings — the satellite guarantee behind the
-//! `--self-profile` flag being safe to use on any figure run.
+//! profiler off and on and require byte-identical trace exports,
+//! dropped-record counts and metrics renderings — the satellite guarantee
+//! behind the `--self-profile` flag being safe to use on any figure run.
 
 use locksim::core::LcuBackend;
 use locksim::machine::{MachineConfig, World};
@@ -12,7 +12,7 @@ use locksim::workloads::{CsThread, IterPool};
 
 /// Same workload as the determinism goldens: a contended 8-core model-A
 /// LCU run with tracing on, returning every byte-compared artifact.
-fn traced_run(seed: u64) -> (String, String, String) {
+fn traced_run(seed: u64) -> (String, u64, String) {
     let mut w = World::new(MachineConfig::model_a(8), Box::new(LcuBackend::new()), seed);
     w.enable_trace(1 << 16);
     let lock = w.mach().alloc().alloc_line();
@@ -24,14 +24,9 @@ fn traced_run(seed: u64) -> (String, String, String) {
     w.run_to_completion();
     let mut chrome = Vec::new();
     w.mach_ref().tracer().export_chrome(&mut chrome).unwrap();
-    let mut timeline = Vec::new();
-    w.mach_ref()
-        .tracer()
-        .export_timeline(&mut timeline)
-        .unwrap();
     (
         String::from_utf8(chrome).unwrap(),
-        String::from_utf8(timeline).unwrap(),
+        w.mach_ref().tracer().dropped(),
         w.metrics_snapshot().render(),
     )
 }
@@ -56,7 +51,10 @@ fn outputs_are_byte_identical_with_profiling_on_and_off() {
     prof::disable();
 
     assert_eq!(off.0, on.0, "chrome trace must not see the profiler");
-    assert_eq!(off.1, on.1, "timeline must not see the profiler");
+    assert_eq!(
+        off.1, on.1,
+        "dropped-record count must not see the profiler"
+    );
     assert_eq!(off.2, on.2, "metrics snapshot must not see the profiler");
 
     // And the profiled run must actually have profiled: the dispatch spans
