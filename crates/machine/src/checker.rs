@@ -236,7 +236,9 @@ mod tests {
         .unwrap_err();
         let msg = err.downcast_ref::<String>().expect("string panic");
         assert!(msg.contains("exclusion violation"), "{msg}");
-        assert!(msg.contains("lock_grant"), "history missing from: {msg}");
+        let grant = msg.lines().find(|l| l.contains("lock_grant"));
+        let grant = grant.unwrap_or_else(|| panic!("history missing from: {msg}"));
+        assert!(grant.contains("\"wait\":3"), "{grant}");
         assert!(
             msg.contains("acquires r=0 w=1"),
             "lockstat snapshot missing from: {msg}"

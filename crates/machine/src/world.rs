@@ -81,18 +81,22 @@ enum Ev {
     Resume(ThreadId, Outcome, u64),
     /// A cache hit's latency elapsed.
     MemDone { cache: usize, line: LineAddr },
-    /// A directory→cache message arrives.
+    /// A directory→cache message arrives; `class` is the one
+    /// [`Mach::send_to_cache`] sent it as.
     CacheMsg {
         cache: usize,
         line: LineAddr,
         msg: DirToCache,
+        class: MsgClass,
     },
-    /// A cache→directory message arrives.
+    /// A cache→directory message arrives; `class` is the one
+    /// [`Mach::send_to_dir`] sent it as.
     DirMsg {
         dir: usize,
         line: LineAddr,
         from: CacheId,
         msg: CacheToDir,
+        class: MsgClass,
     },
     /// A backend wire message arrives. The token names the message in the
     /// backend's own store; the machine never holds a payload.
@@ -726,15 +730,59 @@ impl Mach {
             t: t0,
             ep: TraceEp::Link(src.index() as u16, dst.index() as u16),
             kind: TraceKind::MsgSend {
-                class: match class {
-                    MsgClass::Control => "control",
-                    MsgClass::Data => "data",
-                },
+                class: class.label(),
                 from: src.index() as u16,
                 to: dst.index() as u16,
             },
         });
         self.net.send(t0, src, dst, class)
+    }
+
+    /// Sends `msg` from `cache`'s controller to `line`'s home directory at
+    /// `t0`. The one place a cache→directory message gets its class: a
+    /// dirty ack carries the line home.
+    fn send_to_dir(&mut self, t0: Time, cache: usize, line: LineAddr, msg: CacheToDir) {
+        let class = match msg {
+            CacheToDir::InvAck { dirty: true } | CacheToDir::DowngradeAck { dirty: true } => {
+                MsgClass::Data
+            }
+            _ => MsgClass::Control,
+        };
+        let dir = home_of(line, self.dirs.len());
+        let src = self.net.core_endpoint(cache);
+        let dst = self.net.mem_endpoint(dir);
+        let arrival = self.net_send(t0, src, dst, class);
+        let from = CacheId(cache as u32);
+        let ev = Ev::DirMsg {
+            dir,
+            line,
+            from,
+            msg,
+            class,
+        };
+        self.sim.schedule_at(arrival, ev);
+    }
+
+    /// Sends directory `dir`'s response `act` for `line` at `t0`. The one
+    /// place a directory→cache message gets its class:
+    /// [`DirAction::carries_data`].
+    fn send_to_cache(&mut self, t0: Time, dir: usize, line: LineAddr, act: DirAction) {
+        let class = if act.carries_data {
+            MsgClass::Data
+        } else {
+            MsgClass::Control
+        };
+        let cache = act.to.0 as usize;
+        let src = self.net.mem_endpoint(dir);
+        let dst = self.net.core_endpoint(cache);
+        let arrival = self.net_send(t0, src, dst, class);
+        let ev = Ev::CacheMsg {
+            cache,
+            line,
+            msg: act.msg,
+            class,
+        };
+        self.sim.schedule_at(arrival, ev);
     }
 
     /// Arms a one-shot backend timer; [`LockBackend::on_timer`] receives
@@ -845,20 +893,8 @@ impl Mach {
                 self.sim.schedule_in(l1, Ev::MemDone { cache, line });
             }
             CacheOpResult::Miss(req) => {
-                let home = home_of(line, self.dirs.len());
-                let src = self.net.core_endpoint(cache);
-                let dst = self.net.mem_endpoint(home);
                 let t0 = self.sim.now() + self.cfg.l1_latency + rmw_extra;
-                let arrival = self.net_send(t0, src, dst, MsgClass::Control);
-                self.sim.schedule_at(
-                    arrival,
-                    Ev::DirMsg {
-                        dir: home,
-                        line,
-                        from: CacheId(cache as u32),
-                        msg: CacheToDir::Req(req),
-                    },
-                );
+                self.send_to_dir(t0, cache, line, CacheToDir::Req(req));
             }
         }
     }
@@ -1372,19 +1408,21 @@ impl World {
                 }
             }
             Ev::MemDone { cache, line } => self.complete_mem(cache, line),
-            Ev::CacheMsg { cache, line, msg } => {
-                // Trace-prep (endpoint lookups, class naming, state reads)
-                // only when tracing is on: this is the hottest dispatch arm
-                // and the lazy record closure alone doesn't guard work done
-                // to build its captures.
+            Ev::CacheMsg {
+                cache,
+                line,
+                msg,
+                class,
+            } => {
+                // Trace-prep (endpoint lookups, state reads) only when
+                // tracing is on: this is the hottest dispatch arm and the
+                // lazy record closure alone doesn't guard work done to
+                // build its captures.
                 let before = if self.mach.tracer.is_enabled() {
                     let home = home_of(line, self.mach.dirs.len());
                     let from = self.mach.net.mem_endpoint(home).index() as u16;
                     let to = self.mach.net.core_endpoint(cache).index() as u16;
-                    let class = match msg {
-                        DirToCache::DataS { .. } | DirToCache::DataM => "data",
-                        _ => "control",
-                    };
+                    let class = class.label();
                     self.mach.trace(|now| TraceEvent {
                         t: now,
                         ep: TraceEp::Core(cache as u32),
@@ -1413,25 +1451,8 @@ impl World {
                 for act in actions.drain(..) {
                     match act {
                         CacheAction::Send(m) => {
-                            let home = home_of(line, self.mach.dirs.len());
-                            let src = self.mach.net.core_endpoint(cache);
-                            let dst = self.mach.net.mem_endpoint(home);
-                            let class = match m {
-                                CacheToDir::InvAck { dirty: true }
-                                | CacheToDir::DowngradeAck { dirty: true } => MsgClass::Data,
-                                _ => MsgClass::Control,
-                            };
                             let now = self.mach.sim.now();
-                            let arrival = self.mach.net_send(now, src, dst, class);
-                            self.mach.sim.schedule_at(
-                                arrival,
-                                Ev::DirMsg {
-                                    dir: home,
-                                    line,
-                                    from: CacheId(cache as u32),
-                                    msg: m,
-                                },
-                            );
+                            self.mach.send_to_dir(now, cache, line, m);
                         }
                         CacheAction::CpuDone => self.complete_mem(cache, line),
                         CacheAction::Invalidated => self.fire_watchers(cache, line),
@@ -1445,17 +1466,14 @@ impl World {
                 line,
                 from,
                 msg,
+                class,
             } => {
-                // Same guard as the CacheMsg arm: skip endpoint/class prep
+                // Same guard as the CacheMsg arm: skip endpoint prep
                 // entirely when tracing is off.
                 if self.mach.tracer.is_enabled() {
                     let src = self.mach.net.core_endpoint(from.0 as usize).index() as u16;
                     let dst = self.mach.net.mem_endpoint(dir).index() as u16;
-                    let class = match msg {
-                        CacheToDir::InvAck { dirty: true }
-                        | CacheToDir::DowngradeAck { dirty: true } => "data",
-                        _ => "control",
-                    };
+                    let class = class.label();
                     self.mach.trace(|now| TraceEvent {
                         t: now,
                         ep: TraceEp::Dir(dir as u32),
@@ -1491,23 +1509,8 @@ impl World {
                         } else {
                             0
                         };
-                    let class = if act.carries_data {
-                        MsgClass::Data
-                    } else {
-                        MsgClass::Control
-                    };
-                    let src = self.mach.net.mem_endpoint(dir);
-                    let dst = self.mach.net.core_endpoint(act.to.0 as usize);
                     let t0 = self.mach.sim.now() + delay;
-                    let arrival = self.mach.net_send(t0, src, dst, class);
-                    self.mach.sim.schedule_at(
-                        arrival,
-                        Ev::CacheMsg {
-                            cache: act.to.0 as usize,
-                            line,
-                            msg: act.msg,
-                        },
-                    );
+                    self.mach.send_to_cache(t0, dir, line, act);
                 }
                 self.mach.dir_scratch = actions;
             }

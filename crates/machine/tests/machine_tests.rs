@@ -9,6 +9,7 @@ use locksim_machine::testing::{FnProgram, ScriptProgram};
 use locksim_machine::{
     Action, Addr, IdealBackend, MachineConfig, Mode, Outcome, RmwOp, RunExit, ThreadId, World,
 };
+use locksim_trace::TraceKind;
 
 fn world_a(chips: usize) -> World {
     World::new(
@@ -433,6 +434,48 @@ fn report_counters_include_lock_and_network_activity() {
     let c = w.report_counters();
     assert_eq!(c.get("locks_granted"), 1);
     assert!(c.get("net_control_msgs") > 0, "cold write misses to memory");
+}
+
+#[test]
+fn an_upgrade_grant_without_data_is_received_as_control() {
+    // t0 and t1 read a line, so both share it in S; then t1 writes it. The
+    // directory invalidates t0's copy and grants t1 M without a data flit,
+    // since t1 already holds the line: the grant is sent as control and
+    // must be received as control.
+    let mut w = world_a(2);
+    w.enable_trace(1 << 12);
+    let a = w.mach().alloc().alloc_line();
+    w.spawn(Box::new(ScriptProgram::new(vec![Action::Read(a)])));
+    w.spawn(Box::new(ScriptProgram::new(vec![
+        Action::Compute(1_000),
+        Action::Read(a),
+        Action::Compute(1_000),
+        Action::Write(a, 1),
+    ])));
+    w.run_to_completion();
+    let mut sent = Vec::new();
+    let mut received = Vec::new();
+    let mut upgrade_recv = None;
+    let mut last_recv = None;
+    for e in w.mach_ref().tracer().events() {
+        match e.kind {
+            TraceKind::MsgSend { class, .. } => sent.push(class),
+            TraceKind::MsgRecv { class, .. } => {
+                received.push(class);
+                last_recv = Some(class);
+            }
+            TraceKind::Coherence {
+                from: "S", to: "M", ..
+            } => upgrade_recv = last_recv,
+            _ => {}
+        }
+    }
+    assert_eq!(upgrade_recv, Some("control"), "the S -> M grant");
+    sent.sort_unstable();
+    received.sort_unstable();
+    assert_eq!(sent, received, "every message is received as it was sent");
+    // The two read fills carry the line; the upgrade does not.
+    assert_eq!(w.report_counters().get("net_data_msgs"), 2);
 }
 
 #[test]

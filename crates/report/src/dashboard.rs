@@ -169,8 +169,8 @@ pub fn render_dashboard(manifests: &[(String, RunManifest)]) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::manifest::{SeriesOut, SeriesRow, Verdict};
-    use locksim_trace::TailSummary;
+    use crate::manifest::Verdict;
+    use locksim_trace::{SeriesSnapshot, TailSummary, WindowRow};
 
     fn manifest() -> RunManifest {
         RunManifest {
@@ -200,10 +200,10 @@ mod tests {
                 "lock_wait_cycles".to_string(),
                 "qsketch-v1 k=5 count=1 min=7 max=7 buckets=7:1".to_string(),
             )],
-            series: Some(SeriesOut {
+            series: Some(SeriesSnapshot {
                 window: 25_000,
                 rows: vec![
-                    SeriesRow {
+                    WindowRow {
                         start_cycle: 0,
                         grants: 30,
                         wait_p50: 100,
@@ -212,7 +212,7 @@ mod tests {
                         queue_peak: 5,
                         marks: String::new(),
                     },
-                    SeriesRow {
+                    WindowRow {
                         start_cycle: 25_000,
                         grants: 34,
                         wait_p50: 110,

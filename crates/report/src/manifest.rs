@@ -13,7 +13,7 @@
 use std::path::{Path, PathBuf};
 
 use locksim_trace::metrics::MetricsSnapshot;
-use locksim_trace::series::SeriesSnapshot;
+use locksim_trace::series::{SeriesSnapshot, WindowRow};
 use locksim_trace::TailSummary;
 
 use crate::json::{self, escape, Value};
@@ -28,34 +28,6 @@ pub struct Verdict {
     pub name: String,
     /// The outcome label (`pass`, `fail`, `LIVENESS`, ...).
     pub verdict: String,
-}
-
-/// One time-series window, as recorded in the manifest.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct SeriesRow {
-    /// First cycle covered.
-    pub start_cycle: u64,
-    /// Grants completed in the window.
-    pub grants: u64,
-    /// Median wait of those grants.
-    pub wait_p50: u64,
-    /// 99th-percentile wait.
-    pub wait_p99: u64,
-    /// Worst wait.
-    pub wait_max: u64,
-    /// Queue-depth waterline.
-    pub queue_peak: u64,
-    /// `kind:count` marks joined with `;` (empty when none).
-    pub marks: String,
-}
-
-/// The recorded time-series: final window width plus windows in time order.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct SeriesOut {
-    /// Window width in cycles.
-    pub window: u64,
-    /// Windows in start-cycle order.
-    pub rows: Vec<SeriesRow>,
 }
 
 /// One run's ledger entry. See the module docs for the determinism
@@ -80,8 +52,8 @@ pub struct RunManifest {
     pub hists: Vec<(String, TailSummary)>,
     /// `(name, qsketch-v1 text)` per histogram, in name order.
     pub sketches: Vec<(String, String)>,
-    /// The windowed time-series, when collection was enabled.
-    pub series: Option<SeriesOut>,
+    /// The windowed time-series, when collection recorded a window.
+    pub series: Option<SeriesSnapshot>,
 }
 
 impl RunManifest {
@@ -116,27 +88,7 @@ impl RunManifest {
                 .map(|&(name, t)| (name.to_string(), t))
                 .collect(),
             sketches: snap.sketches.clone(),
-            series: series.filter(|s| !s.is_empty()).map(|s| SeriesOut {
-                window: s.window,
-                rows: s
-                    .rows
-                    .iter()
-                    .map(|r| SeriesRow {
-                        start_cycle: r.start_cycle,
-                        grants: r.grants,
-                        wait_p50: r.wait_p50,
-                        wait_p99: r.wait_p99,
-                        wait_max: r.wait_max,
-                        queue_peak: r.queue_peak,
-                        marks: r
-                            .marks
-                            .iter()
-                            .map(|(k, v)| format!("{k}:{v}"))
-                            .collect::<Vec<_>>()
-                            .join(";"),
-                    })
-                    .collect(),
-            }),
+            series: series.filter(|s| !s.is_empty()).cloned(),
         }
     }
 
@@ -276,7 +228,7 @@ impl RunManifest {
             sv => {
                 let mut rows = Vec::new();
                 for item in sv.get_arr("rows")? {
-                    rows.push(SeriesRow {
+                    rows.push(WindowRow {
                         start_cycle: num(item, "start_cycle")?,
                         grants: num(item, "grants")?,
                         wait_p50: num(item, "wait_p50")?,
@@ -286,7 +238,7 @@ impl RunManifest {
                         marks: item.get_str("marks")?.to_string(),
                     });
                 }
-                Some(SeriesOut {
+                Some(SeriesSnapshot {
                     window: num(sv, "window")?,
                     rows,
                 })

@@ -32,6 +32,14 @@ impl MsgClass {
             MsgClass::Data => 5,
         }
     }
+
+    /// The class's name in trace records.
+    pub fn label(self) -> &'static str {
+        match self {
+            MsgClass::Control => "control",
+            MsgClass::Data => "data",
+        }
+    }
 }
 
 /// A directed link with propagation latency, per-flit serialization cost and

@@ -44,7 +44,7 @@ fn mode_ix(write: bool) -> usize {
 }
 
 /// Per-lock contention record. Mode-split arrays are `[read, write]`.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
+#[derive(Debug, Clone, Default)]
 pub struct LockStat {
     /// Grants, by `[read, write]` mode.
     pub acquires: [u64; 2],
@@ -58,20 +58,31 @@ pub struct LockStat {
     pub hold: QuantileSketch,
     /// Largest single wait, by `[read, write]` mode.
     pub max_wait: [u64; 2],
-    /// Threads currently enqueued (waiting) on this lock.
-    pub cur_queue: u32,
     /// Queue-depth waterline: most simultaneous waiters ever seen.
     pub max_queue: u32,
-    /// Readers currently holding the lock.
-    pub cur_readers: u32,
     /// Largest concurrent reader group ever granted.
     pub max_readers: u32,
     /// Backend-specific per-lock counters (e.g. `ssb_remote_retries`,
     /// `lcu_direct_transfers`), bumped via [`LockStats::bump`].
     pub aux: BTreeMap<&'static str, u64>,
+    /// Outstanding waits: thread → (enqueue time, write).
+    waiters: BTreeMap<u32, (u64, bool)>,
+    /// The lock's holders and blocking chain.
+    chain: ChainState,
 }
 
 impl LockStat {
+    /// Threads waiting on this lock now.
+    fn cur_queue(&self) -> u32 {
+        self.waiters.len() as u32
+    }
+
+    /// Readers holding this lock now.
+    fn cur_readers(&self) -> u32 {
+        let holders = self.chain.holders.values();
+        holders.filter(|n| !n.link.write).count() as u32
+    }
+
     /// One-lock summary block used by reports and the exclusion checker's
     /// abort dump.
     pub fn render(&self, addr: u64) -> String {
@@ -90,7 +101,10 @@ impl LockStat {
         let _ = writeln!(
             out,
             "  queue depth waterline {} (now {}); reader group max {} (now {})",
-            self.max_queue, self.cur_queue, self.max_readers, self.cur_readers
+            self.max_queue,
+            self.cur_queue(),
+            self.max_readers,
+            self.cur_readers()
         );
         if !self.aux.is_empty() {
             let kv: Vec<String> = self.aux.iter().map(|(k, v)| format!("{k}={v}")).collect();
@@ -307,6 +321,13 @@ impl ChainState {
         }
     }
 
+    /// `thread` released the lock at `now`: the next grant may chain from it.
+    fn release(&mut self, thread: u32, now: u64) {
+        if let Some(node) = self.holders.remove(&thread) {
+            self.last_release = Some((now, node));
+        }
+    }
+
     /// The deepest chain, earliest grant first, or `None` before any grant.
     fn longest(&self, lock: u64) -> Option<LockChain> {
         let mut links: Vec<ChainLink> =
@@ -332,11 +353,7 @@ pub struct LockStats {
     enabled: bool,
     watchdog: Option<u64>,
     locks: BTreeMap<u64, LockStat>,
-    /// Outstanding waits: `(lock, thread)` → `(enqueue time, write)`.
-    waiting: BTreeMap<(u64, u32), (u64, bool)>,
     flags: Vec<StarvationFlag>,
-    /// Per-lock blocking-chain state.
-    chains: BTreeMap<u64, ChainState>,
 }
 
 impl LockStats {
@@ -368,10 +385,9 @@ impl LockStats {
         if !self.enabled {
             return;
         }
-        self.waiting.insert((lock, thread), (now, write));
         let s = self.locks.entry(lock).or_default();
-        s.cur_queue += 1;
-        s.max_queue = s.max_queue.max(s.cur_queue);
+        s.waiters.insert(thread, (now, write));
+        s.max_queue = s.max_queue.max(s.cur_queue());
     }
 
     /// A thread's acquire was granted at `now` after `wait` cycles, so it
@@ -389,23 +405,21 @@ impl LockStats {
         if !self.enabled {
             return None;
         }
-        self.waiting.remove(&(lock, thread));
         let s = self.locks.entry(lock).or_default();
+        s.waiters.remove(&thread);
         let ix = mode_ix(write);
         s.acquires[ix] += 1;
         s.handoff.add(wait);
         s.max_wait[ix] = s.max_wait[ix].max(wait);
-        s.cur_queue = s.cur_queue.saturating_sub(1);
-        if !write {
-            s.cur_readers += 1;
-            s.max_readers = s.max_readers.max(s.cur_readers);
-        }
-        self.chains.entry(lock).or_default().grant(ChainLink {
+        s.chain.grant(ChainLink {
             thread,
             write,
             granted_at: now,
             wait,
         });
+        if !write {
+            s.max_readers = s.max_readers.max(s.cur_readers());
+        }
         self.watchdog_check(lock, thread, write, wait, now, FlagOutcome::Granted)
     }
 
@@ -417,13 +431,7 @@ impl LockStats {
         let s = self.locks.entry(lock).or_default();
         s.releases[mode_ix(write)] += 1;
         s.hold.add(held);
-        if !write {
-            s.cur_readers = s.cur_readers.saturating_sub(1);
-        }
-        let c = self.chains.entry(lock).or_default();
-        if let Some(node) = c.holders.remove(&thread) {
-            c.last_release = Some((now, node));
-        }
+        s.chain.release(thread, now);
     }
 
     /// A thread's trylock gave up. Returns a [`StarvationFlag`] when the
@@ -432,10 +440,9 @@ impl LockStats {
         if !self.enabled {
             return None;
         }
-        let (since, write) = self.waiting.remove(&(lock, thread)).unwrap_or((now, false));
         let s = self.locks.entry(lock).or_default();
         s.fails += 1;
-        s.cur_queue = s.cur_queue.saturating_sub(1);
+        let (since, write) = s.waiters.remove(&thread).unwrap_or((now, false));
         let wait = now.saturating_sub(since);
         self.watchdog_check(lock, thread, write, wait, now, FlagOutcome::Failed)
     }
@@ -493,20 +500,23 @@ impl LockStats {
         let Some(threshold) = self.watchdog else {
             return Vec::new();
         };
-        self.waiting
-            .iter()
-            .filter_map(|(&(lock, thread), &(since, write))| {
+        let mut overdue = Vec::new();
+        for (&lock, s) in &self.locks {
+            for (&thread, &(since, write)) in &s.waiters {
                 let waited = now.saturating_sub(since);
-                (waited > threshold).then_some(StarvationFlag {
-                    lock,
-                    thread,
-                    write,
-                    waited,
-                    at: now,
-                    outcome: FlagOutcome::StillWaiting,
-                })
-            })
-            .collect()
+                if waited > threshold {
+                    overdue.push(StarvationFlag {
+                        lock,
+                        thread,
+                        write,
+                        waited,
+                        at: now,
+                        outcome: FlagOutcome::StillWaiting,
+                    });
+                }
+            }
+        }
+        overdue
     }
 
     /// Every wait that passed the watchdog threshold by `now`: the
@@ -545,9 +555,9 @@ impl LockStats {
     /// A lock whose grants never chained (every grant found it idle)
     /// reports its first grant.
     pub fn chains(&self) -> Vec<LockChain> {
-        self.chains
+        self.locks
             .iter()
-            .filter_map(|(&lock, c)| c.longest(lock))
+            .filter_map(|(&lock, s)| s.chain.longest(lock))
             .collect()
     }
 
@@ -763,6 +773,8 @@ mod tests {
         ls.on_request(0x40, 2, true, 0);
         assert!(ls.on_grant(0x40, 0, false, 4, 4).is_none());
         assert!(ls.on_grant(0x40, 1, false, 6, 6).is_none());
+        let s = ls.lock(0x40).unwrap();
+        assert_eq!((s.cur_queue(), s.cur_readers()), (1, 2));
         ls.on_release(0x40, 1, false, 90, 96);
         ls.on_release(0x40, 0, false, 100, 104);
         assert!(ls.on_grant(0x40, 2, true, 200, 206).is_none());
@@ -771,9 +783,9 @@ mod tests {
         assert_eq!(s.acquires, [2, 1]);
         assert_eq!(s.releases, [2, 1]);
         assert_eq!(s.max_queue, 3);
-        assert_eq!(s.cur_queue, 0);
+        assert_eq!(s.cur_queue(), 0);
         assert_eq!(s.max_readers, 2);
-        assert_eq!(s.cur_readers, 0);
+        assert_eq!(s.cur_readers(), 0);
         assert_eq!(s.handoff.count(), 3);
         assert_eq!(s.handoff.max(), Some(200));
         assert_eq!(s.hold.count(), 3);
@@ -825,7 +837,7 @@ mod tests {
         let f = ls.on_fail(0x40, 5, 100).expect("long failed wait flags");
         assert_eq!(f.outcome, FlagOutcome::Failed);
         assert_eq!(ls.lock(0x40).unwrap().fails, 1);
-        assert_eq!(ls.lock(0x40).unwrap().cur_queue, 0);
+        assert_eq!(ls.lock(0x40).unwrap().cur_queue(), 0);
     }
 
     #[test]

@@ -17,6 +17,7 @@
 //! across runs.
 
 use std::collections::BTreeMap;
+use std::fmt::Write as _;
 
 use crate::sketch::QuantileSketch;
 
@@ -150,6 +151,11 @@ impl SeriesCollector {
             .iter()
             .map(|(&ix, s)| {
                 let t = s.wait.tail_summary();
+                let mut marks = String::new();
+                for (k, v) in &s.marks {
+                    let sep = if marks.is_empty() { "" } else { ";" };
+                    let _ = write!(marks, "{sep}{k}:{v}");
+                }
                 WindowRow {
                     start_cycle: ix * self.window,
                     grants: s.grants,
@@ -157,8 +163,7 @@ impl SeriesCollector {
                     wait_p99: t.p99,
                     wait_max: t.max,
                     queue_peak: s.queue_peak,
-                    marks: s.marks.iter().map(|(&k, &v)| (k.to_string(), v)).collect(),
-                    wait_sketch: s.wait.to_text(),
+                    marks,
                 }
             })
             .collect();
@@ -169,7 +174,8 @@ impl SeriesCollector {
     }
 }
 
-/// One exported window.
+/// One exported window, as the run ledger records it and the dashboard
+/// charts it.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct WindowRow {
     /// First cycle covered by the window.
@@ -184,10 +190,9 @@ pub struct WindowRow {
     pub wait_max: u64,
     /// Queue-depth waterline.
     pub queue_peak: u64,
-    /// `(kind, count)` of marked events, in kind order.
-    pub marks: Vec<(String, u64)>,
-    /// The full wait sketch (`qsketch-v1` text) for cross-run merging.
-    pub wait_sketch: String,
+    /// Marked events as `kind:count` joined with `;`, in kind order
+    /// (empty when none).
+    pub marks: String,
 }
 
 /// Owned export of a [`SeriesCollector`]: the final window width and every
@@ -238,7 +243,7 @@ mod tests {
         assert_eq!(snap.rows[0].queue_peak, 4);
         assert_eq!(snap.rows[1].start_cycle, 100);
         assert_eq!(snap.rows[1].grants, 1);
-        assert_eq!(snap.rows[1].marks, vec![("fault/suspend".to_string(), 1)]);
+        assert_eq!(snap.rows[1].marks, "fault/suspend:1");
     }
 
     #[test]
@@ -302,12 +307,16 @@ mod tests {
             (first.start_cycle, first.grants, first.queue_peak),
             (0, 3, 3)
         );
-        assert_eq!(first.marks, vec![("late".to_string(), 1)]);
+        assert_eq!(first.marks, "late:1");
         let mut wait = crate::sketch::QuantileSketch::new();
         for v in [40, 7, 5] {
             wait.add(v);
         }
-        assert_eq!(first.wait_sketch, wait.to_text());
+        let t = wait.tail_summary();
+        assert_eq!(
+            (first.wait_p50, first.wait_p99, first.wait_max),
+            (t.p50, t.p99, t.max)
+        );
         let total: u64 = snap.rows.iter().map(|r| r.grants).sum();
         assert_eq!(total, 3 + DEFAULT_MAX_WINDOWS as u64 - 1);
         assert_eq!(snap.rows.len(), DEFAULT_MAX_WINDOWS / 2 + 1);
@@ -326,7 +335,6 @@ mod tests {
         let starts: Vec<u64> = snap.rows.iter().map(|r| r.start_cycle).collect();
         assert_eq!(starts, [0, 200]);
         assert!(snap.rows.iter().all(|r| r.grants == 1));
-        let marks = &snap.rows[1].marks;
-        assert_eq!(marks, &[("a".to_string(), 1), ("b".to_string(), 1)]);
+        assert_eq!(snap.rows[1].marks, "a:1;b:1");
     }
 }

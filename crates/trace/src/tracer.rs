@@ -1,6 +1,6 @@
-//! The trace collector: a bounded ring buffer of [`TraceEvent`]s with
-//! Chrome-trace and human-timeline exporters, plus the streaming
-//! [`Oracles`] a fault run arms on it.
+//! The trace collector: a bounded ring buffer of [`TraceEvent`]s with a
+//! Chrome-trace exporter, plus the streaming [`Oracles`] a fault run arms
+//! on it.
 //!
 //! Cost model: when the ring and the oracles are both off (the default),
 //! [`Tracer::record`] is one branch — the closure building the event is
@@ -141,7 +141,8 @@ impl Tracer {
     }
 
     /// Renders the last `n` lock-relevant records as a report for the
-    /// exclusion checker's abort message.
+    /// exclusion checker's abort message: per record its cycle, track,
+    /// kind and the `args` object [`Tracer::export_chrome`] writes for it.
     pub fn lock_history_report(&self, lock: u64, n: usize) -> String {
         let picked = self.recent_for_lock(lock, n);
         if picked.is_empty() {
@@ -156,7 +157,14 @@ impl Tracer {
         }
         let mut out = format!("last {} trace records for lock {lock:#x}:\n", picked.len());
         for e in picked {
-            let _ = writeln!(out, "  {}", render_line(e));
+            let _ = writeln!(
+                out,
+                "  [{:>10}] {:<12} {:<13} {{{}}}",
+                e.t.cycles(),
+                track_name(e.ep),
+                e.kind.name(),
+                args_json(&e.kind)
+            );
         }
         out
     }
@@ -268,6 +276,8 @@ pub fn json_escape(s: &str) -> String {
     out
 }
 
+/// A record's fields as the body of a JSON object: the `args` of its
+/// Chrome trace event and of its line in a lock history report.
 fn args_json(kind: &TraceKind) -> String {
     match *kind {
         TraceKind::MsgSend { class, from, to } | TraceKind::MsgRecv { class, from, to } => {
@@ -287,6 +297,11 @@ fn args_json(kind: &TraceKind) -> String {
             lock,
             thread,
             write,
+        }
+        | TraceKind::LockRelease {
+            lock,
+            thread,
+            write,
         } => {
             format!("\"lock\":{lock},\"thread\":{thread},\"write\":{write}")
         }
@@ -297,13 +312,6 @@ fn args_json(kind: &TraceKind) -> String {
             wait,
         } => {
             format!("\"lock\":{lock},\"thread\":{thread},\"write\":{write},\"wait\":{wait}")
-        }
-        TraceKind::LockRelease {
-            lock,
-            thread,
-            write,
-        } => {
-            format!("\"lock\":{lock},\"thread\":{thread},\"write\":{write}")
         }
         TraceKind::LockFail { lock, thread } => {
             format!("\"lock\":{lock},\"thread\":{thread}")
@@ -348,109 +356,6 @@ fn args_json(kind: &TraceKind) -> String {
         TraceKind::TimerFire { label } => {
             format!("\"label\":\"{}\"", json_escape(label))
         }
-    }
-}
-
-fn render_line(e: &TraceEvent) -> String {
-    let mut line = format!(
-        "[{:>10}] {:<12} {:<13}",
-        e.t.cycles(),
-        ep_label(e.ep),
-        e.kind.name()
-    );
-    match e.kind {
-        TraceKind::MsgSend { class, from, to } | TraceKind::MsgRecv { class, from, to } => {
-            let _ = write!(line, "{class} {from}->{to}");
-        }
-        TraceKind::Coherence { line: l, from, to } => {
-            let _ = write!(line, "line {l:#x} {from}->{to}");
-        }
-        TraceKind::LockRequest {
-            lock,
-            thread,
-            write,
-        } => {
-            let _ = write!(line, "lock {lock:#x} t{thread} {}", rw(write));
-        }
-        TraceKind::LockGrant {
-            lock,
-            thread,
-            write,
-            wait,
-        } => {
-            let _ = write!(
-                line,
-                "lock {lock:#x} t{thread} {} after {wait} cy",
-                rw(write)
-            );
-        }
-        TraceKind::LockRelease {
-            lock,
-            thread,
-            write,
-        } => {
-            let _ = write!(line, "lock {lock:#x} t{thread} {}", rw(write));
-        }
-        TraceKind::LockFail { lock, thread } => {
-            let _ = write!(line, "lock {lock:#x} t{thread}");
-        }
-        TraceKind::EntryState { lock, state } => {
-            let _ = write!(line, "lock {lock:#x} -> {state}");
-        }
-        TraceKind::SchedRun { thread, core } | TraceKind::SchedPreempt { thread, core } => {
-            let _ = write!(line, "t{thread} core {core}");
-        }
-        TraceKind::SchedMigrate { thread, from, to } => {
-            let _ = write!(line, "t{thread} core {from}->{to}");
-        }
-        TraceKind::Starve {
-            lock,
-            thread,
-            write,
-            waited,
-        } => {
-            let _ = write!(
-                line,
-                "lock {lock:#x} t{thread} {} waited {waited} cy",
-                rw(write)
-            );
-        }
-        TraceKind::FaultInject { fault, thread, arg } => {
-            let _ = write!(line, "{fault} t{thread} arg={arg}");
-        }
-        TraceKind::Deadlock { lock, waiters } => {
-            let _ = write!(line, "lock {lock:#x} {waiters} waiters wedged");
-        }
-        TraceKind::OracleViolation {
-            oracle,
-            lock,
-            thread,
-            value,
-        } => {
-            let _ = write!(line, "{oracle} lock {lock:#x} t{thread} value={value}");
-        }
-        TraceKind::TimerFire { label } => {
-            let _ = write!(line, "{label}");
-        }
-    }
-    line
-}
-
-fn ep_label(ep: Ep) -> String {
-    match ep {
-        Ep::Core(i) => format!("core{i}"),
-        Ep::Dir(i) => format!("dir{i}"),
-        Ep::Thread(i) => format!("thr{i}"),
-        Ep::Link(a, b) => format!("lnk{a}-{b}"),
-        Ep::Global => "machine".to_string(),
-    }
-}
-
-fn rw(write: bool) -> &'static str {
-    if write {
-        "write"
-    } else {
-        "read"
     }
 }
 
@@ -552,8 +457,15 @@ mod tests {
         assert_eq!(h1.len(), 1);
         assert_eq!(h1[0].t.cycles(), 4);
         let report = tr.lock_history_report(0x40, 10);
-        assert!(report.contains("lock 0x40"), "{report}");
-        assert!(!report.contains("0x80"), "{report}");
+        assert!(report.starts_with("last 2 trace records for lock 0x40:\n"));
+        assert!(
+            report.ends_with(
+                "  [         4] thread 2     lock_grant    \
+                 {\"lock\":64,\"thread\":2,\"write\":true,\"wait\":5}\n"
+            ),
+            "{report}"
+        );
+        assert!(!report.contains("\"lock\":128"), "{report}");
         let none = Tracer::new().lock_history_report(0x40, 10);
         assert!(
             none.starts_with("no trace history") && none.ends_with('\n'),
